@@ -49,7 +49,7 @@ overload:
 # autoscaler and the brownout ladder sharing the backlog signal without
 # oscillating), the capacity-model units and the sched resize
 # primitives under -race, plus the fleetsim cost-vs-SLO frontier. The
-# tier-1 gate runs the game-day and determinism check as its smoke.
+# tier-1 gate runs the game-day and determinism check in its test steps.
 autoscale:
 	$(GO) test -race -v -run 'TestAutoscale|TestCapacityModel|TestPredictedQueue|TestRequiredWorkers|TestBrownoutHolds|TestRebalanceStands|TestDrainBeforeRemove|TestCancelDrain|TestActivateAfterRetire|TestScaleFromZero|TestStaleRelease' ./internal/cluster ./internal/sched
 	$(GO) test -race -v -run 'TestCostVsSLOFrontier|TestFrontierDeterministic' ./internal/fleetsim
@@ -59,7 +59,7 @@ autoscale:
 # false convictions), the hedge-laundering regression, the container
 # chunk-checksum tamper tests, all under -race, plus the fleetsim
 # escapes-vs-audit-budget frontier. The tier-1 gate runs the game-day
-# and determinism check as its smoke.
+# and determinism check in its test steps.
 audit:
 	$(GO) test -race -v -run 'TestAudit|TestHedgeDoesNotLaunderCorruption|TestIntermittent|TestExtendedCheck|TestRegionAuditRollUp|TestAccumulateAuditStats' ./internal/cluster ./internal/vcu
 	$(GO) test -race -v -run 'TestChunkChecksum' ./internal/container

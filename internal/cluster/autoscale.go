@@ -3,7 +3,6 @@ package cluster
 import (
 	"time"
 
-	"openvcu/internal/sched"
 	"openvcu/internal/transcode"
 )
 
@@ -543,11 +542,11 @@ func (c *Cluster) scaleDown(k int) {
 // mechanisms never thrash the same pool in one tick.
 func (c *Cluster) drainingPools() [2]bool {
 	var out [2]bool
-	if c.as == nil || c.poolOf == nil {
+	if c.as == nil || !c.cfg.EnablePools {
 		return out
 	}
 	for _, cw := range c.as.draining {
-		out[c.poolOf[cw.vcu.ID]] = true
+		out[cw.pool] = true
 	}
 	return out
 }
@@ -563,13 +562,9 @@ func (c *Cluster) updateUtilizationGauges() {
 		if cw.parked || !c.workerHealthy(cw) || cw.sw.Draining() {
 			continue
 		}
-		pool := sched.UseUpload
-		if c.poolOf != nil {
-			pool = c.poolOf[cw.vcu.ID]
-		}
-		total[pool]++
+		total[cw.pool]++
 		if !cw.sw.Idle() {
-			busy[pool]++
+			busy[cw.pool]++
 		}
 	}
 	for i := range total {

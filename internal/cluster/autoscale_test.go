@@ -340,7 +340,7 @@ func TestRebalanceStandsDownForDrainingPool(t *testing.T) {
 	// worker, so the backlogged step cannot simply place and vanish).
 	var drained []*clusterWorker
 	for _, cw := range c.workers {
-		if c.poolOf[cw.vcu.ID] == sched.UseUpload {
+		if cw.pool == sched.UseUpload {
 			cw.sw.BeginDrain()
 			drained = append(drained, cw)
 		}

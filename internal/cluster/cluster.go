@@ -477,8 +477,6 @@ type Cluster struct {
 	// into the slice the outer drain is rebuilding.
 	dispatching  bool
 	dispatchMore bool
-	// poolOf assigns each VCU to a logical pool when pools are enabled.
-	poolOf map[int]sched.UseCase
 	// as is the autoscaling control loop, nil when disabled.
 	as *autoscaler
 	// aud is the online output auditor, nil when disabled.
@@ -502,6 +500,9 @@ type clusterWorker struct {
 	vcu     *vcu.VCU
 	host    *vcu.Host
 	queueFW *vcu.Queue
+	// pool is the logical pool the worker serves when cfg.EnablePools
+	// is set; the rebalancer moves workers between pools.
+	pool sched.UseCase
 	// refused marks workers whose golden check failed: the VCU is
 	// quarantined until fault management disables it.
 	refused bool
@@ -567,13 +568,10 @@ func buildCluster(cfg Config, eng *sim.Engine) *Cluster {
 		c.ring = newHashRing(ids)
 	}
 	if cfg.EnablePools {
-		c.poolOf = map[int]sched.UseCase{}
 		liveN := int(cfg.LiveShare * float64(len(c.workers)))
 		for i, cw := range c.workers {
 			if i < liveN {
-				c.poolOf[cw.vcu.ID] = sched.UseLive
-			} else {
-				c.poolOf[cw.vcu.ID] = sched.UseUpload
+				cw.pool = sched.UseLive
 			}
 		}
 		period := cfg.RebalancePeriod
@@ -607,7 +605,7 @@ func stepPool(s *Step) sched.UseCase {
 // pools in the cluster").
 func (c *Cluster) rebalancePools() {
 	now := c.Eng.Now()
-	backlog := map[sched.UseCase]int{}
+	var backlog [2]int // by sched.UseCase
 	for _, s := range c.queue {
 		// Steps parked in retry backoff are deferred work, not demand:
 		// counting them would drag idle workers toward a pool that has
@@ -622,9 +620,8 @@ func (c *Cluster) rebalancePools() {
 	// one pool in the same tick would thrash (the rebalancer pulling
 	// workers in while the autoscaler drains them out).
 	drains := c.drainingPools()
-	// Iterate pools in fixed priority order, not map order: idle
-	// workers are first-come-first-served, so map order would decide
-	// which pool wins them and make rebalancing nondeterministic.
+	// Pools in priority order: idle workers are first-come-first-served,
+	// so the live pool gets first pick.
 	for _, pool := range []sched.UseCase{sched.UseLive, sched.UseUpload} {
 		need := backlog[pool]
 		if need == 0 {
@@ -639,20 +636,20 @@ func (c *Cluster) rebalancePools() {
 			if moved >= need {
 				break
 			}
-			if c.poolOf[cw.vcu.ID] == pool || !cw.sw.Idle() || cw.refused || cw.vcu.Disabled() {
+			if cw.pool == pool || !cw.sw.Idle() || cw.refused || cw.vcu.Disabled() {
 				continue
 			}
 			// Autoscaled-out (or not-yet-serving) workers are not
 			// rebalance candidates, and a pool the autoscaler is draining
 			// keeps its remaining workers.
-			if cw.parked || cw.sw.Draining() || cw.sw.Warming() || drains[c.poolOf[cw.vcu.ID]] {
+			if cw.parked || cw.sw.Draining() || cw.sw.Warming() || drains[cw.pool] {
 				continue
 			}
 			// Only take from a pool with no backlog of its own.
-			if backlog[c.poolOf[cw.vcu.ID]] > 0 {
+			if backlog[cw.pool] > 0 {
 				continue
 			}
-			c.poolOf[cw.vcu.ID] = pool
+			cw.pool = pool
 			c.Stats.PoolRebalances++
 			moved++
 		}
@@ -852,7 +849,7 @@ func (c *Cluster) placeTranscode(s *Step, avoidVCU int) (*clusterWorker, *sched.
 		if cw.convicted || (cw.demoted && c.classOf(s) != sched.PriorityBatch) {
 			return true
 		}
-		if c.poolOf != nil && c.poolOf[w.ID] != stepPool(s) {
+		if c.cfg.EnablePools && cw.pool != stepPool(s) {
 			return true
 		}
 		return false

@@ -53,8 +53,8 @@ func TestPoolsIsolateLiveFromUpload(t *testing.T) {
 	c2.Eng.RunUntil(10 * time.Minute)
 	for _, s := range g.Steps {
 		for _, id := range s.RanOnVCU {
-			if c2.poolOf[id] != stepPool(s) {
-				t.Fatalf("live step ran on VCU %d in pool %v", id, c2.poolOf[id])
+			if c2.byVCU[id].pool != stepPool(s) {
+				t.Fatalf("live step ran on VCU %d in pool %v", id, c2.byVCU[id].pool)
 			}
 		}
 	}
@@ -82,8 +82,8 @@ func TestPoolRebalanceFeedsStarvedPool(t *testing.T) {
 	}
 	// Most VCUs should now sit in the upload pool.
 	upload := 0
-	for _, p := range c.poolOf {
-		if p == 0 { // sched.UseUpload
+	for _, cw := range c.workers {
+		if cw.pool == 0 { // sched.UseUpload
 			upload++
 		}
 	}
@@ -113,8 +113,8 @@ func TestPoolRebalanceDoesNotStealFromBusyPool(t *testing.T) {
 		t.Fatalf("live=%d upload=%d", liveDone, uploadDone)
 	}
 	live := 0
-	for _, p := range c.poolOf {
-		if p == 1 { // sched.UseLive
+	for _, cw := range c.workers {
+		if cw.pool == 1 { // sched.UseLive
 			live++
 		}
 	}

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -79,5 +81,52 @@ func TestRegionStatsAggregate(t *testing.T) {
 	s := r.Stats()
 	if s.StepsCompleted != 4*8 {
 		t.Fatalf("aggregate steps %d, want 32", s.StepsCompleted)
+	}
+}
+
+// numericLeaves calls visit on every numeric leaf of v with its path.
+func numericLeaves(v reflect.Value, path string, visit func(path string, leaf reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			numericLeaves(v.Field(i), path+"."+v.Type().Field(i).Name, visit)
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			numericLeaves(v.Index(i), fmt.Sprintf("%s[%d]", path, i), visit)
+		}
+	default:
+		visit(path, v)
+	}
+}
+
+// TestAccumulateCoversEveryStatsField: every numeric leaf of Stats,
+// nested structs and arrays included, must survive the regional
+// roll-up. Sum and max both reproduce the source when accumulating into
+// a zero Stats, so a leaf that differs was dropped or crossed.
+func TestAccumulateCoversEveryStatsField(t *testing.T) {
+	var src, sum Stats
+	n := int64(0)
+	numericLeaves(reflect.ValueOf(&src).Elem(), "Stats", func(path string, leaf reflect.Value) {
+		n++
+		switch {
+		case leaf.CanInt():
+			leaf.SetInt(n)
+		case leaf.CanUint():
+			leaf.SetUint(uint64(n))
+		case leaf.CanFloat():
+			leaf.SetFloat(float64(n))
+		default:
+			t.Fatalf("%s: %s is not a numeric leaf; teach this test how to fill it", path, leaf.Kind())
+		}
+	})
+	sum.Accumulate(src)
+	numericLeaves(reflect.ValueOf(sum), "Stats", func(path string, leaf reflect.Value) {
+		if leaf.IsZero() {
+			t.Errorf("%s: dropped by Accumulate", path)
+		}
+	})
+	if !t.Failed() && sum != src {
+		t.Errorf("Accumulate into zero Stats = %+v, want %+v", sum, src)
 	}
 }

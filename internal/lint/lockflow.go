@@ -89,7 +89,7 @@ type opClassifier struct {
 
 // lockClassOf resolves the module-wide identity of a mutex receiver
 // expression: the named module type owning the field, qualified by
-// package dir ("internal/sched.shard.mu"). "" when unresolved.
+// package dir ("internal/sched.Worker.mu"). "" when unresolved.
 func (c *opClassifier) lockClassOf(recvExpr ast.Expr) string {
 	if c.sc == nil || c.idx == nil {
 		return ""

@@ -44,7 +44,7 @@ func runLockOrder(pass *Pass) {
 }
 
 // lockClassDisplay shortens a qualified lock class for messages:
-// "internal/sched.shard.mu" -> "sched.shard.mu".
+// "internal/sched.Worker.mu" -> "sched.Worker.mu".
 func lockClassDisplay(class string) string {
 	if i := strings.LastIndexByte(class, '/'); i >= 0 {
 		return class[i+1:]

@@ -1,0 +1,191 @@
+package sched
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// Model-based test: seeded random operation sequences run against the
+// scheduler and against the lock-free reference below. The test touches
+// Resources only through literals, indexing and range, so the same file
+// checks any representation of the vector.
+
+// modelWorker is the reference: a worker's state written without locks.
+type modelWorker struct {
+	avail                      Resources
+	stopped, draining, warming bool
+}
+
+func (m *modelWorker) grants(need Resources) bool {
+	if m.stopped || m.draining || m.warming {
+		return false
+	}
+	for d, v := range need {
+		if m.avail[d] < v {
+			return false
+		}
+	}
+	return true
+}
+
+func (m *modelWorker) release(need, capacity Resources) {
+	for d, v := range need {
+		m.avail[d] = min(m.avail[d]+v, capacity[d])
+	}
+}
+
+func copyResources(r Resources) Resources {
+	out := Resources{}
+	for d, v := range r {
+		out[d] = v
+	}
+	return out
+}
+
+func randomNeed(r *rand.Rand, capacity Resources) Resources {
+	need := Resources{}
+	for d, c := range capacity {
+		switch r.Intn(3) {
+		case 0: // dimension not requested
+		case 1:
+			need[d] = 0
+		default:
+			need[d] = r.Int63n(c*6/10 + 1)
+		}
+	}
+	if r.Intn(16) == 0 {
+		need[DimSlots] = 1 // VCU workers have no slots: can never fit
+	}
+	return need
+}
+
+func TestSchedulerMatchesModel(t *testing.T) {
+	const nWorkers, nOps = 6, 4000
+	for seed := int64(1); seed <= 8; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		wt := vcuType()
+		s := NewScheduler(2)
+		workers := make([]*Worker, nWorkers)
+		model := make([]*modelWorker, nWorkers)
+		for i := range workers {
+			workers[i] = NewWorker(i, wt)
+			s.AddWorker(workers[i])
+			model[i] = &modelWorker{avail: copyResources(wt.Capacity)}
+		}
+		var held []*Assignment
+
+		check := func(op string, step int) {
+			t.Helper()
+			for i, w := range workers {
+				avail, capacity, m := w.Available(), w.Capacity(), model[i]
+				for d, c := range capacity {
+					if avail[d] < 0 || avail[d] > c {
+						t.Fatalf("seed %d op %d %s: worker %d %v available %d outside [0, %d]", seed, step, op, i, d, avail[d], c)
+					}
+					if avail[d] != m.avail[d] {
+						t.Fatalf("seed %d op %d %s: worker %d %v available %d, model %d", seed, step, op, i, d, avail[d], m.avail[d])
+					}
+				}
+				if w.Stopped() != m.stopped || w.Draining() != m.draining || w.Warming() != m.warming {
+					t.Fatalf("seed %d op %d %s: worker %d stopped/draining/warming %v/%v/%v, model %v/%v/%v", seed, step, op, i,
+						w.Stopped(), w.Draining(), w.Warming(), m.stopped, m.draining, m.warming)
+				}
+			}
+		}
+		release := func() {
+			i := r.Intn(len(held))
+			a := held[i]
+			held = append(held[:i], held[i+1:]...)
+			a.Release()
+			model[a.Worker.ID].release(a.Need, wt.Capacity)
+		}
+
+		for step := 0; step < nOps; step++ {
+			i := r.Intn(nWorkers)
+			w, m := workers[i], model[i]
+			var op string
+			switch k := r.Intn(16); {
+			case k < 6:
+				op = "Schedule"
+				need := randomNeed(r, wt.Capacity)
+				mask := r.Intn(1 << nWorkers)
+				if r.Intn(2) == 0 {
+					mask = 0
+				}
+				want := -1
+				for id, mw := range model {
+					if mask&(1<<id) == 0 && mw.grants(need) {
+						want = id
+						break
+					}
+				}
+				a, err := s.Schedule(need, func(w *Worker) bool { return mask&(1<<w.ID) != 0 })
+				switch {
+				case want < 0 && err != ErrNoCapacity:
+					t.Fatalf("seed %d op %d: granted worker %d, model has no eligible worker", seed, step, a.Worker.ID)
+				case want >= 0 && err != nil:
+					t.Fatalf("seed %d op %d: %v, model grants worker %d", seed, step, err, want)
+				case want >= 0 && a.Worker.ID != want:
+					t.Fatalf("seed %d op %d: granted worker %d, first fit is %d", seed, step, a.Worker.ID, want)
+				}
+				if a != nil {
+					for d, v := range need {
+						model[want].avail[d] -= v
+					}
+					held = append(held, a)
+				}
+			case k < 10:
+				op = "Release"
+				if len(held) > 0 {
+					release()
+				}
+			case k == 10:
+				op = "BeginDrain"
+				w.BeginDrain()
+				m.draining = m.draining || !m.stopped
+			case k == 11:
+				op = "CancelDrain"
+				w.CancelDrain()
+				m.draining = false
+			case k == 12:
+				op = "TryRetire"
+				idle := true
+				for d, c := range wt.Capacity {
+					idle = idle && m.avail[d] == c
+				}
+				if got := w.TryRetire(); got != (m.stopped || idle) {
+					t.Fatalf("seed %d op %d: TryRetire %v, model %v", seed, step, got, m.stopped || idle)
+				}
+				if !m.stopped && idle {
+					m.stopped, m.draining = true, false
+				}
+			case k == 13:
+				op = "Activate"
+				w.Activate()
+				m.avail, m.stopped, m.draining = copyResources(wt.Capacity), false, false
+			case k == 14:
+				op = "SetWarming"
+				v := r.Intn(2) == 0
+				w.SetWarming(v)
+				m.warming = v
+			default:
+				op = "ResetCapacity"
+				w.ResetCapacity()
+				*m = modelWorker{avail: copyResources(wt.Capacity)}
+			}
+			check(op, step)
+		}
+
+		// Quiescence: every reservation, stale or live, comes back and
+		// every worker is whole again.
+		for len(held) > 0 {
+			release()
+		}
+		check("quiescence", nOps)
+		for i, w := range workers {
+			if !w.Idle() {
+				t.Fatalf("seed %d: worker %d not idle at quiescence: %v of %v", seed, i, w.Available(), w.Capacity())
+			}
+		}
+	}
+}

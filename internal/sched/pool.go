@@ -1,10 +1,5 @@
 package sched
 
-import (
-	"sort"
-	"sync"
-)
-
 // Priority orders pools for resource trade-offs (§3.3.3).
 type Priority int
 
@@ -27,7 +22,9 @@ func (p Priority) String() string {
 	}
 }
 
-// UseCase labels what a pool serves.
+// UseCase labels what a logical pool serves ("each cluster has multiple
+// logical 'pools' of computing defined by use case and priority",
+// §3.3.3). The pools themselves live in internal/cluster.
 type UseCase int
 
 // Pool use cases.
@@ -42,172 +39,4 @@ func (u UseCase) String() string {
 		return "live"
 	}
 	return "upload"
-}
-
-// Pool is one logical pool of computing: a use case and priority with its
-// own scheduler and workers of multiple types ("each cluster has multiple
-// logical 'pools' of computing defined by use case and priority ... each
-// pool has its own scheduler", §3.3.3).
-type Pool struct {
-	Name     string
-	UseCase  UseCase
-	Priority Priority
-	Sched    *Scheduler
-
-	mu      sync.Mutex
-	backlog int
-	nextID  int
-}
-
-// NewPool creates an empty pool.
-func NewPool(name string, uc UseCase, pr Priority) *Pool {
-	return &Pool{Name: name, UseCase: uc, Priority: pr, Sched: NewScheduler(64)}
-}
-
-// AddWorker creates and registers a worker of the given type.
-func (p *Pool) AddWorker(wt *WorkerType) *Worker {
-	p.mu.Lock()
-	id := p.nextID
-	p.nextID++
-	p.mu.Unlock()
-	w := NewWorker(id, wt)
-	p.Sched.AddWorker(w)
-	return w
-}
-
-// SetBacklog updates the pool's pending-work gauge, which drives
-// rebalancing.
-func (p *Pool) SetBacklog(n int) {
-	p.mu.Lock()
-	p.backlog = n
-	p.mu.Unlock()
-}
-
-// Backlog returns the pending-work gauge.
-func (p *Pool) Backlog() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.backlog
-}
-
-// Manager rebalances workers across pools: idle workers in backlog-free
-// pools are stopped and their capacity recreated in starved pools,
-// "maximizing cluster-wide VCU utilization" (§3.3.3).
-type Manager struct {
-	Pools []*Pool
-}
-
-// NewManager returns a Manager over the pools.
-func NewManager(pools ...*Pool) *Manager { return &Manager{Pools: pools} }
-
-// SizeWorkers implements demand-driven worker sizing (§3.3.3: "another
-// part of the scheduler sizes the workers based on workload mix demand"):
-// given a total worker budget for a worker type, it distributes workers
-// across pools proportionally to backlog (with one worker minimum per
-// pool so latency-critical pools never cold-start), stopping idle
-// surplus workers and adding workers to starved pools. Returns
-// (added, stopped).
-func (m *Manager) SizeWorkers(wt *WorkerType, budget int) (added, stopped int) {
-	if budget < len(m.Pools) {
-		budget = len(m.Pools)
-	}
-	totalBacklog := 0
-	for _, p := range m.Pools {
-		totalBacklog += p.Backlog()
-	}
-	// Desired share: 1 baseline + proportional remainder.
-	desired := make([]int, len(m.Pools))
-	remaining := budget - len(m.Pools)
-	assigned := 0
-	for i, p := range m.Pools {
-		d := 0
-		if totalBacklog > 0 {
-			d = remaining * p.Backlog() / totalBacklog
-		}
-		desired[i] = 1 + d
-		assigned += desired[i]
-	}
-	// Distribute rounding leftovers to the highest-priority pools.
-	for i := 0; assigned < budget && i < len(m.Pools); i++ {
-		desired[i]++
-		assigned++
-	}
-	for i, p := range m.Pools {
-		current := 0
-		for _, w := range allWorkers(p.Sched) {
-			if !w.Stopped() {
-				current++
-			}
-		}
-		for current < desired[i] {
-			p.AddWorker(wt)
-			current++
-			added++
-		}
-		if current > desired[i] {
-			for _, w := range p.Sched.IdleWorkers() {
-				if current <= desired[i] {
-					break
-				}
-				if p.Sched.StopWorker(w) {
-					current--
-					stopped++
-				}
-			}
-		}
-	}
-	return added, stopped
-}
-
-// allWorkers snapshots every worker registered with a scheduler.
-func allWorkers(s *Scheduler) []*Worker {
-	s.mu.RLock()
-	shards := s.shards
-	s.mu.RUnlock()
-	var out []*Worker
-	for _, sh := range shards {
-		sh.mu.Lock()
-		out = append(out, sh.workers...)
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// Rebalance moves up to maxMoves idle workers from backlog-free pools to
-// the highest-priority starved pools. It returns the number of workers
-// moved. Worker types are preserved across the move.
-func (m *Manager) Rebalance(maxMoves int) int {
-	starved := make([]*Pool, 0, len(m.Pools))
-	var donors []*Pool
-	for _, p := range m.Pools {
-		if p.Backlog() > 0 {
-			starved = append(starved, p)
-		} else {
-			donors = append(donors, p)
-		}
-	}
-	if len(starved) == 0 || len(donors) == 0 {
-		return 0
-	}
-	// Serve high-priority pools first; take from low-priority donors first.
-	sort.SliceStable(starved, func(i, j int) bool { return starved[i].Priority < starved[j].Priority })
-	sort.SliceStable(donors, func(i, j int) bool { return donors[i].Priority > donors[j].Priority })
-	moved := 0
-	for _, dst := range starved {
-		need := dst.Backlog()
-		for _, src := range donors {
-			for _, w := range src.Sched.IdleWorkers() {
-				if moved >= maxMoves || need <= 0 {
-					break
-				}
-				if !src.Sched.StopWorker(w) {
-					continue // picked up work concurrently
-				}
-				dst.AddWorker(w.Type)
-				moved++
-				need--
-			}
-		}
-	}
-	return moved
 }

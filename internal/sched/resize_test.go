@@ -81,7 +81,7 @@ func TestActivateAfterRetire(t *testing.T) {
 	if w.Stopped() || w.Draining() {
 		t.Fatal("activated worker still stopped or draining")
 	}
-	if !w.Available().Equal(w.Capacity()) {
+	if w.Available() != w.Capacity() {
 		t.Fatal("activated worker not at full capacity")
 	}
 	a, err := s.Schedule(need, nil)
@@ -131,7 +131,7 @@ func TestStaleReleaseAfterActivateIsClamped(t *testing.T) {
 	}
 	w.Activate() // voids the outstanding reservation
 	w.Release(need)
-	if !w.Available().Equal(w.Capacity()) {
+	if w.Available() != w.Capacity() {
 		t.Fatalf("stale release overcommitted: %v over %v", w.Available(), w.Capacity())
 	}
 }

@@ -1,58 +1,45 @@
 // Package sched implements the video processing work scheduler of paper
-// §3.3.3: an online multi-dimensional bin-packing scheduler over named
-// scalar resource dimensions, with a sharded in-memory availability cache,
-// a greedy first-fit worker picker (Fig. 6), logical pools by use case and
-// priority, synthetic resources for indirect constraints, and worker
-// idling/reallocation for cluster-wide utilization.
+// §3.3.3: an online multi-dimensional bin-packing scheduler over a fixed
+// vector of scalar resource dimensions, with an in-memory availability
+// cache, a greedy first-fit worker picker (Fig. 6), synthetic resources
+// for indirect constraints, and the per-worker drain/retire/activate
+// primitives the cluster's pools and autoscaler are built on.
 package sched
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
-// Standard resource dimension names. Worker types may define additional
-// dimensions — the scheduler treats all of them uniformly as named
-// scalars.
+// Dim indexes one dimension of a Resources vector.
+type Dim int
+
+// The resource dimensions.
 const (
 	// DimDecodeMillicores / DimEncodeMillicores: fractional VCU codec
 	// cores; each VCU exposes 3,000 millidecode and 10,000 milliencode
 	// cores (Fig. 6).
-	DimDecodeMillicores = "decode_millicores"
-	DimEncodeMillicores = "encode_millicores"
+	DimDecodeMillicores Dim = iota
+	DimEncodeMillicores
 	// DimDRAMBytes is VCU device memory.
-	DimDRAMBytes = "dram_bytes"
+	DimDRAMBytes
 	// DimHostCPUMillicores is fractional host CPU.
-	DimHostCPUMillicores = "host_cpu_millicores"
+	DimHostCPUMillicores
 	// DimSoftwareDecode is a synthetic resource limiting host software
 	// decode to indirectly protect PCIe bandwidth (§3.3.3).
-	DimSoftwareDecode = "sw_decode_units"
+	DimSoftwareDecode
 	// DimSlots is the legacy one-dimensional "single slot per graph
 	// step" model still used by CPU processing workers (§3.3.3).
-	DimSlots = "slots"
+	DimSlots
+	// NumDims is the length of a Resources vector.
+	NumDims
 )
 
-// Resources is a set of named scalar resource amounts.
-type Resources map[string]int64
+// Resources is one scalar amount per dimension; a dimension a worker
+// type does not have is zero. It is a value: = copies, == compares.
+type Resources [NumDims]int64
 
-// Clone deep-copies the resource set.
-func (r Resources) Clone() Resources {
-	out := make(Resources, len(r))
-	for k, v := range r {
-		out[k] = v
-	}
-	return out
-}
-
-// Fits reports whether need fits within r (dimensions absent from r are
-// capacity zero).
+// Fits reports whether need fits within r.
 func (r Resources) Fits(need Resources) bool {
-	for k, v := range need {
-		if v == 0 {
-			continue
-		}
-		if r[k] < v {
+	for d, v := range need {
+		if r[d] < v {
 			return false
 		}
 	}
@@ -61,64 +48,29 @@ func (r Resources) Fits(need Resources) bool {
 
 // Sub subtracts need from r in place. It panics if need does not fit —
 // callers must check Fits under the same lock.
-func (r Resources) Sub(need Resources) {
+func (r *Resources) Sub(need Resources) {
 	if !r.Fits(need) {
-		panic(fmt.Sprintf("sched: over-commit: %v - %v", r, need))
+		panic(fmt.Sprintf("sched: over-commit: %v - %v", *r, need))
 	}
-	for k, v := range need {
-		r[k] -= v
+	for d, v := range need {
+		r[d] -= v
 	}
 }
 
 // Add returns need to r in place.
-func (r Resources) Add(need Resources) {
-	for k, v := range need {
-		r[k] += v
+func (r *Resources) Add(need Resources) {
+	for d, v := range need {
+		r[d] += v
 	}
 }
 
 // ClampTo caps each dimension of r at limit's value. Used when a
 // repaired worker's capacity is re-registered: a stale release from a
 // pre-repair assignment must not inflate availability past capacity.
-func (r Resources) ClampTo(limit Resources) {
-	for k, v := range r {
-		if lim := limit[k]; v > lim {
-			r[k] = lim
+func (r *Resources) ClampTo(limit Resources) {
+	for d, lim := range limit {
+		if r[d] > lim {
+			r[d] = lim
 		}
 	}
-}
-
-// Equal reports whether two resource sets are identical on the union of
-// their dimensions.
-func (r Resources) Equal(o Resources) bool {
-	for k, v := range r {
-		if o[k] != v {
-			return false
-		}
-	}
-	for k, v := range o {
-		if r[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// String renders dimensions sorted by name (stable for logs and tests).
-func (r Resources) String() string {
-	keys := make([]string, 0, len(r))
-	for k := range r {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteByte('{') //lint:ignore errdrop strings.Builder writes never return an error
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteString("; ") //lint:ignore errdrop strings.Builder writes never return an error
-		}
-		fmt.Fprintf(&b, "%s %d", k, r[k])
-	}
-	b.WriteByte('}') //lint:ignore errdrop strings.Builder writes never return an error
-	return b.String()
 }

@@ -17,23 +17,24 @@ func vcuType() *WorkerType {
 }
 
 func TestResourcesFitsSubAdd(t *testing.T) {
-	r := Resources{"a": 10, "b": 5}
-	need := Resources{"a": 7}
+	const a, b, c = DimDecodeMillicores, DimEncodeMillicores, DimSlots
+	r := Resources{a: 10, b: 5}
+	need := Resources{a: 7}
 	if !r.Fits(need) {
 		t.Fatal("fits failed")
 	}
 	r.Sub(need)
-	if r["a"] != 3 {
-		t.Fatalf("a=%d", r["a"])
+	if r[a] != 3 {
+		t.Fatalf("a=%d", r[a])
 	}
-	if r.Fits(Resources{"a": 4}) {
+	if r.Fits(Resources{a: 4}) {
 		t.Fatal("overfit")
 	}
-	if r.Fits(Resources{"c": 1}) {
+	if r.Fits(Resources{c: 1}) {
 		t.Fatal("absent dimension should be zero capacity")
 	}
 	r.Add(need)
-	if !r.Equal(Resources{"a": 10, "b": 5}) {
+	if r != (Resources{a: 10, b: 5}) {
 		t.Fatalf("add/sub not inverse: %v", r)
 	}
 }
@@ -71,7 +72,7 @@ func TestFigure6Scenario(t *testing.T) {
 
 func TestFirstFitByWorkerNumber(t *testing.T) {
 	wt := vcuType()
-	s := NewScheduler(2) // force multiple shards
+	s := NewScheduler(2)
 	for i := 0; i < 10; i++ {
 		s.AddWorker(NewWorker(i, wt))
 	}
@@ -246,48 +247,13 @@ func TestCostModelSwappableAtRuntime(t *testing.T) {
 	}
 }
 
-func TestPoolRebalanceMovesIdleWorkers(t *testing.T) {
-	wt := vcuType()
-	upload := NewPool("upload-batch", UseUpload, PriorityBatch)
-	live := NewPool("live-critical", UseLive, PriorityCritical)
-	for i := 0; i < 4; i++ {
-		upload.AddWorker(wt)
-	}
-	live.SetBacklog(3)
-	m := NewManager(upload, live)
-	moved := m.Rebalance(10)
-	if moved != 3 {
-		t.Fatalf("moved %d workers, want 3", moved)
-	}
-	if got := live.Sched.NumWorkers(); got != 3 {
-		t.Fatalf("live pool has %d workers", got)
-	}
-	// Stopped workers must not accept work.
-	if _, err := upload.Sched.Schedule(Resources{DimEncodeMillicores: 100}, nil); err != nil {
-		t.Fatalf("one idle worker should remain in upload: %v", err)
-	}
-}
-
-func TestRebalanceSkipsBusyWorkers(t *testing.T) {
-	wt := vcuType()
-	upload := NewPool("upload", UseUpload, PriorityBatch)
-	live := NewPool("live", UseLive, PriorityCritical)
-	w := upload.AddWorker(wt)
-	if !w.tryReserve(Resources{DimEncodeMillicores: 1}) {
-		t.Fatal("reserve failed")
-	}
-	live.SetBacklog(5)
-	if moved := NewManager(upload, live).Rebalance(10); moved != 0 {
-		t.Fatalf("moved %d busy workers", moved)
-	}
-}
-
 func TestSchedulerRespectsStoppedWorkers(t *testing.T) {
 	wt := vcuType()
 	s := NewScheduler(64)
 	w := NewWorker(0, wt)
 	s.AddWorker(w)
-	if !s.StopWorker(w) {
+	w.BeginDrain()
+	if !w.TryRetire() {
 		t.Fatal("stop failed")
 	}
 	if _, err := s.Schedule(Resources{DimEncodeMillicores: 1}, nil); err == nil {
@@ -295,67 +261,11 @@ func TestSchedulerRespectsStoppedWorkers(t *testing.T) {
 	}
 }
 
-func TestSizeWorkersDistributesByDemand(t *testing.T) {
-	wt := vcuType()
-	upload := NewPool("upload", UseUpload, PriorityNormal)
-	live := NewPool("live", UseLive, PriorityCritical)
-	batch := NewPool("batch", UseUpload, PriorityBatch)
-	m := NewManager(live, upload, batch)
-	upload.SetBacklog(30)
-	live.SetBacklog(60)
-	batch.SetBacklog(0)
-	added, stopped := m.SizeWorkers(wt, 12)
-	if stopped != 0 {
-		t.Fatalf("stopped %d from empty pools", stopped)
-	}
-	if added != 12 {
-		t.Fatalf("added %d, want full budget 12", added)
-	}
-	counts := map[string]int{}
-	for _, p := range []*Pool{live, upload, batch} {
-		counts[p.Name] = len(allWorkers(p.Sched))
-	}
-	if counts["live"] <= counts["upload"] || counts["upload"] <= counts["batch"] {
-		t.Fatalf("sizing does not follow demand: %v", counts)
-	}
-	if counts["batch"] < 1 {
-		t.Fatal("every pool needs its baseline worker")
-	}
-}
-
-func TestSizeWorkersShrinksIdleSurplus(t *testing.T) {
-	wt := vcuType()
-	upload := NewPool("upload", UseUpload, PriorityNormal)
-	live := NewPool("live", UseLive, PriorityCritical)
-	for i := 0; i < 8; i++ {
-		upload.AddWorker(wt)
-	}
-	m := NewManager(live, upload)
-	live.SetBacklog(20)
-	upload.SetBacklog(0)
-	added, stopped := m.SizeWorkers(wt, 6)
-	if stopped == 0 {
-		t.Fatal("surplus idle workers not stopped")
-	}
-	if added == 0 {
-		t.Fatal("starved live pool got no workers")
-	}
-	running := 0
-	for _, w := range allWorkers(upload.Sched) {
-		if !w.Stopped() {
-			running++
-		}
-	}
-	if running > 2 {
-		t.Fatalf("upload still has %d running workers after shrink", running)
-	}
-}
-
 func TestResourcesQuickProperties(t *testing.T) {
 	// Sub then Add restores the original; Fits is consistent with Sub.
 	gen := func(seed int64) (Resources, Resources) {
 		r := rand.New(rand.NewSource(seed))
-		dims := []string{DimDecodeMillicores, DimEncodeMillicores, DimDRAMBytes, DimSlots}
+		dims := []Dim{DimDecodeMillicores, DimEncodeMillicores, DimDRAMBytes, DimSlots}
 		have := Resources{}
 		need := Resources{}
 		for _, d := range dims {
@@ -366,19 +276,19 @@ func TestResourcesQuickProperties(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		have, need := gen(seed)
-		orig := have.Clone()
+		orig := have
 		if !have.Fits(need) {
 			return true // nothing to check
 		}
 		have.Sub(need)
 		for k, v := range have {
 			if v < 0 {
-				t.Logf("negative %s after Sub", k)
+				t.Logf("negative dimension %d after Sub", k)
 				return false
 			}
 		}
 		have.Add(need)
-		return have.Equal(orig)
+		return have == orig
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -395,30 +305,29 @@ func TestResetCapacityAbsorbsStaleRelease(t *testing.T) {
 	if !w.tryReserve(need) {
 		t.Fatal("reserve failed")
 	}
-	if !w.stop() {
-		// not idle: stop must fail while the reservation is live
-	} else {
-		t.Fatal("stop succeeded on a busy worker")
+	if w.TryRetire() {
+		t.Fatal("retired a worker with a live reservation")
 	}
 	w.ResetCapacity()
 	if w.Stopped() {
 		t.Fatal("ResetCapacity left worker stopped")
 	}
-	if !w.Available().Equal(w.Capacity()) {
+	if w.Available() != w.Capacity() {
 		t.Fatalf("reset availability %v != capacity %v", w.Available(), w.Capacity())
 	}
 	// The void reservation's release arrives after the reset.
 	w.Release(need)
-	if !w.Available().Equal(w.Capacity()) {
+	if w.Available() != w.Capacity() {
 		t.Fatalf("stale release overcommitted worker: %v > %v",
 			w.Available(), w.Capacity())
 	}
 }
 
 func TestClampTo(t *testing.T) {
-	r := Resources{"a": 12, "b": 3}
-	r.ClampTo(Resources{"a": 10, "b": 5})
-	if !r.Equal(Resources{"a": 10, "b": 3}) {
+	const a, b = DimDecodeMillicores, DimEncodeMillicores
+	r := Resources{a: 12, b: 3}
+	r.ClampTo(Resources{a: 10, b: 5})
+	if r != (Resources{a: 10, b: 3}) {
 		t.Fatalf("clamp result %v", r)
 	}
 }

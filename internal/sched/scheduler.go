@@ -28,21 +28,21 @@ type Worker struct {
 
 // NewWorker returns a worker with the type's full capacity available.
 func NewWorker(id int, wt *WorkerType) *Worker {
-	return &Worker{ID: id, Type: wt, capacity: wt.Capacity.Clone(), available: wt.Capacity.Clone()}
+	return &Worker{ID: id, Type: wt, capacity: wt.Capacity, available: wt.Capacity}
 }
 
-// Capacity returns a copy of the worker's total capacity.
+// Capacity returns the worker's total capacity.
 func (w *Worker) Capacity() Resources {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.capacity.Clone()
+	return w.capacity
 }
 
-// Available returns a copy of the worker's current availability.
+// Available returns the worker's current availability.
 func (w *Worker) Available() Resources {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.available.Clone()
+	return w.available
 }
 
 // Idle reports whether nothing is scheduled on the worker — the condition
@@ -50,7 +50,7 @@ func (w *Worker) Available() Resources {
 func (w *Worker) Idle() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.available.Equal(w.capacity)
+	return w.available == w.capacity
 }
 
 // Stopped reports whether the worker has been stopped.
@@ -92,7 +92,7 @@ func (w *Worker) Release(need Resources) {
 func (w *Worker) ResetCapacity() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.available = w.capacity.Clone()
+	w.available = w.capacity
 	w.stopped = false
 	w.draining = false
 	w.warming = false
@@ -134,7 +134,7 @@ func (w *Worker) TryRetire() bool {
 	if w.stopped {
 		return true
 	}
-	if !w.available.Equal(w.capacity) {
+	if w.available != w.capacity {
 		return false
 	}
 	w.stopped = true
@@ -148,7 +148,7 @@ func (w *Worker) TryRetire() bool {
 func (w *Worker) Activate() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.available = w.capacity.Clone()
+	w.available = w.capacity
 	w.stopped = false
 	w.draining = false
 }
@@ -167,17 +167,6 @@ func (w *Worker) Warming() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.warming
-}
-
-// stop marks the worker stopped; fails if it is not idle.
-func (w *Worker) stop() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if !w.available.Equal(w.capacity) {
-		return false
-	}
-	w.stopped = true
-	return true
 }
 
 // WorkerType defines a class of workers: its capacity vector and the
@@ -213,30 +202,19 @@ func (wt *WorkerType) SetCost(cost func(req any) Resources) {
 	wt.cost = cost
 }
 
-// Scheduler is the sharded availability cache plus the greedy first-fit
-// worker picker of Fig. 6. Shards hold contiguous worker-ID ranges so the
-// pick order remains "first fit by worker number" while lock contention
-// is divided across shards; it is horizontally scaled in production
-// "due to the large number of workers and the need for low latency".
+// Scheduler is the availability cache plus the greedy first-fit worker
+// picker of Fig. 6: one list of workers in worker-number order. The
+// production scheduler is horizontally scaled "due to the large number
+// of workers and the need for low latency"; that sharding is out of
+// model here.
 type Scheduler struct {
-	mu       sync.RWMutex
-	shards   []*shard
-	perShard int
-	workers  int
+	mu      sync.RWMutex
+	workers []*Worker // ascending ID, append-only
 }
 
-type shard struct {
-	mu      sync.Mutex
-	workers []*Worker // sorted by ID
-}
-
-// NewScheduler returns a Scheduler with the given shard granularity
-// (workers per shard).
-func NewScheduler(perShard int) *Scheduler {
-	if perShard <= 0 {
-		perShard = 64
-	}
-	return &Scheduler{perShard: perShard}
+// NewScheduler returns a Scheduler with room for sizeHint workers.
+func NewScheduler(sizeHint int) *Scheduler {
+	return &Scheduler{workers: make([]*Worker, 0, max(sizeHint, 0))}
 }
 
 // AddWorker registers a worker in the availability cache. Workers must be
@@ -244,21 +222,7 @@ func NewScheduler(perShard int) *Scheduler {
 func (s *Scheduler) AddWorker(w *Worker) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.shards) == 0 || len(s.shards[len(s.shards)-1].workers) >= s.perShard {
-		s.shards = append(s.shards, &shard{})
-	}
-	sh := s.shards[len(s.shards)-1]
-	sh.mu.Lock()
-	sh.workers = append(sh.workers, w)
-	sh.mu.Unlock()
-	s.workers++
-}
-
-// NumWorkers returns the registered worker count.
-func (s *Scheduler) NumWorkers() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.workers
+	s.workers = append(s.workers, w)
 }
 
 // ErrNoCapacity is returned when no worker can hold the request.
@@ -278,44 +242,18 @@ func (a *Assignment) Release() { a.Worker.Release(a.Need) }
 // algorithm of Fig. 6. exclude filters out workers (used to avoid a VCU
 // the request already failed on, §4.4).
 func (s *Scheduler) Schedule(need Resources, exclude func(*Worker) bool) (*Assignment, error) {
+	// The list is append-only, so the snapshot stays valid after the
+	// lock is dropped and exclude runs outside it.
 	s.mu.RLock()
-	shards := s.shards
+	workers := s.workers
 	s.mu.RUnlock()
-	for _, sh := range shards {
-		sh.mu.Lock()
-		workers := append([]*Worker(nil), sh.workers...)
-		sh.mu.Unlock()
-		for _, w := range workers {
-			if exclude != nil && exclude(w) {
-				continue
-			}
-			if w.tryReserve(need) {
-				return &Assignment{Worker: w, Need: need}, nil
-			}
+	for _, w := range workers {
+		if exclude != nil && exclude(w) {
+			continue
+		}
+		if w.tryReserve(need) {
+			return &Assignment{Worker: w, Need: need}, nil
 		}
 	}
 	return nil, ErrNoCapacity
 }
-
-// IdleWorkers returns the workers with nothing scheduled, candidates for
-// stopping and reallocation to other pools.
-func (s *Scheduler) IdleWorkers() []*Worker {
-	s.mu.RLock()
-	shards := s.shards
-	s.mu.RUnlock()
-	var idle []*Worker
-	for _, sh := range shards {
-		sh.mu.Lock()
-		for _, w := range sh.workers {
-			if !w.Stopped() && w.Idle() {
-				idle = append(idle, w)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return idle
-}
-
-// StopWorker removes an idle worker from service; it fails if the worker
-// picked up work in the meantime.
-func (s *Scheduler) StopWorker(w *Worker) bool { return w.stop() }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // Fluid is a processor-sharing resource: concurrent flows share Capacity
 // (in work-units per second, e.g. bytes/s) proportionally to their
@@ -14,9 +11,13 @@ import (
 type Fluid struct {
 	eng      *Engine
 	capacity float64
-	flows    map[int64]*flow
-	nextID   int64
-	epoch    int64 // invalidates stale completion events
+	// flows is in ascending id: ids are handed out monotonically, so
+	// append keeps the order and removal closes the gap in place. Float
+	// accumulation is not associative, so every walk over the flow set
+	// must use this one order for the simulation to be bit-reproducible.
+	flows  []*flow
+	nextID int64
+	epoch  int64 // invalidates stale completion events
 
 	// TransferredWork integrates completed work for utilization stats.
 	TransferredWork float64
@@ -32,7 +33,7 @@ type flow struct {
 
 // NewFluid returns a Fluid resource with the given capacity per second.
 func NewFluid(eng *Engine, capacity float64) *Fluid {
-	return &Fluid{eng: eng, capacity: capacity, flows: map[int64]*flow{}}
+	return &Fluid{eng: eng, capacity: capacity}
 }
 
 // Start begins a flow of `work` units with natural rate `demand` units/s;
@@ -49,33 +50,19 @@ func (f *Fluid) Start(work, demand float64, done func()) int64 {
 		demand = f.capacity
 	}
 	f.nextID++
-	id := f.nextID
-	f.flows[id] = &flow{demand: demand, remaining: work, updatedAt: f.eng.Now(), done: done}
+	f.flows = append(f.flows, &flow{demand: demand, remaining: work, updatedAt: f.eng.Now(), done: done})
 	f.rebalance()
-	return id
+	return f.nextID
 }
 
 // Active returns the number of in-flight flows.
 func (f *Fluid) Active() int { return len(f.flows) }
 
-// sortedIDs returns the active flow ids in ascending order. Float
-// accumulation is not associative, so every walk over the flow set must
-// use a fixed order for the simulation to be bit-reproducible.
-func (f *Fluid) sortedIDs() []int64 {
-	ids := make([]int64, 0, len(f.flows))
-	//lint:ignore determinism keys are sorted immediately below, so iteration order cannot leak
-	for id := range f.flows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // TotalDemand returns the sum of natural demands of active flows.
 func (f *Fluid) TotalDemand() float64 {
 	var d float64
-	for _, id := range f.sortedIDs() {
-		d += f.flows[id].demand
+	for _, fl := range f.flows {
+		d += fl.demand
 	}
 	return d
 }
@@ -85,10 +72,8 @@ func (f *Fluid) TotalDemand() float64 {
 func (f *Fluid) rebalance() {
 	f.epoch++
 	now := f.eng.Now()
-	ids := f.sortedIDs()
 	var total float64
-	for _, id := range ids {
-		fl := f.flows[id]
+	for _, fl := range f.flows {
 		// Drain progress at the previous rate.
 		elapsed := (now - fl.updatedAt).Seconds()
 		drained := fl.rate * elapsed
@@ -104,41 +89,47 @@ func (f *Fluid) rebalance() {
 	if total > f.capacity {
 		scale = f.capacity / total
 	}
-	var nextID int64 = -1
+	// The earliest completion; among equal ETAs the lowest id, which the
+	// ascending walk meets first.
+	var next *flow
 	nextAt := time.Duration(1<<62 - 1)
-	for _, id := range ids {
-		fl := f.flows[id]
+	for _, fl := range f.flows {
 		fl.rate = fl.demand * scale
 		if fl.rate <= 0 {
 			continue
 		}
 		eta := now + time.Duration(fl.remaining/fl.rate*float64(time.Second))
-		if eta < nextAt || (eta == nextAt && id < nextID) {
+		if eta < nextAt {
 			nextAt = eta
-			nextID = id
+			next = fl
 		}
 	}
-	if nextID < 0 {
+	if next == nil {
 		return
 	}
 	epoch := f.epoch
-	id := nextID
 	f.eng.Schedule(nextAt-now, func() {
 		if f.epoch != epoch {
 			return // superseded by a later rebalance
 		}
-		f.complete(id)
+		f.complete(next)
 	})
 }
 
-func (f *Fluid) complete(id int64) {
-	fl, ok := f.flows[id]
-	if !ok {
+func (f *Fluid) complete(fl *flow) {
+	i := 0
+	for i < len(f.flows) && f.flows[i] != fl {
+		i++
+	}
+	if i == len(f.flows) {
 		return
 	}
 	f.TransferredWork += fl.remaining
 	fl.remaining = 0
-	delete(f.flows, id)
+	last := len(f.flows) - 1
+	copy(f.flows[i:], f.flows[i+1:])
+	f.flows[last] = nil
+	f.flows = f.flows[:last]
 	done := fl.done
 	f.rebalance()
 	if done != nil {
