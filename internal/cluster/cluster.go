@@ -636,7 +636,9 @@ func (c *Cluster) rebalancePools() {
 			if moved >= need {
 				break
 			}
-			if cw.pool == pool || !cw.sw.Idle() || cw.refused || cw.vcu.Disabled() {
+			// A donor must be a worker placeTranscode would accept: a
+			// quarantined one would spend the move and still serve nothing.
+			if cw.pool == pool || !cw.sw.Idle() || !c.workerHealthy(cw) || cw.convicted {
 				continue
 			}
 			// Autoscaled-out (or not-yet-serving) workers are not

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"openvcu/internal/codec"
+	"openvcu/internal/sched"
 	"openvcu/internal/vcu"
 	"openvcu/internal/video"
 )
@@ -120,5 +121,52 @@ func TestPoolRebalanceDoesNotStealFromBusyPool(t *testing.T) {
 	}
 	if live == 0 || live == 20 {
 		t.Fatalf("a busy pool was drained: live pool size %d", live)
+	}
+}
+
+// TestPoolRebalanceSkipsQuarantinedDonors: an idle worker the placement
+// predicate refuses — a convicted device, or one on a disabled host —
+// is no donor. Moving it would spend one of the starved pool's moves on
+// a worker that cannot serve.
+func TestPoolRebalanceSkipsQuarantinedDonors(t *testing.T) {
+	cases := []struct {
+		name       string
+		quarantine func(c *Cluster)
+	}{
+		{"convicted", func(c *Cluster) { c.workers[0].convicted = true }},
+		{"host disabled", func(c *Cluster) { c.Hosts[0].Disable() }},
+	}
+	for _, tc := range cases {
+		cfg := DefaultConfig(2)
+		cfg.EnablePools = true
+		cfg.LiveShare = 0               // every worker starts in the upload pool
+		cfg.RebalancePeriod = time.Hour // driven manually
+		c := New(cfg)
+		tc.quarantine(c)
+		// One eligible live step in the queue: the live pool is starved.
+		g := poolVideo(1, true)
+		g.remain = len(g.Steps)
+		for _, s := range g.Steps {
+			s.graph = g
+		}
+		c.requeueAfter(g.Steps[0], time.Minute)
+		g.Steps[0].eligibleAt = 0
+		c.rebalancePools()
+		if c.Stats.PoolRebalances != 1 {
+			t.Fatalf("%s: %d rebalances for a backlog of one", tc.name, c.Stats.PoolRebalances)
+		}
+		serving := 0
+		for _, cw := range c.workers {
+			if cw.pool != sched.UseLive {
+				continue
+			}
+			if cw.convicted || cw.host.Disabled() {
+				t.Fatalf("%s: quarantined VCU %d moved to the starved live pool", tc.name, cw.vcu.ID)
+			}
+			serving++
+		}
+		if serving != 1 {
+			t.Fatalf("%s: %d serving workers in the live pool, want 1", tc.name, serving)
+		}
 	}
 }
