@@ -91,9 +91,9 @@ func (f *Fluid) rebalance() {
 	}
 	// The earliest completion; among equal ETAs the lowest id, which the
 	// ascending walk meets first.
-	var next *flow
+	next := -1
 	nextAt := time.Duration(1<<62 - 1)
-	for _, fl := range f.flows {
+	for i, fl := range f.flows {
 		fl.rate = fl.demand * scale
 		if fl.rate <= 0 {
 			continue
@@ -101,10 +101,10 @@ func (f *Fluid) rebalance() {
 		eta := now + time.Duration(fl.remaining/fl.rate*float64(time.Second))
 		if eta < nextAt {
 			nextAt = eta
-			next = fl
+			next = i
 		}
 	}
-	if next == nil {
+	if next < 0 {
 		return
 	}
 	epoch := f.epoch
@@ -112,18 +112,12 @@ func (f *Fluid) rebalance() {
 		if f.epoch != epoch {
 			return // superseded by a later rebalance
 		}
-		f.complete(next)
+		f.complete(next) // same epoch, same membership: the index still holds
 	})
 }
 
-func (f *Fluid) complete(fl *flow) {
-	i := 0
-	for i < len(f.flows) && f.flows[i] != fl {
-		i++
-	}
-	if i == len(f.flows) {
-		return
-	}
+func (f *Fluid) complete(i int) {
+	fl := f.flows[i]
 	f.TransferredWork += fl.remaining
 	fl.remaining = 0
 	last := len(f.flows) - 1
