@@ -16,8 +16,13 @@ import (
 // corruption meaningfully leaks: the regime where the paper's "bad
 // video chunks escape" and the audit budget is the remaining defense.
 func auditScenario(budget float64, videos int) (*Cluster, int) {
+	return auditScenarioSeed(11, budget, videos)
+}
+
+// auditScenarioSeed is auditScenario at a chosen cluster seed.
+func auditScenarioSeed(seed uint64, budget float64, videos int) (*Cluster, int) {
 	cfg := DefaultConfig(2)
-	cfg.Seed = 11
+	cfg.Seed = seed
 	cfg.IntegrityCheckProb = 0.5
 	if budget > 0 {
 		cfg.Audit = DefaultAuditConfig()

@@ -61,20 +61,32 @@ func TestPoolsIsolateLiveFromUpload(t *testing.T) {
 	}
 }
 
-func TestPoolRebalanceFeedsStarvedPool(t *testing.T) {
+// starvedPoolVideos is the upload backlog of starvedPoolScenario.
+const starvedPoolVideos = 30
+
+// starvedPoolScenario starts the upload pool with 2 of 20 VCUs and
+// gives it all the work, so the rebalancer has to feed it from the idle
+// live pool. Returns the cluster and the completed-video count.
+func starvedPoolScenario(seed uint64) (*Cluster, int) {
 	cfg := DefaultConfig(1)
 	cfg.EnablePools = true
-	cfg.LiveShare = 0.9 // upload pool starts with only 2 VCUs
+	cfg.LiveShare = 0.9
 	cfg.RebalancePeriod = 15 * time.Second
+	cfg.Seed = seed
 	c := New(cfg)
 	done := 0
-	const videos = 30
-	for i := 0; i < videos; i++ {
-		g := poolVideo(i, false) // all upload work; live pool sits idle
+	for i := 0; i < starvedPoolVideos; i++ {
+		g := poolVideo(i, false)
 		g.OnDone = func(*Graph) { done++ }
 		c.Submit(g)
 	}
 	c.Eng.RunUntil(time.Hour)
+	return c, done
+}
+
+func TestPoolRebalanceFeedsStarvedPool(t *testing.T) {
+	const videos = starvedPoolVideos
+	c, done := starvedPoolScenario(1)
 	if done != videos {
 		t.Fatalf("completed %d/%d", done, videos)
 	}

@@ -19,21 +19,34 @@ func breakHost(c *Cluster, h int) {
 	}
 }
 
+// repairRecycleScenario breaks three of four hosts under a repair cap
+// of one, so they must cycle through repair one at a time, while the
+// given number of uploads arrives spread across the hour.
+func repairRecycleScenario(seed uint64, videos int) *Cluster {
+	cfg := DefaultConfig(4)
+	cfg.MaxHostsInRepair = 1
+	cfg.RepairLatency = 2 * time.Minute
+	cfg.Seed = seed
+	c := New(cfg)
+	for h := 0; h < 3; h++ {
+		breakHost(c, h)
+	}
+	for i := 0; i < videos; i++ {
+		g := BuildGraph(uploadSpec(i), 10)
+		c.Eng.Schedule(time.Hour/time.Duration(videos)*time.Duration(i), func() { c.Submit(g) })
+	}
+	c.Eng.RunUntil(time.Hour)
+	return c
+}
+
 // TestRepairSlotsRecycle is the regression test for the repair-slot
 // leak: hostsInRepair used to only ever increment, so MaxHostsInRepair
 // permanently exhausted and later failures could never be repaired.
 // With the readmit lifecycle, more hosts than the cap cycle through
 // repair over time.
 func TestRepairSlotsRecycle(t *testing.T) {
-	cfg := DefaultConfig(4)
-	cfg.MaxHostsInRepair = 1
-	cfg.RepairLatency = 2 * time.Minute
-	c := New(cfg)
-	// Break three hosts: with cap 1 they must be repaired one at a time.
-	for h := 0; h < 3; h++ {
-		breakHost(c, h)
-	}
-	c.Eng.RunUntil(time.Hour)
+	c := repairRecycleScenario(1, 0)
+	cfg := c.cfg
 	if c.Stats.HostsSentToRepair < 3 {
 		t.Fatalf("only %d hosts ever sent to repair; slot leaked (stats %+v)",
 			c.Stats.HostsSentToRepair, c.Stats)
