@@ -5,7 +5,7 @@
 GO ?= go
 RACE_PKGS = ./internal/sched ./internal/transcode ./internal/cluster ./internal/codec ./internal/video
 
-.PHONY: check lint lint-json race build test fmt bench chaos fuzz overload autoscale audit
+.PHONY: check lint lint-json race build test fmt bench chaos fuzz overload autoscale audit oracle
 
 check:
 	./scripts/check.sh
@@ -64,6 +64,12 @@ audit:
 	$(GO) test -race -v -run 'TestAudit|TestHedgeDoesNotLaunderCorruption|TestIntermittent|TestExtendedCheck|TestRegionAuditRollUp|TestAccumulateAuditStats' ./internal/cluster ./internal/vcu
 	$(GO) test -race -v -run 'TestChunkChecksum' ./internal/container
 	$(GO) test -race -v -run 'TestEscapesVsAuditBudgetFrontier|TestAuditFrontierDeterministic' ./internal/fleetsim
+
+# Seed-exact control-plane outputs (benchmark parks at seeds 1-3,
+# fleetsim tables, failure drill) on stdout: run it on two commits and
+# diff to show a refactor changed no behaviour. Not part of check.
+oracle:
+	./scripts/oracle.sh
 
 # Extended decoder fuzzing (the gate runs a 10s smoke).
 fuzz:

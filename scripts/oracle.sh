@@ -1,0 +1,32 @@
+#!/usr/bin/env bash
+# oracle.sh — the control plane's behaviour, printed so that "identical
+# to the parent commit" is one diff:
+#
+#   scripts/oracle.sh >/tmp/new.txt          # on the change
+#   (cd <parent checkout> && scripts/oracle.sh) >/tmp/old.txt
+#   diff /tmp/old.txt /tmp/new.txt
+#
+# Everything printed depends only on seeds: the `# exact` lines and the
+# output digests of the two park workloads of the benchmark at seeds
+# 1-3, the fleetsim overload, autoscale and audit tables, and the
+# failure drill. Timings are left out. Takes a minute or two; not part
+# of check.sh.
+set -eu
+
+cd "$(dirname "$0")/.."
+
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+
+for seed in 1 2 3; do
+    echo "== benchmark park_overload,park_steady seed $seed"
+    go run ./benchmark --workload park_overload,park_steady --seconds 3 \
+        --seed "$seed" --out "$out" | grep '^# .* exact '
+    grep -E '"(name|digest)":' "$out/results.json"
+done
+for mode in overload autoscale audit; do
+    echo "== fleetsim -$mode"
+    go run ./cmd/fleetsim "-$mode"
+done
+echo "== examples/failuredrill"
+go run ./examples/failuredrill
