@@ -388,3 +388,44 @@ func TestAutoscaleOffByDefault(t *testing.T) {
 		t.Fatalf("static park shrank: %d/%d active", got, len(c.workers))
 	}
 }
+
+// TestReadmitDuringDrainKeepsDrainPending: a host repaired while one of
+// its workers is mid drain-before-remove must not hand that worker back
+// to the scheduler — it would serve again while still listed as a
+// pending drain, billed twice in ActiveWorkerTicks and "reclaimable" by
+// a scale-up although there is no drain left to cancel.
+func TestReadmitDuringDrainKeepsDrainPending(t *testing.T) {
+	cfg := overloadConfig(1) // 1 host, 2 workers
+	cfg.RepairLatency = 2 * time.Minute
+	cfg.Autoscale = DefaultAutoscaleConfig()
+	cfg.Autoscale.Period = time.Hour // no tick reaps the drain below
+	cfg.Autoscale.MinWorkers = 2
+	cfg.Autoscale.InitialWorkers = 2
+	c := New(cfg)
+	for i := 0; i < 6; i++ {
+		c.Submit(BuildGraph(uploadSpec(i), 10))
+	}
+	c.Eng.RunUntil(time.Second) // both workers busy
+	c.scaleDown(1)
+	if len(c.as.draining) != 1 {
+		t.Fatalf("setup: %d drains pending, want 1", len(c.as.draining))
+	}
+	c.sendToRepair(c.Hosts[0])
+	c.Eng.RunUntil(5 * time.Minute) // readmitted at 2m; requeued steps place again
+	if c.Stats.HostsReadmitted != 1 {
+		t.Fatalf("setup: host not readmitted; stats %+v", c.Stats)
+	}
+	for i := 6; i < 12; i++ {
+		c.Submit(BuildGraph(uploadSpec(i), 10))
+	}
+	c.Eng.RunUntil(6 * time.Minute)
+	for _, cw := range c.as.draining {
+		if !cw.sw.Draining() {
+			t.Fatalf("VCU %d is listed as a pending drain but is not draining (idle=%v)",
+				cw.vcu.ID, cw.sw.Idle())
+		}
+	}
+	if got := c.provisionedWorkers() + len(c.as.draining); got > len(c.workers) {
+		t.Fatalf("park bills %d powered workers, has %d", got, len(c.workers))
+	}
+}

@@ -1422,10 +1422,16 @@ func (c *Cluster) readmitHost(h *vcu.Host) {
 		cw.convicted = false
 		cw.soakPasses = 0
 		cw.produced = nil
+		draining := cw.sw.Draining()
 		cw.sw.ResetCapacity()
 		c.startWorker(cw)
 		if cw.refused {
 			c.Stats.ReadmitRejections++
+		}
+		if draining {
+			// Still listed in autoscaler.draining: the shrink stands, and
+			// the next reapDrains retires the (now idle) worker.
+			cw.sw.BeginDrain()
 		}
 		if cw.parked {
 			// ResetCapacity cleared the stopped flag; an autoscaler-parked
