@@ -284,3 +284,23 @@ func TestHedgeDoesNotLaunderCorruption(t *testing.T) {
 		t.Fatalf("corruption laundered through hedge settlement; stats %+v", c.Stats)
 	}
 }
+
+// TestConvictionUnderARunningStep: a device convicted while a step's
+// decode is on its cores has no firmware queue left when the decode
+// finishes; the step's encodes must fail over like on any closed queue,
+// not dereference the missing one.
+func TestConvictionUnderARunningStep(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.Audit = DefaultAuditConfig()
+	c := New(cfg)
+	done := 0
+	g := BuildGraph(uploadSpec(1), 10)
+	g.OnDone = func(*Graph) { done++ }
+	c.Submit(g)
+	c.Eng.RunUntil(10 * time.Millisecond) // decodes in flight on VCU 0
+	c.convict(c.workers[0])
+	c.Eng.RunUntil(time.Hour)
+	if done != 1 {
+		t.Fatalf("video did not complete around the convicted device; stats %+v", c.Stats)
+	}
+}

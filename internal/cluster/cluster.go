@@ -527,6 +527,16 @@ type clusterWorker struct {
 	produced   []*Step
 }
 
+// submit hands op to the worker's firmware queue. A step can outlive
+// the queue it started on — the device was convicted under it — and is
+// then refused exactly as by a closed queue.
+func (cw *clusterWorker) submit(op *vcu.Op) error {
+	if cw.queueFW == nil {
+		return vcu.ErrQueueClosed
+	}
+	return cw.queueFW.RunOnCore(op)
+}
+
 // New builds a cluster with cfg.Hosts hosts on a fresh engine.
 func New(cfg Config) *Cluster {
 	return buildCluster(cfg, sim.NewEngine())
@@ -1044,7 +1054,7 @@ func (c *Cluster) runTranscode(s *Step, cw *clusterWorker, a *sched.Assignment, 
 						gated(anyErr, anyCorrupt)
 					}
 				}}
-			if err := cw.queueFW.RunOnCore(op); err != nil {
+			if err := cw.submit(op); err != nil {
 				finish(err, false)
 				return
 			}
@@ -1059,7 +1069,7 @@ func (c *Cluster) runTranscode(s *Step, cw *clusterWorker, a *sched.Assignment, 
 			}
 			encodeAll(corr)
 		}}
-	if err := cw.queueFW.RunOnCore(decode); err != nil {
+	if err := cw.submit(decode); err != nil {
 		finish(err, false)
 	}
 }
