@@ -51,7 +51,7 @@ overload:
 # primitives under -race, plus the fleetsim cost-vs-SLO frontier. The
 # tier-1 gate runs the game-day and determinism check in its test steps.
 autoscale:
-	$(GO) test -race -v -run 'TestAutoscale|TestCapacityModel|TestPredictedQueue|TestRequiredWorkers|TestBrownoutHolds|TestRebalanceStands|TestDrainBeforeRemove|TestCancelDrain|TestActivateAfterRetire|TestScaleFromZero|TestStaleRelease' ./internal/cluster ./internal/sched
+	$(GO) test -race -v -run 'TestAutoscale|TestCapacityModel|TestPredictedQueue|TestRequiredWorkers|TestBrownoutHolds|TestRebalanceStands|TestDrainBeforeRemove|TestCancelDrain|TestActivateAfterRetire|TestScaleFromZero|TestStaleRelease|TestCapacityTransition|TestShrinkOfWarming|TestSchedulerMatchesModel|TestReadmitDuringDrain|TestWarmupBelongs|TestLifecycle|TestIllegalTransitions' ./internal/cluster ./internal/sched
 	$(GO) test -race -v -run 'TestCostVsSLOFrontier|TestFrontierDeterministic' ./internal/fleetsim
 
 # Silent-corruption defense verification: the audit game-day (an
@@ -61,7 +61,7 @@ autoscale:
 # escapes-vs-audit-budget frontier. The tier-1 gate runs the game-day
 # and determinism check in its test steps.
 audit:
-	$(GO) test -race -v -run 'TestAudit|TestHedgeDoesNotLaunderCorruption|TestIntermittent|TestExtendedCheck|TestRegionAuditRollUp|TestAccumulateAuditStats' ./internal/cluster ./internal/vcu
+	$(GO) test -race -v -run 'TestAudit|TestConvictionUnder|TestHedgeDoesNotLaunderCorruption|TestIntermittent|TestExtendedCheck|TestRegionAuditRollUp|TestAccumulateAuditStats' ./internal/cluster ./internal/vcu
 	$(GO) test -race -v -run 'TestChunkChecksum' ./internal/container
 	$(GO) test -race -v -run 'TestEscapesVsAuditBudgetFrontier|TestAuditFrontierDeterministic' ./internal/fleetsim
 

@@ -177,12 +177,7 @@ func (c *Cluster) setupAudit() {
 		a.MaxTaintWindow = def.MaxTaintWindow
 	}
 	c.aud = &auditor{cfg: a}
-	var tick func()
-	tick = func() {
-		c.auditTick()
-		c.Eng.Schedule(a.Period, tick)
-	}
-	c.Eng.Schedule(a.Period, tick)
+	c.every(a.Period, c.auditTick)
 }
 
 // auditObserve records a completed hardware transcode step into the
@@ -300,10 +295,7 @@ func (c *Cluster) auditStep(st *Step, cw *clusterWorker) {
 	st.audited = true
 	if c.auditVerify(st) {
 		cw.trust += a.cfg.TrustRecover * (1 - cw.trust)
-		if cw.demoted && !cw.convicted && cw.trust >= a.cfg.DemoteTrust {
-			cw.demoted = false
-			c.Stats.Audit.Repromotions++
-		}
+		c.rescore(cw, true)
 		// Clean-audit watermark: the taint window restarts after the
 		// audited step — earlier unaudited output leaves the recall
 		// horizon.
@@ -322,13 +314,7 @@ func (c *Cluster) auditStep(st *Step, cw *clusterWorker) {
 		c.recallStep(st)
 	}
 	cw.trust *= a.cfg.TrustFailFactor
-	switch {
-	case !cw.convicted && cw.trust < a.cfg.ConvictTrust:
-		c.convict(cw)
-	case !cw.convicted && !cw.demoted && cw.trust < a.cfg.DemoteTrust:
-		cw.demoted = true
-		c.Stats.Audit.Demotions++
-	}
+	c.rescore(cw, false)
 }
 
 // shippedStep reports whether a completed transcode step's output has
@@ -389,8 +375,7 @@ func (c *Cluster) recallStep(st *Step) {
 // shipped remainder counted as beyond-recall escapes), and the extended
 // soak begins. The device serves nothing until exonerated.
 func (c *Cluster) convict(cw *clusterWorker) {
-	cw.convicted = true
-	cw.demoted = true
+	cw.standing = move(trustMoves, cw, cw.standing, evConvict)
 	cw.soakPasses = 0
 	c.Stats.Audit.Convictions++
 	cw.generation++
@@ -433,7 +418,7 @@ func (c *Cluster) scheduleSoak(cw *clusterWorker) {
 // passes, not one longer pass, is the exit criterion: each pass attests
 // one window, and a marginal device's corrupt slot must miss all K.
 func (c *Cluster) soakTick(cw *clusterWorker) {
-	if !cw.convicted || cw.vcu.Disabled() || cw.host.Disabled() {
+	if !cw.soaking() {
 		return
 	}
 	if !cw.vcu.ExtendedCheck(c.aud.cfg.SoakOps) {
@@ -442,8 +427,7 @@ func (c *Cluster) soakTick(cw *clusterWorker) {
 		// sendToRepair → readmitHost) owns it from here.
 		c.Stats.Audit.SoakFailures++
 		cw.soakPasses = 0
-		cw.vcu.Disable()
-		c.Stats.VCUsDisabled++
+		c.disableDevice(cw)
 		return
 	}
 	cw.soakPasses++
@@ -458,37 +442,10 @@ func (c *Cluster) soakTick(cw *clusterWorker) {
 // clean soak passes: trust restored, worker restarted through the
 // normal golden-screened path.
 func (c *Cluster) exonerate(cw *clusterWorker) {
-	cw.convicted = false
-	cw.demoted = false
-	cw.soakPasses = 0
-	cw.trust = 1
+	c.clearRecord(cw, evExonerate)
 	c.Stats.Audit.Exonerations++
 	c.startWorker(cw)
 	c.dispatch()
-}
-
-// ConvictedVCUs returns the IDs of currently-convicted devices in ID
-// order — the game-day's zero-false-convictions assertion surface.
-func (c *Cluster) ConvictedVCUs() []int {
-	var ids []int
-	for _, cw := range c.workers {
-		if cw.convicted {
-			ids = append(ids, cw.vcu.ID)
-		}
-	}
-	return ids
-}
-
-// DemotedVCUs returns the IDs of currently-demoted (batch-only)
-// devices in ID order.
-func (c *Cluster) DemotedVCUs() []int {
-	var ids []int
-	for _, cw := range c.workers {
-		if cw.demoted {
-			ids = append(ids, cw.vcu.ID)
-		}
-	}
-	return ids
 }
 
 // TrustOf returns a device's current audit trust score (1 when the

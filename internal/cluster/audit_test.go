@@ -114,9 +114,9 @@ func TestAuditGameDay(t *testing.T) {
 		if cw.vcu.ID == 0 {
 			continue
 		}
-		if cw.trust != 1 || cw.demoted || cw.convicted {
-			t.Fatalf("healthy VCU %d suspected: trust=%v demoted=%v convicted=%v",
-				cw.vcu.ID, cw.trust, cw.demoted, cw.convicted)
+		if cw.trust != 1 || cw.standing != trusted {
+			t.Fatalf("healthy VCU %d suspected: trust=%v standing=%v",
+				cw.vcu.ID, cw.trust, cw.standing)
 		}
 	}
 	// Containment accounting: the conviction recalled its taint window,

@@ -184,10 +184,11 @@ func (s *AutoscaleStats) accumulate(o AutoscaleStats) {
 type autoscaler struct {
 	cfg   AutoscaleConfig
 	model *CapacityModel
-	// draining holds workers mid drain-before-remove, awaiting retire.
+	// draining lists workers mid drain-before-remove in the order their
+	// drains began — the order a scale-up reclaims them and a tick reaps
+	// them. Whether a worker is draining is its phase's to say, not this
+	// list's.
 	draining []*clusterWorker
-	// warming counts workers inside their activation warmup.
-	warming int
 	// lowTicks counts consecutive ticks in the scale-down band.
 	lowTicks int
 	// lastDir / lastMoveTick drive the flip detector.
@@ -200,13 +201,6 @@ type autoscaler struct {
 
 // oracle reports whether the loop runs as the prescient baseline.
 func (as *autoscaler) oracle() bool { return as.cfg.OracleRatePerHour != nil }
-
-// resizeInFlight reports whether a resize is still settling — drains
-// pending or warmups running. The brownout controller holds its level
-// up-moves while this is true.
-func (as *autoscaler) resizeInFlight() bool {
-	return len(as.draining) > 0 || as.warming > 0
-}
 
 // setupAutoscale arms the control loop: parks the surplus above the
 // initial size (highest worker IDs first, keeping the first-fit-packed
@@ -256,14 +250,8 @@ func (c *Cluster) setupAutoscale() {
 		}
 		cw.sw.BeginDrain()
 		cw.sw.TryRetire() // idle at t=0: retires immediately
-		cw.parked = true
 	}
-	var tick func()
-	tick = func() {
-		c.autoscaleTick()
-		c.Eng.Schedule(acfg.Period, tick)
-	}
-	c.Eng.Schedule(acfg.Period, tick)
+	c.every(acfg.Period, c.autoscaleTick)
 }
 
 // autoscaleMax is the physical or configured cap on the active park.
@@ -274,38 +262,10 @@ func (c *Cluster) autoscaleMax() int {
 	return len(c.workers)
 }
 
-// workerHealthy reports whether a worker could serve if activated.
-func (c *Cluster) workerHealthy(cw *clusterWorker) bool {
-	return !cw.refused && !cw.vcu.Disabled() && !cw.host.Disabled()
-}
-
 // provisionedWorkers counts the active park: healthy workers the
 // autoscaler has in service (warming workers count — their capacity is
 // committed; draining workers do not — they are on the way out).
-func (c *Cluster) provisionedWorkers() int {
-	n := 0
-	for _, cw := range c.workers {
-		if cw.parked || !c.workerHealthy(cw) || cw.sw.Draining() {
-			continue
-		}
-		n++
-	}
-	return n
-}
-
-// busyWorkers counts provisioned workers currently holding work.
-func (c *Cluster) busyWorkers() int {
-	n := 0
-	for _, cw := range c.workers {
-		if cw.parked || !c.workerHealthy(cw) || cw.sw.Draining() {
-			continue
-		}
-		if !cw.sw.Idle() {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cluster) provisionedWorkers() int { return c.census().provisioned() }
 
 // autoscaleTick is one control iteration: reap finished drains, collect
 // a sample, update the model, size the park, and actuate under the
@@ -323,10 +283,11 @@ func (c *Cluster) autoscaleTick() {
 		offered += c.Stats.Classes[i].Admitted + c.Stats.Classes[i].Shed
 		completed += c.Stats.Classes[i].Completed
 	}
+	pc := c.census()
 	sample := CapacitySample{
 		OfferedPerSec:   float64(offered-as.lastOffered) / period,
 		CompletedPerSec: float64(completed-as.lastCompleted) / period,
-		BusyWorkers:     c.busyWorkers(),
+		BusyWorkers:     int(pc.busy[0] + pc.busy[1]),
 		Backlog:         c.eligibleBacklog(),
 	}
 	as.lastOffered, as.lastCompleted = offered, completed
@@ -340,7 +301,7 @@ func (c *Cluster) autoscaleTick() {
 
 	// Optimizer: workers needed at the target utilization, plus
 	// burn-down capacity for the current backlog transient.
-	provisioned := c.provisionedWorkers()
+	provisioned := pc.provisioned()
 	desired := as.model.RequiredWorkers(as.cfg.TargetUtilization,
 		sample.Backlog, as.cfg.BurndownWindow.Seconds())
 	if desired < as.cfg.MinWorkers {
@@ -407,10 +368,11 @@ func (c *Cluster) autoscaleTick() {
 	}
 
 	// Cost integral and gauges: powered = active + still-draining.
-	st.ActiveWorkerTicks += int64(c.provisionedWorkers() + len(as.draining))
-	st.ActiveWorkers = int64(c.provisionedWorkers())
-	st.PendingDrains = int64(len(as.draining))
-	c.updateUtilizationGauges()
+	pc = c.census()
+	st.ActiveWorkerTicks += int64(pc.provisioned() + pc.drains)
+	st.ActiveWorkers = int64(pc.provisioned())
+	st.PendingDrains = int64(pc.drains)
+	pc.setUtilization(&c.Stats)
 	c.dispatch()
 }
 
@@ -419,7 +381,6 @@ func (as *autoscaler) reapDrains(st *AutoscaleStats) {
 	var still []*clusterWorker
 	for _, cw := range as.draining {
 		if cw.sw.TryRetire() {
-			cw.parked = true
 			st.WorkersRetired++
 			continue
 		}
@@ -452,38 +413,26 @@ func (c *Cluster) scaleUp(k int) {
 	st := &c.Stats.Autoscale
 	wasEmpty := c.provisionedWorkers() == 0
 	moved := 0
-	// Reclaim drains first.
-	var still []*clusterWorker
-	for _, cw := range as.draining {
-		if moved < k {
-			cw.sw.CancelDrain()
-			st.DrainsCancelled++
-			moved++
-			continue
-		}
-		still = append(still, cw)
+	// Reclaim drains first, oldest first.
+	for ; moved < k && len(as.draining) > 0; moved++ {
+		as.draining[0].sw.CancelDrain()
+		as.draining = as.draining[1:]
+		st.DrainsCancelled++
 	}
-	as.draining = still
 	for _, cw := range c.workers {
 		if moved >= k {
 			break
 		}
-		if !cw.parked || !c.workerHealthy(cw) {
+		if !cw.position().activatable() {
 			continue
 		}
-		cw.parked = false
-		cw.sw.Activate()
+		cold := as.cfg.Warmup > 0 && !as.oracle()
+		cw.sw.Activate(cold)
 		st.WorkersActivated++
 		moved++
-		if as.cfg.Warmup > 0 && !as.oracle() {
-			cw.sw.SetWarming(true)
-			as.warming++
-			cwRef := cw
-			c.Eng.Schedule(as.cfg.Warmup, func() {
-				cwRef.sw.SetWarming(false)
-				as.warming--
-				c.dispatch()
-			})
+		if cold {
+			cw.warmUntil = c.Eng.Now() + as.cfg.Warmup
+			c.Eng.Schedule(as.cfg.Warmup, func() { c.endWarmup(cw) })
 		}
 	}
 	if moved == 0 {
@@ -511,7 +460,7 @@ func (c *Cluster) scaleDown(k int) {
 	for pass := 0; pass < 2 && moved < k; pass++ {
 		for i := len(c.workers) - 1; i >= 0 && moved < k; i-- {
 			cw := c.workers[i]
-			if cw.parked || cw.sw.Draining() || !c.workerHealthy(cw) {
+			if !cw.position().inPark() {
 				continue
 			}
 			idle := cw.sw.Idle()
@@ -520,7 +469,6 @@ func (c *Cluster) scaleDown(k int) {
 			}
 			cw.sw.BeginDrain()
 			if cw.sw.TryRetire() {
-				cw.parked = true
 				st.WorkersRetired++
 			} else {
 				as.draining = append(as.draining, cw)
@@ -534,44 +482,4 @@ func (c *Cluster) scaleDown(k int) {
 	}
 	st.ScaleDowns++
 	as.noteResize(-1, st)
-}
-
-// drainingPools returns which logical pools currently have an
-// autoscaler drain in flight, indexed by sched.UseCase. The pool
-// rebalancer stands down for these pools so the two worker-moving
-// mechanisms never thrash the same pool in one tick.
-func (c *Cluster) drainingPools() [2]bool {
-	var out [2]bool
-	if c.as == nil || !c.cfg.EnablePools {
-		return out
-	}
-	for _, cw := range c.as.draining {
-		out[cw.pool] = true
-	}
-	return out
-}
-
-// updateUtilizationGauges refreshes the per-pool utilization gauges in
-// Stats: busy provisioned workers over provisioned workers, in PPM,
-// indexed by sched.UseCase (with pools disabled everything counts as
-// the upload pool). Called from the brownout and autoscale ticks; also
-// callable directly (tests, external samplers).
-func (c *Cluster) updateUtilizationGauges() {
-	var busy, total [2]int64
-	for _, cw := range c.workers {
-		if cw.parked || !c.workerHealthy(cw) || cw.sw.Draining() {
-			continue
-		}
-		total[cw.pool]++
-		if !cw.sw.Idle() {
-			busy[cw.pool]++
-		}
-	}
-	for i := range total {
-		if total[i] == 0 {
-			c.Stats.PoolUtilPPM[i] = 0
-			continue
-		}
-		c.Stats.PoolUtilPPM[i] = busy[i] * 1e6 / total[i]
-	}
 }

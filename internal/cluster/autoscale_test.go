@@ -216,7 +216,7 @@ func TestAutoscaleDrainBeforeRemove(t *testing.T) {
 		c.Submit(g)
 	}
 	c.Eng.RunUntil(time.Second) // steps are now in flight on both workers
-	if c.busyWorkers() == 0 {
+	if pc := c.census(); pc.busy[0]+pc.busy[1] == 0 {
 		t.Fatal("setup: no busy workers")
 	}
 	c.scaleDown(1)
@@ -293,7 +293,7 @@ func TestBrownoutHoldsWhileResizeInFlight(t *testing.T) {
 	}
 	// A resize is in flight: one worker is draining out.
 	c.scaleDown(1)
-	if !c.as.resizeInFlight() {
+	if !c.census().resizing() {
 		t.Fatal("setup: no resize in flight")
 	}
 	c.brownoutTick()
@@ -306,7 +306,7 @@ func TestBrownoutHoldsWhileResizeInFlight(t *testing.T) {
 	// Resize settles (drain reclaimed): the same signal now raises the
 	// level.
 	c.scaleUp(1)
-	if c.as.resizeInFlight() {
+	if c.census().resizing() {
 		t.Fatal("setup: resize still in flight after reclaim")
 	}
 	c.brownoutTick()
@@ -420,7 +420,7 @@ func TestReadmitDuringDrainKeepsDrainPending(t *testing.T) {
 	}
 	c.Eng.RunUntil(6 * time.Minute)
 	for _, cw := range c.as.draining {
-		if !cw.sw.Draining() {
+		if cw.sw.Phase() != sched.PhaseDraining {
 			t.Fatalf("VCU %d is listed as a pending drain but is not draining (idle=%v)",
 				cw.vcu.ID, cw.sw.Idle())
 		}

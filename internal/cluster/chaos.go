@@ -169,15 +169,3 @@ func (c *Cluster) ApplyChaos(events []ChaosEvent) {
 		})
 	}
 }
-
-// HealthyHosts counts hosts that are up and not in the repair workflow
-// — the capacity-recovery signal the chaos invariants check.
-func (c *Cluster) HealthyHosts() int {
-	n := 0
-	for _, h := range c.Hosts {
-		if !h.Disabled() && !c.inRepair[h.ID] {
-			n++
-		}
-	}
-	return n
-}

@@ -482,7 +482,6 @@ type Cluster struct {
 	// aud is the online output auditor, nil when disabled.
 	aud *auditor
 
-	hostsInRepair int
 	// inRepair tracks which hosts are currently in the repair workflow
 	// (a crashed host is disabled too, but must still be *sent* to
 	// repair by the fault scan once a repair slot frees up).
@@ -491,10 +490,9 @@ type Cluster struct {
 	Stats Stats
 }
 
-// HostsInRepair returns the number of hosts currently out for repair.
-func (c *Cluster) HostsInRepair() int { return c.hostsInRepair }
-
-// clusterWorker binds a scheduler worker to a VCU.
+// clusterWorker binds a scheduler worker to a VCU. Its lifecycle state
+// — sw's capacity phase, screening, standing — is moved and read only
+// in lifecycle.go.
 type clusterWorker struct {
 	sw      *sched.Worker
 	vcu     *vcu.VCU
@@ -503,26 +501,23 @@ type clusterWorker struct {
 	// pool is the logical pool the worker serves when cfg.EnablePools
 	// is set; the rebalancer moves workers between pools.
 	pool sched.UseCase
-	// refused marks workers whose golden check failed: the VCU is
-	// quarantined until fault management disables it.
-	refused bool
-	// parked marks workers the autoscaler holds out of the active park
-	// (retired, not serving, not billed). Distinct from sched draining:
-	// a parked worker's shrink already completed.
-	parked bool
+	// screening is the worker process's last golden-screening verdict:
+	// healthServing, or healthRefused (the VCU is quarantined until
+	// fault management disables it).
+	screening health
+	// warmUntil is when the current cold activation's warm-up ends.
+	warmUntil time.Duration
 	// generation counts worker restarts on this VCU.
 	generation int
 
 	// Output-auditor state (internal/cluster/audit.go). trust is the
-	// device's audit-derived trust score in (0, 1]; demoted restricts
-	// the device to batch work; convicted quarantines it entirely until
-	// the extended soak exonerates it (soakPasses consecutive clean
-	// soaks) or condemns it. produced is the taint window: hardware
-	// steps completed here since the device's last clean audit, capped
-	// at MaxTaintWindow.
+	// device's audit-derived trust score in (0, 1]; standing is the
+	// ladder rung the score has earned it (soakPasses consecutive clean
+	// soaks exonerate a convicted device). produced is the taint window:
+	// hardware steps completed here since the device's last clean audit,
+	// capped at MaxTaintWindow.
 	trust      float64
-	demoted    bool
-	convicted  bool
+	standing   standing
 	soakPasses int
 	produced   []*Step
 }
@@ -588,18 +583,30 @@ func buildCluster(cfg Config, eng *sim.Engine) *Cluster {
 		if period <= 0 {
 			period = 30 * time.Second
 		}
-		var rebalance func()
-		rebalance = func() {
-			c.rebalancePools()
-			c.Eng.Schedule(period, rebalance)
-		}
-		c.Eng.Schedule(period, rebalance)
+		c.every(period, c.rebalancePools)
 	}
-	c.scheduleFaultScan()
-	c.scheduleBrownout()
+	c.every(cfg.FaultScanPeriod, c.faultScan)
+	c.every(cfg.Overload.BrownoutPeriod, c.brownoutTick)
 	c.setupAutoscale()
 	c.setupAudit()
 	return c
+}
+
+// every runs fn each period on the sim clock, body first and re-arm
+// second; a period of zero or less arms nothing. The control loops
+// share one instant often, and sim.Engine breaks ties by scheduling
+// order: the order of the every calls in buildCluster, and
+// body-before-re-arm here, are what make a seeded run repeatable.
+func (c *Cluster) every(period time.Duration, fn func()) {
+	if period <= 0 {
+		return
+	}
+	var tick func()
+	tick = func() {
+		fn()
+		c.Eng.Schedule(period, tick)
+	}
+	c.Eng.Schedule(period, tick)
 }
 
 // stepPool classifies a step's pool by its request.
@@ -629,7 +636,7 @@ func (c *Cluster) rebalancePools() {
 	// stands down for that pool: two worker-moving mechanisms acting on
 	// one pool in the same tick would thrash (the rebalancer pulling
 	// workers in while the autoscaler drains them out).
-	drains := c.drainingPools()
+	drains := c.census().drainPools
 	// Pools in priority order: idle workers are first-come-first-served,
 	// so the live pool gets first pick.
 	for _, pool := range []sched.UseCase{sched.UseLive, sched.UseUpload} {
@@ -647,14 +654,14 @@ func (c *Cluster) rebalancePools() {
 				break
 			}
 			// A donor must be a worker placeTranscode would accept: a
-			// quarantined one would spend the move and still serve nothing.
-			if cw.pool == pool || !cw.sw.Idle() || !c.workerHealthy(cw) || cw.convicted {
+			// quarantined one would spend the move and still serve nothing,
+			// and autoscaled-out (or not-yet-serving) workers are not
+			// rebalance candidates.
+			if cw.pool == pool || !cw.sw.Idle() || !cw.position().accepting() {
 				continue
 			}
-			// Autoscaled-out (or not-yet-serving) workers are not
-			// rebalance candidates, and a pool the autoscaler is draining
-			// keeps its remaining workers.
-			if cw.parked || cw.sw.Draining() || cw.sw.Warming() || drains[cw.pool] {
+			// A pool the autoscaler is draining keeps its remaining workers.
+			if drains[cw.pool] {
 				continue
 			}
 			// Only take from a pool with no backlog of its own.
@@ -670,16 +677,17 @@ func (c *Cluster) rebalancePools() {
 }
 
 // startWorker (re)starts the worker process on its VCU, running the
-// golden screening when configured.
-func (c *Cluster) startWorker(cw *clusterWorker) {
+// golden screening when configured, and reports whether it passed.
+func (c *Cluster) startWorker(cw *clusterWorker) bool {
 	cw.generation++
-	cw.refused = false
-	if c.cfg.GoldenCheckOnStart && !cw.vcu.GoldenCheck() {
-		cw.refused = true
+	pass := !c.cfg.GoldenCheckOnStart || cw.vcu.GoldenCheck()
+	c.screened(cw, pass)
+	if !pass {
 		c.Stats.GoldenRejections++
-		return
+		return false
 	}
 	cw.queueFW = cw.vcu.OpenQueue()
+	return true
 }
 
 // rand returns a deterministic pseudo-random float in [0, 1).
@@ -849,22 +857,10 @@ func (c *Cluster) tryPlace(s *Step) bool {
 // affinity set.
 func (c *Cluster) placeTranscode(s *Step, avoidVCU int) (*clusterWorker, *sched.Assignment, bool) {
 	need := c.workerType.Cost(s.execReq)
+	cls, pool := c.classOf(s), stepPool(s)
 	baseExclude := func(w *sched.Worker) bool {
 		cw := c.byVCU[w.ID]
-		if cw == nil || cw.refused || cw.vcu.Disabled() || cw.host.Disabled() ||
-			s.triedVCUs[w.ID] || w.ID == avoidVCU {
-			return true
-		}
-		// Audit ladder: a convicted device is quarantined outright; a
-		// demoted device only serves batch work (limits the blast
-		// radius of further corruption to the most replayable class).
-		if cw.convicted || (cw.demoted && c.classOf(s) != sched.PriorityBatch) {
-			return true
-		}
-		if c.cfg.EnablePools && cw.pool != stepPool(s) {
-			return true
-		}
-		return false
+		return cw == nil || !c.places(cw, cls, pool) || s.triedVCUs[w.ID] || w.ID == avoidVCU
 	}
 	overflow := false
 	var a *sched.Assignment
@@ -1273,13 +1269,13 @@ func (c *Cluster) failStep(s *Step, cw *clusterWorker, err error) {
 // aborts all work on the VCU" and restarts shortly after. Skipped for
 // hosts that are down — there is no worker left to restart.
 func (c *Cluster) abortWorker(cw *clusterWorker) {
-	if !c.cfg.AbortOnFailure || cw.host.Disabled() || cw.queueFW == nil {
+	if !c.cfg.AbortOnFailure || c.hostHealth(cw.host) != healthServing || cw.queueFW == nil {
 		return
 	}
 	c.Stats.WorkerAborts++
 	cw.queueFW.Close()
 	c.Eng.Schedule(time.Second, func() {
-		if cw.host.Disabled() || c.inRepair[cw.host.ID] {
+		if c.hostHealth(cw.host) != healthServing {
 			return // the readmit path restarts workers itself
 		}
 		c.startWorker(cw)
@@ -1338,14 +1334,6 @@ func (c *Cluster) requeueAfter(s *Step, d time.Duration) {
 	})
 }
 
-// scheduleFaultScan installs the periodic failure-management sweep.
-func (c *Cluster) scheduleFaultScan() {
-	c.Eng.Schedule(c.cfg.FaultScanPeriod, func() {
-		c.faultScan()
-		c.scheduleFaultScan()
-	})
-}
-
 // faultScan disables VCUs whose telemetry crossed the fault threshold
 // (watchdog timeouts count: a hung or pathologically slow device must
 // trip the same breaker as a failing one) and sends hosts with too many
@@ -1361,25 +1349,18 @@ func (c *Cluster) faultScan() {
 		// corrupter reports neither — it is invisible here, and
 		// catching it is the output auditor's job (audit.go).
 		faults := t.OpsFailed + t.OpsCorrupted + t.ECCErrors + t.OpsTimedOut
-		if !cw.vcu.Disabled() && faults >= c.cfg.DisableFaultThreshold {
-			cw.vcu.Disable()
-			c.Stats.VCUsDisabled++
+		if faults >= c.cfg.DisableFaultThreshold && cw.powered() {
+			c.disableDevice(cw)
 		}
 	}
 	for _, h := range c.Hosts {
-		if c.inRepair[h.ID] {
+		if c.hostHealth(h) == healthInRepair {
 			continue
-		}
-		dead := 0
-		for _, v := range h.VCUs {
-			if v.Disabled() {
-				dead++
-			}
 		}
 		// "It is not cost effective to send a system to repair when a
 		// small fraction of the VCUs have failed."
-		if dead > 0 && dead*4 >= len(h.VCUs) {
-			if c.hostsInRepair >= c.cfg.MaxHostsInRepair {
+		if dead := deadVCUs(h); dead > 0 && dead*4 >= len(h.VCUs) {
+			if c.HostsInRepair() >= c.cfg.MaxHostsInRepair {
 				c.Stats.RepairsDeferred++
 				continue
 			}
@@ -1387,86 +1368,4 @@ func (c *Cluster) faultScan() {
 		}
 	}
 	c.dispatch()
-}
-
-// sendToRepair pulls a host out of service into the §4.4 repair
-// workflow. The teardown is a crash from the steps' perspective:
-// pending ops abort, in-flight ops are lost. When RepairLatency is
-// positive the host is readmitted after it elapses; zero models the
-// pre-lifecycle behavior where repairs never return.
-func (c *Cluster) sendToRepair(h *vcu.Host) {
-	h.Crash()
-	c.inRepair[h.ID] = true
-	c.hostsInRepair++
-	c.Stats.HostsSentToRepair++
-	if c.cfg.RepairLatency > 0 {
-		c.Eng.Schedule(c.cfg.RepairLatency, func() { c.readmitHost(h) })
-	}
-}
-
-// readmitHost returns a repaired host to service: the repair slot is
-// freed (this, not host death, is what keeps MaxHostsInRepair from
-// permanently exhausting), every VCU is repaired and re-screened with
-// the golden tasks, and worker capacity is re-registered with the
-// scheduler. A VCU that fails re-screening — a persistent manufacturing
-// escape repair cannot fix — stays quarantined (refused) while its
-// healthy siblings serve.
-func (c *Cluster) readmitHost(h *vcu.Host) {
-	delete(c.inRepair, h.ID)
-	c.hostsInRepair--
-	c.Stats.HostsReadmitted++
-	h.Enable()
-	for _, v := range h.VCUs {
-		v.Repair()
-		cw := c.byVCU[v.ID]
-		if cw == nil {
-			continue
-		}
-		// Repair replaces the board, so the audit record resets with the
-		// hardware: trust restored, conviction spent, taint window gone.
-		// A persistent intermittent escape will pass golden re-screening
-		// and has to be convicted again — exactly the recidivism the
-		// paper's continuous-health argument predicts.
-		cw.trust = 1
-		cw.demoted = false
-		cw.convicted = false
-		cw.soakPasses = 0
-		cw.produced = nil
-		draining := cw.sw.Draining()
-		cw.sw.ResetCapacity()
-		c.startWorker(cw)
-		if cw.refused {
-			c.Stats.ReadmitRejections++
-		}
-		if draining {
-			// Still listed in autoscaler.draining: the shrink stands, and
-			// the next reapDrains retires the (now idle) worker.
-			cw.sw.BeginDrain()
-		}
-		if cw.parked {
-			// ResetCapacity cleared the stopped flag; an autoscaler-parked
-			// worker must not silently rejoin the park through the repair
-			// path — re-retire it (idle post-reset, so this cannot fail).
-			cw.sw.BeginDrain()
-			cw.sw.TryRetire()
-		}
-	}
-	c.dispatch()
-}
-
-// CrashHost fail-stops host idx at the current sim time — the §4.4
-// host-level failure domain ("CPU, cables, chassis") taking all its
-// VCUs down at once. In-flight ops on the host deliver
-// vcu.ErrHostCrashed, pending ops abort, and the host stays dark until
-// the fault scan claims a repair slot for it.
-func (c *Cluster) CrashHost(idx int) {
-	if idx < 0 || idx >= len(c.Hosts) {
-		return
-	}
-	h := c.Hosts[idx]
-	if h.Disabled() {
-		return
-	}
-	h.Crash()
-	c.Stats.HostsCrashed++
 }

@@ -143,25 +143,6 @@ func (c *Cluster) eligibleBacklog() int {
 	return n
 }
 
-// availableWorkers counts workers currently able to accept work — the
-// denominator of the brownout load signal, so capacity loss (chaos,
-// repair, an autoscaler shrink) raises the signal exactly like a
-// demand spike does. Parked, draining and warming workers are excluded:
-// none of them can take a reservation right now.
-func (c *Cluster) availableWorkers() int {
-	n := 0
-	for _, cw := range c.workers {
-		if cw.refused || cw.convicted || cw.vcu.Disabled() || cw.host.Disabled() {
-			continue
-		}
-		if cw.parked || cw.sw.Draining() || cw.sw.Warming() {
-			continue
-		}
-		n++
-	}
-	return n
-}
-
 // admit applies bounded-queue admission to one transcode step. When the
 // queue is at its bound it looks for a strictly lower-priority victim
 // (lowest class first, freshest within the class) to evict and shed;
@@ -269,18 +250,6 @@ func (c *Cluster) dropIfUseless(s *Step) bool {
 	return true
 }
 
-// scheduleBrownout installs the periodic brownout feedback loop.
-func (c *Cluster) scheduleBrownout() {
-	period := c.cfg.Overload.BrownoutPeriod
-	if period <= 0 {
-		return
-	}
-	c.Eng.Schedule(period, func() {
-		c.brownoutTick()
-		c.scheduleBrownout()
-	})
-}
-
 // brownoutTick is one iteration of the brownout feedback loop. The load
 // signal is eligible backlog per available worker, so both a demand
 // spike (numerator) and a chaos capacity loss (denominator) push the
@@ -291,14 +260,11 @@ func (c *Cluster) scheduleBrownout() {
 // the queue oscillates around a threshold.
 func (c *Cluster) brownoutTick() {
 	ov := c.cfg.Overload
-	workers := c.availableWorkers()
-	if workers < 1 {
-		workers = 1
-	}
-	signal := float64(c.eligibleBacklog()) / float64(workers)
+	pc := c.census()
+	signal := float64(c.eligibleBacklog()) / float64(max(pc.accepting, 1))
 	switch {
 	case signal >= ov.BrownoutEnter && c.degradeLevel < transcode.DegradeFloor:
-		if c.as != nil && !c.as.oracle() && c.as.resizeInFlight() {
+		if c.as != nil && !c.as.oracle() && pc.resizing() {
 			// Priority protocol with the autoscaler: a resize is still
 			// settling (drains or warmups pending), so the backlog
 			// transient is the resize's own doing and already being acted
@@ -314,7 +280,7 @@ func (c *Cluster) brownoutTick() {
 		c.Stats.BrownoutDowns++
 	}
 	if c.as != nil {
-		c.updateUtilizationGauges()
+		pc.setUtilization(&c.Stats)
 	}
 	c.dispatch()
 }

@@ -145,7 +145,7 @@ func TestPoolRebalanceSkipsQuarantinedDonors(t *testing.T) {
 		name       string
 		quarantine func(c *Cluster)
 	}{
-		{"convicted", func(c *Cluster) { c.workers[0].convicted = true }},
+		{"convicted", func(c *Cluster) { c.workers[0].standing = convicted }},
 		{"host disabled", func(c *Cluster) { c.Hosts[0].Disable() }},
 	}
 	for _, tc := range cases {
@@ -172,7 +172,7 @@ func TestPoolRebalanceSkipsQuarantinedDonors(t *testing.T) {
 			if cw.pool != sched.UseLive {
 				continue
 			}
-			if cw.convicted || cw.host.Disabled() {
+			if cw.standing == convicted || cw.host.Disabled() {
 				t.Fatalf("%s: quarantined VCU %d moved to the starved live pool", tc.name, cw.vcu.ID)
 			}
 			serving++

@@ -10,14 +10,15 @@ import (
 // Resources only through literals, indexing and range, so the same file
 // checks any representation of the vector.
 
-// modelWorker is the reference: a worker's state written without locks.
+// modelWorker is the reference: a worker's state written without locks,
+// its lifecycle as plain conditions rather than the transition table.
 type modelWorker struct {
-	avail                      Resources
-	stopped, draining, warming bool
+	avail Resources
+	phase Phase
 }
 
 func (m *modelWorker) grants(need Resources) bool {
-	if m.stopped || m.draining || m.warming {
+	if m.phase != PhaseServing {
 		return false
 	}
 	for d, v := range need {
@@ -86,11 +87,22 @@ func TestSchedulerMatchesModel(t *testing.T) {
 						t.Fatalf("seed %d op %d %s: worker %d %v available %d, model %d", seed, step, op, i, d, avail[d], m.avail[d])
 					}
 				}
-				if w.Stopped() != m.stopped || w.Draining() != m.draining || w.Warming() != m.warming {
-					t.Fatalf("seed %d op %d %s: worker %d stopped/draining/warming %v/%v/%v, model %v/%v/%v", seed, step, op, i,
-						w.Stopped(), w.Draining(), w.Warming(), m.stopped, m.draining, m.warming)
+				if w.Phase() != m.phase {
+					t.Fatalf("seed %d op %d %s: worker %d is %v, model %v", seed, step, op, i, w.Phase(), m.phase)
 				}
 			}
+		}
+		// lifecycle runs one transition: when the model says it is legal
+		// the worker must take it, otherwise it must panic and (as check
+		// then verifies) change nothing.
+		lifecycle := func(op string, step int, legal bool, call func()) {
+			t.Helper()
+			defer func() {
+				if r := recover(); (r == nil) != legal {
+					t.Fatalf("seed %d op %d %s: legal=%v, recovered %v", seed, step, op, legal, r)
+				}
+			}()
+			call()
 		}
 		release := func() {
 			i := r.Intn(len(held))
@@ -141,37 +153,56 @@ func TestSchedulerMatchesModel(t *testing.T) {
 				}
 			case k == 10:
 				op = "BeginDrain"
-				w.BeginDrain()
-				m.draining = m.draining || !m.stopped
+				legal := m.phase == PhaseServing || m.phase == PhaseWarming
+				lifecycle(op, step, legal, w.BeginDrain)
+				if legal {
+					m.phase = PhaseDraining
+				}
 			case k == 11:
 				op = "CancelDrain"
-				w.CancelDrain()
-				m.draining = false
+				legal := m.phase == PhaseDraining
+				lifecycle(op, step, legal, w.CancelDrain)
+				if legal {
+					m.phase = PhaseServing
+				}
 			case k == 12:
 				op = "TryRetire"
 				idle := true
 				for d, c := range wt.Capacity {
 					idle = idle && m.avail[d] == c
 				}
-				if got := w.TryRetire(); got != (m.stopped || idle) {
-					t.Fatalf("seed %d op %d: TryRetire %v, model %v", seed, step, got, m.stopped || idle)
-				}
-				if !m.stopped && idle {
-					m.stopped, m.draining = true, false
+				legal := m.phase == PhaseDraining || m.phase == PhaseParked
+				want := m.phase == PhaseParked || idle
+				lifecycle(op, step, legal, func() {
+					if got := w.TryRetire(); got != want {
+						t.Fatalf("seed %d op %d: TryRetire %v, model %v", seed, step, got, want)
+					}
+				})
+				if legal && want {
+					m.phase = PhaseParked
 				}
 			case k == 13:
 				op = "Activate"
-				w.Activate()
-				m.avail, m.stopped, m.draining = copyResources(wt.Capacity), false, false
+				cold := r.Intn(2) == 0
+				legal := m.phase == PhaseParked
+				lifecycle(op, step, legal, func() { w.Activate(cold) })
+				if legal {
+					m.avail, m.phase = copyResources(wt.Capacity), PhaseServing
+					if cold {
+						m.phase = PhaseWarming
+					}
+				}
 			case k == 14:
-				op = "SetWarming"
-				v := r.Intn(2) == 0
-				w.SetWarming(v)
-				m.warming = v
+				op = "EndWarmup"
+				legal := m.phase == PhaseWarming
+				lifecycle(op, step, legal, w.EndWarmup)
+				if legal {
+					m.phase = PhaseServing
+				}
 			default:
 				op = "ResetCapacity"
 				w.ResetCapacity()
-				*m = modelWorker{avail: copyResources(wt.Capacity)}
+				m.avail = copyResources(wt.Capacity)
 			}
 			check(op, step)
 		}

@@ -305,12 +305,13 @@ func TestResetCapacityAbsorbsStaleRelease(t *testing.T) {
 	if !w.tryReserve(need) {
 		t.Fatal("reserve failed")
 	}
+	w.BeginDrain()
 	if w.TryRetire() {
 		t.Fatal("retired a worker with a live reservation")
 	}
 	w.ResetCapacity()
-	if w.Stopped() {
-		t.Fatal("ResetCapacity left worker stopped")
+	if w.Phase() != PhaseDraining {
+		t.Fatalf("ResetCapacity moved the draining worker to %v", w.Phase())
 	}
 	if w.Available() != w.Capacity() {
 		t.Fatalf("reset availability %v != capacity %v", w.Available(), w.Capacity())
