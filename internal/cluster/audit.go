@@ -369,13 +369,12 @@ func (c *Cluster) recallStep(st *Step) {
 	c.failStep(st, nil, errRecalled)
 }
 
-// convict quarantines a device whose trust fell through ConvictTrust:
-// in-flight work is voided (worker-generation bump) and pending ops
+// convict contains a device rescore has just convicted (its trust fell
+// through ConvictTrust): in-flight work is voided (worker-generation bump) and pending ops
 // aborted, every unshipped step in its taint window is recalled (the
 // shipped remainder counted as beyond-recall escapes), and the extended
 // soak begins. The device serves nothing until exonerated.
 func (c *Cluster) convict(cw *clusterWorker) {
-	cw.standing = move(trustMoves, cw, cw.standing, evConvict)
 	cw.soakPasses = 0
 	c.Stats.Audit.Convictions++
 	cw.generation++

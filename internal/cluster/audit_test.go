@@ -298,7 +298,8 @@ func TestConvictionUnderARunningStep(t *testing.T) {
 	g.OnDone = func(*Graph) { done++ }
 	c.Submit(g)
 	c.Eng.RunUntil(10 * time.Millisecond) // decodes in flight on VCU 0
-	c.convict(c.workers[0])
+	c.workers[0].trust = 0
+	c.rescore(c.workers[0], false)
 	c.Eng.RunUntil(time.Hour)
 	if done != 1 {
 		t.Fatalf("video did not complete around the convicted device; stats %+v", c.Stats)

@@ -269,6 +269,7 @@ func (c *Cluster) rescore(cw *clusterWorker, passed bool) {
 		cw.standing = move(trustMoves, cw, cw.standing, evRepromote)
 		c.Stats.Audit.Repromotions++
 	case !passed && cw.standing != convicted && cw.trust < a.ConvictTrust:
+		cw.standing = move(trustMoves, cw, cw.standing, evConvict)
 		c.convict(cw)
 	case !passed && cw.standing == trusted && cw.trust < a.DemoteTrust:
 		cw.standing = move(trustMoves, cw, cw.standing, evDemote)
