@@ -5,7 +5,7 @@
 GO ?= go
 RACE_PKGS = ./internal/sched ./internal/transcode ./internal/cluster ./internal/codec ./internal/video
 
-.PHONY: check lint lint-json race build test fmt bench chaos fuzz overload autoscale audit oracle
+.PHONY: check lint lint-json race build test fmt bench chaos fuzz overload autoscale audit oracle oracle-diff
 
 check:
 	./scripts/check.sh
@@ -70,6 +70,11 @@ audit:
 # diff to show a refactor changed no behaviour. Not part of check.
 oracle:
 	./scripts/oracle.sh
+
+# The same on REF (default HEAD~1, in a temporary worktree) and on the
+# working tree, diffed; fails on any difference.
+oracle-diff:
+	./scripts/oracle-diff.sh $(REF)
 
 # Extended decoder fuzzing (the gate runs a 10s smoke).
 fuzz:

@@ -346,19 +346,17 @@ func (c *Cluster) recallStep(st *Step) {
 	if g != nil {
 		// A ready-but-not-started assemble goes back to pending: its
 		// dependency set is reopening underneath it.
-		var rest []*Step
-		for _, q := range c.queue {
-			if q.graph == g && q.Kind == StepAssemble && q.State == StepReady {
-				q.State = StepPending
-				continue
+		c.queue.filter(g.Priority, func(q *Step) bool {
+			if q.graph != g || q.Kind != StepAssemble || q.State != StepReady {
+				return true
 			}
-			rest = append(rest, q)
-		}
-		c.queue = rest
+			q.State = StepPending
+			return false
+		})
 		g.remain++
 	}
 	if cw := c.byVCU[st.completedOn]; cw != nil {
-		st.triedVCUs[cw.vcu.ID] = true
+		st.tried(cw.vcu.ID)
 	}
 	st.Corrupted = false
 	st.escapeCounted = false

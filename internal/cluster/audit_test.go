@@ -28,7 +28,7 @@ func auditScenarioSeed(seed uint64, budget float64, videos int) (*Cluster, int) 
 		cfg.Audit = DefaultAuditConfig()
 		cfg.Audit.Budget = budget
 	}
-	c := New(cfg)
+	c := newScenario(cfg)
 	c.Hosts[0].VCUs[0].InjectFaultSpec(vcu.FaultSpec{
 		Mode: vcu.FaultCorrupt, DutyCycle: 2, Persistent: true,
 	})

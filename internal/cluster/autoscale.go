@@ -416,6 +416,7 @@ func (c *Cluster) scaleUp(k int) {
 	// Reclaim drains first, oldest first.
 	for ; moved < k && len(as.draining) > 0; moved++ {
 		as.draining[0].sw.CancelDrain()
+		c.roomMade()
 		as.draining = as.draining[1:]
 		st.DrainsCancelled++
 	}
@@ -428,6 +429,7 @@ func (c *Cluster) scaleUp(k int) {
 		}
 		cold := as.cfg.Warmup > 0 && !as.oracle()
 		cw.sw.Activate(cold)
+		c.roomMade()
 		st.WorkersActivated++
 		moved++
 		if cold {

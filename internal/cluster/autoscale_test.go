@@ -29,7 +29,7 @@ func autoscaleGameDay(seed uint64, base float64) (*Cluster, [3]int, []autoscaleS
 	cfg.Autoscale.MinWorkers = 2
 	cfg.Autoscale.InitialWorkers = 3
 	cfg.Seed = seed
-	c := New(cfg)
+	c := newScenario(cfg)
 
 	arr := workload.GenerateArrivals(workload.ArrivalConfig{
 		Seed:             seed,

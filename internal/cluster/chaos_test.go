@@ -22,7 +22,7 @@ func chaosScenario(seed uint64, videos, vcuFaults, hostCrashes int,
 	cfg.RepairLatency = 15 * time.Minute
 	cfg.Audit = DefaultAuditConfig()
 	cfg.Seed = seed
-	c := New(cfg)
+	c := newScenario(cfg)
 
 	events := GenerateChaos(ChaosConfig{
 		Seed:                   seed,

@@ -80,7 +80,7 @@ type Step struct {
 	Attempts int
 	// triedVCUs are devices this step failed on: excluded from placement
 	// (§4.4 "retried at the cluster level ... assigned to a different
-	// VCU").
+	// VCU"). Nil until the first failure; written through tried.
 	triedVCUs map[int]bool
 	// RanOnVCU records where the step executed, "for fault correlation".
 	RanOnVCU []int
@@ -127,6 +127,9 @@ type Step struct {
 	// itself at full quality, or a brownout-degraded copy. Request is
 	// never mutated, so once the brownout lifts retries run pristine.
 	execReq *sched.StepRequest
+	// blocked is set while the step waits for room after a placement
+	// that found none; nil on every step that placed at its first try.
+	blocked *blockedPlacement
 	// admitted marks that the step passed admission once; admittedAt is
 	// that first admission time, the epoch of the live usefulness window
 	// (retries do not extend it).
@@ -141,13 +144,22 @@ type Step struct {
 	graph *Graph
 }
 
+// tried records that s failed on device vcuID.
+func (s *Step) tried(vcuID int) {
+	if s.triedVCUs == nil {
+		s.triedVCUs = map[int]bool{}
+	}
+	s.triedVCUs[vcuID] = true
+}
+
 // Graph is one video's acyclic task dependency graph (§2.2).
 type Graph struct {
 	ID    int
 	Steps []*Step
 	// Priority is the graph's admission/dispatch class: live streams are
 	// critical, uploads normal, batch re-encodes batch. Under overload,
-	// batch sheds and degrades first, live last (§2.2, §3.3.3).
+	// batch sheds and degrades first, live last (§2.2, §3.3.3). Fixed
+	// from Submit on: a queued step sits in its class's slice.
 	Priority sched.Priority
 	// Shed marks a graph cancelled by admission control: its queued steps
 	// were removed, in-flight results are discarded, and OnDone never
@@ -156,6 +168,9 @@ type Graph struct {
 	// OnDone fires when every step has completed.
 	OnDone func(*Graph)
 	remain int
+	// affinity is the video's consistent-hash affinity set, computed at
+	// its first placement (the ring never changes after buildCluster).
+	affinity map[int]bool
 }
 
 // Corrupted reports whether any step carries undetected corruption — the
@@ -465,10 +480,16 @@ type Cluster struct {
 	workers    []*clusterWorker
 	byVCU      map[int]*clusterWorker
 
-	queue  []*Step
-	nextID int
-	rng    uint64
-	ring   *hashRing
+	queue readyQueue
+	// blocked is the blocked-need memo of the running dispatch call.
+	blocked blockedMemo
+	// placeProbe, when set, sees every first-fit question place answers:
+	// memo reports whether the memo answered it (always "no room") in
+	// place of a walk over the workers. Tests set it; nothing else does.
+	placeProbe func(s *Step, need sched.Resources, avoidVCU int, memo bool)
+	nextID     int
+	rng        uint64
+	ring       *hashRing
 	// degradeLevel is the brownout controller's current rung.
 	degradeLevel transcode.DegradeLevel
 	// dispatching/dispatchMore guard against reentrant queue drains:
@@ -623,13 +644,15 @@ func stepPool(s *Step) sched.UseCase {
 func (c *Cluster) rebalancePools() {
 	now := c.Eng.Now()
 	var backlog [2]int // by sched.UseCase
-	for _, s := range c.queue {
-		// Steps parked in retry backoff are deferred work, not demand:
-		// counting them would drag idle workers toward a pool that has
-		// nothing dispatchable yet, a spurious move that starves the
-		// pool that donated them.
-		if s.Kind == StepTranscode && s.eligibleAt <= now {
-			backlog[stepPool(s)]++
+	for _, steps := range c.queue.steps {
+		for _, s := range steps {
+			// Steps parked in retry backoff are deferred work, not demand:
+			// counting them would drag idle workers toward a pool that has
+			// nothing dispatchable yet, a spurious move that starves the
+			// pool that donated them.
+			if s.Kind == StepTranscode && s.eligibleAt <= now {
+				backlog[stepPool(s)]++
+			}
 		}
 	}
 	// While an autoscaler drain is in flight in a pool, the rebalancer
@@ -669,6 +692,7 @@ func (c *Cluster) rebalancePools() {
 				continue
 			}
 			cw.pool = pool
+			c.roomMade()
 			c.Stats.PoolRebalances++
 			moved++
 		}
@@ -703,9 +727,6 @@ func (c *Cluster) Submit(g *Graph) {
 	g.remain = len(g.Steps)
 	for _, s := range g.Steps {
 		s.graph = g
-		if s.triedVCUs == nil {
-			s.triedVCUs = map[int]bool{}
-		}
 		if len(s.Deps) == 0 {
 			c.enqueue(s)
 		}
@@ -733,14 +754,27 @@ func (c *Cluster) enqueue(s *Step) {
 			c.Stats.Classes[c.classOf(s)].Admitted++
 		}
 	}
-	c.queue = append(c.queue, s)
-	if n := int64(len(c.queue)); n > c.Stats.QueueHighWater {
+	c.push(s)
+}
+
+// push appends s to its class's queue and keeps the high-water gauge.
+func (c *Cluster) push(s *Step) {
+	c.queue.push(c.classOf(s), s)
+	if n := int64(c.queue.len()); n > c.Stats.QueueHighWater {
 		c.Stats.QueueHighWater = n
 	}
 }
 
 // QueueLen returns the ready-queue length.
-func (c *Cluster) QueueLen() int { return len(c.queue) }
+func (c *Cluster) QueueLen() int { return c.queue.len() }
+
+// roomMade empties the blocked-need memo. It is called by everything
+// that can turn a failed placement into a success: a reservation
+// released or reset, a worker starting to serve (activation, end of
+// warm-up, a cancelled drain), a screening verdict, a readmission, a
+// move up the trust ladder, a pool reassignment. Hardware failing only
+// removes candidates and needs no call.
+func (c *Cluster) roomMade() { c.blocked.clear() }
 
 // dispatch drains the ready queue onto workers: strict priority classes
 // (live, then upload, then batch), first fit in queue order within a
@@ -754,6 +788,7 @@ func (c *Cluster) dispatch() {
 		return
 	}
 	c.dispatching = true
+	c.blocked.clear()
 	for {
 		c.dispatchMore = false
 		c.dispatchPass()
@@ -764,31 +799,26 @@ func (c *Cluster) dispatch() {
 	c.dispatching = false
 }
 
+// dispatchPass is one scan of the queue, class by class. The queue is
+// detached for the scan: steps enqueued meanwhile (resolved dependents,
+// new submits, requeues) collect in the emptied queue and go behind the
+// still-waiting ones of their class when the pass re-attaches.
 func (c *Cluster) dispatchPass() {
 	now := c.Eng.Now()
-	pending := c.queue
-	c.queue = nil
-	var rest []*Step
-	for _, cls := range []sched.Priority{sched.PriorityCritical, sched.PriorityNormal, sched.PriorityBatch} {
-		for _, s := range pending {
-			if c.classOf(s) != cls {
-				continue
-			}
-			if s.eligibleAt > now {
-				rest = append(rest, s)
-				continue
-			}
-			if c.dropIfUseless(s) {
-				continue
-			}
-			if !c.tryPlace(s) {
-				rest = append(rest, s)
+	pending, transcodes := c.queue.detach()
+	for cls, steps := range pending {
+		waiting := steps[:0]
+		for _, s := range steps {
+			if s.eligibleAt > now || !c.dropIfUseless(s) && !c.tryPlace(s) {
+				waiting = append(waiting, s)
+			} else if s.Kind == StepTranscode {
+				transcodes[cls]--
 			}
 		}
+		clear(steps[len(waiting):])
+		pending[cls] = waiting
 	}
-	// Steps enqueued during the pass (resolved dependents, new submits)
-	// landed in c.queue; keep them behind the still-waiting ones.
-	c.queue = append(rest, c.queue...)
+	c.queue.attach(pending, transcodes)
 }
 
 // tryPlace attempts to place one step.
@@ -822,22 +852,32 @@ func (c *Cluster) tryPlace(s *Step) bool {
 		return true
 	}
 	// Apply the brownout level before costing placement: a degraded
-	// request is cheaper, so degradation itself frees capacity.
-	if lvl := c.degradeFor(s); lvl == transcode.DegradeNone {
-		s.execReq = s.Request
-		s.Degraded = false
+	// request is cheaper, so degradation itself frees capacity. A step
+	// that was blocked under this same rung has both already.
+	lvl := c.degradeFor(s)
+	var need sched.Resources
+	if b := s.blocked; b != nil && b.level == lvl {
+		s.execReq, need = b.req, b.need
 	} else {
-		s.execReq = degradedRequest(s.Request, lvl, c.classOf(s))
-		s.Degraded = true
-		if !s.degradeCounted {
-			s.degradeCounted = true
-			c.Stats.Classes[c.classOf(s)].Degraded++
+		s.execReq = s.Request
+		if lvl != transcode.DegradeNone {
+			s.execReq = degradedRequest(s.Request, lvl, c.classOf(s))
 		}
+		need = c.workerType.Cost(s.execReq)
 	}
-	cw, a, overflow := c.placeTranscode(s, -1)
+	s.Degraded = lvl != transcode.DegradeNone
+	if s.Degraded && !s.degradeCounted {
+		s.degradeCounted = true
+		c.Stats.Classes[c.classOf(s)].Degraded++
+	}
+	cw, a, overflow := c.place(s, need, -1)
 	if cw == nil {
+		if b := s.blocked; b == nil || b.level != lvl {
+			s.blocked = &blockedPlacement{level: lvl, req: s.execReq, need: need}
+		}
 		return false
 	}
+	s.blocked = nil
 	s.State = StepRunning
 	s.liveExecs = 1
 	s.hedged = false
@@ -849,15 +889,31 @@ func (c *Cluster) tryPlace(s *Step) bool {
 	return true
 }
 
-// placeTranscode reserves a worker for s, preferring the video's
-// consistent-hash affinity set and overflowing to any VCU only when the
-// set has no capacity (affinity reduces blast radius, it must not
-// strand work). avoidVCU additionally vetoes one device — the hedge's
-// primary. Returns overflow=true when the placement fell outside the
-// affinity set.
+// placeTranscode costs s.execReq and reserves a worker for it.
 func (c *Cluster) placeTranscode(s *Step, avoidVCU int) (*clusterWorker, *sched.Assignment, bool) {
-	need := c.workerType.Cost(s.execReq)
+	return c.place(s, c.workerType.Cost(s.execReq), avoidVCU)
+}
+
+// place reserves a worker with room for need — the cost of s.execReq —
+// preferring the video's consistent-hash affinity set and overflowing
+// to any VCU only when the set has no capacity (affinity reduces blast
+// radius, it must not strand work). avoidVCU additionally vetoes one
+// device — the hedge's primary. Returns overflow=true when the
+// placement fell outside the affinity set. Inside a dispatch call the
+// blocked-need memo answers for first-fit where it can, with the side
+// effects the walk would have had.
+func (c *Cluster) place(s *Step, need sched.Resources, avoidVCU int) (*clusterWorker, *sched.Assignment, bool) {
 	cls, pool := c.classOf(s), stepPool(s)
+	memo := c.dispatching && c.blocked.blocks(cls, pool, need)
+	if c.placeProbe != nil {
+		c.placeProbe(s, need, avoidVCU, memo)
+	}
+	if memo {
+		if c.ring != nil {
+			c.Stats.AffinityOverflows++
+		}
+		return nil, nil, false
+	}
 	baseExclude := func(w *sched.Worker) bool {
 		cw := c.byVCU[w.ID]
 		return cw == nil || !c.places(cw, cls, pool) || s.triedVCUs[w.ID] || w.ID == avoidVCU
@@ -870,7 +926,10 @@ func (c *Cluster) placeTranscode(s *Step, avoidVCU int) (*clusterWorker, *sched.
 		if k <= 0 {
 			k = 4
 		}
-		affinity := c.ring.AffinitySet(s.graph.ID, k)
+		if s.graph.affinity == nil {
+			s.graph.affinity = c.ring.AffinitySet(s.graph.ID, k)
+		}
+		affinity := s.graph.affinity
 		a, err = c.scheduler.Schedule(need, func(w *sched.Worker) bool {
 			return baseExclude(w) || !affinity[w.ID]
 		})
@@ -882,6 +941,9 @@ func (c *Cluster) placeTranscode(s *Step, avoidVCU int) (*clusterWorker, *sched.
 	if a == nil {
 		a, err = c.scheduler.Schedule(need, baseExclude)
 		if err != nil {
+			if c.dispatching && len(s.triedVCUs) == 0 && avoidVCU < 0 {
+				c.blocked.add(cls, pool, need)
+			}
 			return nil, nil, false
 		}
 	}
@@ -941,7 +1003,7 @@ func (c *Cluster) runTranscode(s *Step, cw *clusterWorker, a *sched.Assignment, 
 	footprint := c.cfg.Params.JobFootprint(int64(req.InputRes.Pixels()), outs)
 	if err := cw.vcu.AllocMemory(footprint); err != nil {
 		c.Stats.MemoryExhaustions++
-		a.Release()
+		c.release(a)
 		c.execFailed(s, cw, err)
 		return
 	}
@@ -953,7 +1015,7 @@ func (c *Cluster) runTranscode(s *Step, cw *clusterWorker, a *sched.Assignment, 
 		}
 		finished = true
 		cw.vcu.FreeMemory(footprint)
-		a.Release()
+		c.release(a)
 		if s.execGen != token {
 			// A sibling already settled the step; this copy only had to
 			// give back its resources.
@@ -1070,6 +1132,12 @@ func (c *Cluster) runTranscode(s *Step, cw *clusterWorker, a *sched.Assignment, 
 	}
 }
 
+// release returns a's reservation to its worker.
+func (c *Cluster) release(a *sched.Assignment) {
+	a.Release()
+	c.roomMade()
+}
+
 // maybeHedge launches a second copy of a still-running step on a
 // different VCU (the p99 straggler hedge). The copy is skipped when the
 // step already settled, a hedge was already sent, or no capacity exists
@@ -1106,7 +1174,7 @@ func (c *Cluster) execFailed(s *Step, cw *clusterWorker, err error) {
 	c.Stats.StepsFailed++
 	c.Stats.Failures.count(err)
 	if cw != nil {
-		s.triedVCUs[cw.vcu.ID] = true
+		s.tried(cw.vcu.ID)
 		c.abortWorker(cw)
 	}
 	s.liveExecs--
@@ -1258,7 +1326,7 @@ func (c *Cluster) failStep(s *Step, cw *clusterWorker, err error) {
 	s.Attempts++
 	c.Stats.Retries++
 	if cw != nil {
-		s.triedVCUs[cw.vcu.ID] = true
+		s.tried(cw.vcu.ID)
 		c.abortWorker(cw)
 	}
 	c.requeueAfter(s, c.retryDelay(s.Attempts))
@@ -1322,10 +1390,7 @@ func (c *Cluster) requeueAfter(s *Step, d time.Duration) {
 	}
 	s.State = StepFailed // parked in backoff
 	s.eligibleAt = c.Eng.Now() + d
-	c.queue = append(c.queue, s)
-	if n := int64(len(c.queue)); n > c.Stats.QueueHighWater {
-		c.Stats.QueueHighWater = n
-	}
+	c.push(s)
 	c.Eng.Schedule(d, func() {
 		if s.State == StepFailed {
 			s.State = StepReady

@@ -18,8 +18,13 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/gameday_stats.go
 //
 //	go test ./internal/cluster -run TestGameDayStatsGolden -update
 //
-// only in a commit whose purpose is to change behaviour.
+// only in a commit whose purpose is to change behaviour. Every run also
+// carries the memo probe: each answer the blocked-need memo gives in
+// first-fit's place is checked against the workers.
 func TestGameDayStatsGolden(t *testing.T) {
+	probe := &memoProbe{t: t}
+	scenarioProbe = probe
+	defer func() { scenarioProbe = nil }()
 	scenarios := []struct {
 		name string
 		run  func(seed uint64) Stats
@@ -52,6 +57,9 @@ func TestGameDayStatsGolden(t *testing.T) {
 		for seed := uint64(1); seed <= 5; seed++ {
 			fmt.Fprintf(&got, "%s seed=%d %+v\n", sc.name, seed, sc.run(seed))
 		}
+	}
+	if probe.hits == 0 || probe.walks == 0 {
+		t.Fatalf("memo probe saw %d memo answers and %d walks; it is not armed", probe.hits, probe.walks)
 	}
 	const path = "testdata/gameday_stats.golden"
 	if *updateGolden {

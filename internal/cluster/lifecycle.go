@@ -150,6 +150,7 @@ func (c *Cluster) screened(cw *clusterWorker, pass bool) {
 	}
 	move(healthMoves, cw, c.health(cw), ev)
 	cw.screening = verdict
+	c.roomMade()
 }
 
 // disableDevice takes cw's device out of service — where the fault
@@ -238,6 +239,7 @@ func (c *Cluster) readmitHost(h *vcu.Host) {
 	delete(c.inRepair, h.ID)
 	c.Stats.HostsReadmitted++
 	h.Enable()
+	c.roomMade() // host up, boards repaired, capacity re-registered below
 	for _, v := range h.VCUs {
 		v.Repair()
 		cw := c.byVCU[v.ID]
@@ -267,6 +269,7 @@ func (c *Cluster) rescore(cw *clusterWorker, passed bool) {
 	switch {
 	case passed && cw.standing == demoted && cw.trust >= a.DemoteTrust:
 		cw.standing = move(trustMoves, cw, cw.standing, evRepromote)
+		c.roomMade()
 		c.Stats.Audit.Repromotions++
 	case !passed && cw.standing != convicted && cw.trust < a.ConvictTrust:
 		cw.standing = move(trustMoves, cw, cw.standing, evConvict)
@@ -282,6 +285,7 @@ func (c *Cluster) rescore(cw *clusterWorker, passed bool) {
 // soak, or a new board from repair.
 func (c *Cluster) clearRecord(cw *clusterWorker, ev event) {
 	cw.standing = move(trustMoves, cw, cw.standing, ev)
+	c.roomMade()
 	cw.trust = 1
 	cw.soakPasses = 0
 	cw.produced = nil
@@ -316,6 +320,7 @@ func (c *Cluster) DemotedVCUs() []int { return c.vcusAtOrBelow(demoted) }
 func (c *Cluster) endWarmup(cw *clusterWorker) {
 	if cw.sw.Phase() == sched.PhaseWarming && c.Eng.Now() >= cw.warmUntil {
 		cw.sw.EndWarmup()
+		c.roomMade()
 	}
 	c.dispatch()
 }
@@ -326,7 +331,7 @@ func (c *Cluster) endWarmup(cw *clusterWorker) {
 // places reports whether a step of class cls bound for pool may be
 // placed on cw: a trusted device serves every class, a demoted one only
 // batch, a convicted one nothing, and the pool must match.
-// placeTranscode asks it of every worker on every placement, so it is
+// place asks it of every worker on every first-fit walk, so it is
 // loads and compares only; the phase half of the answer (serving) is
 // sched.Worker.tryReserve's, under the worker's lock.
 func (c *Cluster) places(cw *clusterWorker, cls sched.Priority, pool sched.UseCase) bool {

@@ -117,17 +117,8 @@ func (c *Cluster) classOf(s *Step) sched.Priority {
 }
 
 // TranscodeBacklog counts queued transcode steps, ready and parked —
-// the quantity MaxQueueLen bounds and HedgeBacklog tests. The queue is
-// bounded (or drains fast) so the scan stays cheap.
-func (c *Cluster) TranscodeBacklog() int {
-	n := 0
-	for _, s := range c.queue {
-		if s.Kind == StepTranscode {
-			n++
-		}
-	}
-	return n
-}
+// the quantity MaxQueueLen bounds and HedgeBacklog tests.
+func (c *Cluster) TranscodeBacklog() int { return c.queue.backlog() }
 
 // eligibleBacklog counts queued transcode steps whose backoff has
 // elapsed — work the cluster could run right now. Steps parked in retry
@@ -135,9 +126,11 @@ func (c *Cluster) TranscodeBacklog() int {
 func (c *Cluster) eligibleBacklog() int {
 	now := c.Eng.Now()
 	n := 0
-	for _, s := range c.queue {
-		if s.Kind == StepTranscode && s.eligibleAt <= now {
-			n++
+	for _, steps := range c.queue.steps {
+		for _, s := range steps {
+			if s.Kind == StepTranscode && s.eligibleAt <= now {
+				n++
+			}
 		}
 	}
 	return n
@@ -154,24 +147,14 @@ func (c *Cluster) admit(s *Step) bool {
 	if lim <= 0 || s.Kind != StepTranscode || c.TranscodeBacklog() < lim {
 		return true
 	}
-	cls := c.classOf(s)
-	victim := -1
-	for i, q := range c.queue {
-		if q.Kind != StepTranscode || c.classOf(q) <= cls {
-			continue
-		}
-		if victim < 0 || c.classOf(q) >= c.classOf(c.queue[victim]) {
-			victim = i
+	for vc := sched.PriorityBatch; vc > c.classOf(s); vc-- {
+		if v := c.queue.lastTranscode(vc); v != nil {
+			c.shedStep(v)
+			return true
 		}
 	}
-	if victim < 0 {
-		c.shedStep(s)
-		return false
-	}
-	v := c.queue[victim]
-	c.queue = append(c.queue[:victim], c.queue[victim+1:]...)
-	c.shedStep(v)
-	return true
+	c.shedStep(s)
+	return false
 }
 
 // shedStep sheds one step and cancels its graph: a video missing a
@@ -186,15 +169,13 @@ func (c *Cluster) shedStep(s *Step) {
 	}
 	g.Shed = true
 	c.Stats.GraphsShed++
-	var rest []*Step
-	for _, q := range c.queue {
-		if q.graph == g {
-			c.markShed(q)
-			continue
+	c.queue.filter(g.Priority, func(q *Step) bool {
+		if q.graph != g {
+			return true
 		}
-		rest = append(rest, q)
-	}
-	c.queue = rest
+		c.markShed(q)
+		return false
+	})
 }
 
 // markShed moves a step to the shed terminal state, counting transcode

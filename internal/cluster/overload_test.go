@@ -69,7 +69,7 @@ func overloadGameDay(seed uint64, arrivals, faults, rounds int) (*Cluster, [3]in
 	cfg.RepairLatency = 15 * time.Minute
 	cfg.Overload = DefaultOverloadConfig()
 	cfg.Seed = seed
-	c := New(cfg)
+	c := newScenario(cfg)
 
 	c.ApplyChaos(GenerateChaos(ChaosConfig{
 		Seed:        seed,

@@ -73,7 +73,7 @@ func starvedPoolScenario(seed uint64) (*Cluster, int) {
 	cfg.LiveShare = 0.9
 	cfg.RebalancePeriod = 15 * time.Second
 	cfg.Seed = seed
-	c := New(cfg)
+	c := newScenario(cfg)
 	done := 0
 	for i := 0; i < starvedPoolVideos; i++ {
 		g := poolVideo(i, false)

@@ -27,7 +27,7 @@ func repairRecycleScenario(seed uint64, videos int) *Cluster {
 	cfg.MaxHostsInRepair = 1
 	cfg.RepairLatency = 2 * time.Minute
 	cfg.Seed = seed
-	c := New(cfg)
+	c := newScenario(cfg)
 	for h := 0; h < 3; h++ {
 		breakHost(c, h)
 	}

@@ -53,7 +53,7 @@ func BuildGraph(spec VideoSpec, stepTargetSeconds float64) *Graph {
 	g := &Graph{ID: spec.ID, Priority: priorityFor(spec)}
 	id := 0
 	add := func(kind StepKind, req *sched.StepRequest, deps ...*Step) *Step {
-		s := &Step{ID: id, Kind: kind, Request: req, Deps: deps, triedVCUs: map[int]bool{}}
+		s := &Step{ID: id, Kind: kind, Request: req, Deps: deps}
 		id++
 		g.Steps = append(g.Steps, s)
 		return s

@@ -4,10 +4,7 @@
 // VCU chip model and the fleet simulator are built on it.
 package sim
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Engine is a discrete-event executor. Events scheduled for the same
 // instant run in scheduling order, so simulations are fully deterministic.
@@ -29,13 +26,13 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) {
 		delay = 0
 	}
 	e.seq++
-	heap.Push(&e.pq, &event{at: e.now + delay, seq: e.seq, fn: fn})
+	e.pq.push(event{at: e.now + delay, seq: e.seq, fn: fn})
 }
 
 // Run processes events until the queue is empty.
 func (e *Engine) Run() {
 	for len(e.pq) > 0 {
-		ev := heap.Pop(&e.pq).(*event)
+		ev := e.pq.pop()
 		e.now = ev.at
 		ev.fn()
 	}
@@ -45,7 +42,7 @@ func (e *Engine) Run() {
 // clock to deadline. Later events stay queued.
 func (e *Engine) RunUntil(deadline time.Duration) {
 	for len(e.pq) > 0 && e.pq[0].at <= deadline {
-		ev := heap.Pop(&e.pq).(*event)
+		ev := e.pq.pop()
 		e.now = ev.at
 		ev.fn()
 	}
@@ -63,23 +60,63 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the execution order: by time, then by scheduling order.
+// seq is unique, so the order is total and any correct heap pops the
+// same sequence.
+func (a event) before(b event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+// eventHeap is a binary min-heap of events held by value: scheduling
+// an event allocates nothing beyond the slice's own growth.
+type eventHeap []event
+
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+	*h = q
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the closure so the collector can have it
+	q = q[:n]
+	// Sift last down from the root.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r].before(q[child]) {
+			child = r
+		}
+		if !q[child].before(last) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	*h = q
+	return top
 }
 
 // Server is a FIFO multi-server queue: up to Capacity jobs in service,

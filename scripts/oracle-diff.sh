@@ -1,0 +1,33 @@
+#!/usr/bin/env bash
+# oracle-diff.sh [ref] — show that the working tree's control plane
+# behaves exactly as <ref>'s (default HEAD~1): check <ref> out into a
+# temporary git worktree, run scripts/oracle.sh there and here, and diff
+# the two outputs. Exits 0 when they are identical, 1 with the diff on
+# stdout when they are not. Takes about three minutes; not part of
+# check.sh.
+set -eu
+
+cd "$(dirname "$0")/.."
+
+ref=${1:-HEAD~1}
+commit=$(git rev-parse --verify "$ref^{commit}")
+
+tmp=$(mktemp -d)
+cleanup() {
+    git worktree remove --force "$tmp/ref" >/dev/null 2>&1 || true
+    rm -rf "$tmp"
+}
+trap cleanup EXIT
+
+git worktree add --detach "$tmp/ref" "$commit" >/dev/null
+echo "oracle at $ref ($(git rev-parse --short "$commit"))" >&2
+"$tmp/ref/scripts/oracle.sh" >"$tmp/ref.txt"
+echo "oracle at the working tree" >&2
+scripts/oracle.sh >"$tmp/tree.txt"
+
+if diff "$tmp/ref.txt" "$tmp/tree.txt"; then
+    echo "oracle-diff: $(wc -l <"$tmp/tree.txt") lines, identical to $ref" >&2
+else
+    echo "oracle-diff: behaviour differs from $ref" >&2
+    exit 1
+fi
