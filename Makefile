@@ -65,9 +65,10 @@ audit:
 	$(GO) test -race -v -run 'TestChunkChecksum' ./internal/container
 	$(GO) test -race -v -run 'TestEscapesVsAuditBudgetFrontier|TestAuditFrontierDeterministic' ./internal/fleetsim
 
-# Seed-exact control-plane outputs (benchmark parks at seeds 1-3,
-# fleetsim tables, failure drill) on stdout: run it on two commits and
-# diff to show a refactor changed no behaviour. Not part of check.
+# Seed-exact outputs of the whole system (benchmark park and pixel
+# workloads at seeds 1-3, fleetsim tables, failure drill) on stdout: run
+# it on two commits and diff to show a refactor or an optimization
+# changed no behaviour and no bitstream byte. Not part of check.
 oracle:
 	./scripts/oracle.sh
 

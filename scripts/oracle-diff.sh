@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# oracle-diff.sh [ref] — show that the working tree's control plane
-# behaves exactly as <ref>'s (default HEAD~1): check <ref> out into a
-# temporary git worktree, run scripts/oracle.sh there and here, and diff
-# the two outputs. Exits 0 when they are identical, 1 with the diff on
-# stdout when they are not. Takes about three minutes; not part of
-# check.sh.
+# oracle-diff.sh [ref] — show that the working tree behaves exactly as
+# <ref> (default HEAD~1), control plane and bitstreams alike: check <ref>
+# out into a temporary git worktree, run scripts/oracle.sh there and
+# here, and diff the two outputs. Exits 0 when they are identical, 1
+# with the diff on stdout when they are not. Takes about ten minutes;
+# not part of check.sh.
 set -eu
 
 cd "$(dirname "$0")/.."

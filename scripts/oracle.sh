@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
-# oracle.sh — the control plane's behaviour, printed so that "identical
-# to the parent commit" is one diff:
+# oracle.sh — the system's behaviour, printed so that "identical to the
+# parent commit" is one diff:
 #
 #   scripts/oracle.sh >/tmp/new.txt          # on the change
 #   (cd <parent checkout> && scripts/oracle.sh) >/tmp/old.txt
 #   diff /tmp/old.txt /tmp/new.txt
 #
 # Everything printed depends only on seeds: the `# exact` lines and the
-# output digests of the two park workloads of the benchmark at seeds
-# 1-3, the fleetsim overload, autoscale and audit tables, and the
-# failure drill. Timings are left out. Takes a minute or two; not part
-# of check.sh.
+# output digests of the benchmark's two park workloads (control plane)
+# and three pixel workloads (codec, container, transcode: a digest moves
+# with any byte of any bitstream) at seeds 1-3, the fleetsim overload,
+# autoscale and audit tables, and the failure drill. Timings are left
+# out. Takes about five minutes; not part of check.sh.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -18,11 +19,13 @@ cd "$(dirname "$0")/.."
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
-for seed in 1 2 3; do
-    echo "== benchmark park_overload,park_steady seed $seed"
-    go run ./benchmark --workload park_overload,park_steady --seconds 3 \
-        --seed "$seed" --out "$out" | grep '^# .* exact '
-    grep -E '"(name|digest)":' "$out/results.json"
+for workloads in park_overload,park_steady upload_ladder,live_frames,playback_decode; do
+    for seed in 1 2 3; do
+        echo "== benchmark $workloads seed $seed"
+        go run ./benchmark --workload "$workloads" --seconds 3 \
+            --seed "$seed" --out "$out" | grep '^# .* exact '
+        grep -E '"(name|digest)":' "$out/results.json"
+    done
 done
 for mode in overload autoscale audit; do
     echo "== fleetsim -$mode"
