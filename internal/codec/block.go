@@ -295,19 +295,36 @@ func storeBlock(plane []uint8, stride, x, y int, blk []uint8, s int) {
 // levels, inverse transform, add the prediction (pred is the leaf-sized
 // prediction buffer with stride predStride, offset to the tx block), and
 // write the clamped result into the plane at (x, y). It is the single
-// reconstruction path shared by encoder and decoder, guaranteeing their
-// reference frames stay bit-identical.
-func applyTxBlock(scanned []int32, n, qp int, pred []uint8, predStride, predOff int,
-	plane []uint8, stride, x, y int) {
-	var blkArr [transform.MaxSize * transform.MaxSize]int32
-	blk := blkArr[:n*n]
-	transform.ScanInverse(scanned, blk, n)
-	transform.Dequantize(blk, qp)
-	transform.Inverse(blk, n)
+// reconstruction path shared by the encoder's trials, its commit and the
+// decoder, guaranteeing their reference frames stay bit-identical.
+//
+// Every level beyond scan index last is zero. With last -1 the residual
+// is zero and the prediction is the reconstruction; with last 0 only the
+// DC level is set and the residual is one value. blk is n×n scratch.
+func applyTxBlock(scanned []int32, last, n, qp int, blk []int32,
+	pred []uint8, predStride, predOff int, plane []uint8, stride, x, y int) {
+	if last < 0 {
+		for r := 0; r < n; r++ {
+			copy(plane[(y+r)*stride+x:][:n], pred[predOff+r*predStride:])
+		}
+		return
+	}
+	blk = blk[:n*n]
+	if last == 0 {
+		dc := transform.InverseDC(scanned[0], n, qp)
+		for i := range blk {
+			blk[i] = dc
+		}
+	} else {
+		transform.ScanInverse(scanned, blk, n)
+		transform.Dequantize(blk, qp)
+		transform.Inverse(blk, n)
+	}
 	for r := 0; r < n; r++ {
-		for c := 0; c < n; c++ {
-			v := int32(pred[predOff+r*predStride+c]) + blk[r*n+c]
-			plane[(y+r)*stride+x+c] = video.ClampU8(v)
+		out := plane[(y+r)*stride+x:][:n]
+		prow := pred[predOff+r*predStride:][:n]
+		for c, res := range blk[r*n : r*n+n] {
+			out[c] = video.ClampU8(int32(prow[c]) + res)
 		}
 	}
 }

@@ -270,11 +270,12 @@ func (df *decFrame) decodeLeaf(x, y, s int) error {
 
 func (df *decFrame) decodePlaneResidual(recon []uint8, stride, x, y int,
 	pred []uint8, s, tx, planeClass int) {
-	scanned := make([]int32, tx*tx)
+	scanned := make([]int32, 2*tx*tx)
+	scanned, blk := scanned[:tx*tx], scanned[tx*tx:]
 	for by := 0; by < s; by += tx {
 		for bx := 0; bx < s; bx += tx {
-			df.model.ReadCoeffs(df.d, planeClass, scanned, tx)
-			applyTxBlock(scanned, tx, df.qp, pred, s, by*s+bx, recon, stride, x+bx, y+by)
+			last := df.model.ReadCoeffs(df.d, planeClass, scanned, tx)
+			applyTxBlock(scanned, last, tx, df.qp, blk, pred, s, by*s+bx, recon, stride, x+bx, y+by)
 		}
 	}
 }

@@ -354,10 +354,10 @@ func (fc *encFrame) evalChoice(x, y, s int, ch blockChoice) float64 {
 	for by := 0; by < s; by += tx {
 		for bx := 0; bx < s; bx += tx {
 			fc.buildResidual(fc.src.Y, fc.pw, x+bx, y+by, pred, s, bx, by, resid, tx)
-			fc.quantizeScan(resid, tx, 0, scanned, orig)
+			last := fc.quantizeScan(resid, tx, 0, scanned, orig)
 			rate += fc.model.CoeffCost(0, scanned, tx)
 			// reconstruct into a scratch block to measure distortion
-			reconTxBlock(scanned, tx, fc.qp, pred, s, by*s+bx, reconBlk)
+			applyTxBlock(scanned, last, tx, fc.qp, resid, pred, s, by*s+bx, reconBlk, tx, 0, 0)
 			sse += sseRegion(fc.src.Y, fc.pw, x+bx, y+by, reconBlk, tx)
 		}
 	}
@@ -366,13 +366,12 @@ func (fc *encFrame) evalChoice(x, y, s int, ch blockChoice) float64 {
 
 // quantizeScan runs the forward transform, quantization, scan and the
 // software-only RDOQ pass, leaving quantized levels in scanned and the
-// unquantized coefficients (scan order) in origScan.
-func (fc *encFrame) quantizeScan(resid []int32, tx, plane int, scanned, origScan []int32) {
+// unquantized coefficients (scan order) in origScan. It returns the scan
+// index of the last non-zero level (-1: none); resid is scratch afterwards.
+func (fc *encFrame) quantizeScan(resid []int32, tx, plane int, scanned, origScan []int32) int {
 	transform.Forward(resid, tx)
-	transform.ScanForward(resid, origScan, tx)
-	transform.Quantize(resid, fc.qp, fc.deadzone())
-	transform.ScanForward(resid, scanned, tx)
-	fc.optimizeCoeffs(scanned, origScan, tx, plane)
+	last := transform.QuantizeScan(resid, tx, fc.qp, fc.deadzone(), origScan, scanned)
+	return fc.optimizeCoeffs(scanned, origScan, tx, plane, last)
 }
 
 // deadzone returns the quantizer rounding bias in 1/8 steps.
@@ -389,10 +388,11 @@ func (fc *encFrame) deadzone() int32 { return 3 }
 //     the coefficients are worth.
 //
 // orig carries the unquantized coefficients (scan order) so distortion
-// deltas are exact rather than worst-case.
-func (fc *encFrame) optimizeCoeffs(scanned, orig []int32, n int, plane int) {
-	if fc.enc.cfg.Hardware {
-		return
+// deltas are exact rather than worst-case. last is the scan index of the
+// last non-zero level on entry and the return value is the same on exit.
+func (fc *encFrame) optimizeCoeffs(scanned, orig []int32, n int, plane int, last int) int {
+	if fc.enc.cfg.Hardware || last < 0 {
+		return last
 	}
 	step := float64(transform.QStep(fc.qp)) / 16.0
 	// ΔD of zeroing one level: err goes from (c-d)² to c².
@@ -400,17 +400,6 @@ func (fc *encFrame) optimizeCoeffs(scanned, orig []int32, n int, plane int) {
 		c := float64(orig[i])
 		d := float64(scanned[i]) * step
 		return c*c - (c-d)*(c-d)
-	}
-
-	last := -1
-	for i := n*n - 1; i >= 0; i-- {
-		if scanned[i] != 0 {
-			last = i
-			break
-		}
-	}
-	if last < 0 {
-		return
 	}
 
 	// Pass 1: trailing ±1 run.
@@ -442,7 +431,7 @@ func (fc *encFrame) optimizeCoeffs(scanned, orig []int32, n int, plane int) {
 		}
 	}
 	if last < 0 {
-		return
+		return last
 	}
 
 	// Pass 2: whole-block zero candidate.
@@ -458,7 +447,9 @@ func (fc *encFrame) optimizeCoeffs(scanned, orig []int32, n int, plane int) {
 		for i := 0; i <= last; i++ {
 			scanned[i] = 0
 		}
+		return -1
 	}
+	return last
 }
 
 // buildResidual computes src − pred for a tx block.
@@ -469,21 +460,6 @@ func (fc *encFrame) buildResidual(src []uint8, stride, sx, sy int,
 		prow := pred[(py+r)*predStride+px:]
 		for c := 0; c < n; c++ {
 			out[r*n+c] = int32(srow[c]) - int32(prow[c])
-		}
-	}
-}
-
-// reconTxBlock reconstructs a tx block into out (n×n) from scanned levels
-// and the prediction (leaf-sized, predStride, offset predOff).
-func reconTxBlock(scanned []int32, n, qp int, pred []uint8, predStride, predOff int, out []uint8) {
-	var blkArr [transform.MaxSize * transform.MaxSize]int32
-	blk := blkArr[:n*n]
-	transform.ScanInverse(scanned, blk, n)
-	transform.Dequantize(blk, qp)
-	transform.Inverse(blk, n)
-	for r := 0; r < n; r++ {
-		for c := 0; c < n; c++ {
-			out[r*n+c] = video.ClampU8(int32(pred[predOff+r*predStride+c]) + blk[r*n+c])
 		}
 	}
 }
@@ -568,9 +544,9 @@ func (fc *encFrame) commitPlaneResidual(src, recon []uint8, stride, x, y int,
 	for by := 0; by < s; by += tx {
 		for bx := 0; bx < s; bx += tx {
 			fc.buildResidual(src, stride, x+bx, y+by, pred, s, bx, by, resid, tx)
-			fc.quantizeScan(resid, tx, planeClass, scanned, orig)
+			last := fc.quantizeScan(resid, tx, planeClass, scanned, orig)
 			fc.model.WriteCoeffs(fc.w, planeClass, scanned, tx)
-			applyTxBlock(scanned, tx, fc.qp, pred, s, by*s+bx, recon, stride, x+bx, y+by)
+			applyTxBlock(scanned, last, tx, fc.qp, resid, pred, s, by*s+bx, recon, stride, x+bx, y+by)
 		}
 	}
 }

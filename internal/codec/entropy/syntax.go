@@ -232,17 +232,20 @@ func (m *Model) writeMagnitude(e *bits.Encoder, plane, b, ctx int, a int32) {
 	}
 }
 
-// ReadCoeffs decodes a coefficient vector into scanned (length >= n*n).
-func (m *Model) ReadCoeffs(d *bits.Decoder, plane int, scanned []int32, n int) {
+// ReadCoeffs decodes a coefficient vector into scanned (length >= n*n)
+// and returns the index of the last level coded as non-zero, -1 if there
+// is none: every level beyond it is zero.
+func (m *Model) ReadCoeffs(d *bits.Decoder, plane int, scanned []int32, n int) (last int) {
 	total := n * n
 	for i := range scanned[:total] {
 		scanned[i] = 0
 	}
+	last = -1
 	ctx := 0
 	for i := 0; i < total; i++ {
 		b := band(i)
 		if !d.GetAdaptive(&m.NotEOB[plane][b][ctx]) {
-			return
+			return last
 		}
 		var a int32
 		if d.GetAdaptive(&m.NotZero[plane][b][ctx]) {
@@ -253,9 +256,11 @@ func (m *Model) ReadCoeffs(d *bits.Decoder, plane int, scanned []int32, n int) {
 				v = -v
 			}
 			scanned[i] = v
+			last = i
 		}
 		ctx = magCtx(a)
 	}
+	return last
 }
 
 func (m *Model) readMagnitude(d *bits.Decoder, plane, b, ctx int) int32 {

@@ -7,24 +7,36 @@
 // 16×16/32×32 — one of the compression tools that "grow the search space"
 // (paper §2.1).
 //
-// The production Forward/Inverse entry points use the even/odd butterfly
-// decomposition of the DCT basis (basis row k is symmetric for even k and
-// antisymmetric for odd k about the row midpoint), halving the multiply
-// count of both passes. The decomposition only reorders exact integer
-// additions, so it is bit-identical to the direct matrix walk; the direct
-// walks are retained as ForwardScalar/InverseScalar and the differential
-// tests in transform_test.go enforce equality across an exhaustive value
-// sweep. If a rebuilt basis ever loses the symmetry (it is verified
-// entry-by-entry at init), the fast paths fall back to the scalar walks.
+// Forward and Inverse are two passes of one 1-D kernel each (fwd1D,
+// inv1D), and both kernels are the recursive even/odd decomposition of
+// the basis. Row k of the n-point basis is mirror-symmetric for even k
+// and antisymmetric for odd k, so the odd rows need only the n/2
+// differences x[j]−x[n−1−j] and the even rows only the n/2 sums; the
+// even rows restricted to the half row are again symmetric or
+// antisymmetric (by the parity of k/2), and so on until one sample is
+// left. A 32-point pass costs 256+64+16+4+4 = 344 multiplies where the
+// matrix walk costs 1024 (16-point: 88 of 256, 8-point: 24 of 64). The
+// first pass stores its result transposed, so the second pass is the same
+// kernel over contiguous vectors. Scratch is sized to the transform, on
+// the stack; nothing allocates.
+//
+// The decomposition only regroups exact integer additions, so it is
+// bit-identical to the direct matrix walk. The walks are kept as
+// ForwardScalar/InverseScalar; transform_diff_test.go holds the kernels
+// equal to them at the edge of the input contract and under fuzzing, and
+// if a rebuilt basis ever loses one of the symmetries (every level is
+// verified entry by entry at init), Forward and Inverse are the walks.
 package transform
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Sizes supported by the transform stage.
 var Sizes = []int{4, 8, 16, 32}
 
-// MaxSize is the largest supported transform dimension; callers size
-// stack scratch blocks with it.
+// MaxSize is the largest supported transform dimension.
 const MaxSize = 32
 
 // cosBasis[n] is the n×n integer DCT basis scaled by 1<<basisShift,
@@ -35,20 +47,23 @@ const MaxSize = 32
 // with c(0)=1/sqrt(2), c(i>0)=1.
 const basisShift = 12
 
+// descaleRound rounds a two-pass accumulator before it is shifted down
+// by the two basis scalings.
+const descaleRound = int64(1) << (2*basisShift - 1)
+
 var cosBasis [MaxSize + 1][]int32
 
-// basisSymmetric[n] records whether the integer-rounded basis satisfies
-// the exact mirror symmetry basis[k][j] == ±basis[k][n-1-j] (+ for even
-// k, − for odd k) that the butterfly fast paths rely on. The float
+// basisFolds[n] records whether the integer-rounded basis has every
+// symmetry the recursive kernels rely on (checkBasisFolds). The float
 // arguments of mirrored entries differ, so the rounded values could in
 // principle disagree by one ulp; checking the table (rather than trusting
 // the math) keeps the fast path provably bit-exact.
-var basisSymmetric [MaxSize + 1]bool
+var basisFolds [MaxSize + 1]bool
 
 func init() {
 	for _, n := range Sizes {
 		cosBasis[n] = buildBasis(n)
-		basisSymmetric[n] = checkBasisSymmetry(cosBasis[n], n)
+		basisFolds[n] = checkBasisFolds(cosBasis[n], n)
 	}
 }
 
@@ -67,15 +82,18 @@ func buildBasis(n int) []int32 {
 	return b
 }
 
-func checkBasisSymmetry(b []int32, n int) bool {
-	for k := 0; k < n; k++ {
-		sign := int32(1)
-		if k%2 == 1 {
-			sign = -1
-		}
-		for j := 0; j < n/2; j++ {
-			if b[k*n+j] != sign*b[k*n+(n-1-j)] {
-				return false
+// checkBasisFolds verifies the symmetry each fold level uses: at vector
+// length m = n, n/2, … 2, the rows still to be produced are the multiples
+// k of step = n/m, and row k restricted to its first m entries must
+// mirror about m/2 with sign + when k/step is even and − when it is odd.
+func checkBasisFolds(b []int32, n int) bool {
+	for m, step := n, 1; m >= 2; m, step = m/2, step*2 {
+		for k := 0; k < n; k += step {
+			sign := int32(1 - 2*(k/step%2))
+			for j := 0; j < m/2; j++ {
+				if b[k*n+j] != sign*b[k*n+m-1-j] {
+					return false
+				}
 			}
 		}
 	}
@@ -86,82 +104,97 @@ func checkBasisSymmetry(b []int32, n int) bool {
 // (row-major int32, values in roughly [-255, 255], |v| < 2^11 required)
 // in place, producing coefficients at unit scale (the basis scaling is
 // fully removed, so quantization sees natural-magnitude coefficients).
-// Scratch lives on the stack; the function allocates nothing. Bit-exact
-// with ForwardScalar.
+// Scratch lives on the stack, sized to n; the function allocates nothing.
+// Bit-exact with ForwardScalar.
 func Forward(block []int32, n int) {
-	if !basisSymmetric[n] {
+	switch {
+	case !basisFolds[n]:
 		ForwardScalar(block, n)
-		return
+	case n == 4:
+		var tmp [4 * 4]int32
+		forward(block, n, tmp[:])
+	case n == 8:
+		var tmp [8 * 8]int32
+		forward(block, n, tmp[:])
+	case n == 16:
+		var tmp [16 * 16]int32
+		forward(block, n, tmp[:])
+	default:
+		var tmp [MaxSize * MaxSize]int32
+		forward(block, n, tmp[:])
 	}
+}
+
+// forward runs the row pass into tmp and the column pass back into block.
+//
+// Row pass, tmp[k][i] = Σ_j block[i][j]·basis[k][j], in int32: inputs are
+// under 2^11 and basis entries under 2^12; a sum folded f times is under
+// f·2^11 and meets a dot product of n/f terms, so every regrouped sum
+// stays under n·2^11·2^12 ≤ 2^28. Column pass, out[k][l] =
+// Σ_i basis[k][i]·tmp[l][i] descaled by 2·basisShift, in int64: its
+// inputs are already up to 2^28 and fold up to 2^33.
+func forward(block []int32, n int, tmp []int32) {
 	basis := cosBasis[n]
-	half := n / 2
-	// Row pass: tmp[i][k] = sum_j block[i][j]*basis[k][j]. The butterfly
-	// folds the mirrored half of each input row into even/odd sums, so
-	// each output needs n/2 multiplies. Inputs are bounded by 2^11 and
-	// basis entries by 2^12, so the n/2-term accumulator stays under
-	// 2^11·2^12·2^5 = 2^28: int32 is safe and halves the memory traffic
-	// of the old int64 scratch.
-	var tmpArr [MaxSize * MaxSize]int32
-	tmp := tmpArr[:n*n]
-	var evenArr, oddArr [MaxSize / 2]int32
+	var f32 [MaxSize]int32
 	for i := 0; i < n; i++ {
-		row := block[i*n : i*n+n]
-		even := evenArr[:half]
-		odd := oddArr[:half]
-		for j := 0; j < half; j++ {
-			even[j] = row[j] + row[n-1-j]
-			odd[j] = row[j] - row[n-1-j]
-		}
-		out := tmp[i*n : i*n+n]
-		for k := 0; k < n; k++ {
-			brow := basis[k*n : k*n+half]
-			src := even
-			if k%2 == 1 {
-				src = odd
-			}
-			var acc int32
-			for j := 0; j < half; j++ {
-				acc += src[j] * brow[j]
-			}
-			out[k] = acc
-		}
+		fwd1D(block[i*n:i*n+n], basis, f32[:n/2], f32[n/2:n], tmp[i:], 0, 0)
 	}
-	// Column pass: out[k][l] = sum_i basis[k][i]*tmp[i][l], butterflied
-	// over i, then descaled by 2*basisShift. The folded tmp sums fit
-	// int32 (< 2^29); the k-loop accumulator needs int64.
-	const round = int64(1) << (2*basisShift - 1)
-	var teArr, toArr [MaxSize * MaxSize / 2]int32
-	te := teArr[: half*n : half*n]
-	to := toArr[: half*n : half*n]
-	for i := 0; i < half; i++ {
-		a := tmp[i*n : i*n+n]
-		b := tmp[(n-1-i)*n : (n-1-i)*n+n]
-		for l := 0; l < n; l++ {
-			te[i*n+l] = a[l] + b[l]
-			to[i*n+l] = a[l] - b[l]
-		}
+	var f64 [MaxSize]int64
+	for l := 0; l < n; l++ {
+		fwd1D(tmp[l*n:l*n+n], basis, f64[:n/2], f64[n/2:n], block[l:], descaleRound, 2*basisShift)
 	}
-	var accArr [MaxSize]int64
-	for k := 0; k < n; k++ {
-		acc := accArr[:n]
-		for l := range acc {
-			acc[l] = 0
-		}
-		brow := basis[k*n : k*n+half]
-		src := te
-		if k%2 == 1 {
-			src = to
-		}
-		for i := 0; i < half; i++ {
-			b := int64(brow[i])
-			trow := src[i*n : i*n+n]
-			for l := 0; l < n; l++ {
-				acc[l] += b * int64(trow[l])
+}
+
+// fwd1D transforms the vector src (length n = 2·len(e)) and stores
+// output k, rounded and shifted, at dst[k·n]. e and o are scratch for the
+// folded sums and differences: the differences of each fold are dotted
+// with the leading entries of the rows that are odd multiples of the
+// fold's step, the sums are folded again, and the last two sums meet rows
+// 0 and n/2. Rows are taken two at a time so each sample is loaded once
+// for two multiplies, and the dot products stay in registers.
+func fwd1D[T int32 | int64](src, basis []int32, e, o []T, dst []int32, round T, shift uint) {
+	h := len(e)
+	n := 2 * h
+	src = src[:n]
+	o = o[:h]
+	for j := range e {
+		a, b := T(src[j]), T(src[n-1-j])
+		e[j], o[j] = a+b, a-b
+	}
+	v, first, step := o, 1, 1
+	for {
+		for k := first; k < n; k += 4 * step {
+			k2 := k + 2*step
+			r0 := basis[k*n:][:len(v)]
+			r1 := basis[k2*n:][:len(v)]
+			var acc0, acc1 T
+			j := 0
+			for ; j < len(v)-3; j += 4 {
+				a0, a1, a2, a3 := v[j], v[j+1], v[j+2], v[j+3]
+				acc0 += a0*T(r0[j]) + a1*T(r0[j+1]) + a2*T(r0[j+2]) + a3*T(r0[j+3])
+				acc1 += a0*T(r1[j]) + a1*T(r1[j+1]) + a2*T(r1[j+2]) + a3*T(r1[j+3])
 			}
+			for ; j < len(v); j++ {
+				acc0 += v[j] * T(r0[j])
+				acc1 += v[j] * T(r1[j])
+			}
+			dst[k*n] = int32((acc0 + round) >> shift)
+			dst[k2*n] = int32((acc1 + round) >> shift)
 		}
-		for l := 0; l < n; l++ {
-			block[k*n+l] = int32((acc[l] + round) >> (2 * basisShift))
+		switch {
+		case first == 0:
+			return
+		case h == 2: // step is n/4: the pair is rows 0 and n/2
+			v, first = e[:2], 0
+			continue
 		}
+		h /= 2
+		step *= 2
+		for j := 0; j < h; j++ {
+			a, b := e[j], e[2*h-1-j]
+			e[j], o[j] = a+b, a-b
+		}
+		v, first = o[:h], step
 	}
 }
 
@@ -210,90 +243,110 @@ func ForwardScalar(block []int32, n int) {
 }
 
 // Inverse applies the 2-D inverse transform in place, reconstructing the
-// residual from unit-scale coefficients. Quantized blocks are sparse, so
-// the first pass skips zero levels (exact: skipped terms contribute zero
-// to the integer accumulators) and both passes butterfly the basis
-// symmetry, halving the multiplies of every term that does run. Bit-exact
-// with InverseScalar.
+// residual from unit-scale coefficients. Quantized blocks are sparse, and
+// the work is proportional to what is not zero: a zero coefficient costs
+// one load, a zero row takes no part in the column pass, and an all-zero
+// block returns after the row scan. Bit-exact with InverseScalar.
 func Inverse(block []int32, n int) {
-	if !basisSymmetric[n] {
+	switch {
+	case !basisFolds[n]:
 		InverseScalar(block, n)
-		return
+	case n == 4:
+		var tmp, acc [4 * 4]int64
+		inverse(block, n, tmp[:], acc[:])
+	case n == 8:
+		var tmp, acc [8 * 8]int64
+		inverse(block, n, tmp[:], acc[:])
+	case n == 16:
+		var tmp, acc [16 * 16]int64
+		inverse(block, n, tmp[:], acc[:])
+	default:
+		var tmp, acc [MaxSize * MaxSize]int64
+		inverse(block, n, tmp[:], acc[:])
 	}
+}
+
+// inverse is the forward recursion run backwards, in both passes. A term
+// with frequency index k belongs to one fold level: its basis row enters
+// only through its leading m entries — m = 1 for k = 0, else n/2 shifted
+// down by the trailing zeros of k — as a contribution to that level's
+// odd part o (for k = 0, to the one-entry even part), and the levels are
+// then unfolded from the shortest up, x[j] = e[j]+o[j] and x[2m−1−j] =
+// e[j]−o[j] (unfold). Level m keeps o[j] at index 2m−1−j, where the
+// unfolding wants the difference, so the recursion needs no scratch
+// beyond the vector it builds. Both passes and the zeroed scratch are
+// int64: arithmetic modulo 2^64 is a ring, so even on coefficients
+// outside any contract (a hostile bitstream) the regrouped sums equal the
+// scalar walk's.
+func inverse(block []int32, n int, tmp, acc []int64) {
 	basis := cosBasis[n]
-	half := n / 2
-	var tmpArr [MaxSize * MaxSize]int64
-	tmp := tmpArr[:n*n]
-	var rowLive [MaxSize]bool
-	// Row pass: tmp[k][j] = sum_l block[k][l]*basis[l][j]. Split the sum
-	// by parity of l: E[j] collects even-l terms, O[j] odd-l terms over
-	// the left half; the mirror identities give tmp[k][j]=E+O and
-	// tmp[k][n-1-j]=E−O.
-	var eArr, oArr [MaxSize / 2]int64
+	// Row pass: tmp[k][·] = Σ_l block[k][l]·basis[l][·], live rows only.
+	var liveRows [MaxSize]bool
+	live := false
 	for k := 0; k < n; k++ {
-		crow := block[k*n : k*n+n]
-		e := eArr[:half]
-		o := oArr[:half]
-		for j := range e {
-			e[j] = 0
-			o[j] = 0
-		}
-		live := false
-		for l := 0; l < n; l++ {
-			c := int64(crow[l])
+		x := tmp[k*n : k*n+n]
+		for l, c := range block[k*n : k*n+n] {
 			if c == 0 {
 				continue
 			}
+			liveRows[k] = true
+			m, at := foldLevel(l, n)
+			for j, b := range basis[l*n : l*n+m] {
+				x[at-j] += int64(c) * int64(b)
+			}
+		}
+		if liveRows[k] {
 			live = true
-			brow := basis[l*n : l*n+half]
-			dst := e
-			if l%2 == 1 {
-				dst = o
-			}
-			for j := 0; j < half; j++ {
-				dst[j] += c * int64(brow[j])
-			}
-		}
-		rowLive[k] = live
-		if !live {
-			continue
-		}
-		trow := tmp[k*n : k*n+n]
-		for j := 0; j < half; j++ {
-			trow[j] = e[j] + o[j]
-			trow[n-1-j] = e[j] - o[j]
+			unfold(x, n, 1)
 		}
 	}
-	// Column pass: out[i][j] = sum_k basis[k][i]*tmp[k][j], split by
-	// parity of k, producing output rows i and n-1-i together.
-	const round = int64(1) << (2*basisShift - 1)
-	var evenArr, oddArr [MaxSize]int64
-	for i := 0; i < half; i++ {
-		even := evenArr[:n]
-		odd := oddArr[:n]
-		for j := range even {
-			even[j] = 0
-			odd[j] = 0
+	if !live {
+		return
+	}
+	// Column pass: out[·][j] = Σ_k basis[k][·]·tmp[k][j] for all j at
+	// once — the vector being built is a column of rows of acc.
+	for k := 0; k < n; k++ {
+		if !liveRows[k] {
+			continue
 		}
-		for k := 0; k < n; k++ {
-			if !rowLive[k] {
-				continue
-			}
-			b := int64(basis[k*n+i])
-			trow := tmp[k*n : k*n+n]
-			dst := even
-			if k%2 == 1 {
-				dst = odd
-			}
-			for j := 0; j < n; j++ {
-				dst[j] += b * trow[j]
+		t := tmp[k*n : k*n+n]
+		m, at := foldLevel(k, n)
+		for i, b := range basis[k*n : k*n+m] {
+			row := acc[(at-i)*n:][:len(t)]
+			for j, v := range t {
+				row[j] += int64(b) * v
 			}
 		}
-		top := block[i*n : i*n+n]
-		bot := block[(n-1-i)*n : (n-1-i)*n+n]
-		for j := 0; j < n; j++ {
-			top[j] = int32((even[j] + odd[j] + round) >> (2 * basisShift))
-			bot[j] = int32((even[j] - odd[j] + round) >> (2 * basisShift))
+	}
+	unfold(acc, n, n)
+	for i, v := range acc {
+		block[i] = int32((v + descaleRound) >> (2 * basisShift))
+	}
+}
+
+// foldLevel returns, for frequency index k of an n-point transform, the
+// number m of leading basis-row entries its fold level uses and the index
+// the first of them adds into; entry j adds into at−j.
+func foldLevel(k, n int) (m, at int) {
+	if k == 0 {
+		return 1, 0
+	}
+	m = n / 2 >> bits.TrailingZeros(uint(k))
+	return m, 2*m - 1
+}
+
+// unfold expands the per-level sums of an n-point vector, whose elements
+// are w consecutive values each (w = 1: a vector; w = n: the rows of a
+// block), into the vector itself.
+func unfold(x []int64, n, w int) {
+	for m := 1; m < n; m *= 2 {
+		for j := 0; j < m; j++ {
+			e := x[j*w:][:w]
+			o := x[(2*m-1-j)*w:][:w]
+			for i := range e {
+				ei, oi := e[i], o[i]
+				e[i], o[i] = ei+oi, ei-oi
+			}
 		}
 	}
 }

@@ -78,20 +78,43 @@ func buildQRecips() [MaxQP + 1]uint64 {
 // qRecipTable); |coefficients| must be ≤ MaxAbsCoeff. Bit-exact with
 // QuantizeScalar, enforced by an exhaustive differential test.
 func Quantize(coeffs []int32, qp int, deadzone int32) {
-	step := QStep(qp)
-	bias := step * deadzone / 8
-	m := qRecipTable[qpClamp(qp)]
+	bias, m := quantizer(qp, deadzone)
 	for i, c := range coeffs {
-		neg := c < 0
-		if neg {
-			c = -c
-		}
-		level := int32((uint64(c*16+bias) * m) >> qRecipShift)
-		if neg {
-			level = -level
-		}
-		coeffs[i] = level
+		coeffs[i] = quantize(c, bias, m)
 	}
+}
+
+// QuantizeScan is Quantize and the two scans of an RDO trial in one walk
+// of the n×n coefficient block: in scan order, orig receives the
+// coefficients and levels their quantization levels. It returns the scan
+// index of the last non-zero level, -1 when there is none, which is what
+// both RDOQ and reconstruction branch on. coeffs is left as it was.
+func QuantizeScan(coeffs []int32, n, qp int, deadzone int32, orig, levels []int32) (last int) {
+	bias, m := quantizer(qp, deadzone)
+	scan := zigzagScans[n]
+	orig, levels = orig[:len(scan)], levels[:len(scan)]
+	last = -1
+	for i, pos := range scan {
+		c := coeffs[pos]
+		l := quantize(c, bias, m)
+		orig[i], levels[i] = c, l
+		if l != 0 {
+			last = i
+		}
+	}
+	return last
+}
+
+// quantizer returns the rounding bias (Q4) and the step reciprocal.
+func quantizer(qp int, deadzone int32) (bias int32, m uint64) {
+	return QStep(qp) * deadzone / 8, qRecipTable[qpClamp(qp)]
+}
+
+func quantize(c, bias int32, m uint64) int32 {
+	if c < 0 {
+		return -int32((uint64(-c*16+bias) * m) >> qRecipShift)
+	}
+	return int32((uint64(c*16+bias) * m) >> qRecipShift)
 }
 
 // QuantizeScalar is the divide-based reference implementation of
@@ -130,9 +153,19 @@ func Dequantize(levels []int32, qp int) {
 	}
 }
 
+// InverseDC returns the value every sample of an n×n block takes when the
+// block whose only non-zero level is the DC level l is dequantized and
+// inverse transformed: row 0 of the basis is one constant, so the two
+// passes collapse to one multiply. Equal to Dequantize + Inverse on that
+// block.
+func InverseDC(l int32, n, qp int) int32 {
+	b := int64(cosBasis[n][0])
+	return int32((b*b*int64(l*QStep(qp)/16) + descaleRound) >> (2 * basisShift))
+}
+
 // zigzag scan orders, one per transform size, generated by walking
 // anti-diagonals (low-frequency coefficients first).
-var zigzagScans = map[int][]int{}
+var zigzagScans [MaxSize + 1][]int
 
 func init() {
 	for _, n := range Sizes {

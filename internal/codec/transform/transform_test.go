@@ -188,26 +188,52 @@ func TestZigzagOrdersLowFrequencyFirst(t *testing.T) {
 	}
 }
 
-func BenchmarkForward8(b *testing.B) {
-	block := make([]int32, 64)
-	for i := range block {
-		block[i] = int32(i%17 - 8)
+// benchKernel times fn on a fresh copy of src per iteration. The copy goes
+// into a block allocated once: the kernels allocate nothing, and the
+// benchmark must not either.
+func benchKernel(b *testing.B, fn func([]int32, int), src []int32, n int) {
+	block := make([]int32, n*n)
+	run := func() {
+		copy(block, src)
+		fn(block, n)
+	}
+	if a := testing.AllocsPerRun(10, run); a != 0 {
+		b.Fatalf("%v allocs per call, want 0", a)
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tmp := append([]int32(nil), block...)
-		Forward(tmp, 8)
+		run()
 	}
 }
 
-func BenchmarkForward32(b *testing.B) {
-	block := make([]int32, 1024)
+func residualBlock(n int) []int32 {
+	block := make([]int32, n*n)
 	for i := range block {
-		block[i] = int32(i%29 - 14)
+		block[i] = int32(i%(n-3) - n/2 + 1)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tmp := append([]int32(nil), block...)
-		Forward(tmp, 32)
-	}
+	return block
 }
+
+func BenchmarkForward8(b *testing.B)  { benchKernel(b, Forward, residualBlock(8), 8) }
+func BenchmarkForward16(b *testing.B) { benchKernel(b, Forward, residualBlock(16), 16) }
+func BenchmarkForward32(b *testing.B) { benchKernel(b, Forward, residualBlock(32), 32) }
+
+// benchInverse times Inverse on what reconstruction hands it: a textured
+// residual after Forward, Quantize at a mid QP and Dequantize (a few low
+// frequencies survive), and the all-zero block.
+func benchInverse(b *testing.B, n int) {
+	sparse := make([]int32, n*n)
+	for i := range sparse {
+		sparse[i] = int32((i%n)*3 - (i/n)*2 + i*7%5)
+	}
+	Forward(sparse, n)
+	Quantize(sparse, 30, 3)
+	Dequantize(sparse, 30)
+	b.Run("sparse", func(b *testing.B) { benchKernel(b, Inverse, sparse, n) })
+	b.Run("zero", func(b *testing.B) { benchKernel(b, Inverse, make([]int32, n*n), n) })
+}
+
+func BenchmarkInverse8(b *testing.B)  { benchInverse(b, 8) }
+func BenchmarkInverse16(b *testing.B) { benchInverse(b, 16) }
+func BenchmarkInverse32(b *testing.B) { benchInverse(b, 32) }
