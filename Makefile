@@ -5,7 +5,7 @@
 GO ?= go
 RACE_PKGS = ./internal/sched ./internal/transcode ./internal/cluster ./internal/codec ./internal/video
 
-.PHONY: check lint lint-json race build test fmt bench chaos fuzz overload autoscale audit oracle oracle-diff
+.PHONY: check lint lint-json race build test fmt bench profile-encode chaos fuzz overload autoscale audit oracle oracle-diff
 
 check:
 	./scripts/check.sh
@@ -14,6 +14,15 @@ check:
 # cmd/vcubench workloads, rewriting BENCH_codec.json.
 bench:
 	./scripts/bench.sh
+
+# Where an encode spends its CPU, by function: the whole-frame encode
+# benchmarks of internal/codec, once each on one core, under the CPU
+# profiler. The next encoder optimization starts from this table.
+profile-encode:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) test -run '^$$' -bench 'BenchmarkEncode' -benchtime 2x -cpu 1 \
+		-o "$$d/codec.test" -cpuprofile "$$d/cpu.prof" ./internal/codec && \
+	$(GO) tool pprof -top -nodecount=15 "$$d/codec.test" "$$d/cpu.prof"
 
 # LINT_PAR: packages analyzed concurrently (0 = GOMAXPROCS); output is
 # deterministic at any setting.

@@ -9,6 +9,7 @@ import (
 	"openvcu/internal/codec/filter"
 	"openvcu/internal/codec/motion"
 	"openvcu/internal/codec/predict"
+	"openvcu/internal/codec/transform"
 	"openvcu/internal/video"
 )
 
@@ -164,6 +165,8 @@ func (dec *Decoder) decode(data []byte) (*video.Frame, error) {
 type decFrame struct {
 	*frameShared
 	d *bits.Decoder
+	// blk is applyTxBlock's scratch: one transform block.
+	blk [transform.MaxSize * transform.MaxSize]int32
 }
 
 func (df *decFrame) decodeTree(x, y, s, depth int) error {
@@ -270,8 +273,8 @@ func (df *decFrame) decodeLeaf(x, y, s int) error {
 
 func (df *decFrame) decodePlaneResidual(recon []uint8, stride, x, y int,
 	pred []uint8, s, tx, planeClass int) {
-	scanned := make([]int32, 2*tx*tx)
-	scanned, blk := scanned[:tx*tx], scanned[tx*tx:]
+	scanned := make([]int32, tx*tx)
+	blk := df.blk[:tx*tx]
 	for by := 0; by < s; by += tx {
 		for bx := 0; bx < s; bx += tx {
 			last := df.model.ReadCoeffs(df.d, planeClass, scanned, tx)

@@ -7,18 +7,21 @@
 // 16×16/32×32 — one of the compression tools that "grow the search space"
 // (paper §2.1).
 //
-// Forward and Inverse are two passes of one 1-D kernel each (fwd1D,
-// inv1D), and both kernels are the recursive even/odd decomposition of
-// the basis. Row k of the n-point basis is mirror-symmetric for even k
-// and antisymmetric for odd k, so the odd rows need only the n/2
-// differences x[j]−x[n−1−j] and the even rows only the n/2 sums; the
+// Forward and Inverse are the recursive even/odd decomposition of the
+// basis, in both passes. Row k of the n-point basis is mirror-symmetric
+// for even k and antisymmetric for odd k, so the odd rows need only the
+// n/2 differences x[j]−x[n−1−j] and the even rows only the n/2 sums; the
 // even rows restricted to the half row are again symmetric or
-// antisymmetric (by the parity of k/2), and so on until one sample is
+// antisymmetric (by the parity of k/2), and so on until two samples are
 // left. A 32-point pass costs 256+64+16+4+4 = 344 multiplies where the
-// matrix walk costs 1024 (16-point: 88 of 256, 8-point: 24 of 64). The
-// first pass stores its result transposed, so the second pass is the same
-// kernel over contiguous vectors. Scratch is sized to the transform, on
-// the stack; nothing allocates.
+// matrix walk costs 1024 (16-point: 88 of 256, 8-point: 24 of 64).
+// Forward is one 1-D kernel (fwd1D) applied to the rows and, the row
+// pass having stored its result transposed, to the columns as contiguous
+// vectors. Inverse runs the same recursion backwards (inverse): each
+// non-zero coefficient adds into the partial sum of its fold level and
+// the levels are unfolded at the end, so a sparse block costs what its
+// non-zero coefficients cost. Scratch is sized to the transform, on the
+// stack; nothing allocates.
 //
 // The decomposition only regroups exact integer additions, so it is
 // bit-identical to the direct matrix walk. The walks are kept as
@@ -132,7 +135,7 @@ func Forward(block []int32, n int) {
 // f·2^11 and meets a dot product of n/f terms, so every regrouped sum
 // stays under n·2^11·2^12 ≤ 2^28. Column pass, out[k][l] =
 // Σ_i basis[k][i]·tmp[l][i] descaled by 2·basisShift, in int64: its
-// inputs are already up to 2^28 and fold up to 2^33.
+// inputs are already up to 2^28 and their folded sums reach 2^33.
 func forward(block []int32, n int, tmp []int32) {
 	basis := cosBasis[n]
 	var f32 [MaxSize]int32

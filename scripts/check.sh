@@ -21,6 +21,9 @@
 #   7. bench smoke   kernel benchmarks compile and run (1 iteration)
 #   8. fuzz smoke    10s of FuzzDecode over the checked-in corpus
 #
+# Each step ends with the wall seconds it took and the gate with their
+# total, so the gate's long pole is read off its own output.
+#
 # Every PR must leave this script exiting 0.
 set -u
 
@@ -28,12 +31,14 @@ cd "$(dirname "$0")/.."
 
 failures=0
 step() {
-    echo "== $1"
+    local name=$1 t0=$SECONDS
+    echo "== $name"
     shift
     if ! "$@"; then
         echo "-- FAILED: $1" >&2
         failures=$((failures + 1))
     fi
+    echo "-- $name: $((SECONDS - t0))s"
 }
 
 check_fmt() {
@@ -89,7 +94,7 @@ step "bench smoke (kernel packages)" go test -run=NONE -bench=. -benchtime=1x \
 step "fuzz smoke (codec decoder)" go test -fuzz=FuzzDecode -fuzztime=10s -run=NONE ./internal/codec
 
 if [ "$failures" -ne 0 ]; then
-    echo "check.sh: $failures step(s) failed" >&2
+    echo "check.sh: $failures step(s) failed in ${SECONDS}s" >&2
     exit 1
 fi
-echo "check.sh: all gates passed"
+echo "check.sh: all gates passed in ${SECONDS}s"
