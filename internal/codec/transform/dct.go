@@ -39,7 +39,8 @@ import (
 // Sizes supported by the transform stage.
 var Sizes = []int{4, 8, 16, 32}
 
-// MaxSize is the largest supported transform dimension.
+// MaxSize is the largest supported transform dimension; callers size
+// transform-block scratch with it.
 const MaxSize = 32
 
 // cosBasis[n] is the n×n integer DCT basis scaled by 1<<basisShift,
@@ -224,7 +225,6 @@ func ForwardScalar(block []int32, n int) {
 	// 2*basisShift. Accumulating whole output rows keeps the inner loop on
 	// contiguous tmp rows; integer addition is associative, so the
 	// reordering is bit-exact with the direct column walk.
-	const round = int64(1) << (2*basisShift - 1)
 	var accArr [MaxSize]int64
 	for k := 0; k < n; k++ {
 		acc := accArr[:n]
@@ -240,7 +240,7 @@ func ForwardScalar(block []int32, n int) {
 			}
 		}
 		for l := 0; l < n; l++ {
-			block[k*n+l] = int32((acc[l] + round) >> (2 * basisShift))
+			block[k*n+l] = int32((acc[l] + descaleRound) >> (2 * basisShift))
 		}
 	}
 }
@@ -386,7 +386,6 @@ func InverseScalar(block []int32, n int) {
 		copy(tmp[k*n:k*n+n], acc)
 	}
 	// cols: out[i][j] = sum_k basis[k][i] * tmp[k][j]
-	const round = int64(1) << (2*basisShift - 1)
 	for i := 0; i < n; i++ {
 		acc := accArr[:n]
 		for j := range acc {
@@ -403,7 +402,7 @@ func InverseScalar(block []int32, n int) {
 			}
 		}
 		for j := 0; j < n; j++ {
-			block[i*n+j] = int32((acc[j] + round) >> (2 * basisShift))
+			block[i*n+j] = int32((acc[j] + descaleRound) >> (2 * basisShift))
 		}
 	}
 }

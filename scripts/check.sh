@@ -35,7 +35,7 @@ step() {
     echo "== $name"
     shift
     if ! "$@"; then
-        echo "-- FAILED: $1" >&2
+        echo "-- FAILED: $name" >&2
         failures=$((failures + 1))
     fi
     echo "-- $name: $((SECONDS - t0))s"
