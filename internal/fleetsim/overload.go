@@ -206,7 +206,13 @@ func SLOVsFleetLoss(cfg FleetLossConfig) []FleetLossSample {
 		for i, a := range arr {
 			home := i % cfg.Clusters
 			g := cluster.BuildGraph(overloadSpec(a), 10)
-			r.Eng.Schedule(a.At, func() { _ = r.Submit(home, g) })
+			r.Eng.Schedule(a.At, func() {
+				// Region.Submit only refuses a cluster index outside the
+				// region, and home is reduced modulo its size above.
+				if err := r.Submit(home, g); err != nil {
+					panic(err)
+				}
+			})
 		}
 		r.Eng.RunUntil(cfg.ArrivalWindow + cfg.DrainWindow)
 
