@@ -1,6 +1,6 @@
-// Command vculint runs the project's zero-dependency static-analysis
-// suite (internal/lint) over the module tree and exits non-zero when
-// any rule fires.
+// Command vculint runs the project's standard-library-only
+// static-analysis suite (internal/lint) over the module tree and exits
+// non-zero when any rule fires.
 //
 // Usage:
 //
@@ -11,68 +11,27 @@
 //	-json        emit diagnostics as a JSON array (machine-readable,
 //	             consumed by fleetsim/bench tooling and written to
 //	             lint_report.json by scripts/check.sh)
-//	-timing      include per-rule wall time; with -json the output
-//	             becomes {"diagnostics": [...], "timing": {...}} so
+//	-timing      include load (parse + type check), summary-build and
+//	             per-rule wall time; with -json the output becomes
+//	             {"diagnostics": [...], "timing": {...}} so
 //	             scripts/check.sh can enforce the lint latency budget
 //	-rules a,b   run only the named analyzers
 //	-list        print registered analyzers and exit
 //	-par N       analyze N packages concurrently (0 = GOMAXPROCS);
 //	             output is deterministic at any worker count
 //
-// Syntactic analyzers (PR 1): determinism, hotalloc, errdrop, bigcopy.
+// Every analyzer reads types, callees, sizes and constants from one
+// go/types check of the module (internal/lint/module.go); see DESIGN.md
+// "Static analysis & CI gates" for the layers. `vculint -list` prints
+// each rule's one-paragraph documentation. By what they need:
 //
-// Dataflow analyzers (PR 2, built on the type-aware layer in
-// internal/lint/dataflow.go):
-//
-//	scratchshare  a *motion.Scratch / *predict.NeighborBuf parameter
-//	              must not escape the callee (stored, returned, sent,
-//	              captured by a goroutine, or passed to a callee that
-//	              transitively lets its parameter escape)
-//	sharedmut     reference-slot frame/pyramid caches are written only
-//	              inside constructor/build functions; everywhere else
-//	              tile workers share them read-only
-//	swarwidth     in internal/codec/motion and internal/bits: constant
-//	              shifts past the operand width, 64-bit masks that are
-//	              not byte/16/32-bit lane-periodic, and narrowing
-//	              conversions of SWAR lane accumulators
-//	goleak        a go statement in the scheduling/transcode/cluster/
-//	              codec packages must be joined in the spawning
-//	              function (WaitGroup or channel); resolved calls whose
-//	              transitive summary spawns an unjoined goroutine are
-//	              flagged at the call site
-//
-// Control-flow/call-graph analyzers (PR 3; PR 8 replaced the one-level
-// summaries with transitive fixed-point summaries over the SCC
-// condensation of the module call graph — see internal/lint/scc.go and
-// internal/lint/callgraph.go):
-//
-//	lockhygiene   path-sensitive: every acquired mutex is released on
-//	              every path to the exit (a defer only covers the paths
-//	              that execute it), re-locking a held mutex and
-//	              unlocking an unheld one are flagged
-//	lockorder     two mutex classes acquired in both orders across
-//	              cluster/sched/vcu — the deadlock precondition —
-//	              chased through any depth of resolved module calls,
-//	              with the discovery chain shown in the message
-//	waitbalance   WaitGroup Add must be guaranteed before the spawn,
-//	              Done must be reached on every path of the spawned
-//	              body (directly or in a `go helper(&wg)` helper), and
-//	              Add inside the spawned goroutine races Wait
-//	heldblock     channel send/receive, blocking select, range over a
-//	              channel, Wait, or a resolved call reaching any of
-//	              these through any chain of resolved callees, while a
-//	              mutex is held on some path
-//
-// Resource and capture analyzers (PR 8, built on the transitive
-// summaries):
-//
-//	closecheck    a local built by a constructor that returns a fresh
-//	              Closer-bearing type (codec.NewEncoder, vcu queues)
-//	              must be Closed on every normal exit path once used;
-//	              ownership transfers silence the obligation
-//	parcapture    closures that outlive their loop iteration capturing
-//	              a shared loop variable, and goroutines in loops
-//	              writing captured state without a lock
+//	types          determinism, hotalloc, errdrop, bigcopy, swarwidth,
+//	               sharedmut, parcapture
+//	+ control flow lockhygiene, waitbalance
+//	+ summaries    lockorder, heldblock, scratchshare, goleak,
+//	               closecheck (transitive call-graph summaries over
+//	               the SCC condensation of the module call graph,
+//	               internal/lint/callgraph.go)
 //
 // A function whose recursive call cycle hits the summary iteration cap
 // is reported under the pseudo-rule "lintbudget" (its facts stay sound

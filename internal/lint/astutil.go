@@ -95,57 +95,18 @@ func methodCall(e ast.Expr, name string) (recv string, ok bool) {
 // literals) along with the name of the innermost named function, which
 // analyzers use for allowlisting. Function literals inherit the name of
 // the enclosing declaration.
-func funcBodies(f *ast.File, visit func(name string, recv string, body *ast.BlockStmt)) {
+func funcBodies(f *ast.File, visit func(name string, body *ast.BlockStmt)) {
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {
 			continue
 		}
-		recv := ""
-		if fd.Recv != nil && len(fd.Recv.List) > 0 {
-			recv = typeBaseName(fd.Recv.List[0].Type)
-		}
-		visit(fd.Name.Name, recv, fd.Body)
-		name := fd.Name.Name
+		visit(fd.Name.Name, fd.Body)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if fl, ok := n.(*ast.FuncLit); ok && fl.Body != nil {
-				visit(name, recv, fl.Body)
+				visit(fd.Name.Name, fl.Body)
 			}
 			return true
 		})
 	}
-}
-
-// typeBaseName unwraps pointers/generics to the base type identifier.
-func typeBaseName(e ast.Expr) string {
-	switch t := e.(type) {
-	case *ast.Ident:
-		return t.Name
-	case *ast.StarExpr:
-		return typeBaseName(t.X)
-	case *ast.IndexExpr:
-		return typeBaseName(t.X)
-	case *ast.IndexListExpr:
-		return typeBaseName(t.X)
-	case *ast.ParenExpr:
-		return typeBaseName(t.X)
-	}
-	return ""
-}
-
-// pkgCallee decodes a call of the form alias.Func(...) where alias is
-// an import of wantPath in file f, returning the function name.
-func pkgCallee(f *File, call *ast.CallExpr, wantPath string) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return "", false
-	}
-	if path, imported := f.imports[id.Name]; !imported || path != wantPath {
-		return "", false
-	}
-	return sel.Sel.Name, true
 }

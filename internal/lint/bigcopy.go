@@ -2,18 +2,18 @@ package lint
 
 import (
 	"go/ast"
-	"strings"
+	"go/types"
 )
 
-// bigCopyThreshold is the value size, in approximate bytes, above which
-// passing or ranging by value is flagged. 256 bytes is several cache
-// lines per call — frames, planes, and lookahead state cross it easily.
+// bigCopyThreshold is the value size in bytes above which passing or
+// ranging by value is flagged. 256 bytes is several cache lines per
+// call — frames, planes, and lookahead state cross it easily.
 const bigCopyThreshold = 256
 
 func init() {
 	Register(&Analyzer{
 		Name: "bigcopy",
-		Doc: "flags large structs/arrays (>256 bytes approx.) passed, received, " +
+		Doc: "flags large structs/arrays (>256 bytes) passed, received, " +
 			"or ranged by value in the hot packages (internal/codec/..., " +
 			"internal/video); pass pointers instead",
 		Run: runBigCopy,
@@ -28,192 +28,76 @@ func runBigCopy(pass *Pass) {
 		if f.IsTest {
 			continue
 		}
-		checkBigCopyFile(pass, f)
-	}
-}
-
-func checkBigCopyFile(pass *Pass, f *File) {
-	for _, decl := range f.AST.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok {
-			continue
-		}
-		if fd.Recv != nil {
-			for _, field := range fd.Recv.List {
-				reportBigValueField(pass, f, field, "receiver")
+		for _, decl := range f.AST.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
 			}
-		}
-		if fd.Type.Params != nil {
-			for _, field := range fd.Type.Params.List {
-				reportBigValueField(pass, f, field, "parameter")
+			reportBigValueFields(pass, fd.Recv, "receiver")
+			reportBigValueFields(pass, fd.Type.Params, "parameter")
+			if fd.Body != nil {
+				checkBigRange(pass, fd.Body)
 			}
-		}
-		if fd.Body != nil {
-			checkBigRange(pass, f, fd)
 		}
 	}
 }
 
-// reportBigValueField flags a parameter or receiver whose declared type
-// is a by-value struct/array above the threshold. Pointers, slices,
-// maps, and interfaces are reference-sized and never flagged.
-func reportBigValueField(pass *Pass, f *File, field *ast.Field, kind string) {
-	size, name, ok := valueTypeSize(pass, f, field.Type)
-	if !ok || size <= bigCopyThreshold {
+// reportBigValueFields flags each parameter or receiver whose type is a
+// by-value struct/array above the threshold.
+func reportBigValueFields(pass *Pass, fields *ast.FieldList, kind string) {
+	if fields == nil {
 		return
 	}
-	pass.Reportf(field.Pos(), "%s %s copies ~%d bytes per call; pass *%s", kind, name, size, name)
+	for _, field := range fields.List {
+		if size, name, ok := bigValue(pass.Pkg, field.Type); ok {
+			pass.Reportf(field.Pos(), "%s %s copies ~%d bytes per call; pass *%s", kind, name, size, name)
+		}
+	}
 }
 
-// valueTypeSize resolves the by-value size of a type expression used in
-// a declaration. Only shapes that actually copy (named structs, arrays,
-// struct literals) return ok. Name resolution prefers the current
-// package's declaration; qualified names are only sized when the
-// qualifier is a module package (stdlib types such as io.Writer are
-// interfaces or opaque and are never flagged).
-func valueTypeSize(pass *Pass, f *File, t ast.Expr) (int64, string, bool) {
-	switch x := t.(type) {
-	case *ast.Ident:
-		if _, basic := basicSizes[x.Name]; basic {
-			return 0, "", false
-		}
-		if s, ok := pass.Index.SizeOfNamed(pass.Pkg.Dir + "." + x.Name); ok {
-			return s, x.Name, true
-		}
-		if s, ok := pass.Index.SizeOfNamed(x.Name); ok {
-			return s, x.Name, true
-		}
-	case *ast.SelectorExpr:
-		qual, ok := x.X.(*ast.Ident)
-		if !ok {
-			return 0, "", false
-		}
-		path, imported := f.imports[qual.Name]
-		if !imported || !isModulePath(path) {
-			return 0, "", false
-		}
-		dir := strings.TrimPrefix(path, "openvcu/")
-		if s, ok := pass.Index.SizeOfNamed(dir + "." + x.Sel.Name); ok {
-			return s, exprString(x), true
-		}
-		if s, ok := pass.Index.SizeOfNamed(x.Sel.Name); ok {
-			return s, exprString(x), true
-		}
-	case *ast.ArrayType:
-		if x.Len == nil {
-			return 0, "", false // slice
-		}
-		n := arrayLen(x.Len)
-		if n < 0 {
-			return 0, "", false
-		}
-		elem, _, ok := valueTypeSize(pass, f, x.Elt)
-		if !ok {
-			if id, isIdent := x.Elt.(*ast.Ident); isIdent {
-				if bs, basic := basicSizes[id.Name]; basic {
-					elem, ok = bs, true
-				}
-			}
-		}
-		if !ok {
-			elem = wordSize
-		}
-		return n * elem, exprString(x.Elt) + " array", true
-	case *ast.ParenExpr:
-		return valueTypeSize(pass, f, x.X)
+// bigValue reports the size and display name of e's type when copying
+// a value of it moves more than the threshold: structs and arrays,
+// sized as the compiler lays them out (alignment and padding included).
+// Pointers, slices, maps and interfaces are reference-sized and never
+// qualify; neither does a type the checker could not resolve.
+func bigValue(pkg *Package, e ast.Expr) (size int64, name string, ok bool) {
+	t := pkg.typeOf(e)
+	if t == nil {
+		return 0, "", false
 	}
-	return 0, "", false
+	local := func(p *types.Package) string {
+		if p == pkg.Types {
+			return ""
+		}
+		return p.Name()
+	}
+	name = types.TypeString(t, local)
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+	case *types.Array:
+		if t == u {
+			name = types.TypeString(u.Elem(), local) + " array"
+		}
+	default:
+		return 0, "", false
+	}
+	size = sizes.Sizeof(t)
+	return size, name, size > bigCopyThreshold
 }
 
 // checkBigRange flags `for _, v := range xs` where v copies a large
-// element. The element type is recovered from local declarations and
-// parameters of slice/array type within the same function.
-func checkBigRange(pass *Pass, f *File, fd *ast.FuncDecl) {
-	elemTypes := map[string]ast.Expr{} // ident name -> element type expr
-	if fd.Type.Params != nil {
-		for _, field := range fd.Type.Params.List {
-			if at, ok := field.Type.(*ast.ArrayType); ok {
-				for _, name := range field.Names {
-					elemTypes[name.Name] = at.Elt
-				}
-			}
-		}
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch node := n.(type) {
-		case *ast.AssignStmt:
-			for i, rhs := range node.Rhs {
-				if i >= len(node.Lhs) {
-					break
-				}
-				id, ok := node.Lhs[i].(*ast.Ident)
-				if !ok {
-					continue
-				}
-				if elt := sliceElemType(rhs); elt != nil {
-					elemTypes[id.Name] = elt
-				}
-			}
-		case *ast.DeclStmt:
-			if gd, ok := node.Decl.(*ast.GenDecl); ok {
-				for _, spec := range gd.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
-					if at, isArr := vs.Type.(*ast.ArrayType); isArr {
-						for _, name := range vs.Names {
-							elemTypes[name.Name] = at.Elt
-						}
-					}
-				}
-			}
-		}
-		return true
-	})
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+// element each iteration.
+func checkBigRange(pass *Pass, body *ast.BlockStmt) {
+	ast.Inspect(body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok {
 			return true
 		}
-		val, ok := rng.Value.(*ast.Ident)
-		if !ok || val.Name == "_" {
-			return true
-		}
-		var elt ast.Expr
-		switch x := rng.X.(type) {
-		case *ast.Ident:
-			elt = elemTypes[x.Name]
-		case *ast.CompositeLit:
-			if at, ok := x.Type.(*ast.ArrayType); ok {
-				elt = at.Elt
+		if val, ok := rng.Value.(*ast.Ident); ok && val.Name != "_" {
+			if size, name, big := bigValue(pass.Pkg, val); big {
+				pass.Reportf(rng.Pos(), "range copies ~%d-byte %s per iteration; range over indices or use *%s elements", size, name, name)
 			}
-		}
-		if elt == nil {
-			return true
-		}
-		size, name, ok := valueTypeSize(pass, f, elt)
-		if ok && size > bigCopyThreshold {
-			pass.Reportf(rng.Pos(), "range copies ~%d-byte %s per iteration; range over indices or use *%s elements", size, name, name)
 		}
 		return true
 	})
-}
-
-// sliceElemType extracts the element type from an evident slice/array
-// construction: make([]T, n) or []T{...}.
-func sliceElemType(e ast.Expr) ast.Expr {
-	switch x := e.(type) {
-	case *ast.CallExpr:
-		if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "make" && len(x.Args) > 0 {
-			if at, ok := x.Args[0].(*ast.ArrayType); ok {
-				return at.Elt
-			}
-		}
-	case *ast.CompositeLit:
-		if at, ok := x.Type.(*ast.ArrayType); ok {
-			return at.Elt
-		}
-	}
-	return nil
 }

@@ -4,14 +4,14 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
-	"strings"
 )
 
-// This file is the transitive interprocedural layer built on the symbol
-// index: every indexed function/method gets a summary — which lock
-// classes it may acquire or release (directly or through any chain of
-// resolved calls), whether it can block, what it does to each
+// This file is the transitive interprocedural layer built on the
+// module's function table: every function/method gets a summary —
+// which lock classes it may acquire or release (directly or through any
+// chain of resolved calls), whether it can block, what it does to each
 // *sync.WaitGroup parameter, whether a scratch- or Closer-typed
 // parameter escapes it, whether it spawns a goroutine nothing joins,
 // whether it returns a caller-owned Closer, and whether it closes a
@@ -47,7 +47,7 @@ type wgParamFact struct {
 
 // summaryCall is one resolved call site inside a function body.
 type summaryCall struct {
-	key string
+	fn  *types.Func
 	pos token.Pos
 	// argNames holds, positionally, the plain-identifier argument names
 	// ("" for anything else), so param-indexed facts of the callee can be
@@ -59,8 +59,10 @@ type summaryCall struct {
 
 // funcSummary is the transitive interprocedural summary of one function.
 type funcSummary struct {
-	key string
-	fd  *funcDecl
+	fn *types.Func
+	// name is Module.funcName(fn), for messages and call chains.
+	name string
+	fd   *funcDecl
 
 	// calls are the resolved synchronous call sites: straight-line calls
 	// plus deferred ones (both run on the calling goroutine). Calls
@@ -98,11 +100,11 @@ type funcSummary struct {
 	// paramNames holds the parameter names by position ("" for _).
 	paramNames []string
 
-	// scratchParams maps scratch-typed parameter positions (see
-	// scratchTypes) to the qualified type name; closerParams does the
-	// same for pointers to module types with a Close method.
-	scratchParams map[int]string
-	closerParams  map[int]string
+	// scratchParams marks scratch-typed parameter positions (see
+	// scratchTypes); closerParams does the same for pointers to module
+	// types with a Close method.
+	scratchParams map[int]bool
+	closerParams  map[int]bool
 
 	// paramEscapes maps tracked (scratch- or closer-typed) parameter
 	// positions to the call chain through which they escape ("" for a
@@ -135,40 +137,28 @@ type funcSummary struct {
 	capped bool
 }
 
-// callGraph caches summaries keyed like Index.funcDecls, plus the
+// callGraph caches summaries keyed like Module.funcs, plus the
 // lintbudget diagnostics produced while building them.
 type callGraph struct {
-	summaries map[string]*funcSummary
+	summaries map[*types.Func]*funcSummary
 	budget    []Diagnostic
 }
 
-// sortedFuncKeys returns the index's function keys in sorted order, so
-// everything derived from summaries is deterministic.
-func sortedFuncKeys(idx *Index) []string {
-	keys := make([]string, 0, len(idx.funcDecls))
-	for k := range idx.funcDecls {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// callGraph builds (once per Index) the transitive summary table.
-func (idx *Index) callGraph() *callGraph {
-	idx.cgOnce.Do(func() {
-		idx.cg = buildCallGraph(idx)
+// callGraph builds (once per Module) the transitive summary table.
+func (m *Module) callGraph() *callGraph {
+	m.cgOnce.Do(func() {
+		m.cg = buildCallGraph(m)
 	})
-	return idx.cg
+	return m.cg
 }
 
 // summaryWork keeps the per-function analysis context alive across
-// fixed-point passes: the scope, CFG and classifier are built once in
-// the direct phase and reused by every transfer.
+// fixed-point passes: the CFG is built once in the direct phase and
+// reused by every transfer.
 type summaryWork struct {
 	sum *funcSummary
-	sc  *funcScope
+	pkg *Package
 	g   *cfg
-	cls *opClassifier
 	// returns are the function's return statements (function literals
 	// excluded), for the closerResults recomputation.
 	returns []*ast.ReturnStmt
@@ -179,57 +169,54 @@ type summaryWork struct {
 
 // valueOrigin records where a local's value came from.
 type valueOrigin struct {
-	multi     bool   // assigned more than once: unusable
-	callKey   string // resolved callee, "" for non-call origins
-	resultPos int    // which result of the callee
-	fresh     bool   // &T{} / new(T) construction
-	typeName  string // qualified type for fresh origins
+	multi     bool            // assigned more than once: unusable
+	callee    *types.Func     // resolved callee, nil for non-call origins
+	resultPos int             // which result of the callee
+	fresh     *types.TypeName // the T of a &T{} / new(T) construction
 }
 
 // cgBuilder carries the whole-module build state.
 type cgBuilder struct {
-	idx         *Index
-	summaries   map[string]*funcSummary
+	mod         *Module
+	summaries   map[*types.Func]*funcSummary
 	works       []*summaryWork
-	closerTypes map[string]bool
+	closerTypes map[*types.TypeName]bool
 }
 
-func buildCallGraph(idx *Index) *callGraph {
+func buildCallGraph(m *Module) *callGraph {
 	b := &cgBuilder{
-		idx:         idx,
-		summaries:   map[string]*funcSummary{},
-		closerTypes: collectCloserTypes(idx),
+		mod:         m,
+		summaries:   map[*types.Func]*funcSummary{},
+		closerTypes: collectCloserTypes(m),
 	}
 
 	// Direct phase: one summary per function from its own body.
-	for _, key := range sortedFuncKeys(idx) {
-		// Multiple declarations of one key (build-tag twins) keep the
-		// first, consistent with funcResultTypes.
-		fd := idx.funcDecls[key][0]
+	for _, fn := range m.funcList {
+		fd := m.funcs[fn]
 		if fd.decl.Body == nil {
 			continue
 		}
-		w := b.directSummary(key, fd)
-		b.summaries[key] = w.sum
+		w := b.directSummary(fn, fd)
+		b.summaries[fn] = w.sum
 		b.works = append(b.works, w)
 	}
 
 	// Condense the call graph and propagate bottom-up: Tarjan emits
 	// components callees-first, so by the time a component is processed
 	// every summary it depends on outside itself is final.
-	pos := make(map[string]int, len(b.works))
+	pos := make(map[*types.Func]int, len(b.works))
 	for i, w := range b.works {
-		pos[w.sum.key] = i
+		pos[w.sum.fn] = i
 	}
 	g := &sccGraph{n: len(b.works), edges: make([][]int, len(b.works))}
 	for i, w := range b.works {
 		for _, c := range w.sum.calls {
-			if j, ok := pos[c.key]; ok {
+			if j, ok := pos[c.fn]; ok {
 				g.edges[i] = append(g.edges[i], j)
 			}
 		}
 		for _, c := range w.sum.goCalls {
-			if j, ok := pos[c.key]; ok {
+			if j, ok := pos[c.fn]; ok {
 				g.edges[i] = append(g.edges[i], j)
 			}
 		}
@@ -280,7 +267,7 @@ func buildCallGraph(idx *Index) *callGraph {
 				Rule: "lintbudget",
 				Message: fmt.Sprintf(
 					"summary for %s hit the fixed-point iteration cap (%d passes) in a recursive call cycle; interprocedural facts for it may be incomplete",
-					lockClassDisplay(sum.key), sccIterationCap),
+					displayName(sum.name), sccIterationCap),
 				Pos:  p,
 				File: p.Filename,
 				Line: p.Line,
@@ -291,18 +278,15 @@ func buildCallGraph(idx *Index) *callGraph {
 	return cg
 }
 
-// collectCloserTypes finds every module named type with a Close method:
-// funcDecls keys of the form "dir.Type.Close" whose "dir.Type" is a
-// declared type.
-func collectCloserTypes(idx *Index) map[string]bool {
-	out := map[string]bool{}
-	for key := range idx.funcDecls {
-		typeName, ok := strings.CutSuffix(key, ".Close")
-		if !ok {
-			continue
-		}
-		if _, declared := idx.typeDecls[typeName]; declared {
-			out[typeName] = true
+// collectCloserTypes finds every module named type that declares a
+// Close method.
+func collectCloserTypes(m *Module) map[*types.TypeName]bool {
+	out := map[*types.TypeName]bool{}
+	for _, fn := range m.funcList {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && fn.Name() == "Close" {
+			if named := namedOf(recv.Type()); named != nil {
+				out[named.Obj()] = true
+			}
 		}
 	}
 	return out
@@ -310,26 +294,25 @@ func collectCloserTypes(idx *Index) map[string]bool {
 
 // directSummary computes the one-body facts of a function and retains
 // the analysis context for the propagation phase.
-func (b *cgBuilder) directSummary(key string, fd *funcDecl) *summaryWork {
-	idx := b.idx
+func (b *cgBuilder) directSummary(fn *types.Func, fd *funcDecl) *summaryWork {
+	pkg := fd.pkg
 	sum := &funcSummary{
-		key:           key,
+		fn:            fn,
+		name:          b.mod.funcName(fn),
 		fd:            fd,
 		acquires:      map[string]token.Pos{},
 		acquiresVia:   map[string]string{},
 		releases:      map[string]bool{},
 		wgParams:      map[int]wgParamFact{},
-		scratchParams: map[int]string{},
-		closerParams:  map[int]string{},
+		scratchParams: map[int]bool{},
+		closerParams:  map[int]bool{},
 		paramEscapes:  map[int]string{},
 		closesParams:  map[int]bool{},
 	}
-	sc := newFuncScope(idx, fd.file, fd.pkg.Dir, fd.decl)
 	g := buildCFG(fd.decl.Body)
-	cls := &opClassifier{sc: sc, idx: idx, f: fd.file, dir: fd.pkg.Dir, resolveCalls: true}
-	w := &summaryWork{sum: sum, sc: sc, g: g, cls: cls}
+	w := &summaryWork{sum: sum, pkg: pkg, g: g}
 
-	ops := collectLockOps(g, cls)
+	ops := collectLockOps(g, pkg)
 	for _, blockOps := range ops {
 		for _, op := range blockOps {
 			switch op.kind {
@@ -350,74 +333,56 @@ func (b *cgBuilder) directSummary(key string, fd *funcDecl) *summaryWork {
 					sum.blockingWhat = op.what
 				}
 			case opCall:
-				sum.calls = append(sum.calls, makeSummaryCall(op.callKey, op.call))
+				sum.calls = append(sum.calls, makeSummaryCall(op.callee, op.call))
 			}
 		}
 	}
 	// Deferred calls run synchronously on exit paths: resolve `defer
 	// helper(...)` and the calls inside `defer func() { ... }()` bodies
 	// (excluding nested literals and go statements).
-	collectDeferredCalls(fd.decl.Body, cls, &sum.calls)
+	collectDeferredCalls(fd.decl.Body, pkg, &sum.calls)
 	// Resolved go-statement targets, for spawn-fact propagation only.
 	ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
 		gs, ok := n.(*ast.GoStmt)
 		if !ok {
 			return true
 		}
-		if k := cls.calleeKey(gs.Call); k != "" {
+		if k := pkg.moduleCallee(gs.Call); k != nil {
 			sum.goCalls = append(sum.goCalls, makeSummaryCall(k, gs.Call))
 		}
 		return true
 	})
 
 	// Parameter facts.
-	for _, field := range fd.decl.Type.Params.List {
-		if _, isEll := field.Type.(*ast.Ellipsis); isEll {
-			sum.variadic = true
+	sig := fn.Type().(*types.Signature)
+	sum.variadic = sig.Variadic()
+	sum.paramCount = sig.Params().Len()
+	for p := 0; p < sum.paramCount; p++ {
+		param := sig.Params().At(p)
+		pname := param.Name()
+		if pname == "_" {
+			pname = ""
 		}
-		t := idx.resolveType(field.Type, fd.file, fd.pkg.Dir)
-		isWG := t.isPtrTo("sync.WaitGroup")
-		scratchName, closerName := "", ""
-		if t != nil && t.kind == kindPointer && t.elem != nil && t.elem.kind == kindNamed {
-			if scratchTypes[t.elem.name] {
-				scratchName = t.elem.name
-			} else if b.closerTypes[t.elem.name] {
-				closerName = t.elem.name
-			}
-		}
-		names := field.Names
-		if len(names) == 0 {
-			sum.paramNames = append(sum.paramNames, "")
-			sum.paramCount++
+		sum.paramNames = append(sum.paramNames, pname)
+		elem := namedOf(pointee(param.Type()))
+		if pname == "" || elem == nil {
 			continue
 		}
-		for _, name := range names {
-			p := sum.paramCount
-			pname := name.Name
-			if pname == "_" {
-				pname = ""
+		switch name := b.mod.qualName(elem.Obj()); {
+		case name == "sync.WaitGroup":
+			sum.wgParams[p] = wgParamFact{
+				name:       pname,
+				doneEver:   nodeCallsMethodOn(fd.decl.Body, pname, "Done"),
+				doneAlways: g.mustExecuteAtExit(func(n ast.Node) bool { return nodeCallsMethodOn(n, pname, "Done") }),
+				addsInside: nodeCallsMethodOn(fd.decl.Body, pname, "Add"),
 			}
-			sum.paramNames = append(sum.paramNames, pname)
-			if pname != "" {
-				if isWG {
-					sum.wgParams[p] = wgParamFact{
-						name:       pname,
-						doneEver:   nodeCallsMethodOn(fd.decl.Body, pname, "Done"),
-						doneAlways: g.mustExecuteAtExit(func(n ast.Node) bool { return nodeCallsMethodOn(n, pname, "Done") }),
-						addsInside: nodeCallsMethodOn(fd.decl.Body, pname, "Add"),
-					}
-				}
-				if scratchName != "" {
-					sum.scratchParams[p] = scratchName
-				}
-				if closerName != "" {
-					sum.closerParams[p] = closerName
-				}
-				if (scratchName != "" || closerName != "") && paramEscapes(fd.decl.Body, pname) {
-					sum.paramEscapes[p] = ""
-				}
-			}
-			sum.paramCount++
+		case scratchTypes[name]:
+			sum.scratchParams[p] = true
+		case b.closerTypes[elem.Obj()]:
+			sum.closerParams[p] = true
+		}
+		if (sum.scratchParams[p] || sum.closerParams[p]) && paramEscapes(fd.decl.Body, pname) {
+			sum.paramEscapes[p] = ""
 		}
 	}
 	for p := range sum.scratchParams {
@@ -429,13 +394,13 @@ func (b *cgBuilder) directSummary(key string, fd *funcDecl) *summaryWork {
 	// Direct spawn fact: a go statement not joined in this body, unless
 	// suppressed with //lint:ignore goleak (an annotated spawn is a
 	// declared ownership transfer and must not taint callers).
-	waited, received := collectJoins(sc, fd.decl.Body)
+	waited, received := collectJoins(pkg, fd.decl.Body)
 	ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
 		gs, ok := n.(*ast.GoStmt)
 		if !ok || sum.spawnsUnjoined {
 			return !sum.spawnsUnjoined
 		}
-		if goStmtJoined(idx, sc, waited, received, gs) {
+		if goStmtJoined(pkg, waited, received, gs) {
 			return true
 		}
 		line := fd.file.Fset.Position(gs.Pos()).Line
@@ -448,7 +413,7 @@ func (b *cgBuilder) directSummary(key string, fd *funcDecl) *summaryWork {
 	})
 
 	// Value origins and return statements for the closer analysis.
-	w.origins = collectOrigins(fd.decl.Body, cls)
+	w.origins = collectOrigins(fd.decl.Body, pkg)
 	ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.FuncLit:
@@ -458,24 +423,19 @@ func (b *cgBuilder) directSummary(key string, fd *funcDecl) *summaryWork {
 		}
 		return true
 	})
-	sum.closerResults = make([]bool, resultCount(fd.decl.Type))
+	sum.closerResults = make([]bool, sig.Results().Len())
 	return w
 }
 
 // makeSummaryCall records a resolved call site with its positional
 // identifier arguments.
-func makeSummaryCall(key string, call *ast.CallExpr) summaryCall {
-	c := summaryCall{key: key, pos: call.Pos()}
-	if call != nil {
-		c.ellipsis = call.Ellipsis.IsValid()
-		c.argNames = make([]string, len(call.Args))
-		for i, a := range call.Args {
-			if id, ok := a.(*ast.Ident); ok {
-				c.argNames[i] = id.Name
-			}
+func makeSummaryCall(fn *types.Func, call *ast.CallExpr) summaryCall {
+	c := summaryCall{fn: fn, pos: call.Pos(), ellipsis: call.Ellipsis.IsValid()}
+	c.argNames = make([]string, len(call.Args))
+	for i, a := range call.Args {
+		if id, ok := a.(*ast.Ident); ok {
+			c.argNames[i] = id.Name
 		}
-	} else {
-		c.ellipsis = true // unknown arguments: disable positional mapping
 	}
 	return c
 }
@@ -483,7 +443,7 @@ func makeSummaryCall(key string, call *ast.CallExpr) summaryCall {
 // collectDeferredCalls resolves `defer helper(...)` statements and the
 // direct calls inside deferred function literals; both run on the
 // calling goroutine before it returns.
-func collectDeferredCalls(body *ast.BlockStmt, cls *opClassifier, out *[]summaryCall) {
+func collectDeferredCalls(body *ast.BlockStmt, pkg *Package, out *[]summaryCall) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.GoStmt, *ast.FuncLit:
@@ -495,13 +455,13 @@ func collectDeferredCalls(body *ast.BlockStmt, cls *opClassifier, out *[]summary
 					case *ast.GoStmt, *ast.FuncLit:
 						return false
 					case *ast.CallExpr:
-						if k := cls.calleeKey(mm); k != "" {
+						if k := pkg.moduleCallee(mm); k != nil {
 							*out = append(*out, makeSummaryCall(k, mm))
 						}
 					}
 					return true
 				})
-			} else if k := cls.calleeKey(x.Call); k != "" {
+			} else if k := pkg.moduleCallee(x.Call); k != nil {
 				*out = append(*out, makeSummaryCall(k, x.Call))
 			}
 			return false
@@ -514,7 +474,7 @@ func collectDeferredCalls(body *ast.BlockStmt, cls *opClassifier, out *[]summary
 // that produced its value. Names assigned more than once are marked
 // multi and never used. Function literal bodies are excluded (their
 // locals share names but not values).
-func collectOrigins(body *ast.BlockStmt, cls *opClassifier) map[string]*valueOrigin {
+func collectOrigins(body *ast.BlockStmt, pkg *Package) map[string]*valueOrigin {
 	origins := map[string]*valueOrigin{}
 	record := func(name string, o *valueOrigin) {
 		if name == "" || name == "_" {
@@ -530,25 +490,11 @@ func collectOrigins(body *ast.BlockStmt, cls *opClassifier) map[string]*valueOri
 		origins[name] = o
 	}
 	classify := func(e ast.Expr, resultPos int) *valueOrigin {
-		switch x := e.(type) {
-		case *ast.CallExpr:
-			if isNewCall(x) {
-				if t := cls.sc.typeOf(x); t != nil && t.kind == kindPointer && t.elem != nil && t.elem.kind == kindNamed {
-					return &valueOrigin{fresh: true, typeName: t.elem.name}
-				}
-				return &valueOrigin{}
-			}
-			if k := cls.calleeKey(x); k != "" {
-				return &valueOrigin{callKey: k, resultPos: resultPos}
-			}
-		case *ast.UnaryExpr:
-			if x.Op == token.AND {
-				if _, isLit := x.X.(*ast.CompositeLit); isLit {
-					if t := cls.sc.typeOf(x); t != nil && t.kind == kindPointer && t.elem != nil && t.elem.kind == kindNamed {
-						return &valueOrigin{fresh: true, typeName: t.elem.name}
-					}
-				}
-			}
+		if t := freshPointee(pkg, e); t != nil {
+			return &valueOrigin{fresh: t}
+		}
+		if call, ok := e.(*ast.CallExpr); ok {
+			return &valueOrigin{callee: pkg.moduleCallee(call), resultPos: resultPos}
 		}
 		return &valueOrigin{}
 	}
@@ -602,33 +548,32 @@ func collectOrigins(body *ast.BlockStmt, cls *opClassifier) map[string]*valueOri
 	return origins
 }
 
-// isNewCall matches the builtin new(T).
-func isNewCall(call *ast.CallExpr) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	return ok && id.Name == "new" && len(call.Args) == 1
-}
-
-// resultCount expands a function type's result list to positions.
-func resultCount(ft *ast.FuncType) int {
-	if ft.Results == nil {
-		return 0
-	}
-	n := 0
-	for _, field := range ft.Results.List {
-		k := len(field.Names)
-		if k == 0 {
-			k = 1
+// freshPointee returns the named type T when e constructs a fresh *T
+// in place — new(T) or &T{...} — and nil otherwise.
+func freshPointee(pkg *Package, e ast.Expr) *types.TypeName {
+	switch x := e.(type) {
+	case *ast.CallExpr:
+		if id, ok := x.Fun.(*ast.Ident); !ok || id.Name != "new" || len(x.Args) != 1 {
+			return nil
 		}
-		n += k
+	case *ast.UnaryExpr:
+		if _, isLit := x.X.(*ast.CompositeLit); !isLit || x.Op != token.AND {
+			return nil
+		}
+	default:
+		return nil
 	}
-	return n
+	if named := namedOf(pointee(pkg.typeOf(e))); named != nil {
+		return named.Obj()
+	}
+	return nil
 }
 
 // viaChain prefixes a callee onto an existing chain for display:
 // viaChain("internal/x.f", "") = "x.f"; viaChain("internal/x.f", "x.g")
 // = "x.f -> x.g".
-func viaChain(key, rest string) string {
-	d := lockClassDisplay(key)
+func viaChain(name, rest string) string {
+	d := displayName(name)
 	if rest == "" {
 		return d
 	}
@@ -643,14 +588,14 @@ func (b *cgBuilder) transfer(w *summaryWork) bool {
 	f := w.sum
 	changed := false
 	for _, c := range f.calls {
-		s := b.summaries[c.key]
-		if s == nil || s.key == f.key {
+		s := b.summaries[c.fn]
+		if s == nil || s == f {
 			continue
 		}
 		if s.blocking && !f.blocking {
 			f.blocking = true
 			f.blockingWhat = s.blockingWhat
-			f.blockingVia = viaChain(c.key, s.blockingVia)
+			f.blockingVia = viaChain(s.name, s.blockingVia)
 			changed = true
 		}
 		if len(s.acquires) > 0 {
@@ -662,7 +607,7 @@ func (b *cgBuilder) transfer(w *summaryWork) bool {
 			for _, cl := range classes {
 				if _, seen := f.acquires[cl]; !seen {
 					f.acquires[cl] = c.pos
-					f.acquiresVia[cl] = viaChain(c.key, s.acquiresVia[cl])
+					f.acquiresVia[cl] = viaChain(s.name, s.acquiresVia[cl])
 					changed = true
 				}
 			}
@@ -675,7 +620,7 @@ func (b *cgBuilder) transfer(w *summaryWork) bool {
 		}
 		if s.spawnsUnjoined && !f.spawnsUnjoined {
 			f.spawnsUnjoined = true
-			f.spawnVia = viaChain(c.key, s.spawnVia)
+			f.spawnVia = viaChain(s.name, s.spawnVia)
 			f.spawnPos = c.pos
 			changed = true
 		}
@@ -697,7 +642,7 @@ func (b *cgBuilder) transfer(w *summaryWork) bool {
 					continue
 				}
 				if _, seen := f.paramEscapes[cp]; !seen {
-					f.paramEscapes[cp] = viaChain(c.key, s.paramEscapes[p])
+					f.paramEscapes[cp] = viaChain(s.name, s.paramEscapes[p])
 					changed = true
 				}
 			}
@@ -706,13 +651,13 @@ func (b *cgBuilder) transfer(w *summaryWork) bool {
 	// A goroutine target that itself leaks a spawn leaks regardless of
 	// whether the immediate go statement is joined.
 	for _, c := range f.goCalls {
-		s := b.summaries[c.key]
-		if s == nil || s.key == f.key {
+		s := b.summaries[c.fn]
+		if s == nil || s == f {
 			continue
 		}
 		if s.spawnsUnjoined && !f.spawnsUnjoined {
 			f.spawnsUnjoined = true
-			f.spawnVia = viaChain(c.key, s.spawnVia)
+			f.spawnVia = viaChain(s.name, s.spawnVia)
 			f.spawnPos = c.pos
 			changed = true
 		}
@@ -737,7 +682,7 @@ func (b *cgBuilder) transfer(w *summaryWork) bool {
 				continue
 			}
 			name := f.paramNames[p]
-			match := func(n ast.Node) bool { return b.nodeClosesIdent(w, n, name) }
+			match := func(n ast.Node) bool { return closesIdentNode(b.summaries, w.pkg, n, name) }
 			if nodeCallsMethodOn(f.fd.decl.Body, name, "Close") || b.bodyHasClosingCall(w, name) {
 				if w.g.mustExecuteAtExit(match) {
 					f.closesParams[p] = true
@@ -760,8 +705,7 @@ func (b *cgBuilder) transfer(w *summaryWork) bool {
 				if !ok {
 					continue
 				}
-				k := w.cls.calleeKey(call)
-				s := b.summaries[k]
+				s := b.summaries[w.pkg.callee(call)]
 				if s == nil || len(s.closerResults) != len(f.closerResults) {
 					continue
 				}
@@ -800,10 +744,7 @@ func (f *funcSummary) trackedParamPos(name string) (int, bool) {
 		if n != name || n == "" {
 			continue
 		}
-		if _, ok := f.scratchParams[p]; ok {
-			return p, true
-		}
-		if _, ok := f.closerParams[p]; ok {
+		if f.scratchParams[p] || f.closerParams[p] {
 			return p, true
 		}
 	}
@@ -822,7 +763,7 @@ func (b *cgBuilder) bodyHasClosingCall(w *summaryWork, name string) bool {
 		if _, ok := n.(*ast.GoStmt); ok {
 			return false
 		}
-		if call, ok := n.(*ast.CallExpr); ok && callClosesIdent(b.summaries, w.cls, call, name) {
+		if call, ok := n.(*ast.CallExpr); ok && callClosesIdent(b.summaries, w.pkg, call, name) {
 			found = true
 			return false
 		}
@@ -831,17 +772,11 @@ func (b *cgBuilder) bodyHasClosingCall(w *summaryWork, name string) bool {
 	return found
 }
 
-// nodeClosesIdent delegates to the shared matcher (also used by the
-// closecheck rule).
-func (b *cgBuilder) nodeClosesIdent(w *summaryWork, n ast.Node, name string) bool {
-	return closesIdentNode(b.summaries, w.cls, n, name)
-}
-
 // closesIdentNode reports whether executing n discharges the obligation
 // to close the named value: a (possibly deferred) name.Close() call, or
 // a (possibly deferred) resolved call passing name at a parameter
 // position the callee provably closes.
-func closesIdentNode(summaries map[string]*funcSummary, cls *opClassifier, n ast.Node, name string) bool {
+func closesIdentNode(summaries map[*types.Func]*funcSummary, pkg *Package, n ast.Node, name string) bool {
 	if nodeCallsMethodOn(n, name, "Close") {
 		return true
 	}
@@ -854,7 +789,7 @@ func closesIdentNode(summaries map[string]*funcSummary, cls *opClassifier, n ast
 		case *ast.GoStmt:
 			return false
 		case *ast.DeferStmt:
-			if callClosesIdent(summaries, cls, mm.Call, name) {
+			if callClosesIdent(summaries, pkg, mm.Call, name) {
 				found = true
 				return false
 			}
@@ -863,7 +798,7 @@ func closesIdentNode(summaries map[string]*funcSummary, cls *opClassifier, n ast
 					if found {
 						return false
 					}
-					if call, ok := k.(*ast.CallExpr); ok && callClosesIdent(summaries, cls, call, name) {
+					if call, ok := k.(*ast.CallExpr); ok && callClosesIdent(summaries, pkg, call, name) {
 						found = true
 					}
 					return !found
@@ -871,7 +806,7 @@ func closesIdentNode(summaries map[string]*funcSummary, cls *opClassifier, n ast
 			}
 			return false
 		case *ast.CallExpr:
-			if callClosesIdent(summaries, cls, mm, name) {
+			if callClosesIdent(summaries, pkg, mm, name) {
 				found = true
 				return false
 			}
@@ -884,15 +819,11 @@ func closesIdentNode(summaries map[string]*funcSummary, cls *opClassifier, n ast
 // callClosesIdent reports whether this call provably closes the named
 // value: a resolved callee with an exact positional match whose
 // parameter at name's position has closesParams proven.
-func callClosesIdent(summaries map[string]*funcSummary, cls *opClassifier, call *ast.CallExpr, name string) bool {
+func callClosesIdent(summaries map[*types.Func]*funcSummary, pkg *Package, call *ast.CallExpr, name string) bool {
 	if call.Ellipsis.IsValid() {
 		return false
 	}
-	k := cls.calleeKey(call)
-	if k == "" {
-		return false
-	}
-	s := summaries[k]
+	s := summaries[pkg.callee(call)]
 	if s == nil || len(s.closesParams) == 0 || s.variadic || len(call.Args) != s.paramCount {
 		return false
 	}
@@ -909,55 +840,32 @@ func callClosesIdent(summaries map[string]*funcSummary, cls *opClassifier, call 
 // Closer type, a call whose (single) result is an owned Closer, or a
 // single-assignment local traced to either.
 func (b *cgBuilder) ownedCloserExpr(w *summaryWork, e ast.Expr) bool {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			break
-		}
-		e = p.X
+	e = ast.Unparen(e)
+	if t := freshPointee(w.pkg, e); t != nil {
+		return b.closerTypes[t]
 	}
 	switch x := e.(type) {
 	case *ast.CallExpr:
-		if isNewCall(x) {
-			return b.freshCloserType(w, x)
-		}
-		k := w.cls.calleeKey(x)
-		s := b.summaries[k]
+		s := b.summaries[w.pkg.callee(x)]
 		return s != nil && len(s.closerResults) == 1 && s.closerResults[0]
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			if _, isLit := x.X.(*ast.CompositeLit); isLit {
-				return b.freshCloserType(w, x)
-			}
-		}
 	case *ast.Ident:
 		o := w.origins[x.Name]
 		if o == nil || o.multi {
 			return false
 		}
-		if o.fresh {
-			return b.closerTypes[o.typeName]
+		if o.fresh != nil {
+			return b.closerTypes[o.fresh]
 		}
-		if o.callKey != "" {
-			s := b.summaries[o.callKey]
-			return s != nil && o.resultPos < len(s.closerResults) && s.closerResults[o.resultPos]
-		}
+		s := b.summaries[o.callee]
+		return s != nil && o.resultPos < len(s.closerResults) && s.closerResults[o.resultPos]
 	}
 	return false
-}
-
-// freshCloserType reports whether the constructed value is a pointer to
-// a module Closer type.
-func (b *cgBuilder) freshCloserType(w *summaryWork, e ast.Expr) bool {
-	t := w.sc.typeOf(e)
-	return t != nil && t.kind == kindPointer && t.elem != nil &&
-		t.elem.kind == kindNamed && b.closerTypes[t.elem.name]
 }
 
 // collectJoins gathers the join handles of a function body: canonical
 // receivers of .Wait() calls, and canonical channels received from
 // (<-ch, range ch). Shared by goleak and the spawn summary.
-func collectJoins(sc *funcScope, body *ast.BlockStmt) (waited, received map[string]bool) {
+func collectJoins(pkg *Package, body *ast.BlockStmt) (waited, received map[string]bool) {
 	waited = map[string]bool{}
 	received = map[string]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -973,11 +881,8 @@ func collectJoins(sc *funcScope, body *ast.BlockStmt) (waited, received map[stri
 				}
 			}
 		case *ast.RangeStmt:
-			t := sc.typeOf(x.X)
-			if t != nil && t.kind == kindChan {
-				if s := exprString(x.X); s != "" {
-					received[s] = true
-				}
+			if s := exprString(x.X); s != "" && pkg.isChan(x.X) {
+				received[s] = true
 			}
 		}
 		return true
@@ -989,7 +894,7 @@ func collectJoins(sc *funcScope, body *ast.BlockStmt) (waited, received map[stri
 // the spawning function: it Dones a waited WaitGroup or sends/closes a
 // received channel, is handed a joined handle as an argument, or is the
 // recognized pool-worker idiom. Shared by goleak and the spawn summary.
-func goStmtJoined(idx *Index, sc *funcScope, waited, received map[string]bool, g *ast.GoStmt) bool {
+func goStmtJoined(pkg *Package, waited, received map[string]bool, g *ast.GoStmt) bool {
 	joins := func(name string) bool { return waited[name] || received[name] }
 	if lit, isLit := g.Call.Fun.(*ast.FuncLit); isLit {
 		joined := false
@@ -1030,7 +935,7 @@ func goStmtJoined(idx *Index, sc *funcScope, waited, received map[string]bool, g
 			return true
 		}
 	}
-	return poolWorkerJoined(idx, sc, g.Call)
+	return poolWorkerJoined(pkg, g.Call)
 }
 
 // nodeCallsMethodOn reports whether n contains a call recv.method(...)

@@ -1,34 +1,45 @@
 package lint
 
 import (
-	"go/token"
+	"go/types"
 	"path/filepath"
 	"testing"
 )
 
-// loadTestIndex builds the symbol index over the fixture tree.
-func loadTestIndex(t *testing.T) *Index {
+// loadTestModule loads and type-checks the fixture tree.
+func loadTestModule(t *testing.T) *Module {
 	t.Helper()
 	root, err := filepath.Abs("testdata/src")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fset := token.NewFileSet()
-	pkgs, _, err := loadPackages(fset, root)
+	mod, _, err := loadModule(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buildIndex(pkgs)
+	return mod
+}
+
+// funcNamed finds the function-table key that Module.funcName spells as
+// name ("dir.Func", "dir.Recv.Method"); nil, which has no summary, when
+// there is none.
+func funcNamed(m *Module, name string) *types.Func {
+	for _, fn := range m.funcList {
+		if m.funcName(fn) == name {
+			return fn
+		}
+	}
+	return nil
 }
 
 // TestCallGraphSummaries pins the one-level facts the CFG-layer rules
 // consume: blocking callees, WaitGroup parameter behavior, direct lock
 // acquisitions, and scratch-parameter escapes.
 func TestCallGraphSummaries(t *testing.T) {
-	idx := loadTestIndex(t)
-	cg := idx.callGraph()
+	mod := loadTestModule(t)
+	cg := mod.callGraph()
 
-	flush := cg.summaries["internal/vcu/held.mailbox.flush"]
+	flush := cg.summaries[funcNamed(mod, "internal/vcu/held.mailbox.flush")]
 	if flush == nil {
 		t.Fatal("no summary for held.mailbox.flush")
 	}
@@ -36,7 +47,7 @@ func TestCallGraphSummaries(t *testing.T) {
 		t.Error("flush ranges over a channel: summary must be blocking")
 	}
 
-	worker := cg.summaries["internal/vcu/fanout.worker"]
+	worker := cg.summaries[funcNamed(mod, "internal/vcu/fanout.worker")]
 	if worker == nil {
 		t.Fatal("no summary for fanout.worker")
 	}
@@ -48,7 +59,7 @@ func TestCallGraphSummaries(t *testing.T) {
 		t.Errorf("worker facts wrong: %+v", wf)
 	}
 
-	leaky := cg.summaries["internal/vcu/fanout.leakyWorker"]
+	leaky := cg.summaries[funcNamed(mod, "internal/vcu/fanout.leakyWorker")]
 	if leaky == nil {
 		t.Fatal("no summary for fanout.leakyWorker")
 	}
@@ -60,7 +71,7 @@ func TestCallGraphSummaries(t *testing.T) {
 		t.Errorf("leakyWorker misses Done on the early-return path: %+v", lf)
 	}
 
-	reset := cg.summaries["internal/vcu/ordering.Device.reset"]
+	reset := cg.summaries[funcNamed(mod, "internal/vcu/ordering.Device.reset")]
 	if reset == nil {
 		t.Fatal("no summary for ordering.Device.reset")
 	}
@@ -68,14 +79,14 @@ func TestCallGraphSummaries(t *testing.T) {
 		t.Errorf("reset must be summarized as acquiring Device.mu, got %v", reset.acquires)
 	}
 
-	escapes := cg.summaries["internal/enc.returnScratch"]
+	escapes := cg.summaries[funcNamed(mod, "internal/enc.returnScratch")]
 	if escapes == nil {
 		t.Fatal("no summary for enc.returnScratch")
 	}
 	if !escapes.scratchEscapes {
 		t.Error("returnScratch returns its scratch parameter: must escape")
 	}
-	clean := cg.summaries["internal/enc.fieldUse"]
+	clean := cg.summaries[funcNamed(mod, "internal/enc.fieldUse")]
 	if clean == nil {
 		t.Fatal("no summary for enc.fieldUse")
 	}
@@ -85,14 +96,14 @@ func TestCallGraphSummaries(t *testing.T) {
 }
 
 // TestCallGraphIsLazyAndCached verifies the build happens once per
-// Index.
+// Module.
 func TestCallGraphIsLazyAndCached(t *testing.T) {
-	idx := loadTestIndex(t)
-	if idx.cg != nil {
+	mod := loadTestModule(t)
+	if mod.cg != nil {
 		t.Fatal("call graph must not be built before first use")
 	}
-	cg := idx.callGraph()
-	if cg == nil || idx.callGraph() != cg {
-		t.Fatal("call graph must be cached on the index")
+	cg := mod.callGraph()
+	if cg == nil || mod.callGraph() != cg {
+		t.Fatal("call graph must be cached on the module")
 	}
 }

@@ -9,8 +9,8 @@ import (
 // graph with edges for if/for/range/switch/type-switch/select, goto and
 // labeled break/continue, fallthrough, return and panic, plus the
 // must-execute forward dataflow the path-sensitive rules are built on.
-// Like the rest of the module it is go/ast only: the builder never needs
-// type information, and anything it cannot model (an unresolved label,
+// It is go/ast only: the builder never needs type information, and
+// anything it cannot model (an unresolved label,
 // an empty select) degrades to fewer edges — which can only make the
 // consumers quieter, never noisier.
 

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // closecheckDirs scope the must-release rule to the packages that own
@@ -34,7 +35,7 @@ func runCloseCheck(pass *Pass) {
 	if !dirMatchesAny(pass.Pkg.Dir, closecheckDirs) {
 		return
 	}
-	cg := pass.Index.callGraph()
+	cg := pass.Mod.callGraph()
 	for _, f := range pass.Pkg.Files {
 		if f.IsTest {
 			continue
@@ -44,7 +45,7 @@ func runCloseCheck(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkCloseCheck(pass, cg, f, fd)
+			checkCloseCheck(pass, cg, fd)
 		}
 	}
 }
@@ -61,9 +62,8 @@ type closeCandidate struct {
 	typeName string   // closer type display name ("" when untraceable)
 }
 
-func checkCloseCheck(pass *Pass, cg *callGraph, f *File, fd *ast.FuncDecl) {
-	sc := newFuncScope(pass.Index, f, pass.Pkg.Dir, fd)
-	cls := &opClassifier{sc: sc, idx: pass.Index, f: f, dir: pass.Pkg.Dir, resolveCalls: true}
+func checkCloseCheck(pass *Pass, cg *callGraph, fd *ast.FuncDecl) {
+	pkg := pass.Pkg
 
 	// Pass 1: count assignments per name (any reassignment degrades the
 	// candidate to silence — the analysis tracks single-assignment locals
@@ -90,11 +90,7 @@ func checkCloseCheck(pass *Pass, cg *callGraph, f *File, fd *ast.FuncDecl) {
 		if !isCall {
 			return true
 		}
-		key := cls.calleeKey(call)
-		if key == "" {
-			return true
-		}
-		sum := cg.summaries[key]
+		sum := cg.summaries[pkg.callee(call)]
 		if sum == nil || len(sum.closerResults) == 0 || len(st.Lhs) != len(sum.closerResults) {
 			return true
 		}
@@ -110,8 +106,8 @@ func checkCloseCheck(pass *Pass, cg *callGraph, f *File, fd *ast.FuncDecl) {
 				name:     id.Name,
 				pos:      id.Pos(),
 				assign:   ast.Node(st),
-				from:     lockClassDisplay(key),
-				typeName: closerResultDisplay(pass.Index, key, i),
+				from:     displayName(sum.name),
+				typeName: closerResultDisplay(pass.Mod, sum.fn, i),
 			})
 		}
 		return true
@@ -125,26 +121,22 @@ func checkCloseCheck(pass *Pass, cg *callGraph, f *File, fd *ast.FuncDecl) {
 		if assignCount[cand.name] != 1 {
 			continue
 		}
-		if closeObligationEscapes(cg, cls, fd.Body, cand) {
+		if closeObligationEscapes(cg, pkg, fd.Body, cand) {
 			continue
 		}
-		checkCandidatePaths(pass, cg, cls, g, cand)
+		checkCandidatePaths(pass, cg, g, cand)
 	}
 }
 
 // closerResultDisplay resolves the display name of the closer type at
 // result position i of the callee ("codec.Encoder"), or "" when the
 // declared result type cannot be traced (pass-through constructors).
-func closerResultDisplay(idx *Index, key string, i int) string {
-	rs := idx.funcResultTypes(key)
-	if i >= len(rs) || rs[i] == nil {
+func closerResultDisplay(m *Module, fn *types.Func, i int) string {
+	named := namedOf(fn.Type().(*types.Signature).Results().At(i).Type())
+	if named == nil {
 		return ""
 	}
-	t := rs[i].deref()
-	if t == nil || t.kind != kindNamed {
-		return ""
-	}
-	return lockClassDisplay(t.name)
+	return displayName(m.qualName(named.Obj()))
 }
 
 // closeObligationEscapes reports whether the candidate's ownership
@@ -153,17 +145,10 @@ func closerResultDisplay(idx *Index, key string, i int) string {
 // channel, captured by a goroutine or a non-deferred closure, or passed
 // to an unresolved callee (or to a resolved one that retains it). Any
 // of these transfers or obscures the obligation — degrade to silence.
-func closeObligationEscapes(cg *callGraph, cls *opClassifier, body *ast.BlockStmt, cand closeCandidate) bool {
+func closeObligationEscapes(cg *callGraph, pkg *Package, body *ast.BlockStmt, cand closeCandidate) bool {
 	name := cand.name
 	isCand := func(e ast.Expr) bool {
-		for {
-			p, ok := e.(*ast.ParenExpr)
-			if !ok {
-				break
-			}
-			e = p.X
-		}
-		id, ok := e.(*ast.Ident)
+		id, ok := ast.Unparen(e).(*ast.Ident)
 		return ok && id.Name == name
 	}
 	mentions := func(n ast.Node) bool { return mentionsIdent(n, name) }
@@ -184,14 +169,12 @@ func closeObligationEscapes(cg *callGraph, cls *opClassifier, body *ast.BlockStm
 			if st == cand.assign {
 				return true
 			}
-			for i, rhs := range st.Rhs {
-				if !isCand(rhs) {
-					continue
-				}
+			for _, rhs := range st.Rhs {
 				// y := x aliases; m[k] = x / s.f = x stores. Either way
 				// the single-name tracking no longer covers the value.
-				_ = i
-				escapes = true
+				if isCand(rhs) {
+					escapes = true
+				}
 			}
 		case *ast.SendStmt:
 			if isCand(st.Value) {
@@ -232,14 +215,9 @@ func closeObligationEscapes(cg *callGraph, cls *opClassifier, body *ast.BlockStm
 				if !isCand(arg) {
 					continue
 				}
-				key := cls.calleeKey(st)
-				if key == "" {
-					escapes = true // unknown callee may retain it
-					continue
-				}
-				sum := cg.summaries[key]
+				sum := cg.summaries[pkg.callee(st)]
 				if sum == nil || sum.variadic || st.Ellipsis.IsValid() || len(st.Args) != sum.paramCount {
-					escapes = true
+					escapes = true // unknown callee may retain it
 					continue
 				}
 				if _, leaks := sum.paramEscapes[i]; leaks {
@@ -261,7 +239,7 @@ func closeObligationEscapes(cg *callGraph, cls *opClassifier, body *ast.BlockStm
 // constructor error return (`if err != nil { return err }` before any
 // use) is accepted without special cases. Panic exits are ignored — a
 // panicking path is not a leak the rule charges to this function.
-func checkCandidatePaths(pass *Pass, cg *callGraph, cls *opClassifier, g *cfg, cand closeCandidate) {
+func checkCandidatePaths(pass *Pass, cg *callGraph, g *cfg, cand closeCandidate) {
 	const visitBudget = 4096
 
 	type state struct {
@@ -294,7 +272,7 @@ func checkCandidatePaths(pass *Pass, cg *callGraph, cls *opClassifier, g *cfg, c
 			if node == cand.assign {
 				continue // the acquisition itself is not a use
 			}
-			if !closed && closesIdentNode(cg.summaries, cls, node, cand.name) {
+			if !closed && closesIdentNode(cg.summaries, pass.Pkg, node, cand.name) {
 				closed = true
 				continue
 			}

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // determinismDirs are the virtual-clock / seeded-RNG packages: code
@@ -55,73 +56,29 @@ func runDeterminism(pass *Pass) {
 	if !dirMatchesAny(pass.Pkg.Dir, determinismDirs) {
 		return
 	}
-	mapFields := collectMapFields(pass.Pkg)
 	for _, f := range pass.Pkg.Files {
-		checkDeterminismFile(pass, f, mapFields)
-	}
-}
-
-// collectMapFields records the names of struct fields declared with a
-// map type anywhere in the package, so `for ... := range s.field` is
-// recognised as map iteration.
-func collectMapFields(pkg *Package) map[string]bool {
-	fields := map[string]bool{}
-	for _, f := range pkg.Files {
 		ast.Inspect(f.AST, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				if _, isMap := field.Type.(*ast.MapType); isMap {
-					for _, name := range field.Names {
-						fields[name.Name] = true
-					}
+			switch node := n.(type) {
+			case *ast.CallExpr:
+				ipath, name, ok := pass.Pkg.pkgFunc(node)
+				switch {
+				case !ok:
+				case ipath == "time" && bannedTimeFuncs[name]:
+					pass.Reportf(node.Pos(),
+						"wall-clock call time.%s in a deterministic package; use the injected virtual clock", name)
+				case ipath == "math/rand" && bannedRandFuncs[name]:
+					pass.Reportf(node.Pos(),
+						"global math/rand call rand.%s in a deterministic package; use an explicitly seeded rand.New(rand.NewSource(seed))", name)
+				case ipath == "math/rand/v2" && bannedRandFuncs[name]:
+					pass.Reportf(node.Pos(),
+						"global math/rand/v2 call rand.%s in a deterministic package; use an explicitly seeded generator", name)
 				}
+			case *ast.RangeStmt:
+				checkMapRangeOrder(pass, node)
 			}
 			return true
 		})
 	}
-	return fields
-}
-
-func checkDeterminismFile(pass *Pass, f *File, mapFields map[string]bool) {
-	timeAlias := f.ImportAlias("time")
-	randAlias := f.ImportAlias("math/rand")
-	randV2Alias := f.ImportAlias("math/rand/v2")
-
-	ast.Inspect(f.AST, func(n ast.Node) bool {
-		switch node := n.(type) {
-		case *ast.CallExpr:
-			sel, ok := node.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			switch {
-			case timeAlias != "" && id.Name == timeAlias && bannedTimeFuncs[sel.Sel.Name]:
-				pass.Reportf(node.Pos(),
-					"wall-clock call time.%s in a deterministic package; use the injected virtual clock",
-					sel.Sel.Name)
-			case randAlias != "" && id.Name == randAlias && bannedRandFuncs[sel.Sel.Name]:
-				pass.Reportf(node.Pos(),
-					"global math/rand call rand.%s in a deterministic package; use an explicitly seeded rand.New(rand.NewSource(seed))",
-					sel.Sel.Name)
-			case randV2Alias != "" && id.Name == randV2Alias && bannedRandFuncs[sel.Sel.Name]:
-				pass.Reportf(node.Pos(),
-					"global math/rand/v2 call rand.%s in a deterministic package; use an explicitly seeded generator",
-					sel.Sel.Name)
-			}
-		case *ast.FuncDecl:
-			if node.Body != nil {
-				checkMapRangeOrder(pass, node.Type, node.Body, mapFields)
-			}
-		}
-		return true
-	})
 }
 
 // checkMapRangeOrder flags `for k := range m` over a map when the loop
@@ -132,64 +89,53 @@ func checkDeterminismFile(pass *Pass, f *File, mapFields map[string]bool) {
 // (first-iterated key wins a shared resource). These are exactly the
 // patterns that turn Go's randomised map order into run-to-run result
 // drift in the simulators.
-func checkMapRangeOrder(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt, mapFields map[string]bool) {
-	mapIdents := collectMapIdents(ftype, body)
-	floatIdents := collectFloatIdents(ftype, body)
-	ast.Inspect(body, func(n ast.Node) bool {
-		rng, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		if !isMapExpr(rng.X, mapIdents, mapFields) {
-			return true
-		}
-		if sink := orderSink(rng.Body, floatIdents); sink != nil {
-			pass.Reportf(rng.Pos(),
-				"map iteration order leaks into an ordered result (%s in loop body); iterate sorted keys instead",
-				sink.kind)
-		}
-		return true
-	})
+func checkMapRangeOrder(pass *Pass, rng *ast.RangeStmt) {
+	t := pass.Pkg.typeOf(rng.X)
+	if t == nil {
+		return
+	}
+	if _, isMap := t.Underlying().(*types.Map); !isMap {
+		return
+	}
+	if sink := orderSink(pass.Pkg, rng.Body); sink != "" {
+		pass.Reportf(rng.Pos(),
+			"map iteration order leaks into an ordered result (%s in loop body); iterate sorted keys instead",
+			sink)
+	}
 }
 
-type orderSinkInfo struct{ kind string }
-
-// orderSink looks for order-sensitive accumulation in a loop body.
-func orderSink(body *ast.BlockStmt, floatIdents map[string]bool) *orderSinkInfo {
-	var found *orderSinkInfo
+// orderSink looks for order-sensitive accumulation in a loop body and
+// names the first kind it finds, "" for none.
+func orderSink(pkg *Package, body *ast.BlockStmt) string {
+	found := ""
 	ast.Inspect(body, func(n ast.Node) bool {
-		if found != nil {
+		if found != "" {
 			return false
 		}
 		switch node := n.(type) {
 		case *ast.CallExpr:
 			if id, ok := node.Fun.(*ast.Ident); ok && id.Name == "append" {
-				found = &orderSinkInfo{kind: "append"}
-				return false
+				found = "append"
 			}
 		case *ast.AssignStmt:
 			if node.Tok == token.ADD_ASSIGN || node.Tok == token.SUB_ASSIGN {
-				if isStringish(node.Rhs[0]) {
-					found = &orderSinkInfo{kind: "string +="}
-					return false
-				}
-				if id, ok := node.Lhs[0].(*ast.Ident); ok && floatIdents[id.Name] {
-					found = &orderSinkInfo{kind: "float accumulation"}
-					return false
+				switch info := basicInfo(pkg.typeOf(node.Lhs[0])); {
+				case info&types.IsString != 0:
+					found = "string +="
+				case info&types.IsFloat != 0:
+					found = "float accumulation"
 				}
 			}
 		case *ast.ForStmt:
 			if loopHasBreak(node.Body) {
-				found = &orderSinkInfo{kind: "nested loop with break"}
-				return false
+				found = "nested loop with break"
 			}
 		case *ast.RangeStmt:
 			if loopHasBreak(node.Body) {
-				found = &orderSinkInfo{kind: "nested loop with break"}
-				return false
+				found = "nested loop with break"
 			}
 		}
-		return true
+		return found == ""
 	})
 	return found
 }
@@ -211,164 +157,4 @@ func loopHasBreak(body *ast.BlockStmt) bool {
 		return !has
 	})
 	return has
-}
-
-// collectFloatIdents gathers identifiers with an evident floating-point
-// type in one function: float params/results, `var x float64`, and
-// `x := 0.0` style initialisations.
-func collectFloatIdents(ftype *ast.FuncType, body *ast.BlockStmt) map[string]bool {
-	idents := map[string]bool{}
-	addFields := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			if id, ok := field.Type.(*ast.Ident); ok && (id.Name == "float64" || id.Name == "float32") {
-				for _, name := range field.Names {
-					idents[name.Name] = true
-				}
-			}
-		}
-	}
-	addFields(ftype.Params)
-	addFields(ftype.Results)
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch node := n.(type) {
-		case *ast.DeclStmt:
-			gd, ok := node.Decl.(*ast.GenDecl)
-			if !ok {
-				return true
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				if id, ok := vs.Type.(*ast.Ident); ok && (id.Name == "float64" || id.Name == "float32") {
-					for _, name := range vs.Names {
-						idents[name.Name] = true
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			for i, rhs := range node.Rhs {
-				if i >= len(node.Lhs) {
-					break
-				}
-				id, ok := node.Lhs[i].(*ast.Ident)
-				if !ok {
-					continue
-				}
-				if lit, ok := rhs.(*ast.BasicLit); ok && lit.Kind == token.FLOAT {
-					idents[id.Name] = true
-				}
-				if call, ok := rhs.(*ast.CallExpr); ok {
-					if id2, ok := call.Fun.(*ast.Ident); ok && (id2.Name == "float64" || id2.Name == "float32") {
-						idents[id.Name] = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	return idents
-}
-
-// isStringish reports whether an expression is obviously a string
-// (literal, or concatenation involving a literal).
-func isStringish(e ast.Expr) bool {
-	switch x := e.(type) {
-	case *ast.BasicLit:
-		return x.Kind == token.STRING
-	case *ast.BinaryExpr:
-		return isStringish(x.X) || isStringish(x.Y)
-	case *ast.CallExpr:
-		if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
-			return sel.Sel.Name == "Sprintf" || sel.Sel.Name == "Sprint"
-		}
-	}
-	return false
-}
-
-// collectMapIdents gathers identifiers with an evident map type within
-// one function: parameters declared map[...]..., `var m map[...]...`,
-// and `m := make(map[...]...)` / composite-literal initialisations.
-func collectMapIdents(ftype *ast.FuncType, body *ast.BlockStmt) map[string]bool {
-	idents := map[string]bool{}
-	if ftype.Params != nil {
-		for _, field := range ftype.Params.List {
-			if _, ok := field.Type.(*ast.MapType); ok {
-				for _, name := range field.Names {
-					idents[name.Name] = true
-				}
-			}
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch node := n.(type) {
-		case *ast.DeclStmt:
-			gd, ok := node.Decl.(*ast.GenDecl)
-			if !ok {
-				return true
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				if _, isMap := vs.Type.(*ast.MapType); isMap {
-					for _, name := range vs.Names {
-						idents[name.Name] = true
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			for i, rhs := range node.Rhs {
-				if i >= len(node.Lhs) {
-					break
-				}
-				id, ok := node.Lhs[i].(*ast.Ident)
-				if !ok {
-					continue
-				}
-				if exprMakesMap(rhs) {
-					idents[id.Name] = true
-				}
-			}
-		}
-		return true
-	})
-	return idents
-}
-
-// exprMakesMap reports whether e evidently constructs a map.
-func exprMakesMap(e ast.Expr) bool {
-	switch x := e.(type) {
-	case *ast.CallExpr:
-		if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "make" && len(x.Args) > 0 {
-			_, isMap := x.Args[0].(*ast.MapType)
-			return isMap
-		}
-	case *ast.CompositeLit:
-		_, isMap := x.Type.(*ast.MapType)
-		return isMap
-	}
-	return false
-}
-
-// isMapExpr reports whether the ranged expression is a known map: a
-// tracked identifier, a struct field declared as a map in this package,
-// or an inline map construction.
-func isMapExpr(e ast.Expr, mapIdents, mapFields map[string]bool) bool {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return mapIdents[x.Name]
-	case *ast.SelectorExpr:
-		return mapFields[x.Sel.Name]
-	case *ast.CallExpr, *ast.CompositeLit:
-		return exprMakesMap(e)
-	case *ast.ParenExpr:
-		return isMapExpr(x.X, mapIdents, mapFields)
-	}
-	return false
 }

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -45,7 +44,9 @@ var skipDirNames = map[string]bool{
 // lint_report.json by `vculint -timing` so scripts/check.sh can hold
 // the lint suite to its latency budget.
 type Timing struct {
-	// LoadMS covers parsing the module and building the symbol index.
+	// LoadMS covers parsing the module and type-checking it (go/types
+	// over every package, the standard library from source on the first
+	// run of a process); it is most of TotalMS.
 	LoadMS float64 `json:"load_ms"`
 	// SummaryMS covers building the transitive call-graph summaries
 	// (the SCC fixed point), which runs once up front so the parallel
@@ -75,26 +76,25 @@ func RunReport(cfg Config) ([]Diagnostic, *Timing, error) {
 	if analyzers == nil {
 		analyzers = All()
 	}
-	fset := token.NewFileSet()
-	pkgs, parseDiags, err := loadPackages(fset, cfg.Root)
+	mod, parseDiags, err := loadModule(cfg.Root)
 	if err != nil {
 		return nil, nil, err
 	}
-	idx := buildIndex(pkgs)
+	pkgs, fset := mod.Pkgs, mod.fset
 	timing.LoadMS = msSince(start)
 	for _, a := range analyzers {
 		timing.RulesMS[a.Name] += 0 // every configured rule appears in the report
 	}
 
 	// Module-wide analyses run eagerly before the fan-out: the workers
-	// then only read the index, so the parallel phase needs no locks.
+	// then only read the module, so the parallel phase needs no locks.
 	sumStart := time.Now()
-	cg := idx.callGraph()
+	cg := mod.callGraph()
 	timing.SummaryMS = msSince(sumStart)
 	for _, a := range analyzers {
 		if a.Name == "lockorder" {
 			loStart := time.Now()
-			idx.lockOrderFindings()
+			mod.lockOrderFindings()
 			timing.RulesMS["lockorder"] += msSince(loStart)
 		}
 	}
@@ -134,7 +134,7 @@ func RunReport(cfg Config) ([]Diagnostic, *Timing, error) {
 				res := &results[i]
 				res.ruleMS = map[string]float64{}
 				for _, a := range analyzers {
-					pass := &Pass{Pkg: work[i], Index: idx, analyzer: a, fset: fset, diags: &res.diags}
+					pass := &Pass{Pkg: work[i], Mod: mod, analyzer: a, fset: fset, diags: &res.diags}
 					ruleStart := time.Now()
 					a.Run(pass)
 					res.ruleMS[a.Name] += msSince(ruleStart)
@@ -157,7 +157,7 @@ func RunReport(cfg Config) ([]Diagnostic, *Timing, error) {
 	}
 
 	diags = applySuppressions(cfg.Root, pkgs, diags)
-	// The whole module is always loaded (the cross-package index needs
+	// The whole module is always loaded (cross-package facts need
 	// it), so pseudo-rule diagnostics emitted during loading (parse,
 	// lintdirective) must be filtered down to the requested subtree too.
 	if cfg.Dirs != nil {
@@ -248,7 +248,6 @@ func loadPackages(fset *token.FileSet, root string) ([]*Package, []Diagnostic, e
 			AST:     astFile,
 			Fset:    fset,
 			IsTest:  strings.HasSuffix(d.Name(), "_test.go"),
-			imports: importAliases(astFile),
 			ignores: map[int]map[string]bool{},
 		}
 		collectIgnores(fset, astFile, f.ignores, &parseDiags)
@@ -271,32 +270,6 @@ func loadPackages(fset *token.FileSet, root string) ([]*Package, []Diagnostic, e
 		return pkgs[i].Name < pkgs[j].Name
 	})
 	return pkgs, parseDiags, nil
-}
-
-// importAliases maps local import name -> import path for one file.
-func importAliases(f *ast.File) map[string]string {
-	m := map[string]string{}
-	for _, imp := range f.Imports {
-		path, err := strconv.Unquote(imp.Path.Value)
-		if err != nil {
-			continue
-		}
-		name := ""
-		if imp.Name != nil {
-			name = imp.Name.Name
-		} else {
-			// Default name: last path element (good enough for the
-			// stdlib and this module; packages whose name differs from
-			// their directory must be imported with an explicit alias
-			// to be tracked).
-			name = path[strings.LastIndex(path, "/")+1:]
-		}
-		if name == "_" {
-			continue
-		}
-		m[name] = path
-	}
-	return m
 }
 
 // pseudoRules are diagnostic sources that are not registered analyzers

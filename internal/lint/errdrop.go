@@ -2,25 +2,19 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
 
-// wellKnownErrFuncs are stdlib method/function names whose error result
-// is worth checking even though their declarations are outside this
-// module. They apply to package-qualified stdlib calls (os.Remove), to
-// receivers known to be *os.File, and — when the name is not declared
-// anywhere in this module — to any receiver.
+// wellKnownErrFuncs are the standard-library functions and methods
+// whose error result is worth checking. The standard library returns
+// errors nobody reads (fmt.Println, a strings.Builder write), so outside
+// the module only this list is charged; inside it every error is.
 var wellKnownErrFuncs = map[string]bool{
 	"Close": true, "Flush": true, "Sync": true,
 	"WriteString": true, "WriteByte": true, "WriteRune": true,
 	"Setenv": true, "Unsetenv": true,
 	"Remove": true, "RemoveAll": true, "Mkdir": true, "MkdirAll": true,
 	"Chdir": true, "Rename": true, "Truncate": true,
-}
-
-// osFileCtors are os functions whose result binds an ident to *os.File.
-var osFileCtors = map[string]bool{
-	"Open": true, "Create": true, "OpenFile": true, "NewFile": true,
-	"CreateTemp": true,
 }
 
 func init() {
@@ -38,113 +32,57 @@ func runErrDrop(pass *Pass) {
 		if f.IsTest {
 			continue
 		}
-		funcBodies(f.AST, func(name, recv string, body *ast.BlockStmt) {
-			checkErrDropBody(pass, f, body)
+		ast.Inspect(f.AST, func(n ast.Node) bool {
+			switch node := n.(type) {
+			case *ast.ExprStmt:
+				if call, ok := node.X.(*ast.CallExpr); ok && callReturnsError(pass, call) {
+					pass.Reportf(node.Pos(), "error result of %s is silently dropped; handle it or add //lint:ignore errdrop <reason>", calleeName(call))
+				}
+			case *ast.DeferStmt:
+				if callReturnsError(pass, node.Call) {
+					pass.Reportf(node.Pos(), "deferred %s drops its error; wrap it or add //lint:ignore errdrop <reason>", calleeName(node.Call))
+				}
+			case *ast.GoStmt:
+				if callReturnsError(pass, node.Call) {
+					pass.Reportf(node.Pos(), "goroutine call %s drops its error", calleeName(node.Call))
+				}
+			case *ast.AssignStmt:
+				// Single call on the RHS with a blank in the error slot:
+				// `_ = f()`, `v, _ := f()`, `_, _ = f()`.
+				if len(node.Rhs) != 1 {
+					return true
+				}
+				call, ok := node.Rhs[0].(*ast.CallExpr)
+				if !ok || !callReturnsError(pass, call) {
+					return true
+				}
+				last, ok := node.Lhs[len(node.Lhs)-1].(*ast.Ident)
+				if ok && last.Name == "_" {
+					pass.Reportf(node.Pos(), "error result of %s assigned to _; handle it or add //lint:ignore errdrop <reason>", calleeName(call))
+				}
+			}
+			return true
 		})
 	}
 }
 
-func checkErrDropBody(pass *Pass, f *File, body *ast.BlockStmt) {
-	fileIdents := collectOSFileIdents(f, body)
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch node := n.(type) {
-		case *ast.FuncLit:
-			return false // literals get their own funcBodies visit
-		case *ast.ExprStmt:
-			if call, ok := node.X.(*ast.CallExpr); ok && callReturnsError(pass, f, call, fileIdents) {
-				pass.Reportf(node.Pos(), "error result of %s is silently dropped; handle it or add //lint:ignore errdrop <reason>", calleeName(call))
-			}
-		case *ast.DeferStmt:
-			if node.Call != nil && callReturnsError(pass, f, node.Call, fileIdents) {
-				pass.Reportf(node.Pos(), "deferred %s drops its error; wrap it or add //lint:ignore errdrop <reason>", calleeName(node.Call))
-			}
-		case *ast.GoStmt:
-			if node.Call != nil && callReturnsError(pass, f, node.Call, fileIdents) {
-				pass.Reportf(node.Pos(), "goroutine call %s drops its error", calleeName(node.Call))
-			}
-		case *ast.AssignStmt:
-			// Single call on the RHS with a blank in the error slot:
-			// `_ = f()`, `v, _ := f()`, `_, _ = f()`.
-			if len(node.Rhs) != 1 {
-				return true
-			}
-			call, ok := node.Rhs[0].(*ast.CallExpr)
-			if !ok || !callReturnsError(pass, f, call, fileIdents) {
-				return true
-			}
-			last, ok := node.Lhs[len(node.Lhs)-1].(*ast.Ident)
-			if ok && last.Name == "_" {
-				pass.Reportf(node.Pos(), "error result of %s assigned to _; handle it or add //lint:ignore errdrop <reason>", calleeName(call))
-			}
-		}
-		return true
-	})
-}
-
-// collectOSFileIdents finds local identifiers bound to *os.File via the
-// usual constructors (f, err := os.Open(...)), so their Close/Sync
-// calls are checked even though "Close" is also a module method name.
-func collectOSFileIdents(f *File, body *ast.BlockStmt) map[string]bool {
-	idents := map[string]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 || len(as.Lhs) == 0 {
-			return true
-		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		name, ok := pkgCallee(f, call, "os")
-		if !ok || !osFileCtors[name] {
-			return true
-		}
-		if id, ok := as.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
-			idents[id.Name] = true
-		}
-		return true
-	})
-	return idents
-}
-
-// callReturnsError decides, from names alone, whether a call's final
-// result is an error:
-//
-//   - local and module-qualified calls use the module index
-//     (conservatively: the name must return error in every declaration);
-//   - stdlib-qualified calls use the well-known list;
-//   - method calls on known *os.File locals use the well-known list;
-//   - otherwise the well-known list applies only when the name is not
-//     declared anywhere in this module, so e.g. a module Close() with
-//     no error result does not light up every x.Close() in the tree.
-func callReturnsError(pass *Pass, f *File, call *ast.CallExpr, fileIdents map[string]bool) bool {
-	switch fn := call.Fun.(type) {
-	case *ast.Ident:
-		return pass.Index.ReturnsError(fn.Name)
-	case *ast.SelectorExpr:
-		name := fn.Sel.Name
-		if id, ok := fn.X.(*ast.Ident); ok {
-			if path, imported := f.imports[id.Name]; imported {
-				if isModulePath(path) {
-					return pass.Index.ReturnsError(name)
-				}
-				return wellKnownErrFuncs[name]
-			}
-			if fileIdents[id.Name] && wellKnownErrFuncs[name] {
-				return true
-			}
-		}
-		if pass.Index.Declared(name) {
-			return pass.Index.ReturnsError(name)
-		}
-		return wellKnownErrFuncs[name]
+// callReturnsError reports whether the call invokes a declared function
+// or method whose final result is an error this rule charges: any
+// function of the module, a well-known one outside it. Calls of
+// function values and unresolved calls are never charged.
+func callReturnsError(pass *Pass, call *ast.CallExpr) bool {
+	fn := pass.Pkg.callee(call)
+	if fn == nil {
+		return false
 	}
-	return false
-}
-
-// isModulePath reports whether an import path belongs to this module.
-func isModulePath(path string) bool {
-	return path == "openvcu" || len(path) > 8 && path[:8] == "openvcu/"
+	res := fn.Type().(*types.Signature).Results()
+	if res.Len() == 0 || !types.Identical(res.At(res.Len()-1).Type(), types.Universe.Lookup("error").Type()) {
+		return false
+	}
+	if _, inModule := pass.Mod.dirOf(fn.Pkg()); inModule {
+		return true
+	}
+	return wellKnownErrFuncs[fn.Name()]
 }
 
 // calleeName renders the callee for diagnostics.

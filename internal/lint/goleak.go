@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -45,25 +46,25 @@ func runGoLeak(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkGoLeak(pass, f, fd)
+			checkGoLeak(pass, fd)
 		}
 	}
 }
 
-func checkGoLeak(pass *Pass, f *File, fd *ast.FuncDecl) {
-	sc := newFuncScope(pass.Index, f, pass.Pkg.Dir, fd)
+func checkGoLeak(pass *Pass, fd *ast.FuncDecl) {
+	pkg := pass.Pkg
 	// waited: canonical receivers of .Wait() calls anywhere in the
 	// function — WaitGroups the function joins on.
 	// received: canonical channels the function receives from (<-ch,
 	// range ch, select case <-ch). Shared with the spawn summary.
-	waited, received := collectJoins(sc, fd.Body)
+	waited, received := collectJoins(pkg, fd.Body)
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		g, ok := n.(*ast.GoStmt)
 		if !ok {
 			return true
 		}
-		if !goStmtJoined(pass.Index, sc, waited, received, g) {
+		if !goStmtJoined(pkg, waited, received, g) {
 			pass.Reportf(g.Pos(),
 				"goroutine is not joined in this function: no Done on a waited WaitGroup, no send/close on a received channel")
 		}
@@ -76,35 +77,19 @@ func checkGoLeak(pass *Pass, f *File, fd *ast.FuncDecl) {
 	// call. Callees inside the rule's own scope get their direct
 	// finding at the go statement instead, so they are skipped to avoid
 	// double-reporting.
-	cg := pass.Index.callGraph()
-	cls := &opClassifier{sc: sc, idx: pass.Index, f: f, dir: pass.Pkg.Dir, resolveCalls: true}
+	cg := pass.Mod.callGraph()
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.FuncLit, *ast.GoStmt:
 			return false
 		case *ast.CallExpr:
-			key := cls.calleeKey(x)
-			if key == "" {
+			sum := cg.summaries[pkg.callee(x)]
+			if sum == nil || !sum.spawnsUnjoined || dirMatchesAny(sum.fd.pkg.Dir, goleakDirs) {
 				return true
-			}
-			sum := cg.summaries[key]
-			if sum == nil || !sum.spawnsUnjoined {
-				return true
-			}
-			calleeDir := key[:strings.LastIndexByte(key, '.')]
-			if i := strings.IndexByte(calleeDir, '.'); i >= 0 {
-				calleeDir = calleeDir[:i] // "dir.Type.Method": keep dir
-			}
-			if dirMatchesAny(calleeDir, goleakDirs) {
-				return true
-			}
-			via := lockClassDisplay(key)
-			if sum.spawnVia != "" {
-				via += " -> " + sum.spawnVia
 			}
 			pass.Reportf(x.Pos(),
 				"call to %s starts a goroutine that is never joined (spawn reached via %s); the goroutine outlives this function's work item",
-				lockClassDisplay(key), via)
+				displayName(sum.name), viaChain(sum.name, sum.spawnVia))
 		}
 		return true
 	})
@@ -116,40 +101,25 @@ func checkGoLeak(pass *Pass, f *File, fd *ast.FuncDecl) {
 // The goroutine's lifetime is then owned by the pool value and joined
 // at its close method, not in the spawning constructor — a deliberate
 // idiom (the encoder's tile worker pool), not a leak.
-func poolWorkerJoined(idx *Index, sc *funcScope, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || len(call.Args) != 0 {
+func poolWorkerJoined(pkg *Package, call *ast.CallExpr) bool {
+	worker := pkg.moduleCallee(call)
+	if worker == nil || len(call.Args) != 0 {
 		return false
 	}
-	t := sc.typeOf(sel.X)
-	if t != nil {
-		t = t.deref()
-	}
-	if t == nil || t.kind != kindNamed {
+	recv := worker.Type().(*types.Signature).Recv()
+	if recv == nil {
 		return false
 	}
-	i := strings.LastIndex(t.name, ".")
-	if i < 0 {
-		return false
-	}
-	dir, typ := t.name[:i], t.name[i+1:]
-	workers := idx.funcDecls[dir+"."+typ+"."+sel.Sel.Name]
-	if len(workers) == 0 {
-		return false
-	}
-	field := deferredDoneField(workers[0].decl)
+	field := deferredDoneField(pkg.mod.funcs[worker].decl)
 	if field == "" {
 		return false
 	}
 	// Some other method of the same type must join on that field.
-	for key, decls := range idx.funcDecls {
-		if !strings.HasPrefix(key, dir+"."+typ+".") {
-			continue
-		}
-		for _, fd := range decls {
-			if fd.decl != workers[0].decl && waitsOnField(fd.decl, field) {
-				return true
-			}
+	named := namedOf(recv.Type())
+	for i := 0; named != nil && i < named.NumMethods(); i++ {
+		m := named.Method(i)
+		if fd := pkg.mod.funcs[m]; m != worker && fd != nil && waitsOnField(fd.decl, field) {
+			return true
 		}
 	}
 	return false

@@ -31,7 +31,7 @@ func runHeldBlock(pass *Pass) {
 	if !dirMatchesAny(pass.Pkg.Dir, heldBlockDirs) {
 		return
 	}
-	cg := pass.Index.callGraph()
+	cg := pass.Mod.callGraph()
 	for _, f := range pass.Pkg.Files {
 		if f.IsTest {
 			continue
@@ -41,17 +41,16 @@ func runHeldBlock(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			sc := newFuncScope(pass.Index, f, pass.Pkg.Dir, fd)
 			for _, body := range declBodies(fd) {
-				checkHeldBlock(pass, cg, sc, f, body)
+				checkHeldBlock(pass, cg, body)
 			}
 		}
 	}
 }
 
-func checkHeldBlock(pass *Pass, cg *callGraph, sc *funcScope, f *File, body *ast.BlockStmt) {
+func checkHeldBlock(pass *Pass, cg *callGraph, body *ast.BlockStmt) {
 	g := buildCFG(body)
-	ops := collectLockOps(g, &opClassifier{sc: sc, idx: pass.Index, f: f, dir: pass.Pkg.Dir, resolveCalls: true})
+	ops := collectLockOps(g, pass.Pkg)
 	hasAcquire := false
 	for _, blockOps := range ops {
 		for _, op := range blockOps {
@@ -67,11 +66,11 @@ func checkHeldBlock(pass *Pass, cg *callGraph, sc *funcScope, f *File, body *ast
 	// Findings are buffered and dropped if the exploration aborts.
 	type findingKey struct {
 		pos  token.Pos
-		what string
+		what any
 	}
 	var pending []Diagnostic
 	seen := map[findingKey]bool{}
-	report := func(pos token.Pos, what, msg string) {
+	report := func(pos token.Pos, what any, msg string) {
 		k := findingKey{pos, what}
 		if seen[k] {
 			return
@@ -88,7 +87,7 @@ func checkHeldBlock(pass *Pass, cg *callGraph, sc *funcScope, f *File, body *ast
 				op.what, inner.recv, inner.recv))
 		},
 		onCall: func(held []heldLock, op lockOp) {
-			sum := cg.summaries[op.callKey]
+			sum := cg.summaries[op.callee]
 			if sum == nil || !sum.blocking {
 				return
 			}
@@ -104,9 +103,9 @@ func checkHeldBlock(pass *Pass, cg *callGraph, sc *funcScope, f *File, body *ast
 			if sum.blockingVia != "" {
 				what += " via " + sum.blockingVia
 			}
-			report(op.pos, op.callKey, fmt.Sprintf(
+			report(op.pos, op.callee, fmt.Sprintf(
 				"call to %s may block (%s) while %s is held; a blocked holder stalls every other taker of %s",
-				lockClassDisplay(op.callKey), what, inner.recv, inner.recv))
+				displayName(sum.name), what, inner.recv, inner.recv))
 		},
 	})
 	if aborted {

@@ -56,7 +56,7 @@ func runHotAlloc(pass *Pass) {
 		if f.IsTest {
 			continue
 		}
-		funcBodies(f.AST, func(name, recv string, body *ast.BlockStmt) {
+		funcBodies(f.AST, func(name string, body *ast.BlockStmt) {
 			if isSetupFunc(name) {
 				return
 			}
@@ -123,18 +123,17 @@ func checkAllocs(pass *Pass, n ast.Node, depth int, kernel bool) {
 					}
 				}
 			case *ast.SelectorExpr:
-				if id, ok := fn.X.(*ast.Ident); ok && depth >= 1 && id.Name == "fmt" &&
-					strings.HasPrefix(fn.Sel.Name, "Sprint") {
-					pass.Reportf(x.Pos(), "fmt.%s allocates inside a hot loop; format outside the loop", fn.Sel.Name)
+				if ipath, name, _ := pass.Pkg.pkgFunc(x); depth >= 1 && ipath == "fmt" && strings.HasPrefix(name, "Sprint") {
+					pass.Reportf(x.Pos(), "fmt.%s allocates inside a hot loop; format outside the loop", name)
 				}
 			}
 		case *ast.BinaryExpr:
-			if depth >= 1 && x.Op == token.ADD && !reported[x] && (isStringish(x.X) || isStringish(x.Y)) {
+			if depth >= 1 && x.Op == token.ADD && !reported[x] && pass.Pkg.isString(x) {
 				pass.Reportf(x.Pos(), "string concatenation inside a hot loop allocates; use a strings.Builder outside the loop")
 				return false
 			}
 		case *ast.AssignStmt:
-			if depth >= 1 && x.Tok == token.ADD_ASSIGN && len(x.Rhs) == 1 && isStringish(x.Rhs[0]) {
+			if depth >= 1 && x.Tok == token.ADD_ASSIGN && len(x.Rhs) == 1 && pass.Pkg.isString(x.Lhs[0]) {
 				pass.Reportf(x.Pos(), "string += inside a hot loop allocates; use a strings.Builder outside the loop")
 				reported[x.Rhs[0]] = true
 			}

@@ -7,10 +7,9 @@
 // per-core memory behaviour) are enforced in CI rather than in review
 // folklore.
 //
-// The framework is built only on go/ast, go/parser, and go/token: it
-// walks the module by directory instead of using go/packages, so the
-// linter itself has no dependencies beyond the standard library and can
-// run in any container that has the Go toolchain.
+// The framework is built on the standard library only: it walks the
+// module by directory, parses with go/parser and type-checks with
+// go/types (module.go), so it needs nothing beyond the Go toolchain.
 //
 // Suppression: a finding may be silenced with a comment of the form
 //
@@ -24,6 +23,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 	"strings"
 )
@@ -54,21 +54,8 @@ type File struct {
 	Fset   *token.FileSet
 	IsTest bool
 
-	// imports maps local alias -> import path for this file.
-	imports map[string]string
 	// ignores maps line number -> set of suppressed rule names.
 	ignores map[int]map[string]bool
-}
-
-// ImportAlias returns the local name under which path is imported, or
-// "" if the file does not import it. A dot import returns ".".
-func (f *File) ImportAlias(path string) string {
-	for alias, p := range f.imports {
-		if p == path {
-			return alias
-		}
-	}
-	return ""
 }
 
 // Package is a group of files sharing a directory and package name.
@@ -79,12 +66,19 @@ type Package struct {
 	Dir   string
 	Name  string
 	Files []*File
+
+	// Types and Info are the type checker's view of the package. Info is
+	// partial where the source had type errors; Types is never nil.
+	Types *types.Package
+	Info  *types.Info
+
+	mod *Module
 }
 
 // Pass carries the state handed to one analyzer run over one package.
 type Pass struct {
-	Pkg   *Package
-	Index *Index
+	Pkg *Package
+	Mod *Module
 
 	analyzer *Analyzer
 	fset     *token.FileSet

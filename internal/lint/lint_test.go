@@ -121,23 +121,21 @@ func TestHotAllocKernelFixture(t *testing.T) {
 func TestBigCopyFixture(t *testing.T) { runFixture(t, "bigcopy", "internal/video") }
 func TestErrDropFixture(t *testing.T) { runFixture(t, "errdrop", "internal/transcode") }
 
-// The four dataflow-layer rules (this PR): each fixture contains at
-// least one true positive that the syntactic passes cannot see —
-// the verdict depends on cross-package type resolution.
+// Each of these fixtures contains at least one true positive whose
+// verdict depends on cross-package type resolution.
 func TestScratchShareFixture(t *testing.T) { runFixture(t, "scratchshare", "internal/enc") }
 func TestSharedMutFixture(t *testing.T)    { runFixture(t, "sharedmut", "internal/refcache") }
 func TestSwarWidthFixture(t *testing.T)    { runFixture(t, "swarwidth", "internal/bits") }
 func TestGoLeakFixture(t *testing.T)       { runFixture(t, "goleak", "internal/cluster") }
 
-// The CFG/call-graph-layer rules (this PR): each fixture contains at
-// least one true positive invisible to the syntactic and dataflow
-// passes — the verdict depends on path exploration or on a callee's
-// one-level summary.
+// The CFG/call-graph rules: each fixture contains at least one true
+// positive whose verdict depends on path exploration or on a callee's
+// summary.
 func TestLockOrderFixture(t *testing.T)   { runFixture(t, "lockorder", "internal/vcu/ordering") }
 func TestHeldBlockFixture(t *testing.T)   { runFixture(t, "heldblock", "internal/vcu/held") }
 func TestWaitBalanceFixture(t *testing.T) { runFixture(t, "waitbalance", "internal/vcu/fanout") }
 
-// The transitive-summary rules (this PR): closecheck's positives sit
+// The transitive-summary rules: closecheck's positives sit
 // behind a two-deep constructor wrapper and parcapture's negatives pin
 // the Go 1.22 per-iteration loop semantics.
 func TestCloseCheckFixture(t *testing.T) { runFixture(t, "closecheck", "internal/vcu/closer") }

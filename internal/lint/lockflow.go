@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 	"strconv"
 )
@@ -35,10 +36,10 @@ type lockOp struct {
 	// class is the module-wide lock identity "pkgdir.Type.field"; ""
 	// when the receiver's type does not resolve to a module type.
 	class string
-	// callKey is the symbol-index key of a resolved module callee, and
+	// callee is a resolved module callee (a function-table key), and
 	// call its site (for positional argument mapping in summaries).
-	callKey string
-	call    *ast.CallExpr
+	callee *types.Func
+	call   *ast.CallExpr
 	// what describes a blocking op for messages ("channel send", ...).
 	what string
 	pos  token.Pos
@@ -76,87 +77,34 @@ type heldLock struct {
 	pos   token.Pos
 }
 
-// opClassifier turns block nodes into lockOps. sc may be nil: lock
-// classes and channel-typed range detection then degrade to unknown,
-// which only narrows what the consumer can see.
-type opClassifier struct {
-	sc           *funcScope
-	idx          *Index
-	f            *File
-	dir          string
-	resolveCalls bool
-}
-
 // lockClassOf resolves the module-wide identity of a mutex receiver
-// expression: the named module type owning the field, qualified by
-// package dir ("internal/sched.Worker.mu"). "" when unresolved.
-func (c *opClassifier) lockClassOf(recvExpr ast.Expr) string {
-	if c.sc == nil || c.idx == nil {
-		return ""
-	}
+// expression "x.mu": the named module type of x, qualified by package
+// dir, plus the field ("internal/sched.Worker.mu"). "" when x's type
+// is not a module type, or p is nil (a rule without type context).
+func (p *Package) lockClassOf(recvExpr ast.Expr) string {
 	sel, ok := recvExpr.(*ast.SelectorExpr)
 	if !ok {
 		return ""
 	}
-	base := c.sc.typeOf(sel.X).deref()
-	if base == nil || base.kind != kindNamed {
+	base := namedOf(p.typeOf(sel.X))
+	if base == nil {
 		return ""
 	}
-	if _, isModuleType := c.idx.typeDecls[base.name]; !isModuleType {
+	dir, inModule := p.mod.dirOf(base.Obj().Pkg())
+	if !inModule {
 		return ""
 	}
-	return base.name + "." + sel.Sel.Name
+	return dir + "." + base.Obj().Name() + "." + sel.Sel.Name
 }
 
-// calleeKey resolves a call to a module function/method key, or "".
-func (c *opClassifier) calleeKey(call *ast.CallExpr) string {
-	if c.idx == nil {
-		return ""
-	}
-	switch fn := call.Fun.(type) {
-	case *ast.Ident:
-		key := c.dir + "." + fn.Name
-		if _, ok := c.idx.funcDecls[key]; ok {
-			return key
-		}
-	case *ast.SelectorExpr:
-		if id, ok := fn.X.(*ast.Ident); ok && c.f != nil {
-			isVar := false
-			if c.sc != nil {
-				_, isVar = c.sc.vars[id.Name]
-			}
-			if !isVar {
-				if path, imported := c.f.imports[id.Name]; imported {
-					if d := c.idx.dirForImport(path); d != "" {
-						key := d + "." + fn.Sel.Name
-						if _, ok := c.idx.funcDecls[key]; ok {
-							return key
-						}
-					}
-					return ""
-				}
-			}
-		}
-		if c.sc == nil {
-			return ""
-		}
-		recv := c.sc.typeOf(fn.X).deref()
-		if recv != nil && recv.kind == kindNamed {
-			key := recv.name + "." + fn.Sel.Name
-			if _, ok := c.idx.funcDecls[key]; ok {
-				return key
-			}
-		}
-	}
-	return ""
-}
-
-// collectLockOps classifies every node of every block.
-func collectLockOps(g *cfg, c *opClassifier) [][]lockOp {
+// collectLockOps classifies every node of every block. p may be nil:
+// lock classes, resolved calls and channel-typed range detection then
+// degrade to unknown, which only narrows what the consumer can see.
+func collectLockOps(g *cfg, p *Package) [][]lockOp {
 	ops := make([][]lockOp, len(g.blocks))
 	for _, blk := range g.blocks {
 		for _, node := range blk.nodes {
-			c.nodeOps(g, node, &ops[blk.index])
+			p.nodeOps(g, node, &ops[blk.index])
 		}
 	}
 	return ops
@@ -165,13 +113,11 @@ func collectLockOps(g *cfg, c *opClassifier) [][]lockOp {
 // nodeOps classifies one block node. Range and select statements were
 // emitted atomically by the builder and are matched atomically here —
 // their bodies live in other blocks and must not be double-counted.
-func (c *opClassifier) nodeOps(g *cfg, n ast.Node, out *[]lockOp) {
+func (p *Package) nodeOps(g *cfg, n ast.Node, out *[]lockOp) {
 	switch node := n.(type) {
 	case *ast.RangeStmt:
-		if c.sc != nil {
-			if xt := c.sc.typeOf(node.X).deref(); xt != nil && xt.kind == kindChan {
-				*out = append(*out, lockOp{kind: opBlocking, what: "range over channel " + exprString(node.X), pos: node.Pos()})
-			}
+		if p.isChan(node.X) {
+			*out = append(*out, lockOp{kind: opBlocking, what: "range over channel " + exprString(node.X), pos: node.Pos()})
 		}
 		return
 	case *ast.SelectStmt:
@@ -187,7 +133,7 @@ func (c *opClassifier) nodeOps(g *cfg, n ast.Node, out *[]lockOp) {
 		appendDeferRelease := func(call *ast.CallExpr) {
 			class := ""
 			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				class = c.lockClassOf(sel.X)
+				class = p.lockClassOf(sel.X)
 			}
 			if recv, ok := methodCall(call, "Unlock"); ok {
 				*out = append(*out, lockOp{kind: opDeferRelease, recv: recv, rw: false, class: class, pos: call.Pos()})
@@ -201,7 +147,6 @@ func (c *opClassifier) nodeOps(g *cfg, n ast.Node, out *[]lockOp) {
 			ast.Inspect(lit.Body, func(m ast.Node) bool {
 				switch mm := m.(type) {
 				case *ast.GoStmt, *ast.FuncLit:
-					_ = mm
 					return false
 				case *ast.CallExpr:
 					appendDeferRelease(mm)
@@ -230,14 +175,9 @@ func (c *opClassifier) nodeOps(g *cfg, n ast.Node, out *[]lockOp) {
 		case *ast.CallExpr:
 			sel, ok := mm.Fun.(*ast.SelectorExpr)
 			if !ok {
-				// Same-package free-function call (helper()): resolvable
-				// through the index even without a selector.
-				if c.resolveCalls {
-					if _, isIdent := mm.Fun.(*ast.Ident); isIdent {
-						if key := c.calleeKey(mm); key != "" {
-							*out = append(*out, lockOp{kind: opCall, callKey: key, call: mm, pos: mm.Pos()})
-						}
-					}
+				// Same-package free-function call (helper()).
+				if fn := p.moduleCallee(mm); fn != nil {
+					*out = append(*out, lockOp{kind: opCall, callee: fn, call: mm, pos: mm.Pos()})
 				}
 				return true
 			}
@@ -249,7 +189,7 @@ func (c *opClassifier) nodeOps(g *cfg, n ast.Node, out *[]lockOp) {
 						kind:  opAcquire,
 						recv:  recvStr,
 						rw:    sel.Sel.Name == "RLock",
-						class: c.lockClassOf(sel.X),
+						class: p.lockClassOf(sel.X),
 						pos:   mm.Pos(),
 					})
 				}
@@ -259,7 +199,7 @@ func (c *opClassifier) nodeOps(g *cfg, n ast.Node, out *[]lockOp) {
 						kind:  opRelease,
 						recv:  recvStr,
 						rw:    sel.Sel.Name == "RUnlock",
-						class: c.lockClassOf(sel.X),
+						class: p.lockClassOf(sel.X),
 						pos:   mm.Pos(),
 					})
 				}
@@ -270,10 +210,8 @@ func (c *opClassifier) nodeOps(g *cfg, n ast.Node, out *[]lockOp) {
 					*out = append(*out, lockOp{kind: opBlocking, recv: recvStr, what: recvStr + ".Wait()", pos: mm.Pos()})
 				}
 			default:
-				if c.resolveCalls {
-					if key := c.calleeKey(mm); key != "" {
-						*out = append(*out, lockOp{kind: opCall, callKey: key, call: mm, pos: mm.Pos()})
-					}
+				if fn := p.moduleCallee(mm); fn != nil {
+					*out = append(*out, lockOp{kind: opCall, callee: fn, call: mm, pos: mm.Pos()})
 				}
 			}
 			return true

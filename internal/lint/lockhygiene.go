@@ -17,12 +17,10 @@ func init() {
 	})
 }
 
-// runLockHygiene is the CFG rewrite of the PR 1 positional rule. The
-// old heuristic accepted a `defer recv.Unlock()` anywhere in the
-// function as covering every lock of recv — including a defer inside an
-// unrelated branch, which silenced real leaks (the badBranchDefer
-// fixture). Here the deferred-unlock set is part of the per-path state:
-// a defer only covers the paths that actually execute it.
+// runLockHygiene keeps the deferred-unlock set as part of the per-path
+// state: a `defer recv.Unlock()` only covers the paths that actually
+// execute it, so a defer inside an unrelated branch does not silence a
+// leak on the other (the badBranchDefer fixture).
 func runLockHygiene(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.AST.Decls {
@@ -42,8 +40,8 @@ func runLockHygiene(pass *Pass) {
 func checkLockPaths(pass *Pass, body *ast.BlockStmt) {
 	g := buildCFG(body)
 	// No type context needed: hygiene is per-receiver-string within one
-	// body, the same identity the PR 1 rule used.
-	ops := collectLockOps(g, &opClassifier{})
+	// body.
+	ops := collectLockOps(g, nil)
 
 	// acquiredSides / releasedSides gate the messages: a function with
 	// no acquire of a side is a handoff release target (stays silent

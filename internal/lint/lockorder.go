@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/token"
 	"sort"
-	"strings"
 )
 
 func init() {
@@ -36,20 +35,11 @@ func runLockOrder(pass *Pass) {
 	if !dirMatchesAny(pass.Pkg.Dir, lockOrderDirs) {
 		return
 	}
-	for _, fi := range pass.Index.lockOrderFindings() {
+	for _, fi := range pass.Mod.lockOrderFindings() {
 		if fi.pkg == pass.Pkg {
 			pass.Reportf(fi.pos, "%s", fi.msg)
 		}
 	}
-}
-
-// lockClassDisplay shortens a qualified lock class for messages:
-// "internal/sched.Worker.mu" -> "sched.Worker.mu".
-func lockClassDisplay(class string) string {
-	if i := strings.LastIndexByte(class, '/'); i >= 0 {
-		return class[i+1:]
-	}
-	return class
 }
 
 // lockOrderSite is one place an acquisition edge was observed.
@@ -64,7 +54,7 @@ type lockOrderSite struct {
 }
 
 // lockOrderFindings runs the module-wide acquisition-order analysis
-// once per Index. For every function in scope it walks the lock paths
+// once per Module. For every function in scope it walks the lock paths
 // collecting directed class edges "A held when B acquired" — directly,
 // and through resolved calls via the transitive call-graph summaries
 // (any depth of resolved callees, with the discovery chain shown) —
@@ -72,15 +62,15 @@ type lockOrderSite struct {
 // Functions whose exploration aborts contribute no edges (silence);
 // unknown lock classes and unresolved callees likewise contribute
 // nothing.
-func (idx *Index) lockOrderFindings() []lockOrderFinding {
-	idx.lockOrderOnce.Do(func() {
-		idx.lockOrder = idx.computeLockOrderFindings()
+func (m *Module) lockOrderFindings() []lockOrderFinding {
+	m.lockOrderOnce.Do(func() {
+		m.lockOrder = m.computeLockOrderFindings()
 	})
-	return idx.lockOrder
+	return m.lockOrder
 }
 
-func (idx *Index) computeLockOrderFindings() []lockOrderFinding {
-	cg := idx.callGraph()
+func (m *Module) computeLockOrderFindings() []lockOrderFinding {
+	cg := m.callGraph()
 
 	type edgeKey struct{ from, to string }
 	edges := map[edgeKey][]lockOrderSite{}
@@ -95,70 +85,67 @@ func (idx *Index) computeLockOrderFindings() []lockOrderFinding {
 		edges[e] = append(edges[e], s)
 	}
 
-	for _, key := range sortedFuncKeys(idx) {
-		for _, fd := range idx.funcDecls[key] {
-			if fd.decl.Body == nil || fd.file.IsTest || !dirMatchesAny(fd.pkg.Dir, lockOrderDirs) {
-				continue
-			}
-			sc := newFuncScope(idx, fd.file, fd.pkg.Dir, fd.decl)
-			for _, body := range declBodies(fd.decl) {
-				g := buildCFG(body)
-				c := &opClassifier{sc: sc, idx: idx, f: fd.file, dir: fd.pkg.Dir, resolveCalls: true}
-				ops := collectLockOps(g, c)
-				hasAcquire := false
-				for _, blockOps := range ops {
-					for _, op := range blockOps {
-						if op.kind == opAcquire {
-							hasAcquire = true
-						}
+	for _, fn := range m.funcList {
+		fd := m.funcs[fn]
+		if fd.decl.Body == nil || fd.file.IsTest || !dirMatchesAny(fd.pkg.Dir, lockOrderDirs) {
+			continue
+		}
+		for _, body := range declBodies(fd.decl) {
+			g := buildCFG(body)
+			ops := collectLockOps(g, fd.pkg)
+			hasAcquire := false
+			for _, blockOps := range ops {
+				for _, op := range blockOps {
+					if op.kind == opAcquire {
+						hasAcquire = true
 					}
 				}
-				if !hasAcquire {
-					continue // edges need a held lock
-				}
-				var pending []func()
-				aborted := walkLockPaths(g, ops, lockEvents{
-					onAcquire: func(held []heldLock, op lockOp) {
-						if op.class == "" {
-							return
+			}
+			if !hasAcquire {
+				continue // edges need a held lock
+			}
+			var pending []func()
+			aborted := walkLockPaths(g, ops, lockEvents{
+				onAcquire: func(held []heldLock, op lockOp) {
+					if op.class == "" {
+						return
+					}
+					for _, h := range held {
+						if h.class == "" || h.class == op.class {
+							continue
 						}
+						from, to, s := h.class, op.class, lockOrderSite{pkg: fd.pkg, f: fd.file, pos: op.pos}
+						pending = append(pending, func() { addSite(from, to, s) })
+					}
+				},
+				onCall: func(held []heldLock, op lockOp) {
+					sum := cg.summaries[op.callee]
+					if sum == nil || len(sum.acquires) == 0 {
+						return
+					}
+					classes := make([]string, 0, len(sum.acquires))
+					for cl := range sum.acquires {
+						classes = append(classes, cl)
+					}
+					sort.Strings(classes)
+					for _, to := range classes {
 						for _, h := range held {
-							if h.class == "" || h.class == op.class {
+							if h.class == "" || h.class == to {
 								continue
 							}
-							from, to, s := h.class, op.class, lockOrderSite{pkg: fd.pkg, f: fd.file, pos: op.pos}
-							pending = append(pending, func() { addSite(from, to, s) })
+							from := h.class
+							s := lockOrderSite{pkg: fd.pkg, f: fd.file, pos: op.pos, via: viaChain(sum.name, sum.acquiresVia[to])}
+							toCl := to
+							pending = append(pending, func() { addSite(from, toCl, s) })
 						}
-					},
-					onCall: func(held []heldLock, op lockOp) {
-						sum := cg.summaries[op.callKey]
-						if sum == nil || len(sum.acquires) == 0 {
-							return
-						}
-						classes := make([]string, 0, len(sum.acquires))
-						for cl := range sum.acquires {
-							classes = append(classes, cl)
-						}
-						sort.Strings(classes)
-						for _, to := range classes {
-							for _, h := range held {
-								if h.class == "" || h.class == to {
-									continue
-								}
-								from := h.class
-								s := lockOrderSite{pkg: fd.pkg, f: fd.file, pos: op.pos, via: viaChain(op.callKey, sum.acquiresVia[to])}
-								toCl := to
-								pending = append(pending, func() { addSite(from, toCl, s) })
-							}
-						}
-					},
-				})
-				if aborted {
-					continue
-				}
-				for _, flush := range pending {
-					flush()
-				}
+					}
+				},
+			})
+			if aborted {
+				continue
+			}
+			for _, flush := range pending {
+				flush()
 			}
 		}
 	}
@@ -228,16 +215,16 @@ func (idx *Index) computeLockOrderFindings() []lockOrderFinding {
 			counter = fmt.Sprintf("the opposite order is taken at %s:%d", r.f.Path, p.Line)
 		} else {
 			counter = fmt.Sprintf("part of an acquisition cycle between %s and %s",
-				lockClassDisplay(e.from), lockClassDisplay(e.to))
+				displayName(e.from), displayName(e.to))
 		}
 		for _, s := range sites {
 			var msg string
 			if s.via == "" {
 				msg = fmt.Sprintf("lock order inversion: %s acquired while %s is held, but %s (deadlock risk)",
-					lockClassDisplay(e.to), lockClassDisplay(e.from), counter)
+					displayName(e.to), displayName(e.from), counter)
 			} else {
 				msg = fmt.Sprintf("lock order inversion: call to %s acquires %s while %s is held, but %s (deadlock risk)",
-					s.via, lockClassDisplay(e.to), lockClassDisplay(e.from), counter)
+					s.via, displayName(e.to), displayName(e.from), counter)
 			}
 			findings = append(findings, lockOrderFinding{pkg: s.pkg, pos: s.pos, msg: msg})
 		}

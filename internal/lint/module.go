@@ -1,0 +1,481 @@
+package lint
+
+import (
+	"go/ast"
+	"go/constant"
+	"go/importer"
+	"go/token"
+	"go/types"
+	"os"
+	"path"
+	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
+)
+
+// This file is the fact engine under every rule: the module's packages
+// type-checked by go/types. A rule asks it four questions — what type
+// is this expression, what does this call resolve to, how big is this
+// value, what is this constant — and gets the compiler's answer or
+// none. Type errors (an unresolvable import, a half-written file) are
+// swallowed: the affected expressions have no recorded type, every
+// consumer treats that as unknown, so a resolution failure can silence
+// a finding but never invent one.
+
+// Module is every package under one root, type-checked, plus the
+// module-wide analyses computed from them.
+type Module struct {
+	// Path is the module path of go.mod, or the root directory's name
+	// when there is none; a package's import path is Path + "/" + Dir.
+	Path string
+	Pkgs []*Package
+
+	byPath  map[string]*Package         // import path -> importable package
+	byTypes map[*types.Package]*Package // reverse of Package.Types
+	fset    *token.FileSet
+
+	// funcs is the function table: the declaration of every function and
+	// method with a body or a prototype in the module, keyed by the
+	// object calls resolve to. funcList holds the keys sorted by
+	// funcName, so everything derived from it is deterministic.
+	funcs    map[*types.Func]*funcDecl
+	funcList []*types.Func
+
+	// cg caches the call-graph summaries (callgraph.go), built lazily by
+	// the first rule that needs interprocedural facts. The sync.Once
+	// makes the lazy path safe under the parallel driver (which also
+	// pre-builds it eagerly to keep the hot path contention-free).
+	cg     *callGraph
+	cgOnce sync.Once
+
+	// lockOrder caches the module-wide lock-order analysis
+	// (lockorder.go): it is a whole-program property, computed once and
+	// then reported per owning package.
+	lockOrderOnce sync.Once
+	lockOrder     []lockOrderFinding
+}
+
+// funcDecl is one function or method declaration with its context.
+type funcDecl struct {
+	pkg  *Package
+	file *File
+	decl *ast.FuncDecl
+}
+
+// sizes is the layout every size question is answered for: the gc
+// compiler on a 64-bit target, alignment and padding included.
+var sizes = types.SizesFor("gc", "amd64")
+
+// stdlib is the process-wide importer of standard-library packages,
+// type-checked from GOROOT source (declarations only). They do not
+// change between runs, so a test binary that loads twenty fixture trees
+// checks fmt and sync once.
+var stdlib struct {
+	sync.Mutex
+	imp types.Importer
+}
+
+// Import implements types.Importer: module packages are checked on
+// demand from their parsed files — so packages are checked in import
+// order whatever order they are visited in — and anything whose first
+// path element has no dot is taken for the standard library. Other
+// paths fail without a lookup; the checker records the error and the
+// importing file's uses of the package stay untyped.
+func (m *Module) Import(ipath string) (*types.Package, error) {
+	if ipath == "unsafe" {
+		return types.Unsafe, nil
+	}
+	if pkg := m.byPath[ipath]; pkg != nil {
+		m.check(pkg)
+		if pkg.Types == nil {
+			return nil, errImport("import cycle through " + ipath)
+		}
+		return pkg.Types, nil
+	}
+	if first, _, _ := strings.Cut(ipath, "/"); strings.Contains(first, ".") {
+		return nil, errImport(ipath + " is outside the module and the standard library")
+	}
+	stdlib.Lock()
+	defer stdlib.Unlock()
+	if stdlib.imp == nil {
+		stdlib.imp = importer.ForCompiler(token.NewFileSet(), "source", nil)
+	}
+	return stdlib.imp.Import(ipath)
+}
+
+type errImport string
+
+func (e errImport) Error() string { return string(e) }
+
+// check type-checks one package, test files included (an in-package
+// test cannot import an importer of its package, so this adds no
+// cycles). pkg.Types stays nil while the check runs, which is how
+// Import recognises a cycle.
+func (m *Module) check(pkg *Package) {
+	if pkg.Info != nil {
+		return
+	}
+	pkg.Info = &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	files := make([]*ast.File, len(pkg.Files))
+	for i, f := range pkg.Files {
+		files[i] = f.AST
+	}
+	conf := types.Config{Importer: m, Sizes: sizes, Error: func(error) {}}
+	ipath := path.Join(m.Path, pkg.Dir)
+	if strings.HasSuffix(pkg.Name, "_test") {
+		ipath += "_test"
+	}
+	pkg.Types, _ = conf.Check(ipath, m.fset, files, pkg.Info)
+	m.byTypes[pkg.Types] = pkg
+}
+
+// loadModule parses every package under root and type-checks it.
+func loadModule(root string) (*Module, []Diagnostic, error) {
+	fset := token.NewFileSet()
+	pkgs, parseDiags, err := loadPackages(fset, root)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := &Module{
+		Path:    modulePath(root),
+		Pkgs:    pkgs,
+		byPath:  map[string]*Package{},
+		byTypes: map[*types.Package]*Package{},
+		fset:    fset,
+		funcs:   map[*types.Func]*funcDecl{},
+	}
+	for _, pkg := range pkgs {
+		pkg.mod = m
+		// External test packages are nobody's import; of two ordinary
+		// packages sharing a directory the first by name wins.
+		if ipath := path.Join(m.Path, pkg.Dir); !strings.HasSuffix(pkg.Name, "_test") && m.byPath[ipath] == nil {
+			m.byPath[ipath] = pkg
+		}
+	}
+	for _, pkg := range pkgs {
+		m.check(pkg)
+	}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.AST.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					m.funcs[fn] = &funcDecl{pkg: pkg, file: f, decl: fd}
+					m.funcList = append(m.funcList, fn)
+				}
+			}
+		}
+	}
+	names := make(map[*types.Func]string, len(m.funcList))
+	for _, fn := range m.funcList {
+		names[fn] = m.funcName(fn)
+	}
+	sort.SliceStable(m.funcList, func(i, j int) bool { return names[m.funcList[i]] < names[m.funcList[j]] })
+	return m, parseDiags, nil
+}
+
+// modulePath reads the module path from root's go.mod; a root without
+// one is a module named after its directory.
+func modulePath(root string) string {
+	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module"); ok {
+				if p := strings.Trim(strings.TrimSpace(rest), `"`); p != "" {
+					return p
+				}
+			}
+		}
+	}
+	return filepath.Base(root)
+}
+
+// dirOf returns the root-relative directory of a module package, and
+// false for the standard library and anything else outside the module.
+func (m *Module) dirOf(tp *types.Package) (string, bool) {
+	if pkg := m.byTypes[tp]; pkg != nil {
+		return pkg.Dir, true
+	}
+	return "", false
+}
+
+// qualName names a package-level object the way the rules' tables do:
+// "internal/codec/motion.Scratch" for a module object (directory, not
+// import path, like every dir-scoped rule), "sync.WaitGroup" for one
+// outside it.
+func (m *Module) qualName(obj types.Object) string {
+	if obj.Pkg() == nil {
+		return obj.Name()
+	}
+	if dir, ok := m.dirOf(obj.Pkg()); ok {
+		return dir + "." + obj.Name()
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
+}
+
+// funcName names a function "dir.Func" and a method "dir.Recv.Method"
+// (pointer receivers unwrapped); displayName shortens it for messages.
+func (m *Module) funcName(fn *types.Func) string {
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		if named := namedOf(recv.Type()); named != nil {
+			return m.qualName(named.Obj()) + "." + fn.Name()
+		}
+	}
+	return m.qualName(fn)
+}
+
+// displayName shortens a qualified name for messages:
+// "internal/sched.Worker.mu" -> "sched.Worker.mu".
+func displayName(qualified string) string {
+	if i := strings.LastIndexByte(qualified, '/'); i >= 0 {
+		return qualified[i+1:]
+	}
+	return qualified
+}
+
+// namedOf unwraps aliases and one level of pointer down to a named
+// type; nil for anything else.
+func namedOf(t types.Type) *types.Named {
+	if t == nil {
+		return nil
+	}
+	if p, ok := types.Unalias(t).(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, _ := types.Unalias(t).(*types.Named)
+	return named
+}
+
+// pointee returns the element type of a pointer, or nil.
+func pointee(t types.Type) types.Type {
+	if t == nil {
+		return nil
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return nil
+}
+
+// typeOf returns the type of an expression (or of the object an
+// identifier defines or uses), nil when the checker recorded none. A
+// nil package — a rule running without type context — knows nothing.
+func (p *Package) typeOf(e ast.Expr) types.Type {
+	if p == nil || e == nil {
+		return nil
+	}
+	t := p.Info.TypeOf(e)
+	if b, ok := t.(*types.Basic); ok && b.Kind() == types.Invalid {
+		return nil
+	}
+	return t
+}
+
+// isNamed reports whether e's type is the named type (or a pointer to
+// it) that qualName spells as name.
+func (p *Package) isNamed(e ast.Expr, name string) bool {
+	named := namedOf(p.typeOf(e))
+	return named != nil && p.mod.qualName(named.Obj()) == name
+}
+
+// callee resolves a call to the declared function or method it invokes
+// (the generic origin of an instantiation); nil for calls of function
+// values, conversions and builtins.
+func (p *Package) callee(call *ast.CallExpr) *types.Func {
+	if p == nil {
+		return nil
+	}
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
+	var id *ast.Ident
+	switch f := fun.(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	default:
+		return nil
+	}
+	fn, _ := p.Info.Uses[id].(*types.Func)
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
+}
+
+// moduleCallee resolves a call to a function declared in the module (a
+// key of the function table), or nil.
+func (p *Package) moduleCallee(call *ast.CallExpr) *types.Func {
+	if fn := p.callee(call); fn != nil && p.mod.funcs[fn] != nil {
+		return fn
+	}
+	return nil
+}
+
+// isChan reports whether e is channel-typed.
+func (p *Package) isChan(e ast.Expr) bool {
+	t := p.typeOf(e)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Chan)
+	return ok
+}
+
+// pkgFunc reports the import path and name of the package-level
+// function a call invokes ("time", "Now"); ok is false for methods and
+// everything callee does not resolve.
+func (p *Package) pkgFunc(call *ast.CallExpr) (ipath, name string, ok bool) {
+	fn := p.callee(call)
+	if fn == nil || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return "", "", false
+	}
+	return fn.Pkg().Path(), fn.Name(), true
+}
+
+// constInt evaluates a constant integer expression.
+func (p *Package) constInt(e ast.Expr) (int64, bool) {
+	if p == nil {
+		return 0, false
+	}
+	tv, ok := p.Info.Types[e]
+	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
+		return 0, false
+	}
+	return constant.Int64Val(tv.Value)
+}
+
+// basicInfo returns the properties of t's underlying basic type, 0 when
+// t is nil or not basic.
+func basicInfo(t types.Type) types.BasicInfo {
+	if t == nil {
+		return 0
+	}
+	b, _ := t.Underlying().(*types.Basic)
+	if b == nil {
+		return 0
+	}
+	return b.Info()
+}
+
+// isString reports whether e is a non-constant string expression, one
+// whose evaluation can allocate.
+func (p *Package) isString(e ast.Expr) bool {
+	return p.Info.Types[e].Value == nil && basicInfo(p.typeOf(e))&types.IsString != 0
+}
+
+// funcScope tracks the one fact about a function's locals that the type
+// checker does not know: which of them only ever hold values freshly
+// constructed inside the function (composite literals, &composite,
+// make/new, constructor-named calls). Parameters and receivers are
+// never fresh; a name ever bound to a non-fresh value stops being
+// fresh. Names are a flat namespace across nested literals and shadowed
+// blocks, which can only lose freshness, never invent it.
+type funcScope struct {
+	fresh map[string]bool
+}
+
+// newFuncScope scans fd: receiver, parameters and results first, then a
+// source-order pass over assignments, var declarations and range
+// clauses in the body.
+func newFuncScope(fd *ast.FuncDecl) *funcScope {
+	s := &funcScope{fresh: map[string]bool{}}
+	for _, fields := range []*ast.FieldList{fd.Recv, fd.Type.Params, fd.Type.Results} {
+		if fields == nil {
+			continue
+		}
+		for _, field := range fields.List {
+			for _, name := range field.Names {
+				s.set(name, false)
+			}
+		}
+	}
+	if fd.Body == nil {
+		return s
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch st := n.(type) {
+		case *ast.AssignStmt:
+			if st.Tok != token.DEFINE && st.Tok != token.ASSIGN {
+				return true // compound assignment: origin unchanged
+			}
+			for i, lhs := range st.Lhs {
+				rhs := st.Rhs[0] // x, err := f(): every result shares f's origin
+				if len(st.Rhs) == len(st.Lhs) {
+					rhs = st.Rhs[i]
+				}
+				s.set(lhs, s.freshExpr(rhs))
+			}
+		case *ast.RangeStmt:
+			if st.Tok == token.DEFINE {
+				s.set(st.Key, false)
+				s.set(st.Value, false)
+			}
+		case *ast.ValueSpec:
+			for i, name := range st.Names {
+				s.set(name, i < len(st.Values) && s.freshExpr(st.Values[i]))
+			}
+		}
+		return true
+	})
+	return s
+}
+
+// set records a binding of a plain identifier; fresh only survives if
+// every binding of the name was fresh.
+func (s *funcScope) set(lhs ast.Expr, fresh bool) {
+	id, ok := lhs.(*ast.Ident)
+	if !ok || id == nil || id.Name == "_" {
+		return
+	}
+	if prev, seen := s.fresh[id.Name]; seen {
+		fresh = fresh && prev
+	}
+	s.fresh[id.Name] = fresh
+}
+
+// freshExpr reports whether e constructs a value inside this function:
+// composite literals, &composite, make/new, calls to constructor-named
+// functions (New*/Build*/Make*/Alloc*/Clone*, setup prefixes), or a
+// local already known to be fresh.
+func (s *funcScope) freshExpr(e ast.Expr) bool {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.CompositeLit:
+		return true
+	case *ast.UnaryExpr:
+		if x.Op == token.AND {
+			_, ok := x.X.(*ast.CompositeLit)
+			return ok
+		}
+	case *ast.CallExpr:
+		name := ""
+		switch fn := x.Fun.(type) {
+		case *ast.Ident:
+			name = fn.Name
+		case *ast.SelectorExpr:
+			name = fn.Sel.Name
+		}
+		return name == "new" || isSetupFunc(name) || strings.HasPrefix(name, "Clone") || strings.HasPrefix(name, "clone")
+	case *ast.Ident:
+		return s.fresh[x.Name]
+	}
+	return false
+}
+
+// isFresh reports whether the named local is known to hold a value
+// constructed inside this function.
+func (s *funcScope) isFresh(name string) bool { return s.fresh[name] }

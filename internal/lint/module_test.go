@@ -1,0 +1,80 @@
+package lint
+
+import (
+	"go/ast"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+func TestFuncScopeFreshnessAndTyping(t *testing.T) {
+	dir := t.TempDir()
+	src := `package p
+
+type T struct {
+	N int
+}
+
+func NewT() *T { return &T{} }
+
+func f(shared *T) {
+	built := NewT()
+	alias := built
+	loaned := shared
+	lit := &T{N: 1}
+	var acc uint64
+	acc += 1
+	_ = acc
+	_, _, _ = alias, loaned, lit
+}
+`
+	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mod, parseDiags, err := loadModule(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range parseDiags {
+		t.Fatalf("parse diagnostic in test tree: %s", d.String())
+	}
+	pkg := mod.Pkgs[0]
+	var fd *ast.FuncDecl
+	for _, decl := range pkg.Files[0].AST.Decls {
+		if d, ok := decl.(*ast.FuncDecl); ok && d.Name.Name == "f" {
+			fd = d
+		}
+	}
+	if fd == nil {
+		t.Fatal("func f not found")
+	}
+	sc := newFuncScope(fd)
+
+	for name, wantFresh := range map[string]bool{
+		"built": true, "alias": true, "lit": true,
+		"shared": false, "loaned": false,
+	} {
+		if got := sc.isFresh(name); got != wantFresh {
+			t.Errorf("isFresh(%s) = %v, want %v", name, got, wantFresh)
+		}
+	}
+
+	// What the scope used to type, the checker now does.
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		switch id.Name {
+		case "built", "alias", "loaned", "shared", "lit":
+			if !pkg.isNamed(id, "..T") || pointee(pkg.typeOf(id)) == nil {
+				t.Errorf("typeOf(%s) = %v, want *T", id.Name, pkg.typeOf(id))
+			}
+		case "acc":
+			if w, unsigned, ok := intWidth(pkg.typeOf(id)); !ok || w != 64 || !unsigned {
+				t.Errorf("acc typed as (%d, unsigned=%v, ok=%v), want uint64", w, unsigned, ok)
+			}
+		}
+		return true
+	})
+}

@@ -2,10 +2,9 @@ package lint
 
 import (
 	"go/ast"
-	"strings"
 )
 
-// scratchTypes are the caller-owned kernel scratch buffers (PR 2's
+// scratchTypes are the caller-owned kernel scratch buffers (the
 // allocation-free hot path): a pointer to one of these passed into a
 // function is a loan, not a transfer — the callee may use it for the
 // duration of the call only. Storing it in a struct field, returning
@@ -40,21 +39,12 @@ func runScratchShare(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkScratchEscapes(pass, f, fd)
+			checkScratchEscapes(pass, fd)
 		}
 	}
 }
 
-// scratchDisplayName renders the tracked qualified type name for
-// messages ("motion.Scratch").
-func scratchDisplayName(qualified string) string {
-	if i := strings.LastIndexByte(qualified, '/'); i >= 0 {
-		return qualified[i+1:]
-	}
-	return qualified
-}
-
-func checkScratchEscapes(pass *Pass, f *File, fd *ast.FuncDecl) {
+func checkScratchEscapes(pass *Pass, fd *ast.FuncDecl) {
 	// tracked maps a name to the qualified scratch type it aliases.
 	// Seeded from receiver + parameters, grown by plain-ident aliasing
 	// (alias := sc) in source order.
@@ -64,14 +54,13 @@ func checkScratchEscapes(pass *Pass, f *File, fd *ast.FuncDecl) {
 			return
 		}
 		for _, field := range fields.List {
-			t := pass.Index.resolveType(field.Type, f, pass.Pkg.Dir)
-			if t == nil || t.kind != kindPointer || t.elem == nil ||
-				t.elem.kind != kindNamed || !scratchTypes[t.elem.name] {
+			elem := namedOf(pointee(pass.Pkg.typeOf(field.Type)))
+			if elem == nil || !scratchTypes[pass.Mod.qualName(elem.Obj())] {
 				continue
 			}
 			for _, name := range field.Names {
 				if name.Name != "_" {
-					tracked[name.Name] = t.elem.name
+					tracked[name.Name] = pass.Mod.qualName(elem.Obj())
 				}
 			}
 		}
@@ -91,18 +80,10 @@ func checkScratchEscapes(pass *Pass, f *File, fd *ast.FuncDecl) {
 		}
 		return true
 	})
-	cg := pass.Index.callGraph()
-	cls := &opClassifier{sc: newFuncScope(pass.Index, f, pass.Pkg.Dir, fd), idx: pass.Index, f: f, dir: pass.Pkg.Dir, resolveCalls: true}
+	cg := pass.Mod.callGraph()
 
 	trackedIdent := func(e ast.Expr) (string, string, bool) {
-		for {
-			p, ok := e.(*ast.ParenExpr)
-			if !ok {
-				break
-			}
-			e = p.X
-		}
-		id, ok := e.(*ast.Ident)
+		id, ok := ast.Unparen(e).(*ast.Ident)
 		if !ok {
 			return "", "", false
 		}
@@ -130,7 +111,7 @@ func checkScratchEscapes(pass *Pass, f *File, fd *ast.FuncDecl) {
 				default:
 					pass.Reportf(st.Pos(),
 						"*%s parameter %s stored into %s; scratch buffers are caller-owned and must not escape",
-						scratchDisplayName(q), name, exprString(lhs))
+						displayName(q), name, exprString(lhs))
 				}
 			}
 		case *ast.ReturnStmt:
@@ -138,14 +119,14 @@ func checkScratchEscapes(pass *Pass, f *File, fd *ast.FuncDecl) {
 				if name, q, ok := trackedIdent(res); ok {
 					pass.Reportf(res.Pos(),
 						"*%s parameter %s returned; scratch buffers are caller-owned and must not escape",
-						scratchDisplayName(q), name)
+						displayName(q), name)
 				}
 			}
 		case *ast.SendStmt:
 			if name, q, ok := trackedIdent(st.Value); ok {
 				pass.Reportf(st.Pos(),
 					"*%s parameter %s sent on a channel; scratch buffers are caller-owned and must not escape",
-					scratchDisplayName(q), name)
+					displayName(q), name)
 			}
 		case *ast.CompositeLit:
 			for _, el := range st.Elts {
@@ -156,7 +137,7 @@ func checkScratchEscapes(pass *Pass, f *File, fd *ast.FuncDecl) {
 				if name, q, ok := trackedIdent(v); ok {
 					pass.Reportf(v.Pos(),
 						"*%s parameter %s captured in a composite literal; scratch buffers are caller-owned and must not escape",
-						scratchDisplayName(q), name)
+						displayName(q), name)
 				}
 			}
 		case *ast.CallExpr:
@@ -165,11 +146,7 @@ func checkScratchEscapes(pass *Pass, f *File, fd *ast.FuncDecl) {
 			if goCalls[st] {
 				return true
 			}
-			key := cls.calleeKey(st)
-			if key == "" {
-				return true
-			}
-			sum := cg.summaries[key]
+			sum := cg.summaries[pass.Pkg.callee(st)]
 			if sum == nil || len(sum.paramEscapes) == 0 ||
 				sum.variadic || st.Ellipsis.IsValid() || len(st.Args) != sum.paramCount {
 				return true
@@ -183,12 +160,12 @@ func checkScratchEscapes(pass *Pass, f *File, fd *ast.FuncDecl) {
 				if !escapes {
 					continue
 				}
-				if _, isScratch := sum.scratchParams[i]; !isScratch {
+				if !sum.scratchParams[i] {
 					continue
 				}
 				pass.Reportf(arg.Pos(),
 					"*%s parameter %s passed to %s, which lets it escape (via %s); scratch buffers are caller-owned and must not escape",
-					scratchDisplayName(q), name, lockClassDisplay(key), viaChain(key, chain))
+					displayName(q), name, displayName(sum.name), viaChain(sum.name, chain))
 			}
 		case *ast.GoStmt:
 			reported := false
@@ -201,7 +178,7 @@ func checkScratchEscapes(pass *Pass, f *File, fd *ast.FuncDecl) {
 						if q, isTracked := tracked[id.Name]; isTracked {
 							pass.Reportf(st.Pos(),
 								"*%s parameter %s captured by a go statement; the goroutine may outlive the call that owns the buffer",
-								scratchDisplayName(q), id.Name)
+								displayName(q), id.Name)
 							reported = true
 						}
 					}
@@ -215,7 +192,7 @@ func checkScratchEscapes(pass *Pass, f *File, fd *ast.FuncDecl) {
 				if name, q, ok := trackedIdent(arg); ok {
 					pass.Reportf(st.Pos(),
 						"*%s parameter %s passed to a go statement; the goroutine may outlive the call that owns the buffer",
-						scratchDisplayName(q), name)
+						displayName(q), name)
 					reported = true
 				}
 			}

@@ -3,13 +3,14 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
 // The per-reference-slot caches ([N]*video.Frame, [N]*motion.Pyramid
 // arrays and scalar *motion.Pyramid fields) are built once per frame
 // and then shared read-only across concurrently encoding tile workers,
-// with no locks — PR 2's pyramid design. Any write reachable from them
+// with no locks. Any write reachable from them
 // outside a constructor/build function is a data race waiting for a
 // tile count > 1.
 
@@ -51,102 +52,75 @@ func isResetFunc(name string) bool {
 
 // isCacheFieldType reports whether a struct field of this type is a
 // reference-slot cache.
-func isCacheFieldType(t *dfType) bool {
+func (m *Module) isCacheFieldType(t types.Type) bool {
 	if t == nil {
 		return false
 	}
-	if t.kind == kindArray && t.elem != nil && t.elem.kind == kindPointer &&
-		t.elem.elem != nil && t.elem.elem.kind == kindNamed && cacheElemTypes[t.elem.elem.name] {
-		return true
+	if arr, ok := t.Underlying().(*types.Array); ok {
+		elem := namedOf(pointee(arr.Elem()))
+		return elem != nil && cacheElemTypes[m.qualName(elem.Obj())]
 	}
-	return t.kind == kindPointer && t.elem != nil && t.elem.kind == kindNamed &&
-		t.elem.name == "internal/codec/motion.Pyramid"
+	elem := namedOf(pointee(t))
+	return elem != nil && m.qualName(elem.Obj()) == "internal/codec/motion.Pyramid"
 }
 
 // chainInfo is what walking an lvalue/rvalue selector-index chain from
 // its root identifier learns.
 type chainInfo struct {
-	t          *dfType    // type of the full expression (nil = unknown)
 	root       *ast.Ident // leftmost identifier, nil if the root is not an ident
 	cacheField bool       // a step accessed a reference-slot cache field
 	crossedPtr bool       // a step dereferenced a pointer or indexed a slice
 	pyramid    bool       // a step traversed cached pyramid content
 }
 
-// walkChain resolves e stepwise so each selector/index step can be
-// classified against the cache shapes.
-func walkChain(sc *funcScope, e ast.Expr) chainInfo {
-	switch x := e.(type) {
+// walkChain classifies each selector/index/deref step of e against the
+// cache shapes, by the type of the operand the step applies to. A step
+// whose operand has no type contributes nothing.
+func walkChain(pkg *Package, e ast.Expr) chainInfo {
+	var x ast.Expr
+	switch e := e.(type) {
 	case *ast.Ident:
-		return chainInfo{t: sc.typeOf(x), root: x}
+		return chainInfo{root: e}
 	case *ast.ParenExpr:
-		return walkChain(sc, x.X)
+		return walkChain(pkg, e.X)
+	case *ast.UnaryExpr:
+		if e.Op != token.AND {
+			return chainInfo{}
+		}
+		return walkChain(pkg, e.X)
 	case *ast.SelectorExpr:
-		base := walkChain(sc, x.X)
-		info := base
-		bt := base.t
-		if bt != nil && bt.kind == kindPointer {
-			info.crossedPtr = true
-		}
-		if bd := bt.deref(); bd != nil && bd.kind == kindNamed && pyramidTypes[bd.name] {
-			info.pyramid = true
-		}
-		info.t = sc.idx.fieldType(bt, x.Sel.Name, 0)
-		if isCacheFieldType(info.t) {
+		x = e.X
+	case *ast.IndexExpr:
+		x = e.X
+	case *ast.StarExpr:
+		x = e.X
+	default:
+		return chainInfo{}
+	}
+	info := walkChain(pkg, x)
+	bt := pkg.typeOf(x)
+	if bt == nil {
+		return info
+	}
+	if elem := pointee(bt); elem != nil {
+		info.crossedPtr = true
+		bt = elem
+	}
+	if named := namedOf(bt); named != nil && pyramidTypes[pkg.mod.qualName(named.Obj())] {
+		info.pyramid = true
+	}
+	switch e := e.(type) {
+	case *ast.SelectorExpr:
+		if sel := pkg.Info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal && pkg.mod.isCacheFieldType(sel.Type()) {
 			info.cacheField = true
 		}
-		return info
 	case *ast.IndexExpr:
-		base := walkChain(sc, x.X)
-		info := base
-		bt := base.t
-		if bt != nil && bt.kind == kindPointer {
+		switch bt.Underlying().(type) {
+		case *types.Slice, *types.Map:
 			info.crossedPtr = true
-			bt = bt.elem
-		}
-		if bt != nil && bt.kind == kindNamed && pyramidTypes[bt.name] {
-			info.pyramid = true
-		}
-		if bt != nil {
-			switch bt.kind {
-			case kindSlice, kindMap:
-				info.crossedPtr = true
-				info.t = bt.elem
-			case kindArray:
-				info.t = bt.elem
-			default:
-				info.t = nil
-			}
-		} else {
-			info.t = nil
-		}
-		return info
-	case *ast.StarExpr:
-		base := walkChain(sc, x.X)
-		info := base
-		if base.t != nil && base.t.kind == kindPointer {
-			info.crossedPtr = true
-			info.t = base.t.elem
-			if info.t != nil && info.t.kind == kindNamed && pyramidTypes[info.t.name] {
-				info.pyramid = true
-			}
-		} else {
-			info.t = nil
-		}
-		return info
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			base := walkChain(sc, x.X)
-			info := base
-			if base.t != nil {
-				info.t = &dfType{kind: kindPointer, elem: base.t}
-			} else {
-				info.t = nil
-			}
-			return info
 		}
 	}
-	return chainInfo{}
+	return info
 }
 
 func runSharedMut(pass *Pass) {
@@ -162,13 +136,13 @@ func runSharedMut(pass *Pass) {
 			if isSetupFunc(fd.Name.Name) || isResetFunc(fd.Name.Name) {
 				continue
 			}
-			checkSharedMut(pass, f, fd)
+			checkSharedMut(pass, fd)
 		}
 	}
 }
 
-func checkSharedMut(pass *Pass, f *File, fd *ast.FuncDecl) {
-	sc := newFuncScope(pass.Index, f, pass.Pkg.Dir, fd)
+func checkSharedMut(pass *Pass, fd *ast.FuncDecl) {
+	sc := newFuncScope(fd)
 
 	// tainted: locals whose value was read out of a cache field, so a
 	// pointer-crossing write through them mutates shared state.
@@ -178,7 +152,7 @@ func checkSharedMut(pass *Pass, f *File, fd *ast.FuncDecl) {
 		if _, plain := lhs.(*ast.Ident); plain {
 			return // rebinding a local is never a cache write
 		}
-		info := walkChain(sc, lhs)
+		info := walkChain(pass.Pkg, lhs)
 		if info.root != nil && sc.isFresh(info.root.Name) {
 			return // value constructed in this function: not shared yet
 		}
@@ -211,7 +185,7 @@ func checkSharedMut(pass *Pass, f *File, fd *ast.FuncDecl) {
 				if !isIdent || i >= len(st.Rhs) {
 					continue
 				}
-				rhs := walkChain(sc, st.Rhs[i])
+				rhs := walkChain(pass.Pkg, st.Rhs[i])
 				if rhs.cacheField {
 					tainted[id.Name] = true
 				}

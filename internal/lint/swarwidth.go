@@ -3,7 +3,10 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/token"
+	"go/types"
+	"strings"
 )
 
 // swarDirs are the packages doing uint64 lane arithmetic (SWAR pixel
@@ -41,7 +44,7 @@ func runSwarWidth(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkSwarWidth(pass, f, fd)
+			checkSwarWidth(pass, fd)
 		}
 	}
 }
@@ -60,9 +63,76 @@ func lanePeriodic(v uint64) bool {
 	return v == (v&0xffffffff)*0x0000000100000001
 }
 
-func checkSwarWidth(pass *Pass, f *File, fd *ast.FuncDecl) {
-	sc := newFuncScope(pass.Index, f, pass.Pkg.Dir, fd)
-	idx := pass.Index
+// intWidth reports the bit width and signedness of a typed integer
+// type, named types included. ok is false for everything else.
+func intWidth(t types.Type) (width int, unsigned, ok bool) {
+	info := basicInfo(t)
+	if info&types.IsInteger == 0 || info&types.IsUntyped != 0 {
+		return 0, false, false
+	}
+	return int(sizes.Sizeof(t)) * 8, info&types.IsUnsigned != 0, true
+}
+
+// isWideHex reports whether e spells a full 64-bit word: a literal of
+// exactly 16 hex digits.
+func isWideHex(e ast.Expr) bool {
+	lit, ok := ast.Unparen(e).(*ast.BasicLit)
+	if !ok || lit.Kind != token.INT || len(lit.Value) < 2 {
+		return false
+	}
+	prefix, digits := strings.ToLower(lit.Value[:2]), strings.ReplaceAll(lit.Value[2:], "_", "")
+	return prefix == "0x" && len(digits) == 16
+}
+
+// wideHexConst resolves e to a 64-bit lane-mask constant: either a
+// 16-hex-digit literal or a reference to a constant declared as one.
+func wideHexConst(pkg *Package, e ast.Expr) (uint64, bool) {
+	wide := isWideHex(e)
+	var id *ast.Ident
+	switch x := e.(type) {
+	case *ast.Ident:
+		id = x
+	case *ast.SelectorExpr:
+		id = x.Sel
+	}
+	if c, ok := pkg.Info.Uses[id].(*types.Const); ok {
+		wide = isWideHex(pkg.mod.constInit(c))
+	}
+	if !wide {
+		return 0, false
+	}
+	return constant.Uint64Val(constant.ToInt(pkg.Info.Types[e].Value))
+}
+
+// constInit finds the initializer expression a module constant was
+// declared with; nil when it has none of its own (iota repetition) or
+// is declared outside the module.
+func (m *Module) constInit(c *types.Const) ast.Expr {
+	pkg := m.byTypes[c.Pkg()]
+	if pkg == nil {
+		return nil
+	}
+	var init ast.Expr
+	for _, f := range pkg.Files {
+		if c.Pos() < f.AST.Pos() || c.Pos() >= f.AST.End() {
+			continue
+		}
+		ast.Inspect(f.AST, func(n ast.Node) bool {
+			if vs, ok := n.(*ast.ValueSpec); ok {
+				for i, name := range vs.Names {
+					if name.Pos() == c.Pos() && i < len(vs.Values) {
+						init = vs.Values[i]
+					}
+				}
+			}
+			return init == nil
+		})
+	}
+	return init
+}
+
+func checkSwarWidth(pass *Pass, fd *ast.FuncDecl) {
+	pkg := pass.Pkg
 
 	// accumulated: bare locals built up with compound assignment —
 	// the lane accumulators whose narrowing loses carries.
@@ -83,30 +153,16 @@ func checkSwarWidth(pass *Pass, f *File, fd *ast.FuncDecl) {
 		return true
 	})
 
-	// wideHexConst resolves e to a 64-bit lane-mask constant: either a
-	// 16-hex-digit literal or a reference to a const declared with one.
-	wideHexConst := func(e ast.Expr) (uint64, bool) {
-		switch x := e.(type) {
-		case *ast.BasicLit:
-			c, ok := idx.evalConst(x, f, pass.Pkg.Dir, 0)
-			return uint64(c.val), ok && c.wideHex
-		case *ast.Ident, *ast.SelectorExpr:
-			c, ok := idx.evalConst(e, f, pass.Pkg.Dir, 0)
-			return uint64(c.val), ok && c.wideHex
-		}
-		return 0, false
-	}
-
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.BinaryExpr:
 			switch x.Op {
 			case token.SHL, token.SHR:
-				count, ok := idx.constIntValue(x.Y, f, pass.Pkg.Dir)
+				count, ok := pkg.constInt(x.Y)
 				if !ok {
 					return true
 				}
-				w, _, okW := idx.intInfo(sc.typeOf(x.X), 0)
+				w, _, okW := intWidth(pkg.typeOf(x.X))
 				if okW && count >= int64(w) {
 					pass.Reportf(x.Pos(),
 						"shift count %d >= bit width %d of %s; the result is always zero",
@@ -114,7 +170,7 @@ func checkSwarWidth(pass *Pass, f *File, fd *ast.FuncDecl) {
 				}
 			case token.AND, token.OR, token.XOR, token.AND_NOT:
 				for _, op := range []ast.Expr{x.X, x.Y} {
-					if v, ok := wideHexConst(op); ok && !lanePeriodic(v) {
+					if v, ok := wideHexConst(pkg, op); ok && !lanePeriodic(v) {
 						pass.Reportf(op.Pos(),
 							"64-bit mask %#016x is not byte/16/32-bit lane-periodic; it does not cover an even lane layout",
 							v)
@@ -123,31 +179,15 @@ func checkSwarWidth(pass *Pass, f *File, fd *ast.FuncDecl) {
 			}
 		case *ast.CallExpr:
 			// Conversion of a bare accumulator: T(acc).
-			if len(x.Args) != 1 {
+			if len(x.Args) != 1 || !pkg.Info.Types[x.Fun].IsType() {
 				return true
 			}
 			arg, ok := x.Args[0].(*ast.Ident)
 			if !ok || !accumulated[arg.Name] {
 				return true
 			}
-			var target *dfType
-			switch fn := x.Fun.(type) {
-			case *ast.Ident:
-				if _, isInt := basicInts[fn.Name]; isInt {
-					target = basicType(fn.Name)
-				} else if t := idx.resolveType(fn, f, pass.Pkg.Dir); t != nil && t.kind == kindNamed {
-					target = t
-				}
-			case *ast.SelectorExpr:
-				if t := idx.resolveType(fn, f, pass.Pkg.Dir); t != nil && t.kind == kindNamed {
-					target = t
-				}
-			}
-			if target == nil {
-				return true
-			}
-			wT, uT, okT := idx.intInfo(target, 0)
-			wX, uX, okX := idx.intInfo(sc.typeOf(arg), 0)
+			wT, uT, okT := intWidth(pkg.typeOf(x.Fun))
+			wX, uX, okX := intWidth(pkg.typeOf(arg))
 			if !okT || !okX {
 				return true
 			}

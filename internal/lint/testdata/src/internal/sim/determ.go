@@ -75,3 +75,30 @@ func suppressed() time.Time {
 func printNow() {
 	fmt.Println("not a time call")
 }
+
+// nameIndex and nameList share a field name; only one of the fields is
+// a map. Field types belong to their struct, not to the name: ranging
+// the map into append leaks order, ranging the slice does not.
+type nameIndex struct {
+	items map[string]int
+}
+
+type nameList struct {
+	items []string
+}
+
+func (x *nameIndex) names() []string {
+	var out []string
+	for k := range x.items { // want "map iteration order leaks into an ordered result"
+		out = append(out, k)
+	}
+	return out
+}
+
+func (l *nameList) names() []string {
+	var out []string
+	for _, s := range l.items { // fine: a slice is already ordered
+		out = append(out, s)
+	}
+	return out
+}

@@ -65,3 +65,19 @@ func suppressedDrop() {
 	//lint:ignore errdrop fixture demonstrates an accepted best-effort flush
 	flushIndex()
 }
+
+// spool and uplink both have a Drain method; only uplink's can fail.
+// Which one a call drops is decided by the receiver's type, not by the
+// method's name.
+type spool struct{}
+
+func (s *spool) Drain() {}
+
+type uplink struct{}
+
+func (u *uplink) Drain() error { return nil }
+
+func drainBoth(s *spool, u *uplink) {
+	s.Drain() // fine: this Drain returns nothing
+	u.Drain() // want "error result of u.Drain is silently dropped"
+}

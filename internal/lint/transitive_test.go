@@ -53,12 +53,12 @@ func TestSCCCondense(t *testing.T) {
 // calls from the operation that produces it, so a one-level summary
 // table sees nothing.
 func TestTransitiveSummaries(t *testing.T) {
-	idx := loadTestIndex(t)
-	cg := idx.callGraph()
+	mod := loadTestModule(t)
+	cg := mod.callGraph()
 
 	// ordering.mid has no direct acquisition; bottom's Lane.mu must
 	// flow up with the discovery chain.
-	mid := cg.summaries["internal/vcu/ordering.mid"]
+	mid := cg.summaries[funcNamed(mod, "internal/vcu/ordering.mid")]
 	if mid == nil {
 		t.Fatal("no summary for ordering.mid")
 	}
@@ -70,7 +70,7 @@ func TestTransitiveSummaries(t *testing.T) {
 	}
 
 	// held.mailbox.level1 blocks only through level2.
-	level1 := cg.summaries["internal/vcu/held.mailbox.level1"]
+	level1 := cg.summaries[funcNamed(mod, "internal/vcu/held.mailbox.level1")]
 	if level1 == nil {
 		t.Fatal("no summary for held.mailbox.level1")
 	}
@@ -82,7 +82,7 @@ func TestTransitiveSummaries(t *testing.T) {
 	}
 
 	// enc.passDeep2's scratch parameter escapes two calls down.
-	deep := cg.summaries["internal/enc.passDeep2"]
+	deep := cg.summaries[funcNamed(mod, "internal/enc.passDeep2")]
 	if deep == nil {
 		t.Fatal("no summary for enc.passDeep2")
 	}
@@ -95,27 +95,27 @@ func TestTransitiveSummaries(t *testing.T) {
 	}
 
 	// pump.Relay spawns an unjoined goroutine only through startPump.
-	relay := cg.summaries["internal/pump.Relay"]
+	relay := cg.summaries[funcNamed(mod, "internal/pump.Relay")]
 	if relay == nil {
 		t.Fatal("no summary for pump.Relay")
 	}
 	if !relay.spawnsUnjoined {
 		t.Error("Relay reaches an unjoined go statement through startPump")
 	}
-	if drain := cg.summaries["internal/pump.DrainNow"]; drain == nil || drain.spawnsUnjoined {
+	if drain := cg.summaries[funcNamed(mod, "internal/pump.DrainNow")]; drain == nil || drain.spawnsUnjoined {
 		t.Error("DrainNow spawns nothing and must not be tainted")
 	}
 
 	// closer.openTraced returns a fresh Session only by passing through
 	// NewSession; closeHelper provably closes its parameter.
-	open := cg.summaries["internal/vcu/closer.openTraced"]
+	open := cg.summaries[funcNamed(mod, "internal/vcu/closer.openTraced")]
 	if open == nil {
 		t.Fatal("no summary for closer.openTraced")
 	}
 	if len(open.closerResults) != 2 || !open.closerResults[0] || open.closerResults[1] {
 		t.Errorf("openTraced closerResults = %v, want [true false]", open.closerResults)
 	}
-	helper := cg.summaries["internal/vcu/closer.closeHelper"]
+	helper := cg.summaries[funcNamed(mod, "internal/vcu/closer.closeHelper")]
 	if helper == nil {
 		t.Fatal("no summary for closer.closeHelper")
 	}
@@ -128,10 +128,10 @@ func TestTransitiveSummaries(t *testing.T) {
 // components: self-recursion settles without a cap hit, and a mutual
 // pair ends with both lock classes on both functions.
 func TestRecursionFixedPoint(t *testing.T) {
-	idx := loadTestIndex(t)
-	cg := idx.callGraph()
+	mod := loadTestModule(t)
+	cg := mod.callGraph()
 
-	self := cg.summaries["internal/vcu/recur.selfLock"]
+	self := cg.summaries[funcNamed(mod, "internal/vcu/recur.selfLock")]
 	if self == nil {
 		t.Fatal("no summary for recur.selfLock")
 	}
@@ -143,7 +143,7 @@ func TestRecursionFixedPoint(t *testing.T) {
 	}
 
 	for _, name := range []string{"mutualA", "mutualB"} {
-		sum := cg.summaries["internal/vcu/recur."+name]
+		sum := cg.summaries[funcNamed(mod, "internal/vcu/recur."+name)]
 		if sum == nil {
 			t.Fatalf("no summary for recur.%s", name)
 		}
@@ -169,10 +169,10 @@ func TestIterationCapBudget(t *testing.T) {
 	sccIterationCap = 1
 	defer func() { sccIterationCap = saved }()
 
-	idx := loadTestIndex(t)
-	cg := idx.callGraph()
+	mod := loadTestModule(t)
+	cg := mod.callGraph()
 	for _, name := range []string{"mutualA", "mutualB"} {
-		sum := cg.summaries["internal/vcu/recur."+name]
+		sum := cg.summaries[funcNamed(mod, "internal/vcu/recur."+name)]
 		if sum == nil {
 			t.Fatalf("no summary for recur.%s", name)
 		}

@@ -37,17 +37,10 @@ func runWaitBalance(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			wb := &waitBalance{pass: pass, f: f, fd: fd}
+			wb := &waitBalance{pass: pass, fd: fd}
 			wb.check()
 		}
 	}
-}
-
-// isWaitGroupExpr reports whether e resolves to (a pointer to)
-// sync.WaitGroup in the scope.
-func isWaitGroupExpr(sc *funcScope, e ast.Expr) bool {
-	t := sc.typeOf(e).deref()
-	return t != nil && t.kind == kindNamed && t.name == "sync.WaitGroup"
 }
 
 // wbSpawn is one go statement in the function under check.
@@ -62,10 +55,8 @@ type wbSpawn struct {
 // waitBalance carries the per-function state of one check.
 type waitBalance struct {
 	pass *Pass
-	f    *File
 	fd   *ast.FuncDecl
 
-	sc     *funcScope
 	outerG *cfg
 	// waited: canonical receivers this function Waits on (anywhere,
 	// literals included — Wait in a cleanup closure still gates).
@@ -78,8 +69,7 @@ type waitBalance struct {
 }
 
 func (wb *waitBalance) check() {
-	fd, pass := wb.fd, wb.pass
-	wb.sc = newFuncScope(pass.Index, wb.f, pass.Pkg.Dir, fd)
+	fd := wb.fd
 	wb.waited = map[string]bool{}
 	var spawns []wbSpawn
 	var lits []*ast.FuncLit
@@ -205,7 +195,7 @@ func (wb *waitBalance) checkSpawnedLiteral(s wbSpawn, lit *ast.FuncLit) {
 
 	litG := buildCFG(lit.Body)
 	for _, recv := range recvs {
-		if !wb.waited[recv] && !isWaitGroupExpr(wb.sc, recvExprs[recv]) {
+		if !wb.waited[recv] && !wb.pass.Pkg.isNamed(recvExprs[recv], "sync.WaitGroup") {
 			continue
 		}
 		// Add inside the spawned body races the Wait that balances it.
@@ -213,7 +203,6 @@ func (wb *waitBalance) checkSpawnedLiteral(s wbSpawn, lit *ast.FuncLit) {
 			ast.Inspect(lit.Body, func(n ast.Node) bool {
 				switch node := n.(type) {
 				case *ast.GoStmt, *ast.FuncLit:
-					_ = node
 					return false
 				case *ast.CallExpr:
 					if r, ok := methodCall(node, "Add"); ok && r == recv {
@@ -243,35 +232,16 @@ func (wb *waitBalance) checkSpawnedLiteral(s wbSpawn, lit *ast.FuncLit) {
 // of the helper, and must not be Add'ed inside it.
 func (wb *waitBalance) checkSpawnedHelper(s wbSpawn) {
 	g := s.g
-	c := &opClassifier{sc: wb.sc, idx: wb.pass.Index, f: wb.f, dir: wb.pass.Pkg.Dir, resolveCalls: true}
-	key := c.calleeKey(g.Call)
-	if key == "" {
-		return
-	}
-	sum := wb.pass.Index.callGraph().summaries[key]
+	sum := wb.pass.Mod.callGraph().summaries[wb.pass.Pkg.callee(g.Call)]
 	if sum == nil || len(sum.wgParams) == 0 {
 		return
 	}
 	// Positional arg->param mapping requires an exact match: variadic
 	// helpers or spread calls degrade to silence.
-	if g.Call.Ellipsis != token.NoPos {
+	if g.Call.Ellipsis.IsValid() || sum.variadic || sum.paramCount != len(g.Call.Args) {
 		return
 	}
-	nParams := 0
-	variadic := false
-	for _, field := range sum.fd.decl.Type.Params.List {
-		if _, ok := field.Type.(*ast.Ellipsis); ok {
-			variadic = true
-		}
-		n := len(field.Names)
-		if n == 0 {
-			n = 1
-		}
-		nParams += n
-	}
-	if variadic || nParams != len(g.Call.Args) {
-		return
-	}
+	helper := displayName(sum.name)
 	positions := make([]int, 0, len(sum.wgParams))
 	for pi := range sum.wgParams {
 		positions = append(positions, pi)
@@ -286,19 +256,19 @@ func (wb *waitBalance) checkSpawnedHelper(s wbSpawn) {
 		if recv == "" {
 			continue
 		}
-		if !wb.waited[recv] && !isWaitGroupExpr(wb.sc, arg) {
+		if !wb.waited[recv] && !wb.pass.Pkg.isNamed(arg, "sync.WaitGroup") {
 			continue
 		}
 		fact := sum.wgParams[pi]
 		if fact.addsInside && wb.waited[recv] {
 			wb.pass.Reportf(g.Pos(),
 				"%s calls Add on the WaitGroup it is handed; Add inside the spawned goroutine races %s.Wait()",
-				lockClassDisplay(key), recv)
+				helper, recv)
 		}
 		if fact.doneEver && !fact.doneAlways {
 			wb.pass.Reportf(g.Pos(),
 				"%s does not call Done on its WaitGroup argument on every path; a missed Done hangs %s.Wait()",
-				lockClassDisplay(key), recv)
+				helper, recv)
 		}
 		if fact.doneEver {
 			wb.checkAddDominates(s, recv)
