@@ -12,7 +12,7 @@ import (
 type refFluid struct {
 	eng             *Engine
 	capacity        float64
-	byID            map[int64]*flow
+	flows           map[int64]*flow
 	nextID          int64
 	epoch           int64
 	TransferredWork float64
@@ -30,15 +30,15 @@ func (f *refFluid) Start(work, demand float64, done func()) int64 {
 	}
 	f.nextID++
 	id := f.nextID
-	f.byID[id] = &flow{demand: demand, remaining: work, updatedAt: f.eng.Now(), done: done}
+	f.flows[id] = &flow{demand: demand, remaining: work, updatedAt: f.eng.Now(), done: done}
 	f.rebalance()
 	return id
 }
 
-func (f *refFluid) ascendingIDs() []int64 {
-	ids := make([]int64, 0, len(f.byID))
+func (f *refFluid) sortedIDs() []int64 {
+	ids := make([]int64, 0, len(f.flows))
 	//lint:ignore determinism keys are sorted immediately below, so iteration order cannot leak
-	for id := range f.byID {
+	for id := range f.flows {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -48,10 +48,10 @@ func (f *refFluid) ascendingIDs() []int64 {
 func (f *refFluid) rebalance() {
 	f.epoch++
 	now := f.eng.Now()
-	ids := f.ascendingIDs()
+	ids := f.sortedIDs()
 	var total float64
 	for _, id := range ids {
-		fl := f.byID[id]
+		fl := f.flows[id]
 		elapsed := (now - fl.updatedAt).Seconds()
 		drained := fl.rate * elapsed
 		if drained > fl.remaining {
@@ -69,7 +69,7 @@ func (f *refFluid) rebalance() {
 	var nextID int64 = -1
 	nextAt := time.Duration(1<<62 - 1)
 	for _, id := range ids {
-		fl := f.byID[id]
+		fl := f.flows[id]
 		fl.rate = fl.demand * scale
 		if fl.rate <= 0 {
 			continue
@@ -94,13 +94,13 @@ func (f *refFluid) rebalance() {
 }
 
 func (f *refFluid) complete(id int64) {
-	fl, ok := f.byID[id]
+	fl, ok := f.flows[id]
 	if !ok {
 		return
 	}
 	f.TransferredWork += fl.remaining
 	fl.remaining = 0
-	delete(f.byID, id)
+	delete(f.flows, id)
 	done := fl.done
 	f.rebalance()
 	if done != nil {
@@ -177,7 +177,7 @@ func TestFluidMatchesReference(t *testing.T) {
 		mix := fluidMix(rand.New(rand.NewSource(seed)), 40)
 
 		refEng := NewEngine()
-		ref := &refFluid{eng: refEng, capacity: 100, byID: map[int64]*flow{}}
+		ref := &refFluid{eng: refEng, capacity: 100, flows: map[int64]*flow{}}
 		want := playFluid(refEng, mix, ref.Start)
 
 		eng := NewEngine()
