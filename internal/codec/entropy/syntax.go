@@ -1,6 +1,10 @@
 package entropy
 
-import "openvcu/internal/bits"
+import (
+	"math"
+
+	"openvcu/internal/bits"
+)
 
 // --- partition tree -------------------------------------------------------
 
@@ -268,7 +272,9 @@ func (m *Model) readMagnitude(d *bits.Decoder, plane, b, ctx int) int32 {
 		return 1
 	}
 	if d.GetAdaptive(&m.Gt3[plane][b][ctx]) {
-		return int32(d.GetUE()) + 4
+		// A corrupt stream can carry an escape near 2^32; saturate so
+		// the magnitude (and the context derived from it) stays >= 0.
+		return int32(min(d.GetUE(), math.MaxInt32-4)) + 4
 	}
 	return int32(d.GetBit()) + 2
 }
