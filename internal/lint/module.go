@@ -349,14 +349,11 @@ func (p *Package) pkgFunc(call *ast.CallExpr) (ipath, name string, ok bool) {
 
 // constInt evaluates a constant integer expression.
 func (p *Package) constInt(e ast.Expr) (int64, bool) {
-	if p == nil {
+	v := p.Info.Types[e].Value
+	if v == nil {
 		return 0, false
 	}
-	tv, ok := p.Info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
-		return 0, false
-	}
-	return constant.Int64Val(tv.Value)
+	return constant.Int64Val(constant.ToInt(v))
 }
 
 // basicInfo returns the properties of t's underlying basic type, 0 when

@@ -4,17 +4,18 @@
 # Runs, in order:
 #   1. gofmt         formatting drift fails the gate
 #   2. go vet        toolchain static checks
-#   3. vculint       project-specific analyzers (internal/lint):
-#                    determinism, hotalloc, errdrop, bigcopy, the
-#                    dataflow rules scratchshare, sharedmut, swarwidth,
-#                    goleak, the CFG/call-graph rules lockhygiene,
-#                    lockorder, waitbalance, heldblock, and the
-#                    transitive-summary rules closecheck, parcapture;
+#   3. vculint       project-specific analyzers (internal/lint) on one
+#                    go/types check of the module: determinism,
+#                    hotalloc, errdrop, bigcopy, scratchshare, sharedmut,
+#                    swarwidth, goleak, the CFG/call-graph rules
+#                    lockhygiene, lockorder, waitbalance, heldblock, and
+#                    the transitive-summary rules closecheck, parcapture;
 #                    packages are analyzed in parallel (-par 0 =
 #                    GOMAXPROCS) with deterministic output; the JSON
-#                    report (with per-rule and summary-build timing) is
-#                    written to lint_report.json either way, and the
-#                    suite must finish inside its wall-time budget
+#                    report (with load, summary-build and per-rule
+#                    timing) is written to lint_report.json either way,
+#                    and the suite must finish inside its wall-time
+#                    budget
 #   4. go build      the whole module
 #   5. go test       the whole module
 #   6. go test -race the concurrent packages
@@ -55,8 +56,10 @@ check_fmt() {
 # can upload lint_report.json, and fails the gate on any non-suppressed
 # finding (vculint exits 1 when a rule fires). The -timing envelope is
 # part of the report; the analysis itself must stay under the wall-time
-# budget so the suite never becomes the slow step of the gate.
-LINT_BUDGET_MS=15000
+# budget so the suite never becomes the slow step of the gate. Type
+# checking the module (load_ms) is nearly all of it: about 2 s here, so
+# the budget is 2.5x what the suite takes, not 50x.
+LINT_BUDGET_MS=5000
 check_lint() {
     if ! go run ./cmd/vculint -json -timing -par "${LINT_PAR:-0}" ./... >lint_report.json; then
         echo "vculint findings (lint_report.json):" >&2
