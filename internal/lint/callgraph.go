@@ -283,7 +283,7 @@ func buildCallGraph(m *Module) *callGraph {
 func collectCloserTypes(m *Module) map[*types.TypeName]bool {
 	out := map[*types.TypeName]bool{}
 	for _, fn := range m.funcList {
-		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && fn.Name() == "Close" {
+		if recv := fn.Signature().Recv(); recv != nil && fn.Name() == "Close" {
 			if named := namedOf(recv.Type()); named != nil {
 				out[named.Obj()] = true
 			}
@@ -354,7 +354,7 @@ func (b *cgBuilder) directSummary(fn *types.Func, fd *funcDecl) *summaryWork {
 	})
 
 	// Parameter facts.
-	sig := fn.Type().(*types.Signature)
+	sig := fn.Signature()
 	sum.variadic = sig.Variadic()
 	sum.paramCount = sig.Params().Len()
 	for p := 0; p < sum.paramCount; p++ {

@@ -132,7 +132,7 @@ func checkCloseCheck(pass *Pass, cg *callGraph, fd *ast.FuncDecl) {
 // result position i of the callee ("codec.Encoder"), or "" when the
 // declared result type cannot be traced (pass-through constructors).
 func closerResultDisplay(m *Module, fn *types.Func, i int) string {
-	named := namedOf(fn.Type().(*types.Signature).Results().At(i).Type())
+	named := namedOf(fn.Signature().Results().At(i).Type())
 	if named == nil {
 		return ""
 	}

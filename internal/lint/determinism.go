@@ -90,11 +90,7 @@ func runDeterminism(pass *Pass) {
 // patterns that turn Go's randomised map order into run-to-run result
 // drift in the simulators.
 func checkMapRangeOrder(pass *Pass, rng *ast.RangeStmt) {
-	t := pass.Pkg.typeOf(rng.X)
-	if t == nil {
-		return
-	}
-	if _, isMap := t.Underlying().(*types.Map); !isMap {
+	if _, isMap := under[*types.Map](pass.Pkg.typeOf(rng.X)); !isMap {
 		return
 	}
 	if sink := orderSink(pass.Pkg, rng.Body); sink != "" {

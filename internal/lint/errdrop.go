@@ -66,6 +66,8 @@ func runErrDrop(pass *Pass) {
 	}
 }
 
+var errorType = types.Universe.Lookup("error").Type()
+
 // callReturnsError reports whether the call invokes a declared function
 // or method whose final result is an error this rule charges: any
 // function of the module, a well-known one outside it. Calls of
@@ -75,8 +77,8 @@ func callReturnsError(pass *Pass, call *ast.CallExpr) bool {
 	if fn == nil {
 		return false
 	}
-	res := fn.Type().(*types.Signature).Results()
-	if res.Len() == 0 || !types.Identical(res.At(res.Len()-1).Type(), types.Universe.Lookup("error").Type()) {
+	res := fn.Signature().Results()
+	if res.Len() == 0 || !types.Identical(res.At(res.Len()-1).Type(), errorType) {
 		return false
 	}
 	if _, inModule := pass.Mod.dirOf(fn.Pkg()); inModule {

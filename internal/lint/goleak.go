@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/types"
 	"strings"
 )
 
@@ -106,7 +105,7 @@ func poolWorkerJoined(pkg *Package, call *ast.CallExpr) bool {
 	if worker == nil || len(call.Args) != 0 {
 		return false
 	}
-	recv := worker.Type().(*types.Signature).Recv()
+	recv := worker.Signature().Recv()
 	if recv == nil {
 		return false
 	}

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/importer"
@@ -83,18 +84,15 @@ var stdlib struct {
 // paths fail without a lookup; the checker records the error and the
 // importing file's uses of the package stay untyped.
 func (m *Module) Import(ipath string) (*types.Package, error) {
-	if ipath == "unsafe" {
-		return types.Unsafe, nil
-	}
 	if pkg := m.byPath[ipath]; pkg != nil {
 		m.check(pkg)
 		if pkg.Types == nil {
-			return nil, errImport("import cycle through " + ipath)
+			return nil, fmt.Errorf("import cycle through %s", ipath)
 		}
 		return pkg.Types, nil
 	}
 	if first, _, _ := strings.Cut(ipath, "/"); strings.Contains(first, ".") {
-		return nil, errImport(ipath + " is outside the module and the standard library")
+		return nil, fmt.Errorf("%s is outside the module and the standard library", ipath)
 	}
 	stdlib.Lock()
 	defer stdlib.Unlock()
@@ -103,10 +101,6 @@ func (m *Module) Import(ipath string) (*types.Package, error) {
 	}
 	return stdlib.imp.Import(ipath)
 }
-
-type errImport string
-
-func (e errImport) Error() string { return string(e) }
 
 // check type-checks one package, test files included (an in-package
 // test cannot import an importer of its package, so this adds no
@@ -225,7 +219,7 @@ func (m *Module) qualName(obj types.Object) string {
 // funcName names a function "dir.Func" and a method "dir.Recv.Method"
 // (pointer receivers unwrapped); displayName shortens it for messages.
 func (m *Module) funcName(fn *types.Func) string {
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+	if recv := fn.Signature().Recv(); recv != nil {
 		if named := namedOf(recv.Type()); named != nil {
 			return m.qualName(named.Obj()) + "." + fn.Name()
 		}
@@ -255,12 +249,20 @@ func namedOf(t types.Type) *types.Named {
 	return named
 }
 
+// under asserts t's underlying type to T; false for a nil t, the type
+// of an expression the checker recorded nothing for.
+func under[T types.Type](t types.Type) (T, bool) {
+	if t == nil {
+		var zero T
+		return zero, false
+	}
+	u, ok := t.Underlying().(T)
+	return u, ok
+}
+
 // pointee returns the element type of a pointer, or nil.
 func pointee(t types.Type) types.Type {
-	if t == nil {
-		return nil
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
+	if p, ok := under[*types.Pointer](t); ok {
 		return p.Elem()
 	}
 	return nil
@@ -328,11 +330,7 @@ func (p *Package) moduleCallee(call *ast.CallExpr) *types.Func {
 
 // isChan reports whether e is channel-typed.
 func (p *Package) isChan(e ast.Expr) bool {
-	t := p.typeOf(e)
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Chan)
+	_, ok := under[*types.Chan](p.typeOf(e))
 	return ok
 }
 
@@ -341,7 +339,7 @@ func (p *Package) isChan(e ast.Expr) bool {
 // everything callee does not resolve.
 func (p *Package) pkgFunc(call *ast.CallExpr) (ipath, name string, ok bool) {
 	fn := p.callee(call)
-	if fn == nil || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+	if fn == nil || fn.Pkg() == nil || fn.Signature().Recv() != nil {
 		return "", "", false
 	}
 	return fn.Pkg().Path(), fn.Name(), true
@@ -359,14 +357,10 @@ func (p *Package) constInt(e ast.Expr) (int64, bool) {
 // basicInfo returns the properties of t's underlying basic type, 0 when
 // t is nil or not basic.
 func basicInfo(t types.Type) types.BasicInfo {
-	if t == nil {
-		return 0
+	if b, ok := under[*types.Basic](t); ok {
+		return b.Info()
 	}
-	b, _ := t.Underlying().(*types.Basic)
-	if b == nil {
-		return 0
-	}
-	return b.Info()
+	return 0
 }
 
 // isString reports whether e is a non-constant string expression, one

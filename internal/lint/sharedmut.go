@@ -53,10 +53,7 @@ func isResetFunc(name string) bool {
 // isCacheFieldType reports whether a struct field of this type is a
 // reference-slot cache.
 func (m *Module) isCacheFieldType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if arr, ok := t.Underlying().(*types.Array); ok {
+	if arr, ok := under[*types.Array](t); ok {
 		elem := namedOf(pointee(arr.Elem()))
 		return elem != nil && cacheElemTypes[m.qualName(elem.Obj())]
 	}
