@@ -5,15 +5,10 @@
 GO ?= go
 RACE_PKGS = ./internal/sched ./internal/transcode ./internal/cluster ./internal/codec ./internal/video
 
-.PHONY: check lint lint-json race build test fmt bench profile-encode chaos fuzz overload autoscale audit oracle oracle-diff
+.PHONY: check lint lint-json race build test fmt profile-encode chaos fuzz overload autoscale audit oracle oracle-diff
 
 check:
 	./scripts/check.sh
-
-# Tracked hot-path benchmarks: kernel microbenchmarks plus the
-# cmd/vcubench workloads, rewriting BENCH_codec.json.
-bench:
-	./scripts/bench.sh
 
 # Where an encode spends its CPU, by function: the whole-frame encode
 # benchmarks of internal/codec, once each on one core, under the CPU

@@ -26,7 +26,7 @@
 // each rule's one-paragraph documentation. By what they need:
 //
 //	types          determinism, hotalloc, errdrop, bigcopy, swarwidth,
-//	               sharedmut, parcapture
+//	               sharedmut, parcapture, singleknob (module-wide)
 //	+ control flow lockhygiene, waitbalance
 //	+ summaries    lockorder, heldblock, scratchshare, goleak,
 //	               closecheck (transitive call-graph summaries over

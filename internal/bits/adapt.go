@@ -90,6 +90,3 @@ func BoolCost(val bool, p Prob) uint32 {
 	}
 	return boolCostTable[p]
 }
-
-// LiteralCost returns the cost of an n-bit literal in 1/256-bit units.
-func LiteralCost(n int) uint32 { return uint32(n) * 256 }

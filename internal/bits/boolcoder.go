@@ -90,11 +90,6 @@ func (e *Encoder) PutLiteral(v uint32, n int) {
 // Bools reports the number of booleans encoded so far.
 func (e *Encoder) Bools() int { return e.bools }
 
-// Len reports the number of complete bytes emitted so far (excluding the
-// in-flight interval state). It underestimates the final size by at most
-// four bytes until Bytes is called.
-func (e *Encoder) Len() int { return len(e.buf) }
-
 // Bytes flushes the coder and returns the finished bitstream. The Encoder
 // must not be used afterwards except via Reset.
 func (e *Encoder) Bytes() []byte {

@@ -54,9 +54,6 @@ func UECost(v uint32) uint32 {
 	return uint32(2*n+1) * 256
 }
 
-// SECost returns the coding cost of PutSE(v) in 1/256-bit units.
-func SECost(v int32) uint32 { return UECost(zigzagEncode(v)) }
-
 // BitWriter is a plain MSB-first bit writer used by the lossless frame
 // buffer compressor, where arithmetic coding would be too slow for the
 // hardware's line-rate requirement (paper §3.2).

@@ -20,62 +20,52 @@ import (
 // recalled and requeued (blast-radius containment in the PR 4
 // tradition).
 
-// AuditConfig parameterizes the online output auditor. The zero value
-// (Budget == 0) disables it; every other field has a default applied
-// when the auditor is armed, so Config.Audit = AuditConfig{Budget:
-// 0.05} is a complete production-like setting.
+// AuditConfig arms the online output auditor. The zero value (Budget
+// == 0) disables it. Budget is the one operating point anyone turns
+// (the escapes-vs-budget frontier); the rest of the auditor's tuning is
+// the constants below.
 type AuditConfig struct {
 	// Budget is the fraction of completed hardware transcode steps
 	// re-verified by the auditor — the knob of the escapes-vs-budget
 	// frontier. 0 disables auditing entirely.
 	Budget float64
-	// Period is the audit sweep interval on the sim clock.
-	Period time.Duration
-	// TrustRecover moves a device's trust toward 1 on a clean audit:
-	// trust += TrustRecover × (1 − trust).
-	TrustRecover float64
-	// TrustFailFactor multiplies trust on a failed audit. With the
-	// defaults (×0.25 from 1.0), two failed audits convict.
-	TrustFailFactor float64
-	// DemoteTrust and ConvictTrust are the ladder thresholds: below
-	// DemoteTrust the device serves only batch work; below ConvictTrust
-	// it is quarantined, its taint window recalled, and the extended
-	// soak begins.
-	DemoteTrust  float64
-	ConvictTrust float64
-	// SoakPeriod spaces the extended-soak re-screening passes of a
-	// convicted device; SoakOps is each pass's probe length in ops (it
-	// must reach a duty cycle to straddle an intermittent's corrupt
-	// slot); SoakPasses is K, the consecutive clean passes required for
-	// exoneration — one pass provably cannot catch an intermittent
-	// whose cycle exceeds the probe.
-	SoakPeriod time.Duration
-	SoakOps    int64
-	SoakPasses int
-	// MaxTaintWindow caps the per-device unaudited-output list. Steps
-	// evicted past the cap leave the recall horizon (counted as
-	// TaintEvictions), which bounds a conviction's recall blast radius:
-	// StepsRecalled per conviction ≤ MaxTaintWindow.
-	MaxTaintWindow int
 }
 
+const (
+	// auditPeriod is the audit sweep interval on the sim clock.
+	auditPeriod = 10 * time.Second
+	// trustRecover moves a device's trust toward 1 on a clean audit:
+	// trust += trustRecover × (1 − trust).
+	trustRecover = 0.1
+	// trustFailFactor multiplies trust on a failed audit: ×0.25 from
+	// 1.0, so two failed audits convict.
+	trustFailFactor = 0.25
+	// demoteTrust and convictTrust are the ladder thresholds: below
+	// demoteTrust the device serves only batch work; below convictTrust
+	// it is quarantined, its taint window recalled, and the extended
+	// soak begins.
+	demoteTrust  = 0.5
+	convictTrust = 0.15
+	// soakPeriod spaces the extended-soak re-screening passes of a
+	// convicted device; soakOps is each pass's probe length in ops (it
+	// must reach a duty cycle to straddle an intermittent's corrupt
+	// slot); soakPasses is K, the consecutive clean passes required for
+	// exoneration — one pass provably cannot catch an intermittent
+	// whose cycle exceeds the probe.
+	soakPeriod = time.Minute
+	soakOps    = 64
+	soakPasses = 3
+	// maxTaintWindow caps the per-device unaudited-output list. Steps
+	// evicted past the cap leave the recall horizon (counted as
+	// TaintEvictions), which bounds a conviction's recall blast radius:
+	// StepsRecalled per conviction ≤ maxTaintWindow.
+	maxTaintWindow = 64
+)
+
 // DefaultAuditConfig returns a production-like auditor: 5% of completed
-// steps re-verified every 10 simulated seconds, two failed audits to
-// convict, three consecutive clean 64-op soaks to exonerate, and a
-// 64-step taint window.
+// steps re-verified.
 func DefaultAuditConfig() AuditConfig {
-	return AuditConfig{
-		Budget:          0.05,
-		Period:          10 * time.Second,
-		TrustRecover:    0.1,
-		TrustFailFactor: 0.25,
-		DemoteTrust:     0.5,
-		ConvictTrust:    0.15,
-		SoakPeriod:      time.Minute,
-		SoakOps:         64,
-		SoakPasses:      3,
-		MaxTaintWindow:  64,
-	}
+	return AuditConfig{Budget: 0.05}
 }
 
 // AuditStats counts output-auditor outcomes. Flat and ==-comparable
@@ -85,7 +75,7 @@ type AuditStats struct {
 	// that found corruption.
 	Audited       int64
 	AuditFailures int64
-	// Demotions/Repromotions count trust crossings of DemoteTrust;
+	// Demotions/Repromotions count trust crossings of demoteTrust;
 	// Convictions/Exonerations count quarantine entries and soak-earned
 	// exits; SoakFailures counts soak passes that caught the fault
 	// (condemning the device to the repair pipeline).
@@ -104,30 +94,12 @@ type AuditStats struct {
 	// taint window before being audited or recalled.
 	TaintEvictions int64
 	// RecallWindowMax (gauge) is the largest single-conviction recall —
-	// the measured blast radius, provably ≤ MaxTaintWindow.
-	RecallWindowMax int64
-}
-
-// accumulate folds o into s: counters sum, gauges take max.
-func (s *AuditStats) accumulate(o AuditStats) {
-	s.Audited += o.Audited
-	s.AuditFailures += o.AuditFailures
-	s.Demotions += o.Demotions
-	s.Repromotions += o.Repromotions
-	s.Convictions += o.Convictions
-	s.Exonerations += o.Exonerations
-	s.SoakFailures += o.SoakFailures
-	s.StepsRecalled += o.StepsRecalled
-	s.RecallEscapes += o.RecallEscapes
-	s.TaintEvictions += o.TaintEvictions
-	if o.RecallWindowMax > s.RecallWindowMax {
-		s.RecallWindowMax = o.RecallWindowMax
-	}
+	// the measured blast radius, provably ≤ maxTaintWindow.
+	RecallWindowMax int64 `stat:"max"`
 }
 
 // auditor is the output auditor's mutable state on a Cluster.
 type auditor struct {
-	cfg AuditConfig
 	// completedHW counts audit-eligible (hardware transcode) step
 	// completions; audited counts audits spent. The budget invariant is
 	// audited ≤ Budget × completedHW — a token bucket that lets a burst
@@ -141,43 +113,13 @@ type auditor struct {
 	priority []*Step
 }
 
-// setupAudit arms the auditor when configured, applying defaults for
-// unset knobs.
+// setupAudit arms the auditor when configured.
 func (c *Cluster) setupAudit() {
-	a := c.cfg.Audit
-	if a.Budget <= 0 {
+	if c.cfg.Audit.Budget <= 0 {
 		return
 	}
-	def := DefaultAuditConfig()
-	if a.Period <= 0 {
-		a.Period = def.Period
-	}
-	if a.TrustRecover <= 0 {
-		a.TrustRecover = def.TrustRecover
-	}
-	if a.TrustFailFactor <= 0 {
-		a.TrustFailFactor = def.TrustFailFactor
-	}
-	if a.DemoteTrust <= 0 {
-		a.DemoteTrust = def.DemoteTrust
-	}
-	if a.ConvictTrust <= 0 {
-		a.ConvictTrust = def.ConvictTrust
-	}
-	if a.SoakPeriod <= 0 {
-		a.SoakPeriod = def.SoakPeriod
-	}
-	if a.SoakOps <= 0 {
-		a.SoakOps = def.SoakOps
-	}
-	if a.SoakPasses <= 0 {
-		a.SoakPasses = def.SoakPasses
-	}
-	if a.MaxTaintWindow <= 0 {
-		a.MaxTaintWindow = def.MaxTaintWindow
-	}
-	c.aud = &auditor{cfg: a}
-	c.every(a.Period, c.auditTick)
+	c.aud = &auditor{}
+	c.every(auditPeriod, c.auditTick)
 }
 
 // auditObserve records a completed hardware transcode step into the
@@ -190,7 +132,7 @@ func (c *Cluster) auditObserve(s *Step, cw *clusterWorker) {
 	if s.hedgeWon {
 		c.aud.priority = append(c.aud.priority, s)
 	}
-	if len(cw.produced) >= c.aud.cfg.MaxTaintWindow {
+	if len(cw.produced) >= maxTaintWindow {
 		cw.produced = cw.produced[1:]
 		c.Stats.Audit.TaintEvictions++
 	}
@@ -200,7 +142,7 @@ func (c *Cluster) auditObserve(s *Step, cw *clusterWorker) {
 // auditTick spends the accumulated audit allowance on the current most
 // suspicious unaudited output.
 func (c *Cluster) auditTick() {
-	allowance := int64(c.aud.cfg.Budget*float64(c.aud.completedHW)) - c.aud.audited
+	allowance := int64(c.cfg.Audit.Budget*float64(c.aud.completedHW)) - c.aud.audited
 	for ; allowance > 0; allowance-- {
 		st, cw := c.nextAuditCandidate()
 		if st == nil {
@@ -280,7 +222,7 @@ func (c *Cluster) nextAuditCandidate() (*Step, *clusterWorker) {
 // byte-compares (realpixels.go); in modeled mode the step's Corrupted
 // flag is ground truth for what a full re-check would find.
 func (c *Cluster) auditVerify(st *Step) bool {
-	if c.cfg.RealPixels.Enabled {
+	if c.cfg.RealPixels {
 		return c.auditVerifyReal(st)
 	}
 	return !st.Corrupted
@@ -294,7 +236,7 @@ func (c *Cluster) auditStep(st *Step, cw *clusterWorker) {
 	c.Stats.Audit.Audited++
 	st.audited = true
 	if c.auditVerify(st) {
-		cw.trust += a.cfg.TrustRecover * (1 - cw.trust)
+		cw.trust += trustRecover * (1 - cw.trust)
 		c.rescore(cw, true)
 		// Clean-audit watermark: the taint window restarts after the
 		// audited step — earlier unaudited output leaves the recall
@@ -313,7 +255,7 @@ func (c *Cluster) auditStep(st *Step, cw *clusterWorker) {
 		c.Stats.CorruptionsCaught++
 		c.recallStep(st)
 	}
-	cw.trust *= a.cfg.TrustFailFactor
+	cw.trust *= trustFailFactor
 	c.rescore(cw, false)
 }
 
@@ -368,7 +310,7 @@ func (c *Cluster) recallStep(st *Step) {
 }
 
 // convict contains a device rescore has just convicted (its trust fell
-// through ConvictTrust): in-flight work is voided (worker-generation bump) and pending ops
+// through convictTrust): in-flight work is voided (worker-generation bump) and pending ops
 // aborted, every unshipped step in its taint window is recalled (the
 // shipped remainder counted as beyond-recall escapes), and the extended
 // soak begins. The device serves nothing until exonerated.
@@ -405,7 +347,7 @@ func (c *Cluster) convict(cw *clusterWorker) {
 
 // scheduleSoak arms the next extended-soak pass for a convicted device.
 func (c *Cluster) scheduleSoak(cw *clusterWorker) {
-	c.Eng.Schedule(c.aud.cfg.SoakPeriod, func() { c.soakTick(cw) })
+	c.Eng.Schedule(soakPeriod, func() { c.soakTick(cw) })
 }
 
 // soakTick runs one extended-soak re-screening pass (K consecutive
@@ -418,7 +360,7 @@ func (c *Cluster) soakTick(cw *clusterWorker) {
 	if !cw.soaking() {
 		return
 	}
-	if !cw.vcu.ExtendedCheck(c.aud.cfg.SoakOps) {
+	if !cw.vcu.ExtendedCheck(soakOps) {
 		// The soak reproduced the fault: the conviction stands. Disable
 		// the device so the existing repair lifecycle (faultScan →
 		// sendToRepair → readmitHost) owns it from here.
@@ -428,7 +370,7 @@ func (c *Cluster) soakTick(cw *clusterWorker) {
 		return
 	}
 	cw.soakPasses++
-	if cw.soakPasses >= c.aud.cfg.SoakPasses {
+	if cw.soakPasses >= soakPasses {
 		c.exonerate(cw)
 		return
 	}
@@ -443,13 +385,4 @@ func (c *Cluster) exonerate(cw *clusterWorker) {
 	c.Stats.Audit.Exonerations++
 	c.startWorker(cw)
 	c.dispatch()
-}
-
-// TrustOf returns a device's current audit trust score (1 when the
-// device is unknown).
-func (c *Cluster) TrustOf(vcuID int) float64 {
-	if cw := c.byVCU[vcuID]; cw != nil {
-		return cw.trust
-	}
-	return 1
 }

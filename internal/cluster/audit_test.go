@@ -124,7 +124,7 @@ func TestAuditGameDay(t *testing.T) {
 	if st.StepsRecalled == 0 {
 		t.Fatalf("conviction recalled nothing: %+v", st)
 	}
-	if max := int64(aud.aud.cfg.MaxTaintWindow); st.RecallWindowMax > max {
+	if max := int64(maxTaintWindow); st.RecallWindowMax > max {
 		t.Fatalf("recall blast radius %d exceeds taint window %d", st.RecallWindowMax, max)
 	}
 	t.Logf("escapes: %d (audit off) -> %d (5%% budget); audits=%d/%d completions",

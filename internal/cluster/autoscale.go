@@ -37,7 +37,7 @@ import (
 
 // flipGuardTicks is the window (in control ticks) within which a resize
 // in the opposite direction of the previous one counts as an
-// oscillation flip. Strictly below the default DownStableTicks, so a
+// oscillation flip. Strictly below downStableTicks, so a
 // shrink that honored the full hysteresis persistence can never be
 // misread as oscillation.
 const flipGuardTicks = 2
@@ -52,40 +52,18 @@ type AutoscaleConfig struct {
 	// idle park parks every worker and pays a cold start (ColdStarts,
 	// Warmup) when demand returns.
 	MinWorkers int
-	// MaxWorkers caps the active park; 0 means every worker the
-	// cluster physically has.
-	MaxWorkers int
 	// InitialWorkers is the park size at t=0; 0 defaults to MinWorkers.
 	InitialWorkers int
 	// TargetUtilization is the steady-state design point ρ* = λ/(n·μ)
 	// the optimizer sizes for (default 0.7). Lower targets buy SLO
 	// headroom with idle capacity — the knob the cost-vs-SLO frontier
-	// sweeps.
+	// sweeps. The gap down to lowUtilization is the hysteresis band:
+	// between them the park holds.
 	TargetUtilization float64
-	// LowUtilization is the scale-down band: the park only shrinks
-	// while measured utilization sits at or below this (default 0.45).
-	// The gap between LowUtilization and TargetUtilization is the
-	// hysteresis band — between them the park holds.
-	LowUtilization float64
-	// ScaleUpStep / ScaleDownStep cap workers moved per tick (defaults
-	// 4 and 2: growth reacts faster than shrink, the classic
-	// fast-attack/slow-decay asymmetry).
-	ScaleUpStep   int
-	ScaleDownStep int
-	// DownStableTicks is how many consecutive low-utilization ticks
-	// must pass before the first shrink (default 3) — the temporal half
-	// of the hysteresis.
-	DownStableTicks int
 	// Warmup is the cold-start penalty: a newly activated worker
 	// refuses work for this long (its capacity is committed — and
 	// billed — but not yet serving). 0 activates instantly.
 	Warmup time.Duration
-	// BurndownWindow is how fast the optimizer wants excess backlog
-	// absorbed: it adds backlog/(μ·window) workers beyond steady state.
-	// Default 4×Period.
-	BurndownWindow time.Duration
-	// ModelGain is the capacity model's EWMA gain (default 0.3).
-	ModelGain float64
 	// OracleRatePerHour, when set, replaces the analyzer's λ estimate
 	// with the true step arrival rate at the current sim time — the
 	// oracle-provisioned baseline of the frontier experiments. Oracle
@@ -94,20 +72,35 @@ type AutoscaleConfig struct {
 	OracleRatePerHour func(time.Duration) float64
 }
 
+const (
+	// lowUtilization is the scale-down band: the park only shrinks
+	// while measured utilization sits at or below this.
+	lowUtilization = 0.45
+	// scaleUpStep / scaleDownStep cap workers moved per tick: growth
+	// reacts faster than shrink, the classic fast-attack/slow-decay
+	// asymmetry.
+	scaleUpStep   = 4
+	scaleDownStep = 2
+	// downStableTicks is how many consecutive low-utilization ticks
+	// must pass before the first shrink — the temporal half of the
+	// hysteresis.
+	downStableTicks = 3
+	// burndownPeriods is how fast the optimizer wants excess backlog
+	// absorbed, in control periods: it adds backlog/(μ·window) workers
+	// beyond steady state.
+	burndownPeriods = 4
+	// modelGain is the capacity model's EWMA gain.
+	modelGain = 0.3
+)
+
 // DefaultAutoscaleConfig returns production-like control settings: a
-// 30s loop sized for ρ*=0.7 with a 0.45 low-water band, 3-tick shrink
-// persistence, 4-up/2-down step caps and a 60s cold-start warmup.
+// 30s loop sized for ρ*=0.7 and a 60s cold-start warmup.
 func DefaultAutoscaleConfig() AutoscaleConfig {
 	return AutoscaleConfig{
 		Period:            30 * time.Second,
 		MinWorkers:        1,
 		TargetUtilization: 0.7,
-		LowUtilization:    0.45,
-		ScaleUpStep:       4,
-		ScaleDownStep:     2,
-		DownStableTicks:   3,
 		Warmup:            time.Minute,
-		ModelGain:         0.3,
 	}
 }
 
@@ -143,41 +136,16 @@ type AutoscaleStats struct {
 	// cost = ActiveWorkerTicks × Period.
 	ActiveWorkerTicks int64
 	// ActiveWorkers (gauge) is the current active park size.
-	ActiveWorkers int64
+	ActiveWorkers int64 `stat:"max"`
 	// PendingDrains (gauge) is how many workers are draining out.
-	PendingDrains int64
+	PendingDrains int64 `stat:"max"`
 	// ModelResidualPPM (gauge) is the capacity model's backlog-fit
 	// residual (see CapacityModel.UpdateResidual).
-	ModelResidualPPM int64
+	ModelResidualPPM int64 `stat:"max"`
 	// RebalanceStandDowns counts pool-rebalancer sweeps that skipped a
 	// pool because an autoscaler drain was in flight there — the two
 	// worker-moving mechanisms never thrash the same pool in one tick.
 	RebalanceStandDowns int64
-}
-
-// accumulateAutoscale folds o into s: counters sum, gauges take max.
-func (s *AutoscaleStats) accumulate(o AutoscaleStats) {
-	s.Ticks += o.Ticks
-	s.ScaleUps += o.ScaleUps
-	s.ScaleDowns += o.ScaleDowns
-	s.WorkersActivated += o.WorkersActivated
-	s.WorkersRetired += o.WorkersRetired
-	s.DrainsStarted += o.DrainsStarted
-	s.DrainsCancelled += o.DrainsCancelled
-	s.ColdStarts += o.ColdStarts
-	s.ConflictTicks += o.ConflictTicks
-	s.Flips += o.Flips
-	s.ActiveWorkerTicks += o.ActiveWorkerTicks
-	if o.ActiveWorkers > s.ActiveWorkers {
-		s.ActiveWorkers = o.ActiveWorkers
-	}
-	if o.PendingDrains > s.PendingDrains {
-		s.PendingDrains = o.PendingDrains
-	}
-	if o.ModelResidualPPM > s.ModelResidualPPM {
-		s.ModelResidualPPM = o.ModelResidualPPM
-	}
-	s.RebalanceStandDowns += o.RebalanceStandDowns
 }
 
 // autoscaler is the control loop's mutable state on a Cluster.
@@ -214,32 +182,14 @@ func (c *Cluster) setupAutoscale() {
 	if acfg.TargetUtilization <= 0 || acfg.TargetUtilization > 1 {
 		acfg.TargetUtilization = 0.7
 	}
-	if acfg.LowUtilization <= 0 || acfg.LowUtilization >= acfg.TargetUtilization {
-		acfg.LowUtilization = acfg.TargetUtilization * 0.65
-	}
-	if acfg.ScaleUpStep <= 0 {
-		acfg.ScaleUpStep = 4
-	}
-	if acfg.ScaleDownStep <= 0 {
-		acfg.ScaleDownStep = 2
-	}
-	if acfg.DownStableTicks <= 0 {
-		acfg.DownStableTicks = 3
-	}
-	if acfg.BurndownWindow <= 0 {
-		acfg.BurndownWindow = 4 * acfg.Period
-	}
 	c.as = &autoscaler{
 		cfg: acfg,
-		model: NewCapacityModel(acfg.ModelGain, c.cfg.StepTargetSeconds,
+		model: NewCapacityModel(modelGain, c.cfg.StepTargetSeconds,
 			c.cfg.Overload.MaxQueueLen),
 	}
 	initial := acfg.InitialWorkers
 	if initial <= 0 {
 		initial = acfg.MinWorkers
-	}
-	if max := c.autoscaleMax(); initial > max {
-		initial = max
 	}
 	// Initial provisioning is not a resize: park the surplus silently.
 	active := 0
@@ -252,14 +202,6 @@ func (c *Cluster) setupAutoscale() {
 		cw.sw.TryRetire() // idle at t=0: retires immediately
 	}
 	c.every(acfg.Period, c.autoscaleTick)
-}
-
-// autoscaleMax is the physical or configured cap on the active park.
-func (c *Cluster) autoscaleMax() int {
-	if m := c.as.cfg.MaxWorkers; m > 0 && m < len(c.workers) {
-		return m
-	}
-	return len(c.workers)
 }
 
 // provisionedWorkers counts the active park: healthy workers the
@@ -303,13 +245,11 @@ func (c *Cluster) autoscaleTick() {
 	// burn-down capacity for the current backlog transient.
 	provisioned := pc.provisioned()
 	desired := as.model.RequiredWorkers(as.cfg.TargetUtilization,
-		sample.Backlog, as.cfg.BurndownWindow.Seconds())
+		sample.Backlog, (burndownPeriods * as.cfg.Period).Seconds())
 	if desired < as.cfg.MinWorkers {
 		desired = as.cfg.MinWorkers
 	}
-	if max := c.autoscaleMax(); desired > max {
-		desired = max
-	}
+	desired = min(desired, len(c.workers))
 	st.ModelResidualPPM = as.model.UpdateResidual(provisioned, sample.Backlog)
 
 	// Actuator, under the priority protocol and hysteresis bands. A
@@ -328,8 +268,8 @@ func (c *Cluster) autoscaleTick() {
 			break
 		}
 		step := desired - provisioned
-		if !as.oracle() && step > as.cfg.ScaleUpStep {
-			step = as.cfg.ScaleUpStep
+		if !as.oracle() && step > scaleUpStep {
+			step = scaleUpStep
 		}
 		c.scaleUp(step)
 	case desired < provisioned:
@@ -348,19 +288,19 @@ func (c *Cluster) autoscaleTick() {
 		if provisioned > 0 && as.model.ServiceRate() > 0 {
 			util = as.model.ArrivalRate() / (float64(provisioned) * as.model.ServiceRate())
 		}
-		if util > as.cfg.LowUtilization {
+		if util > lowUtilization {
 			// Inside the hysteresis band: hold.
 			as.lowTicks = 0
 			break
 		}
 		as.lowTicks++
-		if as.lowTicks < as.cfg.DownStableTicks || cooldown(-1) {
+		if as.lowTicks < downStableTicks || cooldown(-1) {
 			break
 		}
 		as.lowTicks = 0
 		step := provisioned - desired
-		if step > as.cfg.ScaleDownStep {
-			step = as.cfg.ScaleDownStep
+		if step > scaleDownStep {
+			step = scaleDownStep
 		}
 		c.scaleDown(step)
 	default:

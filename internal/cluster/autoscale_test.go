@@ -263,7 +263,7 @@ func TestAutoscaleHoldsShrinkDuringBrownout(t *testing.T) {
 	// Brownout lifts: the same conditions now shrink after the
 	// hysteresis persistence.
 	c.degradeLevel = transcode.DegradeNone
-	for i := 0; i <= cfg.Autoscale.DownStableTicks; i++ {
+	for i := 0; i <= downStableTicks; i++ {
 		c.autoscaleTick()
 	}
 	if c.Stats.Autoscale.ScaleDowns == 0 {

@@ -119,7 +119,7 @@ func TestChaosInvariants(t *testing.T) {
 	// Invariant 5: bounded recall blast radius. A conviction recalls at
 	// most the device's taint window, no matter how long the corrupter
 	// served before the auditor cornered it.
-	if max := int64(c.aud.cfg.MaxTaintWindow); c.Stats.Audit.RecallWindowMax > max {
+	if max := int64(maxTaintWindow); c.Stats.Audit.RecallWindowMax > max {
 		t.Fatalf("recall blast radius %d exceeds taint window %d",
 			c.Stats.Audit.RecallWindowMax, max)
 	}

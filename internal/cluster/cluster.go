@@ -187,7 +187,8 @@ func (g *Graph) Corrupted() bool {
 // Config parameterizes a Cluster.
 type Config struct {
 	Params vcu.Params
-	Hosts  int
+	//lint:ignore singleknob set from DefaultConfig(hosts)'s argument by every caller
+	Hosts int
 	// GoldenCheckOnStart runs golden transcoding tasks before a worker
 	// accepts work on a VCU (§4.4 mitigation).
 	GoldenCheckOnStart bool
@@ -201,8 +202,6 @@ type Config struct {
 	// MaxHostsInRepair caps simultaneous repairs "to protect against
 	// faulty repair signals causing large scale capacity loss".
 	MaxHostsInRepair int
-	// FaultScanPeriod is the failure-management sweep interval.
-	FaultScanPeriod time.Duration
 	// DisableFaultThreshold is the telemetry fault count that disables a
 	// VCU.
 	DisableFaultThreshold int64
@@ -236,7 +235,7 @@ type Config struct {
 	// RealPixels runs actual encodes for transcode steps, actual byte
 	// corruption for faulty VCUs, and actual decode/length verification
 	// at assembly (replacing IntegrityCheckProb with emergent behavior).
-	RealPixels RealPixelsConfig
+	RealPixels bool
 	// WatchdogMultiplier scales the cost model's expected step time
 	// (sched.ExpectedStepSeconds) into a sim-time deadline for every
 	// dispatched step. On expiry the step is cancelled, the timeout is
@@ -250,10 +249,9 @@ type Config struct {
 	// completion wins; the loser's result is discarded.
 	HedgeMultiplier float64
 	// RetryBackoffBase is the requeue delay after a step's first
-	// failure; attempt n waits Base<<(n-1), capped at RetryBackoffMax.
+	// failure; attempt n waits Base<<(n-1), capped at retryBackoffMax.
 	// 0 requeues immediately.
 	RetryBackoffBase time.Duration
-	RetryBackoffMax  time.Duration
 	// RepairLatency is how long a host spends in the §4.4 repair
 	// workflow before readmission. A repaired host re-runs golden
 	// screening per VCU before its capacity rejoins the scheduler. 0
@@ -277,6 +275,13 @@ type Config struct {
 	Seed uint64
 }
 
+const (
+	// faultScanPeriod is the failure-management sweep interval.
+	faultScanPeriod = 30 * time.Second
+	// retryBackoffMax caps the exponential requeue backoff.
+	retryBackoffMax = 30 * time.Second
+)
+
 // DefaultConfig returns a production-like configuration with all §4.4
 // mitigations enabled.
 func DefaultConfig(hosts int) Config {
@@ -287,12 +292,10 @@ func DefaultConfig(hosts int) Config {
 		AbortOnFailure:        true,
 		IntegrityCheckProb:    0.9,
 		MaxHostsInRepair:      2,
-		FaultScanPeriod:       30 * time.Second,
 		DisableFaultThreshold: 8,
 		StepTargetSeconds:     10,
 		WatchdogMultiplier:    8,
 		RetryBackoffBase:      500 * time.Millisecond,
-		RetryBackoffMax:       30 * time.Second,
 		RepairLatency:         30 * time.Minute,
 		Seed:                  1,
 	}
@@ -300,7 +303,8 @@ func DefaultConfig(hosts int) Config {
 
 // Stats counts cluster-level outcomes. The struct is flat and
 // comparable: the chaos harness asserts two runs with the same seed
-// produce identical Stats with ==.
+// produce identical Stats with ==. Every leaf is an int64; Accumulate
+// sums them across clusters, except the gauges tagged `stat:"max"`.
 type Stats struct {
 	StepsCompleted     int64
 	StepsFailed        int64
@@ -345,12 +349,12 @@ type Stats struct {
 	// QueueHighWater (gauge) is the deepest the work queue has been —
 	// the saturation signal instantaneous backlog cannot show between
 	// samples. Aggregates by max.
-	QueueHighWater int64
+	QueueHighWater int64 `stat:"max"`
 	// PoolUtilPPM (gauge) is per-pool worker utilization — busy active
 	// workers over active workers, in parts-per-million — indexed by
 	// sched.UseCase (with pools disabled everything counts as upload).
 	// Aggregates by max.
-	PoolUtilPPM [2]int64
+	PoolUtilPPM [2]int64 `stat:"max"`
 	// Autoscale counts capacity-controller outcomes.
 	Autoscale AutoscaleStats
 	// Audit counts output-auditor outcomes: samples, trust-ladder
@@ -362,64 +366,6 @@ type Stats struct {
 	// Classes buckets transcode-step goodput by priority class, indexed
 	// by sched.Priority (critical, normal, batch).
 	Classes [3]ClassStats
-}
-
-// Accumulate adds o into s field by field — the region-level aggregation
-// of per-cluster stats.
-func (s *Stats) Accumulate(o Stats) {
-	s.StepsCompleted += o.StepsCompleted
-	s.StepsFailed += o.StepsFailed
-	s.Retries += o.Retries
-	s.SoftwareFallbacks += o.SoftwareFallbacks
-	s.AffinityOverflows += o.AffinityOverflows
-	s.MemoryExhaustions += o.MemoryExhaustions
-	s.CorruptionsCaught += o.CorruptionsCaught
-	s.CorruptionsEscaped += o.CorruptionsEscaped
-	s.VCUsDisabled += o.VCUsDisabled
-	s.HostsSentToRepair += o.HostsSentToRepair
-	s.RepairsDeferred += o.RepairsDeferred
-	s.GoldenRejections += o.GoldenRejections
-	s.WorkerAborts += o.WorkerAborts
-	s.PoolRebalances += o.PoolRebalances
-	s.WatchdogFires += o.WatchdogFires
-	s.HedgesLaunched += o.HedgesLaunched
-	s.HedgesWon += o.HedgesWon
-	s.HostsCrashed += o.HostsCrashed
-	s.HostsReadmitted += o.HostsReadmitted
-	s.ReadmitRejections += o.ReadmitRejections
-	s.GraphsShed += o.GraphsShed
-	s.BrownoutUps += o.BrownoutUps
-	s.BrownoutDowns += o.BrownoutDowns
-	s.HedgesSuppressed += o.HedgesSuppressed
-	s.HedgesVetoed += o.HedgesVetoed
-	if o.QueueHighWater > s.QueueHighWater {
-		s.QueueHighWater = o.QueueHighWater
-	}
-	for i := range s.PoolUtilPPM {
-		if o.PoolUtilPPM[i] > s.PoolUtilPPM[i] {
-			s.PoolUtilPPM[i] = o.PoolUtilPPM[i]
-		}
-	}
-	s.Autoscale.accumulate(o.Autoscale)
-	s.Audit.accumulate(o.Audit)
-	s.Failures.Stop += o.Failures.Stop
-	s.Failures.Transient += o.Failures.Transient
-	s.Failures.Deadline += o.Failures.Deadline
-	s.Failures.Crash += o.Failures.Crash
-	s.Failures.Aborted += o.Failures.Aborted
-	s.Failures.Restart += o.Failures.Restart
-	s.Failures.Memory += o.Failures.Memory
-	s.Failures.Integrity += o.Failures.Integrity
-	s.Failures.Recalled += o.Failures.Recalled
-	s.Failures.Other += o.Failures.Other
-	for i := range s.Classes {
-		s.Classes[i].Admitted += o.Classes[i].Admitted
-		s.Classes[i].Completed += o.Classes[i].Completed
-		s.Classes[i].SLOMet += o.Classes[i].SLOMet
-		s.Classes[i].Shed += o.Classes[i].Shed
-		s.Classes[i].Degraded += o.Classes[i].Degraded
-		s.Classes[i].DeadlineMissed += o.Classes[i].DeadlineMissed
-	}
 }
 
 // FailureClasses tallies step failures by fault class, so a fail-stop
@@ -487,7 +433,6 @@ type Cluster struct {
 	// memo reports whether the memo answered it (always "no room") in
 	// place of a walk over the workers. Tests set it; nothing else does.
 	placeProbe func(s *Step, need sched.Resources, avoidVCU int, memo bool)
-	nextID     int
 	rng        uint64
 	ring       *hashRing
 	// degradeLevel is the brownout controller's current rung.
@@ -536,7 +481,7 @@ type clusterWorker struct {
 	// ladder rung the score has earned it (soakPasses consecutive clean
 	// soaks exonerate a convicted device). produced is the taint window:
 	// hardware steps completed here since the device's last clean audit,
-	// capped at MaxTaintWindow.
+	// capped at maxTaintWindow.
 	trust      float64
 	standing   standing
 	soakPasses int
@@ -606,7 +551,7 @@ func buildCluster(cfg Config, eng *sim.Engine) *Cluster {
 		}
 		c.every(period, c.rebalancePools)
 	}
-	c.every(cfg.FaultScanPeriod, c.faultScan)
+	c.every(faultScanPeriod, c.faultScan)
 	c.every(cfg.Overload.BrownoutPeriod, c.brownoutTick)
 	c.setupAutoscale()
 	c.setupAudit()
@@ -829,7 +774,7 @@ func (c *Cluster) tryPlace(s *Step) bool {
 		// checks before completing.
 		s.State = StepRunning
 		c.Eng.Schedule(2*time.Second, func() {
-			if c.cfg.RealPixels.Enabled && s.Kind == StepAssemble {
+			if c.cfg.RealPixels && s.Kind == StepAssemble {
 				if c.assembleVerify(s) {
 					return // bad chunks re-opened; assemble waits again
 				}
@@ -1222,7 +1167,7 @@ func (c *Cluster) completeStep(s *Step, cw *clusterWorker, corrupted bool) {
 		c.dispatch()
 		return
 	}
-	if c.cfg.RealPixels.Enabled && s.Kind == StepTranscode && !s.Software {
+	if c.cfg.RealPixels && s.Kind == StepTranscode && !s.Software {
 		// Really encode the chunk; a faulty VCU really tampers with it.
 		// Detection happens at assembly via real decodes.
 		if err := c.realEncode(s, corrupted); err != nil {
@@ -1351,7 +1296,7 @@ func (c *Cluster) abortWorker(cw *clusterWorker) {
 }
 
 // retryDelay is the capped exponential backoff before attempt n+1:
-// Base<<(n-1), capped at RetryBackoffMax.
+// Base<<(n-1), capped at retryBackoffMax.
 func (c *Cluster) retryDelay(attempts int) time.Duration {
 	base := c.cfg.RetryBackoffBase
 	if base <= 0 || attempts <= 0 {
@@ -1362,10 +1307,7 @@ func (c *Cluster) retryDelay(attempts int) time.Duration {
 		shift = 16
 	}
 	d := base << uint(shift)
-	if lim := c.cfg.RetryBackoffMax; lim > 0 && d > lim {
-		d = lim
-	}
-	return d
+	return min(d, retryBackoffMax)
 }
 
 // requeueAfter returns a failed step to the ready queue after the

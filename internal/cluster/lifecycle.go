@@ -265,16 +265,15 @@ func (c *Cluster) readmitHost(h *vcu.Host) {
 // clean audit can repromote a demoted device, a failed one can demote a
 // trusted device or convict any not yet convicted.
 func (c *Cluster) rescore(cw *clusterWorker, passed bool) {
-	a := c.aud.cfg
 	switch {
-	case passed && cw.standing == demoted && cw.trust >= a.DemoteTrust:
+	case passed && cw.standing == demoted && cw.trust >= demoteTrust:
 		cw.standing = move(trustMoves, cw, cw.standing, evRepromote)
 		c.roomMade()
 		c.Stats.Audit.Repromotions++
-	case !passed && cw.standing != convicted && cw.trust < a.ConvictTrust:
+	case !passed && cw.standing != convicted && cw.trust < convictTrust:
 		cw.standing = move(trustMoves, cw, cw.standing, evConvict)
 		c.convict(cw)
-	case !passed && cw.standing == trusted && cw.trust < a.DemoteTrust:
+	case !passed && cw.standing == trusted && cw.trust < demoteTrust:
 		cw.standing = move(trustMoves, cw, cw.standing, evDemote)
 		c.Stats.Audit.Demotions++
 	}
@@ -295,24 +294,17 @@ func (c *Cluster) clearRecord(cw *clusterWorker, ev event) {
 // can still probe (a disabled device or dark host belongs to repair).
 func (cw *clusterWorker) soaking() bool { return cw.standing == convicted && cw.powered() }
 
-// vcusAtOrBelow lists, in ID order, the devices standing at s or worse.
-func (c *Cluster) vcusAtOrBelow(s standing) []int {
+// ConvictedVCUs returns the IDs of currently-convicted devices in ID
+// order — the game-day's zero-false-convictions assertion surface.
+func (c *Cluster) ConvictedVCUs() []int {
 	var ids []int
 	for _, cw := range c.workers {
-		if cw.standing >= s {
+		if cw.standing == convicted {
 			ids = append(ids, cw.vcu.ID)
 		}
 	}
 	return ids
 }
-
-// ConvictedVCUs returns the IDs of currently-convicted devices in ID
-// order — the game-day's zero-false-convictions assertion surface.
-func (c *Cluster) ConvictedVCUs() []int { return c.vcusAtOrBelow(convicted) }
-
-// DemotedVCUs returns the IDs of currently-demoted (batch-only) devices
-// in ID order; a convicted device is demoted too.
-func (c *Cluster) DemotedVCUs() []int { return c.vcusAtOrBelow(demoted) }
 
 // endWarmup fires when a cold activation's warm-up elapses. A worker
 // parked meanwhile abandoned that warm-up, and if it was activated

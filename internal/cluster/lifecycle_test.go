@@ -202,7 +202,7 @@ func TestLifecycleModel(t *testing.T) {
 				c.as.reapDrains(&c.Stats.Autoscale)
 			case k == 12:
 				op = "convict"
-				cw.trust = c.aud.cfg.ConvictTrust / 2
+				cw.trust = convictTrust / 2
 				c.rescore(cw, false)
 			case k == 13:
 				op = "exonerate"

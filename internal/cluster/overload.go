@@ -288,8 +288,7 @@ func (c *Cluster) degradeFor(s *Step) transcode.DegradeLevel {
 }
 
 // degradedRequest builds the brownout variant of a step request at the
-// given level, mirroring transcode.DegradeSpecs on the scheduler's
-// request shape: top ladder rungs trimmed (Outputs are in ascending
+// given level: top ladder rungs trimmed (Outputs are in ascending
 // rung order), VP9-class downshifted to H.264-class, and — for batch
 // work — the encoder speed raised. The original request is never
 // mutated: once the brownout lifts, retries and new steps run the

@@ -18,47 +18,39 @@ import (
 // an arithmetic-coded stream (decode error, frame-count mismatch, or an
 // undetected garbage frame that escapes).
 
-// RealPixelsConfig enables and sizes real encoding inside the cluster.
-type RealPixelsConfig struct {
-	Enabled bool
-	// Width/Height/Frames size each chunk's real encode (kept small: the
-	// DES schedules thousands of steps).
-	Width, Height, Frames int
-	// QP for the real encodes.
-	QP int
-}
-
-// DefaultRealPixels returns a cheap-but-real configuration.
-func DefaultRealPixels() RealPixelsConfig {
-	return RealPixelsConfig{Enabled: true, Width: 48, Height: 32, Frames: 4, QP: 36}
-}
+// Each chunk's real encode is kept small (the DES schedules thousands
+// of steps): realWidth×realHeight, realFrames frames, at realQP.
+const (
+	realWidth  = 48
+	realHeight = 32
+	realFrames = 4
+	realQP     = 36
+)
 
 // chunkFrames synthesizes the source frames for one chunk of one video,
 // deterministic in (video, step).
 func (c *Cluster) chunkFrames(s *Step) []*video.Frame {
-	rp := c.cfg.RealPixels
 	return video.NewSource(video.SourceConfig{
-		Width: rp.Width, Height: rp.Height,
+		Width: realWidth, Height: realHeight,
 		Seed:   uint64(s.graph.ID)*1009 + uint64(s.ID)*31 + 7,
 		Detail: 0.5, Motion: 1, Objects: 1, ObjectMotion: 2,
-	}).Frames(rp.Frames)
+	}).Frames(realFrames)
 }
 
 // realEncode runs the actual encode for a transcode step and stores the
 // packets on the step. corrupted flips one byte of one packet — what a
 // silently-faulty VCU does to its output.
 func (c *Cluster) realEncode(s *Step, corrupted bool) error {
-	rp := c.cfg.RealPixels
 	frames := c.chunkFrames(s)
 	res, err := transcode.SOT(frames, 30, transcode.OutputSpec{
 		Name:       "real",
-		Resolution: video.Resolution{Name: "real", Width: rp.Width, Height: rp.Height},
+		Resolution: video.Resolution{Name: "real", Width: realWidth, Height: realHeight},
 		// The executed request's profile: under brownout the real encode
 		// runs the downshifted profile, like the modeled ops do.
 		Profile:  s.execReq.Profile,
 		Speed:    2,
 		Hardware: true,
-		RC:       rc.Config{Mode: rc.ModeConstQP, BaseQP: rp.QP},
+		RC:       rc.Config{Mode: rc.ModeConstQP, BaseQP: realQP},
 	})
 	if err != nil {
 		return err
@@ -86,15 +78,14 @@ func (c *Cluster) auditVerifyReal(st *Step) bool {
 	if st.execReq == nil {
 		return true
 	}
-	rp := c.cfg.RealPixels
 	frames := c.chunkFrames(st)
 	res, err := transcode.SOT(frames, 30, transcode.OutputSpec{
 		Name:       "audit-ref",
-		Resolution: video.Resolution{Name: "real", Width: rp.Width, Height: rp.Height},
+		Resolution: video.Resolution{Name: "real", Width: realWidth, Height: realHeight},
 		Profile:    st.execReq.Profile,
 		Speed:      2,
 		Hardware:   true,
-		RC:         rc.Config{Mode: rc.ModeConstQP, BaseQP: rp.QP},
+		RC:         rc.Config{Mode: rc.ModeConstQP, BaseQP: realQP},
 	})
 	if err != nil {
 		return false
@@ -123,7 +114,7 @@ func (c *Cluster) verifyChunks(g *Graph) []*Step {
 			continue
 		}
 		dec, err := codec.DecodeSequence(s.Packets)
-		if err != nil || len(dec) != c.cfg.RealPixels.Frames {
+		if err != nil || len(dec) != realFrames {
 			bad = append(bad, s)
 			continue
 		}

@@ -11,7 +11,7 @@ import (
 
 func realPixelsConfig() Config {
 	cfg := DefaultConfig(1)
-	cfg.RealPixels = DefaultRealPixels()
+	cfg.RealPixels = true
 	return cfg
 }
 
@@ -34,7 +34,6 @@ func TestRealPixelsHappyPath(t *testing.T) {
 		t.Fatalf("video incomplete; stats %+v", c.Stats)
 	}
 	// Every chunk's real bitstream must decode to the configured length.
-	rp := c.cfg.RealPixels
 	for _, s := range g.Steps {
 		if s.Kind != StepTranscode {
 			continue
@@ -46,8 +45,8 @@ func TestRealPixelsHappyPath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("chunk does not decode: %v", err)
 		}
-		if len(dec) != rp.Frames {
-			t.Fatalf("chunk decoded %d frames, want %d", len(dec), rp.Frames)
+		if len(dec) != realFrames {
+			t.Fatalf("chunk decoded %d frames, want %d", len(dec), realFrames)
 		}
 	}
 	if c.Stats.CorruptionsCaught != 0 || c.Stats.CorruptionsEscaped != 0 {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
 
 	"openvcu/internal/sim"
 )
@@ -72,6 +73,65 @@ func (r *Region) Submit(home int, g *Graph) error {
 
 // loadOf is the routing load signal: ready-queue depth.
 func (r *Region) loadOf(i int) int { return r.Clusters[i].QueueLen() }
+
+// statLeaf is one int64 leaf of Stats: the struct-field and
+// array-element indices that reach it, and whether it is a gauge that
+// aggregates by max (its field, or an enclosing one, is tagged
+// `stat:"max"`) rather than a counter that sums.
+type statLeaf struct {
+	path  []int
+	gauge bool
+}
+
+// statLeaves is every leaf of Stats, walked once.
+var statLeaves = walkStats(reflect.TypeOf(Stats{}), nil, false, nil)
+
+func walkStats(t reflect.Type, path []int, gauge bool, out []statLeaf) []statLeaf {
+	path = path[:len(path):len(path)] // siblings must not share a backing array
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			out = walkStats(f.Type, append(path, i), gauge || f.Tag.Get("stat") == "max", out)
+		}
+	case reflect.Array:
+		for i := 0; i < t.Len(); i++ {
+			out = walkStats(t.Elem(), append(path, i), gauge, out)
+		}
+	case reflect.Int64:
+		out = append(out, statLeaf{path, gauge})
+	default:
+		panic("cluster: Stats leaf of type " + t.String() + " is not an int64")
+	}
+	return out
+}
+
+// in returns the leaf's value inside v, a Stats.
+func (l statLeaf) in(v reflect.Value) reflect.Value {
+	for _, i := range l.path {
+		if v.Kind() == reflect.Array {
+			v = v.Index(i)
+		} else {
+			v = v.Field(i)
+		}
+	}
+	return v
+}
+
+// Accumulate folds o into s leaf by leaf — the region-level aggregation
+// of per-cluster stats: counters sum, gauges take the max.
+func (s *Stats) Accumulate(o Stats) {
+	dst, src := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
+	for _, l := range statLeaves {
+		d, x := l.in(dst), l.in(src).Int()
+		if l.gauge {
+			x = max(x, d.Int())
+		} else {
+			x += d.Int()
+		}
+		d.SetInt(x)
+	}
+}
 
 // Stats aggregates cluster stats across the region, including the
 // per-priority goodput buckets — the region-level SLO-attainment view.

@@ -336,9 +336,3 @@ func applyTxBlock(scanned []int32, last, n, qp int, blk []int32,
 func sseRegion(src []uint8, stride, x, y int, blk []uint8, n int) int64 {
 	return motion.PlanarSSE(src[y*stride+x:], stride, blk, n, n)
 }
-
-// ssePlanes accumulates squared error between two plane regions.
-func ssePlanes(a []uint8, b []uint8, stride, x, y, n int) int64 {
-	off := y*stride + x
-	return motion.PlanarSSE(a[off:], stride, b[off:], stride, n)
-}

@@ -107,20 +107,6 @@ func (p Profile) Compound() bool { return p != H264Class }
 // loop-restoration filter after deblocking (AV1's loop restoration).
 func (p Profile) Restoration() bool { return p == AV1Class }
 
-// ComputeCostFactor is the relative per-pixel encode compute cost of the
-// profile, used by the performance models (VP9 software encoding is "6-8x
-// slower and more expensive than H.264", paper §4.5). The real Go encoder
-// exhibits a similar ratio; this constant is for the analytic models.
-func (p Profile) ComputeCostFactor() float64 {
-	switch p {
-	case VP9Class:
-		return 6.5
-	case AV1Class:
-		return 13.0
-	}
-	return 1.0
-}
-
 // Reference slot indices.
 const (
 	RefLast = iota
@@ -173,11 +159,12 @@ type Config struct {
 	// coefficient optimization and a tighter bounded partition search.
 	Hardware bool
 
-	// DisablePyramidSearch turns off the multi-resolution motion-search
-	// seeding (coarse-to-fine over downsampled planes, modeling the
-	// hardware's multi-resolution search). On by default; the flag exists
-	// for A/B quality comparisons in the benchmark harness.
-	DisablePyramidSearch bool
+	// flatSearch turns off the multi-resolution motion-search seeding
+	// (coarse-to-fine over downsampled planes, modeling the hardware's
+	// multi-resolution search), leaving the flat diamond: the
+	// differential reference of TestPyramidQualityParity. Only
+	// in-package tests can set it.
+	flatSearch bool
 }
 
 func (c *Config) withDefaults() (Config, error) {
@@ -235,11 +222,6 @@ func (c *Config) withDefaults() (Config, error) {
 	cfg.RC.Width = cfg.Width
 	cfg.RC.Height = cfg.Height
 	cfg.RC.FPS = cfg.FPS
-	if cfg.RC.ProfileLambdaBase == 0 {
-		// Per-profile RD-slope calibration hook; the lambda sweeps put
-		// both profiles' optima at 1.0 of the rebased formula.
-		cfg.RC.ProfileLambdaBase = 1.0
-	}
 	return cfg, nil
 }
 

@@ -128,15 +128,14 @@ func TestEncoderCloseLifecycle(t *testing.T) {
 
 // TestPyramidQualityParity: the pyramid-seeded search must not degrade
 // compression on a moving clip — bits and PSNR stay close to the flat
-// diamond baseline at the same QP. (The tracked BD-rate guard over an
-// RD curve lives in cmd/vcubench; this is the fast in-tree check.)
+// diamond baseline at the same QP.
 func TestPyramidQualityParity(t *testing.T) {
 	frames := video.NewSource(video.SourceConfig{
 		Width: 320, Height: 192, Seed: 9, Detail: 0.6, Motion: 1.5,
 		ObjectMotion: 3, Objects: 2}).Frames(6)
 	encode := func(flat bool) (int, float64) {
 		res, err := EncodeSequence(Config{Profile: VP9Class, Width: 320, Height: 192,
-			RC: rc.Config{BaseQP: 36}, DisablePyramidSearch: flat}, frames)
+			RC: rc.Config{BaseQP: 36}, flatSearch: flat}, frames)
 		if err != nil {
 			t.Fatal(err)
 		}

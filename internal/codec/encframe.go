@@ -42,17 +42,6 @@ type encFrame struct {
 	ownModel *entropy.Model
 }
 
-// newEncFrame builds the coder for one tile of one frame. recon is shared
-// across tiles (each tile writes only its own columns); srcPyr is the
-// current frame's search pyramid (nil when disabled or on keyframes);
-// carried is the cross-frame entropy model, nil for fresh contexts.
-func newEncFrame(e *Encoder, src *video.Frame, srcPyr *motion.Pyramid, recon *video.Frame,
-	qp int, keyframe bool, tileX0, tileX1 int, carried *entropy.Model) *encFrame {
-	fc := allocEncFrame(e)
-	fc.reset(src, srcPyr, recon, qp, keyframe, tileX0, tileX1, carried)
-	return fc
-}
-
 // allocEncFrame performs the one-time allocations of a reusable frame
 // coder: scratch buffers, bitstream encoder, context grids and the
 // worker-owned entropy model. Per-frame state is installed by reset.
@@ -128,7 +117,7 @@ func (fc *encFrame) searchParams() motion.SearchParams {
 	// The hardware search window is bounded by the reference store but is
 	// exhaustive within its multi-resolution schedule; the pyramid-seeded
 	// diamond models the same multi-resolution scan at software cost.
-	p.Pyramid = !fc.enc.cfg.DisablePyramidSearch
+	p.Pyramid = !fc.enc.cfg.flatSearch
 	return p
 }
 

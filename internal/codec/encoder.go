@@ -94,9 +94,6 @@ func (e *Encoder) Close() error {
 	return nil
 }
 
-// Config returns the encoder's effective (defaulted) configuration.
-func (e *Encoder) Config() Config { return e.cfg }
-
 // RateController exposes the rate controller (for stats installation in
 // two-pass flows).
 func (e *Encoder) RateController() *rc.Controller { return e.rc }
@@ -245,7 +242,7 @@ func (e *Encoder) encodeOne(f *video.Frame, displayIdx int, keyframe, show, altr
 	// The source pyramid seeds this frame's motion searches; it is built
 	// once here and shared read-only by all tile goroutines.
 	var srcPyr *motion.Pyramid
-	if !keyframe && !e.cfg.DisablePyramidSearch {
+	if !keyframe && !e.cfg.flatSearch {
 		srcPyr = motion.BuildPyramid(src.Y, e.pw, e.ph)
 	}
 	tileData := make([][]byte, tiles)
@@ -318,7 +315,7 @@ func (e *Encoder) encodeOne(f *video.Frame, displayIdx int, keyframe, show, altr
 	var reconPyr *motion.Pyramid
 	for slot, r := range hdr.refresh {
 		if r {
-			if reconPyr == nil && !e.cfg.DisablePyramidSearch {
+			if reconPyr == nil && !e.cfg.flatSearch {
 				reconPyr = motion.BuildPyramid(recon.Y, e.pw, e.ph)
 			}
 			//lint:ignore sharedmut slot rotation between frames: tile workers have joined, no reader is live

@@ -9,8 +9,8 @@ import (
 )
 
 // bench720pFrames builds the synthetic 1280×720 clip used by the tracked
-// whole-frame encode benchmark (scripts/bench.sh reports the same
-// workload into BENCH_codec.json).
+// whole-frame encode benchmark (the ledger's codec.encode_*_mpix_per_s
+// rows time the same kind of encode).
 func bench720pFrames(n int) []*video.Frame {
 	return video.NewSource(video.SourceConfig{
 		Width: 1280, Height: 720, Seed: 7, Detail: 0.5, Motion: 1.5,
@@ -41,7 +41,7 @@ func BenchmarkEncodeFrame720p(b *testing.B) {
 func BenchmarkEncodeFrame720pFlat(b *testing.B) {
 	frames := bench720pFrames(3)
 	cfg := Config{Profile: VP9Class, Width: 1280, Height: 720,
-		RC: rc.Config{BaseQP: 32}, DisablePyramidSearch: true}
+		RC: rc.Config{BaseQP: 32}, flatSearch: true}
 	b.ReportAllocs()
 	var pixels int64
 	b.ResetTimer()

@@ -148,8 +148,6 @@ func Deblock(f *video.Frame, blockSize, strength int) {
 type TemporalFilterConfig struct {
 	// BlockSize for motion alignment (hardware uses 16, paper §3.2).
 	BlockSize int
-	// SearchRange for the alignment motion search, full pels.
-	SearchRange int
 	// Strength scales how aggressively neighbor frames are blended:
 	// 0 disables blending (output = center frame).
 	Strength int
@@ -157,7 +155,10 @@ type TemporalFilterConfig struct {
 
 // DefaultTemporalFilter mirrors the hardware configuration: 16×16 blocks
 // from 3 frames.
-var DefaultTemporalFilter = TemporalFilterConfig{BlockSize: 16, SearchRange: 8, Strength: 3}
+var DefaultTemporalFilter = TemporalFilterConfig{BlockSize: 16, Strength: 3}
+
+// temporalSearchRange is the alignment motion search's range, full pels.
+const temporalSearchRange = 8
 
 // TemporalFilter builds a denoised synthetic frame from a window of source
 // frames centered on frames[center]. Each 16×16 block of each neighbor
@@ -198,7 +199,7 @@ func TemporalFilter(frames []*video.Frame, center int, cfg TemporalFilterConfig)
 					continue // skip partial border blocks
 				}
 				res := motion.Search(cur[by*w+bx:], w, ref, bx, by, motion.Zero, n,
-					motion.SearchParams{RangeX: cfg.SearchRange, RangeY: cfg.SearchRange, SubPelDepth: 1}, sc)
+					motion.SearchParams{RangeX: temporalSearchRange, RangeY: temporalSearchRange, SubPelDepth: 1}, sc)
 				motion.SampleBlock(ref, bx, by, res.MV, pred, n, sc)
 				for y := 0; y < n; y++ {
 					for x := 0; x < n; x++ {

@@ -32,9 +32,6 @@ func (a MV) Add(b MV) MV { return MV{a.X + b.X, a.Y + b.Y} }
 // Sub returns a - b.
 func (a MV) Sub(b MV) MV { return MV{a.X - b.X, a.Y - b.Y} }
 
-// FullPel reports whether the vector has no fractional component.
-func (a MV) FullPel() bool { return a.X&7 == 0 && a.Y&7 == 0 }
-
 // Ref is a reference plane for motion search.
 type Ref struct {
 	Pix  []uint8
@@ -299,11 +296,6 @@ type SearchParams struct {
 	// frame by the encoder.
 	CurPyr *Pyramid
 }
-
-// HardwareWindow is the reference-store-limited search window of the VCU
-// encoder core. The real hardware searches multi-resolution exhaustively;
-// with a pyramid attached this uses the coarse-to-fine model.
-var HardwareWindow = SearchParams{RangeX: 128, RangeY: 64, SubPelDepth: 3, Exhaustive: false, LambdaMVCost: 2, Pyramid: true}
 
 // Result is the outcome of a motion search.
 type Result struct {

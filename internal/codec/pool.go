@@ -18,7 +18,11 @@ package codec
 // therefore byte-identical for every pool size (pinned by
 // TestEncodeDeterministicAcrossWorkers).
 
-import "sync"
+import (
+	"sync"
+
+	"openvcu/internal/codec/filter"
+)
 
 // poolJob is one unit of work: fn runs on a worker with that worker's
 // private scratch, then wg is signalled.
@@ -87,7 +91,7 @@ func (p *tilePool) close() {
 // Workers knob an exact concurrency bound.
 func (e *Encoder) runner() func(tasks []func()) {
 	if e.pool == nil {
-		return runTasksInline
+		return filter.RunInline
 	}
 	return func(tasks []func()) {
 		fns := make([]func(ws *encScratch), len(tasks))
@@ -96,11 +100,5 @@ func (e *Encoder) runner() func(tasks []func()) {
 			fns[i] = func(*encScratch) { t() }
 		}
 		e.pool.run(fns)
-	}
-}
-
-func runTasksInline(tasks []func()) {
-	for _, t := range tasks {
-		t()
 	}
 }

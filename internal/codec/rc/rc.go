@@ -70,10 +70,6 @@ type Config struct {
 	// LambdaOverride, when nonzero, forces the RDO lambda scale directly
 	// (the hook the paper's "automated tuning tools" turn, §4.3).
 	LambdaOverride float64
-	// ProfileLambdaBase is the per-codec lambda calibration (set by the
-	// encoder from its profile; the RD slope differs between the two
-	// entropy coders). Zero means 1.0.
-	ProfileLambdaBase float64
 }
 
 // FrameStats are per-frame first-pass statistics: cheap SAD-based intra
@@ -158,14 +154,11 @@ func (c *Controller) LambdaScale() float64 {
 
 // Lambda returns the RDO lambda (distortion units per bit) for a QP.
 // The 0.17·qstep² base is calibrated by BD-rate sweep (see the vbench
-// lambda-sweep test); LambdaScale applies the tuning trajectory.
+// lambda-sweep test), which puts both profiles' optima at the same
+// slope; LambdaScale applies the tuning trajectory.
 func (c *Controller) Lambda(qp int) float64 {
 	step := transform.QStepFloat(qp)
-	base := c.cfg.ProfileLambdaBase
-	if base <= 0 {
-		base = 1.0
-	}
-	return 0.17 * step * step * base * c.LambdaScale()
+	return 0.17 * step * step * c.LambdaScale()
 }
 
 // FrameQP returns the QP to encode frame idx with. keyframe marks intra
@@ -305,10 +298,6 @@ func (c *Controller) Update(idx int, qp int, bitsUsed int) {
 		c.modelGain = 0.01
 	}
 }
-
-// Buffer exposes the virtual buffer state (bits of accumulated overshoot),
-// used by latency-sensitive callers to bound end-to-end delay.
-func (c *Controller) Buffer() float64 { return c.buffer }
 
 func clampQP(qp int) int {
 	if qp < 0 {

@@ -20,6 +20,10 @@ var Magic = [4]byte{'O', 'V', 'C', 'U'}
 
 const version = 1
 
+// firstPacketAlloc bounds what ReadPacket allocates on a packet header's
+// word alone; real packets are far smaller.
+const firstPacketAlloc = 1 << 20
+
 // StreamInfo is the container-level stream header.
 type StreamInfo struct {
 	Profile       codec.Profile
@@ -32,11 +36,10 @@ type StreamInfo struct {
 
 // Writer serializes packets to an io.Writer.
 type Writer struct {
-	w      io.Writer
-	wrote  bool
-	frames int
-	pos    int64
-	index  []IndexEntry
+	w     io.Writer
+	wrote bool
+	pos   int64
+	index []IndexEntry
 	// chunkCRC accumulates the current chunk's payload checksum; it is
 	// mirrored into the chunk's index entry as packets arrive.
 	chunkCRC uint32
@@ -94,17 +97,8 @@ func (cw *Writer) WritePacket(p codec.Packet) error {
 	}
 	n, err := cw.w.Write(buf)
 	cw.pos += int64(n)
-	if err != nil {
-		return err
-	}
-	if p.Show {
-		cw.frames++
-	}
-	return nil
+	return err
 }
-
-// ShownFrames reports how many shown packets have been written.
-func (cw *Writer) ShownFrames() int { return cw.frames }
 
 // Reader deserializes a container stream.
 type Reader struct {
@@ -151,8 +145,11 @@ func (cr *Reader) ReadPacket() (codec.Packet, error) {
 			return codec.Packet{}, err
 		}
 	}
+	// The first four bytes are a packet's size or the index footer's
+	// sentinel, and an empty stream's footer is shorter than a packet
+	// header: look at them before asking for the rest.
 	hdr := make([]byte, 14)
-	if _, err := io.ReadFull(cr.r, hdr); err != nil {
+	if _, err := io.ReadFull(cr.r, hdr[:4]); err != nil {
 		if err == io.EOF {
 			return codec.Packet{}, io.EOF
 		}
@@ -162,6 +159,12 @@ func (cr *Reader) ReadPacket() (codec.Packet, error) {
 		// Chunk-index footer: clean end of packet data.
 		return codec.Packet{}, io.EOF
 	}
+	if _, err := io.ReadFull(cr.r, hdr[4:]); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return codec.Packet{}, fmt.Errorf("container: short packet header: %w", err)
+	}
 	size := binary.BigEndian.Uint32(hdr[:4])
 	if size > 1<<30 {
 		return codec.Packet{}, fmt.Errorf("container: implausible packet size %d", size)
@@ -170,8 +173,18 @@ func (cr *Reader) ReadPacket() (codec.Packet, error) {
 	qp := int(hdr[5])
 	displayIdx := int(int32(binary.BigEndian.Uint32(hdr[6:10])))
 	wantCRC := binary.BigEndian.Uint32(hdr[10:14])
-	data := make([]byte, size)
-	if _, err := io.ReadFull(cr.r, data); err != nil {
+	// size is only a claim until the bytes arrive: allocate what an
+	// ordinary packet needs at once and double from there, so a hostile
+	// header costs firstPacketAlloc plus a small multiple of the bytes
+	// actually present, not the gigabyte it claims.
+	data := make([]byte, min(size, firstPacketAlloc))
+	_, err := io.ReadFull(cr.r, data)
+	for err == nil && uint32(len(data)) < size {
+		grown := make([]byte, min(int(size), 2*len(data)))
+		_, err = io.ReadFull(cr.r, grown[copy(grown, data):])
+		data = grown
+	}
+	if err != nil {
 		return codec.Packet{}, fmt.Errorf("container: truncated packet: %w", err)
 	}
 	if got := crc32.ChecksumIEEE(data); got != wantCRC {

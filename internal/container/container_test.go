@@ -29,35 +29,64 @@ func encodeTestStream(t *testing.T, n int) (*codec.SequenceResult, []*video.Fram
 func VP9ClassForTest() codec.Profile { return codec.VP9Class }
 
 func TestWriterReaderRoundTrip(t *testing.T) {
-	res, frames := encodeTestStream(t, 4)
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	info := StreamInfo{Profile: codec.VP9Class, Width: 64, Height: 64, FPS: 30, FrameCount: len(frames)}
-	if err := w.WriteHeader(info); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range res.Packets {
-		if err := w.WritePacket(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gotInfo, pkts, err := NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotInfo != info {
-		t.Fatalf("info %+v want %+v", gotInfo, info)
-	}
-	if len(pkts) != len(res.Packets) {
-		t.Fatalf("%d packets want %d", len(pkts), len(res.Packets))
-	}
-	// The round-tripped stream must still decode.
-	dec, err := codec.DecodeSequence(pkts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dec) != len(frames) {
-		t.Fatalf("decoded %d frames want %d", len(dec), len(frames))
+	for _, tc := range []struct {
+		name    string
+		frames  int
+		indexed bool
+	}{
+		{"four frames", 4, false},
+		// A valid stream with no packets: the 12-byte footer is shorter
+		// than a packet header.
+		{"no packets, index footer", 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var res codec.SequenceResult
+			if tc.frames > 0 {
+				r, _ := encodeTestStream(t, tc.frames)
+				res = *r
+			}
+			var buf bytes.Buffer
+			w := NewWriter(&buf)
+			info := StreamInfo{Profile: codec.VP9Class, Width: 64, Height: 64, FPS: 30, FrameCount: tc.frames}
+			if err := w.WriteHeader(info); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range res.Packets {
+				if err := w.WritePacket(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.indexed {
+				if err := w.WriteIndex(); err != nil {
+					t.Fatal(err)
+				}
+				ir, err := OpenIndexed(bytes.NewReader(buf.Bytes()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := len(ir.Chunks()); n != 0 {
+					t.Fatalf("index of a packetless stream lists %d chunks", n)
+				}
+			}
+			gotInfo, pkts, err := NewReader(&buf).ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotInfo != info {
+				t.Fatalf("info %+v want %+v", gotInfo, info)
+			}
+			if len(pkts) != len(res.Packets) {
+				t.Fatalf("%d packets want %d", len(pkts), len(res.Packets))
+			}
+			// The round-tripped stream must still decode.
+			dec, err := codec.DecodeSequence(pkts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(dec) != tc.frames {
+				t.Fatalf("decoded %d frames want %d", len(dec), tc.frames)
+			}
+		})
 	}
 }
 

@@ -36,35 +36,38 @@ type AuditSample struct {
 
 // AuditFrontierConfig parameterizes the budget sweep.
 type AuditFrontierConfig struct {
-	Seed  uint64
-	Hosts int
-	// Videos arrive in bursts of Burst every BurstEvery: queueing keeps
-	// completed chunks unshipped long enough for recalls to matter.
-	Videos     int
-	Burst      int
-	BurstEvery time.Duration
-	// DutyCycle is the corrupter's 1-in-N duty cycle; it arms on the
-	// park's first (hottest) VCU.
-	DutyCycle int64
-	// IntegrityCheckProb weakens the inline screen into the regime where
-	// corruption meaningfully leaks (the paper's "bad video chunks will
-	// escape") and the audit budget is the remaining defense.
-	IntegrityCheckProb float64
+	Seed uint64
+	// Videos arrive in bursts of Burst every auditBurstEvery: queueing
+	// keeps completed chunks unshipped long enough for recalls to matter.
+	Videos int
+	//lint:ignore singleknob benchmark/ledger.go reads it to size its smoke run to one burst
+	Burst int
 	// Budgets is the sweep, in curve order; 0 is the undefended
 	// baseline.
 	Budgets []float64
-	Horizon time.Duration
 }
 
-// DefaultAuditFrontierConfig sweeps a two-host park from undefended to
-// a 10% audit budget against a 1-in-2 duty-cycle corrupter.
+// The sweep runs a two-host park for six hours against a corrupter on
+// the park's first (hottest) VCU.
+const (
+	auditHosts      = 2
+	auditHorizon    = 6 * time.Hour
+	auditBurstEvery = 5 * time.Minute
+	// auditDutyCycle is the corrupter's 1-in-N duty cycle.
+	auditDutyCycle = 2
+	// auditIntegrityCheckProb weakens the inline screen into the regime
+	// where corruption meaningfully leaks (the paper's "bad video chunks
+	// will escape") and the audit budget is the remaining defense.
+	auditIntegrityCheckProb = 0.5
+)
+
+// DefaultAuditFrontierConfig sweeps from undefended to a 10% audit
+// budget.
 func DefaultAuditFrontierConfig() AuditFrontierConfig {
 	return AuditFrontierConfig{
-		Seed: 11, Hosts: 2,
-		Videos: 150, Burst: 10, BurstEvery: 5 * time.Minute,
-		DutyCycle: 2, IntegrityCheckProb: 0.5,
+		Seed:   11,
+		Videos: 150, Burst: 10,
 		Budgets: []float64{0, 0.01, 0.02, 0.05, 0.1},
-		Horizon: 6 * time.Hour,
 	}
 }
 
@@ -75,16 +78,16 @@ func DefaultAuditFrontierConfig() AuditFrontierConfig {
 func EscapesVsAuditBudget(cfg AuditFrontierConfig) []AuditSample {
 	var out []AuditSample
 	for _, b := range cfg.Budgets {
-		ccfg := cluster.DefaultConfig(cfg.Hosts)
+		ccfg := cluster.DefaultConfig(auditHosts)
 		ccfg.Seed = cfg.Seed
-		ccfg.IntegrityCheckProb = cfg.IntegrityCheckProb
+		ccfg.IntegrityCheckProb = auditIntegrityCheckProb
 		if b > 0 {
 			ccfg.Audit = cluster.DefaultAuditConfig()
 			ccfg.Audit.Budget = b
 		}
 		c := cluster.New(ccfg)
 		c.Hosts[0].VCUs[0].InjectFaultSpec(vcu.FaultSpec{
-			Mode: vcu.FaultCorrupt, DutyCycle: cfg.DutyCycle, Persistent: true,
+			Mode: vcu.FaultCorrupt, DutyCycle: auditDutyCycle, Persistent: true,
 		})
 		done := 0
 		for i := 0; i < cfg.Videos; i++ {
@@ -96,10 +99,10 @@ func EscapesVsAuditBudget(cfg AuditFrontierConfig) []AuditSample {
 			spec.Batch = i%4 == 3
 			g := cluster.BuildGraph(spec, 10)
 			g.OnDone = func(*cluster.Graph) { done++ }
-			at := cfg.BurstEvery * time.Duration(i/cfg.Burst)
+			at := auditBurstEvery * time.Duration(i/cfg.Burst)
 			c.Eng.Schedule(at, func() { c.Submit(g) })
 		}
-		c.Eng.RunUntil(cfg.Horizon)
+		c.Eng.RunUntil(auditHorizon)
 		out = append(out, AuditSample{
 			Budget:        b,
 			Escapes:       c.Stats.CorruptionsEscaped,

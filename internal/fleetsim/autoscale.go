@@ -44,43 +44,37 @@ type FrontierPoint struct {
 // FrontierConfig parameterizes the cost-vs-SLO frontier experiment.
 type FrontierConfig struct {
 	Seed uint64
-	// Hosts sizes the small-park cluster (the static policy's park).
-	Hosts int
-	// BaseRatePerHour is the diurnal base arrival rate.
-	BaseRatePerHour float64
 	// ArrivalWindow is how long arrivals flow; DrainWindow lets queues
 	// empty and the park scale back down.
 	ArrivalWindow time.Duration
 	DrainWindow   time.Duration
-	// Spike and diurnal shape, as in workload.ArrivalConfig.
-	SpikeStart       time.Duration
-	SpikeDuration    time.Duration
-	SpikeFactor      float64
-	DiurnalAmplitude float64
-	DiurnalPeriod    time.Duration
-	// LiveShare/BatchShare are the class mix; the rest is uploads.
-	LiveShare  float64
-	BatchShare float64
 	// TargetUtils is the autoscaler design-point sweep, in curve order.
 	TargetUtils []float64
-	// MinWorkers / InitialWorkers parameterize the autoscaled policies.
-	MinWorkers     int
-	InitialWorkers int
 }
 
-// DefaultFrontierConfig replays the controller game-day's trace — a
-// diurnal base with a 2× spike in the second half-hour — against a
-// 4-host (8-worker) park, sweeping the autoscaler from conservative
+// The frontier replays the controller game-day's trace — a diurnal base
+// with a 2× spike in the second half-hour — against a 4-host (8-worker)
+// park, the static policy's park; the autoscaled policies start at
+// frontierInitialWorkers and never go below frontierMinWorkers.
+const (
+	frontierHosts            = 4
+	frontierBaseRatePerHour  = 700
+	frontierSpikeStart       = 30 * time.Minute
+	frontierSpikeDuration    = 30 * time.Minute
+	frontierSpikeFactor      = 2
+	frontierDiurnalAmplitude = 0.3
+	frontierDiurnalPeriod    = 3 * time.Hour
+	frontierMinWorkers       = 2
+	frontierInitialWorkers   = 3
+)
+
+// DefaultFrontierConfig sweeps the autoscaler from conservative
 // (ρ*=0.5, more headroom, more cost) to aggressive (ρ*=0.9).
 func DefaultFrontierConfig() FrontierConfig {
 	return FrontierConfig{
-		Seed: 11, Hosts: 4, BaseRatePerHour: 700,
+		Seed:          11,
 		ArrivalWindow: 90 * time.Minute, DrainWindow: 150 * time.Minute,
-		SpikeStart: 30 * time.Minute, SpikeDuration: 30 * time.Minute, SpikeFactor: 2,
-		DiurnalAmplitude: 0.3, DiurnalPeriod: 3 * time.Hour,
-		LiveShare: 0.3, BatchShare: 0.4,
 		TargetUtils: []float64{0.5, 0.7, 0.9},
-		MinWorkers:  2, InitialWorkers: 3,
 	}
 }
 
@@ -89,14 +83,14 @@ func (cfg FrontierConfig) arrivalConfig() workload.ArrivalConfig {
 	return workload.ArrivalConfig{
 		Seed:             cfg.Seed,
 		Horizon:          cfg.ArrivalWindow,
-		BaseRatePerHour:  cfg.BaseRatePerHour,
-		DiurnalAmplitude: cfg.DiurnalAmplitude,
-		DiurnalPeriod:    cfg.DiurnalPeriod,
-		SpikeStart:       cfg.SpikeStart,
-		SpikeDuration:    cfg.SpikeDuration,
-		SpikeFactor:      cfg.SpikeFactor,
-		LiveShare:        cfg.LiveShare,
-		BatchShare:       cfg.BatchShare,
+		BaseRatePerHour:  frontierBaseRatePerHour,
+		DiurnalAmplitude: frontierDiurnalAmplitude,
+		DiurnalPeriod:    frontierDiurnalPeriod,
+		SpikeStart:       frontierSpikeStart,
+		SpikeDuration:    frontierSpikeDuration,
+		SpikeFactor:      frontierSpikeFactor,
+		LiveShare:        liveShare,
+		BatchShare:       batchShare,
 	}
 }
 
@@ -104,15 +98,13 @@ func (cfg FrontierConfig) arrivalConfig() workload.ArrivalConfig {
 // the experiment's video shapes: live videos are 2 chunks, uploads and
 // batch re-encodes 4 — the conversion from the trace's video rate to
 // the capacity model's step rate for the oracle.
-func (cfg FrontierConfig) stepsPerVideo() float64 {
-	return cfg.LiveShare*2 + (1-cfg.LiveShare)*4
-}
+const stepsPerVideo = liveShare*2 + (1-liveShare)*4
 
 // runFrontierCell replays the trace against one provisioning policy
 // (acfg nil = static park) and returns its frontier point, with
 // CostVsOracle left at zero for the caller to fill.
 func runFrontierCell(cfg FrontierConfig, policy string, acfg *cluster.AutoscaleConfig) FrontierPoint {
-	ccfg := smallParkConfig(cfg.Hosts)
+	ccfg := smallParkConfig(frontierHosts)
 	ccfg.Seed = cfg.Seed
 	if acfg != nil {
 		ccfg.Autoscale = *acfg
@@ -131,7 +123,7 @@ func runFrontierCell(cfg FrontierConfig, policy string, acfg *cluster.AutoscaleC
 	}
 	if acfg == nil {
 		// Static park: every worker powered for the whole run.
-		workers := cfg.Hosts * ccfg.Params.VCUsPerHost()
+		workers := frontierHosts * ccfg.Params.VCUsPerHost()
 		pt.CostWorkerHours = float64(workers) * horizon.Hours()
 		return pt
 	}
@@ -152,20 +144,19 @@ func CostVsSLOFrontier(cfg FrontierConfig) []FrontierPoint {
 		cfg.TargetUtils = []float64{0.7}
 	}
 	base := cluster.DefaultAutoscaleConfig()
-	base.MinWorkers = cfg.MinWorkers
-	base.InitialWorkers = cfg.InitialWorkers
+	base.MinWorkers = frontierMinWorkers
+	base.InitialWorkers = frontierInitialWorkers
 
 	// Oracle: the same control loop fed the true step arrival rate, with
 	// hysteresis, step caps and warmup bypassed — perfect provisioning,
 	// the frontier's cost floor.
 	arrCfg := cfg.arrivalConfig()
-	spv := cfg.stepsPerVideo()
 	oracleCfg := base
 	oracleCfg.OracleRatePerHour = func(t time.Duration) float64 {
 		if t >= cfg.ArrivalWindow {
 			return 0 // the oracle knows the trace ends; RateAt does not
 		}
-		return arrCfg.RateAt(t) * spv
+		return arrCfg.RateAt(t) * stepsPerVideo
 	}
 	oracle := runFrontierCell(cfg, "oracle", &oracleCfg)
 	oracle.CostVsOracle = 1

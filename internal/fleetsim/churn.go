@@ -28,59 +28,55 @@ type CapacitySample struct {
 
 // ChurnConfig parameterizes the capacity-under-churn run.
 type ChurnConfig struct {
-	Seed        uint64
-	Hosts       int
-	VCUFaults   int
-	HostCrashes int
-	// Window is the chaos injection span; Horizon the full run length;
-	// SampleEvery the capacity sampling period.
-	Window      time.Duration
-	Horizon     time.Duration
-	SampleEvery time.Duration
-	// Videos is the background upload load, spread across Window.
-	Videos int
+	Seed uint64
 }
 
-// DefaultChurnConfig is a day-long run: faults land over the first six
-// hours, repairs drain over the rest.
-func DefaultChurnConfig() ChurnConfig {
-	return ChurnConfig{
-		Seed: 11, Hosts: 4, VCUFaults: 30, HostCrashes: 3,
-		Window: 6 * time.Hour, Horizon: 24 * time.Hour,
-		SampleEvery: 30 * time.Minute, Videos: 48,
-	}
-}
+// The churn run is a day long on a four-host park: churnVCUFaults
+// device faults and churnHostCrashes host crashes land over the first
+// six hours (churnWindow) while churnVideos background uploads arrive
+// spread across it; repairs drain over the rest of churnHorizon, and
+// capacity is sampled every churnSampleEvery.
+const (
+	churnHosts       = 4
+	churnVCUFaults   = 30
+	churnHostCrashes = 3
+	churnWindow      = 6 * time.Hour
+	churnHorizon     = 24 * time.Hour
+	churnSampleEvery = 30 * time.Minute
+	churnVideos      = 48
+)
+
+// DefaultChurnConfig is the seed the EXPERIMENTS.md series was taken at.
+func DefaultChurnConfig() ChurnConfig { return ChurnConfig{Seed: 11} }
 
 // CapacityUnderChurn runs the cluster under the chaos schedule and
 // returns the sampled capacity series. Same config, same series —
 // the run is fully deterministic.
 func CapacityUnderChurn(cfg ChurnConfig) []CapacitySample {
-	ccfg := cluster.DefaultConfig(cfg.Hosts)
+	ccfg := cluster.DefaultConfig(churnHosts)
 	ccfg.ConsistentHashing = true
 	ccfg.RepairLatency = 2 * time.Hour
 	ccfg.Seed = cfg.Seed
 	c := cluster.New(ccfg)
 	c.ApplyChaos(cluster.GenerateChaos(cluster.ChaosConfig{
 		Seed:        cfg.Seed,
-		Window:      cfg.Window,
-		Hosts:       cfg.Hosts,
+		Window:      churnWindow,
+		Hosts:       churnHosts,
 		VCUsPerHost: ccfg.Params.VCUsPerHost(),
-		VCUFaults:   cfg.VCUFaults,
-		HostCrashes: cfg.HostCrashes,
+		VCUFaults:   churnVCUFaults,
+		HostCrashes: churnHostCrashes,
 	}))
 
 	completed := 0
-	if cfg.Videos > 0 {
-		interval := cfg.Window / time.Duration(cfg.Videos)
-		for i := 0; i < cfg.Videos; i++ {
-			g := cluster.BuildGraph(cluster.VideoSpec{
-				ID: i, Resolution: video.Res1080p, FPS: 30, Frames: 600,
-				ChunkFrames: 150, Profile: codec.VP9Class,
-				Mode: vcu.EncodeTwoPassOffline, MOT: true,
-			}, 10)
-			g.OnDone = func(*cluster.Graph) { completed++ }
-			c.Eng.Schedule(interval*time.Duration(i), func() { c.Submit(g) })
-		}
+	const interval = churnWindow / churnVideos
+	for i := 0; i < churnVideos; i++ {
+		g := cluster.BuildGraph(cluster.VideoSpec{
+			ID: i, Resolution: video.Res1080p, FPS: 30, Frames: 600,
+			ChunkFrames: 150, Profile: codec.VP9Class,
+			Mode: vcu.EncodeTwoPassOffline, MOT: true,
+		}, 10)
+		g.OnDone = func(*cluster.Graph) { completed++ }
+		c.Eng.Schedule(interval*time.Duration(i), func() { c.Submit(g) })
 	}
 
 	var out []CapacitySample
@@ -91,11 +87,11 @@ func CapacityUnderChurn(cfg ChurnConfig) []CapacitySample {
 			HealthyHosts: c.HealthyHosts(),
 			Completed:    completed,
 		})
-		if c.Eng.Now()+cfg.SampleEvery <= cfg.Horizon {
-			c.Eng.Schedule(cfg.SampleEvery, sample)
+		if c.Eng.Now()+churnSampleEvery <= churnHorizon {
+			c.Eng.Schedule(churnSampleEvery, sample)
 		}
 	}
-	c.Eng.Schedule(cfg.SampleEvery, sample)
-	c.Eng.RunUntil(cfg.Horizon)
+	c.Eng.Schedule(churnSampleEvery, sample)
+	c.Eng.RunUntil(churnHorizon)
 	return out
 }

@@ -12,31 +12,31 @@ func TestCapacityUnderChurnRecovery(t *testing.T) {
 	if len(series) == 0 {
 		t.Fatal("empty series")
 	}
-	minHealthy := cfg.Hosts
+	minHealthy := churnHosts
 	for _, s := range series {
 		if s.HealthyHosts < minHealthy {
 			minHealthy = s.HealthyHosts
 		}
 	}
 	// The chaos schedule crashes hosts, so capacity must dip...
-	if minHealthy == cfg.Hosts {
+	if minHealthy == churnHosts {
 		t.Fatal("churn never cost any capacity — schedule too weak to test recovery")
 	}
 	// ...but the repair cap bounds the loss at any instant...
-	maxOut := cluster.DefaultConfig(cfg.Hosts).MaxHostsInRepair
-	if lost := cfg.Hosts - minHealthy; lost > maxOut+1 {
+	maxOut := cluster.DefaultConfig(churnHosts).MaxHostsInRepair
+	if lost := churnHosts - minHealthy; lost > maxOut+1 {
 		// +1: a crashed host waiting for a repair slot is dark but not
 		// yet counted in the repair queue.
 		t.Fatalf("capacity loss %d hosts exceeds repair-cap bound %d", lost, maxOut+1)
 	}
 	// ...and the final epoch is back to steady state.
 	last := series[len(series)-1]
-	if last.HealthyHosts < cfg.Hosts-1 {
+	if last.HealthyHosts < churnHosts-1 {
 		t.Fatalf("capacity did not recover: %d/%d healthy at hour %.1f",
-			last.HealthyHosts, cfg.Hosts, last.Hour)
+			last.HealthyHosts, churnHosts, last.Hour)
 	}
-	if last.Completed != cfg.Videos {
-		t.Fatalf("only %d/%d videos completed under churn", last.Completed, cfg.Videos)
+	if last.Completed != churnVideos {
+		t.Fatalf("only %d/%d videos completed under churn", last.Completed, churnVideos)
 	}
 }
 

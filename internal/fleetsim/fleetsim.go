@@ -47,24 +47,25 @@ var UploadRampEvents = []Event{
 
 // Config parameterizes the fleet simulation.
 type Config struct {
-	Params vcu.Params
-	Months int
 	// SimTime is the chip-model run length per measured point.
 	SimTime time.Duration
 }
 
-// DefaultConfig covers the 12-month window of Figure 9.
+// months is the window of Figure 9.
+const months = 12
+
+// DefaultConfig measures each chip-model point over a simulated minute.
 func DefaultConfig() Config {
-	return Config{Params: vcu.DefaultParams(), Months: 12, SimTime: 60 * time.Second}
+	return Config{SimTime: 60 * time.Second}
 }
 
 // Figure9aUploadRamp returns normalized total throughput of the chunked
 // upload workload by month: capacity ramp x migration fraction x tuning
 // multipliers, normalized to launch. The paper's curve starts at 1,
 // reaches ~10x as migration hits 100% in month 7 and the fleet grows.
-func Figure9aUploadRamp(cfg Config) []Sample {
+func Figure9aUploadRamp(Config) []Sample {
 	var out []Sample
-	for m := 1; m <= cfg.Months; m++ {
+	for m := 1; m <= months; m++ {
 		month := float64(m)
 		// VCU fleet capacity ramp: racks keep landing through month 9.
 		capacity := 1.0 + 2.5*sCurve((month-1)/8)
@@ -85,10 +86,10 @@ func Figure9aUploadRamp(cfg Config) []Sample {
 // Figure9bLiveRamp returns normalized live-transcoding throughput: live
 // arrived after upload (month 2), then grew in region-launch steps to ~4x
 // by month 12 (Fig. 9b).
-func Figure9bLiveRamp(cfg Config) []Sample {
+func Figure9bLiveRamp(Config) []Sample {
 	regionLaunches := []float64{2, 4, 5.5, 7, 9, 11}
 	var out []Sample
-	for m := 1; m <= cfg.Months; m++ {
+	for m := 1; m <= months; m++ {
 		month := float64(m)
 		v := 0.0
 		for _, launch := range regionLaunches {
@@ -114,7 +115,7 @@ func Figure9cDecoderUtil(cfg Config) []Sample {
 	base := decoderUtil(cfg, 0) * workerChurnIdle
 	offloaded := decoderUtil(cfg, 0.26) * workerChurnIdle
 	var out []Sample
-	for m := 1; m <= cfg.Months; m++ {
+	for m := 1; m <= months; m++ {
 		v := base
 		if m > 6 {
 			v = offloaded
@@ -128,7 +129,7 @@ func decoderUtil(cfg Config, swFrac float64) float64 {
 	w := vcu.Workload{Mode: vcu.ModeSOT, Profile: codec.VP9Class,
 		Encode: vcu.EncodeTwoPassOffline, InputRes: video.Res1080p,
 		SoftwareDecodeFraction: swFrac}
-	res := vcu.RunThroughput(cfg.Params, 4, w, cfg.SimTime)
+	res := vcu.RunThroughput(vcu.DefaultParams(), 4, w, cfg.SimTime)
 	return res.DecoderUtil
 }
 
@@ -139,7 +140,7 @@ func decoderUtil(cfg Config, swFrac float64) float64 {
 // stable near-peak encoder utilization ("the lack of variability in the
 // MOT line", §4.2).
 func Figure8Production(cfg Config, weeks int) (mot, sot []Sample) {
-	levels := tco.ProductionThroughput(cfg.Params, cfg.SimTime)
+	levels := tco.ProductionThroughput(vcu.DefaultParams(), cfg.SimTime)
 	rng := uint64(12345)
 	noise := func(scale float64) float64 {
 		rng ^= rng << 13

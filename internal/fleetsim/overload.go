@@ -69,23 +69,27 @@ type GoodputSample struct {
 	LiveSLO float64
 }
 
+// liveShare/batchShare are the class mix of every fleetsim trace; the
+// rest is uploads.
+const (
+	liveShare  = 0.3
+	batchShare = 0.4
+)
+
+// goodputBaseRatePerHour is the 1.0-multiplier arrival rate of the
+// offered-load sweep, near the full-quality saturation point of its
+// single small host.
+const goodputBaseRatePerHour = 800
+
 // GoodputConfig parameterizes the offered-load sweep.
 type GoodputConfig struct {
 	Seed uint64
-	// Hosts sizes the small-park cluster.
-	Hosts int
-	// BaseRatePerHour is the 1.0-multiplier arrival rate; the default is
-	// near the park's full-quality saturation point.
-	BaseRatePerHour float64
 	// ArrivalWindow is how long arrivals flow; the run continues for
 	// DrainWindow after to let queues empty.
 	ArrivalWindow time.Duration
 	DrainWindow   time.Duration
 	// Multipliers is the sweep, in curve order.
 	Multipliers []float64
-	// LiveShare/BatchShare are the class mix; the rest is uploads.
-	LiveShare  float64
-	BatchShare float64
 }
 
 // DefaultGoodputConfig sweeps a single small host from half load to 6x.
@@ -94,10 +98,9 @@ type GoodputConfig struct {
 // to shed.
 func DefaultGoodputConfig() GoodputConfig {
 	return GoodputConfig{
-		Seed: 11, Hosts: 1, BaseRatePerHour: 800,
+		Seed:          11,
 		ArrivalWindow: 30 * time.Minute, DrainWindow: 90 * time.Minute,
 		Multipliers: []float64{0.5, 1, 2, 4, 6},
-		LiveShare:   0.3, BatchShare: 0.4,
 	}
 }
 
@@ -108,11 +111,11 @@ func DefaultGoodputConfig() GoodputConfig {
 func GoodputVsOfferedLoad(cfg GoodputConfig) []GoodputSample {
 	var out []GoodputSample
 	for _, m := range cfg.Multipliers {
-		rate := cfg.BaseRatePerHour * m
-		c := cluster.New(smallParkConfig(cfg.Hosts))
+		rate := goodputBaseRatePerHour * m
+		c := cluster.New(smallParkConfig(1))
 		arr := workload.GenerateArrivals(workload.ArrivalConfig{
 			Seed: cfg.Seed, Horizon: cfg.ArrivalWindow, BaseRatePerHour: rate,
-			LiveShare: cfg.LiveShare, BatchShare: cfg.BatchShare,
+			LiveShare: liveShare, BatchShare: batchShare,
 		})
 		for _, a := range arr {
 			g := cluster.BuildGraph(overloadSpec(a), 10)
@@ -160,25 +163,24 @@ type FleetLossConfig struct {
 	Seed uint64
 	// Clusters is the region width; each cluster is one small-park host.
 	Clusters int
-	// PerClusterRatePerHour is offered load per cluster — demand does
-	// not shrink when clusters die.
-	PerClusterRatePerHour float64
-	// CrashAt is when the lost clusters go down.
-	CrashAt time.Duration
 	// ArrivalWindow / DrainWindow as in GoodputConfig.
 	ArrivalWindow time.Duration
 	DrainWindow   time.Duration
-	LiveShare     float64
-	BatchShare    float64
 }
+
+const (
+	// fleetLossRatePerHour is offered load per cluster, near
+	// saturation — demand does not shrink when clusters die.
+	fleetLossRatePerHour = 1500
+	// fleetLossCrashAt is when the lost clusters go down.
+	fleetLossCrashAt = 2 * time.Minute
+)
 
 // DefaultFleetLossConfig is a three-cluster region near saturation.
 func DefaultFleetLossConfig() FleetLossConfig {
 	return FleetLossConfig{
-		Seed: 5, Clusters: 3, PerClusterRatePerHour: 1500,
-		CrashAt:       2 * time.Minute,
+		Seed: 5, Clusters: 3,
 		ArrivalWindow: time.Hour, DrainWindow: 3 * time.Hour,
-		LiveShare: 0.3, BatchShare: 0.4,
 	}
 }
 
@@ -195,13 +197,13 @@ func SLOVsFleetLoss(cfg FleetLossConfig) []FleetLossSample {
 		r := cluster.NewRegion(ccfg, cfg.Clusters)
 		for k := 0; k < lost; k++ {
 			k := k
-			r.Eng.Schedule(cfg.CrashAt, func() { r.Clusters[k].CrashHost(0) })
+			r.Eng.Schedule(fleetLossCrashAt, func() { r.Clusters[k].CrashHost(0) })
 		}
 		arr := workload.GenerateArrivals(workload.ArrivalConfig{
 			Seed:            cfg.Seed,
 			Horizon:         cfg.ArrivalWindow,
-			BaseRatePerHour: cfg.PerClusterRatePerHour * float64(cfg.Clusters),
-			LiveShare:       cfg.LiveShare, BatchShare: cfg.BatchShare,
+			BaseRatePerHour: fleetLossRatePerHour * float64(cfg.Clusters),
+			LiveShare:       liveShare, BatchShare: batchShare,
 		})
 		for i, a := range arr {
 			home := i % cfg.Clusters

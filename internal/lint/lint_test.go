@@ -141,6 +141,10 @@ func TestWaitBalanceFixture(t *testing.T) { runFixture(t, "waitbalance", "intern
 func TestCloseCheckFixture(t *testing.T) { runFixture(t, "closecheck", "internal/vcu/closer") }
 func TestParCaptureFixture(t *testing.T) { runFixture(t, "parcapture", "internal/vcu/parcap") }
 
+// singleknob is module-wide like lockorder: the fixture is a package
+// pair, the *Config declarations and the package that sets some of them.
+func TestSingleKnobFixture(t *testing.T) { runFixture(t, "singleknob", "internal/knob") }
+
 // TestRunReportTiming verifies the per-rule wall-time report: every
 // configured analyzer is billed, and the totals are sane.
 func TestRunReportTiming(t *testing.T) {

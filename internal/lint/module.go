@@ -55,6 +55,11 @@ type Module struct {
 	// then reported per owning package.
 	lockOrderOnce sync.Once
 	lockOrder     []lockOrderFinding
+
+	// singleKnob caches the module-wide "who sets this config field"
+	// analysis (singleknob.go), reported per declaring package.
+	singleKnobOnce sync.Once
+	singleKnob     []singleKnobFinding
 }
 
 // funcDecl is one function or method declaration with its context.

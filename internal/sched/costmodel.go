@@ -66,8 +66,9 @@ func (r *StepRequest) outputPixels() float64 {
 // encodeParallelFraction is the parallelizable share of an encode step:
 // tile columns, in-loop filter stripes and the restoration scan all run
 // on the encoder's worker pool, while bitstream assembly, reference
-// rotation and rate control stay serial. 0.9 matches the measured
-// scaling curve (EXPERIMENTS.md; BENCH_codec.json "scaling").
+// rotation and rate control stay serial. 0.9 is a model constant, not
+// a measurement: the measured counterpart is the ledger's
+// codec.tile_speedup_2 row, which needs two real cores to mean anything.
 const encodeParallelFraction = 0.9
 
 // ParallelSpeedup is the Amdahl's-law wall-clock speedup of a step

@@ -58,15 +58,6 @@ func (f *Fluid) Start(work, demand float64, done func()) int64 {
 // Active returns the number of in-flight flows.
 func (f *Fluid) Active() int { return len(f.flows) }
 
-// TotalDemand returns the sum of natural demands of active flows.
-func (f *Fluid) TotalDemand() float64 {
-	var d float64
-	for _, fl := range f.flows {
-		d += fl.demand
-	}
-	return d
-}
-
 // rebalance recomputes flow rates after membership changes and schedules
 // the next completion.
 func (f *Fluid) rebalance() {

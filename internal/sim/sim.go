@@ -146,15 +146,6 @@ func NewServer(eng *Engine, capacity int) *Server {
 	return &Server{eng: eng, capacity: capacity}
 }
 
-// Capacity returns the configured parallelism.
-func (s *Server) Capacity() int { return s.capacity }
-
-// Busy returns the number of jobs in service.
-func (s *Server) Busy() int { return s.busy }
-
-// QueueLen returns the number of waiting jobs.
-func (s *Server) QueueLen() int { return len(s.queue) }
-
 // Submit enqueues a job with the given service time; done runs at
 // completion.
 func (s *Server) Submit(service time.Duration, done func()) {

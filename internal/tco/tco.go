@@ -43,18 +43,6 @@ func (s System) String() string {
 	}
 }
 
-// VCUCount returns the accelerator count (0 for non-VCU systems).
-func (s System) VCUCount() int {
-	switch s {
-	case SystemVCU8:
-		return 8
-	case SystemVCU20:
-		return 20
-	default:
-		return 0
-	}
-}
-
 // Constants holds the calibrated cost/power/baseline-throughput inputs.
 type Constants struct {
 	// Measured baseline throughputs (Mpix/s, offline two-pass SOT on the

@@ -24,12 +24,8 @@ type OutputSpec struct {
 	Hardware bool
 	// Speed is the encoder speed setting.
 	Speed int
-	// GOPLength overrides the default closed-GOP length.
-	GOPLength int
 	// TileColumns enables parallel tile-column encoding.
 	TileColumns int
-	// AltRef enables alternate reference frames (VP9Class).
-	AltRef bool
 	// Workers sizes the encoder's persistent worker pool (0 =
 	// GOMAXPROCS, 1 = inline). The bitstream does not depend on it.
 	Workers int
@@ -57,9 +53,9 @@ type Result struct {
 // input resolution, in ascending rung order, mirroring the standard MOT
 // graph ("for 1080p inputs: 1080p, 720p, 480p, 360p, 240p and 144p are
 // encoded"). Under overload the cluster does not run this full ladder:
-// DegradeSpecs derives the brownout variants (top rungs trimmed, profile
-// downshifted, encoder speed raised) that trade output quality for
-// survival when capacity is short.
+// its brownout controller trims the top rungs, downshifts the profile
+// and raises the encoder speed by DegradeLevel, trading output quality
+// for survival when capacity is short.
 func LadderSpecs(in video.Resolution, profile codec.Profile, bitsPerPixel float64, fps int, hardware bool) []OutputSpec {
 	var specs []OutputSpec
 	for _, r := range video.LadderBelow(in) {
@@ -109,40 +105,13 @@ func (d DegradeLevel) String() string {
 	}
 }
 
-// DegradeSpecs returns the brownout variant of an output ladder at the
-// given level. specs must be in ascending rung order (as LadderSpecs
-// builds them); the input slice is never mutated. At least one rung
-// always survives — degradation trades quality, never correctness.
-func DegradeSpecs(specs []OutputSpec, level DegradeLevel) []OutputSpec {
-	out := append([]OutputSpec(nil), specs...)
-	if level >= DegradeTrim && len(out) > 1 {
-		out = out[:len(out)-1]
-	}
-	if level >= DegradeFloor && len(out) > 2 {
-		out = out[:2]
-	}
-	if level >= DegradeProfile {
-		for i := range out {
-			out[i].Profile = codec.H264Class
-			out[i].AltRef = false
-			out[i].Speed++
-			if level >= DegradeFloor {
-				out[i].Speed++
-			}
-		}
-	}
-	return out
-}
-
 func encoderConfig(spec OutputSpec, fps int) codec.Config {
 	return codec.Config{
 		Profile:     spec.Profile,
 		Width:       spec.Resolution.Width,
 		Height:      spec.Resolution.Height,
 		FPS:         fps,
-		GOPLength:   spec.GOPLength,
 		TileColumns: spec.TileColumns,
-		AltRef:      spec.AltRef,
 		RC:          spec.RC,
 		Speed:       spec.Speed,
 		Workers:     spec.Workers,

@@ -18,10 +18,6 @@ type EncoderUnderTest struct {
 	Speed    int
 	Tuning   int // rate-control tuning level (months post-launch)
 	AltRef   bool
-	// FlatSearch disables the multi-resolution pyramid motion search,
-	// exposing the plain diamond baseline for BD-rate A/B comparisons
-	// (cmd/vcubench guards the pyramid's quality with it).
-	FlatSearch bool
 }
 
 // StandardEncoders are the four curves of Figure 7 at VCU launch: the
@@ -47,10 +43,9 @@ func RunRD(clip Clip, eut EncoderUnderTest, scale, frames int) (metrics.RDCurve,
 		cfg := codec.Config{
 			Profile: eut.Profile,
 			Width:   srcCfg.Width, Height: srcCfg.Height, FPS: clip.FPS,
-			Speed:                eut.Speed,
-			Hardware:             eut.Hardware,
-			AltRef:               eut.AltRef,
-			DisablePyramidSearch: eut.FlatSearch,
+			Speed:    eut.Speed,
+			Hardware: eut.Hardware,
+			AltRef:   eut.AltRef,
 			RC: rc.Config{
 				Mode:          rc.ModeTwoPassOffline,
 				TargetBitrate: target,

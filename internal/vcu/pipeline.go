@@ -37,15 +37,18 @@ func (s PipelineStage) String() string {
 	}
 }
 
+// pipelineClockHz is the core clock (the budget arithmetic assumes
+// ~911 MHz: 2160p60 is ~121.5k superblocks/s, so ~7,500 cycles per
+// 64×64 superblock sustains real time).
+const pipelineClockHz = 911e6
+
+// stageMeanCycles is the calibrated mean cycles per stage per
+// superblock. The pipeline rate is set by the slowest stage's mean
+// when FIFOs absorb the variance.
+var stageMeanCycles = [NumPipelineStages]float64{7100, 6200, 5000}
+
 // PipelineConfig parameterizes the core pipeline.
 type PipelineConfig struct {
-	// ClockHz is the core clock (the budget arithmetic assumes ~911 MHz:
-	// 2160p60 is ~121.5k superblocks/s, so ~7,500 cycles per 64×64
-	// superblock sustains real time).
-	ClockHz float64
-	// MeanCycles per stage per superblock. The pipeline rate is set by
-	// the slowest stage's mean when FIFOs absorb the variance.
-	MeanCycles [NumPipelineStages]float64
 	// Variability is the half-width of the per-block cycle jitter as a
 	// fraction of the mean; the entropy stage is the most variable
 	// (bits per block swing widely).
@@ -60,8 +63,6 @@ type PipelineConfig struct {
 // DefaultPipelineConfig returns the calibrated configuration.
 func DefaultPipelineConfig() PipelineConfig {
 	return PipelineConfig{
-		ClockHz:     911e6,
-		MeanCycles:  [NumPipelineStages]float64{7100, 6200, 5000},
 		Variability: [NumPipelineStages]float64{0.25, 0.70, 0.15},
 		FIFODepth:   8,
 		Seed:        1,
@@ -75,7 +76,7 @@ type PipelineResult struct {
 	// StallCycles[s] is time stage s spent blocked on a full downstream
 	// FIFO (backpressure) rather than waiting for input.
 	StallCycles [NumPipelineStages]float64
-	// BlocksPerSec and PixPerSec at the configured clock (64×64 blocks).
+	// BlocksPerSec and PixPerSec at pipelineClockHz (64×64 blocks).
 	BlocksPerSec float64
 	PixPerSec    float64
 }
@@ -92,7 +93,7 @@ func SimulatePipeline(cfg PipelineConfig, blocks int) PipelineResult {
 		rng ^= rng >> 7
 		rng ^= rng << 17
 		u := float64(rng%1e6)/1e6*2 - 1 // [-1, 1)
-		return cfg.MeanCycles[stage] * (1 + cfg.Variability[stage]*u)
+		return stageMeanCycles[stage] * (1 + cfg.Variability[stage]*u)
 	}
 
 	S := int(NumPipelineStages)
@@ -133,7 +134,7 @@ func SimulatePipeline(cfg PipelineConfig, blocks int) PipelineResult {
 	}
 	res.TotalCycles = finish[S-1][blocks-1]
 	perBlock := res.TotalCycles / float64(blocks)
-	res.BlocksPerSec = cfg.ClockHz / perBlock
+	res.BlocksPerSec = pipelineClockHz / perBlock
 	res.PixPerSec = res.BlocksPerSec * 64 * 64
 	return res
 }

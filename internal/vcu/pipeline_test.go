@@ -18,7 +18,7 @@ func TestPipelineBottleneckIsSlowestStage(t *testing.T) {
 	cfg.Variability = [NumPipelineStages]float64{} // deterministic
 	res := SimulatePipeline(cfg, 5000)
 	// Without variance, throughput = clock / slowest stage mean.
-	want := cfg.ClockHz / cfg.MeanCycles[StageMotionRDO]
+	want := pipelineClockHz / stageMeanCycles[StageMotionRDO]
 	if ratio := res.BlocksPerSec / want; ratio < 0.99 || ratio > 1.01 {
 		t.Fatalf("deterministic pipeline rate %.0f blocks/s, want %.0f", res.BlocksPerSec, want)
 	}

@@ -316,11 +316,6 @@ func (q *Queue) CopyToDevice(bytes int64, done func()) error {
 	return nil
 }
 
-// CopyFromDevice models a device→host DMA.
-func (q *Queue) CopyFromDevice(bytes int64, done func()) error {
-	return q.CopyToDevice(bytes, done)
-}
-
 // --- firmware scheduler -----------------------------------------------------
 
 // dispatch assigns pending ops to idle cores, scanning queues round-robin

@@ -57,16 +57,3 @@ func SequencePSNR(a, b []*Frame) float64 {
 	}
 	return PSNR(total / float64(len(a)))
 }
-
-// SAD returns the sum of absolute differences of two planes/blocks.
-func SAD(a, b []uint8) int64 {
-	var sum int64
-	for i := range a {
-		d := int64(a[i]) - int64(b[i])
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-	}
-	return sum
-}

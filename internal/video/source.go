@@ -62,9 +62,6 @@ func NewSource(cfg SourceConfig) *Source {
 	return s
 }
 
-// Config returns the source configuration.
-func (s *Source) Config() SourceConfig { return s.cfg }
-
 // Frame renders frame t (0-based).
 func (s *Source) Frame(t int) *Frame {
 	cfg := s.cfg

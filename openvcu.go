@@ -8,10 +8,12 @@
 // system-balance models — everything needed to regenerate the paper's
 // tables and figures.
 //
-// This file is the public facade: it re-exports the library's primary
-// types and entry points so applications depend on a single import path.
-// The implementation lives in internal/ packages, one per subsystem (see
-// DESIGN.md for the inventory).
+// This file is the public facade: it re-exports the types and entry
+// points the programs under examples/ are written against, so an
+// application depends on a single import path. A name is here because
+// an example or facade_test.go uses it. The implementation lives in
+// internal/ packages, one per subsystem (see DESIGN.md for the
+// inventory).
 //
 // Quick start:
 //
@@ -25,15 +27,10 @@
 package openvcu
 
 import (
-	"openvcu/internal/balance"
 	"openvcu/internal/cluster"
 	"openvcu/internal/codec"
 	"openvcu/internal/codec/rc"
-	"openvcu/internal/container"
-	"openvcu/internal/fleetsim"
 	"openvcu/internal/metrics"
-	"openvcu/internal/sched"
-	"openvcu/internal/tco"
 	"openvcu/internal/transcode"
 	"openvcu/internal/vbench"
 	"openvcu/internal/vcu"
@@ -49,13 +46,9 @@ type Frame = video.Frame
 // Resolution is a named point on the 16:9 output ladder.
 type Resolution = video.Resolution
 
-// The standard output ladder (paper footnote 1).
+// Points of the standard output ladder (paper footnote 1).
 var (
-	Res144p  = video.Res144p
-	Res240p  = video.Res240p
-	Res360p  = video.Res360p
 	Res480p  = video.Res480p
-	Res720p  = video.Res720p
 	Res1080p = video.Res1080p
 	Res1440p = video.Res1440p
 	Res2160p = video.Res2160p
@@ -64,14 +57,8 @@ var (
 // SourceConfig describes a deterministic procedural test clip.
 type SourceConfig = video.SourceConfig
 
-// Source generates procedural video frames.
-type Source = video.Source
-
 // NewSource builds a procedural video source.
-func NewSource(cfg SourceConfig) *Source { return video.NewSource(cfg) }
-
-// NewFrame allocates a zeroed frame.
-func NewFrame(w, h int) *Frame { return video.NewFrame(w, h) }
+func NewSource(cfg SourceConfig) *video.Source { return video.NewSource(cfg) }
 
 // Scale resamples a frame.
 func Scale(f *Frame, w, h int) *Frame { return video.Scale(f, w, h) }
@@ -79,103 +66,58 @@ func Scale(f *Frame, w, h int) *Frame { return video.Scale(f, w, h) }
 // SequencePSNR returns the pooled PSNR between two frame sequences.
 func SequencePSNR(a, b []*Frame) float64 { return video.SequencePSNR(a, b) }
 
-// LadderBelow returns the MOT output set for an input resolution.
-func LadderBelow(in Resolution) []Resolution { return video.LadderBelow(in) }
-
 // --- codec -------------------------------------------------------------------
 
 // Profile selects the coding toolset.
 type Profile = codec.Profile
 
-// Codec profiles: the paper's two formats plus the §6 future-work AV1
-// extension (software only — the VCU predates AV1).
+// The paper's two formats.
 const (
 	H264Class = codec.H264Class
 	VP9Class  = codec.VP9Class
-	AV1Class  = codec.AV1Class
 )
 
 // EncoderConfig parameterizes an encoder.
 type EncoderConfig = codec.Config
 
-// Packet is one encoded frame.
-type Packet = codec.Packet
-
-// Encoder is a streaming video encoder.
-type Encoder = codec.Encoder
-
-// Decoder is a streaming video decoder.
-type Decoder = codec.Decoder
-
-// SequenceResult is the outcome of EncodeSequence.
-type SequenceResult = codec.SequenceResult
-
-// NewEncoder returns a streaming encoder.
-func NewEncoder(cfg EncoderConfig) (*Encoder, error) { return codec.NewEncoder(cfg) }
-
-// NewDecoder returns a streaming decoder.
-func NewDecoder() *Decoder { return codec.NewDecoder() }
-
 // EncodeSequence encodes frames end to end (running a first pass when the
 // rate-control mode needs one).
-func EncodeSequence(cfg EncoderConfig, frames []*Frame) (*SequenceResult, error) {
+func EncodeSequence(cfg EncoderConfig, frames []*Frame) (*codec.SequenceResult, error) {
 	return codec.EncodeSequence(cfg, frames)
 }
 
 // DecodeSequence decodes packets to display frames.
-func DecodeSequence(pkts []Packet) ([]*Frame, error) { return codec.DecodeSequence(pkts) }
+func DecodeSequence(pkts []codec.Packet) ([]*Frame, error) { return codec.DecodeSequence(pkts) }
 
 // RateControl configures encoder rate control.
 type RateControl = rc.Config
 
 // Rate-control modes (paper §2.1).
 const (
-	RCConstQP           = rc.ModeConstQP
 	RCOnePass           = rc.ModeOnePass
 	RCTwoPassLowLatency = rc.ModeTwoPassLowLatency
 	RCTwoPassLagged     = rc.ModeTwoPassLagged
 	RCTwoPassOffline    = rc.ModeTwoPassOffline
 )
 
-// --- container ---------------------------------------------------------------
-
-// StreamInfo is the container stream header.
-type StreamInfo = container.StreamInfo
-
-// StreamWriter writes the OVCU container format.
-type StreamWriter = container.Writer
-
-// StreamReader reads the OVCU container format.
-type StreamReader = container.Reader
-
 // --- transcoding -------------------------------------------------------------
 
 // OutputSpec describes one transcode output variant.
 type OutputSpec = transcode.OutputSpec
 
-// TranscodeResult aggregates a transcode task's outputs.
-type TranscodeResult = transcode.Result
-
-// MOT transcodes frames into every output with one shared decode
-// (paper Fig. 2b).
-func MOT(frames []*Frame, fps int, specs []OutputSpec) (*TranscodeResult, error) {
-	return transcode.MOT(frames, fps, specs)
-}
-
 // SOT transcodes frames into a single output (paper Fig. 2a).
-func SOT(frames []*Frame, fps int, spec OutputSpec) (*TranscodeResult, error) {
+func SOT(frames []*Frame, fps int, spec OutputSpec) (*transcode.Result, error) {
 	return transcode.SOT(frames, fps, spec)
 }
 
-// Chunk is a closed GOP of source frames.
-type Chunk = transcode.Chunk
-
 // SplitChunks shards frames into closed GOPs for parallel processing.
-func SplitChunks(frames []*Frame, gopLen int) []Chunk { return transcode.SplitChunks(frames, gopLen) }
+func SplitChunks(frames []*Frame, gopLen int) []transcode.Chunk {
+	return transcode.SplitChunks(frames, gopLen)
+}
 
 // ChunkedTranscode runs a MOT per chunk in parallel and assembles
 // playable per-output streams.
-func ChunkedTranscode(chunks []Chunk, fps int, specs []OutputSpec, parallelism int) (*transcode.ChunkedResult, error) {
+func ChunkedTranscode(chunks []transcode.Chunk, fps int, specs []OutputSpec, parallelism int) (*transcode.ChunkedResult, error) {
 	return transcode.Chunked(chunks, fps, specs, parallelism)
 }
 
@@ -184,39 +126,14 @@ func LadderSpecs(in Resolution, p Profile, bitsPerPixel float64, fps int, hardwa
 	return transcode.LadderSpecs(in, p, bitsPerPixel, fps, hardware)
 }
 
-// --- accelerator model ---------------------------------------------------------
-
-// VCUParams are the chip/board/host calibration constants.
-type VCUParams = vcu.Params
+// --- accelerator model, scheduler & cluster ------------------------------------
 
 // DefaultVCUParams returns the production configuration (10 encoder
 // cores, 3 decoder cores, 36 GiB/s DRAM, 20 VCUs/host).
-func DefaultVCUParams() VCUParams { return vcu.DefaultParams() }
+func DefaultVCUParams() vcu.Params { return vcu.DefaultParams() }
 
-// VCUWorkload describes a saturated throughput experiment.
-type VCUWorkload = vcu.Workload
-
-// Workload and encode modes.
-const (
-	WorkloadSOT = vcu.ModeSOT
-	WorkloadMOT = vcu.ModeMOT
-
-	EncodeOnePassLowLatency = vcu.EncodeOnePassLowLatency
-	EncodeTwoPassLowLatency = vcu.EncodeTwoPassLowLatency
-	EncodeTwoPassLagged     = vcu.EncodeTwoPassLagged
-	EncodeTwoPassOffline    = vcu.EncodeTwoPassOffline
-)
-
-// --- scheduler & cluster -------------------------------------------------------
-
-// StepRequest describes one transcoding step for the scheduler.
-type StepRequest = sched.StepRequest
-
-// ClusterConfig parameterizes a simulated cluster.
-type ClusterConfig = cluster.Config
-
-// Cluster is a simulated data center cell.
-type Cluster = cluster.Cluster
+// EncodeTwoPassOffline is the offline two-pass encode mode of a step.
+const EncodeTwoPassOffline = vcu.EncodeTwoPassOffline
 
 // VideoSpec describes one uploaded video.
 type VideoSpec = cluster.VideoSpec
@@ -224,75 +141,22 @@ type VideoSpec = cluster.VideoSpec
 // WorkGraph is a video's acyclic task dependency graph.
 type WorkGraph = cluster.Graph
 
-// Region is a set of clusters with global overflow routing (§2.2: videos
-// process near the uploader unless local capacity is unavailable).
-type Region = cluster.Region
-
-// NewRegion builds n clusters sharing one simulation clock.
-func NewRegion(cfg ClusterConfig, n int) *Region { return cluster.NewRegion(cfg, n) }
+// NewRegion builds n clusters sharing one simulation clock, with global
+// overflow routing (§2.2: videos process near the uploader unless local
+// capacity is unavailable).
+func NewRegion(cfg cluster.Config, n int) *cluster.Region { return cluster.NewRegion(cfg, n) }
 
 // NewCluster builds a simulated cluster.
-func NewCluster(cfg ClusterConfig) *Cluster { return cluster.New(cfg) }
+func NewCluster(cfg cluster.Config) *cluster.Cluster { return cluster.New(cfg) }
 
 // DefaultClusterConfig returns a production-like configuration with all
 // §4.4 failure mitigations enabled.
-func DefaultClusterConfig(hosts int) ClusterConfig { return cluster.DefaultConfig(hosts) }
+func DefaultClusterConfig(hosts int) cluster.Config { return cluster.DefaultConfig(hosts) }
 
 // BuildGraph expands a video into its work graph.
-func BuildGraph(spec VideoSpec, stepTargetSeconds float64) *cluster.Graph {
+func BuildGraph(spec VideoSpec, stepTargetSeconds float64) *WorkGraph {
 	return cluster.BuildGraph(spec, stepTargetSeconds)
 }
-
-// OverloadConfig arms the cluster's overload controls: bounded
-// admission with priority shedding, live deadline drops, the brownout
-// degradation ladder and the load-aware hedge guard. The zero value
-// disables all of them.
-type OverloadConfig = cluster.OverloadConfig
-
-// ClassStats is one priority class's goodput/SLO bucket.
-type ClassStats = cluster.ClassStats
-
-// DefaultOverloadConfig returns production-like overload settings.
-func DefaultOverloadConfig() OverloadConfig { return cluster.DefaultOverloadConfig() }
-
-// AutoscaleConfig arms the closed-loop capacity controller: an
-// M/M/1/k-fitted sizing model actuating drain-before-remove park
-// resizes under hysteresis bands and a priority protocol against the
-// brownout ladder. The zero value disables it.
-type AutoscaleConfig = cluster.AutoscaleConfig
-
-// AutoscaleStats counts capacity-controller outcomes (resizes, drains,
-// cold starts, conflict ticks, the cost integral).
-type AutoscaleStats = cluster.AutoscaleStats
-
-// DefaultAutoscaleConfig returns production-like control settings.
-func DefaultAutoscaleConfig() AutoscaleConfig { return cluster.DefaultAutoscaleConfig() }
-
-// AuditConfig arms the online output auditor: a budgeted fraction of
-// completed steps is re-verified after the fact, sampling biased toward
-// low-trust devices, with a demote → convict → soak ladder and
-// taint-window recall for devices whose output fails re-verification.
-// The zero value disables auditing.
-type AuditConfig = cluster.AuditConfig
-
-// AuditStats counts auditor outcomes (audits, corruptions caught and
-// escaped, recalls, demotions, convictions, soak results).
-type AuditStats = cluster.AuditStats
-
-// DefaultAuditConfig returns production-like audit settings (5% of
-// completions re-verified).
-func DefaultAuditConfig() AuditConfig { return cluster.DefaultAuditConfig() }
-
-// DegradeLevel is a rung of the brownout degradation ladder.
-type DegradeLevel = transcode.DegradeLevel
-
-// Brownout degradation levels, mildest first.
-const (
-	DegradeNone    = transcode.DegradeNone
-	DegradeTrim    = transcode.DegradeTrim
-	DegradeProfile = transcode.DegradeProfile
-	DegradeFloor   = transcode.DegradeFloor
-)
 
 // --- evaluation ---------------------------------------------------------------
 
@@ -302,32 +166,12 @@ type RDPoint = metrics.RDPoint
 // BDRate returns the Bjøntegaard-delta bitrate of test vs ref in percent.
 func BDRate(ref, test []RDPoint) (float64, error) { return metrics.BDRate(ref, test) }
 
-// VbenchClip is one entry of the synthetic vbench suite.
-type VbenchClip = vbench.Clip
-
 // VbenchSuite is the 15-clip suite of §4.1.
-func VbenchSuite() []VbenchClip { return vbench.Suite }
+func VbenchSuite() []vbench.Clip { return vbench.Suite }
 
-// Table1 regenerates the paper's Table 1 (see internal/tco).
-var Table1 = tco.Table1
-
-// DefaultTCOConstants returns the calibrated TCO/power constants.
-func DefaultTCOConstants() tco.Constants { return tco.DefaultConstants() }
-
-// Balance model entry points (Appendix A).
-var (
-	BalanceNetwork      = balance.Network
-	BalanceTable2       = balance.Table2
-	BalanceDRAMNeeds    = balance.DRAMNeeds
-	BalanceDeviceMemory = balance.DeviceMemory
-)
-
-// VideoCorpus is a popularity-modeled video population (§2.2: stretched
-// power law, three treatment buckets).
-type VideoCorpus = workload.Corpus
-
-// GenerateCorpus builds an n-video corpus.
-func GenerateCorpus(n int, seed uint64) *VideoCorpus { return workload.Generate(n, seed) }
+// GenerateCorpus builds an n-video popularity-modeled corpus (§2.2:
+// stretched power law, three treatment buckets).
+func GenerateCorpus(n int, seed uint64) *workload.Corpus { return workload.Generate(n, seed) }
 
 // VP9 treatment policies for the §4.5 egress experiment.
 const (
@@ -340,20 +184,3 @@ var ApplyPolicy = workload.Apply
 
 // DefaultEgressModel returns the serving-side constants.
 func DefaultEgressModel() workload.EgressModel { return workload.DefaultEgressModel() }
-
-// ArrivalConfig parameterizes the seeded demand process: a diurnal
-// sinusoid with an optional spike window, thinned-Poisson sampled.
-type ArrivalConfig = workload.ArrivalConfig
-
-// Arrival is one video arriving at the platform.
-type Arrival = workload.Arrival
-
-// GenerateArrivals produces a deterministic arrival trace (no wall
-// clock: same config, same trace).
-func GenerateArrivals(cfg ArrivalConfig) []Arrival { return workload.GenerateArrivals(cfg) }
-
-// FleetConfig parameterizes the longitudinal deployment simulator.
-type FleetConfig = fleetsim.Config
-
-// DefaultFleetConfig covers the 12-month window of Figure 9.
-func DefaultFleetConfig() FleetConfig { return fleetsim.DefaultConfig() }

@@ -8,8 +8,10 @@
 #                    go/types check of the module: determinism,
 #                    hotalloc, errdrop, bigcopy, scratchshare, sharedmut,
 #                    swarwidth, goleak, the CFG/call-graph rules
-#                    lockhygiene, lockorder, waitbalance, heldblock, and
-#                    the transitive-summary rules closecheck, parcapture;
+#                    lockhygiene, lockorder, waitbalance, heldblock, the
+#                    transitive-summary rules closecheck, parcapture,
+#                    and the module-wide singleknob (a *Config field no
+#                    caller sets);
 #                    packages are analyzed in parallel (-par 0 =
 #                    GOMAXPROCS) with deterministic output; the JSON
 #                    report (with load, summary-build and per-rule
@@ -23,7 +25,9 @@
 #   8. fuzz smoke    10s of FuzzDecode over the checked-in corpus
 #
 # Each step ends with the wall seconds it took and the gate with their
-# total, so the gate's long pole is read off its own output.
+# total, so the gate's long pole is read off its own output. The gate
+# ends with the non-test Go line count, total and per top-level package:
+# the number every simplicity PR claims, counted one way.
 #
 # Every PR must leave this script exiting 0.
 set -u
@@ -88,13 +92,25 @@ step "go test" go test ./...
 # shellcheck disable=SC2086
 step "go test -race (concurrent packages)" go test -race $RACE_PKGS
 # Kernel packages only: the root codec package's whole-frame benchmarks
-# are minutes-long and belong to scripts/bench.sh, not the gate.
+# are minutes-long (`make profile-encode` runs them), not for the gate.
 step "bench smoke (kernel packages)" go test -run=NONE -bench=. -benchtime=1x \
     ./internal/codec/motion ./internal/codec/transform ./internal/video
 # Decoder fuzz smoke: 10 seconds of coverage-guided input on top of the
 # checked-in corpus (testdata/fuzz/FuzzDecode). Catches decoder panics
 # and decoder-bomb regressions; `go test` alone only replays the corpus.
 step "fuzz smoke (codec decoder)" go test -fuzz=FuzzDecode -fuzztime=10s -run=NONE ./internal/codec
+
+# count_lines prints the non-test Go lines outside testdata/ under the
+# given directories.
+count_lines() {
+    find "$@" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
+}
+echo "== non-test Go lines (outside testdata/)"
+printf '%7d  %s\n' "$(count_lines . -maxdepth 1)" "(root package)"
+for d in benchmark cmd examples internal/*/; do
+    printf '%7d  %s\n' "$(count_lines "$d")" "${d%/}"
+done
+printf '%7d  total\n' "$(count_lines .)"
 
 if [ "$failures" -ne 0 ]; then
     echo "check.sh: $failures step(s) failed in ${SECONDS}s" >&2
