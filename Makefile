@@ -3,9 +3,8 @@
 # their own.
 
 GO ?= go
-RACE_PKGS = ./internal/sched ./internal/transcode ./internal/cluster ./internal/codec ./internal/video
 
-.PHONY: check lint lint-json race build test fmt profile-encode chaos fuzz overload autoscale audit oracle oracle-diff
+.PHONY: check lint lint-json race mutants build test fmt profile-encode chaos fuzz overload autoscale audit oracle oracle-diff
 
 check:
 	./scripts/check.sh
@@ -31,8 +30,17 @@ lint:
 lint-json:
 	$(GO) run ./cmd/vculint -json -timing -par $(LINT_PAR) ./... >lint_report.json
 
+# The gate's -race step: the tests that start goroutines (the list and
+# the reason for each entry are in the script).
 race:
-	$(GO) test -race $(RACE_PKGS)
+	./scripts/race.sh
+
+# Mutation yield of the gate: every mutants/*.patch applied to a copy of
+# REF (default HEAD), which step kills it and in how many seconds. Says
+# what each lint rule, test and race run is in the gate for; ~15
+# minutes, not part of check.
+mutants:
+	./scripts/mutants.sh $(REF)
 
 # Long-schedule deterministic chaos run (§4.4 fault lifecycle): more
 # videos, faults and host crashes than the tier-1 variant, under -race,

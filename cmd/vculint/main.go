@@ -20,18 +20,18 @@
 //	-par N       analyze N packages concurrently (0 = GOMAXPROCS);
 //	             output is deterministic at any worker count
 //
-// Every analyzer reads types, callees, sizes and constants from one
-// go/types check of the module (internal/lint/module.go); see DESIGN.md
-// "Static analysis & CI gates" for the layers. `vculint -list` prints
-// each rule's one-paragraph documentation. By what they need:
+// Every analyzer reads types, callees and sizes from one go/types check
+// of the module (internal/lint/module.go); see DESIGN.md "Static
+// analysis & CI gates" for the layers and for what each rule alone
+// catches (`make mutants` measures it). `vculint -list` prints each
+// rule's one-paragraph documentation. By what they need:
 //
-//	types          determinism, hotalloc, errdrop, bigcopy, swarwidth,
-//	               sharedmut, parcapture, singleknob (module-wide)
-//	+ control flow lockhygiene, waitbalance
-//	+ summaries    lockorder, heldblock, scratchshare, goleak,
-//	               closecheck (transitive call-graph summaries over
-//	               the SCC condensation of the module call graph,
-//	               internal/lint/callgraph.go)
+//	types          determinism, hotalloc, errdrop, bigcopy, sharedmut,
+//	               parcapture, singleknob (module-wide)
+//	+ control flow waitbalance
+//	+ summaries    lockhygiene, closecheck (transitive call-graph
+//	               summaries over the SCC condensation of the module
+//	               call graph, internal/lint/callgraph.go)
 //
 // A function whose recursive call cycle hits the summary iteration cap
 // is reported under the pseudo-rule "lintbudget" (its facts stay sound
@@ -39,7 +39,7 @@
 //
 // Useful selections:
 //
-//	vculint -rules lockorder,waitbalance,heldblock ./...
+//	vculint -rules lockhygiene,waitbalance ./...
 //	vculint -par 8 -rules closecheck,parcapture ./...
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or I/O error.

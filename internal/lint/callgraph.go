@@ -10,12 +10,11 @@ import (
 
 // This file is the transitive interprocedural layer built on the
 // module's function table: every function/method gets a summary —
-// which lock classes it may acquire or release (directly or through any
-// chain of resolved calls), whether it can block, what it does to each
-// *sync.WaitGroup parameter, whether a scratch- or Closer-typed
-// parameter escapes it, whether it spawns a goroutine nothing joins,
-// whether it returns a caller-owned Closer, and whether it closes a
-// Closer parameter on every path. Summaries are computed bottom-up over
+// which lock classes it may acquire (directly or through any chain of
+// resolved calls), what it does to each *sync.WaitGroup parameter,
+// whether a Closer-typed parameter escapes it, whether it returns a
+// caller-owned Closer, and whether it closes a Closer parameter on every
+// path. Summaries are computed bottom-up over
 // the strongly-connected-component condensation of the call graph
 // (scc.go): acyclic regions converge in one pass, recursive components
 // iterate to a fixed point. Every propagated fact is monotone (a set
@@ -67,26 +66,15 @@ type funcSummary struct {
 	// calls are the resolved synchronous call sites: straight-line calls
 	// plus deferred ones (both run on the calling goroutine). Calls
 	// inside go statements and non-deferred function literals are
-	// excluded. goCalls are the resolved targets of go statements.
-	calls   []summaryCall
-	goCalls []summaryCall
+	// excluded.
+	calls []summaryCall
 
 	// acquires maps lock class -> first site where the function may
 	// acquire it, directly or through any resolved call chain.
 	// acquiresVia records the call chain for transitive entries ("" or
-	// absent for direct acquisitions). releases is the analogous
-	// may-release set.
+	// absent for direct acquisitions).
 	acquires    map[string]token.Pos
 	acquiresVia map[string]string
-	releases    map[string]bool
-
-	// blocking: some path can execute a potentially-blocking synchronous
-	// op (channel send/receive outside select clauses, a select without
-	// default, range over a channel, .Wait(), or a call to a blocking
-	// function). blockingVia is the call chain ("" when direct).
-	blocking     bool
-	blockingWhat string
-	blockingVia  string
 
 	// wgParams maps parameter position -> WaitGroup facts, for every
 	// parameter typed *sync.WaitGroup. These stay one-level: waitbalance
@@ -100,18 +88,14 @@ type funcSummary struct {
 	// paramNames holds the parameter names by position ("" for _).
 	paramNames []string
 
-	// scratchParams marks scratch-typed parameter positions (see
-	// scratchTypes); closerParams does the same for pointers to module
-	// types with a Close method.
-	scratchParams map[int]bool
-	closerParams  map[int]bool
+	// closerParams marks the parameter positions typed as pointers to
+	// module types with a Close method.
+	closerParams map[int]bool
 
-	// paramEscapes maps tracked (scratch- or closer-typed) parameter
-	// positions to the call chain through which they escape ("" for a
-	// direct escape in this body). scratchEscapes remains the "any
-	// scratch param escapes" roll-up.
-	paramEscapes   map[int]string
-	scratchEscapes bool
+	// paramEscapes maps closer-typed parameter positions to the call
+	// chain through which they escape ("" for a direct escape in this
+	// body).
+	paramEscapes map[int]string
 
 	// closesParams: closer-typed parameter positions on which Close is
 	// reached on every path to the normal exit (directly or via a callee
@@ -123,13 +107,6 @@ type funcSummary struct {
 	// Closer it becomes responsible for: a freshly constructed value of
 	// a Closer type, or the passed-through result of a callee that does.
 	closerResults []bool
-
-	// spawnsUnjoined: the function (or a callee chain) starts a
-	// goroutine that is not joined in its spawning function. spawnVia is
-	// the call chain ("" when the go statement is in this body).
-	spawnsUnjoined bool
-	spawnVia       string
-	spawnPos       token.Pos
 
 	// capped: this function's component hit sccIterationCap before the
 	// fixed point settled; facts are sound but possibly incomplete. Also
@@ -215,11 +192,6 @@ func buildCallGraph(m *Module) *callGraph {
 				g.edges[i] = append(g.edges[i], j)
 			}
 		}
-		for _, c := range w.sum.goCalls {
-			if j, ok := pos[c.fn]; ok {
-				g.edges[i] = append(g.edges[i], j)
-			}
-		}
 	}
 
 	cg := &callGraph{summaries: b.summaries}
@@ -297,17 +269,15 @@ func collectCloserTypes(m *Module) map[*types.TypeName]bool {
 func (b *cgBuilder) directSummary(fn *types.Func, fd *funcDecl) *summaryWork {
 	pkg := fd.pkg
 	sum := &funcSummary{
-		fn:            fn,
-		name:          b.mod.funcName(fn),
-		fd:            fd,
-		acquires:      map[string]token.Pos{},
-		acquiresVia:   map[string]string{},
-		releases:      map[string]bool{},
-		wgParams:      map[int]wgParamFact{},
-		scratchParams: map[int]bool{},
-		closerParams:  map[int]bool{},
-		paramEscapes:  map[int]string{},
-		closesParams:  map[int]bool{},
+		fn:           fn,
+		name:         b.mod.funcName(fn),
+		fd:           fd,
+		acquires:     map[string]token.Pos{},
+		acquiresVia:  map[string]string{},
+		wgParams:     map[int]wgParamFact{},
+		closerParams: map[int]bool{},
+		paramEscapes: map[int]string{},
+		closesParams: map[int]bool{},
 	}
 	g := buildCFG(fd.decl.Body)
 	w := &summaryWork{sum: sum, pkg: pkg, g: g}
@@ -323,15 +293,6 @@ func (b *cgBuilder) directSummary(fn *types.Func, fd *funcDecl) *summaryWork {
 				if _, seen := sum.acquires[op.class]; !seen {
 					sum.acquires[op.class] = op.pos
 				}
-			case opRelease, opDeferRelease:
-				if op.class != "" {
-					sum.releases[op.class] = true
-				}
-			case opBlocking:
-				if !sum.blocking {
-					sum.blocking = true
-					sum.blockingWhat = op.what
-				}
 			case opCall:
 				sum.calls = append(sum.calls, makeSummaryCall(op.callee, op.call))
 			}
@@ -341,17 +302,6 @@ func (b *cgBuilder) directSummary(fn *types.Func, fd *funcDecl) *summaryWork {
 	// helper(...)` and the calls inside `defer func() { ... }()` bodies
 	// (excluding nested literals and go statements).
 	collectDeferredCalls(fd.decl.Body, pkg, &sum.calls)
-	// Resolved go-statement targets, for spawn-fact propagation only.
-	ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
-		gs, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		if k := pkg.moduleCallee(gs.Call); k != nil {
-			sum.goCalls = append(sum.goCalls, makeSummaryCall(k, gs.Call))
-		}
-		return true
-	})
 
 	// Parameter facts.
 	sig := fn.Signature()
@@ -376,41 +326,13 @@ func (b *cgBuilder) directSummary(fn *types.Func, fd *funcDecl) *summaryWork {
 				doneAlways: g.mustExecuteAtExit(func(n ast.Node) bool { return nodeCallsMethodOn(n, pname, "Done") }),
 				addsInside: nodeCallsMethodOn(fd.decl.Body, pname, "Add"),
 			}
-		case scratchTypes[name]:
-			sum.scratchParams[p] = true
 		case b.closerTypes[elem.Obj()]:
 			sum.closerParams[p] = true
-		}
-		if (sum.scratchParams[p] || sum.closerParams[p]) && paramEscapes(fd.decl.Body, pname) {
-			sum.paramEscapes[p] = ""
-		}
-	}
-	for p := range sum.scratchParams {
-		if _, esc := sum.paramEscapes[p]; esc {
-			sum.scratchEscapes = true
+			if paramEscapes(fd.decl.Body, pname) {
+				sum.paramEscapes[p] = ""
+			}
 		}
 	}
-
-	// Direct spawn fact: a go statement not joined in this body, unless
-	// suppressed with //lint:ignore goleak (an annotated spawn is a
-	// declared ownership transfer and must not taint callers).
-	waited, received := collectJoins(pkg, fd.decl.Body)
-	ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
-		gs, ok := n.(*ast.GoStmt)
-		if !ok || sum.spawnsUnjoined {
-			return !sum.spawnsUnjoined
-		}
-		if goStmtJoined(pkg, waited, received, gs) {
-			return true
-		}
-		line := fd.file.Fset.Position(gs.Pos()).Line
-		if set := fd.file.ignores[line]; set != nil && (set["goleak"] || set["*"]) {
-			return true
-		}
-		sum.spawnsUnjoined = true
-		sum.spawnPos = gs.Pos()
-		return false
-	})
 
 	// Value origins and return statements for the closer analysis.
 	w.origins = collectOrigins(fd.decl.Body, pkg)
@@ -592,12 +514,6 @@ func (b *cgBuilder) transfer(w *summaryWork) bool {
 		if s == nil || s == f {
 			continue
 		}
-		if s.blocking && !f.blocking {
-			f.blocking = true
-			f.blockingWhat = s.blockingWhat
-			f.blockingVia = viaChain(s.name, s.blockingVia)
-			changed = true
-		}
 		if len(s.acquires) > 0 {
 			classes := make([]string, 0, len(s.acquires))
 			for cl := range s.acquires {
@@ -612,20 +528,8 @@ func (b *cgBuilder) transfer(w *summaryWork) bool {
 				}
 			}
 		}
-		for cl := range s.releases {
-			if !f.releases[cl] {
-				f.releases[cl] = true
-				changed = true
-			}
-		}
-		if s.spawnsUnjoined && !f.spawnsUnjoined {
-			f.spawnsUnjoined = true
-			f.spawnVia = viaChain(s.name, s.spawnVia)
-			f.spawnPos = c.pos
-			changed = true
-		}
-		// A tracked caller parameter handed to a callee position that
-		// escapes the callee escapes the caller too.
+		// A closer parameter of the caller handed to a callee position
+		// that escapes the callee escapes the caller too.
 		if len(s.paramEscapes) > 0 && callArgsAlign(c, s) {
 			poss := make([]int, 0, len(s.paramEscapes))
 			for p := range s.paramEscapes {
@@ -637,7 +541,7 @@ func (b *cgBuilder) transfer(w *summaryWork) bool {
 				if name == "" {
 					continue
 				}
-				cp, tracked := f.trackedParamPos(name)
+				cp, tracked := f.closerParamPos(name)
 				if !tracked {
 					continue
 				}
@@ -646,26 +550,6 @@ func (b *cgBuilder) transfer(w *summaryWork) bool {
 					changed = true
 				}
 			}
-		}
-	}
-	// A goroutine target that itself leaks a spawn leaks regardless of
-	// whether the immediate go statement is joined.
-	for _, c := range f.goCalls {
-		s := b.summaries[c.fn]
-		if s == nil || s == f {
-			continue
-		}
-		if s.spawnsUnjoined && !f.spawnsUnjoined {
-			f.spawnsUnjoined = true
-			f.spawnVia = viaChain(s.name, s.spawnVia)
-			f.spawnPos = c.pos
-			changed = true
-		}
-	}
-	for p := range f.scratchParams {
-		if _, esc := f.paramEscapes[p]; esc && !f.scratchEscapes {
-			f.scratchEscapes = true
-			changed = true
 		}
 	}
 
@@ -737,14 +621,11 @@ func callArgsAlign(c summaryCall, callee *funcSummary) bool {
 	return !c.ellipsis && !callee.variadic && len(c.argNames) == callee.paramCount
 }
 
-// trackedParamPos maps a name to the position of a tracked (scratch- or
-// closer-typed) parameter of f.
-func (f *funcSummary) trackedParamPos(name string) (int, bool) {
+// closerParamPos maps a name to the position of a closer-typed
+// parameter of f.
+func (f *funcSummary) closerParamPos(name string) (int, bool) {
 	for p, n := range f.paramNames {
-		if n != name || n == "" {
-			continue
-		}
-		if f.scratchParams[p] || f.closerParams[p] {
+		if n == name && n != "" && f.closerParams[p] {
 			return p, true
 		}
 	}
@@ -862,82 +743,6 @@ func (b *cgBuilder) ownedCloserExpr(w *summaryWork, e ast.Expr) bool {
 	return false
 }
 
-// collectJoins gathers the join handles of a function body: canonical
-// receivers of .Wait() calls, and canonical channels received from
-// (<-ch, range ch). Shared by goleak and the spawn summary.
-func collectJoins(pkg *Package, body *ast.BlockStmt) (waited, received map[string]bool) {
-	waited = map[string]bool{}
-	received = map[string]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.CallExpr:
-			if recv, ok := methodCall(x, "Wait"); ok {
-				waited[recv] = true
-			}
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				if s := exprString(x.X); s != "" {
-					received[s] = true
-				}
-			}
-		case *ast.RangeStmt:
-			if s := exprString(x.X); s != "" && pkg.isChan(x.X) {
-				received[s] = true
-			}
-		}
-		return true
-	})
-	return waited, received
-}
-
-// goStmtJoined reports whether a go statement's goroutine is joined in
-// the spawning function: it Dones a waited WaitGroup or sends/closes a
-// received channel, is handed a joined handle as an argument, or is the
-// recognized pool-worker idiom. Shared by goleak and the spawn summary.
-func goStmtJoined(pkg *Package, waited, received map[string]bool, g *ast.GoStmt) bool {
-	joins := func(name string) bool { return waited[name] || received[name] }
-	if lit, isLit := g.Call.Fun.(*ast.FuncLit); isLit {
-		joined := false
-		ast.Inspect(lit.Body, func(m ast.Node) bool {
-			if joined {
-				return false
-			}
-			switch y := m.(type) {
-			case *ast.CallExpr:
-				// wg.Done() / close(ch) on a joined handle.
-				if recv, ok := methodCall(y, "Done"); ok && waited[recv] {
-					joined = true
-				}
-				if id, isIdent := y.Fun.(*ast.Ident); isIdent && id.Name == "close" && len(y.Args) == 1 {
-					if received[exprString(y.Args[0])] {
-						joined = true
-					}
-				}
-			case *ast.SendStmt:
-				if received[exprString(y.Chan)] {
-					joined = true
-				}
-			}
-			return true
-		})
-		if joined {
-			return true
-		}
-	}
-	// A joined handle passed as an argument (go worker(&wg, ch)) ties
-	// the goroutine's lifetime to it as well.
-	for _, arg := range g.Call.Args {
-		e := arg
-		if u, isAddr := e.(*ast.UnaryExpr); isAddr && u.Op == token.AND {
-			e = u.X
-		}
-		if s := exprString(e); s != "" && joins(s) {
-			return true
-		}
-	}
-	return poolWorkerJoined(pkg, g.Call)
-}
-
 // nodeCallsMethodOn reports whether n contains a call recv.method(...)
 // that runs when control passes through n: direct statement-level
 // calls, and deferred calls (defer recv.method() or a deferred literal
@@ -974,11 +779,11 @@ func nodeCallsMethodOn(n ast.Node, recv, method string) bool {
 	return found
 }
 
-// paramEscapes is the summary-grade escape check for a tracked
-// (scratch- or closer-typed) parameter: the same shapes the
-// scratchshare rule rejects, minus alias tracking (a summary consumer
-// only needs "can this helper leak the loan", and a miss degrades to
-// silence in the consumer).
+// paramEscapes is the summary-grade escape check for a closer-typed
+// parameter: stored, returned, sent, put in a composite literal or
+// handed to a goroutine, without alias tracking (closecheck only needs
+// "can this helper keep the value", and a miss degrades to silence
+// there).
 func paramEscapes(body *ast.BlockStmt, name string) bool {
 	isParam := func(e ast.Expr) bool {
 		id, ok := e.(*ast.Ident)

@@ -33,19 +33,10 @@ func funcNamed(m *Module, name string) *types.Func {
 }
 
 // TestCallGraphSummaries pins the one-level facts the CFG-layer rules
-// consume: blocking callees, WaitGroup parameter behavior, direct lock
-// acquisitions, and scratch-parameter escapes.
+// consume: WaitGroup parameter behavior and direct lock acquisitions.
 func TestCallGraphSummaries(t *testing.T) {
 	mod := loadTestModule(t)
 	cg := mod.callGraph()
-
-	flush := cg.summaries[funcNamed(mod, "internal/vcu/held.mailbox.flush")]
-	if flush == nil {
-		t.Fatal("no summary for held.mailbox.flush")
-	}
-	if !flush.blocking {
-		t.Error("flush ranges over a channel: summary must be blocking")
-	}
 
 	worker := cg.summaries[funcNamed(mod, "internal/vcu/fanout.worker")]
 	if worker == nil {
@@ -71,27 +62,12 @@ func TestCallGraphSummaries(t *testing.T) {
 		t.Errorf("leakyWorker misses Done on the early-return path: %+v", lf)
 	}
 
-	reset := cg.summaries[funcNamed(mod, "internal/vcu/ordering.Device.reset")]
-	if reset == nil {
-		t.Fatal("no summary for ordering.Device.reset")
+	straight := cg.summaries[funcNamed(mod, "internal/sched.counter.goodStraightLine")]
+	if straight == nil {
+		t.Fatal("no summary for sched.counter.goodStraightLine")
 	}
-	if _, ok := reset.acquires["internal/vcu/ordering.Device.mu"]; !ok {
-		t.Errorf("reset must be summarized as acquiring Device.mu, got %v", reset.acquires)
-	}
-
-	escapes := cg.summaries[funcNamed(mod, "internal/enc.returnScratch")]
-	if escapes == nil {
-		t.Fatal("no summary for enc.returnScratch")
-	}
-	if !escapes.scratchEscapes {
-		t.Error("returnScratch returns its scratch parameter: must escape")
-	}
-	clean := cg.summaries[funcNamed(mod, "internal/enc.fieldUse")]
-	if clean == nil {
-		t.Fatal("no summary for enc.fieldUse")
-	}
-	if clean.scratchEscapes {
-		t.Error("fieldUse only reads its scratch parameter: must not escape")
+	if _, ok := straight.acquires["internal/sched.counter.mu"]; !ok {
+		t.Errorf("goodStraightLine must be summarized as acquiring counter.mu, got %v", straight.acquires)
 	}
 }
 

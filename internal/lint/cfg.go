@@ -38,10 +38,6 @@ type cfg struct {
 	// deferred calls but is not a normal exit, so rules that check
 	// "on every path to the exit" ignore it.
 	panicExit *cfgBlock
-	// selectComm marks the comm statement of each select clause. The
-	// clause's send/receive completes only at the moment the select
-	// fires, so it is never an independent blocking point of its block.
-	selectComm map[ast.Node]bool
 }
 
 // cfgFrame is one enclosing breakable construct during construction.
@@ -63,7 +59,7 @@ type cfgBuilder struct {
 
 // buildCFG constructs the control-flow graph of one function body.
 func buildCFG(body *ast.BlockStmt) *cfg {
-	g := &cfg{selectComm: map[ast.Node]bool{}}
+	g := &cfg{}
 	b := &cfgBuilder{g: g, labels: map[string]*cfgBlock{}}
 	g.entry = b.newBlock()
 	g.exit = b.newBlock()
@@ -304,7 +300,6 @@ func (b *cfgBuilder) walkStmt(st ast.Stmt) {
 			connect(head, clause)
 			b.cur = clause
 			if cc.Comm != nil {
-				b.g.selectComm[cc.Comm] = true
 				b.emit(cc.Comm)
 			}
 			b.walkStmtList(cc.Body)

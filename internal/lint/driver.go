@@ -54,8 +54,7 @@ type Timing struct {
 	SummaryMS float64 `json:"summary_ms"`
 	// RulesMS maps analyzer name to its total wall time across all
 	// packages (summed across workers, so it can exceed wall time when
-	// Workers > 1). The module-wide lock-order analysis is billed to
-	// "lockorder".
+	// Workers > 1).
 	RulesMS map[string]float64 `json:"rules_ms"`
 	TotalMS float64            `json:"total_ms"`
 }
@@ -86,18 +85,11 @@ func RunReport(cfg Config) ([]Diagnostic, *Timing, error) {
 		timing.RulesMS[a.Name] += 0 // every configured rule appears in the report
 	}
 
-	// Module-wide analyses run eagerly before the fan-out: the workers
-	// then only read the module, so the parallel phase needs no locks.
+	// The summaries are built eagerly before the fan-out: the workers
+	// then only read them, so the parallel phase does not contend.
 	sumStart := time.Now()
 	cg := mod.callGraph()
 	timing.SummaryMS = msSince(sumStart)
-	for _, a := range analyzers {
-		if a.Name == "lockorder" {
-			loStart := time.Now()
-			mod.lockOrderFindings()
-			timing.RulesMS["lockorder"] += msSince(loStart)
-		}
-	}
 
 	diags := parseDiags
 	diags = append(diags, cg.budget...)

@@ -121,18 +121,13 @@ func TestHotAllocKernelFixture(t *testing.T) {
 func TestBigCopyFixture(t *testing.T) { runFixture(t, "bigcopy", "internal/video") }
 func TestErrDropFixture(t *testing.T) { runFixture(t, "errdrop", "internal/transcode") }
 
-// Each of these fixtures contains at least one true positive whose
-// verdict depends on cross-package type resolution.
-func TestScratchShareFixture(t *testing.T) { runFixture(t, "scratchshare", "internal/enc") }
-func TestSharedMutFixture(t *testing.T)    { runFixture(t, "sharedmut", "internal/refcache") }
-func TestSwarWidthFixture(t *testing.T)    { runFixture(t, "swarwidth", "internal/bits") }
-func TestGoLeakFixture(t *testing.T)       { runFixture(t, "goleak", "internal/cluster") }
+// This fixture contains at least one true positive whose verdict
+// depends on cross-package type resolution.
+func TestSharedMutFixture(t *testing.T) { runFixture(t, "sharedmut", "internal/refcache") }
 
-// The CFG/call-graph rules: each fixture contains at least one true
-// positive whose verdict depends on path exploration or on a callee's
-// summary.
-func TestLockOrderFixture(t *testing.T)   { runFixture(t, "lockorder", "internal/vcu/ordering") }
-func TestHeldBlockFixture(t *testing.T)   { runFixture(t, "heldblock", "internal/vcu/held") }
+// The CFG/call-graph rules (with lockhygiene above): each fixture
+// contains at least one true positive whose verdict depends on path
+// exploration or on a callee's summary.
 func TestWaitBalanceFixture(t *testing.T) { runFixture(t, "waitbalance", "internal/vcu/fanout") }
 
 // The transitive-summary rules: closecheck's positives sit
@@ -141,8 +136,8 @@ func TestWaitBalanceFixture(t *testing.T) { runFixture(t, "waitbalance", "intern
 func TestCloseCheckFixture(t *testing.T) { runFixture(t, "closecheck", "internal/vcu/closer") }
 func TestParCaptureFixture(t *testing.T) { runFixture(t, "parcapture", "internal/vcu/parcap") }
 
-// singleknob is module-wide like lockorder: the fixture is a package
-// pair, the *Config declarations and the package that sets some of them.
+// singleknob is module-wide: the fixture is a package pair, the *Config
+// declarations and the package that sets some of them.
 func TestSingleKnobFixture(t *testing.T) { runFixture(t, "singleknob", "internal/knob") }
 
 // TestRunReportTiming verifies the per-rule wall-time report: every

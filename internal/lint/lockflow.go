@@ -10,11 +10,11 @@ import (
 
 // This file classifies the nodes of a cfg into lock-relevant operations
 // and walks the graph path-sensitively with a held-lock state. It is
-// shared by lockhygiene (leak/double-lock/orphan-unlock), heldblock
-// (blocking op while held), lockorder (acquisition edges) and the
-// call-graph summaries. The walk dedupes states per block and aborts
-// past a visit budget; callers buffer their findings and drop them on
-// abort, so an exploded graph degrades to silence, never to noise.
+// shared by lockhygiene (leak, orphan unlock, re-lock in this body or
+// in a callee) and the call-graph summaries (which classes a function
+// may acquire). The walk dedupes states per block and aborts past a
+// visit budget; callers buffer their findings and drop them on abort,
+// so an exploded graph degrades to silence, never to noise.
 
 type lockOpKind int
 
@@ -22,15 +22,13 @@ const (
 	opAcquire lockOpKind = iota
 	opRelease
 	opDeferRelease
-	opBlocking
 	opCall
 )
 
 // lockOp is one lock-relevant operation inside a basic block.
 type lockOp struct {
 	kind lockOpKind
-	// recv is the canonical receiver string of the mutex ("c.mu") for
-	// acquire/release/defer ops, or of the WaitGroup for a Wait op.
+	// recv is the canonical receiver string of the mutex ("c.mu").
 	recv string
 	rw   bool // reader lock (RLock/RUnlock)
 	// class is the module-wide lock identity "pkgdir.Type.field"; ""
@@ -40,9 +38,7 @@ type lockOp struct {
 	// call its site (for positional argument mapping in summaries).
 	callee *types.Func
 	call   *ast.CallExpr
-	// what describes a blocking op for messages ("channel send", ...).
-	what string
-	pos  token.Pos
+	pos    token.Pos
 }
 
 // lockKey identifies a held lock for matching: receiver + kind. The
@@ -80,7 +76,7 @@ type heldLock struct {
 // lockClassOf resolves the module-wide identity of a mutex receiver
 // expression "x.mu": the named module type of x, qualified by package
 // dir, plus the field ("internal/sched.Worker.mu"). "" when x's type
-// is not a module type, or p is nil (a rule without type context).
+// is not a module type.
 func (p *Package) lockClassOf(recvExpr ast.Expr) string {
 	sel, ok := recvExpr.(*ast.SelectorExpr)
 	if !ok {
@@ -97,35 +93,24 @@ func (p *Package) lockClassOf(recvExpr ast.Expr) string {
 	return dir + "." + base.Obj().Name() + "." + sel.Sel.Name
 }
 
-// collectLockOps classifies every node of every block. p may be nil:
-// lock classes, resolved calls and channel-typed range detection then
-// degrade to unknown, which only narrows what the consumer can see.
+// collectLockOps classifies every node of every block.
 func collectLockOps(g *cfg, p *Package) [][]lockOp {
 	ops := make([][]lockOp, len(g.blocks))
 	for _, blk := range g.blocks {
 		for _, node := range blk.nodes {
-			p.nodeOps(g, node, &ops[blk.index])
+			p.nodeOps(node, &ops[blk.index])
 		}
 	}
 	return ops
 }
 
 // nodeOps classifies one block node. Range and select statements were
-// emitted atomically by the builder and are matched atomically here —
-// their bodies live in other blocks and must not be double-counted.
-func (p *Package) nodeOps(g *cfg, n ast.Node, out *[]lockOp) {
+// emitted whole by the builder and are skipped whole here — their
+// bodies live in other blocks and must not be double-counted — and the
+// call a go statement spawns runs elsewhere.
+func (p *Package) nodeOps(n ast.Node, out *[]lockOp) {
 	switch node := n.(type) {
-	case *ast.RangeStmt:
-		if p.isChan(node.X) {
-			*out = append(*out, lockOp{kind: opBlocking, what: "range over channel " + exprString(node.X), pos: node.Pos()})
-		}
-		return
-	case *ast.SelectStmt:
-		// Only selects without a default are emitted into blocks.
-		*out = append(*out, lockOp{kind: opBlocking, what: "blocking select", pos: node.Pos()})
-		return
-	case *ast.GoStmt:
-		// The spawned call runs elsewhere; nothing here blocks or locks.
+	case *ast.RangeStmt, *ast.SelectStmt, *ast.GoStmt:
 		return
 	case *ast.DeferStmt:
 		// defer recv.Unlock() / defer recv.RUnlock(), directly or inside
@@ -157,21 +142,10 @@ func (p *Package) nodeOps(g *cfg, n ast.Node, out *[]lockOp) {
 		return
 	}
 
-	suppressComm := g.selectComm[n]
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch mm := m.(type) {
 		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
 			return false
-		case *ast.SendStmt:
-			if !suppressComm {
-				*out = append(*out, lockOp{kind: opBlocking, what: "channel send", pos: mm.Pos()})
-			}
-			return true
-		case *ast.UnaryExpr:
-			if mm.Op == token.ARROW && !suppressComm {
-				*out = append(*out, lockOp{kind: opBlocking, what: "channel receive", pos: mm.Pos()})
-			}
-			return true
 		case *ast.CallExpr:
 			sel, ok := mm.Fun.(*ast.SelectorExpr)
 			if !ok {
@@ -203,12 +177,6 @@ func (p *Package) nodeOps(g *cfg, n ast.Node, out *[]lockOp) {
 						pos:   mm.Pos(),
 					})
 				}
-			case "Wait":
-				// sync.WaitGroup.Wait / sync.Cond.Wait — blocking until
-				// another goroutine acts.
-				if recvStr != "" {
-					*out = append(*out, lockOp{kind: opBlocking, recv: recvStr, what: recvStr + ".Wait()", pos: mm.Pos()})
-				}
 			default:
 				if fn := p.moduleCallee(mm); fn != nil {
 					*out = append(*out, lockOp{kind: opCall, callee: fn, call: mm, pos: mm.Pos()})
@@ -224,10 +192,9 @@ func (p *Package) nodeOps(g *cfg, n ast.Node, out *[]lockOp) {
 // callbacks are snapshots of the state *before* the op applies; they
 // must not be retained or mutated.
 type lockEvents struct {
-	onAcquire  func(held []heldLock, op lockOp)
-	onRelease  func(op lockOp, matched bool)
-	onBlocking func(held []heldLock, op lockOp)
-	onCall     func(held []heldLock, op lockOp)
+	onAcquire func(held []heldLock, op lockOp)
+	onRelease func(op lockOp, matched bool)
+	onCall    func(held []heldLock, op lockOp)
 	// onExit fires per distinct state reaching the normal exit, with the
 	// locks still held after the deferred releases are applied.
 	onExit func(leaked []heldLock)
@@ -306,10 +273,6 @@ func walkLockPaths(g *cfg, ops [][]lockOp, ev lockEvents) (aborted bool) {
 				copy(next, deferred)
 				next[len(deferred)] = lockSideKey(op.recv, op.rw)
 				deferred = next
-			case opBlocking:
-				if len(held) > 0 && ev.onBlocking != nil {
-					ev.onBlocking(held, op)
-				}
 			case opCall:
 				if len(held) > 0 && ev.onCall != nil {
 					ev.onCall(held, op)

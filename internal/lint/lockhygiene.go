@@ -10,7 +10,8 @@ func init() {
 		Name: "lockhygiene",
 		Doc: "path-sensitive lock hygiene over the control-flow graph: every " +
 			"acquired mutex must be released on every path to the function " +
-			"exit (directly or by defer), re-locking a held mutex is a " +
+			"exit (directly or by defer), re-locking a held mutex — in this " +
+			"body, or in a resolved callee any depth down — is a " +
 			"self-deadlock, and an unlock must be reachable only with the " +
 			"lock held",
 		Run: runLockHygiene,
@@ -22,6 +23,7 @@ func init() {
 // execute it, so a defer inside an unrelated branch does not silence a
 // leak on the other (the badBranchDefer fixture).
 func runLockHygiene(pass *Pass) {
+	cg := pass.Mod.callGraph()
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.AST.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -31,17 +33,15 @@ func runLockHygiene(pass *Pass) {
 			// Each body (declaration and nested literals) gets its own
 			// graph; cross-function handoff still needs //lint:ignore.
 			for _, body := range declBodies(fd) {
-				checkLockPaths(pass, body)
+				checkLockPaths(pass, cg, body)
 			}
 		}
 	}
 }
 
-func checkLockPaths(pass *Pass, body *ast.BlockStmt) {
+func checkLockPaths(pass *Pass, cg *callGraph, body *ast.BlockStmt) {
 	g := buildCFG(body)
-	// No type context needed: hygiene is per-receiver-string within one
-	// body.
-	ops := collectLockOps(g, nil)
+	ops := collectLockOps(g, pass.Pkg)
 
 	// acquiredSides / releasedSides gate the messages: a function with
 	// no acquire of a side is a handoff release target (stays silent
@@ -91,6 +91,25 @@ func checkLockPaths(pass *Pass, body *ast.BlockStmt) {
 						op.recv+"."+lockMethod(op.rw)+"() while "+op.recv+
 							" is already held by this function; sync mutexes are not reentrant (self-deadlock)")
 					return
+				}
+			}
+		},
+		// The second Lock may sit in another body: a resolved callee whose
+		// summary may acquire a class held here is the same self-deadlock.
+		// Classes are per type, not per value, so this also names a nested
+		// acquisition on a sibling value — a lock-order hazard in its own
+		// right.
+		onCall: func(held []heldLock, op lockOp) {
+			sum := cg.summaries[op.callee]
+			if sum == nil {
+				return
+			}
+			for _, h := range held {
+				if _, acquires := sum.acquires[h.class]; acquires {
+					report(op.pos, "callee "+h.class,
+						"call to "+displayName(sum.name)+" acquires "+displayName(h.class)+
+							" (via "+viaChain(sum.name, sum.acquiresVia[h.class])+") while "+h.recv+
+							" is held; sync mutexes are not reentrant (self-deadlock)")
 				}
 			}
 		},

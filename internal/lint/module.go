@@ -3,7 +3,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/importer"
 	"go/token"
 	"go/types"
@@ -18,7 +17,7 @@ import (
 // This file is the fact engine under every rule: the module's packages
 // type-checked by go/types. A rule asks it four questions — what type
 // is this expression, what does this call resolve to, how big is this
-// value, what is this constant — and gets the compiler's answer or
+// value, is this a constant — and gets the compiler's answer or
 // none. Type errors (an unresolvable import, a half-written file) are
 // swallowed: the affected expressions have no recorded type, every
 // consumer treats that as unknown, so a resolution failure can silence
@@ -49,12 +48,6 @@ type Module struct {
 	// pre-builds it eagerly to keep the hot path contention-free).
 	cg     *callGraph
 	cgOnce sync.Once
-
-	// lockOrder caches the module-wide lock-order analysis
-	// (lockorder.go): it is a whole-program property, computed once and
-	// then reported per owning package.
-	lockOrderOnce sync.Once
-	lockOrder     []lockOrderFinding
 
 	// singleKnob caches the module-wide "who sets this config field"
 	// analysis (singleknob.go), reported per declaring package.
@@ -274,10 +267,9 @@ func pointee(t types.Type) types.Type {
 }
 
 // typeOf returns the type of an expression (or of the object an
-// identifier defines or uses), nil when the checker recorded none. A
-// nil package — a rule running without type context — knows nothing.
+// identifier defines or uses), nil when the checker recorded none.
 func (p *Package) typeOf(e ast.Expr) types.Type {
-	if p == nil || e == nil {
+	if e == nil {
 		return nil
 	}
 	t := p.Info.TypeOf(e)
@@ -298,9 +290,6 @@ func (p *Package) isNamed(e ast.Expr, name string) bool {
 // (the generic origin of an instantiation); nil for calls of function
 // values, conversions and builtins.
 func (p *Package) callee(call *ast.CallExpr) *types.Func {
-	if p == nil {
-		return nil
-	}
 	fun := ast.Unparen(call.Fun)
 	switch ix := fun.(type) {
 	case *ast.IndexExpr:
@@ -333,12 +322,6 @@ func (p *Package) moduleCallee(call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// isChan reports whether e is channel-typed.
-func (p *Package) isChan(e ast.Expr) bool {
-	_, ok := under[*types.Chan](p.typeOf(e))
-	return ok
-}
-
 // pkgFunc reports the import path and name of the package-level
 // function a call invokes ("time", "Now"); ok is false for methods and
 // everything callee does not resolve.
@@ -348,15 +331,6 @@ func (p *Package) pkgFunc(call *ast.CallExpr) (ipath, name string, ok bool) {
 		return "", "", false
 	}
 	return fn.Pkg().Path(), fn.Name(), true
-}
-
-// constInt evaluates a constant integer expression.
-func (p *Package) constInt(e ast.Expr) (int64, bool) {
-	v := p.Info.Types[e].Value
-	if v == nil {
-		return 0, false
-	}
-	return constant.Int64Val(constant.ToInt(v))
 }
 
 // basicInfo returns the properties of t's underlying basic type, 0 when

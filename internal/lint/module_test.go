@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 	"os"
 	"path/filepath"
 	"testing"
@@ -71,8 +72,8 @@ func f(shared *T) {
 				t.Errorf("typeOf(%s) = %v, want *T", id.Name, pkg.typeOf(id))
 			}
 		case "acc":
-			if w, unsigned, ok := intWidth(pkg.typeOf(id)); !ok || w != 64 || !unsigned {
-				t.Errorf("acc typed as (%d, unsigned=%v, ok=%v), want uint64", w, unsigned, ok)
+			if b, ok := under[*types.Basic](pkg.typeOf(id)); !ok || b.Kind() != types.Uint64 {
+				t.Errorf("typeOf(acc) = %v, want uint64", pkg.typeOf(id))
 			}
 		}
 		return true

@@ -23,9 +23,10 @@ func init() {
 			"(`for k = range`, or a 3-clause loop over an outer variable); " +
 			"per-iteration `:=` variables (Go 1.22 semantics) are safe and " +
 			"stay silent; (2) a goroutine started in a loop writing a " +
-			"captured outer variable through a non-indexed lvalue with no " +
-			"lock taken in the closure — concurrent iterations race on it. " +
-			"Indexed writes to disjoint slots and `k := k` copies stay silent",
+			"captured outer variable with no lock taken in the closure, " +
+			"through an lvalue no index of which names a per-iteration " +
+			"variable — concurrent iterations race on it. Writes to " +
+			"per-iteration slots (`res[i] = v`) and `k := k` copies stay silent",
 		Run: runParCapture,
 	})
 }
@@ -316,10 +317,11 @@ func checkSharedCaptures(report func(token.Pos, string, string), roles map[*ast.
 }
 
 // checkGoWrites reports goroutines started in the loop that write a
-// captured variable through a non-indexed lvalue with no lock taken in
-// the closure. declared holds the loop's per-iteration names — writes
-// to those are the one-goroutine-per-copy pattern and stay silent, as
-// do indexed writes (disjoint slots, e.g. results[i] = v).
+// captured variable with no lock taken in the closure. declared holds
+// the loop's per-iteration names — writes to those are the
+// one-goroutine-per-copy pattern and stay silent, as do writes to a
+// slot some per-iteration name indexes (results[i] = v). An index that
+// names none (errs[0] = v) is one slot shared by every iteration.
 func checkGoWrites(report func(token.Pos, string, string), body *ast.BlockStmt, declared map[string]bool) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		g, ok := n.(*ast.GoStmt)
@@ -334,10 +336,16 @@ func checkGoWrites(report func(token.Pos, string, string), body *ast.BlockStmt, 
 			return true // writes under a lock: the guarded pattern
 		}
 		locals := funcLitLocalNames(lit)
+		perIter := func(name string) bool { return locals[name] || declared[name] }
 		captured := func(e ast.Expr) (string, string, bool) {
-			root, indexed := lvalueRoot(e)
-			if root == "" || root == "_" || indexed || locals[root] || declared[root] {
+			root, indexes := lvalueRoot(e)
+			if root == "" || root == "_" || perIter(root) {
 				return "", "", false
+			}
+			for _, ix := range indexes {
+				if mentionsAny(ix, perIter) {
+					return "", "", false
+				}
 			}
 			return root, exprString(e), true
 		}
@@ -371,28 +379,41 @@ func checkGoWrites(report func(token.Pos, string, string), body *ast.BlockStmt, 
 	})
 }
 
-// lvalueRoot resolves the base identifier of an lvalue and whether any
-// index step occurs on the way ("s.count" -> ("s", false);
-// "res[i].n" -> ("res", true); "*p" -> ("p", false)).
-func lvalueRoot(e ast.Expr) (string, bool) {
-	indexed := false
+// lvalueRoot resolves the base identifier of an lvalue and the index
+// expressions on the way to it ("s.count" -> ("s", nil);
+// "res[i].n" -> ("res", [i]); "*p" -> ("p", nil)).
+func lvalueRoot(e ast.Expr) (string, []ast.Expr) {
+	var indexes []ast.Expr
 	for {
 		switch x := e.(type) {
 		case *ast.Ident:
-			return x.Name, indexed
+			return x.Name, indexes
 		case *ast.SelectorExpr:
 			e = x.X
 		case *ast.IndexExpr:
-			indexed = true
+			indexes = append(indexes, x.Index)
 			e = x.X
 		case *ast.ParenExpr:
 			e = x.X
 		case *ast.StarExpr:
 			e = x.X
 		default:
-			return "", indexed
+			return "", indexes
 		}
 	}
+}
+
+// mentionsAny reports whether e contains an identifier whose name
+// satisfies is.
+func mentionsAny(e ast.Expr, is func(name string) bool) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && is(id.Name) {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // litTakesLock reports whether the literal's body calls a Lock/RLock

@@ -38,7 +38,7 @@ func runSingleKnob(pass *Pass) {
 }
 
 // singleKnobFindings is a whole-module property (who writes a field is
-// answered by every package), computed once like the lock order.
+// answered by every package), computed once.
 func (m *Module) singleKnobFindings() []singleKnobFinding {
 	m.singleKnobOnce.Do(func() { m.singleKnob = m.computeSingleKnob() })
 	return m.singleKnob

@@ -133,3 +133,22 @@ func (c *counter) suppressedHandoff() {
 func (c *counter) releaseHandoff() {
 	c.mu.Unlock()
 }
+
+// badRelockThroughCallee takes c.mu and calls a helper that takes it
+// again two calls down: badDoubleLock with the second Lock in another
+// body.
+func (c *counter) badRelockThroughCallee() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.bump() // want "call to sched.counter.bump acquires sched.counter.mu \(via sched.counter.bump -> sched.counter.goodStraightLine\) while c.mu is held"
+}
+
+func (c *counter) bump() { c.goodStraightLine() }
+
+// goodCallAfterUnlock calls the same helper with the lock released.
+func (c *counter) goodCallAfterUnlock() {
+	c.mu.Lock()
+	c.n++
+	c.mu.Unlock()
+	c.bump()
+}

@@ -139,6 +139,22 @@ func perSlot(xs []int) []int {
 	return out
 }
 
+// oneSlot indexes with a constant: every goroutine writes out[0], the
+// race of tallyRace behind an index.
+func oneSlot(xs []int) int {
+	out := make([]int, 1)
+	var wg sync.WaitGroup
+	for _, k := range xs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[0] = k * 2 // want "writes captured out\[0\]"
+		}()
+	}
+	wg.Wait()
+	return out[0]
+}
+
 // blankDiscard assigns to the blank identifier inside the goroutine:
 // `_` is not storage, so there is nothing to race on.
 func blankDiscard(xs []int) {

@@ -56,54 +56,17 @@ func TestTransitiveSummaries(t *testing.T) {
 	mod := loadTestModule(t)
 	cg := mod.callGraph()
 
-	// ordering.mid has no direct acquisition; bottom's Lane.mu must
-	// flow up with the discovery chain.
-	mid := cg.summaries[funcNamed(mod, "internal/vcu/ordering.mid")]
-	if mid == nil {
-		t.Fatal("no summary for ordering.mid")
+	// sched.counter.bump has no direct acquisition; goodStraightLine's
+	// counter.mu must flow up with the discovery chain.
+	bump := cg.summaries[funcNamed(mod, "internal/sched.counter.bump")]
+	if bump == nil {
+		t.Fatal("no summary for sched.counter.bump")
 	}
-	if _, ok := mid.acquires["internal/vcu/ordering.Lane.mu"]; !ok {
-		t.Errorf("mid must transitively acquire Lane.mu, got %v", mid.acquires)
+	if _, ok := bump.acquires["internal/sched.counter.mu"]; !ok {
+		t.Errorf("bump must transitively acquire counter.mu, got %v", bump.acquires)
 	}
-	if via := mid.acquiresVia["internal/vcu/ordering.Lane.mu"]; via != "ordering.bottom" {
-		t.Errorf("mid's acquisition chain = %q, want %q", via, "ordering.bottom")
-	}
-
-	// held.mailbox.level1 blocks only through level2.
-	level1 := cg.summaries[funcNamed(mod, "internal/vcu/held.mailbox.level1")]
-	if level1 == nil {
-		t.Fatal("no summary for held.mailbox.level1")
-	}
-	if !level1.blocking {
-		t.Error("level1 reaches a channel receive through level2: must be blocking")
-	}
-	if !strings.Contains(level1.blockingVia, "level2") {
-		t.Errorf("level1.blockingVia = %q, want a chain through level2", level1.blockingVia)
-	}
-
-	// enc.passDeep2's scratch parameter escapes two calls down.
-	deep := cg.summaries[funcNamed(mod, "internal/enc.passDeep2")]
-	if deep == nil {
-		t.Fatal("no summary for enc.passDeep2")
-	}
-	chain, ok := deep.paramEscapes[1]
-	if !ok {
-		t.Fatalf("passDeep2's scratch parameter must escape transitively, got %v", deep.paramEscapes)
-	}
-	if chain != "enc.passDeep1 -> enc.stashDeep" {
-		t.Errorf("passDeep2 escape chain = %q, want %q", chain, "enc.passDeep1 -> enc.stashDeep")
-	}
-
-	// pump.Relay spawns an unjoined goroutine only through startPump.
-	relay := cg.summaries[funcNamed(mod, "internal/pump.Relay")]
-	if relay == nil {
-		t.Fatal("no summary for pump.Relay")
-	}
-	if !relay.spawnsUnjoined {
-		t.Error("Relay reaches an unjoined go statement through startPump")
-	}
-	if drain := cg.summaries[funcNamed(mod, "internal/pump.DrainNow")]; drain == nil || drain.spawnsUnjoined {
-		t.Error("DrainNow spawns nothing and must not be tainted")
+	if via := bump.acquiresVia["internal/sched.counter.mu"]; via != "sched.counter.goodStraightLine" {
+		t.Errorf("bump's acquisition chain = %q, want %q", via, "sched.counter.goodStraightLine")
 	}
 
 	// closer.openTraced returns a fresh Session only by passing through

@@ -17,8 +17,8 @@ func init() {
 	})
 }
 
-// waitBalanceDirs are the goroutine-bearing packages (the goleak set)
-// plus internal/vcu, where the fixtures live.
+// waitBalanceDirs are the goroutine-bearing packages plus internal/vcu,
+// where the fixtures live.
 var waitBalanceDirs = []string{
 	"internal/transcode", "internal/sched", "internal/cluster",
 	"internal/codec", "internal/vcu",

@@ -5,13 +5,13 @@
 #   1. gofmt         formatting drift fails the gate
 #   2. go vet        toolchain static checks
 #   3. vculint       project-specific analyzers (internal/lint) on one
-#                    go/types check of the module: determinism,
-#                    hotalloc, errdrop, bigcopy, scratchshare, sharedmut,
-#                    swarwidth, goleak, the CFG/call-graph rules
-#                    lockhygiene, lockorder, waitbalance, heldblock, the
-#                    transitive-summary rules closecheck, parcapture,
-#                    and the module-wide singleknob (a *Config field no
-#                    caller sets);
+#                    go/types check of the module, the ten rules that
+#                    each kill a mutant nothing cheaper kills
+#                    (`make mutants`; table in DESIGN.md): determinism,
+#                    hotalloc, errdrop, bigcopy, sharedmut, parcapture,
+#                    the CFG/call-graph rules lockhygiene, waitbalance,
+#                    closecheck, and the module-wide singleknob (a
+#                    *Config field no caller sets);
 #                    packages are analyzed in parallel (-par 0 =
 #                    GOMAXPROCS) with deterministic output; the JSON
 #                    report (with load, summary-build and per-rule
@@ -19,8 +19,10 @@
 #                    and the suite must finish inside its wall-time
 #                    budget
 #   4. go build      the whole module
-#   5. go test       the whole module
-#   6. go test -race the concurrent packages
+#   5. go test       the whole module, every test; a deadlock costs
+#                    the timeout, not go's ten minutes
+#   6. go test -race scripts/race.sh: the tests that start goroutines,
+#                    and no others
 #   7. bench smoke   kernel benchmarks compile and run (1 iteration)
 #   8. fuzz smoke    10s of FuzzDecode over the checked-in corpus
 #
@@ -82,15 +84,14 @@ check_lint() {
     fi
 }
 
-RACE_PKGS="./internal/sched ./internal/transcode ./internal/cluster ./internal/codec ./internal/video"
-
 step "gofmt" check_fmt
 step "go vet" go vet ./...
 step "vculint" check_lint
 step "go build" go build ./...
-step "go test" go test ./...
-# shellcheck disable=SC2086
-step "go test -race (concurrent packages)" go test -race $RACE_PKGS
+# The slowest package (internal/codec) takes ~19 s; scripts/mutants.sh
+# uses the same timeout.
+step "go test" go test -timeout 90s ./...
+step "go test -race (tests that start goroutines)" ./scripts/race.sh
 # Kernel packages only: the root codec package's whole-frame benchmarks
 # are minutes-long (`make profile-encode` runs them), not for the gate.
 step "bench smoke (kernel packages)" go test -run=NONE -bench=. -benchtime=1x \

@@ -1,0 +1,126 @@
+#!/usr/bin/env bash
+# mutants.sh [ref] — what each gate step catches, measured (`make mutants`).
+#
+# mutants/*.patch is a catalogue of single-edit bugs in the live tree,
+# one bug class each (mutants/README.md). For every patch this script
+# applies it to a `git archive` copy of ref (default HEAD), runs the
+# gate's steps on the touched package cheapest first — go vet, vculint
+# (built from the copy, before any patch), go test, and `go test -race`
+# as scripts/race.sh of this checkout defines it, only when the other
+# three pass — and prints one Markdown row: which steps kill the mutant
+# and in how many seconds. A rule, a test or a race run earns its place
+# in the gate by a row nothing cheaper kills first; a row nothing kills
+# is a hole in the gate (mutants/SURVIVORS.md). Not a gate step: ~15
+# minutes.
+#
+# The catalogue is read from this checkout, so `mutants.sh <parent>`
+# holds an older commit against the same mutants. A patch that no longer
+# applies is a stale catalogue: the script names them all and exits 2
+# before measuring anything, as it does at a mutant that no longer builds.
+set -u
+
+cd "$(dirname "$0")/.."
+repo=$PWD
+ref=${1:-HEAD}
+# What a deadlocked test costs; check.sh gives `go test ./...` the same.
+test_timeout=90s
+
+work=$(mktemp -d "${TMPDIR:-/tmp}/mutants.XXXXXX")
+trap 'rm -rf "$work"' EXIT
+git archive "$ref" | tar -x -C "$work" || exit 2
+cd "$work" || exit 2
+go build -o "$work/.vculint" ./cmd/vculint || exit 2
+
+field() { sed -n "s/^$1: *//p" "$2" | head -n1; }
+
+stale=0
+for p in "$repo"/mutants/*.patch; do
+    if [ -z "$(field class "$p")" ] || [ -z "$(field pkg "$p")" ] || [ -z "$(field what "$p")" ]; then
+        echo "mutants.sh: $(basename "$p"): missing class:, pkg: or what: header" >&2
+        stale=1
+    elif ! patch -p1 -s -f --dry-run <"$p" >/dev/null; then
+        echo "mutants.sh: $(basename "$p") no longer applies to $ref" >&2
+        stale=1
+    fi
+done
+[ "$stale" -eq 0 ] || exit 2
+
+# timed <outfile> cmd...: runs cmd, sets $took (wall seconds) and $rc.
+timed() {
+    local out=$1 t0
+    shift
+    t0=$(date +%s.%N)
+    "$@" >"$out" 2>&1
+    rc=$?
+    took=$(awk -v a="$t0" -v b="$(date +%s.%N)" 'BEGIN { printf "%.1f", b - a }')
+}
+
+# kill_cell <var> <text>: records a kill in the named cell, the first
+# one of the row in bold.
+kill_cell() {
+    if [ -z "$killed" ]; then
+        killed=1
+        printf -v "$1" '**%s**' "$2"
+    else
+        printf -v "$1" '%s' "$2"
+    fi
+}
+
+echo "mutation yield of the gate at $(git -C "$repo" rev-parse --short "$ref"): first killer in bold, – = passes"
+echo
+echo "| class | mutant | vet | vculint | go test | -race |"
+echo "|---|---|---|---|---|---|"
+survivors=""
+for p in "$repo"/mutants/*.patch; do
+    name=$(basename "$p" .patch)
+    class=$(field class "$p")
+    pkg=$(field pkg "$p")
+    patch -p1 -s -f <"$p"
+    if ! go build ./... 2>"$work/.out"; then
+        echo "mutants.sh: $name no longer builds on $ref:" >&2
+        cat "$work/.out" >&2
+        exit 2
+    fi
+    killed=""
+
+    timed "$work/.out" go vet "$pkg"
+    vet="–"
+    [ "$rc" -eq 0 ] || kill_cell vet "${took}s"
+
+    timed "$work/.out" "$work/.vculint" ./...
+    lint="–"
+    if [ "$rc" -ne 0 ]; then
+        rules=$(sed -n 's/^[^ ]*:[0-9]*:[0-9]*: \([a-z]*\): .*/\1/p' "$work/.out" | sort -u | paste -sd+)
+        kill_cell lint "${rules:-exit $rc} ${took}s"
+    fi
+
+    timed "$work/.out" go test -count=1 -timeout "$test_timeout" "$pkg"
+    tst="–"
+    if [ "$rc" -ne 0 ]; then
+        how=fails
+        grep -q "panic: test timed out" "$work/.out" && how=hangs
+        kill_cell tst "$how ${took}s"
+    fi
+
+    race=""
+    if [ -z "$killed" ]; then
+        timed "$work/.out" "$repo/scripts/race.sh" "$pkg"
+        case $rc in
+        0) race="–" ;;
+        3) race="no race step" ;;
+        *) kill_cell race "fails ${took}s" ;;
+        esac
+    fi
+    [ -n "$killed" ] || survivors="$survivors $name"
+
+    echo "| $class | $name: $(field what "$p") | $vet | $lint | $tst | $race |"
+    git -C "$repo" archive "$ref" | tar -x -C "$work"
+done
+
+echo
+if [ -n "$survivors" ]; then
+    echo "survivors (nothing in the gate kills them):"
+    for s in $survivors; do echo "  $s"; done
+else
+    echo "no survivors"
+fi

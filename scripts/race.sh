@@ -1,0 +1,42 @@
+#!/usr/bin/env bash
+# race.sh [pkg...] — the gate's -race step (check.sh step 6, `make race`),
+# run from the module root: `go test -race` on the tests that start
+# goroutines and no others. Under -race the pixel kernels run ~10x slow
+# (the race runtime's read/write hooks under sampleSharp and SAD), so the
+# whole of internal/codec costs ~220 s and finds what these tests find in
+# ~20 s: the kill table in DESIGN.md "Static analysis & CI gates"
+# (`make mutants` reprints it) is what picks them. Every test still runs
+# without -race in step 5.
+#
+# With arguments, only the runs of those packages; exit 3 if there are
+# none (scripts/mutants.sh prints that as "no race step").
+set -u
+
+# package, then its -run pattern.
+#   sched, transcode   whole package: seconds.
+#   cluster            the control plane is one sim goroutine; only the
+#                      real-pixels tests reach transcode and codec.
+#   codec              TileColumnsRoundTrip: tile pool and tile decoders,
+#                      end to end. ParallelTileEncodeDeterminism: pool,
+#                      parallel deblock and restoration. CloseLifecycle:
+#                      the pool's join. ParallelMatchesSequential's
+#                      shortest case: the GOP-span fan-out of gop.go.
+#   internal/video starts no goroutine in code or tests.
+runs='
+./internal/sched .
+./internal/transcode .
+./internal/cluster RealPixels
+./internal/codec ^(TestTileColumnsRoundTrip|TestParallelTileEncodeDeterminism|TestEncoderCloseLifecycle)$
+./internal/codec ^TestEncodeSequenceParallelMatchesSequential$/^av1_restoration$
+'
+
+status=3
+while read -r pkg pattern; do
+    [ -n "$pkg" ] || continue
+    if [ $# -gt 0 ]; then
+        case " $* " in *" $pkg "*) ;; *) continue ;; esac
+    fi
+    [ "$status" -eq 3 ] && status=0
+    go test -race -run "$pattern" "$pkg" || status=1
+done <<<"$runs"
+exit "$status"
