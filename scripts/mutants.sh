@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# mutants.sh [ref] — what each gate step catches, measured (`make mutants`).
+# mutants.sh [ref [pattern]] — what each gate step catches, measured
+# (`make mutants`).
 #
 # mutants/*.patch is a catalogue of single-edit bugs in the live tree,
-# one bug class each (mutants/README.md). For every patch this script
-# applies it to a `git archive` copy of ref (default HEAD), runs the
-# gate's steps on the touched package cheapest first — go vet, vculint
+# one bug class each (mutants/README.md). For every patch (or those whose
+# name matches the shell pattern) this script applies it to a
+# `git archive` copy of ref (default HEAD), runs the gate's steps on the
+# packages the patch names cheapest first — go vet, vculint
 # (built from the copy, before any patch), go test, and `go test -race`
 # as scripts/race.sh of this checkout defines it, only when the other
 # three pass — and prints one Markdown row: which steps kill the mutant
@@ -22,6 +24,7 @@ set -u
 cd "$(dirname "$0")/.."
 repo=$PWD
 ref=${1:-HEAD}
+pattern=${2:-*}
 # What a deadlocked test costs; check.sh gives `go test ./...` the same.
 test_timeout=90s
 
@@ -34,7 +37,7 @@ go build -o "$work/.vculint" ./cmd/vculint || exit 2
 field() { sed -n "s/^$1: *//p" "$2" | head -n1; }
 
 stale=0
-for p in "$repo"/mutants/*.patch; do
+for p in "$repo"/mutants/$pattern.patch; do
     if [ -z "$(field class "$p")" ] || [ -z "$(field pkg "$p")" ] || [ -z "$(field what "$p")" ]; then
         echo "mutants.sh: $(basename "$p"): missing class:, pkg: or what: header" >&2
         stale=1
@@ -71,7 +74,7 @@ echo
 echo "| class | mutant | vet | vculint | go test | -race |"
 echo "|---|---|---|---|---|---|"
 survivors=""
-for p in "$repo"/mutants/*.patch; do
+for p in "$repo"/mutants/$pattern.patch; do
     name=$(basename "$p" .patch)
     class=$(field class "$p")
     pkg=$(field pkg "$p")
@@ -83,7 +86,9 @@ for p in "$repo"/mutants/*.patch; do
     fi
     killed=""
 
-    timed "$work/.out" go vet "$pkg"
+    # pkg may name several packages: unquoted on purpose.
+    # shellcheck disable=SC2086
+    timed "$work/.out" go vet $pkg
     vet="–"
     [ "$rc" -eq 0 ] || kill_cell vet "${took}s"
 
@@ -94,7 +99,8 @@ for p in "$repo"/mutants/*.patch; do
         kill_cell lint "${rules:-exit $rc} ${took}s"
     fi
 
-    timed "$work/.out" go test -count=1 -timeout "$test_timeout" "$pkg"
+    # shellcheck disable=SC2086
+    timed "$work/.out" go test -count=1 -timeout "$test_timeout" $pkg
     tst="–"
     if [ "$rc" -ne 0 ]; then
         how=fails
@@ -104,7 +110,8 @@ for p in "$repo"/mutants/*.patch; do
 
     race=""
     if [ -z "$killed" ]; then
-        timed "$work/.out" "$repo/scripts/race.sh" "$pkg"
+        # shellcheck disable=SC2086
+        timed "$work/.out" "$repo/scripts/race.sh" $pkg
         case $rc in
         0) race="–" ;;
         3) race="no race step" ;;
