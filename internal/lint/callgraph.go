@@ -69,12 +69,10 @@ type funcSummary struct {
 	// excluded.
 	calls []summaryCall
 
-	// acquires maps lock class -> first site where the function may
-	// acquire it, directly or through any resolved call chain.
-	// acquiresVia records the call chain for transitive entries ("" or
-	// absent for direct acquisitions).
-	acquires    map[string]token.Pos
-	acquiresVia map[string]string
+	// acquires maps each lock class the function may acquire, directly
+	// or through any resolved call chain, to that chain ("" for an
+	// acquisition in this body).
+	acquires map[string]string
 
 	// wgParams maps parameter position -> WaitGroup facts, for every
 	// parameter typed *sync.WaitGroup. These stay one-level: waitbalance
@@ -272,8 +270,7 @@ func (b *cgBuilder) directSummary(fn *types.Func, fd *funcDecl) *summaryWork {
 		fn:           fn,
 		name:         b.mod.funcName(fn),
 		fd:           fd,
-		acquires:     map[string]token.Pos{},
-		acquiresVia:  map[string]string{},
+		acquires:     map[string]string{},
 		wgParams:     map[int]wgParamFact{},
 		closerParams: map[int]bool{},
 		paramEscapes: map[int]string{},
@@ -287,11 +284,8 @@ func (b *cgBuilder) directSummary(fn *types.Func, fd *funcDecl) *summaryWork {
 		for _, op := range blockOps {
 			switch op.kind {
 			case opAcquire:
-				if op.class == "" {
-					continue
-				}
-				if _, seen := sum.acquires[op.class]; !seen {
-					sum.acquires[op.class] = op.pos
+				if op.class != "" {
+					sum.acquires[op.class] = ""
 				}
 			case opCall:
 				sum.calls = append(sum.calls, makeSummaryCall(op.callee, op.call))
@@ -522,8 +516,7 @@ func (b *cgBuilder) transfer(w *summaryWork) bool {
 			sort.Strings(classes)
 			for _, cl := range classes {
 				if _, seen := f.acquires[cl]; !seen {
-					f.acquires[cl] = c.pos
-					f.acquiresVia[cl] = viaChain(s.name, s.acquiresVia[cl])
+					f.acquires[cl] = viaChain(s.name, s.acquires[cl])
 					changed = true
 				}
 			}

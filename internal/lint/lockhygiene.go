@@ -105,10 +105,10 @@ func checkLockPaths(pass *Pass, cg *callGraph, body *ast.BlockStmt) {
 				return
 			}
 			for _, h := range held {
-				if _, acquires := sum.acquires[h.class]; acquires {
+				if via, acquires := sum.acquires[h.class]; acquires {
 					report(op.pos, "callee "+h.class,
 						"call to "+displayName(sum.name)+" acquires "+displayName(h.class)+
-							" (via "+viaChain(sum.name, sum.acquiresVia[h.class])+") while "+h.recv+
+							" (via "+viaChain(sum.name, via)+") while "+h.recv+
 							" is held; sync mutexes are not reentrant (self-deadlock)")
 				}
 			}

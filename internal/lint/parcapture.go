@@ -338,14 +338,9 @@ func checkGoWrites(report func(token.Pos, string, string), body *ast.BlockStmt, 
 		locals := funcLitLocalNames(lit)
 		perIter := func(name string) bool { return locals[name] || declared[name] }
 		captured := func(e ast.Expr) (string, string, bool) {
-			root, indexes := lvalueRoot(e)
-			if root == "" || root == "_" || perIter(root) {
+			root, ownSlot := lvalueRoot(e, perIter)
+			if root == "" || root == "_" || ownSlot || perIter(root) {
 				return "", "", false
-			}
-			for _, ix := range indexes {
-				if mentionsAny(ix, perIter) {
-					return "", "", false
-				}
 			}
 			return root, exprString(e), true
 		}
@@ -379,41 +374,34 @@ func checkGoWrites(report func(token.Pos, string, string), body *ast.BlockStmt, 
 	})
 }
 
-// lvalueRoot resolves the base identifier of an lvalue and the index
-// expressions on the way to it ("s.count" -> ("s", nil);
-// "res[i].n" -> ("res", [i]); "*p" -> ("p", nil)).
-func lvalueRoot(e ast.Expr) (string, []ast.Expr) {
-	var indexes []ast.Expr
+// lvalueRoot resolves the base identifier of an lvalue and whether
+// some index on the way to it names a per-iteration variable, which
+// makes it a slot of that iteration's own ("s.count" -> ("s", false);
+// "res[i].n" -> ("res", true) when perIter(i); "res[0]" -> ("res",
+// false); "*p" -> ("p", false)).
+func lvalueRoot(e ast.Expr, perIter func(name string) bool) (root string, ownSlot bool) {
 	for {
 		switch x := e.(type) {
 		case *ast.Ident:
-			return x.Name, indexes
+			return x.Name, ownSlot
 		case *ast.SelectorExpr:
 			e = x.X
 		case *ast.IndexExpr:
-			indexes = append(indexes, x.Index)
+			ast.Inspect(x.Index, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && perIter(id.Name) {
+					ownSlot = true
+				}
+				return !ownSlot
+			})
 			e = x.X
 		case *ast.ParenExpr:
 			e = x.X
 		case *ast.StarExpr:
 			e = x.X
 		default:
-			return "", indexes
+			return "", ownSlot
 		}
 	}
-}
-
-// mentionsAny reports whether e contains an identifier whose name
-// satisfies is.
-func mentionsAny(e ast.Expr, is func(name string) bool) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && is(id.Name) {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // litTakesLock reports whether the literal's body calls a Lock/RLock

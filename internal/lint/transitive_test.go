@@ -62,11 +62,8 @@ func TestTransitiveSummaries(t *testing.T) {
 	if bump == nil {
 		t.Fatal("no summary for sched.counter.bump")
 	}
-	if _, ok := bump.acquires["internal/sched.counter.mu"]; !ok {
-		t.Errorf("bump must transitively acquire counter.mu, got %v", bump.acquires)
-	}
-	if via := bump.acquiresVia["internal/sched.counter.mu"]; via != "sched.counter.goodStraightLine" {
-		t.Errorf("bump's acquisition chain = %q, want %q", via, "sched.counter.goodStraightLine")
+	if via, ok := bump.acquires["internal/sched.counter.mu"]; !ok || via != "sched.counter.goodStraightLine" {
+		t.Errorf("bump must acquire counter.mu through sched.counter.goodStraightLine, got %v", bump.acquires)
 	}
 
 	// closer.openTraced returns a fresh Session only by passing through

@@ -121,7 +121,7 @@ for p in "$repo"/mutants/$pattern.patch; do
     [ -n "$killed" ] || survivors="$survivors $name"
 
     echo "| $class | $name: $(field what "$p") | $vet | $lint | $tst | $race |"
-    git -C "$repo" archive "$ref" | tar -x -C "$work"
+    patch -p1 -R -s -f <"$p"
 done
 
 echo
