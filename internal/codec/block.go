@@ -41,6 +41,10 @@ type frameShared struct {
 	recon    *video.Frame
 	refs     [numRefSlots]*video.Frame
 	refValid [numRefSlots]bool
+	// refHalf holds each reference's half-sample luma planes where the
+	// encoder built them; luma prediction reads a stored phase instead of
+	// interpolating it. The decoder leaves every slot nil.
+	refHalf [numRefSlots]*motion.HalfPlanes
 
 	model *entropy.Model
 
@@ -236,12 +240,12 @@ func (fs *frameShared) predictLuma(ch blockChoice, x, y, s int, dst []uint8) {
 	if ch.inter {
 		sharp := fs.profile.SharpFilter()
 		if ch.compound {
-			lastRef := motion.Ref{Pix: fs.refs[RefLast].Y, W: fs.pw, H: fs.ph, Sharp: sharp}
-			goldRef := motion.Ref{Pix: fs.refs[RefGolden].Y, W: fs.pw, H: fs.ph, Sharp: sharp}
+			lastRef := motion.Ref{Pix: fs.refs[RefLast].Y, W: fs.pw, H: fs.ph, Sharp: sharp, Half: fs.refHalf[RefLast]}
+			goldRef := motion.Ref{Pix: fs.refs[RefGolden].Y, W: fs.pw, H: fs.ph, Sharp: sharp, Half: fs.refHalf[RefGolden]}
 			motion.SampleCompound(lastRef, ch.mv, goldRef, ch.mv, x, y, dst, s, &fs.mc)
 			return
 		}
-		ref := motion.Ref{Pix: fs.refs[ch.ref].Y, W: fs.pw, H: fs.ph, Sharp: sharp}
+		ref := motion.Ref{Pix: fs.refs[ch.ref].Y, W: fs.pw, H: fs.ph, Sharp: sharp, Half: fs.refHalf[ch.ref]}
 		motion.SampleBlock(ref, x, y, ch.mv, dst, s, &fs.mc)
 		return
 	}

@@ -19,8 +19,9 @@ type encFrame struct {
 	w      *bits.Encoder
 	lambda float64
 	sp     motion.SearchParams
-	// refPyr snapshots the encoder's per-slot search pyramids for this
-	// frame (read-only, shared across tiles).
+	// refPyr snapshots the reference store's search pyramids for this
+	// frame (read-only, shared across tiles); frameShared.refHalf does
+	// the same for the half-sample planes.
 	refPyr [numRefSlots]*motion.Pyramid
 
 	// Trial/commit scratch, reused across every candidate evaluation in
@@ -52,7 +53,7 @@ func allocEncFrame(e *Encoder) *encFrame {
 	}
 	fc.ownModel = entropy.NewModel(e.cfg.Profile.Adaptive())
 	fc.frameShared = newFrameShared(e.cfg.Profile, e.pw, e.ph, e.cfg.Width, e.cfg.Height,
-		0, false, e.refs, e.refValid, nil, fc.ownModel)
+		0, false, [numRefSlots]*video.Frame{}, [numRefSlots]bool{}, nil, fc.ownModel)
 	sb := e.cfg.Profile.SuperblockSize()
 	tx := e.cfg.Profile.MaxTransform()
 	fc.predBuf = make([]uint8, sb*sb)
@@ -71,35 +72,38 @@ func allocEncFrame(e *Encoder) *encFrame {
 // per-frame state is either overwritten here (model, grids, bitstream,
 // search params) or stateless by contract (motion scratch, neighbor
 // buffer, trial buffers fully rewritten before each read).
-func (fc *encFrame) reset(src *video.Frame, srcPyr *motion.Pyramid, recon *video.Frame,
-	qp int, keyframe bool, tileX0, tileX1 int, carried *entropy.Model) {
+func (fc *encFrame) reset(src, recon *video.Frame, qp int, keyframe bool,
+	tileX0, tileX1 int, carried *entropy.Model) {
 	e := fc.enc
-	valid := e.refValid
-	if keyframe {
-		valid = [numRefSlots]bool{}
+	var refs [numRefSlots]*video.Frame
+	var valid [numRefSlots]bool
+	for slot, r := range e.refs {
+		if r == nil {
+			continue // never stored yet: the snapshots are still nil here too
+		}
+		refs[slot], valid[slot] = r.frame, !keyframe
+		fc.refPyr[slot], fc.refHalf[slot] = r.pyr, r.half
 	}
 	model := carried
 	if model == nil || keyframe || !e.cfg.Profile.Adaptive() {
 		fc.ownModel.Reset(e.cfg.Profile.Adaptive())
 		model = fc.ownModel
 	}
-	fc.frameShared.resetForFrame(qp, keyframe, e.refs, valid, recon, model, tileX0, tileX1)
+	fc.frameShared.resetForFrame(qp, keyframe, refs, valid, recon, model, tileX0, tileX1)
 	fc.src = src
 	fc.w.Reset()
 	fc.lambda = e.rc.Lambda(qp)
-	fc.refPyr = e.refPyr
 	fc.sp = fc.searchParams()
-	fc.sp.CurPyr = srcPyr
 }
 
 // frameCoder returns ws's reusable frame coder, allocating it on the
 // worker's first tile job and resetting it for this frame/tile.
-func (e *Encoder) frameCoder(ws *encScratch, src *video.Frame, srcPyr *motion.Pyramid,
-	recon *video.Frame, qp int, keyframe bool, tileX0, tileX1 int, carried *entropy.Model) *encFrame {
+func (e *Encoder) frameCoder(ws *encScratch, src, recon *video.Frame, qp int, keyframe bool,
+	tileX0, tileX1 int, carried *entropy.Model) *encFrame {
 	if ws.fc == nil {
 		ws.fc = allocEncFrame(e)
 	}
-	ws.fc.reset(src, srcPyr, recon, qp, keyframe, tileX0, tileX1, carried)
+	ws.fc.reset(src, recon, qp, keyframe, tileX0, tileX1, carried)
 	return ws.fc
 }
 
@@ -118,6 +122,7 @@ func (fc *encFrame) searchParams() motion.SearchParams {
 	// exhaustive within its multi-resolution schedule; the pyramid-seeded
 	// diamond models the same multi-resolution scan at software cost.
 	p.Pyramid = !fc.enc.cfg.flatSearch
+	p.CurPyr = &fc.enc.srcPyr
 	return p
 }
 
@@ -261,18 +266,14 @@ func (fc *encFrame) bestChoice(x, y, s int) (blockChoice, float64) {
 	}
 	// Inter candidates: motion search per valid reference.
 	pred := fc.predMV(x, y)
-	maxRefs := fc.profile.MaxRefs()
-	if fc.enc.cfg.Speed >= 2 {
-		maxRefs = 1
-	}
 	var bestInter blockChoice
 	bestInterSet := false
-	for ref := 0; ref < maxRefs; ref++ {
+	for ref := 0; ref < fc.enc.searchedRefs(); ref++ {
 		if !fc.refValid[ref] {
 			continue
 		}
 		r := motion.Ref{Pix: fc.refs[ref].Y, W: fc.pw, H: fc.ph,
-			Sharp: fc.profile.SharpFilter(), Pyr: fc.refPyr[ref]}
+			Sharp: fc.profile.SharpFilter(), Pyr: fc.refPyr[ref], Half: fc.refHalf[ref]}
 		res := motion.Search(fc.src.Y[y*fc.pw+x:], fc.pw, r, x, y, pred, s, fc.sp, &fc.mc)
 		if fc.enc.cfg.Speed == 0 {
 			// Quality mode: re-refine the fractional vector under SATD,

@@ -19,13 +19,18 @@ type Encoder struct {
 	cfg    Config
 	pw, ph int
 
-	refs     [numRefSlots]*video.Frame
-	refValid [numRefSlots]bool
-	// refPyr mirrors refs: the multi-resolution search pyramid of each
-	// reference plane, built once when the reconstruction is stored
-	// (paper §3.2 — the hardware's reference store feeds a
-	// multi-resolution motion search). Nil when pyramid search is off.
-	refPyr [numRefSlots]*motion.Pyramid
+	// refs is the reference store: one entry per slot, nil while the slot
+	// is invalid. A keyframe puts one reference in every slot.
+	refs [numRefSlots]*reference
+	// free holds the references that have left every slot, freeHalf the
+	// half-sample planes of those that have left every searched slot; the
+	// next reconstruction and the next plane build reuse their buffers
+	// instead of allocating.
+	free     []*reference
+	freeHalf []*motion.HalfPlanes
+	// srcPyr is the search pyramid of the frame being encoded, rebuilt at
+	// the head of each inter frame and shared read-only by its tiles.
+	srcPyr motion.Pyramid
 
 	// model carries the adaptive entropy contexts across inter frames
 	// (VP9-class behavior: probabilities persist within a GOP and reset
@@ -54,6 +59,85 @@ type Encoder struct {
 	// EncodedPixels accumulates source luma pixels encoded, for
 	// throughput accounting.
 	EncodedPixels int64
+}
+
+// reference is a reconstructed frame in the reference store with what
+// motion search derives from it (paper §3.2: the hardware's reference
+// store is filled once per reference and feeds a multi-resolution
+// search). pyr is built when the frame is stored; the flat search has
+// none. half is nil until the head of the first inter frame that searches
+// the reference, so a frame nothing searches — the last of a closed GOP,
+// a golden frame at Speed 2 — never pays for it. Both are read-only while
+// tiles encode.
+type reference struct {
+	frame *video.Frame
+	pyr   *motion.Pyramid
+	half  *motion.HalfPlanes
+}
+
+// newReference returns a reference whose frame is a copy of src, in a
+// recycled reference's buffers when one is free.
+func (e *Encoder) newReference(src *video.Frame) *reference {
+	n := len(e.free)
+	if n == 0 {
+		var pyr *motion.Pyramid
+		if !e.cfg.flatSearch {
+			pyr = &motion.Pyramid{}
+		}
+		return &reference{frame: src.Clone(), pyr: pyr}
+	}
+	r := e.free[n-1]
+	e.free = e.free[:n-1]
+	r.frame.CopyFrom(src)
+	return r
+}
+
+// retire runs when a slot has let go of r. Its planes go to the free
+// list once no searched slot holds it, r itself once no slot does.
+func (e *Encoder) retire(r *reference) {
+	if r == nil {
+		return
+	}
+	held, searched := false, false
+	for slot, s := range e.refs {
+		held = held || s == r
+		searched = searched || (s == r && slot < e.searchedRefs())
+	}
+	if !searched && r.half != nil {
+		e.freeHalf = append(e.freeHalf, r.half)
+		r.half = nil
+	}
+	if !held {
+		e.free = append(e.free, r)
+	}
+}
+
+// searchedRefs is how many reference slots an inter frame searches.
+func (e *Encoder) searchedRefs() int {
+	if e.cfg.Speed >= 2 {
+		return 1
+	}
+	return e.cfg.Profile.MaxRefs()
+}
+
+// buildSearchPlanes runs at the head of an inter frame, before its tiles
+// fan out: the source pyramid, and the half-sample planes of every
+// reference the frame searches that an earlier frame has not built.
+func (e *Encoder) buildSearchPlanes(src *video.Frame) {
+	if !e.cfg.flatSearch {
+		e.srcPyr.Build(src.Y, e.pw, e.ph)
+	}
+	for _, r := range e.refs[:e.searchedRefs()] {
+		if r == nil || r.half != nil {
+			continue
+		}
+		if n := len(e.freeHalf); n > 0 {
+			r.half, e.freeHalf = e.freeHalf[n-1], e.freeHalf[:n-1]
+		} else {
+			r.half = &motion.HalfPlanes{}
+		}
+		r.half.Build(motion.Ref{Pix: r.frame.Y, W: e.pw, H: e.ph, Sharp: e.cfg.Profile.SharpFilter()})
+	}
 }
 
 type laFrame struct {
@@ -238,12 +322,10 @@ func (e *Encoder) encodeOne(f *video.Frame, displayIdx int, keyframe, show, altr
 	hdr.refresh[RefAltRef] = keyframe || altref
 	hdrBytes := writeHeader(hdr)
 
-	recon := src.Clone()
-	// The source pyramid seeds this frame's motion searches; it is built
-	// once here and shared read-only by all tile goroutines.
-	var srcPyr *motion.Pyramid
-	if !keyframe && !e.cfg.flatSearch {
-		srcPyr = motion.BuildPyramid(src.Y, e.pw, e.ph)
+	ref := e.newReference(src)
+	recon := ref.frame
+	if !keyframe {
+		e.buildSearchPlanes(src)
 	}
 	tileData := make([][]byte, tiles)
 	var carriedOut *entropy.Model
@@ -253,7 +335,7 @@ func (e *Encoder) encodeOne(f *video.Frame, displayIdx int, keyframe, show, altr
 		// the adaptive entropy model to the next frame. The bitstream
 		// bytes alias the scratch's range coder; assembleEnvelope copies
 		// them before the scratch is reused.
-		fc := e.frameCoder(e.seqScratch, src, srcPyr, recon, qp, keyframe, 0, e.pw, e.model)
+		fc := e.frameCoder(e.seqScratch, src, recon, qp, keyframe, 0, e.pw, e.model)
 		fc.encodeBlocks()
 		tileData[0] = fc.w.Bytes()
 		carriedOut = fc.model
@@ -268,7 +350,7 @@ func (e *Encoder) encodeOne(f *video.Frame, displayIdx int, keyframe, show, altr
 			x0 := t * numSBCols / tiles * sb
 			x1 := (t + 1) * numSBCols / tiles * sb
 			fns[t] = func(ws *encScratch) {
-				fc := e.frameCoder(ws, src, srcPyr, recon, qp, keyframe, x0, x1, nil)
+				fc := e.frameCoder(ws, src, recon, qp, keyframe, x0, x1, nil)
 				fc.encodeBlocks()
 				tileData[t] = append([]byte(nil), fc.w.Bytes()...)
 			}
@@ -280,7 +362,7 @@ func (e *Encoder) encodeOne(f *video.Frame, displayIdx int, keyframe, show, altr
 		for t := 0; t < tiles; t++ {
 			x0 := t * numSBCols / tiles * sb
 			x1 := (t + 1) * numSBCols / tiles * sb
-			fc := e.frameCoder(e.seqScratch, src, srcPyr, recon, qp, keyframe, x0, x1, nil)
+			fc := e.frameCoder(e.seqScratch, src, recon, qp, keyframe, x0, x1, nil)
 			fc.encodeBlocks()
 			tileData[t] = append([]byte(nil), fc.w.Bytes()...)
 		}
@@ -310,20 +392,19 @@ func (e *Encoder) encodeOne(f *video.Frame, displayIdx int, keyframe, show, altr
 		}
 	}
 	data := assembleEnvelope(hdrBytes, tileData, restByte)
-	// Cache the reconstruction's search pyramid alongside the reference:
-	// built once per frame no matter how many slots refresh.
-	var reconPyr *motion.Pyramid
+	// Store the reconstruction with its search pyramid, built once no
+	// matter how many slots refresh. Tile workers have joined, so no
+	// reader of the store is live.
+	if ref.pyr != nil {
+		ref.pyr.Build(recon.Y, e.pw, e.ph)
+	}
 	for slot, r := range hdr.refresh {
-		if r {
-			if reconPyr == nil && !e.cfg.flatSearch {
-				reconPyr = motion.BuildPyramid(recon.Y, e.pw, e.ph)
-			}
-			//lint:ignore sharedmut slot rotation between frames: tile workers have joined, no reader is live
-			e.refs[slot] = recon
-			//lint:ignore sharedmut same rotation point: the next frame snapshots the slot before spawning tiles
-			e.refPyr[slot] = reconPyr
-			e.refValid[slot] = true
+		if !r {
+			continue
 		}
+		old := e.refs[slot]
+		e.refs[slot] = ref
+		e.retire(old)
 	}
 	e.rc.Update(displayIdx, qp, len(data)*8)
 	e.EncodedPixels += int64(f.Width) * int64(f.Height)

@@ -20,6 +20,8 @@
 // it); callers thread a *Scratch for the buffers the kernels need.
 package motion
 
+import "openvcu/internal/video"
+
 // MV is a motion vector in 1/8-pel units.
 type MV struct{ X, Y int16 }
 
@@ -45,6 +47,10 @@ type Ref struct {
 	// multi-resolution search seeding. The encoder builds it once per
 	// reference frame and caches it in the reference store.
 	Pyr *Pyramid
+	// Half, if non-nil, holds the half-sample planes of Pix: in-frame
+	// blocks at a half-sample phase are read from them instead of being
+	// interpolated. Nil means interpolate, which is what the decoder does.
+	Half *HalfPlanes
 }
 
 // catmullTaps[f] are the 4 integer taps (sum 64) of the Catmull-Rom
@@ -90,35 +96,55 @@ func clampCoord(v, max int) int {
 	return v
 }
 
-// SampleBlock fills dst (n×n row-major) with the motion-compensated
-// prediction for the block whose top-left is (bx, by), displaced by mv.
-// Fractional positions use the reference's sub-pel filter; out-of-frame
-// positions use edge extension. sc provides the interpolation scratch.
-func SampleBlock(ref Ref, bx, by int, mv MV, dst []uint8, n int, sc *Scratch) {
-	// Absolute position in 1/8-pel units; floor-divide so the fractional
-	// part is always non-negative regardless of the vector's sign.
+// splitPos splits the position of the block at (bx, by) displaced by mv
+// into its full-pel origin and its 1/8-pel phase. The division floors, so
+// the phase is never negative whatever the vector's sign.
+func splitPos(bx, by int, mv MV) (ix, iy, fx, fy int) {
 	px := bx*8 + int(mv.X)
 	py := by*8 + int(mv.Y)
-	ix := px >> 3 // arithmetic shift == floor division by 8
-	iy := py >> 3
-	fx := px - ix*8
-	fy := py - iy*8
-	if fx == 0 && fy == 0 {
-		if ix >= 0 && iy >= 0 && ix+n <= ref.W && iy+n <= ref.H {
-			src := ref.Pix[iy*ref.W+ix:]
-			for y := 0; y < n; y++ {
-				copy(dst[y*n:y*n+n], src[y*ref.W:y*ref.W+n])
-			}
-			return
+	ix = px >> 3 // arithmetic shift == floor division by 8
+	iy = py >> 3
+	return ix, iy, px - ix*8, py - iy*8
+}
+
+// stored returns the n×n block at (ix, iy), phase (fx, fy), as a view
+// (stride ref.W) of a plane that already holds that phase: Pix for full
+// pel, a half-sample plane when the reference carries them. It returns
+// nil when the phase is stored nowhere or the block leaves the frame.
+func (ref *Ref) stored(ix, iy, fx, fy, n int) []uint8 {
+	if ix < 0 || iy < 0 || ix+n > ref.W || iy+n > ref.H {
+		return nil
+	}
+	switch {
+	case fx|fy == 0:
+		return ref.Pix[iy*ref.W+ix:]
+	case ref.Half != nil && (fx|fy)&3 == 0:
+		return ref.Half.planes[fx>>2+fy>>1-1][iy*ref.W+ix:]
+	}
+	return nil
+}
+
+// SampleBlock fills dst (n×n row-major) with the motion-compensated
+// prediction for the block whose top-left is (bx, by), displaced by mv.
+// A phase the reference stores is a row copy; other fractional positions
+// use the reference's sub-pel filter and out-of-frame positions edge
+// extension. sc provides the interpolation scratch.
+func SampleBlock(ref Ref, bx, by int, mv MV, dst []uint8, n int, sc *Scratch) {
+	ix, iy, fx, fy := splitPos(bx, by, mv)
+	if src := ref.stored(ix, iy, fx, fy, n); src != nil {
+		for y := 0; y < n; y++ {
+			copy(dst[y*n:y*n+n], src[y*ref.W:y*ref.W+n])
 		}
+		return
+	}
+	switch {
+	case fx|fy == 0:
 		sampleFullPelRef(ref, ix, iy, dst, n)
-		return
-	}
-	if ref.Sharp {
+	case ref.Sharp:
 		sampleSharp(ref, ix, iy, fx, fy, dst, n, sc)
-		return
+	default:
+		sampleBilinear(ref, ix, iy, fx, fy, dst, n, sc)
 	}
-	sampleBilinear(ref, ix, iy, fx, fy, dst, n, sc)
 }
 
 // sampleSharp applies the 4-tap Catmull-Rom interpolator at phase
@@ -128,13 +154,44 @@ func SampleBlock(ref Ref, bx, by int, mv MV, dst []uint8, n int, sc *Scratch) {
 // instead of the direct form's 16. Weights are Q6 per axis (Q12
 // combined); the integer intermediate makes the result bit-exact with
 // the direct scalar form in reference.go.
+//
+// A phase with one fractional axis runs one pass on interior blocks: the
+// full-pel axis' taps are {0, 64, 0, 0}, a scale by 64, and
+// (64·h + 1<<11) >> 12 == (h + 32) >> 6.
 func sampleSharp(ref Ref, ix, iy, fx, fy int, dst []uint8, n int, sc *Scratch) {
-	sc.setup(n)
-	hbuf := sc.interp
 	tx := &catmullTaps[fx]
 	ty := &catmullTaps[fy]
+	interior := ix >= 1 && iy >= 1 && ix+n+2 <= ref.W && iy+n+2 <= ref.H
+	switch {
+	case interior && fy == 0:
+		for y := 0; y < n; y++ {
+			src := ref.Pix[(iy+y)*ref.W+ix-1:]
+			drow := dst[y*n : y*n+n]
+			p0, p1, p2 := int32(src[0]), int32(src[1]), int32(src[2])
+			for x := range drow {
+				p3 := int32(src[x+3])
+				drow[x] = video.ClampU8((tx[0]*p0 + tx[1]*p1 + tx[2]*p2 + tx[3]*p3 + 32) >> 6)
+				p0, p1, p2 = p1, p2, p3
+			}
+		}
+		return
+	case interior && fx == 0:
+		for y := 0; y < n; y++ {
+			src := ref.Pix[(iy+y-1)*ref.W+ix:]
+			r0, r1 := src[:n], src[ref.W:ref.W+n]
+			r2, r3 := src[2*ref.W:2*ref.W+n], src[3*ref.W:3*ref.W+n]
+			drow := dst[y*n : y*n+n]
+			for x := range drow {
+				drow[x] = video.ClampU8((ty[0]*int32(r0[x]) + ty[1]*int32(r1[x]) +
+					ty[2]*int32(r2[x]) + ty[3]*int32(r3[x]) + 32) >> 6)
+			}
+		}
+		return
+	}
+	sc.setup(n)
+	hbuf := sc.interp
 	rows := n + 3
-	if ix >= 1 && iy >= 1 && ix+n+2 <= ref.W && iy+n+2 <= ref.H {
+	if interior {
 		// Interior fast path: no clamping, rolling window of source taps.
 		for r := 0; r < rows; r++ {
 			src := ref.Pix[(iy+r-1)*ref.W+ix-1:]
@@ -185,13 +242,33 @@ func sampleSharp(ref Ref, ix, iy, fx, fy int, dst []uint8, n int, sc *Scratch) {
 // vertical pass with the same +32 >> 6 rounding as the direct form, so
 // the output is bit-exact with it (no clamp needed: the result is always
 // in 0..255).
+//
+// One fractional axis runs one pass on interior blocks: the full-pel
+// axis scales by 8, and (8·h + 32) >> 6 == (h + 4) >> 3.
 func sampleBilinear(ref Ref, ix, iy, fx, fy int, dst []uint8, n int, sc *Scratch) {
-	sc.setup(n)
-	hbuf := sc.interp
 	w0, w1 := int32(8-fx), int32(fx)
 	v0, v1 := int32(8-fy), int32(fy)
+	interior := ix >= 0 && iy >= 0 && ix+n+1 <= ref.W && iy+n+1 <= ref.H
+	if interior && (fx == 0 || fy == 0) {
+		// The second tap sits one pixel right (fy == 0) or one row down.
+		step := 1
+		if fx == 0 {
+			step, w0, w1 = ref.W, v0, v1
+		}
+		for y := 0; y < n; y++ {
+			a := ref.Pix[(iy+y)*ref.W+ix:]
+			b := a[step : step+n]
+			drow := dst[y*n : y*n+n]
+			for x := range drow {
+				drow[x] = uint8((w0*int32(a[x]) + w1*int32(b[x]) + 4) >> 3)
+			}
+		}
+		return
+	}
+	sc.setup(n)
+	hbuf := sc.interp
 	rows := n + 1
-	if ix >= 0 && iy >= 0 && ix+n+1 <= ref.W && iy+n+1 <= ref.H {
+	if interior {
 		for r := 0; r < rows; r++ {
 			src := ref.Pix[(iy+r)*ref.W+ix:]
 			hr := hbuf[r*n : r*n+n]
@@ -262,14 +339,19 @@ func blockSAD(cur []uint8, curStride int, ref Ref, ix, iy, n int, best int64) in
 	return sad
 }
 
-// subPelSAD computes SAD for an arbitrary (possibly fractional) mv: the
-// candidate is interpolated into sc.pred and compared with the SWAR row
-// kernel.
-func subPelSAD(cur []uint8, curStride int, ref Ref, bx, by int, mv MV, n int, sc *Scratch) int64 {
+// subPelSAD computes SAD for an arbitrary (possibly fractional) mv, with
+// early exit once the running total reaches best. A phase the reference
+// stores is compared in place; any other candidate is interpolated into
+// sc.pred first.
+func subPelSAD(cur []uint8, curStride int, ref Ref, bx, by int, mv MV, n int, best int64, sc *Scratch) int64 {
+	ix, iy, fx, fy := splitPos(bx, by, mv)
+	if src := ref.stored(ix, iy, fx, fy, n); src != nil {
+		return sadPlanar(cur, curStride, src, ref.W, n, best)
+	}
 	sc.setup(n)
 	pred := sc.pred
 	SampleBlock(ref, bx, by, mv, pred, n, sc)
-	return sadPlanar(cur, curStride, pred, n, n, 1<<62)
+	return sadPlanar(cur, curStride, pred, n, n, best)
 }
 
 // SearchParams bound the motion search. They model the hardware reference
@@ -412,7 +494,7 @@ func Search(cur []uint8, curStride int, ref Ref, bx, by int, pred MV, n int, p S
 				if cost >= best.SAD {
 					continue
 				}
-				sad := subPelSAD(cur, curStride, ref, bx, by, mv, n, sc) + cost
+				sad := subPelSAD(cur, curStride, ref, bx, by, mv, n, best.SAD-cost, sc) + cost
 				if sad < best.SAD {
 					best = Result{mv, sad}
 					improved = true

@@ -22,13 +22,24 @@ type PyrLevel struct {
 // BuildPyramid constructs the 2-level pyramid of a w×h plane.
 func BuildPyramid(pix []uint8, w, h int) *Pyramid {
 	p := &Pyramid{}
-	w1, h1 := (w+1)/2, (h+1)/2
-	p.Levels[0] = PyrLevel{Pix: make([]uint8, w1*h1)}
-	p.Levels[0].W, p.Levels[0].H = video.Downsample2x(pix, w, h, p.Levels[0].Pix)
-	w2, h2 := (w1+1)/2, (h1+1)/2
-	p.Levels[1] = PyrLevel{Pix: make([]uint8, w2*h2)}
-	p.Levels[1].W, p.Levels[1].H = video.Downsample2x(p.Levels[0].Pix, w1, h1, p.Levels[1].Pix)
+	p.Build(pix, w, h)
 	return p
+}
+
+// Build fills p with the pyramid of a w×h plane, reusing the levels'
+// buffers when they are large enough: the encoder recycles a reference's
+// pyramid with its frame. The zero value is ready for Build.
+func (p *Pyramid) Build(pix []uint8, w, h int) {
+	for i := range p.Levels {
+		l := &p.Levels[i]
+		w1, h1 := (w+1)/2, (h+1)/2
+		if cap(l.Pix) < w1*h1 {
+			l.Pix = make([]uint8, w1*h1)
+		}
+		l.Pix = l.Pix[:w1*h1]
+		l.W, l.H = video.Downsample2x(pix, w, h, l.Pix)
+		pix, w, h = l.Pix, l.W, l.H
+	}
 }
 
 // pyramidSeed runs the coarse levels of the multi-resolution search and

@@ -146,16 +146,20 @@ func MOT(frames []*video.Frame, fps int, specs []OutputSpec) (res *Result, err e
 			}
 		}
 	}()
+	// First-pass statistics computed once on the source and shared,
+	// read-only, across outputs — the "efficient sharing of control
+	// parameters obtained by analysis of the source" of §2.1.
+	var firstPass []rc.FrameStats
 	for i, spec := range specs {
 		enc, err := codec.NewEncoder(encoderConfig(spec, fps))
 		if err != nil {
 			return nil, fmt.Errorf("transcode: output %s: %w", spec.Name, err)
 		}
 		if spec.RC.Mode.TwoPass() {
-			// First-pass statistics computed once on the source and
-			// shared across outputs — the "efficient sharing of control
-			// parameters obtained by analysis of the source" of §2.1.
-			enc.RateController().SetFirstPassStats(codec.FirstPassAnalyze(frames))
+			if firstPass == nil {
+				firstPass = codec.FirstPassAnalyze(frames)
+			}
+			enc.RateController().SetFirstPassStats(firstPass)
 		}
 		encs[i] = &encState{enc: enc, out: Output{Spec: spec}, spec: spec}
 	}
