@@ -9,14 +9,19 @@ GO ?= go
 check:
 	./scripts/check.sh
 
-# Where an encode spends its CPU, by function: the whole-frame encode
-# benchmarks of internal/codec, once each on one core, under the CPU
-# profiler. The next encoder optimization starts from this table.
+# Where an encode spends its CPU, by function, on one core under the CPU
+# profiler: first the encode the upload runs (BenchmarkEncodeUploadRung:
+# Speed 2, hardware restrictions, two-pass), then the other whole-frame
+# benchmarks of internal/codec, where Speed 0 has nearly all the samples.
+# The next optimization of the upload starts from the first table.
 profile-encode:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
-	$(GO) test -run '^$$' -bench 'BenchmarkEncode' -benchtime 2x -cpu 1 \
-		-o "$$d/codec.test" -cpuprofile "$$d/cpu.prof" ./internal/codec && \
-	$(GO) tool pprof -top -nodecount=15 "$$d/codec.test" "$$d/cpu.prof"
+	for bench in 'BenchmarkEncodeUploadRung 10x' 'BenchmarkEncode(Frame|Speeds) 2x'; do \
+		set -- $$bench && \
+		$(GO) test -run '^$$' -bench "$$1" -benchtime "$$2" -cpu 1 \
+			-o "$$d/codec.test" -cpuprofile "$$d/cpu.prof" ./internal/codec && \
+		$(GO) tool pprof -top -nodecount=15 "$$d/codec.test" "$$d/cpu.prof" || exit 1; \
+	done
 
 # LINT_PAR: packages analyzed concurrently (0 = GOMAXPROCS); output is
 # deterministic at any setting.

@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"math"
+
 	"openvcu/internal/bits"
 	"openvcu/internal/codec/entropy"
 	"openvcu/internal/codec/motion"
@@ -37,6 +39,12 @@ type encFrame struct {
 	savedBuf []int32
 	zeroBuf  []int32
 
+	// kidsArena holds the child nodes of every split one superblock's
+	// search can try (each splittable block tries at most one); kidsUsed
+	// is reset per superblock, so a discarded subtree costs nothing.
+	kidsArena [][4]partTree
+	kidsUsed  int
+
 	// ownModel is the worker-owned entropy model, Reset and reused
 	// whenever a frame does not continue a carried model — the pool's
 	// scratch-reuse contract (allocs/op stays flat across frames).
@@ -64,6 +72,11 @@ func allocEncFrame(e *Encoder) *encFrame {
 	fc.residBuf = make([]int32, tx*tx)
 	fc.savedBuf = make([]int32, tx*tx)
 	fc.zeroBuf = make([]int32, tx*tx)
+	splittable := 0
+	for s, n := sb, 1; s > e.cfg.Profile.MinPartition(); s, n = s/2, n*4 {
+		splittable += n
+	}
+	fc.kidsArena = make([][4]partTree, splittable)
 	return fc
 }
 
@@ -131,6 +144,7 @@ func (fc *encFrame) encodeBlocks() {
 	sb := fc.profile.SuperblockSize()
 	for y := 0; y < fc.ph; y += sb {
 		for x := fc.tileX0; x < fc.tileX1; x += sb {
+			fc.kidsUsed = 0
 			_, tree := fc.trialTree(x, y, sb, 0)
 			fc.commitTree(x, y, sb, 0, tree)
 		}
@@ -145,6 +159,9 @@ type partTree struct {
 	kids    *[4]partTree
 }
 
+// quadrants are the child offsets of a split, in units of the child size.
+var quadrants = [4][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}}
+
 // trialTree performs the bounded recursive partition search: evaluate the
 // best whole-block choice, and only descend into a split when the block's
 // RD cost is high enough to plausibly benefit — "a bounded recursive
@@ -155,14 +172,7 @@ func (fc *encFrame) trialTree(x, y, s, depth int) (float64, partTree) {
 	case blockOutside:
 		return 0, partTree{outside: true}
 	case blockImplicitSplit:
-		half := s / 2
-		kids := new([4]partTree)
-		var sum float64
-		for i, off := range [4][2]int{{0, 0}, {half, 0}, {0, half}, {half, half}} {
-			c, t := fc.trialTree(x+off[0], y+off[1], half, depth+1)
-			sum += c
-			kids[i] = t
-		}
+		sum, kids := fc.trialSplit(x, y, s, depth, 0)
 		return sum, partTree{split: true, kids: kids}
 	}
 	choice, leafCost := fc.bestChoice(x, y, s)
@@ -173,19 +183,26 @@ func (fc *encFrame) trialTree(x, y, s, depth int) (float64, partTree) {
 	}
 	leafTotal += fc.lambda * float64(fc.model.SplitCost(depth, false)) / 256
 	if fc.shouldTrySplit(leafCost, s) {
-		half := s / 2
-		sum := fc.lambda * float64(fc.model.SplitCost(depth, true)) / 256
-		kids := new([4]partTree)
-		for i, off := range [4][2]int{{0, 0}, {half, 0}, {0, half}, {half, half}} {
-			c, t := fc.trialTree(x+off[0], y+off[1], half, depth+1)
-			sum += c
-			kids[i] = t
-		}
+		sum, kids := fc.trialSplit(x, y, s, depth, fc.lambda*float64(fc.model.SplitCost(depth, true))/256)
 		if sum < leafTotal {
 			return sum, partTree{split: true, kids: kids}
 		}
 	}
 	return leafTotal, partTree{choice: choice}
+}
+
+// trialSplit searches the four children of a block, in nodes taken from
+// the arena, and returns sum plus their costs.
+func (fc *encFrame) trialSplit(x, y, s, depth int, sum float64) (float64, *[4]partTree) {
+	kids := &fc.kidsArena[fc.kidsUsed]
+	fc.kidsUsed++
+	half := s / 2
+	for i, q := range quadrants {
+		c, t := fc.trialTree(x+q[0]*half, y+q[1]*half, half, depth+1)
+		sum += c
+		kids[i] = t
+	}
+	return sum, kids
 }
 
 // shouldTrySplit is the bound of the partition search.
@@ -203,37 +220,45 @@ func (fc *encFrame) commitTree(x, y, s, depth int, t partTree) {
 		fc.reconOutside(x, y, s)
 		return
 	case blockImplicitSplit:
-		half := s / 2
-		for i, off := range [4][2]int{{0, 0}, {half, 0}, {0, half}, {half, half}} {
-			fc.commitTree(x+off[0], y+off[1], half, depth+1, t.kids[i])
-		}
+		fc.commitKids(x, y, s, depth, t.kids)
 		return
 	}
 	if s > fc.profile.MinPartition() {
 		fc.model.WriteSplit(fc.w, depth, t.split)
 	}
 	if t.split {
-		half := s / 2
-		for i, off := range [4][2]int{{0, 0}, {half, 0}, {0, half}, {half, half}} {
-			fc.commitTree(x+off[0], y+off[1], half, depth+1, t.kids[i])
-		}
+		fc.commitKids(x, y, s, depth, t.kids)
 		return
 	}
 	fc.commitLeaf(x, y, s, t.choice)
 }
 
+func (fc *encFrame) commitKids(x, y, s, depth int, kids *[4]partTree) {
+	half := s / 2
+	for i, q := range quadrants {
+		fc.commitTree(x+q[0]*half, y+q[1]*half, half, depth+1, kids[i])
+	}
+}
+
 // --- candidate generation ---------------------------------------------------
 
 // bestChoice evaluates the candidate set for a leaf and returns the lowest
-// RD-cost choice. Trials never mutate entropy contexts or committed
-// reconstruction.
+// RD-cost choice, the earliest in canonical order — skip, intra modes,
+// inter per reference, compound — among equals. Trials never mutate
+// entropy contexts or committed reconstruction, so the order they run in
+// is free: an inter frame tries skip and inter first, and the intra
+// candidates meet a tight bound.
 func (fc *encFrame) bestChoice(x, y, s int) (blockChoice, float64) {
-	best := blockChoice{}
-	bestCost := 1e30
-	try := func(ch blockChoice) {
-		if c := fc.evalChoice(x, y, s, ch); c < bestCost {
-			bestCost = c
-			best = ch
+	best, bestCost, bestIdx := blockChoice{}, math.Inf(1), -1
+	// A candidate has lost when its cost reaches the best one, or, running
+	// after a later one in canonical order, when it exceeds it.
+	try := func(idx int, ch blockChoice) {
+		lost := bestCost
+		if idx < bestIdx {
+			lost = math.Nextafter(bestCost, math.Inf(1))
+		}
+		if c := fc.evalChoice(x, y, s, ch, lost); c < lost {
+			best, bestCost, bestIdx = ch, c, idx
 		}
 	}
 
@@ -249,50 +274,47 @@ func (fc *encFrame) bestChoice(x, y, s int) (blockChoice, float64) {
 			intraModes = []predict.IntraMode{predict.IntraDC, predict.IntraV}
 		}
 	}
-	if fc.keyframe {
-		for _, m := range intraModes {
-			try(blockChoice{intraMode: m})
+	// Canonical indices: skip 0, intra from 1, inter from firstInter,
+	// compound last.
+	firstInter := 1 + len(intraModes)
+	if !fc.keyframe {
+		// Skip candidate: LAST reference at the predicted MV, no residual.
+		pred := fc.predMV(x, y)
+		if fc.refValid[RefLast] {
+			try(0, blockChoice{inter: true, skip: true, ref: RefLast, mv: pred})
 		}
-		return best, bestCost
-	}
-
-	// Skip candidate: LAST reference at the predicted MV, no residual.
-	if fc.refValid[RefLast] {
-		try(blockChoice{inter: true, skip: true, ref: RefLast, mv: fc.predMV(x, y)})
-	}
-	// Intra candidates.
-	for _, m := range intraModes {
-		try(blockChoice{intraMode: m})
-	}
-	// Inter candidates: motion search per valid reference.
-	pred := fc.predMV(x, y)
-	var bestInter blockChoice
-	bestInterSet := false
-	for ref := 0; ref < fc.enc.searchedRefs(); ref++ {
-		if !fc.refValid[ref] {
-			continue
+		// Inter candidates: motion search per valid reference.
+		var bestInter blockChoice
+		bestInterSet := false
+		for ref := 0; ref < fc.enc.searchedRefs(); ref++ {
+			if !fc.refValid[ref] {
+				continue
+			}
+			r := motion.Ref{Pix: fc.refs[ref].Y, W: fc.pw, H: fc.ph,
+				Sharp: fc.profile.SharpFilter(), Pyr: fc.refPyr[ref], Half: fc.refHalf[ref]}
+			res := motion.Search(fc.src.Y[y*fc.pw+x:], fc.pw, r, x, y, pred, s, fc.sp, &fc.mc)
+			if fc.enc.cfg.Speed == 0 {
+				// Quality mode: re-refine the fractional vector under SATD,
+				// the transform-domain cost SAD mispredicts at sub-pel.
+				res = motion.RefineSubPelSATD(fc.src.Y[y*fc.pw+x:], fc.pw, r, x, y, res, s, fc.sp, &fc.mc)
+			}
+			ch := blockChoice{inter: true, ref: ref, mv: res.MV}
+			try(firstInter+ref, ch)
+			if !bestInterSet || ch.ref == RefLast {
+				bestInter = ch
+				bestInterSet = true
+			}
 		}
-		r := motion.Ref{Pix: fc.refs[ref].Y, W: fc.pw, H: fc.ph,
-			Sharp: fc.profile.SharpFilter(), Pyr: fc.refPyr[ref], Half: fc.refHalf[ref]}
-		res := motion.Search(fc.src.Y[y*fc.pw+x:], fc.pw, r, x, y, pred, s, fc.sp, &fc.mc)
-		if fc.enc.cfg.Speed == 0 {
-			// Quality mode: re-refine the fractional vector under SATD,
-			// the transform-domain cost SAD mispredicts at sub-pel.
-			res = motion.RefineSubPelSATD(fc.src.Y[y*fc.pw+x:], fc.pw, r, x, y, res, s, fc.sp, &fc.mc)
-		}
-		ch := blockChoice{inter: true, ref: ref, mv: res.MV}
-		try(ch)
-		if !bestInterSet || ch.ref == RefLast {
-			bestInter = ch
-			bestInterSet = true
+		// Compound candidate: LAST+GOLDEN averaged at the LAST vector.
+		if fc.compoundAvailable() && bestInterSet && fc.enc.cfg.Speed <= 1 {
+			ch := bestInter
+			ch.compound = true
+			ch.ref = RefLast
+			try(firstInter+numRefSlots, ch)
 		}
 	}
-	// Compound candidate: LAST+GOLDEN averaged at the LAST vector.
-	if fc.compoundAvailable() && bestInterSet && fc.enc.cfg.Speed <= 1 {
-		ch := bestInter
-		ch.compound = true
-		ch.ref = RefLast
-		try(ch)
+	for i, m := range intraModes {
+		try(1+i, blockChoice{intraMode: m})
 	}
 	return best, bestCost
 }
@@ -325,15 +347,28 @@ func (fc *encFrame) modeRate(ch blockChoice, x, y int) uint32 {
 	return r
 }
 
+// rdCost is the cost the search minimizes. Both terms only grow as a
+// trial accumulates distortion and rate, and every float operation here
+// is monotone, so the cost of a partial trial never exceeds the trial's.
+func (fc *encFrame) rdCost(sse int64, rate uint32) float64 {
+	return float64(sse) + fc.lambda*float64(rate)/256
+}
+
 // evalChoice computes the luma RD cost of a candidate without committing.
-// It runs entirely out of the encFrame scratch buffers.
-func (fc *encFrame) evalChoice(x, y, s int, ch blockChoice) float64 {
+// It runs entirely out of the encFrame scratch buffers. The candidate has
+// lost once its cost reaches lost: the trial stops at the first partial
+// cost that does — after the mode rate, after a transform block's
+// coefficient rate (before that block is reconstructed), after its
+// distortion — and returns it.
+func (fc *encFrame) evalChoice(x, y, s int, ch blockChoice, lost float64) float64 {
+	rate := fc.modeRate(ch, x, y)
+	if c := fc.rdCost(0, rate); c >= lost {
+		return c
+	}
 	pred := fc.predBuf[:s*s]
 	fc.predictLuma(ch, x, y, s, pred)
-	rate := fc.modeRate(ch, x, y)
 	if ch.skip {
-		sse := sseRegion(fc.src.Y, fc.pw, x, y, pred, s)
-		return float64(sse) + fc.lambda*float64(rate)/256
+		return fc.rdCost(sseRegion(fc.src.Y, fc.pw, x, y, pred, s), rate)
 	}
 	tx := fc.lumaTx(s)
 	var sse int64
@@ -346,12 +381,18 @@ func (fc *encFrame) evalChoice(x, y, s int, ch blockChoice) float64 {
 			fc.buildResidual(fc.src.Y, fc.pw, x+bx, y+by, pred, s, bx, by, resid, tx)
 			last := fc.quantizeScan(resid, tx, 0, scanned, orig)
 			rate += fc.model.CoeffCost(0, scanned, tx)
+			if c := fc.rdCost(sse, rate); c >= lost {
+				return c
+			}
 			// reconstruct into a scratch block to measure distortion
 			applyTxBlock(scanned, last, tx, fc.qp, resid, pred, s, by*s+bx, reconBlk, tx, 0, 0)
 			sse += sseRegion(fc.src.Y, fc.pw, x+bx, y+by, reconBlk, tx)
+			if c := fc.rdCost(sse, rate); c >= lost {
+				return c
+			}
 		}
 	}
-	return float64(sse) + fc.lambda*float64(rate)/256
+	return fc.rdCost(sse, rate)
 }
 
 // quantizeScan runs the forward transform, quantization, scan and the
@@ -500,8 +541,7 @@ func (fc *encFrame) commitLeaf(x, y, s int, ch blockChoice) {
 	cs := s / 2
 	cw, _ := video.ChromaDims(fc.pw, fc.ph)
 	cpred := fc.cpredBuf[:cs*cs]
-	for pi, plane := range []video.Plane{video.PlaneU, video.PlaneV} {
-		_ = pi
+	for _, plane := range []video.Plane{video.PlaneU, video.PlaneV} {
 		fc.predictChromaPlane(ch, plane, x, y, s, cpred)
 		var srcPlane, reconPlane []uint8
 		if plane == video.PlaneU {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # oracle-diff.sh [ref] — show that the working tree behaves exactly as
 # <ref> (default HEAD~1), control plane and bitstreams alike: check <ref>
-# out into a temporary git worktree, run scripts/oracle.sh there and
-# here, and diff the two outputs. Exits 0 when they are identical, 1
+# out into a temporary git worktree (a `git archive` copy, as mutants.sh
+# makes, where `git worktree add` is refused), run scripts/oracle.sh there
+# and here, and diff the two outputs. Exits 0 when they are identical, 1
 # with the diff on stdout when they are not. Takes about ten minutes;
 # not part of check.sh.
 set -eu
@@ -19,7 +20,10 @@ cleanup() {
 }
 trap cleanup EXIT
 
-git worktree add --detach "$tmp/ref" "$commit" >/dev/null
+if ! git worktree add --detach "$tmp/ref" "$commit" >/dev/null 2>&1; then
+    mkdir -p "$tmp/ref"
+    git archive "$commit" | tar -x -C "$tmp/ref"
+fi
 echo "oracle at $ref ($(git rev-parse --short "$commit"))" >&2
 "$tmp/ref/scripts/oracle.sh" >"$tmp/ref.txt"
 echo "oracle at the working tree" >&2
