@@ -28,10 +28,9 @@
 //
 //	types          determinism, hotalloc, errdrop, bigcopy, sharedmut,
 //	               parcapture, singleknob (module-wide)
-//	+ control flow waitbalance
-//	+ summaries    lockhygiene, closecheck (transitive call-graph
-//	               summaries over the SCC condensation of the module
-//	               call graph, internal/lint/callgraph.go)
+//	+ summaries    closecheck (control-flow graphs, and transitive
+//	               call-graph summaries over the SCC condensation of
+//	               the module call graph, internal/lint/callgraph.go)
 //
 // A function whose recursive call cycle hits the summary iteration cap
 // is reported under the pseudo-rule "lintbudget" (its facts stay sound
@@ -39,7 +38,7 @@
 //
 // Useful selections:
 //
-//	vculint -rules lockhygiene,waitbalance ./...
+//	vculint -rules determinism,errdrop ./...
 //	vculint -par 8 -rules closecheck,parcapture ./...
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or I/O error.

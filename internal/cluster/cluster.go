@@ -587,19 +587,11 @@ func stepPool(s *Step) sched.UseCase {
 // ones (§3.3.3: idle workers "may be stopped and reallocated to other
 // pools in the cluster").
 func (c *Cluster) rebalancePools() {
-	now := c.Eng.Now()
-	var backlog [2]int // by sched.UseCase
-	for _, steps := range c.queue.steps {
-		for _, s := range steps {
-			// Steps parked in retry backoff are deferred work, not demand:
-			// counting them would drag idle workers toward a pool that has
-			// nothing dispatchable yet, a spurious move that starves the
-			// pool that donated them.
-			if s.Kind == StepTranscode && s.eligibleAt <= now {
-				backlog[stepPool(s)]++
-			}
-		}
-	}
+	// Steps parked in retry backoff are not demand (poolBacklog):
+	// counting them would drag idle workers toward a pool that has
+	// nothing dispatchable yet, a spurious move that starves the pool
+	// that donated them.
+	backlog := c.poolBacklog()
 	// While an autoscaler drain is in flight in a pool, the rebalancer
 	// stands down for that pool: two worker-moving mechanisms acting on
 	// one pool in the same tick would thrash (the rebalancer pulling
@@ -903,14 +895,7 @@ func (c *Cluster) stepDeadline(s *Step) time.Duration {
 	d := time.Duration(c.cfg.WatchdogMultiplier *
 		sched.ExpectedStepSeconds(s.execReq) * float64(time.Second))
 	if r := s.execReq; r.Realtime && r.FPS > 0 {
-		frames := r.ChunkFrames
-		if frames <= 0 {
-			frames = 150
-		}
-		wall := time.Duration(float64(frames) / float64(r.FPS) * float64(time.Second))
-		if d < 2*wall {
-			d = 2 * wall
-		}
+		d = max(d, 2*chunkWall(r))
 	}
 	return d
 }
@@ -934,10 +919,7 @@ func (c *Cluster) hedgeDelay(s *Step) time.Duration {
 func (c *Cluster) runTranscode(s *Step, cw *clusterWorker, a *sched.Assignment, isHedge bool) {
 	req := s.execReq
 	token := s.execGen
-	frames := req.ChunkFrames
-	if frames <= 0 {
-		frames = 150
-	}
+	frames := req.Frames()
 	inPixels := int64(frames) * int64(req.InputRes.Pixels())
 	gen := cw.generation
 
@@ -1019,7 +1001,7 @@ func (c *Cluster) runTranscode(s *Step, cw *clusterWorker, a *sched.Assignment, 
 	startedAt := c.Eng.Now()
 	wallFloor := time.Duration(0)
 	if req.Realtime && req.FPS > 0 {
-		wallFloor = time.Duration(float64(frames) / float64(req.FPS) * float64(time.Second))
+		wallFloor = chunkWall(req)
 	}
 	gated := func(err error, corrupted bool) {
 		elapsed := c.Eng.Now() - startedAt

@@ -229,6 +229,58 @@ func TestReleaseInsidePassReopensFirstFit(t *testing.T) {
 	}
 }
 
+// TestPoolMoveInsidePassReopensFirstFit: a worker the rebalancer moves
+// into a pool while a dispatch pass runs empties the memo, so a step of
+// that pool refused earlier in the same dispatch call is asked of
+// first-fit again and placed on it. The rebalancer's tick cannot fire
+// inside a pass on its own, and a pass has the queue detached, so the
+// test calls it from the probe behind a Submit that gives it a backlog
+// to see.
+func TestPoolMoveInsidePassReopensFirstFit(t *testing.T) {
+	cfg := overloadConfig(1) // two workers
+	cfg.EnablePools = true
+	cfg.LiveShare = 0.5
+	c := New(cfg)
+	live, upload := c.workers[0], c.workers[1]
+	if live.pool != sched.UseLive || upload.pool != sched.UseUpload {
+		t.Fatalf("pools are %v and %v, want one live and one upload worker", live.pool, upload.pool)
+	}
+	// The upload pool's one worker is full.
+	if _, err := c.scheduler.Schedule(c.workerType.Capacity,
+		func(w *sched.Worker) bool { return w != upload.sw }); err != nil {
+		t.Fatal(err)
+	}
+	var graphs [3]*Graph
+	for i := range graphs {
+		spec := uploadSpec(i + 1)
+		spec.Frames = spec.ChunkFrames
+		graphs[i] = BuildGraph(spec, cfg.StepTargetSeconds)
+	}
+	x, y := graphs[0].Steps[0], graphs[1].Steps[0]
+
+	c.Submit(graphs[0])
+	if x.State != StepReady || x.blocked == nil {
+		t.Fatalf("first upload step is %v, want blocked in the queue", x.State)
+	}
+	asked := 0
+	c.placeProbe = func(s *Step, _ sched.Resources, _ int, memo bool) {
+		if asked++; asked == 2 {
+			if s != y || !memo {
+				t.Fatalf("second question is about step %d (memo %v), want the second upload answered by the memo", s.ID, memo)
+			}
+			c.Submit(graphs[2])
+			c.rebalancePools()
+		}
+	}
+	c.Submit(graphs[1]) // one dispatch call: x refused, y refused by the memo, the move, x again
+	if c.Stats.PoolRebalances != 1 || live.pool != sched.UseUpload {
+		t.Fatalf("%d pool moves, live worker in pool %v: the rebalancer did not move it", c.Stats.PoolRebalances, live.pool)
+	}
+	if x.State != StepRunning {
+		t.Errorf("first upload step is %v after the dispatch call that gave its pool a worker, want running", x.State)
+	}
+}
+
 // TestBlockedDispatchAllocatesNothing: a dispatch call over a queue full
 // of steps that were refused before, with nothing released since,
 // allocates nothing — not a degraded request, not a cost, not a slice.

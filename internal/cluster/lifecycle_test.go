@@ -208,6 +208,9 @@ func TestLifecycleModel(t *testing.T) {
 				op = "exonerate"
 				if cw.soaking() {
 					c.exonerate(cw)
+					if cw.standing != trusted {
+						t.Fatalf("seed %d op %d: exonerated VCU %d stands %v, want trusted", seed, step, cw.vcu.ID, cw.standing)
+					}
 				}
 			case k == 14:
 				op = "vcu.Disable"

@@ -120,20 +120,26 @@ func (c *Cluster) classOf(s *Step) sched.Priority {
 // the quantity MaxQueueLen bounds and HedgeBacklog tests.
 func (c *Cluster) TranscodeBacklog() int { return c.queue.backlog() }
 
-// eligibleBacklog counts queued transcode steps whose backoff has
-// elapsed — work the cluster could run right now. Steps parked in retry
-// backoff are excluded: a backoff burst is deferred work, not demand.
-func (c *Cluster) eligibleBacklog() int {
+// poolBacklog counts, per pool, the queued transcode steps whose
+// backoff has elapsed — work the cluster could run right now. Steps
+// parked in retry backoff are excluded: a backoff burst is deferred
+// work, not demand.
+func (c *Cluster) poolBacklog() (backlog [2]int) { // by sched.UseCase
 	now := c.Eng.Now()
-	n := 0
 	for _, steps := range c.queue.steps {
 		for _, s := range steps {
 			if s.Kind == StepTranscode && s.eligibleAt <= now {
-				n++
+				backlog[stepPool(s)]++
 			}
 		}
 	}
-	return n
+	return backlog
+}
+
+// eligibleBacklog is poolBacklog over both pools.
+func (c *Cluster) eligibleBacklog() int {
+	backlog := c.poolBacklog()
+	return backlog[sched.UseLive] + backlog[sched.UseUpload]
 }
 
 // admit applies bounded-queue admission to one transcode step. When the
@@ -204,11 +210,7 @@ func (c *Cluster) liveWindow(s *Step) time.Duration {
 
 // chunkWall is the wall-clock duration of a step's chunk.
 func chunkWall(r *sched.StepRequest) time.Duration {
-	frames := r.ChunkFrames
-	if frames <= 0 {
-		frames = 150
-	}
-	return time.Duration(float64(frames) / float64(r.FPS) * float64(time.Second))
+	return time.Duration(float64(r.Frames()) / float64(r.FPS) * float64(time.Second))
 }
 
 // dropIfUseless drops a queued live step that can no longer finish

@@ -2,7 +2,6 @@ package codec
 
 import (
 	"fmt"
-	"sync"
 
 	"openvcu/internal/bits"
 	"openvcu/internal/codec/entropy"
@@ -10,6 +9,7 @@ import (
 	"openvcu/internal/codec/motion"
 	"openvcu/internal/codec/predict"
 	"openvcu/internal/codec/transform"
+	"openvcu/internal/par"
 	"openvcu/internal/video"
 )
 
@@ -117,30 +117,11 @@ func (dec *Decoder) decode(data []byte) (*video.Frame, error) {
 		}
 		return nil
 	}
-	if tiles == 1 {
-		if err := decodeTile(0); err != nil {
-			return nil, err
-		}
-	} else {
-		// Tiles decode concurrently: prediction state never crosses tile
-		// edges and recon columns are disjoint, mirroring the parallel
-		// encoder.
-		errs := make([]error, tiles)
-		var wg sync.WaitGroup
-		for t := 0; t < tiles; t++ {
-			t := t
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[t] = decodeTile(t)
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+	// Tiles decode concurrently: prediction state never crosses tile
+	// edges and recon columns are disjoint, mirroring the parallel
+	// encoder. A single tile decodes on this goroutine.
+	if err := par.Do(tiles, 0, decodeTile); err != nil {
+		return nil, err
 	}
 	filter.Deblock(recon, profile.MinPartition(), hdr.deblock)
 	if profile.Restoration() {

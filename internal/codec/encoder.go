@@ -146,8 +146,6 @@ type laFrame struct {
 }
 
 // NewEncoder validates the config and returns a ready Encoder.
-//
-//lint:ignore bigcopy Config is copied once per stream at setup, never per frame; keeping it by value preserves the public API
 func NewEncoder(cfg Config) (*Encoder, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
@@ -516,8 +514,6 @@ type SequenceResult struct {
 
 // EncodeSequence is the batch entry point: it runs first-pass analysis if
 // the rate-control mode needs it, encodes all frames, and flushes.
-//
-//lint:ignore bigcopy Config is copied once per sequence at setup, never per frame; keeping it by value preserves the public API
 func EncodeSequence(cfg Config, frames []*video.Frame) (res *SequenceResult, err error) {
 	enc, err := NewEncoder(cfg)
 	if err != nil {

@@ -28,9 +28,8 @@ package codec
 // pinned by TestEncodeSequenceParallelMatchesSequential.
 
 import (
-	"sync"
-
 	"openvcu/internal/codec/rc"
+	"openvcu/internal/par"
 	"openvcu/internal/video"
 )
 
@@ -58,8 +57,6 @@ func gopSpans(gopLength, n int) []gopSpan {
 // Falls back to sequential encoding when the rate-control mode carries
 // cross-frame state, when there is only one GOP, or when Workers is 1 —
 // the fallback is always exact, never an approximation.
-//
-//lint:ignore bigcopy Config is copied once per sequence at setup, never per frame; keeping it by value preserves the public API
 func EncodeSequenceParallel(cfg Config, frames []*video.Frame) (*SequenceResult, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
@@ -71,25 +68,12 @@ func EncodeSequenceParallel(cfg Config, frames []*video.Frame) (*SequenceResult,
 	}
 
 	spanPkts := make([][]Packet, len(spans))
-	spanErrs := make([]error, len(spans))
-	// Bounded fan-out with an in-function join: every worker is awaited
-	// before return, error or not.
-	sem := make(chan struct{}, c.Workers)
-	var wg sync.WaitGroup
-	for si, sp := range spans {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			spanPkts[si], spanErrs[si] = encodeGOPSpan(&c, frames, sp)
-		}()
-	}
-	wg.Wait()
-	for _, e := range spanErrs {
-		if e != nil {
-			return nil, e
-		}
+	err = par.Do(len(spans), c.Workers, func(si int) (err error) {
+		spanPkts[si], err = encodeGOPSpan(&c, frames, spans[si])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &SequenceResult{}

@@ -28,7 +28,10 @@ type MV struct{ X, Y int16 }
 // Zero is the null motion vector.
 var Zero = MV{}
 
-// Add returns a + b saturating to int16.
+// Add returns a + b; each component wraps at int16, it does not
+// saturate. A hostile stream can therefore decode to any vector: what
+// keeps the decoder inside the reference is the sampling path, which
+// clamps every coordinate it reads (clampCoord), not this sum.
 func (a MV) Add(b MV) MV { return MV{a.X + b.X, a.Y + b.Y} }
 
 // Sub returns a - b.

@@ -1,6 +1,8 @@
 package transform
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -25,6 +27,46 @@ func TestForwardInverseRoundTrip(t *testing.T) {
 						n, trial, i, orig[i], block[i], d)
 				}
 			}
+		}
+	}
+}
+
+// TestForwardPinnedOutputs holds one forward transform per size to the
+// values it had when the bitstream format was fixed. Kernel and scalar
+// reference, encoder and decoder all share the rounding constant, so
+// every differential test and every round trip agrees with itself
+// whatever it is; this is the test that does not. Each block (seeded,
+// samples in [-255, 255]) was searched for: the accumulator of the
+// coefficient at index tie is an exact half, the one case where rounding
+// half up and half down part.
+func TestForwardPinnedOutputs(t *testing.T) {
+	for _, c := range []struct {
+		n         int
+		seed      int64
+		tie       int
+		want      int32  // output[tie]
+		wantCRC32 uint32 // of the whole output, little-endian int32s
+	}{
+		{4, 1, 0, -229, 0xd5b13335},
+		{8, 59494, 6, 91, 0xe4be0be7},
+		{16, 10, 128, -63, 0x65e68dcd},
+		{32, 23507, 640, -90, 0xb64956d1},
+	} {
+		r := rand.New(rand.NewSource(c.seed))
+		block := make([]int32, c.n*c.n)
+		for i := range block {
+			block[i] = int32(r.Intn(511) - 255)
+		}
+		Forward(block, c.n)
+		if block[c.tie] != c.want {
+			t.Errorf("n=%d: coefficient %d is %d, pinned %d: an exact half no longer rounds up", c.n, c.tie, block[c.tie], c.want)
+		}
+		buf := make([]byte, 0, 4*len(block))
+		for _, v := range block {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+		}
+		if sum := crc32.ChecksumIEEE(buf); sum != c.wantCRC32 {
+			t.Errorf("n=%d: output CRC-32 %#08x, pinned %#08x: every bitstream has changed", c.n, sum, c.wantCRC32)
 		}
 	}
 }

@@ -10,11 +10,10 @@ import (
 
 // This file is the transitive interprocedural layer built on the
 // module's function table: every function/method gets a summary —
-// which lock classes it may acquire (directly or through any chain of
-// resolved calls), what it does to each *sync.WaitGroup parameter,
-// whether a Closer-typed parameter escapes it, whether it returns a
-// caller-owned Closer, and whether it closes a Closer parameter on every
-// path. Summaries are computed bottom-up over
+// whether a Closer-typed parameter escapes it (directly or through any
+// chain of resolved calls), whether it returns a caller-owned Closer,
+// and whether it closes a Closer parameter on every path. Summaries are
+// computed bottom-up over
 // the strongly-connected-component condensation of the call graph
 // (scc.go): acyclic regions converge in one pass, recursive components
 // iterate to a fixed point. Every propagated fact is monotone (a set
@@ -32,22 +31,9 @@ import (
 // (facts are small monotone sets).
 var sccIterationCap = 32
 
-// wgParamFact summarizes what a function does to one of its
-// *sync.WaitGroup parameters.
-type wgParamFact struct {
-	name string
-	// doneEver: some statement-level Done (or defer Done) on the param.
-	doneEver bool
-	// doneAlways: a Done is reached on every path to the normal exit.
-	doneAlways bool
-	// addsInside: the function calls Add on the param it was handed.
-	addsInside bool
-}
-
 // summaryCall is one resolved call site inside a function body.
 type summaryCall struct {
-	fn  *types.Func
-	pos token.Pos
+	fn *types.Func
 	// argNames holds, positionally, the plain-identifier argument names
 	// ("" for anything else), so param-indexed facts of the callee can be
 	// mapped back onto caller parameters. Only meaningful when ellipsis
@@ -68,16 +54,6 @@ type funcSummary struct {
 	// inside go statements and non-deferred function literals are
 	// excluded.
 	calls []summaryCall
-
-	// acquires maps each lock class the function may acquire, directly
-	// or through any resolved call chain, to that chain ("" for an
-	// acquisition in this body).
-	acquires map[string]string
-
-	// wgParams maps parameter position -> WaitGroup facts, for every
-	// parameter typed *sync.WaitGroup. These stay one-level: waitbalance
-	// checks the helper a goroutine directly runs.
-	wgParams map[int]wgParamFact
 
 	// paramCount/variadic describe the parameter list, for positional
 	// arg->param fact mapping at call sites.
@@ -128,12 +104,14 @@ func (m *Module) callGraph() *callGraph {
 }
 
 // summaryWork keeps the per-function analysis context alive across
-// fixed-point passes: the CFG is built once in the direct phase and
-// reused by every transfer.
+// fixed-point passes.
 type summaryWork struct {
 	sum *funcSummary
 	pkg *Package
-	g   *cfg
+	// g is the body's CFG, built in the direct phase for the functions
+	// that have a closer parameter (the must-close proof is its only
+	// reader) and reused by every transfer.
+	g *cfg
 	// returns are the function's return statements (function literals
 	// excluded), for the closerResults recomputation.
 	returns []*ast.ReturnStmt
@@ -270,28 +248,28 @@ func (b *cgBuilder) directSummary(fn *types.Func, fd *funcDecl) *summaryWork {
 		fn:           fn,
 		name:         b.mod.funcName(fn),
 		fd:           fd,
-		acquires:     map[string]string{},
-		wgParams:     map[int]wgParamFact{},
 		closerParams: map[int]bool{},
 		paramEscapes: map[int]string{},
 		closesParams: map[int]bool{},
 	}
-	g := buildCFG(fd.decl.Body)
-	w := &summaryWork{sum: sum, pkg: pkg, g: g}
+	w := &summaryWork{sum: sum, pkg: pkg}
 
-	ops := collectLockOps(g, pkg)
-	for _, blockOps := range ops {
-		for _, op := range blockOps {
-			switch op.kind {
-			case opAcquire:
-				if op.class != "" {
-					sum.acquires[op.class] = ""
-				}
-			case opCall:
-				sum.calls = append(sum.calls, makeSummaryCall(op.callee, op.call))
+	// Synchronous calls and return statements of this body: what a go
+	// statement spawns runs elsewhere, a function literal only if it is
+	// invoked, and deferred calls are collected below.
+	ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
+			return false
+		case *ast.ReturnStmt:
+			w.returns = append(w.returns, x)
+		case *ast.CallExpr:
+			if fn := pkg.moduleCallee(x); fn != nil {
+				sum.calls = append(sum.calls, makeSummaryCall(fn, x))
 			}
 		}
-	}
+		return true
+	})
 	// Deferred calls run synchronously on exit paths: resolve `defer
 	// helper(...)` and the calls inside `defer func() { ... }()` bodies
 	// (excluding nested literals and go statements).
@@ -312,33 +290,19 @@ func (b *cgBuilder) directSummary(fn *types.Func, fd *funcDecl) *summaryWork {
 		if pname == "" || elem == nil {
 			continue
 		}
-		switch name := b.mod.qualName(elem.Obj()); {
-		case name == "sync.WaitGroup":
-			sum.wgParams[p] = wgParamFact{
-				name:       pname,
-				doneEver:   nodeCallsMethodOn(fd.decl.Body, pname, "Done"),
-				doneAlways: g.mustExecuteAtExit(func(n ast.Node) bool { return nodeCallsMethodOn(n, pname, "Done") }),
-				addsInside: nodeCallsMethodOn(fd.decl.Body, pname, "Add"),
-			}
-		case b.closerTypes[elem.Obj()]:
+		if b.closerTypes[elem.Obj()] {
 			sum.closerParams[p] = true
 			if paramEscapes(fd.decl.Body, pname) {
 				sum.paramEscapes[p] = ""
 			}
 		}
 	}
+	if len(sum.closerParams) > 0 {
+		w.g = buildCFG(fd.decl.Body)
+	}
 
-	// Value origins and return statements for the closer analysis.
+	// Value origins for the closer analysis.
 	w.origins = collectOrigins(fd.decl.Body, pkg)
-	ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ReturnStmt:
-			w.returns = append(w.returns, x)
-		}
-		return true
-	})
 	sum.closerResults = make([]bool, sig.Results().Len())
 	return w
 }
@@ -346,7 +310,7 @@ func (b *cgBuilder) directSummary(fn *types.Func, fd *funcDecl) *summaryWork {
 // makeSummaryCall records a resolved call site with its positional
 // identifier arguments.
 func makeSummaryCall(fn *types.Func, call *ast.CallExpr) summaryCall {
-	c := summaryCall{fn: fn, pos: call.Pos(), ellipsis: call.Ellipsis.IsValid()}
+	c := summaryCall{fn: fn, ellipsis: call.Ellipsis.IsValid()}
 	c.argNames = make([]string, len(call.Args))
 	for i, a := range call.Args {
 		if id, ok := a.(*ast.Ident); ok {
@@ -507,19 +471,6 @@ func (b *cgBuilder) transfer(w *summaryWork) bool {
 		s := b.summaries[c.fn]
 		if s == nil || s == f {
 			continue
-		}
-		if len(s.acquires) > 0 {
-			classes := make([]string, 0, len(s.acquires))
-			for cl := range s.acquires {
-				classes = append(classes, cl)
-			}
-			sort.Strings(classes)
-			for _, cl := range classes {
-				if _, seen := f.acquires[cl]; !seen {
-					f.acquires[cl] = viaChain(s.name, s.acquires[cl])
-					changed = true
-				}
-			}
 		}
 		// A closer parameter of the caller handed to a callee position
 		// that escapes the callee escapes the caller too.

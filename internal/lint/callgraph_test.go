@@ -32,45 +32,6 @@ func funcNamed(m *Module, name string) *types.Func {
 	return nil
 }
 
-// TestCallGraphSummaries pins the one-level facts the CFG-layer rules
-// consume: WaitGroup parameter behavior and direct lock acquisitions.
-func TestCallGraphSummaries(t *testing.T) {
-	mod := loadTestModule(t)
-	cg := mod.callGraph()
-
-	worker := cg.summaries[funcNamed(mod, "internal/vcu/fanout.worker")]
-	if worker == nil {
-		t.Fatal("no summary for fanout.worker")
-	}
-	wf, ok := worker.wgParams[0]
-	if !ok {
-		t.Fatal("worker's *sync.WaitGroup parameter not detected")
-	}
-	if !wf.doneEver || !wf.doneAlways || wf.addsInside {
-		t.Errorf("worker facts wrong: %+v", wf)
-	}
-
-	leaky := cg.summaries[funcNamed(mod, "internal/vcu/fanout.leakyWorker")]
-	if leaky == nil {
-		t.Fatal("no summary for fanout.leakyWorker")
-	}
-	lf, ok := leaky.wgParams[0]
-	if !ok {
-		t.Fatal("leakyWorker's *sync.WaitGroup parameter not detected")
-	}
-	if !lf.doneEver || lf.doneAlways {
-		t.Errorf("leakyWorker misses Done on the early-return path: %+v", lf)
-	}
-
-	straight := cg.summaries[funcNamed(mod, "internal/sched.counter.goodStraightLine")]
-	if straight == nil {
-		t.Fatal("no summary for sched.counter.goodStraightLine")
-	}
-	if _, ok := straight.acquires["internal/sched.counter.mu"]; !ok {
-		t.Errorf("goodStraightLine must be summarized as acquiring counter.mu, got %v", straight.acquires)
-	}
-}
-
 // TestCallGraphIsLazyAndCached verifies the build happens once per
 // Module.
 func TestCallGraphIsLazyAndCached(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 // This file is the control-flow layer: a per-function-body basic-block
 // graph with edges for if/for/range/switch/type-switch/select, goto and
 // labeled break/continue, fallthrough, return and panic, plus the
-// must-execute forward dataflow the path-sensitive rules are built on.
+// must-execute forward dataflow closecheck's summaries are built on.
 // It is go/ast only: the builder never needs type information, and
 // anything it cannot model (an unresolved label,
 // an empty select) degrades to fewer edges — which can only make the
@@ -242,7 +242,7 @@ func (b *cfgBuilder) walkStmt(st ast.Stmt) {
 	case *ast.RangeStmt:
 		// The operand is evaluated once, before iteration begins; the
 		// head re-executes per iteration and carries the whole range
-		// statement (consumers treat it atomically — see nodeOps).
+		// statement.
 		b.emit(s.X)
 		head := b.newBlock()
 		if b.cur != nil {
@@ -286,8 +286,7 @@ func (b *cfgBuilder) walkStmt(st ast.Stmt) {
 			}
 		}
 		if !hasDefault {
-			// The select itself is the blocking point; consumers treat
-			// the node atomically and never descend into the clauses.
+			// The select itself is the blocking point.
 			head.nodes = append(head.nodes, s)
 		}
 		b.frames = append(b.frames, cfgFrame{label: label, brk: after})
@@ -421,14 +420,17 @@ func (g *cfg) reachable() []bool {
 	return reach
 }
 
-// mustExecute computes, per block, whether every path from the entry to
-// the *start* of the block executes at least one node matched by match.
-// Unreachable blocks (dead code) stay at the vacuous true and never
-// weaken the answer for the live blocks they edge into.
-func (g *cfg) mustExecute(match func(ast.Node) bool) (in, has []bool) {
+// mustExecuteAtExit reports whether every path from the entry to the
+// normal function exit executes a node matched by match. Vacuously true
+// when the exit is unreachable (an infinite loop or unconditional
+// panic). Unreachable blocks (dead code) stay at the vacuous true and
+// never weaken the answer for the live blocks they edge into.
+func (g *cfg) mustExecuteAtExit(match func(ast.Node) bool) bool {
 	n := len(g.blocks)
-	in = make([]bool, n)
-	has = make([]bool, n)
+	// in[b]: every path from the entry to the start of b has matched;
+	// has[b]: b itself holds a match.
+	in := make([]bool, n)
+	has := make([]bool, n)
 	reach := g.reachable()
 	for _, blk := range g.blocks {
 		for _, node := range blk.nodes {
@@ -461,37 +463,5 @@ func (g *cfg) mustExecute(match func(ast.Node) bool) (in, has []bool) {
 			}
 		}
 	}
-	return in, has
-}
-
-// mustExecuteAtExit reports whether every path from the entry to the
-// normal function exit executes a matching node. Vacuously true when
-// the exit is unreachable (an infinite loop or unconditional panic).
-func (g *cfg) mustExecuteAtExit(match func(ast.Node) bool) bool {
-	in, _ := g.mustExecute(match)
 	return in[g.exit.index]
-}
-
-// executedBefore reports whether a matching node always executes before
-// target on every path from the entry; target must be a node of g (if
-// it is not, the answer is false — degrade to "not proven").
-func (g *cfg) executedBefore(match func(ast.Node) bool, target ast.Node) bool {
-	in, _ := g.mustExecute(match)
-	for _, blk := range g.blocks {
-		for _, node := range blk.nodes {
-			if node != target {
-				continue
-			}
-			for _, m := range blk.nodes {
-				if m == target {
-					break
-				}
-				if match(m) {
-					return true
-				}
-			}
-			return in[blk.index]
-		}
-	}
-	return false
 }

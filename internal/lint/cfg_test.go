@@ -291,46 +291,3 @@ func f(ch chan int) {
 		t.Error("the only way out passes through after()")
 	}
 }
-
-func TestCFGExecutedBefore(t *testing.T) {
-	body := parseBody(t, `
-func f(cond bool) {
-	if cond {
-		prepare()
-	}
-	launch()
-}`)
-	g := buildCFG(body)
-	var launch ast.Node
-	for _, blk := range g.blocks {
-		for _, n := range blk.nodes {
-			if nodeHasCall(n, "launch") {
-				launch = n
-			}
-		}
-	}
-	if launch == nil {
-		t.Fatal("launch() node not found")
-	}
-	if g.executedBefore(callMatcher("prepare"), launch) {
-		t.Error("prepare() runs on one branch only; it does not dominate launch()")
-	}
-
-	body = parseBody(t, `
-func f() {
-	prepare()
-	launch()
-}`)
-	g = buildCFG(body)
-	launch = nil
-	for _, blk := range g.blocks {
-		for _, n := range blk.nodes {
-			if nodeHasCall(n, "launch") {
-				launch = n
-			}
-		}
-	}
-	if !g.executedBefore(callMatcher("prepare"), launch) {
-		t.Error("straight-line prepare() dominates launch()")
-	}
-}

@@ -11,8 +11,9 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
+
+	"openvcu/internal/par"
 )
 
 // Config controls one analysis run.
@@ -110,35 +111,20 @@ func RunReport(cfg Config) ([]Diagnostic, *Timing, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(work) {
-		workers = len(work)
+	err = par.Do(len(work), workers, func(i int) error {
+		res := &results[i]
+		res.ruleMS = map[string]float64{}
+		for _, a := range analyzers {
+			pass := &Pass{Pkg: work[i], Mod: mod, analyzer: a, fset: fset, diags: &res.diags}
+			ruleStart := time.Now()
+			a.Run(pass)
+			res.ruleMS[a.Name] += msSince(ruleStart)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				res := &results[i]
-				res.ruleMS = map[string]float64{}
-				for _, a := range analyzers {
-					pass := &Pass{Pkg: work[i], Mod: mod, analyzer: a, fset: fset, diags: &res.diags}
-					ruleStart := time.Now()
-					a.Run(pass)
-					res.ruleMS[a.Name] += msSince(ruleStart)
-				}
-			}
-		}()
-	}
-	for i := range work {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 	// Merge in package order: findings are position-sorted below anyway,
 	// but equal-position diagnostics keep a stable package-order tie.
 	for i := range results {

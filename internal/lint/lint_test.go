@@ -109,7 +109,6 @@ func runFixture(t *testing.T, analyzer, dir string) {
 }
 
 func TestDeterminismFixture(t *testing.T) { runFixture(t, "determinism", "internal/sim") }
-func TestLockHygieneFixture(t *testing.T) { runFixture(t, "lockhygiene", "internal/sched") }
 func TestHotAllocFixture(t *testing.T)    { runFixture(t, "hotalloc", "internal/codec") }
 
 // TestHotAllocKernelFixture exercises the stricter pixel-kernel rule in
@@ -124,11 +123,6 @@ func TestErrDropFixture(t *testing.T) { runFixture(t, "errdrop", "internal/trans
 // This fixture contains at least one true positive whose verdict
 // depends on cross-package type resolution.
 func TestSharedMutFixture(t *testing.T) { runFixture(t, "sharedmut", "internal/refcache") }
-
-// The CFG/call-graph rules (with lockhygiene above): each fixture
-// contains at least one true positive whose verdict depends on path
-// exploration or on a callee's summary.
-func TestWaitBalanceFixture(t *testing.T) { runFixture(t, "waitbalance", "internal/vcu/fanout") }
 
 // The transitive-summary rules: closecheck's positives sit
 // behind a two-deep constructor wrapper and parcapture's negatives pin
@@ -255,7 +249,7 @@ func TestCommaSeparatedIgnore(t *testing.T) {
 func mayFail() error { return nil }
 
 func a() {
-	//lint:ignore errdrop,lockhygiene fixture accepts both on this line
+	//lint:ignore errdrop,closecheck fixture accepts both on this line
 	mayFail()
 }
 `

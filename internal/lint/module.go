@@ -202,7 +202,7 @@ func (m *Module) dirOf(tp *types.Package) (string, bool) {
 
 // qualName names a package-level object the way the rules' tables do:
 // "internal/codec/motion.Scratch" for a module object (directory, not
-// import path, like every dir-scoped rule), "sync.WaitGroup" for one
+// import path, like every dir-scoped rule), "sync.Mutex" for one
 // outside it.
 func (m *Module) qualName(obj types.Object) string {
 	if obj.Pkg() == nil {

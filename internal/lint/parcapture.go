@@ -22,7 +22,8 @@ func init() {
 			"shared across iterations — one assigned by the loop header " +
 			"(`for k = range`, or a 3-clause loop over an outer variable); " +
 			"per-iteration `:=` variables (Go 1.22 semantics) are safe and " +
-			"stay silent; (2) a goroutine started in a loop writing a " +
+			"stay silent; (2) a goroutine started in a loop, or the function " +
+			"literal handed to par.Do (its loop is inside Do), writing a " +
 			"captured outer variable with no lock taken in the closure, " +
 			"through an lvalue no index of which names a per-iteration " +
 			"variable — concurrent iterations race on it. Writes to " +
@@ -160,7 +161,29 @@ func checkParCapture(pass *Pass, fd *ast.FuncDecl) {
 
 		declared := loopLocalNames(n, body)
 		checkSharedCaptures(report, roles, body, shared, declared)
-		checkGoWrites(report, body, declared)
+		ast.Inspect(body, func(m ast.Node) bool {
+			if g, ok := m.(*ast.GoStmt); ok {
+				if lit, isLit := g.Call.Fun.(*ast.FuncLit); isLit {
+					checkConcurrentWrites(report, "goroutine started in a loop", lit, declared)
+				}
+			}
+			return true
+		})
+		return true
+	})
+
+	// par.Do(n, limit, func(i int) error {...}) is the same goroutine
+	// body with the loop inside Do: only the literal's own names (its
+	// index parameter above all) are per-iteration.
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) != 3 {
+			return true
+		}
+		lit, isLit := call.Args[2].(*ast.FuncLit)
+		if fn := pass.Pkg.callee(call); isLit && fn != nil && pass.Mod.funcName(fn) == "internal/par.Do" {
+			checkConcurrentWrites(report, "function run by par.Do", lit, nil)
+		}
 		return true
 	})
 }
@@ -316,60 +339,43 @@ func checkSharedCaptures(report func(token.Pos, string, string), roles map[*ast.
 	})
 }
 
-// checkGoWrites reports goroutines started in the loop that write a
-// captured variable with no lock taken in the closure. declared holds
-// the loop's per-iteration names — writes to those are the
-// one-goroutine-per-copy pattern and stay silent, as do writes to a
-// slot some per-iteration name indexes (results[i] = v). An index that
-// names none (errs[0] = v) is one slot shared by every iteration.
-func checkGoWrites(report func(token.Pos, string, string), body *ast.BlockStmt, declared map[string]bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		g, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
+// checkConcurrentWrites reports a literal that runs concurrently with
+// itself — who says how — writing a captured variable with no lock
+// taken in the closure. declared holds the enclosing loop's
+// per-iteration names — writes to those are the one-goroutine-per-copy
+// pattern and stay silent, as do writes to a slot some per-iteration
+// name indexes (results[i] = v). An index that names none (errs[0] = v)
+// is one slot shared by every iteration.
+func checkConcurrentWrites(report func(token.Pos, string, string), who string, lit *ast.FuncLit, declared map[string]bool) {
+	if litTakesLock(lit) {
+		return // writes under a lock: the guarded pattern
+	}
+	locals := funcLitLocalNames(lit)
+	perIter := func(name string) bool { return locals[name] || declared[name] }
+	check := func(e ast.Expr) {
+		root, ownSlot := lvalueRoot(e, perIter)
+		if root == "" || root == "_" || ownSlot || perIter(root) {
+			return
 		}
-		lit, isLit := g.Call.Fun.(*ast.FuncLit)
-		if !isLit {
-			return true
-		}
-		if litTakesLock(lit) {
-			return true // writes under a lock: the guarded pattern
-		}
-		locals := funcLitLocalNames(lit)
-		perIter := func(name string) bool { return locals[name] || declared[name] }
-		captured := func(e ast.Expr) (string, string, bool) {
-			root, ownSlot := lvalueRoot(e, perIter)
-			if root == "" || root == "_" || ownSlot || perIter(root) {
-				return "", "", false
-			}
-			return root, exprString(e), true
-		}
-		ast.Inspect(lit.Body, func(m ast.Node) bool {
-			switch st := m.(type) {
-			case *ast.FuncLit:
-				return st == lit
-			case *ast.AssignStmt:
-				if st.Tok == token.DEFINE {
-					return true
-				}
+		display := exprString(e)
+		report(e.Pos(), display,
+			who+" writes captured "+display+
+				" without synchronization; concurrent iterations race on "+root+
+				" (guard it with a lock, or give each iteration its own slot)")
+	}
+	ast.Inspect(lit.Body, func(m ast.Node) bool {
+		switch st := m.(type) {
+		case *ast.FuncLit:
+			return false // a nested literal runs on its own schedule
+		case *ast.AssignStmt:
+			if st.Tok != token.DEFINE {
 				for _, lhs := range st.Lhs {
-					if root, display, ok := captured(lhs); ok {
-						report(lhs.Pos(), display,
-							"goroutine started in a loop writes captured "+display+
-								" without synchronization; concurrent iterations race on "+root+
-								" (guard it with a lock, or give each iteration its own slot)")
-					}
-				}
-			case *ast.IncDecStmt:
-				if root, display, ok := captured(st.X); ok {
-					report(st.X.Pos(), display,
-						"goroutine started in a loop writes captured "+display+
-							" without synchronization; concurrent iterations race on "+root+
-							" (guard it with a lock, or give each iteration its own slot)")
+					check(lhs)
 				}
 			}
-			return true
-		})
+		case *ast.IncDecStmt:
+			check(st.X)
+		}
 		return true
 	})
 }

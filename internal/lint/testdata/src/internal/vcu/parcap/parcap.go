@@ -3,10 +3,15 @@
 // variable, and goroutines started in loops writing captured state
 // without a lock. Go 1.22 per-iteration `:=` variables, `k := k`
 // copies, and indexed writes to disjoint slots are the accepted shapes
-// and stay silent.
+// and stay silent. A function literal handed to par.Do is such a
+// goroutine body with the loop inside Do.
 package parcap
 
-import "sync"
+import (
+	"sync"
+
+	"openvcu/internal/par"
+)
 
 func sink(int) {}
 
@@ -153,6 +158,46 @@ func oneSlot(xs []int) int {
 	}
 	wg.Wait()
 	return out[0]
+}
+
+// doTally counts in one captured int from the function par.Do runs
+// concurrently: tallyRace without a go statement in sight.
+func doTally(xs []int) (int, error) {
+	failed := 0
+	err := par.Do(len(xs), 2, func(i int) error {
+		if xs[i] < 0 {
+			failed++ // want "function run by par.Do writes captured failed"
+		}
+		return nil
+	})
+	return failed, err
+}
+
+// doPerSlot writes the slot its index parameter names: the accepted
+// shape, as in perSlot.
+func doPerSlot(xs []int) ([]int, error) {
+	out := make([]int, len(xs))
+	err := par.Do(len(xs), 2, func(i int) error {
+		out[i] = xs[i] * 2
+		return nil
+	})
+	return out, err
+}
+
+// doOuterIndex indexes with the enclosing loop's variable, which every
+// call of one Do shares: out[r] is one slot for all of them.
+func doOuterIndex(rows [][]int) ([]int, error) {
+	out := make([]int, len(rows))
+	for r, xs := range rows {
+		err := par.Do(len(xs), 2, func(i int) error {
+			out[r] += xs[i] // want "function run by par.Do writes captured out\[r\]"
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // blankDiscard assigns to the blank identifier inside the goroutine:

@@ -1,54 +1,44 @@
 // Package recur exercises the fixed-point iteration of the summary
 // engine: a self-recursive function and a mutually-recursive pair whose
-// interprocedural facts (acquired lock classes) must converge inside
+// interprocedural fact (a closer parameter escapes) must converge inside
 // their strongly connected components.
 package recur
 
-import "sync"
+// Conn is the fixture's closable resource.
+type Conn struct{ open bool }
 
-// R carries the self-recursion lock.
-type R struct {
-	mu sync.Mutex
-	n  int
+// Close releases the connection.
+func (c *Conn) Close() error {
+	c.open = false
+	return nil
 }
 
-// selfLock recurses while acquiring the lock each level; the fixed
-// point must converge with acquires = {R.mu} and no cap hit.
-func selfLock(r *R, n int) {
-	if n <= 0 {
+// keeper outlives any one call.
+type keeper struct{ c *Conn }
+
+// selfStash recurses before it stores its parameter: the escape is in
+// its own body, and the fixed point must converge with no cap hit.
+func selfStash(k *keeper, c *Conn, n int) {
+	if n > 0 {
+		selfStash(k, c, n-1)
 		return
 	}
-	r.mu.Lock()
-	r.n++
-	r.mu.Unlock()
-	selfLock(r, n-1)
+	k.c = c
 }
 
-// S carries two distinct lock classes for the mutual pair.
-type S struct {
-	amu sync.Mutex
-	bmu sync.Mutex
-	n   int
-}
-
-// mutualA locks amu, releases it, then descends into mutualB: neither
-// lock is ever held across the recursive call, so there is no ordering
-// edge — but both functions transitively acquire both classes.
-func mutualA(s *S, n int) {
-	s.amu.Lock()
-	s.n++
-	s.amu.Unlock()
+// mutualA never stores c itself: it escapes only because mutualB, the
+// other half of the cycle, may keep it.
+func mutualA(k *keeper, c *Conn, n int) {
 	if n > 0 {
-		mutualB(s, n-1)
+		mutualB(k, c, n-1)
 	}
 }
 
-// mutualB is the other half of the cycle with its own lock class.
-func mutualB(s *S, n int) {
-	s.bmu.Lock()
-	s.n--
-	s.bmu.Unlock()
-	if n > 0 {
-		mutualA(s, n-1)
+// mutualB keeps c or hands it back to mutualA.
+func mutualB(k *keeper, c *Conn, n int) {
+	if n == 0 {
+		k.c = c
+		return
 	}
+	mutualA(k, c, n-1)
 }

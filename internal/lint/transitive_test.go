@@ -56,16 +56,6 @@ func TestTransitiveSummaries(t *testing.T) {
 	mod := loadTestModule(t)
 	cg := mod.callGraph()
 
-	// sched.counter.bump has no direct acquisition; goodStraightLine's
-	// counter.mu must flow up with the discovery chain.
-	bump := cg.summaries[funcNamed(mod, "internal/sched.counter.bump")]
-	if bump == nil {
-		t.Fatal("no summary for sched.counter.bump")
-	}
-	if via, ok := bump.acquires["internal/sched.counter.mu"]; !ok || via != "sched.counter.goodStraightLine" {
-		t.Errorf("bump must acquire counter.mu through sched.counter.goodStraightLine, got %v", bump.acquires)
-	}
-
 	// closer.openTraced returns a fresh Session only by passing through
 	// NewSession; closeHelper provably closes its parameter.
 	open := cg.summaries[funcNamed(mod, "internal/vcu/closer.openTraced")]
@@ -85,24 +75,26 @@ func TestTransitiveSummaries(t *testing.T) {
 }
 
 // TestRecursionFixedPoint verifies convergence inside recursive
-// components: self-recursion settles without a cap hit, and a mutual
-// pair ends with both lock classes on both functions.
+// components: self-recursion settles without a cap hit, and in a mutual
+// pair the half that never stores its closer parameter learns from the
+// other half that it escapes, with the chain.
 func TestRecursionFixedPoint(t *testing.T) {
 	mod := loadTestModule(t)
 	cg := mod.callGraph()
 
-	self := cg.summaries[funcNamed(mod, "internal/vcu/recur.selfLock")]
+	const conn = 1 // position of the *Conn parameter
+	self := cg.summaries[funcNamed(mod, "internal/vcu/recur.selfStash")]
 	if self == nil {
-		t.Fatal("no summary for recur.selfLock")
+		t.Fatal("no summary for recur.selfStash")
 	}
 	if self.capped {
-		t.Error("selfLock's facts are small and monotone: must converge under the cap")
+		t.Error("selfStash's facts are small and monotone: must converge under the cap")
 	}
-	if _, ok := self.acquires["internal/vcu/recur.R.mu"]; !ok {
-		t.Errorf("selfLock must acquire R.mu, got %v", self.acquires)
+	if via, ok := self.paramEscapes[conn]; !ok || via != "" {
+		t.Errorf("selfStash stores its Conn in its own body, got %v", self.paramEscapes)
 	}
 
-	for _, name := range []string{"mutualA", "mutualB"} {
+	for name, want := range map[string]string{"mutualA": "recur.mutualB", "mutualB": ""} {
 		sum := cg.summaries[funcNamed(mod, "internal/vcu/recur."+name)]
 		if sum == nil {
 			t.Fatalf("no summary for recur.%s", name)
@@ -110,10 +102,8 @@ func TestRecursionFixedPoint(t *testing.T) {
 		if sum.capped {
 			t.Errorf("%s must converge under the default cap", name)
 		}
-		for _, class := range []string{"internal/vcu/recur.S.amu", "internal/vcu/recur.S.bmu"} {
-			if _, ok := sum.acquires[class]; !ok {
-				t.Errorf("%s must transitively acquire %s, got %v", name, class, sum.acquires)
-			}
+		if via, ok := sum.paramEscapes[conn]; !ok || via != want {
+			t.Errorf("%s: its Conn must escape via %q, got %v", name, want, sum.paramEscapes)
 		}
 	}
 	if len(cg.budget) != 0 {

@@ -1,0 +1,63 @@
+// Package par is the platform's one fan-out: run n independent pieces of
+// work on a bounded number of goroutines, wait for all of them, report
+// the first failure. It is the chunk fan-out and assemble of the paper
+// (§2.1 "Chunking and Parallel Transcoding Modes", §2.2) with the
+// assembling left to the caller: chunks of an upload, closed GOPs of a
+// sequence, tile columns of a frame and packages of a lint run all go
+// through Do. What it restricts is what used to go wrong by hand at each
+// site: the join cannot be skipped or raced by a late Add, a failing
+// piece cannot skip its Done, and an error has one slot per piece.
+//
+// Persistent workers that own scratch between calls are a different
+// thing: that is codec's tilePool.
+package par
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+// Do calls fn(i) for every i in [0, n) on at most limit goroutines
+// (limit <= 0: one per piece) and returns only after every call has
+// returned, failed or not. The error is that of the lowest failing i,
+// whatever order the calls finished in, so a result assembled from
+// per-i slots and the error reported with it do not depend on
+// scheduling. With n <= 1 or limit == 1 the calls run in order on the
+// caller's goroutine and no goroutine is started.
+//
+// fn is called concurrently with itself: what it writes must be its
+// own, by index (out[i] = ...) or under a lock.
+func Do(n, limit int, fn func(i int) error) error {
+	if limit <= 0 || limit > n {
+		limit = n
+	}
+	if limit <= 1 {
+		var err error
+		for i := 0; i < n; i++ {
+			if e := fn(i); e != nil && err == nil {
+				err = e
+			}
+		}
+		return err
+	}
+	// Each goroutine claims the next unclaimed index until none is left.
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(limit)
+	for g := 0; g < limit; g++ {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -41,26 +41,27 @@ type StepRequest struct {
 	Workers int
 }
 
+// Frames is the chunk's length in frames: ChunkFrames, or 150 (5 s at
+// 30 fps) for a request that does not say.
+func (r *StepRequest) Frames() int {
+	if r.ChunkFrames <= 0 {
+		return 150
+	}
+	return r.ChunkFrames
+}
+
 // inputPixels returns source pixels in the chunk.
 func (r *StepRequest) inputPixels() float64 {
-	frames := r.ChunkFrames
-	if frames <= 0 {
-		frames = 150
-	}
-	return float64(frames) * float64(r.InputRes.Pixels())
+	return float64(r.Frames()) * float64(r.InputRes.Pixels())
 }
 
 // outputPixels returns total encoded pixels across outputs.
 func (r *StepRequest) outputPixels() float64 {
-	frames := r.ChunkFrames
-	if frames <= 0 {
-		frames = 150
-	}
 	var total float64
 	for _, o := range r.Outputs {
 		total += float64(o.Pixels())
 	}
-	return total * float64(frames)
+	return total * float64(r.Frames())
 }
 
 // encodeParallelFraction is the parallelizable share of an encode step:

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -8,7 +9,9 @@ import (
 // Model-based test: seeded random operation sequences run against the
 // scheduler and against the lock-free reference below. The test touches
 // Resources only through literals, indexing and range, so the same file
-// checks any representation of the vector.
+// checks any representation of the vector. Every call into the package
+// runs under a deadline (within), so an operation that leaves a lock
+// behind fails the test at the next operation that needs it, by name.
 
 // modelWorker is the reference: a worker's state written without locks,
 // its lifecycle as plain conditions rather than the transition table.
@@ -61,24 +64,46 @@ func randomNeed(r *rand.Rand, capacity Resources) Resources {
 }
 
 func TestSchedulerMatchesModel(t *testing.T) {
-	const nWorkers, nOps = 6, 4000
+	const startWorkers, maxWorkers, nOps = 6, 10, 4000
 	for seed := int64(1); seed <= 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		wt := vcuType()
 		s := NewScheduler(2)
-		workers := make([]*Worker, nWorkers)
-		model := make([]*modelWorker, nWorkers)
-		for i := range workers {
-			workers[i] = NewWorker(i, wt)
-			s.AddWorker(workers[i])
-			model[i] = &modelWorker{avail: copyResources(wt.Capacity)}
+		var workers []*Worker
+		var model []*modelWorker
+		step := 0
+		// do runs one call into the package under the deadline.
+		do := func(op string, f func()) {
+			t.Helper()
+			within(t, opDeadline, fmt.Sprintf("seed %d op %d: %s", seed, step, op), f)
+		}
+		addWorker := func() {
+			w := NewWorker(len(workers), wt)
+			do("AddWorker", func() { s.AddWorker(w) })
+			workers = append(workers, w)
+			model = append(model, &modelWorker{avail: copyResources(wt.Capacity)})
+		}
+		for len(workers) < startWorkers {
+			addWorker()
 		}
 		var held []*Assignment
 
+		// check reads every worker after every operation, so a worker
+		// that has just refused a reservation is read straight after.
+		type view struct {
+			avail, capacity Resources
+			phase           Phase
+		}
+		views := make([]view, maxWorkers)
 		check := func(op string, step int) {
 			t.Helper()
-			for i, w := range workers {
-				avail, capacity, m := w.Available(), w.Capacity(), model[i]
+			do("reading every worker after "+op, func() {
+				for i, w := range workers {
+					views[i] = view{w.Available(), w.Capacity(), w.Phase()}
+				}
+			})
+			for i := range workers {
+				avail, capacity, m := views[i].avail, views[i].capacity, model[i]
 				for d, c := range capacity {
 					if avail[d] < 0 || avail[d] > c {
 						t.Fatalf("seed %d op %d %s: worker %d %v available %d outside [0, %d]", seed, step, op, i, d, avail[d], c)
@@ -87,8 +112,8 @@ func TestSchedulerMatchesModel(t *testing.T) {
 						t.Fatalf("seed %d op %d %s: worker %d %v available %d, model %d", seed, step, op, i, d, avail[d], m.avail[d])
 					}
 				}
-				if w.Phase() != m.phase {
-					t.Fatalf("seed %d op %d %s: worker %d is %v, model %v", seed, step, op, i, w.Phase(), m.phase)
+				if views[i].phase != m.phase {
+					t.Fatalf("seed %d op %d %s: worker %d is %v, model %v", seed, step, op, i, views[i].phase, m.phase)
 				}
 			}
 		}
@@ -97,30 +122,32 @@ func TestSchedulerMatchesModel(t *testing.T) {
 		// then verifies) change nothing.
 		lifecycle := func(op string, step int, legal bool, call func()) {
 			t.Helper()
-			defer func() {
-				if r := recover(); (r == nil) != legal {
-					t.Fatalf("seed %d op %d %s: legal=%v, recovered %v", seed, step, op, legal, r)
-				}
-			}()
-			call()
+			var recovered any
+			do(op, func() {
+				defer func() { recovered = recover() }()
+				call()
+			})
+			if (recovered == nil) != legal {
+				t.Fatalf("seed %d op %d %s: legal=%v, recovered %v", seed, step, op, legal, recovered)
+			}
 		}
 		release := func() {
 			i := r.Intn(len(held))
 			a := held[i]
 			held = append(held[:i], held[i+1:]...)
-			a.Release()
+			do("Release", a.Release)
 			model[a.Worker.ID].release(a.Need, wt.Capacity)
 		}
 
-		for step := 0; step < nOps; step++ {
-			i := r.Intn(nWorkers)
+		for step = 0; step < nOps; step++ {
+			i := r.Intn(len(workers))
 			w, m := workers[i], model[i]
 			var op string
-			switch k := r.Intn(16); {
+			switch k := r.Intn(18); {
 			case k < 6:
 				op = "Schedule"
 				need := randomNeed(r, wt.Capacity)
-				mask := r.Intn(1 << nWorkers)
+				mask := r.Intn(1 << len(workers))
 				if r.Intn(2) == 0 {
 					mask = 0
 				}
@@ -131,7 +158,11 @@ func TestSchedulerMatchesModel(t *testing.T) {
 						break
 					}
 				}
-				a, err := s.Schedule(need, func(w *Worker) bool { return mask&(1<<w.ID) != 0 })
+				var a *Assignment
+				var err error
+				do(op, func() {
+					a, err = s.Schedule(need, func(w *Worker) bool { return mask&(1<<w.ID) != 0 })
+				})
 				switch {
 				case want < 0 && err != ErrNoCapacity:
 					t.Fatalf("seed %d op %d: granted worker %d, model has no eligible worker", seed, step, a.Worker.ID)
@@ -173,11 +204,11 @@ func TestSchedulerMatchesModel(t *testing.T) {
 				}
 				legal := m.phase == PhaseDraining || m.phase == PhaseParked
 				want := m.phase == PhaseParked || idle
-				lifecycle(op, step, legal, func() {
-					if got := w.TryRetire(); got != want {
-						t.Fatalf("seed %d op %d: TryRetire %v, model %v", seed, step, got, want)
-					}
-				})
+				var got bool
+				lifecycle(op, step, legal, func() { got = w.TryRetire() })
+				if legal && got != want {
+					t.Fatalf("seed %d op %d: TryRetire %v, model %v", seed, step, got, want)
+				}
 				if legal && want {
 					m.phase = PhaseParked
 				}
@@ -199,9 +230,37 @@ func TestSchedulerMatchesModel(t *testing.T) {
 				if legal {
 					m.phase = PhaseServing
 				}
+			case k == 15 && len(workers) < maxWorkers:
+				// After a Schedule: the writer's side of the scheduler's lock.
+				op = "AddWorker"
+				addWorker()
+			case k == 16:
+				// A reservation one worker is asked for and mostly refuses
+				// (the need may not fit, the worker may not be serving),
+				// and a question put to that worker straight after.
+				op = "tryReserve, then Idle"
+				need := randomNeed(r, wt.Capacity)
+				want, wantIdle := m.grants(need), true
+				var got, idle bool
+				do(op, func() { got, idle = w.tryReserve(need), w.Idle() })
+				if got != want {
+					t.Fatalf("seed %d op %d: tryReserve %v, model %v", seed, step, got, want)
+				}
+				if got {
+					for d, v := range need {
+						m.avail[d] -= v
+					}
+					held = append(held, &Assignment{Worker: w, Need: need})
+				}
+				for d, c := range wt.Capacity {
+					wantIdle = wantIdle && m.avail[d] == c
+				}
+				if idle != wantIdle {
+					t.Fatalf("seed %d op %d: Idle %v after tryReserve, model %v", seed, step, idle, wantIdle)
+				}
 			default:
 				op = "ResetCapacity"
-				w.ResetCapacity()
+				do(op, w.ResetCapacity)
 				m.avail = copyResources(wt.Capacity)
 			}
 			check(op, step)
@@ -214,8 +273,10 @@ func TestSchedulerMatchesModel(t *testing.T) {
 		}
 		check("quiescence", nOps)
 		for i, w := range workers {
-			if !w.Idle() {
-				t.Fatalf("seed %d: worker %d not idle at quiescence: %v of %v", seed, i, w.Available(), w.Capacity())
+			var idle bool
+			do("Idle", func() { idle = w.Idle() })
+			if !idle {
+				t.Fatalf("seed %d: worker %d not idle at quiescence: %v of %v", seed, i, views[i].avail, views[i].capacity)
 			}
 		}
 	}

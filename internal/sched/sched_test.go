@@ -111,9 +111,10 @@ func TestExcludeFilter(t *testing.T) {
 func TestConcurrentSchedulingNoOvercommit(t *testing.T) {
 	wt := vcuType()
 	s := NewScheduler(4)
-	const nWorkers = 8
-	for i := 0; i < nWorkers; i++ {
-		s.AddWorker(NewWorker(i, wt))
+	workers := make([]*Worker, 8)
+	for i := range workers {
+		workers[i] = NewWorker(i, wt)
+		s.AddWorker(workers[i])
 	}
 	// Each worker fits exactly 2 of these: 16 grants max.
 	need := Resources{DimEncodeMillicores: 5000, DimDecodeMillicores: 1500}
@@ -128,6 +129,22 @@ func TestConcurrentSchedulingNoOvercommit(t *testing.T) {
 				mu.Lock()
 				granted++
 				mu.Unlock()
+			}
+		}()
+	}
+	// The getters are part of the concurrent surface; what checks them
+	// is the race run. One goroutine each, so that a getter that takes
+	// Worker.mu does not order a neighbour that forgot to.
+	for _, read := range []func(*Worker){
+		func(w *Worker) { w.Available() },
+		func(w *Worker) { w.Idle() },
+		func(w *Worker) { w.Phase() },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, w := range workers {
+				read(w)
 			}
 		}()
 	}
@@ -309,7 +326,7 @@ func TestResetCapacityAbsorbsStaleRelease(t *testing.T) {
 	if w.TryRetire() {
 		t.Fatal("retired a worker with a live reservation")
 	}
-	w.ResetCapacity()
+	within(t, opDeadline, "ResetCapacity", w.ResetCapacity)
 	if w.Phase() != PhaseDraining {
 		t.Fatalf("ResetCapacity moved the draining worker to %v", w.Phase())
 	}
@@ -317,7 +334,7 @@ func TestResetCapacityAbsorbsStaleRelease(t *testing.T) {
 		t.Fatalf("reset availability %v != capacity %v", w.Available(), w.Capacity())
 	}
 	// The void reservation's release arrives after the reset.
-	w.Release(need)
+	within(t, opDeadline, "Release after ResetCapacity", func() { w.Release(need) })
 	if w.Available() != w.Capacity() {
 		t.Fatalf("stale release overcommitted worker: %v > %v",
 			w.Available(), w.Capacity())

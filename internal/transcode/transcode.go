@@ -7,10 +7,10 @@ package transcode
 
 import (
 	"fmt"
-	"sync"
 
 	"openvcu/internal/codec"
 	"openvcu/internal/codec/rc"
+	"openvcu/internal/par"
 	"openvcu/internal/video"
 )
 
@@ -246,27 +246,17 @@ type ChunkedResult struct {
 // and assembles the per-output streams in order — the fan-out/assemble
 // pattern the global work scheduler orchestrates (§2.2).
 func Chunked(chunks []Chunk, fps int, specs []OutputSpec, parallelism int) (*ChunkedResult, error) {
-	if parallelism <= 0 {
-		parallelism = 1
-	}
 	results := make([]*Result, len(chunks))
-	errs := make([]error, len(chunks))
-	sem := make(chan struct{}, parallelism)
-	var wg sync.WaitGroup
-	for i, ch := range chunks {
-		wg.Add(1)
-		go func(i int, ch Chunk) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i], errs[i] = MOT(ch.Frames, fps, specs)
-		}(i, ch)
-	}
-	wg.Wait()
-	for i, err := range errs {
+	err := par.Do(len(chunks), max(parallelism, 1), func(i int) error {
+		r, err := MOT(chunks[i].Frames, fps, specs)
 		if err != nil {
-			return nil, fmt.Errorf("transcode: chunk %d: %w", i, err)
+			return fmt.Errorf("transcode: chunk %d: %w", i, err)
 		}
+		results[i] = r
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	out := &ChunkedResult{ChunkResults: results}
 	out.Outputs = make([]Output, len(specs))

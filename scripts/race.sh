@@ -13,16 +13,20 @@
 set -u
 
 # package, then its -run pattern.
-#   sched, transcode   whole package: seconds.
+#   par, sched, transcode
+#                      whole package: seconds. par.Do is every fan-out in
+#                      the module; its own test is where a slot shared
+#                      between calls, or a join that is not one, shows.
 #   cluster            the control plane is one sim goroutine; only the
 #                      real-pixels tests reach transcode and codec.
 #   codec              TileColumnsRoundTrip: tile pool and tile decoders,
 #                      end to end. ParallelTileEncodeDeterminism: pool,
 #                      parallel deblock and restoration. CloseLifecycle:
 #                      the pool's join. ParallelMatchesSequential's
-#                      shortest case: the GOP-span fan-out of gop.go.
+#                      shortest case: what the GOP spans of gop.go share.
 #   internal/video starts no goroutine in code or tests.
 runs='
+./internal/par .
 ./internal/sched .
 ./internal/transcode .
 ./internal/cluster RealPixels
