@@ -5,8 +5,8 @@ import (
 	"strings"
 )
 
-// exprString renders the subset of expressions that appear as mutex
-// receivers and range operands ("mu", "p.mu", "s.shards[i].mu") into a
+// exprString renders the subset of expressions that appear as lvalues
+// and method receivers ("mu", "p.mu", "s.shards[i].mu") into a
 // canonical string, so two references to the same lvalue compare equal.
 // Unsupported shapes return "" and are treated as non-matching.
 func exprString(e ast.Expr) string {

@@ -1,8 +1,8 @@
 // Package lint is a zero-dependency static-analysis framework for this
 // repository. It encodes project invariants that generic tools do not
 // check — deterministic simulation (no wall clock, no global RNG),
-// lock hygiene, allocation-free pixel paths, dropped errors, and large
-// value copies — as executable analyzers, so operational rules from the
+// allocation-free pixel paths, dropped errors, closed encoders, and
+// large value copies — as executable analyzers, so operational rules from the
 // warehouse-scale deployment story (reproducible BD-rates, predictable
 // per-core memory behaviour) are enforced in CI rather than in review
 // folklore.

@@ -18,8 +18,8 @@ func do(t *testing.T, n, limit int, fn func(i int) error) error {
 	select {
 	case err := <-done:
 		return err
-	case <-time.After(5 * time.Second):
-		t.Fatalf("Do(%d, %d, fn) has not returned after 5s", n, limit)
+	case <-time.After(2 * time.Second):
+		t.Fatalf("Do(%d, %d, fn) has not returned after 2s", n, limit)
 		return nil
 	}
 }

@@ -5,13 +5,13 @@
 #   1. gofmt         formatting drift fails the gate
 #   2. go vet        toolchain static checks
 #   3. vculint       project-specific analyzers (internal/lint) on one
-#                    go/types check of the module, the ten rules that
+#                    go/types check of the module, the eight rules that
 #                    each kill a mutant nothing cheaper kills
 #                    (`make mutants`; table in DESIGN.md): determinism,
 #                    hotalloc, errdrop, bigcopy, sharedmut, parcapture,
-#                    the CFG/call-graph rules lockhygiene, waitbalance,
-#                    closecheck, and the module-wide singleknob (a
-#                    *Config field no caller sets);
+#                    the CFG/call-graph rule closecheck, and the
+#                    module-wide singleknob (a *Config field no caller
+#                    sets);
 #                    packages are analyzed in parallel (-par 0 =
 #                    GOMAXPROCS) with deterministic output; the JSON
 #                    report (with load, summary-build and per-rule
