@@ -32,6 +32,21 @@ func (m *modelWorker) grants(need Resources) bool {
 	return true
 }
 
+func (m *modelWorker) reserve(need Resources) {
+	for d, v := range need {
+		m.avail[d] -= v
+	}
+}
+
+func (m *modelWorker) idle(capacity Resources) bool {
+	for d, c := range capacity {
+		if m.avail[d] != c {
+			return false
+		}
+	}
+	return true
+}
+
 func (m *modelWorker) release(need, capacity Resources) {
 	for d, v := range need {
 		m.avail[d] = min(m.avail[d]+v, capacity[d])
@@ -95,7 +110,7 @@ func TestSchedulerMatchesModel(t *testing.T) {
 			phase           Phase
 		}
 		views := make([]view, maxWorkers)
-		check := func(op string, step int) {
+		check := func(op string) {
 			t.Helper()
 			do("reading every worker after "+op, func() {
 				for i, w := range workers {
@@ -120,7 +135,7 @@ func TestSchedulerMatchesModel(t *testing.T) {
 		// lifecycle runs one transition: when the model says it is legal
 		// the worker must take it, otherwise it must panic and (as check
 		// then verifies) change nothing.
-		lifecycle := func(op string, step int, legal bool, call func()) {
+		lifecycle := func(op string, legal bool, call func()) {
 			t.Helper()
 			var recovered any
 			do(op, func() {
@@ -172,9 +187,7 @@ func TestSchedulerMatchesModel(t *testing.T) {
 					t.Fatalf("seed %d op %d: granted worker %d, first fit is %d", seed, step, a.Worker.ID, want)
 				}
 				if a != nil {
-					for d, v := range need {
-						model[want].avail[d] -= v
-					}
+					model[want].reserve(need)
 					held = append(held, a)
 				}
 			case k < 10:
@@ -185,27 +198,23 @@ func TestSchedulerMatchesModel(t *testing.T) {
 			case k == 10:
 				op = "BeginDrain"
 				legal := m.phase == PhaseServing || m.phase == PhaseWarming
-				lifecycle(op, step, legal, w.BeginDrain)
+				lifecycle(op, legal, w.BeginDrain)
 				if legal {
 					m.phase = PhaseDraining
 				}
 			case k == 11:
 				op = "CancelDrain"
 				legal := m.phase == PhaseDraining
-				lifecycle(op, step, legal, w.CancelDrain)
+				lifecycle(op, legal, w.CancelDrain)
 				if legal {
 					m.phase = PhaseServing
 				}
 			case k == 12:
 				op = "TryRetire"
-				idle := true
-				for d, c := range wt.Capacity {
-					idle = idle && m.avail[d] == c
-				}
 				legal := m.phase == PhaseDraining || m.phase == PhaseParked
-				want := m.phase == PhaseParked || idle
+				want := m.phase == PhaseParked || m.idle(wt.Capacity)
 				var got bool
-				lifecycle(op, step, legal, func() { got = w.TryRetire() })
+				lifecycle(op, legal, func() { got = w.TryRetire() })
 				if legal && got != want {
 					t.Fatalf("seed %d op %d: TryRetire %v, model %v", seed, step, got, want)
 				}
@@ -216,7 +225,7 @@ func TestSchedulerMatchesModel(t *testing.T) {
 				op = "Activate"
 				cold := r.Intn(2) == 0
 				legal := m.phase == PhaseParked
-				lifecycle(op, step, legal, func() { w.Activate(cold) })
+				lifecycle(op, legal, func() { w.Activate(cold) })
 				if legal {
 					m.avail, m.phase = copyResources(wt.Capacity), PhaseServing
 					if cold {
@@ -226,7 +235,7 @@ func TestSchedulerMatchesModel(t *testing.T) {
 			case k == 14:
 				op = "EndWarmup"
 				legal := m.phase == PhaseWarming
-				lifecycle(op, step, legal, w.EndWarmup)
+				lifecycle(op, legal, w.EndWarmup)
 				if legal {
 					m.phase = PhaseServing
 				}
@@ -240,22 +249,17 @@ func TestSchedulerMatchesModel(t *testing.T) {
 				// and a question put to that worker straight after.
 				op = "tryReserve, then Idle"
 				need := randomNeed(r, wt.Capacity)
-				want, wantIdle := m.grants(need), true
+				want := m.grants(need)
 				var got, idle bool
 				do(op, func() { got, idle = w.tryReserve(need), w.Idle() })
 				if got != want {
 					t.Fatalf("seed %d op %d: tryReserve %v, model %v", seed, step, got, want)
 				}
 				if got {
-					for d, v := range need {
-						m.avail[d] -= v
-					}
+					m.reserve(need)
 					held = append(held, &Assignment{Worker: w, Need: need})
 				}
-				for d, c := range wt.Capacity {
-					wantIdle = wantIdle && m.avail[d] == c
-				}
-				if idle != wantIdle {
+				if wantIdle := m.idle(wt.Capacity); idle != wantIdle {
 					t.Fatalf("seed %d op %d: Idle %v after tryReserve, model %v", seed, step, idle, wantIdle)
 				}
 			default:
@@ -263,7 +267,7 @@ func TestSchedulerMatchesModel(t *testing.T) {
 				do(op, w.ResetCapacity)
 				m.avail = copyResources(wt.Capacity)
 			}
-			check(op, step)
+			check(op)
 		}
 
 		// Quiescence: every reservation, stale or live, comes back and
@@ -271,7 +275,7 @@ func TestSchedulerMatchesModel(t *testing.T) {
 		for len(held) > 0 {
 			release()
 		}
-		check("quiescence", nOps)
+		check("quiescence")
 		for i, w := range workers {
 			var idle bool
 			do("Idle", func() { idle = w.Idle() })

@@ -12,7 +12,8 @@
 # none (scripts/mutants.sh prints that as "no race step").
 set -u
 
-# package, then its -run pattern.
+# -run pattern, then the packages it is run on (one `go test`, so they
+# build and run side by side).
 #   par, sched, transcode
 #                      whole package: seconds. par.Do is every fan-out in
 #                      the module; its own test is where a slot shared
@@ -26,21 +27,25 @@ set -u
 #                      shortest case: what the GOP spans of gop.go share.
 #   internal/video starts no goroutine in code or tests.
 runs='
-./internal/par .
-./internal/sched .
-./internal/transcode .
-./internal/cluster RealPixels
-./internal/codec ^(TestTileColumnsRoundTrip|TestParallelTileEncodeDeterminism|TestEncoderCloseLifecycle)$
-./internal/codec ^TestEncodeSequenceParallelMatchesSequential$/^av1_restoration$
+. ./internal/par ./internal/sched ./internal/transcode
+RealPixels ./internal/cluster
+^(TestTileColumnsRoundTrip|TestParallelTileEncodeDeterminism|TestEncoderCloseLifecycle)$ ./internal/codec
+^TestEncodeSequenceParallelMatchesSequential$/^av1_restoration$ ./internal/codec
 '
 
 status=3
-while read -r pkg pattern; do
-    [ -n "$pkg" ] || continue
+while read -r pattern pkgs; do
+    [ -n "$pattern" ] || continue
     if [ $# -gt 0 ]; then
-        case " $* " in *" $pkg "*) ;; *) continue ;; esac
+        asked=
+        for pkg in $pkgs; do
+            case " $* " in *" $pkg "*) asked="$asked $pkg" ;; esac
+        done
+        pkgs=$asked
     fi
+    [ -n "$pkgs" ] || continue
     [ "$status" -eq 3 ] && status=0
-    go test -race -run "$pattern" "$pkg" || status=1
+    # shellcheck disable=SC2086
+    go test -race -run "$pattern" $pkgs || status=1
 done <<<"$runs"
 exit "$status"
