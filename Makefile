@@ -31,7 +31,7 @@ lint:
 	$(GO) run ./cmd/vculint -par $(LINT_PAR) ./...
 
 # Machine-readable lint report, same shape CI uploads from check.sh
-# (diagnostics plus the per-rule and summary-build timing envelope).
+# (diagnostics plus the load and per-rule timing envelope).
 lint-json:
 	$(GO) run ./cmd/vculint -json -timing -par $(LINT_PAR) ./... >lint_report.json
 

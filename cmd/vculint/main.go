@@ -11,8 +11,8 @@
 //	-json        emit diagnostics as a JSON array (machine-readable,
 //	             consumed by fleetsim/bench tooling and written to
 //	             lint_report.json by scripts/check.sh)
-//	-timing      include load (parse + type check), summary-build and
-//	             per-rule wall time; with -json the output becomes
+//	-timing      include load (parse + type check) and per-rule wall
+//	             time; with -json the output becomes
 //	             {"diagnostics": [...], "timing": {...}} so
 //	             scripts/check.sh can enforce the lint latency budget
 //	-rules a,b   run only the named analyzers
@@ -20,26 +20,17 @@
 //	-par N       analyze N packages concurrently (0 = GOMAXPROCS);
 //	             output is deterministic at any worker count
 //
-// Every analyzer reads types, callees and sizes from one go/types check
-// of the module (internal/lint/module.go); see DESIGN.md "Static
-// analysis & CI gates" for the layers and for what each rule alone
+// The seven rules — determinism, hotalloc, errdrop, bigcopy, sharedmut,
+// parcapture and the module-wide singleknob — read types, callees and
+// sizes from one go/types check of the module (internal/lint/module.go);
+// see DESIGN.md "Static analysis & CI gates" for what each rule alone
 // catches (`make mutants` measures it). `vculint -list` prints each
-// rule's one-paragraph documentation. By what they need:
-//
-//	types          determinism, hotalloc, errdrop, bigcopy, sharedmut,
-//	               parcapture, singleknob (module-wide)
-//	+ summaries    closecheck (control-flow graphs, and transitive
-//	               call-graph summaries over the SCC condensation of
-//	               the module call graph, internal/lint/callgraph.go)
-//
-// A function whose recursive call cycle hits the summary iteration cap
-// is reported under the pseudo-rule "lintbudget" (its facts stay sound
-// but may be incomplete) rather than silently under-analyzed.
+// rule's one-paragraph documentation.
 //
 // Useful selections:
 //
 //	vculint -rules determinism,errdrop ./...
-//	vculint -par 8 -rules closecheck,parcapture ./...
+//	vculint -par 8 -rules sharedmut,parcapture ./...
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 package main
@@ -175,7 +166,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			}
 			sort.Strings(names)
 			fmt.Fprintf(stdout, "timing: load %.1fms\n", report.LoadMS)
-			fmt.Fprintf(stdout, "timing: summaries %.1fms\n", report.SummaryMS)
 			for _, name := range names {
 				fmt.Fprintf(stdout, "timing: %-13s %.1fms\n", name, report.RulesMS[name])
 			}

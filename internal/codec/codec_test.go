@@ -251,6 +251,7 @@ func TestEncoderRejectsWrongFrameSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer enc.Close()
 	if _, err := enc.Encode(video.NewFrame(32, 32)); err == nil {
 		t.Fatal("accepted mismatched frame")
 	}
@@ -318,6 +319,7 @@ func TestStreamingEncodeFlushInterleave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer enc.Close()
 	dec := NewDecoder()
 	shown := 0
 	feed := func(pkts []Packet) {
@@ -364,6 +366,7 @@ func TestDoubleFlushIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer enc.Close()
 	if pkts, err := enc.Flush(); err != nil || len(pkts) != 0 {
 		t.Fatalf("flush of empty encoder: %v, %d packets", err, len(pkts))
 	}

@@ -100,32 +100,6 @@ func TestEncodeDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestEncoderCloseLifecycle pins the pool lifecycle: Close joins the
-// workers, is idempotent, and is a no-op on a pool-less encoder. Runs
-// an encode in between so the join happens with a warmed pool.
-func TestEncoderCloseLifecycle(t *testing.T) {
-	frames := video.NewSource(video.SourceConfig{
-		Width: 128, Height: 64, Seed: 3, Detail: 0.5, Motion: 1}).Frames(2)
-	for _, workers := range []int{1, 4} {
-		enc, err := NewEncoder(Config{Profile: VP9Class, Width: 128, Height: 64,
-			TileColumns: 2, Workers: workers, RC: rc.Config{BaseQP: 32}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range frames {
-			if _, err := enc.Encode(f); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := enc.Close(); err != nil {
-			t.Fatalf("workers=%d: Close: %v", workers, err)
-		}
-		if err := enc.Close(); err != nil {
-			t.Fatalf("workers=%d: second Close: %v", workers, err)
-		}
-	}
-}
-
 // TestPyramidQualityParity: the pyramid-seeded search must not degrade
 // compression on a moving clip — bits and PSNR stay close to the flat
 // diamond baseline at the same QP.

@@ -193,6 +193,7 @@ func TestBoundedSearchMatchesExhaustive(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					defer enc.Close()
 					splits := 0
 					for i, f := range frames {
 						for _, tree := range checkFrameSearch(t, enc, f, i, -1) {
@@ -236,6 +237,7 @@ func TestBoundedSearchKeepsCanonicalWinnerOnTie(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer enc.Close()
 		if _, err := enc.Encode(flat(128)); err != nil {
 			t.Fatal(err)
 		}

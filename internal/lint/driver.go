@@ -49,10 +49,6 @@ type Timing struct {
 	// over every package, the standard library from source on the first
 	// run of a process); it is most of TotalMS.
 	LoadMS float64 `json:"load_ms"`
-	// SummaryMS covers building the transitive call-graph summaries
-	// (the SCC fixed point), which runs once up front so the parallel
-	// per-package phase reads the call graph without synchronizing.
-	SummaryMS float64 `json:"summary_ms"`
 	// RulesMS maps analyzer name to its total wall time across all
 	// packages (summed across workers, so it can exceed wall time when
 	// Workers > 1).
@@ -86,15 +82,7 @@ func RunReport(cfg Config) ([]Diagnostic, *Timing, error) {
 		timing.RulesMS[a.Name] += 0 // every configured rule appears in the report
 	}
 
-	// The summaries are built eagerly before the fan-out: the workers
-	// then only read them, so the parallel phase does not contend.
-	sumStart := time.Now()
-	cg := mod.callGraph()
-	timing.SummaryMS = msSince(sumStart)
-
 	diags := parseDiags
-	diags = append(diags, cg.budget...)
-
 	var work []*Package
 	for _, pkg := range pkgs {
 		if cfg.Dirs != nil && !dirMatchesAny(pkg.Dir, cfg.Dirs) {
@@ -255,7 +243,6 @@ func loadPackages(fset *token.FileSet, root string) ([]*Package, []Diagnostic, e
 var pseudoRules = map[string]bool{
 	"parse":         true,
 	"lintdirective": true,
-	"lintbudget":    true,
 	"*":             true,
 }
 

@@ -1,7 +1,7 @@
 // Package lint is a zero-dependency static-analysis framework for this
 // repository. It encodes project invariants that generic tools do not
 // check — deterministic simulation (no wall clock, no global RNG),
-// allocation-free pixel paths, dropped errors, closed encoders, and
+// allocation-free pixel paths, dropped errors, shared mutable state, and
 // large value copies — as executable analyzers, so operational rules from the
 // warehouse-scale deployment story (reproducible BD-rates, predictable
 // per-core memory behaviour) are enforced in CI rather than in review
@@ -87,27 +87,15 @@ type Pass struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.emit(p.diagnosticAt(pos, fmt.Sprintf(format, args...)))
-}
-
-// diagnosticAt builds (without recording) a finding at pos, for rules
-// that buffer findings and flush them only when an exploration
-// completes within budget.
-func (p *Pass) diagnosticAt(pos token.Pos, msg string) Diagnostic {
 	position := p.fset.Position(pos)
-	return Diagnostic{
+	*p.diags = append(*p.diags, Diagnostic{
 		Rule:    p.analyzer.Name,
-		Message: msg,
+		Message: fmt.Sprintf(format, args...),
 		Pos:     position,
 		File:    position.Filename,
 		Line:    position.Line,
 		Col:     position.Column,
-	}
-}
-
-// emit records a previously built diagnostic.
-func (p *Pass) emit(d Diagnostic) {
-	*p.diags = append(*p.diags, d)
+	})
 }
 
 // Analyzer is one named rule. Run is invoked once per package; it should

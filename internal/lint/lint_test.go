@@ -124,10 +124,7 @@ func TestErrDropFixture(t *testing.T) { runFixture(t, "errdrop", "internal/trans
 // depends on cross-package type resolution.
 func TestSharedMutFixture(t *testing.T) { runFixture(t, "sharedmut", "internal/refcache") }
 
-// The transitive-summary rules: closecheck's positives sit
-// behind a two-deep constructor wrapper and parcapture's negatives pin
-// the Go 1.22 per-iteration loop semantics.
-func TestCloseCheckFixture(t *testing.T) { runFixture(t, "closecheck", "internal/vcu/closer") }
+// parcapture's negatives pin the Go 1.22 per-iteration loop semantics.
 func TestParCaptureFixture(t *testing.T) { runFixture(t, "parcapture", "internal/vcu/parcap") }
 
 // singleknob is module-wide: the fixture is a package pair, the *Config
@@ -162,6 +159,31 @@ func TestRunReportTiming(t *testing.T) {
 		if ms < 0 {
 			t.Errorf("rule %s has negative wall time %v", a.Name, ms)
 		}
+	}
+}
+
+// TestDriverDeterminism runs the full suite over the fixture tree at 1
+// and 8 workers and requires byte-for-byte identical findings: the
+// parallel fan-out must not be observable in the output.
+func TestDriverDeterminism(t *testing.T) {
+	root, err := filepath.Abs("testdata/src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [2][]byte
+	for i, workers := range []int{1, 8} {
+		diags, runErr := Run(Config{Root: root, Workers: workers})
+		if runErr != nil {
+			t.Fatal(runErr)
+		}
+		buf, jsonErr := json.Marshal(diags)
+		if jsonErr != nil {
+			t.Fatal(jsonErr)
+		}
+		out[i] = buf
+	}
+	if string(out[0]) != string(out[1]) {
+		t.Errorf("findings differ between 1 and 8 workers:\n1: %s\n8: %s", out[0], out[1])
 	}
 }
 
@@ -249,7 +271,7 @@ func TestCommaSeparatedIgnore(t *testing.T) {
 func mayFail() error { return nil }
 
 func a() {
-	//lint:ignore errdrop,closecheck fixture accepts both on this line
+	//lint:ignore errdrop,determinism fixture accepts both on this line
 	mayFail()
 }
 `
@@ -297,7 +319,7 @@ func a() {
 
 // TestTypeResolutionFailure runs every analyzer over a file that
 // parses cleanly but whose types all come from an unresolvable
-// external package: the dataflow layer must degrade to unknown —
+// external package: every rule must degrade to unknown —
 // producing no findings — rather than crash or guess.
 func TestTypeResolutionFailure(t *testing.T) {
 	dir := t.TempDir()

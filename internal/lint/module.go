@@ -9,7 +9,6 @@ import (
 	"os"
 	"path"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -35,31 +34,10 @@ type Module struct {
 	byTypes map[*types.Package]*Package // reverse of Package.Types
 	fset    *token.FileSet
 
-	// funcs is the function table: the declaration of every function and
-	// method with a body or a prototype in the module, keyed by the
-	// object calls resolve to. funcList holds the keys sorted by
-	// funcName, so everything derived from it is deterministic.
-	funcs    map[*types.Func]*funcDecl
-	funcList []*types.Func
-
-	// cg caches the call-graph summaries (callgraph.go), built lazily by
-	// the first rule that needs interprocedural facts. The sync.Once
-	// makes the lazy path safe under the parallel driver (which also
-	// pre-builds it eagerly to keep the hot path contention-free).
-	cg     *callGraph
-	cgOnce sync.Once
-
 	// singleKnob caches the module-wide "who sets this config field"
 	// analysis (singleknob.go), reported per declaring package.
 	singleKnobOnce sync.Once
 	singleKnob     []singleKnobFinding
-}
-
-// funcDecl is one function or method declaration with its context.
-type funcDecl struct {
-	pkg  *Package
-	file *File
-	decl *ast.FuncDecl
 }
 
 // sizes is the layout every size question is answered for: the gc
@@ -140,7 +118,6 @@ func loadModule(root string) (*Module, []Diagnostic, error) {
 		byPath:  map[string]*Package{},
 		byTypes: map[*types.Package]*Package{},
 		fset:    fset,
-		funcs:   map[*types.Func]*funcDecl{},
 	}
 	for _, pkg := range pkgs {
 		pkg.mod = m
@@ -153,25 +130,6 @@ func loadModule(root string) (*Module, []Diagnostic, error) {
 	for _, pkg := range pkgs {
 		m.check(pkg)
 	}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.AST.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					m.funcs[fn] = &funcDecl{pkg: pkg, file: f, decl: fd}
-					m.funcList = append(m.funcList, fn)
-				}
-			}
-		}
-	}
-	names := make(map[*types.Func]string, len(m.funcList))
-	for _, fn := range m.funcList {
-		names[fn] = m.funcName(fn)
-	}
-	sort.SliceStable(m.funcList, func(i, j int) bool { return names[m.funcList[i]] < names[m.funcList[j]] })
 	return m, parseDiags, nil
 }
 
@@ -215,7 +173,7 @@ func (m *Module) qualName(obj types.Object) string {
 }
 
 // funcName names a function "dir.Func" and a method "dir.Recv.Method"
-// (pointer receivers unwrapped); displayName shortens it for messages.
+// (pointer receivers unwrapped).
 func (m *Module) funcName(fn *types.Func) string {
 	if recv := fn.Signature().Recv(); recv != nil {
 		if named := namedOf(recv.Type()); named != nil {
@@ -223,15 +181,6 @@ func (m *Module) funcName(fn *types.Func) string {
 		}
 	}
 	return m.qualName(fn)
-}
-
-// displayName shortens a qualified name for messages:
-// "internal/sched.Worker.mu" -> "sched.Worker.mu".
-func displayName(qualified string) string {
-	if i := strings.LastIndexByte(qualified, '/'); i >= 0 {
-		return qualified[i+1:]
-	}
-	return qualified
 }
 
 // namedOf unwraps aliases and one level of pointer down to a named
@@ -311,15 +260,6 @@ func (p *Package) callee(call *ast.CallExpr) *types.Func {
 		return nil
 	}
 	return fn.Origin()
-}
-
-// moduleCallee resolves a call to a function declared in the module (a
-// key of the function table), or nil.
-func (p *Package) moduleCallee(call *ast.CallExpr) *types.Func {
-	if fn := p.callee(call); fn != nil && p.mod.funcs[fn] != nil {
-		return fn
-	}
-	return nil
 }
 
 // pkgFunc reports the import path and name of the package-level

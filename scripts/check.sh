@@ -5,26 +5,25 @@
 #   1. gofmt         formatting drift fails the gate
 #   2. go vet        toolchain static checks
 #   3. vculint       project-specific analyzers (internal/lint) on one
-#                    go/types check of the module, the eight rules that
+#                    go/types check of the module, the seven rules that
 #                    each kill a mutant nothing cheaper kills
 #                    (`make mutants`; table in DESIGN.md): determinism,
 #                    hotalloc, errdrop, bigcopy, sharedmut, parcapture,
-#                    the CFG/call-graph rule closecheck, and the
-#                    module-wide singleknob (a *Config field no caller
-#                    sets);
+#                    and the module-wide singleknob (a *Config field no
+#                    caller sets);
 #                    packages are analyzed in parallel (-par 0 =
 #                    GOMAXPROCS) with deterministic output; the JSON
-#                    report (with load, summary-build and per-rule
-#                    timing) is written to lint_report.json either way,
-#                    and the suite must finish inside its wall-time
-#                    budget
+#                    report (with load and per-rule timing) is written
+#                    to lint_report.json either way, and the suite must
+#                    finish inside its wall-time budget
 #   4. go build      the whole module
 #   5. go test       the whole module, every test; a deadlock costs
 #                    the timeout, not go's ten minutes
 #   6. go test -race scripts/race.sh: the tests that start goroutines,
 #                    and no others
 #   7. bench smoke   kernel benchmarks compile and run (1 iteration)
-#   8. fuzz smoke    10s of FuzzDecode over the checked-in corpus
+#   8. fuzz smoke    4s each of FuzzDecode, FuzzContainer and
+#                    FuzzTransformMatchesScalar over their seeds
 #
 # Each step ends with the wall seconds it took and the gate with their
 # total, so the gate's long pole is read off its own output. The gate
@@ -96,10 +95,17 @@ step "go test -race (tests that start goroutines)" ./scripts/race.sh
 # are minutes-long (`make profile-encode` runs them), not for the gate.
 step "bench smoke (kernel packages)" go test -run=NONE -bench=. -benchtime=1x \
     ./internal/codec/motion ./internal/codec/transform ./internal/video
-# Decoder fuzz smoke: 10 seconds of coverage-guided input on top of the
-# checked-in corpus (testdata/fuzz/FuzzDecode). Catches decoder panics
-# and decoder-bomb regressions; `go test` alone only replays the corpus.
-step "fuzz smoke (codec decoder)" go test -fuzz=FuzzDecode -fuzztime=10s -run=NONE ./internal/codec
+# Fuzz smoke: 4 seconds of coverage-guided input per target on top of
+# its seeds and checked-in corpus — decoder panics and decoder bombs
+# (FuzzDecode), container reader panics and allocation bounds
+# (FuzzContainer), a fast transform kernel drifting from its scalar twin
+# (FuzzTransformMatchesScalar). `go test` alone only replays the seeds.
+fuzz_smoke() {
+    go test -fuzz='^FuzzDecode$' -fuzztime=4s -run=NONE ./internal/codec &&
+        go test -fuzz='^FuzzContainer$' -fuzztime=4s -run=NONE ./internal/container &&
+        go test -fuzz='^FuzzTransformMatchesScalar$' -fuzztime=4s -run=NONE ./internal/codec/transform
+}
+step "fuzz smoke (decoder, container, transform)" fuzz_smoke
 
 # count_lines prints the non-test Go lines outside testdata/ under the
 # given directories.
