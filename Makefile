@@ -94,9 +94,15 @@ oracle:
 oracle-diff:
 	./scripts/oracle-diff.sh $(REF)
 
-# Extended decoder fuzzing (the gate runs a 10s smoke).
+# Extended fuzzing of the three targets the gate smokes for 4s each:
+# decoder, container reader, transform kernels against their scalar
+# twins. FUZZTIME is per target.
+FUZZTIME ?= 2m
+
 fuzz:
-	$(GO) test -fuzz=FuzzDecode -fuzztime=2m -run=NONE ./internal/codec
+	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) -run=NONE ./internal/codec
+	$(GO) test -fuzz='^FuzzContainer$$' -fuzztime=$(FUZZTIME) -run=NONE ./internal/container
+	$(GO) test -fuzz='^FuzzTransformMatchesScalar$$' -fuzztime=$(FUZZTIME) -run=NONE ./internal/codec/transform
 
 build:
 	$(GO) build ./...

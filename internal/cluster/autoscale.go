@@ -364,7 +364,7 @@ func (c *Cluster) scaleUp(k int) {
 		if moved >= k {
 			break
 		}
-		if !cw.position().activatable() {
+		if !cw.activatable() {
 			continue
 		}
 		cold := as.cfg.Warmup > 0 && !as.oracle()
@@ -402,7 +402,7 @@ func (c *Cluster) scaleDown(k int) {
 	for pass := 0; pass < 2 && moved < k; pass++ {
 		for i := len(c.workers) - 1; i >= 0 && moved < k; i-- {
 			cw := c.workers[i]
-			if !cw.position().inPark() {
+			if !cw.inPark() {
 				continue
 			}
 			idle := cw.sw.Idle()

@@ -617,7 +617,7 @@ func (c *Cluster) rebalancePools() {
 			// quarantined one would spend the move and still serve nothing,
 			// and autoscaled-out (or not-yet-serving) workers are not
 			// rebalance candidates.
-			if cw.pool == pool || !cw.sw.Idle() || !cw.position().accepting() {
+			if cw.pool == pool || !cw.sw.Idle() || !cw.accepting() {
 				continue
 			}
 			// A pool the autoscaler is draining keeps its remaining workers.

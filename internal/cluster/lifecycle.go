@@ -325,22 +325,10 @@ func (c *Cluster) endWarmup(cw *clusterWorker) {
 // batch, a convicted one nothing, and the pool must match.
 // place asks it of every worker on every first-fit walk, so it is
 // loads and compares only; the phase half of the answer (serving) is
-// sched.Worker.tryReserve's, under the worker's lock.
+// sched.Worker.tryReserve's.
 func (c *Cluster) places(cw *clusterWorker, cls sched.Priority, pool sched.UseCase) bool {
 	return cw.up() && (cw.standing == trusted || cw.standing == demoted && cls == sched.PriorityBatch) &&
 		(!c.cfg.EnablePools || cw.pool == pool)
-}
-
-// position is where a worker stands on the three axes, read once (the
-// phase costs a lock): what the other three questions are asked of.
-type position struct {
-	up       bool
-	phase    sched.Phase
-	standing standing
-}
-
-func (cw *clusterWorker) position() position {
-	return position{cw.up(), cw.sw.Phase(), cw.standing}
 }
 
 // accepting reports whether the worker could take a reservation right
@@ -348,21 +336,22 @@ func (cw *clusterWorker) position() position {
 // signal's denominator — so capacity loss (chaos, repair, an autoscaler
 // shrink) raises the signal exactly like a demand spike does — and the
 // pool rebalancer's donor test.
-func (p position) accepting() bool {
-	return p.up && p.standing != convicted && p.phase == sched.PhaseServing
+func (cw *clusterWorker) accepting() bool {
+	return cw.up() && cw.standing != convicted && cw.sw.Phase() == sched.PhaseServing
 }
 
 // inPark reports whether the worker is in the autoscaler's active park:
 // serving or warming (its capacity is committed), not draining (on the
 // way out), whatever its standing. The park census and the shrink
 // candidates.
-func (p position) inPark() bool {
-	return p.up && (p.phase == sched.PhaseServing || p.phase == sched.PhaseWarming)
+func (cw *clusterWorker) inPark() bool {
+	ph := cw.sw.Phase()
+	return cw.up() && (ph == sched.PhaseServing || ph == sched.PhaseWarming)
 }
 
 // activatable reports whether a scale-up may bring the worker into the
 // park.
-func (p position) activatable() bool { return p.up && p.phase == sched.PhaseParked }
+func (cw *clusterWorker) activatable() bool { return cw.up() && cw.sw.Phase() == sched.PhaseParked }
 
 // parkCensus is one pass over the workers for everything the control
 // loops count: per pool (sched.UseCase) the workers in the park and
@@ -378,18 +367,17 @@ type parkCensus struct {
 func (c *Cluster) census() parkCensus {
 	var pc parkCensus
 	for _, cw := range c.workers {
-		p := cw.position()
-		switch p.phase {
+		switch cw.sw.Phase() {
 		case sched.PhaseDraining:
 			pc.drains++
 			pc.drainPools[cw.pool] = true
 		case sched.PhaseWarming:
 			pc.warmups++
 		}
-		if p.accepting() {
+		if cw.accepting() {
 			pc.accepting++
 		}
-		if p.inPark() {
+		if cw.inPark() {
 			pc.total[cw.pool]++
 			if !cw.sw.Idle() {
 				pc.busy[cw.pool]++

@@ -167,7 +167,7 @@ func TestLifecycleModel(t *testing.T) {
 			s := probe.Steps[0]
 			s.triedVCUs = map[int]bool{}
 			if cw, a, _ := c.placeTranscode(s, -1); cw != nil {
-				if !c.places(cw, c.classOf(s), stepPool(s)) || !cw.position().accepting() {
+				if !c.places(cw, c.classOf(s), stepPool(s)) || !cw.accepting() {
 					t.Fatalf("seed %d op %d %s: placed on VCU %d, which is %v/%v/%v in pool %v",
 						seed, step, op, cw.vcu.ID, cw.sw.Phase(), c.health(cw), cw.standing, cw.pool)
 				}

@@ -33,17 +33,9 @@ func NewRegion(cfg Config, n int) *Region {
 	for i := 0; i < n; i++ {
 		ccfg := cfg
 		ccfg.Seed = cfg.Seed + uint64(i)*97
-		c := newWithEngine(ccfg, eng)
-		r.Clusters = append(r.Clusters, c)
+		r.Clusters = append(r.Clusters, buildCluster(ccfg, eng))
 	}
 	return r
-}
-
-// newWithEngine builds a cluster on an existing engine (regions share a
-// clock so cross-cluster routing decisions are consistent).
-func newWithEngine(cfg Config, eng *sim.Engine) *Cluster {
-	c := buildCluster(cfg, eng)
-	return c
 }
 
 // Submit routes a video's graph: the home cluster when it has headroom,

@@ -134,11 +134,12 @@ func decoderUtil(cfg Config, swFrac float64) float64 {
 }
 
 // Figure8Production returns the per-VCU MOT and SOT production
-// throughput series (Mpix/s). Levels come from the chip model under
-// production I/O overheads (see tco.ProductionThroughput); SOT shows the
-// higher month-to-month variability of its mixed workload, MOT runs at
-// stable near-peak encoder utilization ("the lack of variability in the
-// MOT line", §4.2).
+// throughput series (Mpix/s), one sample a week. The levels are
+// calibrated: the chip model's throughput discounted by a production
+// I/O overhead (tco.ProductionThroughput). The week-to-week spread is
+// drawn, not modeled: uniform noise of ±1 % on MOT and ±8 % on SOT from
+// one seeded xorshift, sized to the paper's flat MOT line and variable
+// SOT line (§4.2). Nothing here runs a workload mix.
 func Figure8Production(cfg Config, weeks int) (mot, sot []Sample) {
 	levels := tco.ProductionThroughput(vcu.DefaultParams(), cfg.SimTime)
 	rng := uint64(12345)
@@ -156,16 +157,17 @@ func Figure8Production(cfg Config, weeks int) (mot, sot []Sample) {
 	return mot, sot
 }
 
-// Figure10Bitrate returns the egress-weighted bitrate of the hardware
-// encoders relative to software at iso-quality, by month since launch:
-// VP9 starts ~+12% and ends ~-2%, H.264 starts ~+8% and crosses below
-// zero around month 12 (Fig. 10). The trajectory is the rate-control
-// tuning model of codec/rc (LambdaScale et al.) mapped over the month
-// axis; the codec-level benches validate that higher tuning levels
-// really do reduce measured bitrate at iso quality.
+// Figure10Bitrate returns the hardware encoders' bitrate relative to
+// software at iso-quality, in percent, by month since launch (Fig. 10).
+// Both series are drawn, not measured: VP9 is 12 − 14.3·tuneProgress and
+// H.264 8 − 9.2·tuneProgress over months 1–16, with the constants
+// calibrated to the paper's endpoints (VP9 +12 % → ≈ −2 %, H.264 +8 %
+// → below zero near month 12). No encoder runs here;
+// BenchmarkFigure10_BitrateTuning measures the mechanism on real encodes
+// (rc tuning level 0 against the maximum, one clip).
 func Figure10Bitrate(cfg Config, months int) (vp9, h264 []Sample) {
 	for m := 1; m <= months; m++ {
-		// Month maps to rc tuning level 0..16.
+		// Months 1..16 map to tuning progress 0..1.
 		frac := float64(m-1) / 15.0
 		if frac > 1 {
 			frac = 1

@@ -121,11 +121,9 @@ func VCUWorkerCapacity(p vcu.Params) Resources {
 // workers. The shares are sustained-rate fractions: a step that must
 // decode D pixels/s consumes 1000*D/DecodePixRate millidecode cores.
 // Estimates were "initially based on measurements of representative
-// workloads ... and then tuned using production observations" — the
-// returned closure is swappable via WorkerType.SetCost.
-func NewVCUCostModel(p vcu.Params) func(req any) Resources {
-	return func(req any) Resources {
-		r := req.(*StepRequest)
+// workloads ... and then tuned using production observations".
+func NewVCUCostModel(p vcu.Params) func(*StepRequest) Resources {
+	return func(r *StepRequest) Resources {
 		target := r.TargetSeconds
 		if target <= 0 {
 			target = 10
@@ -162,8 +160,8 @@ func CPUWorkerCapacity(slots int) Resources {
 }
 
 // NewCPUCostModel charges every step one slot.
-func NewCPUCostModel() func(req any) Resources {
-	return func(any) Resources { return Resources{DimSlots: 1} }
+func NewCPUCostModel() func(*StepRequest) Resources {
+	return func(*StepRequest) Resources { return Resources{DimSlots: 1} }
 }
 
 func ceilDiv64(a, b int64) int64 {

@@ -1,20 +1,17 @@
 package sched
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
 
 // Model-based test: seeded random operation sequences run against the
-// scheduler and against the lock-free reference below. The test touches
-// Resources only through literals, indexing and range, so the same file
-// checks any representation of the vector. Every call into the package
-// runs under a deadline (within), so an operation that leaves a lock
-// behind fails the test at the next operation that needs it, by name.
+// scheduler and against the reference below. The test touches Resources
+// only through literals, indexing and range, so the same file checks any
+// representation of the vector.
 
-// modelWorker is the reference: a worker's state written without locks,
-// its lifecycle as plain conditions rather than the transition table.
+// modelWorker is the reference: a worker's state, its lifecycle as plain
+// conditions rather than the transition table.
 type modelWorker struct {
 	avail Resources
 	phase Phase
@@ -87,14 +84,9 @@ func TestSchedulerMatchesModel(t *testing.T) {
 		var workers []*Worker
 		var model []*modelWorker
 		step := 0
-		// do runs one call into the package under the deadline.
-		do := func(op string, f func()) {
-			t.Helper()
-			within(t, opDeadline, fmt.Sprintf("seed %d op %d: %s", seed, step, op), f)
-		}
 		addWorker := func() {
 			w := NewWorker(len(workers), wt)
-			do("AddWorker", func() { s.AddWorker(w) })
+			s.AddWorker(w)
 			workers = append(workers, w)
 			model = append(model, &modelWorker{avail: copyResources(wt.Capacity)})
 		}
@@ -103,22 +95,12 @@ func TestSchedulerMatchesModel(t *testing.T) {
 		}
 		var held []*Assignment
 
-		// check reads every worker after every operation, so a worker
-		// that has just refused a reservation is read straight after.
-		type view struct {
-			avail, capacity Resources
-			phase           Phase
-		}
-		views := make([]view, maxWorkers)
+		// check compares every worker with the model after every
+		// operation.
 		check := func(op string) {
 			t.Helper()
-			do("reading every worker after "+op, func() {
-				for i, w := range workers {
-					views[i] = view{w.Available(), w.Capacity(), w.Phase()}
-				}
-			})
-			for i := range workers {
-				avail, capacity, m := views[i].avail, views[i].capacity, model[i]
+			for i, w := range workers {
+				avail, capacity, m := w.Available(), w.Capacity(), model[i]
 				for d, c := range capacity {
 					if avail[d] < 0 || avail[d] > c {
 						t.Fatalf("seed %d op %d %s: worker %d %v available %d outside [0, %d]", seed, step, op, i, d, avail[d], c)
@@ -127,8 +109,8 @@ func TestSchedulerMatchesModel(t *testing.T) {
 						t.Fatalf("seed %d op %d %s: worker %d %v available %d, model %d", seed, step, op, i, d, avail[d], m.avail[d])
 					}
 				}
-				if views[i].phase != m.phase {
-					t.Fatalf("seed %d op %d %s: worker %d is %v, model %v", seed, step, op, i, views[i].phase, m.phase)
+				if phase := w.Phase(); phase != m.phase {
+					t.Fatalf("seed %d op %d %s: worker %d is %v, model %v", seed, step, op, i, phase, m.phase)
 				}
 			}
 		}
@@ -138,10 +120,10 @@ func TestSchedulerMatchesModel(t *testing.T) {
 		lifecycle := func(op string, legal bool, call func()) {
 			t.Helper()
 			var recovered any
-			do(op, func() {
+			func() {
 				defer func() { recovered = recover() }()
 				call()
-			})
+			}()
 			if (recovered == nil) != legal {
 				t.Fatalf("seed %d op %d %s: legal=%v, recovered %v", seed, step, op, legal, recovered)
 			}
@@ -150,7 +132,7 @@ func TestSchedulerMatchesModel(t *testing.T) {
 			i := r.Intn(len(held))
 			a := held[i]
 			held = append(held[:i], held[i+1:]...)
-			do("Release", a.Release)
+			a.Release()
 			model[a.Worker.ID].release(a.Need, wt.Capacity)
 		}
 
@@ -173,11 +155,7 @@ func TestSchedulerMatchesModel(t *testing.T) {
 						break
 					}
 				}
-				var a *Assignment
-				var err error
-				do(op, func() {
-					a, err = s.Schedule(need, func(w *Worker) bool { return mask&(1<<w.ID) != 0 })
-				})
+				a, err := s.Schedule(need, func(w *Worker) bool { return mask&(1<<w.ID) != 0 })
 				switch {
 				case want < 0 && err != ErrNoCapacity:
 					t.Fatalf("seed %d op %d: granted worker %d, model has no eligible worker", seed, step, a.Worker.ID)
@@ -240,7 +218,7 @@ func TestSchedulerMatchesModel(t *testing.T) {
 					m.phase = PhaseServing
 				}
 			case k == 15 && len(workers) < maxWorkers:
-				// After a Schedule: the writer's side of the scheduler's lock.
+				// A worker joins after reservations have been granted.
 				op = "AddWorker"
 				addWorker()
 			case k == 16:
@@ -250,8 +228,7 @@ func TestSchedulerMatchesModel(t *testing.T) {
 				op = "tryReserve, then Idle"
 				need := randomNeed(r, wt.Capacity)
 				want := m.grants(need)
-				var got, idle bool
-				do(op, func() { got, idle = w.tryReserve(need), w.Idle() })
+				got, idle := w.tryReserve(need), w.Idle()
 				if got != want {
 					t.Fatalf("seed %d op %d: tryReserve %v, model %v", seed, step, got, want)
 				}
@@ -264,7 +241,7 @@ func TestSchedulerMatchesModel(t *testing.T) {
 				}
 			default:
 				op = "ResetCapacity"
-				do(op, w.ResetCapacity)
+				w.ResetCapacity()
 				m.avail = copyResources(wt.Capacity)
 			}
 			check(op)
@@ -277,10 +254,8 @@ func TestSchedulerMatchesModel(t *testing.T) {
 		}
 		check("quiescence")
 		for i, w := range workers {
-			var idle bool
-			do("Idle", func() { idle = w.Idle() })
-			if !idle {
-				t.Fatalf("seed %d: worker %d not idle at quiescence: %v of %v", seed, i, views[i].avail, views[i].capacity)
+			if !w.Idle() {
+				t.Fatalf("seed %d: worker %d not idle at quiescence: %v of %v", seed, i, w.Available(), w.Capacity())
 			}
 		}
 	}

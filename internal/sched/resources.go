@@ -4,6 +4,10 @@
 // cache, a greedy first-fit worker picker (Fig. 6), synthetic resources
 // for indirect constraints, and the per-worker drain/retire/activate
 // primitives the cluster's pools and autoscaler are built on.
+//
+// The package is not safe for concurrent use: a cluster's sim goroutine
+// owns its scheduler, worker type and workers, and no other goroutine
+// calls them.
 package sched
 
 import "fmt"
@@ -47,7 +51,7 @@ func (r Resources) Fits(need Resources) bool {
 }
 
 // Sub subtracts need from r in place. It panics if need does not fit —
-// callers must check Fits under the same lock.
+// callers check Fits first.
 func (r *Resources) Sub(need Resources) {
 	if !r.Fits(need) {
 		panic(fmt.Sprintf("sched: over-commit: %v - %v", *r, need))

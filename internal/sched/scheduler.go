@@ -1,42 +1,25 @@
 package sched
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // WorkerType defines a class of workers: its capacity vector and the
 // mapping from a step request to the resources it needs — "the worker
 // type also defines a mapping from a step request ... to the amount and
-// type of resource required" (§3.3.3). The mapping is swappable at
-// runtime for dynamic tuning.
+// type of resource required" (§3.3.3).
 type WorkerType struct {
 	Name     string
 	Capacity Resources
 
-	mu   sync.RWMutex
-	cost func(req any) Resources
+	cost func(*StepRequest) Resources
 }
 
 // NewWorkerType builds a worker type.
-func NewWorkerType(name string, capacity Resources, cost func(req any) Resources) *WorkerType {
+func NewWorkerType(name string, capacity Resources, cost func(*StepRequest) Resources) *WorkerType {
 	return &WorkerType{Name: name, Capacity: capacity, cost: cost}
 }
 
 // Cost maps a step request to its resource needs.
-func (wt *WorkerType) Cost(req any) Resources {
-	wt.mu.RLock()
-	defer wt.mu.RUnlock()
-	return wt.cost(req)
-}
-
-// SetCost replaces the cost mapping — the post-deployment tuning hook
-// that, e.g., enabled opportunistic software decode (§3.3.3).
-func (wt *WorkerType) SetCost(cost func(req any) Resources) {
-	wt.mu.Lock()
-	defer wt.mu.Unlock()
-	wt.cost = cost
-}
+func (wt *WorkerType) Cost(req *StepRequest) Resources { return wt.cost(req) }
 
 // Scheduler is the availability cache plus the greedy first-fit worker
 // picker of Fig. 6: one list of workers in worker-number order. The
@@ -44,7 +27,6 @@ func (wt *WorkerType) SetCost(cost func(req any) Resources) {
 // of workers and the need for low latency"; that sharding is out of
 // model here.
 type Scheduler struct {
-	mu      sync.RWMutex
 	workers []*Worker // ascending ID, append-only
 }
 
@@ -55,11 +37,7 @@ func NewScheduler(sizeHint int) *Scheduler {
 
 // AddWorker registers a worker in the availability cache. Workers must be
 // added in ascending ID order for first-fit-by-number semantics.
-func (s *Scheduler) AddWorker(w *Worker) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.workers = append(s.workers, w)
-}
+func (s *Scheduler) AddWorker(w *Worker) { s.workers = append(s.workers, w) }
 
 // ErrNoCapacity is returned when no worker can hold the request.
 var ErrNoCapacity = fmt.Errorf("sched: no worker with sufficient capacity")
@@ -78,12 +56,7 @@ func (a *Assignment) Release() { a.Worker.Release(a.Need) }
 // algorithm of Fig. 6. exclude filters out workers (used to avoid a VCU
 // the request already failed on, §4.4).
 func (s *Scheduler) Schedule(need Resources, exclude func(*Worker) bool) (*Assignment, error) {
-	// The list is append-only, so the snapshot stays valid after the
-	// lock is dropped and exclude runs outside it.
-	s.mu.RLock()
-	workers := s.workers
-	s.mu.RUnlock()
-	for _, w := range workers {
+	for _, w := range s.workers {
 		if exclude != nil && exclude(w) {
 			continue
 		}

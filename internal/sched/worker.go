@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Phase is a worker's place in the capacity lifecycle the autoscaler
 // drives: serving → draining → parked → warming → serving. It is the
@@ -67,7 +64,6 @@ type Worker struct {
 	ID   int
 	Type *WorkerType
 
-	mu        sync.Mutex
 	capacity  Resources
 	available Resources
 	phase     Phase
@@ -86,8 +82,6 @@ func NewWorker(id int, wt *WorkerType) *Worker {
 // stale releases from reservations granted before retirement are
 // absorbed by the Release clamp, as with ResetCapacity.
 func (w *Worker) move(ev capacityEvent) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	to, ok := capacityMoves[w.phase][ev]
 	if !ok {
 		panic(fmt.Sprintf("sched: worker %d: illegal capacity transition %v --%s-->", w.ID, w.phase, ev))
@@ -103,40 +97,22 @@ func (w *Worker) move(ev capacityEvent) bool {
 }
 
 // Capacity returns the worker's total capacity.
-func (w *Worker) Capacity() Resources {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.capacity
-}
+func (w *Worker) Capacity() Resources { return w.capacity }
 
 // Available returns the worker's current availability.
-func (w *Worker) Available() Resources {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.available
-}
+func (w *Worker) Available() Resources { return w.available }
 
 // Idle reports whether nothing is scheduled on the worker — the condition
 // for stopping it and reallocating its resources to another pool.
-func (w *Worker) Idle() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.available == w.capacity
-}
+func (w *Worker) Idle() bool { return w.available == w.capacity }
 
 // Phase returns the worker's capacity phase.
-func (w *Worker) Phase() Phase {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.phase
-}
+func (w *Worker) Phase() Phase { return w.phase }
 
-// tryReserve atomically claims need if it fits and the worker is
+// tryReserve claims need if it fits and the worker is
 // serving. Draining, parked and warming workers refuse: on the way out,
 // out, or not yet in.
 func (w *Worker) tryReserve(need Resources) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.phase != PhaseServing || !w.available.Fits(need) {
 		return false
 	}
@@ -149,8 +125,6 @@ func (w *Worker) tryReserve(need Resources) bool {
 // worker's host was repaired while the reservation was in flight)
 // cannot overcommit the worker.
 func (w *Worker) Release(need Resources) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.available.Add(need)
 	w.available.ClampTo(w.capacity)
 }
@@ -161,11 +135,7 @@ func (w *Worker) Release(need Resources) {
 // their eventual releases are absorbed by the Release clamp. The phase
 // stands: repair does not undo what the autoscaler decided, so a parked
 // worker stays parked and a pending drain stays pending.
-func (w *Worker) ResetCapacity() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.available = w.capacity
-}
+func (w *Worker) ResetCapacity() { w.available = w.capacity }
 
 // BeginDrain starts a drain-before-remove shrink: the worker refuses
 // new reservations while its in-flight work finishes. Call TryRetire

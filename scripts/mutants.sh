@@ -16,6 +16,10 @@
 # 1 when a mutant survives that mutants/SURVIVORS.md does not name. Not
 # a gate step: ~15 minutes.
 #
+# A run of the whole catalogue (no pattern) also writes what it printed
+# to mutants/TABLE.md, the copy the documents link to: commit it with
+# the change it measures.
+#
 # The catalogue is read from this checkout, so `mutants.sh <parent>`
 # holds an older commit against the same mutants. A patch that no longer
 # applies is a stale catalogue: the script names them all and exits 2
@@ -36,6 +40,9 @@ cd "$work" || exit 2
 go build -o "$work/.vculint" ./cmd/vculint || exit 2
 
 field() { sed -n "s/^$1: *//p" "$2" | head -n1; }
+
+# say prints a line of the table and keeps it for mutants/TABLE.md.
+say() { printf '%s\n' "$*" | tee -a "$work/.table"; }
 
 stale=0
 for p in "$repo"/mutants/$pattern.patch; do
@@ -70,10 +77,10 @@ kill_cell() {
     fi
 }
 
-echo "mutation yield of the gate at $(git -C "$repo" rev-parse --short "$ref"): first killer in bold, – = passes"
-echo
-echo "| class | mutant | vet | vculint | go test | -race |"
-echo "|---|---|---|---|---|---|"
+say "mutation yield of the gate at $(git -C "$repo" rev-parse --short "$ref"): first killer in bold, – = passes"
+say
+say "| class | mutant | vet | vculint | go test | -race |"
+say "|---|---|---|---|---|---|"
 survivors=""
 for p in "$repo"/mutants/$pattern.patch; do
     name=$(basename "$p" .patch)
@@ -121,25 +128,26 @@ for p in "$repo"/mutants/$pattern.patch; do
     fi
     [ -n "$killed" ] || survivors="$survivors $name"
 
-    echo "| $class | $name: $(field what "$p") | $vet | $lint | $tst | $race |"
+    say "| $class | $name: $(field what "$p") | $vet | $lint | $tst | $race |"
     patch -p1 -R -s -f <"$p"
 done
 
-echo
-if [ -z "$survivors" ]; then
-    echo "no survivors"
-    exit 0
-fi
-echo "survivors (nothing in the gate kills them):"
+say
 unnamed=0
-for s in $survivors; do
-    if grep -qF "\`$s\`" "$repo/mutants/SURVIVORS.md"; then
-        echo "  $s"
-    else
-        echo "  $s   <- not in mutants/SURVIVORS.md"
-        unnamed=1
-    fi
-done
+if [ -z "$survivors" ]; then
+    say "no survivors"
+else
+    say "survivors (nothing in the gate kills them):"
+    for s in $survivors; do
+        if grep -qF "\`$s\`" "$repo/mutants/SURVIVORS.md"; then
+            say "- $s"
+        else
+            say "- $s   <- not in mutants/SURVIVORS.md"
+            unnamed=1
+        fi
+    done
+fi
+[ "$pattern" != "*" ] || cp "$work/.table" "$repo/mutants/TABLE.md"
 if [ "$unnamed" -ne 0 ]; then
     echo "mutants.sh: a new hole in the gate: close it with a test, or say in mutants/SURVIVORS.md why it stays" >&2
     exit 1

@@ -4,9 +4,8 @@
 # goroutines and no others. Under -race the pixel kernels run ~10x slow
 # (the race runtime's read/write hooks under sampleSharp and SAD), so the
 # whole of internal/codec costs ~220 s and finds what these tests find in
-# ~20 s: the kill table in DESIGN.md "Static analysis & CI gates"
-# (`make mutants` reprints it) is what picks them. Every test still runs
-# without -race in step 5.
+# ~20 s: the kill table in mutants/TABLE.md (`make mutants` writes it)
+# is what picks them. Every test still runs without -race in step 5.
 #
 # With arguments, only the runs of those packages; exit 3 if there are
 # none (scripts/mutants.sh prints that as "no race step").
@@ -14,8 +13,7 @@ set -u
 
 # -run pattern, then the packages it is run on (one `go test`, so they
 # build and run side by side).
-#   par, sched, transcode
-#                      whole package: seconds. par.Do is every fan-out in
+#   par, transcode     whole package: seconds. par.Do is every fan-out in
 #                      the module; its own test is where a slot shared
 #                      between calls, or a join that is not one, shows.
 #   cluster            the control plane is one sim goroutine; only the
@@ -25,9 +23,10 @@ set -u
 #                      parallel deblock and restoration. CloseLifecycle:
 #                      the pool's join. ParallelMatchesSequential's
 #                      shortest case: what the GOP spans of gop.go share.
-#   internal/video starts no goroutine in code or tests.
+#   internal/video and internal/sched start no goroutine in code or
+#   tests; sched belongs to the cluster's sim goroutine.
 runs='
-. ./internal/par ./internal/sched ./internal/transcode
+. ./internal/par ./internal/transcode
 RealPixels ./internal/cluster
 ^(TestTileColumnsRoundTrip|TestParallelTileEncodeDeterminism|TestEncoderCloseLifecycle)$ ./internal/codec
 ^TestEncodeSequenceParallelMatchesSequential$/^av1_restoration$ ./internal/codec
