@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check lint lint-json race mutants build test fmt profile-encode chaos fuzz overload autoscale audit oracle oracle-diff
+.PHONY: check lint lint-json race mutants build test fmt profile-encode profile-decode chaos fuzz overload autoscale audit oracle oracle-diff
 
 check:
 	./scripts/check.sh
@@ -22,6 +22,17 @@ profile-encode:
 			-o "$$d/codec.test" -cpuprofile "$$d/cpu.prof" ./internal/codec && \
 		$(GO) tool pprof -top -nodecount=15 "$$d/codec.test" "$$d/cpu.prof" || exit 1; \
 	done
+
+# Where a decode spends its CPU, the same way: BenchmarkDecodePlayback
+# decodes the streams of the benchmark's playback_decode workload (a
+# three-rung VP9-class ladder and a two-tile H.264-class stream) on one
+# core under the CPU profiler. The table keeps only the samples under
+# DecodeSequence, in percent of them: the streams' encode is setup.
+profile-decode:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) test -run '^$$' -bench 'BenchmarkDecodePlayback' -benchtime 40x -cpu 1 \
+		-o "$$d/codec.test" -cpuprofile "$$d/cpu.prof" ./internal/codec && \
+	$(GO) tool pprof -top -focus=DecodeSequence -relative_percentages -nodecount=15 "$$d/codec.test" "$$d/cpu.prof"
 
 # LINT_PAR: packages analyzed concurrently (0 = GOMAXPROCS); output is
 # deterministic at any setting.

@@ -114,9 +114,15 @@ type Decoder struct {
 // NewDecoder returns a Decoder reading from data. The Decoder does not
 // retain ownership: data must not be mutated while decoding.
 func NewDecoder(data []byte) *Decoder {
-	d := &Decoder{in: data, rng: 255}
-	d.value = uint32(d.nextByte())<<8 | uint32(d.nextByte())
+	d := &Decoder{}
+	d.Reset(data)
 	return d
+}
+
+// Reset re-points d at data, leaving it as NewDecoder(data) would.
+func (d *Decoder) Reset(data []byte) {
+	*d = Decoder{in: data, rng: 255}
+	d.value = uint32(d.nextByte())<<8 | uint32(d.nextByte())
 }
 
 func (d *Decoder) nextByte() byte {

@@ -23,7 +23,8 @@ const mvGridSize = 16
 
 // frameShared is the per-frame state common to encoding and decoding:
 // the reconstruction target, reference frames, and the motion-vector
-// context grid. Both sides must mutate it identically.
+// context grid. Both sides must mutate it identically. Each tile coder
+// owns one for its life and resets it per frame.
 type frameShared struct {
 	profile Profile
 	pw, ph  int
@@ -61,40 +62,24 @@ type frameShared struct {
 	nbBuf predict.NeighborBuf
 }
 
-// newFrameShared builds per-frame coding state. carried, when non-nil and
-// the frame is not a keyframe, continues an adaptive entropy model from
-// the previous frame (VP9-class cross-frame probability adaptation);
-// keyframes and non-adaptive profiles always start fresh.
-func newFrameShared(profile Profile, pw, ph, dispW, dispH, qp int, keyframe bool,
-	refs [numRefSlots]*video.Frame, refValid [numRefSlots]bool, recon *video.Frame,
-	carried *entropy.Model) *frameShared {
-	model := carried
-	if model == nil || keyframe || !profile.Adaptive() {
-		model = entropy.NewModel(profile.Adaptive())
-	}
+// newFrameShared builds the coding state of a tile coder for frames of
+// one profile and size; resetForFrame installs each frame's.
+func newFrameShared(profile Profile, pw, ph, dispW, dispH int) *frameShared {
 	gw, gh := pw/mvGridSize, ph/mvGridSize
-	fs := &frameShared{
+	return &frameShared{
 		profile: profile, pw: pw, ph: ph,
-		vw:     padDim(dispW, profile.MinPartition()),
-		vh:     padDim(dispH, profile.MinPartition()),
-		tileX0: 0, tileX1: pw,
-		qp: qp, keyframe: keyframe,
-		recon: recon, refs: refs, refValid: refValid,
-		model: model,
-		gw:    gw, gh: gh,
+		vw: padDim(dispW, profile.MinPartition()),
+		vh: padDim(dispH, profile.MinPartition()),
+		gw: gw, gh: gh,
 		mvGrid:  make([]motion.MV, gw*gh),
 		refGrid: make([]int8, gw*gh),
 	}
-	for i := range fs.refGrid {
-		fs.refGrid[i] = -1
-	}
-	return fs
 }
 
 // resetForFrame re-points the per-frame fields and clears the context
 // grids, reusing the grid and scratch allocations. Dimension-derived
-// fields (pw, ph, vw, vh, gw, gh) are invariant for the life of an
-// encoder and stay untouched.
+// fields (pw, ph, vw, vh, gw, gh) are invariant for the life of the
+// coder and stay untouched.
 func (fs *frameShared) resetForFrame(qp int, keyframe bool, refs [numRefSlots]*video.Frame,
 	refValid [numRefSlots]bool, recon *video.Frame, model *entropy.Model, tileX0, tileX1 int) {
 	fs.qp, fs.keyframe = qp, keyframe

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"fmt"
+	"slices"
 
 	"openvcu/internal/bits"
 	"openvcu/internal/codec/entropy"
@@ -15,15 +16,23 @@ import (
 
 // Decoder decodes a packet stream produced by an Encoder. It mirrors the
 // encoder's reconstruction exactly: the decoded reference frames are
-// bit-identical to the encoder's, which the round-trip tests assert.
+// bit-identical to the encoder's, which the round-trip tests assert. Like
+// the Encoder, it owns its state for the life of the stream (DESIGN.md
+// "Decoder state").
 type Decoder struct {
-	refs     [numRefSlots]*video.Frame
-	refValid [numRefSlots]bool
-	width    int
-	height   int
-	frames   int
+	// refs is the reference store, nil while a slot is invalid; every
+	// frame in it was decoded under profile.
+	refs    [numRefSlots]*video.Frame
+	profile Profile
+	width   int
+	height  int
+	frames  int
 	// model mirrors the encoder's cross-frame entropy context carry.
 	model *entropy.Model
+	// coders are the tile decoders, one per tile column; free holds the
+	// reconstructions no slot holds, for the next frame to reuse.
+	coders []*decFrame
+	free   []*video.Frame
 	// conceal enables error concealment: a frame that fails to decode is
 	// replaced by the last reference instead of returning an error —
 	// "video playback systems are generally tolerant of corruption"
@@ -42,10 +51,11 @@ func NewDecoder() *Decoder { return &Decoder{} }
 // Decode decodes one packet. It returns the display frame, or nil for
 // non-displayed (alternate reference) frames. With concealment enabled,
 // bitstream-level failures on inter frames yield the previous reference
-// instead of an error.
+// instead of an error. A returned frame belongs to the caller: later
+// packets never write it.
 func (dec *Decoder) Decode(data []byte) (*video.Frame, error) {
 	f, err := dec.decode(data)
-	if err != nil && dec.conceal && dec.refValid[RefLast] {
+	if err != nil && dec.conceal && dec.refs[RefLast] != nil {
 		dec.Concealed++
 		// Freeze on the last good reference; keep decoder state intact.
 		return cropFrame(dec.refs[RefLast], dec.width, dec.height), nil
@@ -69,6 +79,9 @@ func (dec *Decoder) decode(data []byte) (*video.Frame, error) {
 		return nil, fmt.Errorf("codec: mid-stream dimension change %dx%d -> %dx%d",
 			dec.width, dec.height, hdr.width, hdr.height)
 	}
+	if !hdr.keyframe && hdr.profile != dec.profile {
+		return nil, fmt.Errorf("codec: %v inter frame over %v references", hdr.profile, dec.profile)
+	}
 	dec.width, dec.height = hdr.width, hdr.height
 
 	profile := hdr.profile
@@ -76,9 +89,9 @@ func (dec *Decoder) decode(data []byte) (*video.Frame, error) {
 	pw, ph := padDim(hdr.width, sb), padDim(hdr.height, sb)
 
 	refs := dec.refs
-	valid := dec.refValid
-	if hdr.keyframe {
-		valid = [numRefSlots]bool{}
+	var valid [numRefSlots]bool
+	for slot, r := range refs {
+		valid[slot] = r != nil && !hdr.keyframe
 	}
 	tiles := 1 << hdr.log2Tiles
 	numSBCols := pw / sb
@@ -90,30 +103,36 @@ func (dec *Decoder) decode(data []byte) (*video.Frame, error) {
 		return nil, err
 	}
 
-	recon := video.NewFrame(pw, ph)
-	var carriedOut *entropy.Model
+	dec.setupCoders(hdr, tiles)
+	recon := dec.newRecon(pw, ph)
+	carried := dec.model
+	if tiles > 1 {
+		carried = nil // multi-tile frames always start fresh contexts
+	}
 	decodeTile := func(t int) error {
-		carried := dec.model
-		if tiles > 1 {
-			carried = nil // multi-tile frames always start fresh contexts
+		df := dec.coders[t]
+		model := carried
+		if model == nil || hdr.keyframe || !profile.Adaptive() {
+			// Reset one of the coder's own models, never the one the
+			// Decoder carries: a frame that fails leaves that as it was.
+			model = &df.models[0]
+			if model == dec.model {
+				model = &df.models[1]
+			}
+			model.Reset(profile.Adaptive())
 		}
-		fs := newFrameShared(profile, pw, ph, hdr.width, hdr.height, hdr.qp, hdr.keyframe, refs, valid, recon, carried)
-		fs.tileX0 = t * numSBCols / tiles * sb
-		fs.tileX1 = (t + 1) * numSBCols / tiles * sb
-		td := bits.NewDecoder(tileData[t])
-		df := &decFrame{frameShared: fs, d: td}
+		df.resetForFrame(hdr.qp, hdr.keyframe, refs, valid, recon, model,
+			t*numSBCols/tiles*sb, (t+1)*numSBCols/tiles*sb)
+		df.d.Reset(tileData[t])
 		for y := 0; y < ph; y += sb {
-			for x := fs.tileX0; x < fs.tileX1; x += sb {
+			for x := df.tileX0; x < df.tileX1; x += sb {
 				if err := df.decodeTree(x, y, sb, 0); err != nil {
 					return err
 				}
 			}
 		}
-		if td.Overrun() {
+		if df.d.Overrun() {
 			return fmt.Errorf("codec: truncated tile %d bitstream", t)
-		}
-		if tiles == 1 {
-			carriedOut = fs.model
 		}
 		return nil
 	}
@@ -121,20 +140,34 @@ func (dec *Decoder) decode(data []byte) (*video.Frame, error) {
 	// edges and recon columns are disjoint, mirroring the parallel
 	// encoder. A single tile decodes on this goroutine.
 	if err := par.Do(tiles, 0, decodeTile); err != nil {
+		dec.retire(recon)
 		return nil, err
 	}
 	filter.Deblock(recon, profile.MinPartition(), hdr.deblock)
 	if profile.Restoration() {
 		filter.Restore(recon, restByte)
 	}
+	// Refreshed slots take recon and a keyframe empties the others, so
+	// every reference is of this profile. A frame that leaves its last
+	// slot, or enters none, is free.
 	for slot, r := range hdr.refresh {
-		if r {
-			//lint:ignore sharedmut slot rotation between frames: tile decoders have joined, no reader is live
-			dec.refs[slot] = recon
-			dec.refValid[slot] = true
+		if !r && !hdr.keyframe {
+			continue
 		}
+		old, next := dec.refs[slot], recon
+		if !r {
+			next = nil
+		}
+		//lint:ignore sharedmut slot rotation between frames: tile decoders have joined, no reader is live
+		dec.refs[slot] = next
+		dec.retire(old)
 	}
-	dec.model = carriedOut
+	dec.retire(recon)
+	dec.model = nil
+	if tiles == 1 {
+		dec.model = dec.coders[0].model
+	}
+	dec.profile = profile
 	dec.frames++
 	if !hdr.show {
 		return nil, nil
@@ -142,40 +175,85 @@ func (dec *Decoder) decode(data []byte) (*video.Frame, error) {
 	return cropFrame(recon, hdr.width, hdr.height), nil
 }
 
-// decFrame decodes the block layer of one frame.
+// setupCoders leaves at least n tile decoders for frames like h in
+// dec.coders, building them all anew when h's profile or coded region
+// (which fix the padded size) differs from the one they were built for.
+func (dec *Decoder) setupCoders(h frameHeader, n int) {
+	if len(dec.coders) > 0 {
+		c, m := dec.coders[0], h.profile.MinPartition()
+		if c.profile != h.profile || c.vw != padDim(h.width, m) || c.vh != padDim(h.height, m) {
+			dec.coders = dec.coders[:0]
+		}
+	}
+	for len(dec.coders) < n {
+		dec.coders = append(dec.coders, allocDecFrame(h))
+	}
+}
+
+// newRecon returns a frame to reconstruct into: a free one of the padded
+// size if there is one, pixels and all, since decoding writes every pixel
+// before it reads it; else a new one.
+func (dec *Decoder) newRecon(pw, ph int) *video.Frame {
+	for n := len(dec.free); n > 0; n-- {
+		f := dec.free[n-1]
+		dec.free = dec.free[:n-1]
+		if f.Width == pw && f.Height == ph {
+			return f
+		}
+	}
+	return video.NewFrame(pw, ph)
+}
+
+// retire puts f on the free list unless a slot holds it.
+func (dec *Decoder) retire(f *video.Frame) {
+	if f != nil && !slices.Contains(dec.refs[:], f) {
+		dec.free = append(dec.free, f)
+	}
+}
+
+// decFrame decodes the block layer of one tile column, frame after frame.
 type decFrame struct {
 	*frameShared
 	d *bits.Decoder
-	// blk is applyTxBlock's scratch: one transform block.
-	blk [transform.MaxSize * transform.MaxSize]int32
+	// pred, cpred and scanned hold one leaf's luma and chroma prediction
+	// and one transform block's levels; blk is applyTxBlock's scratch.
+	pred    []uint8
+	cpred   []uint8
+	scanned []int32
+	blk     [transform.MaxSize * transform.MaxSize]int32
+	// models are the entropy models of frames that carry none.
+	models [2]entropy.Model
+}
+
+// allocDecFrame builds a tile decoder for frames like h: every buffer it
+// decodes with, sized for h's profile and padded size.
+func allocDecFrame(h frameHeader) *decFrame {
+	sb, tx := h.profile.SuperblockSize(), h.profile.MaxTransform()
+	return &decFrame{
+		frameShared: newFrameShared(h.profile, padDim(h.width, sb), padDim(h.height, sb), h.width, h.height),
+		d:           bits.NewDecoder(nil),
+		pred:        make([]uint8, sb*sb),
+		cpred:       make([]uint8, (sb/2)*(sb/2)),
+		scanned:     make([]int32, tx*tx),
+	}
 }
 
 func (df *decFrame) decodeTree(x, y, s, depth int) error {
-	switch df.blockKind(x, y, s) {
-	case blockOutside:
+	kind := df.blockKind(x, y, s)
+	if kind == blockOutside {
 		df.reconOutside(x, y, s)
 		return nil
-	case blockImplicitSplit:
-		half := s / 2
-		for _, off := range [4][2]int{{0, 0}, {half, 0}, {0, half}, {half, half}} {
-			if err := df.decodeTree(x+off[0], y+off[1], half, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-	if s > df.profile.MinPartition() {
-		if df.model.ReadSplit(df.d, depth) {
-			half := s / 2
-			for _, off := range [4][2]int{{0, 0}, {half, 0}, {0, half}, {half, half}} {
-				if err := df.decodeTree(x+off[0], y+off[1], half, depth+1); err != nil {
-					return err
-				}
-			}
-			return nil
+	if kind != blockImplicitSplit && (s <= df.profile.MinPartition() || !df.model.ReadSplit(df.d, depth)) {
+		return df.decodeLeaf(x, y, s)
+	}
+	half := s / 2
+	for _, q := range quadrants {
+		if err := df.decodeTree(x+q[0]*half, y+q[1]*half, half, depth+1); err != nil {
+			return err
 		}
 	}
-	return df.decodeLeaf(x, y, s)
+	return nil
 }
 
 func (df *decFrame) decodeLeaf(x, y, s int) error {
@@ -217,7 +295,7 @@ func (df *decFrame) decodeLeaf(x, y, s int) error {
 	}
 
 	// Luma.
-	pred := make([]uint8, s*s)
+	pred := df.pred[:s*s]
 	df.predictLuma(ch, x, y, s, pred)
 	if ch.skip {
 		storeBlock(df.recon.Y, df.pw, x, y, pred, s)
@@ -227,16 +305,10 @@ func (df *decFrame) decodeLeaf(x, y, s int) error {
 
 	// Chroma.
 	cs := s / 2
-	cw, _ := video.ChromaDims(df.pw, df.ph)
-	cpred := make([]uint8, cs*cs)
+	cpred := df.cpred[:cs*cs]
 	for _, plane := range []video.Plane{video.PlaneU, video.PlaneV} {
 		df.predictChromaPlane(ch, plane, x, y, s, cpred)
-		var reconPlane []uint8
-		if plane == video.PlaneU {
-			reconPlane = df.recon.U
-		} else {
-			reconPlane = df.recon.V
-		}
+		reconPlane, cw, _ := df.recon.PlaneData(plane)
 		if ch.skip {
 			storeBlock(reconPlane, cw, x/2, y/2, cpred, cs)
 		} else {
@@ -254,7 +326,7 @@ func (df *decFrame) decodeLeaf(x, y, s int) error {
 
 func (df *decFrame) decodePlaneResidual(recon []uint8, stride, x, y int,
 	pred []uint8, s, tx, planeClass int) {
-	scanned := make([]int32, tx*tx)
+	scanned := df.scanned[:tx*tx]
 	blk := df.blk[:tx*tx]
 	for by := 0; by < s; by += tx {
 		for bx := 0; bx < s; bx += tx {

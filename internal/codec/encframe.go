@@ -60,8 +60,7 @@ func allocEncFrame(e *Encoder) *encFrame {
 		w:   bits.NewEncoder(),
 	}
 	fc.ownModel = entropy.NewModel(e.cfg.Profile.Adaptive())
-	fc.frameShared = newFrameShared(e.cfg.Profile, e.pw, e.ph, e.cfg.Width, e.cfg.Height,
-		0, false, [numRefSlots]*video.Frame{}, [numRefSlots]bool{}, nil, fc.ownModel)
+	fc.frameShared = newFrameShared(e.cfg.Profile, e.pw, e.ph, e.cfg.Width, e.cfg.Height)
 	sb := e.cfg.Profile.SuperblockSize()
 	tx := e.cfg.Profile.MaxTransform()
 	fc.predBuf = make([]uint8, sb*sb)

@@ -11,10 +11,10 @@
 //     compound averaging).
 //   - motion.go (this file): the interpolators and search, with fast
 //     fully-in-bounds paths that hoist edge clamping out of the inner
-//     loops and separable row/column passes for the sub-pel filters.
+//     loops and separable row/column passes for the sub-pel filters,
+//     which clamp an edge row once (Scratch.row), not once per tap.
 //   - reference.go: the retained scalar kernels, bit-exact ground truth
-//     for the differential tests and the implementation of the clamped
-//     edge paths.
+//     for the differential tests and the clamped full-pel edge path.
 //
 // Nothing in this package allocates per call (vculint hotalloc enforces
 // it); callers thread a *Scratch for the buffers the kernels need.
@@ -99,6 +99,22 @@ func clampCoord(v, max int) int {
 	return v
 }
 
+// row returns the n samples of source row y from column x on, edge
+// extended: a view of the plane when the columns are inside it, else
+// gathered once into sc.edge with clamped coordinates, so an interpolator
+// runs its interior filter over the row either way.
+func (sc *Scratch) row(ref *Ref, x, y, n int) []uint8 {
+	src := ref.Pix[clampCoord(y, ref.H)*ref.W:][:ref.W]
+	if x >= 0 && x+n <= ref.W {
+		return src[x : x+n]
+	}
+	row := sc.edge[:n]
+	for i := range row {
+		row[i] = src[clampCoord(x+i, ref.W)]
+	}
+	return row
+}
+
 // splitPos splits the position of the block at (bx, by) displaced by mv
 // into its full-pel origin and its 1/8-pel phase. The division floors, so
 // the phase is never negative whatever the vector's sign.
@@ -156,7 +172,9 @@ func SampleBlock(ref Ref, bx, by int, mv MV, dst []uint8, n int, sc *Scratch) {
 // in range) followed by a vertical pass — 8 multiplies per output pixel
 // instead of the direct form's 16. Weights are Q6 per axis (Q12
 // combined); the integer intermediate makes the result bit-exact with
-// the direct scalar form in reference.go.
+// the direct scalar form in reference.go. Each source row comes from
+// Scratch.row, so a block that leaves the frame runs the same filter over
+// rows edge-extended once each.
 //
 // A phase with one fractional axis runs one pass on interior blocks: the
 // full-pel axis' taps are {0, 64, 0, 0}, a scale by 64, and
@@ -193,31 +211,15 @@ func sampleSharp(ref Ref, ix, iy, fx, fy int, dst []uint8, n int, sc *Scratch) {
 	}
 	sc.setup(n)
 	hbuf := sc.interp
-	rows := n + 3
-	if interior {
-		// Interior fast path: no clamping, rolling window of source taps.
-		for r := 0; r < rows; r++ {
-			src := ref.Pix[(iy+r-1)*ref.W+ix-1:]
-			hr := hbuf[r*n : r*n+n]
-			p0, p1, p2 := int32(src[0]), int32(src[1]), int32(src[2])
-			for x := 0; x < n; x++ {
-				p3 := int32(src[x+3])
-				hr[x] = int16(tx[0]*p0 + tx[1]*p1 + tx[2]*p2 + tx[3]*p3)
-				p0, p1, p2 = p1, p2, p3
-			}
-		}
-	} else {
-		for r := 0; r < rows; r++ {
-			sy := clampCoord(iy+r-1, ref.H)
-			src := ref.Pix[sy*ref.W:]
-			hr := hbuf[r*n : r*n+n]
-			for x := 0; x < n; x++ {
-				h := tx[0]*int32(src[clampCoord(ix+x-1, ref.W)]) +
-					tx[1]*int32(src[clampCoord(ix+x, ref.W)]) +
-					tx[2]*int32(src[clampCoord(ix+x+1, ref.W)]) +
-					tx[3]*int32(src[clampCoord(ix+x+2, ref.W)])
-				hr[x] = int16(h)
-			}
+	for r := 0; r < n+3; r++ {
+		// Rolling window of source taps over the row's n+3 samples.
+		src := sc.row(&ref, ix-1, iy+r-1, n+3)
+		hr := hbuf[r*n : r*n+n]
+		p0, p1, p2 := int32(src[0]), int32(src[1]), int32(src[2])
+		for x := range hr {
+			p3 := int32(src[x+3])
+			hr[x] = int16(tx[0]*p0 + tx[1]*p1 + tx[2]*p2 + tx[3]*p3)
+			p0, p1, p2 = p1, p2, p3
 		}
 	}
 	for y := 0; y < n; y++ {
@@ -270,28 +272,14 @@ func sampleBilinear(ref Ref, ix, iy, fx, fy int, dst []uint8, n int, sc *Scratch
 	}
 	sc.setup(n)
 	hbuf := sc.interp
-	rows := n + 1
-	if interior {
-		for r := 0; r < rows; r++ {
-			src := ref.Pix[(iy+r)*ref.W+ix:]
-			hr := hbuf[r*n : r*n+n]
-			p0 := int32(src[0])
-			for x := 0; x < n; x++ {
-				p1 := int32(src[x+1])
-				hr[x] = int16(p0*w0 + p1*w1)
-				p0 = p1
-			}
-		}
-	} else {
-		for r := 0; r < rows; r++ {
-			sy := clampCoord(iy+r, ref.H)
-			src := ref.Pix[sy*ref.W:]
-			hr := hbuf[r*n : r*n+n]
-			for x := 0; x < n; x++ {
-				p0 := int32(src[clampCoord(ix+x, ref.W)])
-				p1 := int32(src[clampCoord(ix+x+1, ref.W)])
-				hr[x] = int16(p0*w0 + p1*w1)
-			}
+	for r := 0; r < n+1; r++ {
+		src := sc.row(&ref, ix, iy+r, n+1)
+		hr := hbuf[r*n : r*n+n]
+		p0 := int32(src[0])
+		for x := range hr {
+			p1 := int32(src[x+1])
+			hr[x] = int16(p0*w0 + p1*w1)
+			p0 = p1
 		}
 	}
 	for y := 0; y < n; y++ {

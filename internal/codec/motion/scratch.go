@@ -19,6 +19,9 @@ type Scratch struct {
 	// interp is the int16 row-pass intermediate of the separable
 	// interpolators, (n+3)×n for the 4-tap filter.
 	interp []int16
+	// edge holds one edge-extended source row of an interpolator, n+3
+	// samples for the 4-tap filter.
+	edge []uint8
 }
 
 // NewScratch returns an empty Scratch. Equivalent to new(Scratch); the
@@ -36,4 +39,8 @@ func (sc *Scratch) setup(n int) {
 		sc.interp = make([]int16, (n+3)*n)
 	}
 	sc.interp = sc.interp[:(n+3)*n]
+	if cap(sc.edge) < n+3 {
+		sc.edge = make([]uint8, n+3)
+	}
+	sc.edge = sc.edge[:n+3]
 }

@@ -171,13 +171,11 @@ func TestEncoderReconMatchesDecoder(t *testing.T) {
 				if got == nil {
 					continue
 				}
-				// The encoder's reference for this frame is its recon;
-				// decode and re-encode the next frame against it. Drift
-				// would show up as exploding residuals, but we check
-				// directly: decoding must be deterministic and stable
-				// across the whole GOP.
-				if got.Width != 96 || got.Height != 64 {
-					t.Fatalf("profile %v frame %d: decoded %dx%d", profile, i, got.Width, got.Height)
+				// A shown frame refreshes LAST: the encoder's reference is
+				// its reconstruction, and the decoder's output must be it,
+				// byte for byte.
+				if !sameFrame(got, cropFrame(enc.refs[RefLast].frame, 96, 64)) {
+					t.Fatalf("profile %v frame %d: decoded frame differs from the encoder's reconstruction", profile, i)
 				}
 			}
 		}
