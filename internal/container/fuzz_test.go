@@ -80,12 +80,16 @@ func FuzzContainer(f *testing.F) {
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got := allocatedBy(func() {
+		read := func() {
 			_, _, _ = NewReader(bytes.NewReader(data)).ReadAll()
 			if ir, err := OpenIndexed(bytes.NewReader(data)); err == nil {
 				_ = ir.VerifyChunks()
 			}
-		})
+		}
+		// The readers allocate the same bytes on every pass; the fuzzing
+		// engine's goroutines, counted by the same process-wide total,
+		// now and then add a few kilobytes to one. Take the smaller pass.
+		got := min(allocatedBy(read), allocatedBy(read))
 		if limit := uint64(2*firstPacketAlloc + 32*len(data)); got > limit {
 			t.Fatalf("%d input bytes made the readers allocate %d (limit %d)", len(data), got, limit)
 		}
