@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check lint lint-json race mutants build test fmt profile-encode profile-decode chaos fuzz overload autoscale audit oracle oracle-diff
+.PHONY: check lint lint-json race mutants build test fmt profile-encode profile-decode profile-park chaos fuzz overload autoscale audit oracle oracle-diff
 
 check:
 	./scripts/check.sh
@@ -33,6 +33,18 @@ profile-decode:
 	$(GO) test -run '^$$' -bench 'BenchmarkDecodePlayback' -benchtime 40x -cpu 1 \
 		-o "$$d/codec.test" -cpuprofile "$$d/cpu.prof" ./internal/codec && \
 	$(GO) tool pprof -top -focus=DecodeSequence -relative_percentages -nodecount=15 "$$d/codec.test" "$$d/cpu.prof"
+
+# Where the control plane spends its CPU, the same way:
+# BenchmarkParkSteady runs the benchmark's park_steady workload (2,000
+# workers, flat arrivals, seed 1) on one core under the CPU profiler,
+# building each cluster and its arrivals untimed. The table keeps only
+# the samples under RunUntil, in percent of them; its ns/op and
+# allocs/op are the before/after row of a control-plane change.
+profile-park:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) test -run '^$$' -bench 'BenchmarkParkSteady' -benchtime 15x -cpu 1 \
+		-o "$$d/cluster.test" -cpuprofile "$$d/cpu.prof" ./internal/cluster && \
+	$(GO) tool pprof -top -focus=RunUntil -relative_percentages -nodecount=15 "$$d/cluster.test" "$$d/cpu.prof"
 
 # LINT_PAR: packages analyzed concurrently (0 = GOMAXPROCS); output is
 # deterministic at any setting.

@@ -12,7 +12,6 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"openvcu/internal/codec"
@@ -433,8 +432,14 @@ type Cluster struct {
 	// memo reports whether the memo answered it (always "no room") in
 	// place of a walk over the workers. Tests set it; nothing else does.
 	placeProbe func(s *Step, need sched.Resources, avoidVCU int, memo bool)
-	rng        uint64
-	ring       *hashRing
+	// free holds the execution records nothing refers to any more
+	// (execution.go), for runTranscode to reuse.
+	free []*execution
+	// execProbe, when set, sees every record runTranscode takes from free
+	// before it is reused. Tests set it; nothing else does.
+	execProbe func(x *execution)
+	rng       uint64
+	ring      *hashRing
 	// degradeLevel is the brownout controller's current rung.
 	degradeLevel transcode.DegradeLevel
 	// dispatching/dispatchMore guard against reentrant queue drains:
@@ -904,159 +909,6 @@ func (c *Cluster) stepDeadline(s *Step) time.Duration {
 func (c *Cluster) hedgeDelay(s *Step) time.Duration {
 	return time.Duration(c.cfg.HedgeMultiplier *
 		sched.ExpectedStepSeconds(s.execReq) * float64(time.Second))
-}
-
-// runTranscode executes one copy of the step's ops on the worker's VCU
-// through the firmware queue: one decode, then the output encodes. The
-// step's worst-case frame footprint is allocated from device DRAM up
-// front — the hard limit the bin-packing DRAM dimension exists to
-// respect (a single-slot scheduler can over-admit into this and fail
-// here). The execution carries the step's current generation token: the
-// first copy to settle the step (complete it, or requeue it after the
-// last live copy fails) bumps s.execGen, voiding its sibling and any
-// pending watchdog — the losing copy still releases its resources on
-// its own completion or deadline, but cannot re-settle the step.
-func (c *Cluster) runTranscode(s *Step, cw *clusterWorker, a *sched.Assignment, isHedge bool) {
-	req := s.execReq
-	token := s.execGen
-	frames := req.Frames()
-	inPixels := int64(frames) * int64(req.InputRes.Pixels())
-	gen := cw.generation
-
-	outs := make([]int64, len(req.Outputs))
-	for i, o := range req.Outputs {
-		outs[i] = int64(o.Pixels())
-	}
-	footprint := c.cfg.Params.JobFootprint(int64(req.InputRes.Pixels()), outs)
-	if err := cw.vcu.AllocMemory(footprint); err != nil {
-		c.Stats.MemoryExhaustions++
-		c.release(a)
-		c.execFailed(s, cw, err)
-		return
-	}
-
-	finished := false
-	finish := func(err error, corrupted bool) {
-		if finished {
-			return
-		}
-		finished = true
-		cw.vcu.FreeMemory(footprint)
-		c.release(a)
-		if s.execGen != token {
-			// A sibling already settled the step; this copy only had to
-			// give back its resources.
-			return
-		}
-		if gen != cw.generation && err == nil {
-			err = fmt.Errorf("%w (vcu %d)", errWorkerRestart, cw.vcu.ID)
-		}
-		if err != nil {
-			c.execFailed(s, cw, err)
-			return
-		}
-		if corrupted && s.liveExecs > 1 && c.rand() < c.cfg.IntegrityCheckProb {
-			// Verification-aware settlement: corrupted ops complete
-			// fast, so under pure first-wins they systematically beat
-			// their healthy sibling and launder corruption into hedge
-			// winners. A first-finisher that fails the settlement-time
-			// integrity screen yields to the still-running copy instead
-			// of settling (the screen is the same imperfect check as
-			// completion's, so some corruption still slips past to the
-			// assembly and audit layers).
-			s.liveExecs--
-			c.Stats.HedgesVetoed++
-			return
-		}
-		s.execGen++ // settle: void the sibling and both watchdogs
-		s.liveExecs = 0
-		s.hedgeWon = isHedge
-		if isHedge {
-			c.Stats.HedgesWon++
-		}
-		c.completeStep(s, cw, corrupted)
-		c.dispatch()
-	}
-
-	if c.cfg.WatchdogMultiplier > 0 {
-		deadline := c.stepDeadline(s)
-		c.Eng.Schedule(deadline, func() {
-			if finished {
-				return
-			}
-			// Fires even for a voided copy: a hung loser would otherwise
-			// hold its reservation and DRAM forever.
-			c.Stats.WatchdogFires++
-			cw.vcu.ChargeTimeout()
-			finish(fmt.Errorf("%w after %v (vcu %d)",
-				vcu.ErrDeadlineExceeded, deadline, cw.vcu.ID), false)
-		})
-	}
-	if !isHedge && c.cfg.HedgeMultiplier > 0 {
-		c.Eng.Schedule(c.hedgeDelay(s), func() { c.maybeHedge(s, token, cw.vcu.ID) })
-	}
-
-	// Live steps pace at the chunk's wall duration: completion cannot
-	// fire before the stream has actually played out.
-	startedAt := c.Eng.Now()
-	wallFloor := time.Duration(0)
-	if req.Realtime && req.FPS > 0 {
-		wallFloor = chunkWall(req)
-	}
-	gated := func(err error, corrupted bool) {
-		elapsed := c.Eng.Now() - startedAt
-		if err == nil && elapsed < wallFloor {
-			c.Eng.Schedule(wallFloor-elapsed, func() { finish(err, corrupted) })
-			return
-		}
-		finish(err, corrupted)
-	}
-
-	encodeAll := func(corruptedSoFar bool) {
-		remaining := len(req.Outputs)
-		if remaining == 0 {
-			gated(nil, corruptedSoFar)
-			return
-		}
-		anyCorrupt := corruptedSoFar
-		var anyErr error
-		for _, out := range req.Outputs {
-			encPixels := int64(frames) * int64(out.Pixels())
-			if req.SpeedBoost {
-				// The raised encoder speed processes the same pixels in
-				// less core time; model it as a smaller op.
-				encPixels = int64(float64(encPixels) / sched.SpeedBoostFactor)
-			}
-			op := &vcu.Op{Kind: vcu.OpEncode, Profile: req.Profile, Mode: req.Mode,
-				Pixels: encPixels,
-				Done: func(err error, corr bool) {
-					if err != nil {
-						anyErr = err
-					}
-					anyCorrupt = anyCorrupt || corr
-					remaining--
-					if remaining == 0 {
-						gated(anyErr, anyCorrupt)
-					}
-				}}
-			if err := cw.submit(op); err != nil {
-				finish(err, false)
-				return
-			}
-		}
-	}
-
-	decode := &vcu.Op{Kind: vcu.OpDecode, Mode: req.Mode, Pixels: inPixels,
-		Done: func(err error, corr bool) {
-			if err != nil {
-				finish(err, false)
-				return
-			}
-			encodeAll(corr)
-		}}
-	if err := cw.submit(decode); err != nil {
-		finish(err, false)
-	}
 }
 
 // release returns a's reservation to its worker.

@@ -50,11 +50,14 @@ func BuildGraph(spec VideoSpec, stepTargetSeconds float64) *Graph {
 		spec.Frames = spec.ChunkFrames
 	}
 	nChunks := (spec.Frames + spec.ChunkFrames - 1) / spec.ChunkFrames
-	g := &Graph{ID: spec.ID, Priority: priorityFor(spec)}
-	id := 0
+	// One array holds every step of the graph and one every request, so
+	// a graph is a handful of allocations whatever its chunk count.
+	steps := make([]Step, nChunks+4)
+	reqs := make([]sched.StepRequest, nChunks)
+	g := &Graph{ID: spec.ID, Priority: priorityFor(spec), Steps: make([]*Step, 0, len(steps))}
 	add := func(kind StepKind, req *sched.StepRequest, deps ...*Step) *Step {
-		s := &Step{ID: id, Kind: kind, Request: req, Deps: deps}
-		id++
+		s := &steps[len(g.Steps)]
+		*s = Step{ID: len(g.Steps), Kind: kind, Request: req, Deps: deps}
 		g.Steps = append(g.Steps, s)
 		return s
 	}
@@ -63,13 +66,14 @@ func BuildGraph(spec VideoSpec, stepTargetSeconds float64) *Graph {
 	if spec.MOT {
 		outputs = video.LadderBelow(spec.Resolution)
 	}
-	var transcodes []*Step
+	transcodes := make([]*Step, 0, nChunks)
 	for cidx := 0; cidx < nChunks; cidx++ {
 		frames := spec.ChunkFrames
 		if last := spec.Frames - cidx*spec.ChunkFrames; last < frames {
 			frames = last
 		}
-		req := &sched.StepRequest{
+		req := &reqs[cidx]
+		*req = sched.StepRequest{
 			InputRes:      spec.Resolution,
 			FPS:           spec.FPS,
 			ChunkFrames:   frames,

@@ -11,13 +11,15 @@ import "time"
 type Fluid struct {
 	eng      *Engine
 	capacity float64
-	// flows is in ascending id: ids are handed out monotonically, so
-	// append keeps the order and removal closes the gap in place. Float
-	// accumulation is not associative, so every walk over the flow set
-	// must use this one order for the simulation to be bit-reproducible.
-	flows  []*flow
-	nextID int64
-	epoch  int64 // invalidates stale completion events
+	// flows is in start order: append keeps the order and removal closes
+	// the gap in place. Float accumulation is not associative, so every
+	// walk over the flow set must use this one order for the simulation
+	// to be bit-reproducible.
+	flows []flow
+	// timer fires at the earliest completion, that of flows[next]; it is
+	// re-armed by every rebalance, and stopped while no flow has a rate.
+	timer Timer
+	next  int
 
 	// TransferredWork integrates completed work for utilization stats.
 	TransferredWork float64
@@ -33,38 +35,38 @@ type flow struct {
 
 // NewFluid returns a Fluid resource with the given capacity per second.
 func NewFluid(eng *Engine, capacity float64) *Fluid {
-	return &Fluid{eng: eng, capacity: capacity}
+	f := &Fluid{eng: eng, capacity: capacity}
+	f.timer.Bind(f.complete)
+	return f
 }
 
 // Start begins a flow of `work` units with natural rate `demand` units/s;
-// done fires when the work completes. Returns the flow id.
-func (f *Fluid) Start(work, demand float64, done func()) int64 {
+// done fires when the work completes.
+func (f *Fluid) Start(work, demand float64, done func()) {
 	if work <= 0 {
 		if done != nil {
 			// Complete asynchronously for deterministic ordering.
 			f.eng.Schedule(0, done)
 		}
-		return -1
+		return
 	}
 	if demand <= 0 {
 		demand = f.capacity
 	}
-	f.nextID++
-	f.flows = append(f.flows, &flow{demand: demand, remaining: work, updatedAt: f.eng.Now(), done: done})
+	f.flows = append(f.flows, flow{demand: demand, remaining: work, updatedAt: f.eng.Now(), done: done})
 	f.rebalance()
-	return f.nextID
 }
 
 // Active returns the number of in-flight flows.
 func (f *Fluid) Active() int { return len(f.flows) }
 
-// rebalance recomputes flow rates after membership changes and schedules
-// the next completion.
+// rebalance recomputes flow rates after membership changes and re-arms
+// the timer for the next completion.
 func (f *Fluid) rebalance() {
-	f.epoch++
 	now := f.eng.Now()
 	var total float64
-	for _, fl := range f.flows {
+	for i := range f.flows {
+		fl := &f.flows[i]
 		// Drain progress at the previous rate.
 		elapsed := (now - fl.updatedAt).Seconds()
 		drained := fl.rate * elapsed
@@ -80,11 +82,12 @@ func (f *Fluid) rebalance() {
 	if total > f.capacity {
 		scale = f.capacity / total
 	}
-	// The earliest completion; among equal ETAs the lowest id, which the
-	// ascending walk meets first.
+	// The earliest completion; among equal ETAs the earliest started,
+	// which the walk meets first.
 	next := -1
 	nextAt := time.Duration(1<<62 - 1)
-	for i, fl := range f.flows {
+	for i := range f.flows {
+		fl := &f.flows[i]
 		fl.rate = fl.demand * scale
 		if fl.rate <= 0 {
 			continue
@@ -96,26 +99,23 @@ func (f *Fluid) rebalance() {
 		}
 	}
 	if next < 0 {
+		f.eng.Stop(&f.timer)
 		return
 	}
-	epoch := f.epoch
-	f.eng.Schedule(nextAt-now, func() {
-		if f.epoch != epoch {
-			return // superseded by a later rebalance
-		}
-		f.complete(next) // same epoch, same membership: the index still holds
-	})
+	f.next = next
+	f.eng.Reset(&f.timer, nextAt-now)
 }
 
-func (f *Fluid) complete(i int) {
-	fl := f.flows[i]
-	f.TransferredWork += fl.remaining
-	fl.remaining = 0
+// complete finishes flows[next]: membership has not changed since the
+// rebalance that armed the timer, so the index still holds.
+func (f *Fluid) complete() {
+	i := f.next
+	f.TransferredWork += f.flows[i].remaining
+	done := f.flows[i].done
 	last := len(f.flows) - 1
 	copy(f.flows[i:], f.flows[i+1:])
-	f.flows[last] = nil
+	f.flows[last] = flow{}
 	f.flows = f.flows[:last]
-	done := fl.done
 	f.rebalance()
 	if done != nil {
 		done()

@@ -8,7 +8,9 @@ import (
 )
 
 // refFluid is the reference Fluid: flows in a map, every walk over a
-// freshly sorted id list. Fluid must reproduce it bit for bit.
+// freshly sorted id list, and a fresh completion event per rebalance
+// that a later rebalance voids by epoch. Fluid must reproduce it bit for
+// bit.
 type refFluid struct {
 	eng             *Engine
 	capacity        float64
@@ -18,12 +20,12 @@ type refFluid struct {
 	TransferredWork float64
 }
 
-func (f *refFluid) Start(work, demand float64, done func()) int64 {
+func (f *refFluid) Start(work, demand float64, done func()) {
 	if work <= 0 {
 		if done != nil {
 			f.eng.Schedule(0, done)
 		}
-		return -1
+		return
 	}
 	if demand <= 0 {
 		demand = f.capacity
@@ -32,7 +34,6 @@ func (f *refFluid) Start(work, demand float64, done func()) int64 {
 	id := f.nextID
 	f.flows[id] = &flow{demand: demand, remaining: work, updatedAt: f.eng.Now(), done: done}
 	f.rebalance()
-	return id
 }
 
 func (f *refFluid) sortedIDs() []int64 {
@@ -151,7 +152,7 @@ type fluidEvent struct {
 
 // playFluid runs mix through start on eng and returns the completions
 // in the order they fired.
-func playFluid(eng *Engine, mix []*fluidStart, start func(work, demand float64, done func()) int64) []fluidEvent {
+func playFluid(eng *Engine, mix []*fluidStart, start func(work, demand float64, done func())) []fluidEvent {
 	var log []fluidEvent
 	label := 0
 	var launch func(s *fluidStart)

@@ -22,17 +22,67 @@ func (e *Engine) Now() time.Duration { return e.now }
 
 // Schedule runs fn after delay of virtual time.
 func (e *Engine) Schedule(delay time.Duration, fn func()) {
+	e.pq.push(e.event(delay, fn, nil))
+}
+
+// event stamps the next scheduling-order number on an event due after
+// delay.
+func (e *Engine) event(delay time.Duration, fn func(), t *Timer) event {
 	if delay < 0 {
 		delay = 0
 	}
 	e.seq++
-	e.pq.push(event{at: e.now + delay, seq: e.seq, fn: fn})
+	return event{at: e.now + delay, seq: e.seq, fn: fn, t: t}
+}
+
+// Timer is one event that can be moved or cancelled while it is queued:
+// a deadline that usually does not fire, or a completion estimate that
+// is revised. It is a value, meant to be embedded in what it times and
+// reused; bind its function once, then arm it with Engine.Reset and
+// disarm it with Engine.Stop. A fired timer is disarmed before its
+// function runs, so the function may re-arm it.
+type Timer struct {
+	fn func()
+	// pos is 1 + the timer's index in the engine's heap while it is
+	// armed, 0 while it is not.
+	pos int
+}
+
+// Bind sets the function t runs when it fires.
+func (t *Timer) Bind(fn func()) { t.fn = fn }
+
+// Armed reports whether t is queued to fire.
+func (t *Timer) Armed() bool { return t.pos != 0 }
+
+// Reset arms t to fire after delay, moving it if it is already queued.
+// Either way it takes its place in scheduling order now, exactly as a
+// Schedule call here would: among events due at the same instant, it
+// runs after every event scheduled before this call.
+func (e *Engine) Reset(t *Timer, delay time.Duration) {
+	ev := e.event(delay, t.fn, t)
+	if t.pos == 0 {
+		e.pq.push(ev)
+		return
+	}
+	i := t.pos - 1
+	if ev.before(e.pq[i]) {
+		e.pq.up(i, ev)
+	} else {
+		e.pq.down(i, ev)
+	}
+}
+
+// Stop disarms t. Stopping a timer that is not armed does nothing.
+func (e *Engine) Stop(t *Timer) {
+	if t.pos != 0 {
+		e.pq.remove(t.pos - 1)
+	}
 }
 
 // Run processes events until the queue is empty.
 func (e *Engine) Run() {
 	for len(e.pq) > 0 {
-		ev := e.pq.pop()
+		ev := e.pq.remove(0)
 		e.now = ev.at
 		ev.fn()
 	}
@@ -42,7 +92,7 @@ func (e *Engine) Run() {
 // clock to deadline. Later events stay queued.
 func (e *Engine) RunUntil(deadline time.Duration) {
 	for len(e.pq) > 0 && e.pq[0].at <= deadline {
-		ev := e.pq.pop()
+		ev := e.pq.remove(0)
 		e.now = ev.at
 		ev.fn()
 	}
@@ -51,13 +101,14 @@ func (e *Engine) RunUntil(deadline time.Duration) {
 	}
 }
 
-// Pending reports the number of queued events.
+// Pending reports the number of queued events, armed timers included.
 func (e *Engine) Pending() int { return len(e.pq) }
 
 type event struct {
 	at  time.Duration
 	seq int64
 	fn  func()
+	t   *Timer // the timer this event is, nil for a Schedule call's
 }
 
 // before is the execution order: by time, then by scheduling order.
@@ -71,52 +122,79 @@ func (a event) before(b event) bool {
 }
 
 // eventHeap is a binary min-heap of events held by value: scheduling
-// an event allocates nothing beyond the slice's own growth.
+// an event allocates nothing beyond the slice's own growth. A timer's
+// event keeps the timer's pos up to date wherever it moves.
 type eventHeap []event
 
-func (h *eventHeap) push(ev event) {
-	q := append(*h, ev)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !ev.before(q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		i = parent
+// set puts ev in slot i.
+func (h eventHeap) set(i int, ev event) {
+	h[i] = ev
+	if ev.t != nil {
+		ev.t.pos = i + 1
 	}
-	q[i] = ev
-	*h = q
 }
 
-func (h *eventHeap) pop() event {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q[n] = event{} // drop the closure so the collector can have it
-	q = q[:n]
-	// Sift last down from the root.
-	i := 0
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	h.up(len(*h)-1, ev)
+}
+
+// up places ev at slot i or above: it climbs while it sorts before its
+// parent.
+func (h eventHeap) up(i int, ev event) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(h[parent]) {
+			break
+		}
+		h.set(i, h[parent])
+		i = parent
+	}
+	h.set(i, ev)
+}
+
+// down places ev at slot i or below: it sinks while a child sorts
+// before it.
+func (h eventHeap) down(i int, ev event) {
+	n := len(h)
 	for {
 		child := 2*i + 1
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && q[r].before(q[child]) {
+		if r := child + 1; r < n && h[r].before(h[child]) {
 			child = r
 		}
-		if !q[child].before(last) {
+		if !h[child].before(ev) {
 			break
 		}
-		q[i] = q[child]
+		h.set(i, h[child])
 		i = child
 	}
-	if n > 0 {
-		q[i] = last
-	}
+	h.set(i, ev)
+}
+
+// remove takes the event in slot i out of the heap and returns it; the
+// root is slot 0.
+func (h *eventHeap) remove(i int) event {
+	q := *h
+	ev := q[i]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the closure so the collector can have it
+	q = q[:n]
 	*h = q
-	return top
+	if i < n {
+		if i > 0 && last.before(q[(i-1)/2]) {
+			q.up(i, last)
+		} else {
+			q.down(i, last)
+		}
+	}
+	if ev.t != nil {
+		ev.t.pos = 0
+	}
+	return ev
 }
 
 // Server is a FIFO multi-server queue: up to Capacity jobs in service,

@@ -31,6 +31,34 @@ type Op struct {
 	// Done fires at completion. corrupted reports silent data corruption
 	// (a faulty VCU that is still "fast", §4.4 black-holing).
 	Done func(err error, corrupted bool)
+
+	// Run state of the op's current execution: submitted and not yet
+	// reported to Done, what the device decided at dispatch, and the
+	// completion callback of its DRAM flow, bound on first dispatch. An
+	// Op can be submitted again once its Done has fired; it must not be
+	// copied once it has run.
+	inFlight  bool
+	vcu       *VCU
+	epoch     int
+	err       error
+	corrupted bool
+	// silent marks corruption the firmware cannot attribute (the
+	// intermittent marginal path): it reaches Done but leaves no trace
+	// in Telemetry, invisible to fault management.
+	silent  bool
+	drained func()
+}
+
+// InFlight reports whether op was submitted and its Done has not fired
+// yet. An op seized by a hung device stays in flight for good.
+func (op *Op) InFlight() bool { return op.inFlight }
+
+// report hands the op's outcome to Done.
+func (op *Op) report(err error, corrupted bool) {
+	op.inFlight = false
+	if op.Done != nil {
+		op.Done(err, corrupted)
+	}
 }
 
 // ErrDisabled is returned for ops submitted to a disabled VCU.
@@ -261,8 +289,12 @@ func (v *VCU) MemoryUsed() int64 { return v.memUsed }
 // process owns one queue (§3.3.2); the firmware multiplexes queues onto
 // cores round-robin for fairness.
 type Queue struct {
-	vcu     *VCU
+	vcu *VCU
+	// pending[head:] are the ops waiting for a core, oldest first. The
+	// array is reused: a taken slot is cleared, and the waiting ops move
+	// to the front rather than the array grow while there is room there.
 	pending []*Op
+	head    int
 	closed  bool
 }
 
@@ -277,13 +309,33 @@ func (v *VCU) OpenQueue() *Queue {
 // ErrAborted; ops already on a core run to completion.
 func (q *Queue) Close() {
 	q.closed = true
-	dropped := q.pending
-	q.pending = nil
+	dropped := q.pending[q.head:]
+	q.pending, q.head = nil, 0
 	for _, op := range dropped {
-		op := op
-		if op.Done != nil {
-			q.vcu.eng.Schedule(0, func() { op.Done(ErrAborted, false) })
+		if op.Done == nil {
+			op.inFlight = false
+			continue
 		}
+		q.vcu.eng.Schedule(0, func() { op.report(ErrAborted, false) })
+	}
+}
+
+// push appends op to the waiting ops.
+func (q *Queue) push(op *Op) {
+	if q.head > 0 && len(q.pending) == cap(q.pending) {
+		n := copy(q.pending, q.pending[q.head:])
+		clear(q.pending[n:])
+		q.pending, q.head = q.pending[:n], 0
+	}
+	q.pending = append(q.pending, op)
+}
+
+// pop removes the oldest waiting op.
+func (q *Queue) pop() {
+	q.pending[q.head] = nil
+	q.head++
+	if q.head == len(q.pending) {
+		q.pending, q.head = q.pending[:0], 0
 	}
 }
 
@@ -296,7 +348,8 @@ func (q *Queue) RunOnCore(op *Op) error {
 	if q.closed {
 		return ErrQueueClosed
 	}
-	q.pending = append(q.pending, op)
+	op.inFlight = true
+	q.push(op)
 	q.vcu.dispatch()
 	return nil
 }
@@ -330,14 +383,14 @@ func (v *VCU) dispatch() {
 		progress = false
 		for i := 0; i < len(v.queues); i++ {
 			q := v.queues[(v.rr+i)%len(v.queues)]
-			if len(q.pending) == 0 {
+			if q.head == len(q.pending) {
 				continue
 			}
-			op := q.pending[0]
+			op := q.pending[q.head]
 			if !v.coreAvailable(op.Kind) {
 				continue
 			}
-			q.pending = q.pending[1:]
+			q.pop()
 			v.rr = (v.rr + i + 1) % len(v.queues)
 			v.execute(op)
 			progress = true
@@ -381,18 +434,13 @@ func (v *VCU) opCost(op *Op) (float64, float64) {
 
 func (v *VCU) execute(op *Op) {
 	coreSec, bytes := v.opCost(op)
-	corrupted := false
-	// silent marks corruption the firmware cannot attribute (the
-	// intermittent marginal path): it reaches the op's Done callback but
-	// leaves no trace in Telemetry — invisible to fault management.
-	silent := false
-	var failErr error
+	op.vcu, op.err, op.corrupted, op.silent = v, nil, false, false
 	faulty := v.Faulty()
 	v.opsStarted++
 	if faulty {
 		switch v.fault.Mode {
 		case FaultStop:
-			failErr = v.deviceErr(ErrDeviceStop)
+			op.err = v.deviceErr(ErrDeviceStop)
 			coreSec *= 0.05 // fails fast
 		case FaultCorrupt:
 			if d := v.fault.DutyCycle; d > 1 {
@@ -406,12 +454,12 @@ func (v *VCU) execute(op *Op) {
 				if (v.opsStarted-v.faultAfter)%d != 0 {
 					break
 				}
-				corrupted = true
-				silent = true
+				op.corrupted = true
+				op.silent = true
 				coreSec *= 0.5
 				break
 			}
-			corrupted = true
+			op.corrupted = true
 			coreSec *= 0.5 // failing-but-fast: the black-holing hazard
 			v.Telemetry.ECCErrors++
 		case FaultHang:
@@ -428,49 +476,52 @@ func (v *VCU) execute(op *Op) {
 			coreSec *= f
 		case FaultTransient:
 			if v.randFloat() < v.fault.FailProb {
-				failErr = v.deviceErr(ErrTransient)
+				op.err = v.deviceErr(ErrTransient)
 				coreSec *= 0.05
 			}
 		}
 	}
-	epoch := v.epoch
+	op.epoch = v.epoch
 	v.acquireCore(op.Kind)
 	// The op holds its core while its DRAM flow drains; the flow's
 	// natural rate is bytes/coreSec, so an uncontended op takes exactly
 	// its compute time and a bandwidth-saturated chip slows down.
-	demand := bytes / coreSec
-	v.dram.Start(bytes, demand, func() {
-		if v.epoch != epoch {
-			// The host crashed or the board was repaired under the op:
-			// core and memory accounting were already reset, the result
-			// is void. This is the instant the loss becomes observable.
-			if op.Done != nil {
-				op.Done(v.deviceErr(ErrHostCrashed), false)
-			}
-			return
+	if op.drained == nil {
+		op.drained = op.complete
+	}
+	v.dram.Start(bytes, bytes/coreSec, op.drained)
+}
+
+// complete ends the op's execution when its DRAM flow has drained.
+func (op *Op) complete() {
+	v := op.vcu
+	if v.epoch != op.epoch {
+		// The host crashed or the board was repaired under the op:
+		// core and memory accounting were already reset, the result
+		// is void. This is the instant the loss becomes observable.
+		op.report(v.deviceErr(ErrHostCrashed), false)
+		return
+	}
+	v.releaseCore(op.Kind)
+	if op.err != nil {
+		v.Telemetry.OpsFailed++
+	} else {
+		v.Telemetry.OpsCompleted++
+		if op.corrupted && !op.silent {
+			v.Telemetry.OpsCorrupted++
 		}
-		v.releaseCore(op.Kind)
-		if failErr != nil {
-			v.Telemetry.OpsFailed++
-		} else {
-			v.Telemetry.OpsCompleted++
-			if corrupted && !silent {
-				v.Telemetry.OpsCorrupted++
-			}
-			switch op.Kind {
-			case OpDecode:
-				v.Telemetry.PixelsDecoded += op.Pixels
-				v.Telemetry.EnergyJoules += float64(op.Pixels) * v.p.DecodeEnergyPerPixel
-			case OpEncode:
-				v.Telemetry.PixelsEncoded += op.Pixels
-				v.Telemetry.EnergyJoules += float64(op.Pixels) * v.p.EncodeEnergyPerPixel
-			}
+		switch op.Kind {
+		case OpDecode:
+			v.Telemetry.PixelsDecoded += op.Pixels
+			v.Telemetry.EnergyJoules += float64(op.Pixels) * v.p.DecodeEnergyPerPixel
+		case OpEncode:
+			v.Telemetry.PixelsEncoded += op.Pixels
+			v.Telemetry.EnergyJoules += float64(op.Pixels) * v.p.EncodeEnergyPerPixel
 		}
-		if op.Done != nil {
-			op.Done(failErr, corrupted)
-		}
-		v.dispatch()
-	})
+	}
+	// Done may submit op again: nothing reads op after it.
+	op.report(op.err, op.corrupted)
+	v.dispatch()
 }
 
 func (v *VCU) acquireCore(k OpKind) {
