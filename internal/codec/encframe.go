@@ -396,11 +396,12 @@ func (fc *encFrame) evalChoice(x, y, s int, ch blockChoice, lost float64) float6
 
 // quantizeScan runs the forward transform, quantization, scan and the
 // software-only RDOQ pass, leaving quantized levels in scanned and the
-// unquantized coefficients (scan order) in origScan. It returns the scan
-// index of the last non-zero level (-1: none); resid is scratch afterwards.
+// unquantized coefficients (scan order) in origScan — at the non-zero
+// levels only: where a level is 0, origScan may hold 0 instead
+// (transform.ForwardQuantizeScan). It returns the scan index of the last
+// non-zero level (-1: none); resid is scratch afterwards.
 func (fc *encFrame) quantizeScan(resid []int32, tx, plane int, scanned, origScan []int32) int {
-	transform.Forward(resid, tx)
-	last := transform.QuantizeScan(resid, tx, fc.qp, fc.deadzone(), origScan, scanned)
+	last := transform.ForwardQuantizeScan(resid, tx, fc.qp, fc.deadzone(), origScan, scanned)
 	return fc.optimizeCoeffs(scanned, origScan, tx, plane, last)
 }
 
@@ -418,8 +419,10 @@ func (fc *encFrame) deadzone() int32 { return 3 }
 //     the coefficients are worth.
 //
 // orig carries the unquantized coefficients (scan order) so distortion
-// deltas are exact rather than worst-case. last is the scan index of the
-// last non-zero level on entry and the return value is the same on exit.
+// deltas are exact rather than worst-case; both passes read it only where
+// the level is non-zero, the one place quantizeScan promises the true
+// coefficient. last is the scan index of the last non-zero level on entry
+// and the return value is the same on exit.
 func (fc *encFrame) optimizeCoeffs(scanned, orig []int32, n int, plane int, last int) int {
 	if fc.enc.cfg.Hardware || last < 0 {
 		return last

@@ -84,11 +84,41 @@ func Quantize(coeffs []int32, qp int, deadzone int32) {
 	}
 }
 
+// ForwardQuantizeScan is the transform stage of an RDO trial: Forward,
+// then QuantizeScan, on the n×n residual block. levels and last are
+// exactly theirs; orig is narrower: it holds the true coefficient wherever
+// the level is non-zero and may hold 0 where it is zero, because the
+// column vectors whose every output provably quantizes to level 0 are not
+// transformed (the bound is in the package doc). block is scratch
+// afterwards.
+func ForwardQuantizeScan(block []int32, n, qp int, deadzone int32, orig, levels []int32) (last int) {
+	forwardBounded(block, n, zeroLimit(qp, deadzone))
+	return QuantizeScan(block, n, qp, deadzone, orig, levels)
+}
+
+// zeroLimit returns the smallest |accumulator| of the column pass whose
+// coefficient can quantize to a non-zero level at qp and deadzone: the
+// level is non-zero iff |c|·16 + bias ≥ step, i.e. iff |c| ≥ m =
+// ceil((step − bias)/16), and c = (acc + descaleRound) >> 2·basisShift
+// reaches ±m iff |acc| ≥ m·2^24 − descaleRound. It returns 0 (no bound)
+// when the bias is a whole step, where even c = 0 has a non-zero level.
+func zeroLimit(qp int, deadzone int32) int64 {
+	bias, _ := quantizer(qp, deadzone)
+	d := int64(QStep(qp) - bias)
+	if d <= 0 {
+		return 0
+	}
+	m := (d + 15) / 16
+	return m<<(2*basisShift) - descaleRound
+}
+
 // QuantizeScan is Quantize and the two scans of an RDO trial in one walk
 // of the n×n coefficient block: in scan order, orig receives the
 // coefficients and levels their quantization levels. It returns the scan
 // index of the last non-zero level, -1 when there is none, which is what
 // both RDOQ and reconstruction branch on. coeffs is left as it was.
+// Behind ForwardQuantizeScan, coeffs (and so orig) may hold 0 in place of
+// a coefficient whose level is 0.
 func QuantizeScan(coeffs []int32, n, qp int, deadzone int32, orig, levels []int32) (last int) {
 	bias, m := quantizer(qp, deadzone)
 	scan := zigzagScans[n]

@@ -3,6 +3,7 @@ package transform
 import (
 	"encoding/binary"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"slices"
 	"testing"
@@ -68,7 +69,7 @@ func TestDoctoredBasisFallsBackToScalar(t *testing.T) {
 				fast, scalar func([]int32, int)
 				folded       func([]int32, int)
 			}{
-				{"Forward", Forward, ForwardScalar, func(b []int32, n int) { forward(b, n, make([]int32, n*n)) }},
+				{"Forward", Forward, ForwardScalar, func(b []int32, n int) { forward(b, n, make([]int32, n*n), 0) }},
 				{"Inverse", Inverse, InverseScalar, func(b []int32, n int) { inverse(b, n, make([]int64, n*n), make([]int64, n*n)) }},
 			} {
 				want := append([]int32(nil), block...)
@@ -210,10 +211,201 @@ func TestInverseMatchesScalar(t *testing.T) {
 	}
 }
 
+// checkForwardQuantizeScan holds ForwardQuantizeScan to QuantizeScan of
+// ForwardScalar: the same levels and last, the true coefficient at every
+// non-zero level and the true one or 0 elsewhere. It reports whether a
+// column was skipped beside a non-zero level, the case the bound is for.
+func checkForwardQuantizeScan(t *testing.T, id string, block []int32, n, qp int, dz int32) bool {
+	t.Helper()
+	nn := n * n
+	coeffs := slices.Clone(block)
+	ForwardScalar(coeffs, n)
+	wantOrig, wantLevels := make([]int32, nn), make([]int32, nn)
+	wantLast := QuantizeScan(coeffs, n, qp, dz, wantOrig, wantLevels)
+
+	orig, levels := make([]int32, nn), make([]int32, nn)
+	last := ForwardQuantizeScan(slices.Clone(block), n, qp, dz, orig, levels)
+	if last != wantLast || !slices.Equal(levels, wantLevels) {
+		t.Fatalf("n=%d qp=%d dz=%d %s: levels differ from the scalar path (last %d, want %d)", n, qp, dz, id, last, wantLast)
+	}
+	for i, l := range levels {
+		if orig[i] != wantOrig[i] && (l != 0 || orig[i] != 0) {
+			t.Fatalf("n=%d qp=%d dz=%d %s: orig[%d] = %d at level %d, coefficient %d", n, qp, dz, id, i, orig[i], l, wantOrig[i])
+		}
+	}
+	return last >= 0 && !slices.Equal(orig, wantOrig)
+}
+
+// refZeroLimit is zeroLimit found the long way: m is the smallest |c|
+// that QuantizeScalar gives a non-zero level, and (acc + 2^23) >> 24
+// first reaches m at acc = m·2^24 − 2^23. 0: even c = 0 has one.
+func refZeroLimit(qp int, dz int32) int64 {
+	for m := int32(0); ; m++ {
+		l := []int32{m}
+		QuantizeScalar(l, qp, dz)
+		if l[0] == 0 {
+			continue
+		}
+		if m == 0 {
+			return 0
+		}
+		return int64(m)<<24 - 1<<23
+	}
+}
+
+// TestZeroLimitIsTight: the accumulator bound is exactly the smallest one
+// with a non-zero level. A larger one skips columns that have one; a
+// smaller one stays exact but skips less than it can, which no
+// differential test notices.
+func TestZeroLimitIsTight(t *testing.T) {
+	for qp := 0; qp <= MaxQP; qp++ {
+		for dz := int32(0); dz <= 8; dz++ {
+			if got, want := zeroLimit(qp, dz), refZeroLimit(qp, dz); got != want {
+				t.Errorf("qp=%d dz=%d: zeroLimit %d, the smallest accumulator with a non-zero level is %d", qp, dz, got, want)
+			}
+		}
+	}
+}
+
+// slackBlock is the generator the slack cases of
+// TestForwardQuantizeScanMatchesScalar were searched with: the sign
+// pattern of one 2-D basis function at ±1..3, kept on a random subset of
+// rows and columns, so that a column vector lies close to one basis row
+// and its bound is close to its largest output.
+func slackBlock(n int, seed int64) []int32 {
+	r := rand.New(rand.NewSource(seed))
+	basis := cosBasis[n]
+	k, l := r.Intn(n), r.Intn(n)
+	p, q := r.Float64(), r.Float64()
+	a := int32(1 + r.Intn(3))
+	b := make([]int32, n*n)
+	for i := 0; i < n; i++ {
+		if r.Float64() >= p {
+			continue
+		}
+		for j := 0; j < n; j++ {
+			if r.Float64() >= q {
+				continue
+			}
+			b[i*n+j] = a
+			if (basis[k*n+i] < 0) != (basis[l*n+j] < 0) {
+				b[i*n+j] = -a
+			}
+		}
+	}
+	return b
+}
+
+// inRoundingSlack reports whether a column vector v of block (after the
+// row pass) has its bound N·‖v‖₂ in [limit, limit + 2^23) and an output
+// of at least limit: a bound that forgot the rounding slack skips it, and
+// loses a non-zero level.
+func inRoundingSlack(block []int32, n int, limit int64) bool {
+	basis := cosBasis[n]
+	var n2 int64 // N²: the largest squared norm of a basis row
+	for k := 0; k < n; k++ {
+		var s int64
+		for _, b := range basis[k*n : k*n+n] {
+			s += int64(b) * int64(b)
+		}
+		n2 = max(n2, s)
+	}
+	sq := func(x int64) *big.Int { return new(big.Int).Mul(big.NewInt(x), big.NewInt(x)) }
+	lo, hi := sq(limit), sq(limit+1<<23)
+	for l := 0; l < n; l++ {
+		v := make([]int64, n)
+		var norm2 int64
+		for i := range v {
+			for j := 0; j < n; j++ {
+				v[i] += int64(block[i*n+j]) * int64(basis[l*n+j])
+			}
+			norm2 += v[i] * v[i]
+		}
+		if bound := new(big.Int).Mul(big.NewInt(norm2), big.NewInt(n2)); bound.Cmp(lo) < 0 || bound.Cmp(hi) >= 0 {
+			continue
+		}
+		for k := 0; k < n; k++ {
+			var acc int64
+			for i, x := range v {
+				acc += int64(basis[k*n+i]) * x
+			}
+			if acc >= limit || -acc >= limit {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func TestForwardQuantizeScanMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	partial := 0
+	for _, n := range Sizes {
+		var blocks [][]int32
+		for trial := 0; trial < 8; trial++ {
+			b := make([]int32, n*n)
+			switch trial % 4 {
+			case 0: // full-range random residual
+				for i := range b {
+					b[i] = int32(rng.Intn(511) - 255)
+				}
+			case 1: // low-amplitude residual: columns skip at low QPs too
+				for i := range b {
+					b[i] = int32(rng.Intn(7) - 3)
+				}
+			case 2: // sparse
+				for k := 0; k < 3; k++ {
+					b[rng.Intn(n*n)] = int32(rng.Intn(511) - 255)
+				}
+			case 3: // all zero
+			}
+			blocks = append(blocks, b)
+		}
+		// The contract edge, |v| = 2047, where ‖v‖₂² is largest: each
+		// block at one QP, its index modulo 64.
+		edge := edgeBlocks(n, 2047)
+		for qp := 0; qp <= MaxQP; qp++ {
+			for _, dz := range []int32{1, 3, 4} {
+				for i, b := range blocks {
+					if checkForwardQuantizeScan(t, fmt.Sprintf("trial=%d", i), b, n, qp, dz) {
+						partial++
+					}
+				}
+				for i := qp; i < len(edge); i += MaxQP + 1 {
+					checkForwardQuantizeScan(t, fmt.Sprintf("edge=%d", i), edge[i], n, qp, dz)
+				}
+			}
+		}
+	}
+	if partial == 0 {
+		t.Error("no block skipped a column beside a non-zero level: the test proves nothing")
+	}
+	// Blocks searched for with slackBlock, at the encoder's dead zone: a
+	// column whose bound lies inside the 2^23 rounding slack of limit
+	// and that has a non-zero level, at a small and a larger m per size.
+	for _, c := range []struct {
+		n    int
+		seed int64
+		qp   int // m = 1, 10; 1, 15; 1, 3; 1, 10
+	}{
+		{4, 5, 0}, {4, 57, 28},
+		{8, 1, 0}, {8, 242, 31},
+		{16, 9, 0}, {16, 196, 15},
+		{32, 189, 0}, {32, 1279, 28},
+	} {
+		block := slackBlock(c.n, c.seed)
+		if !inRoundingSlack(block, c.n, refZeroLimit(c.qp, 3)) {
+			t.Errorf("n=%d seed=%d qp=%d: no column bound inside the rounding slack: the case proves nothing", c.n, c.seed, c.qp)
+		}
+		checkForwardQuantizeScan(t, fmt.Sprintf("slack seed=%d", c.seed), block, c.n, c.qp, 3)
+	}
+}
+
 // FuzzTransformMatchesScalar builds a block of either contract from raw
 // bytes (two per sample, zero-padded, so short inputs are sparse blocks)
-// and holds both kernels to their scalar walks. The seed corpus under
-// testdata/fuzz runs with every `go test`.
+// and holds both kernels to their scalar walks, and ForwardQuantizeScan to
+// the scalar path at QP size>>2 and the encoder's dead zone. The seed
+// corpus under testdata/fuzz runs with every `go test`.
 func FuzzTransformMatchesScalar(f *testing.F) {
 	f.Add(uint8(1), []byte{0xff, 0x7f, 0x00, 0x80, 0x01})
 	f.Fuzz(func(t *testing.T, size uint8, raw []byte) {
@@ -227,12 +419,14 @@ func FuzzTransformMatchesScalar(f *testing.F) {
 		}
 		checkMatchesScalar(t, "fuzz", Forward, ForwardScalar, resid, n)
 		checkMatchesScalar(t, "fuzz", Inverse, InverseScalar, coeffs, n)
+		checkForwardQuantizeScan(t, "fuzz", resid, n, int(size>>2), 3)
 	})
 }
 
 func TestQuantizeMatchesScalarExhaustive(t *testing.T) {
-	// Every QP × every deadzone the encoder uses × a dense sweep of the
-	// coefficient domain, plus the exact domain boundary. The sweep is
+	// Every QP × every deadzone 0–8 (the encoder and the ledger use 3) ×
+	// a dense sweep of the coefficient domain, plus the exact domain
+	// boundary. The sweep is
 	// exhaustive over |c| ≤ 4096 (covers every coefficient magnitude a
 	// 32×32 transform of ±255 residual can emit with margin at low QP
 	// granularity) and strided beyond it up to MaxAbsCoeff.
@@ -245,7 +439,7 @@ func TestQuantizeMatchesScalarExhaustive(t *testing.T) {
 	}
 	coeffs = append(coeffs, MaxAbsCoeff, -MaxAbsCoeff)
 	for qp := 0; qp <= MaxQP; qp++ {
-		for _, dz := range []int32{1, 4} {
+		for dz := int32(0); dz <= 8; dz++ {
 			got := append([]int32(nil), coeffs...)
 			Quantize(got, qp, dz)
 			want := append([]int32(nil), coeffs...)

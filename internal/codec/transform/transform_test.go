@@ -261,6 +261,19 @@ func BenchmarkForward8(b *testing.B)  { benchKernel(b, Forward, residualBlock(8)
 func BenchmarkForward16(b *testing.B) { benchKernel(b, Forward, residualBlock(16), 16) }
 func BenchmarkForward32(b *testing.B) { benchKernel(b, Forward, residualBlock(32), 32) }
 
+// BenchmarkForwardQuantizeScan32 times the encoder's transform stage on a
+// seeded ±16 residual at QP 48, the upload ladder's range, where most
+// column vectors of a 32×32 block provably quantize to zero.
+func BenchmarkForwardQuantizeScan32(b *testing.B) {
+	r := rand.New(rand.NewSource(3))
+	src := make([]int32, 32*32)
+	for i := range src {
+		src[i] = int32(r.Intn(33) - 16)
+	}
+	orig, levels := make([]int32, len(src)), make([]int32, len(src))
+	benchKernel(b, func(block []int32, n int) { ForwardQuantizeScan(block, n, 48, 3, orig, levels) }, src, 32)
+}
+
 // benchInverse times Inverse on what reconstruction hands it: a textured
 // residual after Forward, Quantize at a mid QP and Dequantize (a few low
 // frequencies survive), and the all-zero block.
