@@ -46,17 +46,13 @@ profile-park:
 		-o "$$d/cluster.test" -cpuprofile "$$d/cpu.prof" ./internal/cluster && \
 	$(GO) tool pprof -top -focus=RunUntil -relative_percentages -nodecount=15 "$$d/cluster.test" "$$d/cpu.prof"
 
-# LINT_PAR: packages analyzed concurrently (0 = GOMAXPROCS); output is
-# deterministic at any setting.
-LINT_PAR ?= 0
-
 lint:
-	$(GO) run ./cmd/vculint -par $(LINT_PAR) ./...
+	$(GO) run ./cmd/vculint ./...
 
 # Machine-readable lint report, same shape CI uploads from check.sh
 # (diagnostics plus the load and per-rule timing envelope).
 lint-json:
-	$(GO) run ./cmd/vculint -json -timing -par $(LINT_PAR) ./... >lint_report.json
+	$(GO) run ./cmd/vculint -json -timing ./... >lint_report.json
 
 # The gate's -race step: the tests that start goroutines (the list and
 # the reason for each entry are in the script).

@@ -17,20 +17,18 @@
 //	             scripts/check.sh can enforce the lint latency budget
 //	-rules a,b   run only the named analyzers
 //	-list        print registered analyzers and exit
-//	-par N       analyze N packages concurrently (0 = GOMAXPROCS);
-//	             output is deterministic at any worker count
 //
-// The seven rules — determinism, hotalloc, errdrop, bigcopy, sharedmut,
-// parcapture and the module-wide singleknob — read types, callees and
-// sizes from one go/types check of the module (internal/lint/module.go);
-// see DESIGN.md "Static analysis & CI gates" for what each rule alone
-// catches (`make mutants` measures it). `vculint -list` prints each
-// rule's one-paragraph documentation.
+// The four rules — determinism, errdrop, bigcopy and the module-wide
+// singleknob — read types, callees and sizes from one go/types check of
+// the module (internal/lint/module.go), then run one after another over
+// each package; see DESIGN.md "Static analysis & CI gates" for what each
+// rule alone catches (`make mutants` measures it). `vculint -list`
+// prints each rule's one-paragraph documentation.
 //
 // Useful selections:
 //
 //	vculint -rules determinism,errdrop ./...
-//	vculint -par 8 -rules sharedmut,parcapture ./...
+//	vculint -rules bigcopy ./internal/codec
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 package main
@@ -58,7 +56,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	timing := fs.Bool("timing", false, "report per-rule wall time (with -json: envelope with a timing object)")
 	rules := fs.String("rules", "", "comma-separated analyzer names to run (default: all)")
 	list := fs.Bool("list", false, "list registered analyzers and exit")
-	par := fs.Int("par", 0, "packages analyzed concurrently (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -122,7 +119,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		dirs = append(dirs, filepath.ToSlash(rel))
 	}
 
-	diags, report, err := lint.RunReport(lint.Config{Root: root, Analyzers: analyzers, Dirs: dirs, Workers: *par})
+	diags, report, err := lint.RunReport(lint.Config{Root: root, Analyzers: analyzers, Dirs: dirs})
 	if err != nil {
 		fmt.Fprintln(stderr, "vculint:", err)
 		return 2

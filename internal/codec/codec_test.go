@@ -422,3 +422,35 @@ func TestNoSpuriousKeyframesOnSmoothContent(t *testing.T) {
 		t.Fatalf("%d keyframes on smooth 8-frame content, want 1", keys)
 	}
 }
+
+// TestEncodeAllocsPerFrame holds the encoder's steady state the way
+// TestDecodeAllocsPerFrame holds the decoder's: once an inline encoder
+// has grown its scratch over a few frames, an inter frame costs a
+// handful of allocations and none per block or per transform block.
+func TestEncodeAllocsPerFrame(t *testing.T) {
+	frames := testSource(128, 64, 4, 16)
+	for _, p := range []Profile{H264Class, VP9Class, AV1Class} {
+		enc, err := NewEncoder(Config{Profile: p, Width: 128, Height: 64, Speed: 1, Workers: 1,
+			RC: rc.Config{BaseQP: 32}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := 0
+		encode := func() {
+			if _, err := enc.Encode(frames[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		for range 4 {
+			encode()
+		}
+		perFrame := testing.AllocsPerRun(8, encode)
+		if err := enc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if perFrame > 16 {
+			t.Errorf("%v: %.1f allocations per encoded frame, want at most 16", p, perFrame)
+		}
+	}
+}

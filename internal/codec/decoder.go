@@ -158,7 +158,6 @@ func (dec *Decoder) decode(data []byte) (*video.Frame, error) {
 		if !r {
 			next = nil
 		}
-		//lint:ignore sharedmut slot rotation between frames: tile decoders have joined, no reader is live
 		dec.refs[slot] = next
 		dec.retire(old)
 	}

@@ -273,6 +273,24 @@ func TestScratchReuseIsStateless(t *testing.T) {
 	}
 }
 
+// TestSampleSharpAllocatesNothing: the sharp sub-pel interpolator runs
+// per candidate inside the encoder's RD search, so its row-pass
+// intermediate lives in the caller's Scratch and a call allocates
+// nothing once the Scratch has grown to the block size.
+func TestSampleSharpAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const w, h, n = 64, 64, 16
+	ref := Ref{Pix: randPlane(rng, w, h), W: w, H: h, Sharp: true}
+	dst := make([]uint8, n*n)
+	sc := NewScratch()
+	allocs := testing.AllocsPerRun(10, func() {
+		SampleBlock(ref, 20, 20, MV{X: 3, Y: 5}, dst, n, sc)
+	})
+	if allocs != 0 {
+		t.Fatalf("sharp sub-pel SampleBlock allocates %.1f times per call, want 0", allocs)
+	}
+}
+
 // --- kernel benchmarks (tracked via scripts/bench.sh) -----------------------
 
 func benchRefPlane(b *testing.B) (Ref, []uint8, int) {

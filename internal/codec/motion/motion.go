@@ -16,8 +16,10 @@
 //   - reference.go: the retained scalar kernels, bit-exact ground truth
 //     for the differential tests and the clamped full-pel edge path.
 //
-// Nothing in this package allocates per call (vculint hotalloc enforces
-// it); callers thread a *Scratch for the buffers the kernels need.
+// Nothing in this package allocates per call
+// (TestSampleSharpAllocatesNothing holds the interpolator that needs a
+// buffer to it); callers thread a *Scratch for the buffers the kernels
+// need.
 package motion
 
 import "openvcu/internal/video"

@@ -1,8 +1,9 @@
 package motion
 
 // Scratch owns the reusable per-call buffers of the motion kernels, so
-// the hot path allocates nothing (the vculint hotalloc rule enforces
-// this for the whole package). Ownership rules:
+// the hot path allocates nothing (TestSampleSharpAllocatesNothing holds
+// the sharp interpolator to it, TestEncodeAllocsPerFrame in
+// internal/codec the encoder around it). Ownership rules:
 //
 //   - One Scratch per single-threaded encode/decode context (the codec
 //     keeps one on each per-tile frameShared). Scratch must never be

@@ -10,6 +10,15 @@ import (
 // call — frames, planes, and lookahead state cross it easily.
 const bigCopyThreshold = 256
 
+// bigCopyDirs are the pixel-path packages: per-pixel and per-block
+// loops here dominate encoder throughput, so a copy made per call or
+// per iteration is paid millions of times a frame (paper §2: the VCU
+// exists because these loops are the cost of video serving).
+var bigCopyDirs = []string{
+	"internal/codec",
+	"internal/video",
+}
+
 func init() {
 	Register(&Analyzer{
 		Name: "bigcopy",
@@ -21,7 +30,7 @@ func init() {
 }
 
 func runBigCopy(pass *Pass) {
-	if !dirMatchesAny(pass.Pkg.Dir, hotDirs) {
+	if !dirMatchesAny(pass.Pkg.Dir, bigCopyDirs) {
 		return
 	}
 	for _, f := range pass.Pkg.Files {

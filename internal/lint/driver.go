@@ -8,12 +8,9 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
-
-	"openvcu/internal/par"
 )
 
 // Config controls one analysis run.
@@ -26,11 +23,6 @@ type Config struct {
 	// Dirs restricts analysis to these root-relative directories (and
 	// their subtrees). Nil means the whole tree.
 	Dirs []string
-	// Workers is the number of packages analyzed concurrently; 0 means
-	// GOMAXPROCS. Output is deterministic regardless of the value: each
-	// package's diagnostics are buffered privately and merged in package
-	// order before the final sort.
-	Workers int
 }
 
 // skipDirNames are directory basenames never descended into.
@@ -50,8 +42,7 @@ type Timing struct {
 	// run of a process); it is most of TotalMS.
 	LoadMS float64 `json:"load_ms"`
 	// RulesMS maps analyzer name to its total wall time across all
-	// packages (summed across workers, so it can exceed wall time when
-	// Workers > 1).
+	// packages.
 	RulesMS map[string]float64 `json:"rules_ms"`
 	TotalMS float64            `json:"total_ms"`
 }
@@ -83,42 +74,15 @@ func RunReport(cfg Config) ([]Diagnostic, *Timing, error) {
 	}
 
 	diags := parseDiags
-	var work []*Package
 	for _, pkg := range pkgs {
 		if cfg.Dirs != nil && !dirMatchesAny(pkg.Dir, cfg.Dirs) {
 			continue
 		}
-		work = append(work, pkg)
-	}
-	type pkgResult struct {
-		diags  []Diagnostic
-		ruleMS map[string]float64
-	}
-	results := make([]pkgResult, len(work))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	err = par.Do(len(work), workers, func(i int) error {
-		res := &results[i]
-		res.ruleMS = map[string]float64{}
 		for _, a := range analyzers {
-			pass := &Pass{Pkg: work[i], Mod: mod, analyzer: a, fset: fset, diags: &res.diags}
+			pass := &Pass{Pkg: pkg, Mod: mod, analyzer: a, fset: fset, diags: &diags}
 			ruleStart := time.Now()
 			a.Run(pass)
-			res.ruleMS[a.Name] += msSince(ruleStart)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	// Merge in package order: findings are position-sorted below anyway,
-	// but equal-position diagnostics keep a stable package-order tie.
-	for i := range results {
-		diags = append(diags, results[i].diags...)
-		for name, ms := range results[i].ruleMS {
-			timing.RulesMS[name] += ms
+			timing.RulesMS[a.Name] += msSince(ruleStart)
 		}
 	}
 

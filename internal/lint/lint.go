@@ -1,11 +1,11 @@
 // Package lint is a zero-dependency static-analysis framework for this
 // repository. It encodes project invariants that generic tools do not
 // check — deterministic simulation (no wall clock, no global RNG),
-// allocation-free pixel paths, dropped errors, shared mutable state, and
-// large value copies — as executable analyzers, so operational rules from the
-// warehouse-scale deployment story (reproducible BD-rates, predictable
-// per-core memory behaviour) are enforced in CI rather than in review
-// folklore.
+// dropped errors, large value copies on the pixel path, and
+// configuration knobs nobody turns — as executable analyzers, so
+// operational rules from the warehouse-scale deployment story
+// (reproducible BD-rates, predictable per-core memory behaviour) are
+// enforced in CI rather than in review folklore.
 //
 // The framework is built on the standard library only: it walks the
 // module by directory, parses with go/parser and type-checks with
@@ -71,8 +71,6 @@ type Package struct {
 	// partial where the source had type errors; Types is never nil.
 	Types *types.Package
 	Info  *types.Info
-
-	mod *Module
 }
 
 // Pass carries the state handed to one analyzer run over one package.

@@ -120,7 +120,6 @@ func loadModule(root string) (*Module, []Diagnostic, error) {
 		fset:    fset,
 	}
 	for _, pkg := range pkgs {
-		pkg.mod = m
 		// External test packages are nobody's import; of two ordinary
 		// packages sharing a directory the first by name wins.
 		if ipath := path.Join(m.Path, pkg.Dir); !strings.HasSuffix(pkg.Name, "_test") && m.byPath[ipath] == nil {
@@ -158,44 +157,6 @@ func (m *Module) dirOf(tp *types.Package) (string, bool) {
 	return "", false
 }
 
-// qualName names a package-level object the way the rules' tables do:
-// "internal/codec/motion.Scratch" for a module object (directory, not
-// import path, like every dir-scoped rule), "sync.Mutex" for one
-// outside it.
-func (m *Module) qualName(obj types.Object) string {
-	if obj.Pkg() == nil {
-		return obj.Name()
-	}
-	if dir, ok := m.dirOf(obj.Pkg()); ok {
-		return dir + "." + obj.Name()
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
-}
-
-// funcName names a function "dir.Func" and a method "dir.Recv.Method"
-// (pointer receivers unwrapped).
-func (m *Module) funcName(fn *types.Func) string {
-	if recv := fn.Signature().Recv(); recv != nil {
-		if named := namedOf(recv.Type()); named != nil {
-			return m.qualName(named.Obj()) + "." + fn.Name()
-		}
-	}
-	return m.qualName(fn)
-}
-
-// namedOf unwraps aliases and one level of pointer down to a named
-// type; nil for anything else.
-func namedOf(t types.Type) *types.Named {
-	if t == nil {
-		return nil
-	}
-	if p, ok := types.Unalias(t).(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, _ := types.Unalias(t).(*types.Named)
-	return named
-}
-
 // under asserts t's underlying type to T; false for a nil t, the type
 // of an expression the checker recorded nothing for.
 func under[T types.Type](t types.Type) (T, bool) {
@@ -226,13 +187,6 @@ func (p *Package) typeOf(e ast.Expr) types.Type {
 		return nil
 	}
 	return t
-}
-
-// isNamed reports whether e's type is the named type (or a pointer to
-// it) that qualName spells as name.
-func (p *Package) isNamed(e ast.Expr, name string) bool {
-	named := namedOf(p.typeOf(e))
-	return named != nil && p.mod.qualName(named.Obj()) == name
 }
 
 // callee resolves a call to the declared function or method it invokes
@@ -281,111 +235,3 @@ func basicInfo(t types.Type) types.BasicInfo {
 	}
 	return 0
 }
-
-// isString reports whether e is a non-constant string expression, one
-// whose evaluation can allocate.
-func (p *Package) isString(e ast.Expr) bool {
-	return p.Info.Types[e].Value == nil && basicInfo(p.typeOf(e))&types.IsString != 0
-}
-
-// funcScope tracks the one fact about a function's locals that the type
-// checker does not know: which of them only ever hold values freshly
-// constructed inside the function (composite literals, &composite,
-// make/new, constructor-named calls). Parameters and receivers are
-// never fresh; a name ever bound to a non-fresh value stops being
-// fresh. Names are a flat namespace across nested literals and shadowed
-// blocks, which can only lose freshness, never invent it.
-type funcScope struct {
-	fresh map[string]bool
-}
-
-// newFuncScope scans fd: receiver, parameters and results first, then a
-// source-order pass over assignments, var declarations and range
-// clauses in the body.
-func newFuncScope(fd *ast.FuncDecl) *funcScope {
-	s := &funcScope{fresh: map[string]bool{}}
-	for _, fields := range []*ast.FieldList{fd.Recv, fd.Type.Params, fd.Type.Results} {
-		if fields == nil {
-			continue
-		}
-		for _, field := range fields.List {
-			for _, name := range field.Names {
-				s.set(name, false)
-			}
-		}
-	}
-	if fd.Body == nil {
-		return s
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.AssignStmt:
-			if st.Tok != token.DEFINE && st.Tok != token.ASSIGN {
-				return true // compound assignment: origin unchanged
-			}
-			for i, lhs := range st.Lhs {
-				rhs := st.Rhs[0] // x, err := f(): every result shares f's origin
-				if len(st.Rhs) == len(st.Lhs) {
-					rhs = st.Rhs[i]
-				}
-				s.set(lhs, s.freshExpr(rhs))
-			}
-		case *ast.RangeStmt:
-			if st.Tok == token.DEFINE {
-				s.set(st.Key, false)
-				s.set(st.Value, false)
-			}
-		case *ast.ValueSpec:
-			for i, name := range st.Names {
-				s.set(name, i < len(st.Values) && s.freshExpr(st.Values[i]))
-			}
-		}
-		return true
-	})
-	return s
-}
-
-// set records a binding of a plain identifier; fresh only survives if
-// every binding of the name was fresh.
-func (s *funcScope) set(lhs ast.Expr, fresh bool) {
-	id, ok := lhs.(*ast.Ident)
-	if !ok || id == nil || id.Name == "_" {
-		return
-	}
-	if prev, seen := s.fresh[id.Name]; seen {
-		fresh = fresh && prev
-	}
-	s.fresh[id.Name] = fresh
-}
-
-// freshExpr reports whether e constructs a value inside this function:
-// composite literals, &composite, make/new, calls to constructor-named
-// functions (New*/Build*/Make*/Alloc*/Clone*, setup prefixes), or a
-// local already known to be fresh.
-func (s *funcScope) freshExpr(e ast.Expr) bool {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.CompositeLit:
-		return true
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			_, ok := x.X.(*ast.CompositeLit)
-			return ok
-		}
-	case *ast.CallExpr:
-		name := ""
-		switch fn := x.Fun.(type) {
-		case *ast.Ident:
-			name = fn.Name
-		case *ast.SelectorExpr:
-			name = fn.Sel.Name
-		}
-		return name == "new" || isSetupFunc(name) || strings.HasPrefix(name, "Clone") || strings.HasPrefix(name, "clone")
-	case *ast.Ident:
-		return s.fresh[x.Name]
-	}
-	return false
-}
-
-// isFresh reports whether the named local is known to hold a value
-// constructed inside this function.
-func (s *funcScope) isFresh(name string) bool { return s.fresh[name] }

@@ -3,10 +3,10 @@
 // the first failure. It is the chunk fan-out and assemble of the paper
 // (§2.1 "Chunking and Parallel Transcoding Modes", §2.2) with the
 // assembling left to the caller: chunks of an upload, closed GOPs of a
-// sequence, tile columns of a frame and packages of a lint run all go
-// through Do. What it restricts is what used to go wrong by hand at each
-// site: the join cannot be skipped or raced by a late Add, a failing
-// piece cannot skip its Done, and an error has one slot per piece.
+// sequence and tile columns of a frame all go through Do. What it
+// restricts is what used to go wrong by hand at each site: the join
+// cannot be skipped or raced by a late Add, a failing piece cannot skip
+// its Done, and an error has one slot per piece.
 //
 // Persistent workers that own scratch between calls are a different
 // thing: that is codec's tilePool.

@@ -229,6 +229,31 @@ func TestChunkedMatchesUnchunkedPixelAccounting(t *testing.T) {
 	}
 }
 
+// TestChunkedReportsLowestFailingChunk: when every chunk fails, and
+// fails after real work (the two-pass rung's first pass runs before the
+// second rung's encoder is rejected), Chunked reports the lowest failing
+// chunk's error as par.Do returns it, wrapped once with its index and
+// nothing else, at any parallelism. The function handed to par.Do runs
+// concurrently with itself; what it shares with other chunks beyond its
+// own result slot is what this test, under -race, is for.
+func TestChunkedReportsLowestFailingChunk(t *testing.T) {
+	chunks := SplitChunks(srcFrames(8), 2)
+	specs := smallSpecs()
+	specs[0].RC = rc.Config{Mode: rc.ModeTwoPassOffline, TargetBitrate: 200_000}
+	specs[1].TileColumns = 3
+	_, motErr := MOT(chunks[0].Frames, 30, specs)
+	if motErr == nil {
+		t.Fatal("MOT accepted three tile columns")
+	}
+	want := "transcode: chunk 0: " + motErr.Error()
+	for _, parallelism := range []int{1, 2} {
+		res, err := Chunked(chunks, 30, specs, parallelism)
+		if err == nil || err.Error() != want {
+			t.Fatalf("parallelism %d: Chunked returned %v, %v; want error %q", parallelism, res, err, want)
+		}
+	}
+}
+
 func TestMOTRejectsEmpty(t *testing.T) {
 	if _, err := MOT(nil, 30, smallSpecs()); err == nil {
 		t.Fatal("empty input accepted")

@@ -5,17 +5,15 @@
 #   1. gofmt         formatting drift fails the gate
 #   2. go vet        toolchain static checks
 #   3. vculint       project-specific analyzers (internal/lint) on one
-#                    go/types check of the module, the seven rules that
+#                    go/types check of the module, the four rules that
 #                    each kill a mutant nothing cheaper kills
 #                    (`make mutants`; table in DESIGN.md): determinism,
-#                    hotalloc, errdrop, bigcopy, sharedmut, parcapture,
-#                    and the module-wide singleknob (a *Config field no
-#                    caller sets);
-#                    packages are analyzed in parallel (-par 0 =
-#                    GOMAXPROCS) with deterministic output; the JSON
-#                    report (with load and per-rule timing) is written
-#                    to lint_report.json either way, and the suite must
-#                    finish inside its wall-time budget
+#                    errdrop, bigcopy, and the module-wide singleknob (a
+#                    *Config field no caller sets), run one after
+#                    another; the JSON report (with load and per-rule
+#                    timing) is written to lint_report.json either way,
+#                    and the suite must finish inside its wall-time
+#                    budget
 #   4. go build      the whole module
 #   5. go test       the whole module, every test; a deadlock costs
 #                    the timeout, not go's ten minutes
@@ -66,7 +64,7 @@ check_fmt() {
 # the budget is 2.5x what the suite takes, not 50x.
 LINT_BUDGET_MS=5000
 check_lint() {
-    if ! go run ./cmd/vculint -json -timing -par "${LINT_PAR:-0}" ./... >lint_report.json; then
+    if ! go run ./cmd/vculint -json -timing ./... >lint_report.json; then
         echo "vculint findings (lint_report.json):" >&2
         cat lint_report.json >&2
         return 1

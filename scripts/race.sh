@@ -16,13 +16,21 @@ set -u
 #   par, transcode     whole package: seconds. par.Do is every fan-out in
 #                      the module; its own test is where a slot shared
 #                      between calls, or a join that is not one, shows.
+#                      transcode's ChunkedReportsLowestFailingChunk at
+#                      parallelism 2 is where state the chunks of Chunked
+#                      share shows (row parcapture-shared-accumulator,
+#                      which go test kills first).
 #   cluster            the control plane is one sim goroutine; only the
 #                      real-pixels tests reach transcode and codec.
 #   codec              TileColumnsRoundTrip: tile pool and tile decoders,
 #                      end to end. ParallelTileEncodeDeterminism: pool,
-#                      parallel deblock and restoration. CloseLifecycle:
-#                      the pool's join. ParallelMatchesSequential's
-#                      shortest case: what the GOP spans of gop.go share.
+#                      parallel deblock and restoration, and a tile
+#                      worker writing a reference frame or search pyramid
+#                      the other tiles read (rows sharedmut-tile-writes-
+#                      reference-frame and -search-pyramid, which only
+#                      this run kills). CloseLifecycle: the pool's join.
+#                      ParallelMatchesSequential's shortest case: what
+#                      the GOP spans of gop.go share.
 #   internal/video and internal/sched start no goroutine in code or
 #   tests; sched belongs to the cluster's sim goroutine.
 runs='
