@@ -34,17 +34,22 @@ profile-decode:
 		-o "$$d/codec.test" -cpuprofile "$$d/cpu.prof" ./internal/codec && \
 	$(GO) tool pprof -top -focus=DecodeSequence -relative_percentages -nodecount=15 "$$d/codec.test" "$$d/cpu.prof"
 
-# Where the control plane spends its CPU, the same way:
-# BenchmarkParkSteady runs the benchmark's park_steady workload (2,000
-# workers, flat arrivals, seed 1) on one core under the CPU profiler,
-# building each cluster and its arrivals untimed. The table keeps only
-# the samples under RunUntil, in percent of them; its ns/op and
-# allocs/op are the before/after row of a control-plane change.
+# Where the control plane spends its CPU, the same way, one table per
+# park at seed 1: BenchmarkParkSteady runs the benchmark's park_steady
+# workload (2,000 workers, flat arrivals), BenchmarkParkOverload its
+# park_overload (twelve workers, the queue pinned at its bound), each on
+# one core under the CPU profiler, building each cluster and its
+# arrivals untimed. A table keeps only the samples under RunUntil, in
+# percent of them; the ns/op and allocs/op are the before/after rows of
+# a control-plane change.
 profile-park:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
-	$(GO) test -run '^$$' -bench 'BenchmarkParkSteady' -benchtime 15x -cpu 1 \
-		-o "$$d/cluster.test" -cpuprofile "$$d/cpu.prof" ./internal/cluster && \
-	$(GO) tool pprof -top -focus=RunUntil -relative_percentages -nodecount=15 "$$d/cluster.test" "$$d/cpu.prof"
+	for bench in 'BenchmarkParkSteady 15x' 'BenchmarkParkOverload 40x'; do \
+		set -- $$bench && \
+		$(GO) test -run '^$$' -bench "$$1\$$" -benchtime "$$2" -cpu 1 \
+			-o "$$d/cluster.test" -cpuprofile "$$d/cpu.prof" ./internal/cluster && \
+		$(GO) tool pprof -top -focus=RunUntil -relative_percentages -nodecount=15 "$$d/cluster.test" "$$d/cpu.prof" || exit 1; \
+	done
 
 lint:
 	$(GO) run ./cmd/vculint ./...

@@ -54,13 +54,14 @@ func newScenario(cfg Config) *Cluster {
 	return c
 }
 
-// parkOverload replays the benchmark's park_overload workload
+// newParkOverload builds the benchmark's park_overload workload
 // (benchmark/park.go): twelve small workers with every control loop and
 // hedging armed, under diurnal arrivals with a 2× spike that pin the
-// queue at its bound (the benchmark's horizon is ten minutes). tune edits
-// the configuration, arm sees the cluster before anything is submitted,
-// prep every graph.
-func parkOverload(seed uint64, horizon time.Duration, tune func(*Config), arm func(*Cluster), prep func(*Graph)) *Cluster {
+// queue at its bound (the benchmark's horizon is ten minutes), every
+// submission scheduled and nothing run yet. tune edits the
+// configuration, arm sees the cluster before anything is submitted, prep
+// every graph; each may be nil.
+func newParkOverload(seed uint64, horizon time.Duration, tune func(*Config), arm func(*Cluster), prep func(*Graph)) *Cluster {
 	cfg := overloadConfig(6)
 	cfg.Overload = DefaultOverloadConfig()
 	cfg.Autoscale = DefaultAutoscaleConfig()
@@ -72,7 +73,9 @@ func parkOverload(seed uint64, horizon time.Duration, tune func(*Config), arm fu
 		tune(&cfg)
 	}
 	c := New(cfg)
-	arm(c)
+	if arm != nil {
+		arm(c)
+	}
 	for _, a := range workload.GenerateArrivals(workload.ArrivalConfig{
 		Seed: seed, Horizon: horizon, BaseRatePerHour: 9000,
 		DiurnalAmplitude: 0.3, DiurnalPeriod: time.Hour,
@@ -85,8 +88,34 @@ func parkOverload(seed uint64, horizon time.Duration, tune func(*Config), arm fu
 		}
 		c.Eng.Schedule(a.At, func() { c.Submit(g) })
 	}
+	return c
+}
+
+// parkOverload runs newParkOverload's park through its horizon and a
+// thirty-minute drain, as the benchmark does.
+func parkOverload(seed uint64, horizon time.Duration, tune func(*Config), arm func(*Cluster), prep func(*Graph)) *Cluster {
+	c := newParkOverload(seed, horizon, tune, arm, prep)
 	c.Eng.RunUntil(horizon + 30*time.Minute)
 	return c
+}
+
+// ringPark runs the saturated park for five minutes with consistent
+// hashing, pools and hedging together, and one device on each host
+// running 4x slow: past the hedge delay, inside the watchdog deadline.
+// arm and prep are parkOverload's.
+func ringPark(seed uint64, arm func(*Cluster), prep func(*Graph)) *Cluster {
+	tune := func(cfg *Config) {
+		cfg.ConsistentHashing = true
+		cfg.EnablePools = true
+		cfg.LiveShare = 0.6
+	}
+	straggle := func(c *Cluster) {
+		arm(c)
+		for _, h := range c.Hosts {
+			h.VCUs[0].InjectFaultSpec(vcu.FaultSpec{Mode: vcu.FaultSlow, SlowFactor: 4})
+		}
+	}
+	return parkOverload(seed, 5*time.Minute, tune, straggle, prep)
 }
 
 // TestMemoAnswersSaturatedDispatch is the count behind the park_overload
@@ -108,31 +137,16 @@ func TestMemoAnswersSaturatedDispatch(t *testing.T) {
 	}
 }
 
-// TestMemoKeepsFirstFitsAnswer runs the saturated park with consistent
-// hashing, pools and hedging together, once as shipped and once with the
-// memo starved — every step carries a tried mark for a device that does
-// not exist, which excludes no worker and which the memo never learns
-// from — and wants identical Stats, affinity overflows included.
+// TestMemoKeepsFirstFitsAnswer runs the ring park (ringPark) once as
+// shipped and once with the memo starved — every step carries a tried
+// mark for a device that does not exist, which excludes no worker and
+// which the memo never learns from — and wants identical Stats, affinity
+// overflows included.
 func TestMemoKeepsFirstFitsAnswer(t *testing.T) {
-	tune := func(cfg *Config) {
-		cfg.ConsistentHashing = true
-		cfg.EnablePools = true
-		cfg.LiveShare = 0.6
-	}
-	straggle := func(arm func(*Cluster)) func(*Cluster) {
-		return func(c *Cluster) {
-			arm(c)
-			// A device on each host runs 4x slow: past the hedge delay,
-			// inside the watchdog deadline.
-			for _, h := range c.Hosts {
-				h.VCUs[0].InjectFaultSpec(vcu.FaultSpec{Mode: vcu.FaultSlow, SlowFactor: 4})
-			}
-		}
-	}
 	with := &memoProbe{t: t}
-	got := parkOverload(2, 5*time.Minute, tune, straggle(with.arm), nil).Stats
+	got := ringPark(2, with.arm, nil).Stats
 	without := &memoProbe{t: t}
-	want := parkOverload(2, 5*time.Minute, tune, straggle(without.arm), func(g *Graph) {
+	want := ringPark(2, without.arm, func(g *Graph) {
 		for _, s := range g.Steps {
 			s.tried(-1)
 		}

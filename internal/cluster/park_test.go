@@ -48,6 +48,26 @@ func BenchmarkParkSteady(b *testing.B) {
 	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 }
 
+// BenchmarkParkOverload times one repetition of park_overload at seed 1
+// the same way: newParkOverload builds the cluster and its arrivals
+// untimed, and the timed operation is RunUntil over the ten-minute
+// horizon and its thirty-minute drain. `make profile-park` profiles it
+// too.
+func BenchmarkParkOverload(b *testing.B) {
+	const horizon = 10 * time.Minute
+	b.ReportAllocs()
+	var steps int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := newParkOverload(1, horizon, nil, nil, nil)
+		runtime.GC()
+		b.StartTimer()
+		c.Eng.RunUntil(horizon + 30*time.Minute)
+		steps += c.Stats.StepsCompleted
+	}
+	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+}
+
 // TestParkStepAllocs holds what recycling execution records and binding
 // every callback once buys: past the warm-up, park_steady allocates at
 // most five times per completed step. The closure-per-callback
