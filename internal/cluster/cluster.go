@@ -12,6 +12,7 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"time"
 
 	"openvcu/internal/codec"
@@ -426,11 +427,18 @@ type Cluster struct {
 	byVCU      map[int]*clusterWorker
 
 	queue readyQueue
-	// blocked is the blocked-need memo of the running dispatch call.
+	// blocked is the blocked-need memo of the current room epoch.
 	blocked blockedMemo
-	// placeProbe, when set, sees every first-fit question place answers:
-	// memo reports whether the memo answered it (always "no room") in
-	// place of a walk over the workers. Tests set it; nothing else does.
+	// roomEpoch counts roomMade calls: a refusal stamped with the current
+	// epoch still holds.
+	roomEpoch uint64
+	// lastPass is what the last dispatch pass left for the next one to
+	// decide whether it can find anything.
+	lastPass passRecord
+	// placeProbe, when set, sees every first-fit question dispatch and
+	// place answer: memo reports whether it was answered (always "no
+	// room") from the memo, a refusal stamp or a skipped pass in place of
+	// a walk over the workers. Tests set it; nothing else does.
 	placeProbe func(s *Step, need sched.Resources, avoidVCU int, memo bool)
 	// free holds the execution records nothing refers to any more
 	// (execution.go), for runTranscode to reuse.
@@ -710,13 +718,17 @@ func (c *Cluster) push(s *Step) {
 // QueueLen returns the ready-queue length.
 func (c *Cluster) QueueLen() int { return c.queue.len() }
 
-// roomMade empties the blocked-need memo. It is called by everything
-// that can turn a failed placement into a success: a reservation
-// released or reset, a worker starting to serve (activation, end of
-// warm-up, a cancelled drain), a screening verdict, a readmission, a
-// move up the trust ladder, a pool reassignment. Hardware failing only
-// removes candidates and needs no call.
-func (c *Cluster) roomMade() { c.blocked.clear() }
+// roomMade empties the blocked-need memo and starts a new room epoch,
+// voiding every refusal stamp. It is called by everything that can turn
+// a failed placement into a success: a reservation released or reset, a
+// worker starting to serve (activation, end of warm-up, a cancelled
+// drain), a screening verdict, a readmission, a move up the trust
+// ladder, a pool reassignment. Hardware failing only removes candidates
+// and needs no call.
+func (c *Cluster) roomMade() {
+	c.blocked.clear()
+	c.roomEpoch++
+}
 
 // dispatch drains the ready queue onto workers: strict priority classes
 // (live, then upload, then batch), first fit in queue order within a
@@ -730,7 +742,6 @@ func (c *Cluster) dispatch() {
 		return
 	}
 	c.dispatching = true
-	c.blocked.clear()
 	for {
 		c.dispatchMore = false
 		c.dispatchPass()
@@ -744,16 +755,43 @@ func (c *Cluster) dispatch() {
 // dispatchPass is one scan of the queue, class by class. The queue is
 // detached for the scan: steps enqueued meanwhile (resolved dependents,
 // new submits, requeues) collect in the emptied queue and go behind the
-// still-waiting ones of their class when the pass re-attaches.
+// still-waiting ones of their class when the pass re-attaches. A step
+// refused before with no room made since is answered without asking
+// first-fit (refused), and a pass that can find nothing (passRecord) is
+// skipped.
 func (c *Cluster) dispatchPass() {
 	now := c.Eng.Now()
+	if last := c.lastPass; !c.queue.fresh && last.epoch == c.roomEpoch &&
+		last.level == c.degradeLevel && now < last.wake {
+		c.skippedPass(now)
+		return
+	}
+	// The record holds the epoch the pass starts in: a roomMade during the
+	// pass leaves it stale for good.
+	next := passRecord{epoch: c.roomEpoch, level: c.degradeLevel, wake: math.MaxInt64}
 	pending, transcodes := c.queue.detach()
 	for cls, steps := range pending {
 		waiting := steps[:0]
 		for _, s := range steps {
-			if s.eligibleAt > now || !c.dropIfUseless(s) && !c.tryPlace(s) {
+			if s.eligibleAt > now {
 				waiting = append(waiting, s)
-			} else if s.Kind == StepTranscode {
+				next.wake = min(next.wake, s.eligibleAt)
+				continue
+			}
+			deadline, live := c.dropDeadline(s)
+			if live && now > deadline {
+				c.dropLate(s)
+			} else if c.refused(s) || !c.tryPlace(s) {
+				waiting = append(waiting, s)
+				if live {
+					next.wake = min(next.wake, deadline+1)
+				}
+				if len(s.triedVCUs) > 0 {
+					next.wake = now
+				}
+				continue
+			}
+			if s.Kind == StepTranscode {
 				transcodes[cls]--
 			}
 		}
@@ -761,6 +799,56 @@ func (c *Cluster) dispatchPass() {
 		pending[cls] = waiting
 	}
 	c.queue.attach(pending, transcodes)
+	c.lastPass = next
+}
+
+// skippedPass stands for a pass dispatch skipped: every eligible waiting
+// step is answered as refused would answer it. That has effects only
+// with a probe or a ring armed, so without them it costs nothing.
+func (c *Cluster) skippedPass(now time.Duration) {
+	if c.placeProbe == nil && c.ring == nil {
+		return
+	}
+	for _, steps := range c.queue.steps {
+		for _, s := range steps {
+			if s.eligibleAt <= now {
+				c.refusedUnasked(s, s.blocked.need, -1)
+			}
+		}
+	}
+}
+
+// refused answers for first-fit, without asking it, that a waiting
+// step is still refused: it was refused under the current brownout rung
+// in the current room epoch, or the memo refuses its need (and the step
+// is re-stamped). Only a step with no tried device qualifies, the
+// memo's precondition; its exclusion set cannot change while it waits,
+// because triedVCUs grows only when the step runs.
+func (c *Cluster) refused(s *Step) bool {
+	b := s.blocked
+	if b == nil || len(s.triedVCUs) > 0 || b.level != c.degradeFor(s) {
+		return false
+	}
+	if b.epoch != c.roomEpoch {
+		if !c.blocked.blocks(c.classOf(s), stepPool(s), b.need) {
+			return false
+		}
+		b.epoch = c.roomEpoch
+	}
+	c.refusedUnasked(s, b.need, -1)
+	return true
+}
+
+// refusedUnasked has the effects of a first-fit question answered "no
+// room" without a walk: the probe sees a memo answer, and with a ring
+// armed the refusal counts as an affinity overflow, as the walk's would.
+func (c *Cluster) refusedUnasked(s *Step, need sched.Resources, avoidVCU int) {
+	if c.placeProbe != nil {
+		c.placeProbe(s, need, avoidVCU, true)
+	}
+	if c.ring != nil {
+		c.Stats.AffinityOverflows++
+	}
 }
 
 // tryPlace attempts to place one step.
@@ -812,11 +900,13 @@ func (c *Cluster) tryPlace(s *Step) bool {
 		s.degradeCounted = true
 		c.Stats.Classes[c.classOf(s)].Degraded++
 	}
+	epoch := c.roomEpoch // the refusal holds for the epoch it was asked in
 	cw, a, overflow := c.place(s, need, -1)
 	if cw == nil {
 		if b := s.blocked; b == nil || b.level != lvl {
 			s.blocked = &blockedPlacement{level: lvl, req: s.execReq, need: need}
 		}
+		s.blocked.epoch = epoch
 		return false
 	}
 	s.blocked = nil
@@ -846,15 +936,12 @@ func (c *Cluster) placeTranscode(s *Step, avoidVCU int) (*clusterWorker, *sched.
 // effects the walk would have had.
 func (c *Cluster) place(s *Step, need sched.Resources, avoidVCU int) (*clusterWorker, *sched.Assignment, bool) {
 	cls, pool := c.classOf(s), stepPool(s)
-	memo := c.dispatching && c.blocked.blocks(cls, pool, need)
-	if c.placeProbe != nil {
-		c.placeProbe(s, need, avoidVCU, memo)
-	}
-	if memo {
-		if c.ring != nil {
-			c.Stats.AffinityOverflows++
-		}
+	if c.dispatching && c.blocked.blocks(cls, pool, need) {
+		c.refusedUnasked(s, need, avoidVCU)
 		return nil, nil, false
+	}
+	if c.placeProbe != nil {
+		c.placeProbe(s, need, avoidVCU, false)
 	}
 	baseExclude := func(w *sched.Worker) bool {
 		cw := c.byVCU[w.ID]
@@ -1028,7 +1115,7 @@ func (c *Cluster) completeStep(s *Step, cw *clusterWorker, corrupted bool) {
 		cs.Completed++
 		// Live SLO: completion inside the usefulness window of first
 		// admission. Upload/batch SLO is eventual completion.
-		if w := c.liveWindow(s); w == 0 || c.Eng.Now() <= s.admittedAt+w {
+		if w, _ := c.liveWindow(s); w == 0 || c.Eng.Now() <= s.admittedAt+w {
 			cs.SLOMet++
 		}
 		if c.aud != nil && cw != nil && !s.Software {

@@ -1,15 +1,17 @@
 package cluster
 
 import (
+	"time"
+
 	"openvcu/internal/sched"
 	"openvcu/internal/transcode"
 )
 
 // This file holds the data structures that keep a saturated dispatch
-// pass cheap (DESIGN.md "Overload & graceful degradation"): the
-// per-class ready queue, the blocked-need memo and the per-step retry
-// cache. The pass itself is dispatchPass / tryPlace / place in
-// cluster.go.
+// pass cheap (DESIGN.md "Dispatch"): the per-class ready queue, the
+// blocked-need memo, the per-step retry cache with its refusal stamp,
+// and the record that lets dispatch skip a pass. The pass itself is
+// dispatchPass / refused / tryPlace / place in cluster.go.
 
 // numClasses is the number of sched.Priority classes.
 const numClasses = int(sched.PriorityBatch) + 1
@@ -27,6 +29,9 @@ type readyQueue struct {
 	// spare are the empty buffers a dispatch pass swaps in to collect
 	// the steps enqueued while it runs.
 	spare [numClasses][]*Step
+	// fresh marks a step pushed since the last pass detached the queue:
+	// one no pass has asked about yet.
+	fresh bool
 }
 
 // len is the number of queued steps of every kind.
@@ -52,6 +57,7 @@ func (q *readyQueue) push(cls sched.Priority, s *Step) {
 	if s.Kind == StepTranscode {
 		q.transcodes[cls]++
 	}
+	q.fresh = true
 }
 
 // filter removes from class cls, in place and keeping order, the steps
@@ -99,6 +105,7 @@ func (q *readyQueue) detach() (steps [numClasses][]*Step, transcodes [numClasses
 		q.steps[cls] = q.spare[cls][:0]
 	}
 	q.transcodes = [numClasses]int{}
+	q.fresh = false
 	return steps, transcodes
 }
 
@@ -122,8 +129,9 @@ func (q *readyQueue) attach(steps [numClasses][]*Step, transcodes [numClasses]in
 // needing at least as much in every dimension must fail as well: it
 // excludes the same workers or more, and fits where the remembered need
 // did or in fewer places. Everything that can give a worker room, or
-// make an excluded worker eligible, empties the memo (Cluster.roomMade),
-// and dispatch empties it on entry, so it never outlives one call.
+// make an excluded worker eligible, empties the memo (Cluster.roomMade);
+// nothing else does, so it lives across dispatch calls until room is
+// made. Only dispatch reads it.
 type blockedMemo struct {
 	needs [numClasses][2][]sched.Resources // by sched.Priority, sched.UseCase
 }
@@ -152,11 +160,29 @@ func (m *blockedMemo) add(cls sched.Priority, pool sched.UseCase, need sched.Res
 }
 
 // blockedPlacement is what a step that found no room keeps for its next
-// attempt: the request it tried to place under brownout rung level, and
-// that request's cost. A retry under the same rung reuses both; a step
-// holds one only while it waits.
+// attempt: the request it tried to place under brownout rung level, that
+// request's cost, and the room epoch (Cluster.roomEpoch) of its last
+// refusal. A retry under the same rung reuses the request and the cost;
+// one in the same epoch needs no first-fit question at all
+// (Cluster.refused). A step holds one only while it waits.
 type blockedPlacement struct {
 	level transcode.DegradeLevel
 	req   *sched.StepRequest
 	need  sched.Resources
+	epoch uint64
+}
+
+// passRecord is what the last dispatch pass leaves for the next one:
+// the room epoch and brownout rung it started under, and wake, the
+// earliest instant time alone can change what a pass finds — a waiting
+// step's backoff ending, a waiting live step passing its drop deadline,
+// or now, when an eligible waiting step has a tried device and is asked
+// every pass. Until then, with no room made, the rung unchanged and no
+// step pushed, every eligible waiting step is still refused and a pass
+// can find nothing (DESIGN.md "Dispatch" has the argument). The zero
+// record holds for no instant.
+type passRecord struct {
+	epoch uint64
+	level transcode.DegradeLevel
+	wake  time.Duration
 }

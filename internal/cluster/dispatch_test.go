@@ -120,20 +120,21 @@ func ringPark(seed uint64, arm func(*Cluster), prep func(*Graph)) *Cluster {
 
 // TestMemoAnswersSaturatedDispatch is the count behind the park_overload
 // claim: with the queue pinned at its bound, first-fit walks the workers
-// for fewer than a tenth of the placement questions dispatch asks — the
-// parent walked for every one — and every answer the memo gave in its
-// place is checked against the workers.
+// for fewer than a hundredth of the placement questions dispatch asks —
+// a memo emptied on every dispatch call left 2.2 % to walk, a full
+// rescan every one — and every answer the memo, a refusal stamp or a
+// skipped pass gave in its place is checked against the workers.
 func TestMemoAnswersSaturatedDispatch(t *testing.T) {
 	p := &memoProbe{t: t}
 	c := parkOverload(1, 10*time.Minute, nil, p.arm, nil)
-	t.Logf("%d placement questions: %d walked the workers, the memo answered %d; %d steps completed, %d shed",
+	t.Logf("%d placement questions: %d walked the workers, the memo or a stamp answered %d; %d steps completed, %d shed",
 		p.hits+p.walks, p.walks, p.hits, c.Stats.StepsCompleted,
 		c.Stats.Classes[0].Shed+c.Stats.Classes[1].Shed+c.Stats.Classes[2].Shed)
 	if c.Stats.StepsCompleted == 0 || c.QueueLen() != 0 {
 		t.Fatalf("run did not drain: %d completed, %d queued", c.Stats.StepsCompleted, c.QueueLen())
 	}
-	if 10*p.walks > p.hits+p.walks {
-		t.Fatalf("first-fit walked the workers for %d of %d questions, want under a tenth", p.walks, p.hits+p.walks)
+	if 100*p.walks > p.hits+p.walks {
+		t.Fatalf("first-fit walked the workers for %d of %d questions, want under a hundredth", p.walks, p.hits+p.walks)
 	}
 }
 
@@ -168,12 +169,13 @@ func TestMemoKeepsFirstFitsAnswer(t *testing.T) {
 }
 
 // TestReleaseInsidePassReopensFirstFit: a reservation released while a
-// dispatch pass runs empties the memo, so a step refused earlier in the
-// same dispatch call is asked of first-fit again and placed. The release
-// is the synchronous one of runTranscode's DRAM admission. On its own
-// that release only returns what the same step had just reserved, so the
-// test lets go of a reservation of its own behind the memo's back at the
-// same moment; only the DRAM path's release tells the memo.
+// dispatch pass runs starts a new room epoch, so a step whose refusal
+// answered for it earlier in the same dispatch call is asked of
+// first-fit again and placed. The release is the synchronous one of
+// runTranscode's DRAM admission. On its own that release only returns
+// what the same step had just reserved, so the test lets go of a
+// reservation of its own behind the memo's back at the same moment;
+// only the DRAM path's release tells the memo.
 func TestReleaseInsidePassReopensFirstFit(t *testing.T) {
 	cfg := overloadConfig(1) // two workers
 	cfg.RetryBackoffBase = 0 // a failed step requeues, and re-dispatches, at once
@@ -225,14 +227,16 @@ func TestReleaseInsidePassReopensFirstFit(t *testing.T) {
 		}
 		asked = append(asked, who)
 	}
-	c.Submit(gSmall) // one dispatch call: big refused, small placed and refused DRAM, big again
+	// One dispatch call: big answered by its refusal stamp, small placed and
+	// refused DRAM, big walked again and placed, small again.
+	c.Submit(gSmall)
 	if c.Stats.MemoryExhaustions != 1 || y.Attempts != 1 {
 		t.Fatalf("small step: %d DRAM refusals, %d attempts, want 1 and 1", c.Stats.MemoryExhaustions, y.Attempts)
 	}
 	if x.State != StepRunning {
 		t.Errorf("big step is %v after the dispatch call that made room for it, want running", x.State)
 	}
-	want := []string{"big", "small", "big", "small"}
+	want := []string{"big (memo)", "small", "big", "small"}
 	if len(asked) != len(want) {
 		t.Fatalf("first-fit was asked %v, want %v", asked, want)
 	}
@@ -244,12 +248,12 @@ func TestReleaseInsidePassReopensFirstFit(t *testing.T) {
 }
 
 // TestPoolMoveInsidePassReopensFirstFit: a worker the rebalancer moves
-// into a pool while a dispatch pass runs empties the memo, so a step of
-// that pool refused earlier in the same dispatch call is asked of
-// first-fit again and placed on it. The rebalancer's tick cannot fire
-// inside a pass on its own, and a pass has the queue detached, so the
-// test calls it from the probe behind a Submit that gives it a backlog
-// to see.
+// into a pool while a dispatch pass runs starts a new room epoch, so a
+// step of that pool whose refusal answered for it earlier in the same
+// dispatch call is asked of first-fit again and placed on it. The
+// rebalancer's tick cannot fire inside a pass on its own, and a pass has
+// the queue detached, so the test calls it from the probe behind a
+// Submit that gives it a backlog to see.
 func TestPoolMoveInsidePassReopensFirstFit(t *testing.T) {
 	cfg := overloadConfig(1) // two workers
 	cfg.EnablePools = true
@@ -270,28 +274,120 @@ func TestPoolMoveInsidePassReopensFirstFit(t *testing.T) {
 		spec.Frames = spec.ChunkFrames
 		graphs[i] = BuildGraph(spec, cfg.StepTargetSeconds)
 	}
-	x, y := graphs[0].Steps[0], graphs[1].Steps[0]
+	x, y, z := graphs[0].Steps[0], graphs[1].Steps[0], graphs[2].Steps[0]
 
 	c.Submit(graphs[0])
 	if x.State != StepReady || x.blocked == nil {
 		t.Fatalf("first upload step is %v, want blocked in the queue", x.State)
 	}
-	asked := 0
+	var asked []string
 	c.placeProbe = func(s *Step, _ sched.Resources, _ int, memo bool) {
-		if asked++; asked == 2 {
-			if s != y || !memo {
-				t.Fatalf("second question is about step %d (memo %v), want the second upload answered by the memo", s.ID, memo)
-			}
+		who := map[*Step]string{x: "x", y: "y", z: "z"}[s]
+		if memo {
+			who += " (memo)"
+		}
+		if asked = append(asked, who); len(asked) == 2 {
 			c.Submit(graphs[2])
 			c.rebalancePools()
 		}
 	}
-	c.Submit(graphs[1]) // one dispatch call: x refused, y refused by the memo, the move, x again
+	// One dispatch call: x answered by its refusal stamp, y by the memo,
+	// the move, then x, y and the arrival z walked and placed.
+	c.Submit(graphs[1])
 	if c.Stats.PoolRebalances != 1 || live.pool != sched.UseUpload {
 		t.Fatalf("%d pool moves, live worker in pool %v: the rebalancer did not move it", c.Stats.PoolRebalances, live.pool)
 	}
-	if x.State != StepRunning {
-		t.Errorf("first upload step is %v after the dispatch call that gave its pool a worker, want running", x.State)
+	for _, s := range []*Step{x, y, z} {
+		if s.State != StepRunning {
+			t.Errorf("upload step of video %d is %v after the dispatch call that gave its pool a worker, want running", s.graph.ID, s.State)
+		}
+	}
+	want := []string{"x (memo)", "y (memo)", "x", "y", "z"}
+	if len(asked) != len(want) {
+		t.Fatalf("first-fit was asked %v, want %v", asked, want)
+	}
+	for i := range want {
+		if asked[i] != want[i] {
+			t.Fatalf("first-fit was asked %v, want %v", asked, want)
+		}
+	}
+}
+
+// TestRefusedStepWaitsForRoom: on a saturated cluster a refused step is
+// not asked of first-fit again until room is made — a repeat dispatch
+// with nothing changed walks no worker, an arrival gets the only walk —
+// and a release makes first-fit walk it again and place it. A waiting
+// live step is dropped by the first dispatch at or after its drop
+// deadline plus 1 ns, and by none before: the skipped passes wake for it.
+func TestRefusedStepWaitsForRoom(t *testing.T) {
+	cfg := overloadConfig(1) // two workers
+	cfg.Overload.LiveDeadlineFactor = 3
+	c := New(cfg)
+	var holds []*sched.Assignment
+	for _, cw := range c.workers {
+		a, err := c.scheduler.Schedule(c.workerType.Capacity, func(w *sched.Worker) bool { return w != cw.sw })
+		if err != nil {
+			t.Fatal(err)
+		}
+		holds = append(holds, a)
+	}
+	var walked []*Step
+	asked := 0
+	c.placeProbe = func(s *Step, _ sched.Resources, _ int, memo bool) {
+		asked++
+		if !memo {
+			walked = append(walked, s)
+		}
+	}
+	dispatch := func(do func()) []*Step {
+		walked, asked = nil, 0
+		do()
+		return walked
+	}
+	chunk := func(spec VideoSpec) *Step {
+		spec.Frames = spec.ChunkFrames
+		g := BuildGraph(spec, cfg.StepTargetSeconds)
+		c.Submit(g)
+		return g.Steps[0]
+	}
+
+	u := chunk(uploadSpec(1))
+	l := chunk(VideoSpec{ID: 2, Resolution: video.Res1080p, FPS: 30, ChunkFrames: 150,
+		Profile: codec.H264Class, Mode: vcu.EncodeOnePassLowLatency, Live: true})
+	for _, s := range []*Step{u, l} {
+		if s.State != StepReady || s.blocked == nil {
+			t.Fatalf("step of video %d is %v, want refused and waiting", s.graph.ID, s.State)
+		}
+	}
+	if w := dispatch(c.dispatch); len(w) != 0 || asked != 2 {
+		t.Fatalf("repeat dispatch walked %d steps and answered %d questions, want 0 walks for 2 questions", len(w), asked)
+	}
+	var b *Step
+	if w := dispatch(func() {
+		b = chunk(VideoSpec{ID: 3, Resolution: video.Res360p, FPS: 30, ChunkFrames: 150,
+			Profile: codec.H264Class, Mode: vcu.EncodeTwoPassOffline, Batch: true})
+	}); len(w) != 1 || w[0] != b {
+		t.Fatalf("dispatch after an arrival walked %d steps, want the arrival alone", len(w))
+	}
+
+	// Admitted at 0 with a 5 s chunk and a 15 s window: dispatched after
+	// 10 s, the chunk could only finish late.
+	const deadline = 10 * time.Second
+	if d, ok := c.dropDeadline(l); !ok || d != deadline {
+		t.Fatalf("drop deadline %v (%v), want %v", d, ok, deadline)
+	}
+	c.Eng.RunUntil(deadline)
+	if w := dispatch(c.dispatch); l.State != StepReady || len(w) != 0 {
+		t.Fatalf("at the deadline the live step is %v after %d walks, want waiting after none", l.State, len(w))
+	}
+	c.Eng.RunUntil(deadline + 1)
+	if c.dispatch(); l.State != StepShed || c.Stats.Classes[sched.PriorityCritical].DeadlineMissed != 1 {
+		t.Fatalf("1 ns past the deadline the live step is %v, want dropped", l.State)
+	}
+
+	c.release(holds[0])
+	if w := dispatch(c.dispatch); len(w) == 0 || w[0] != u || u.State != StepRunning {
+		t.Fatalf("after a release first-fit walked %d steps and the upload step is %v, want it walked first and running", len(w), u.State)
 	}
 }
 

@@ -196,16 +196,18 @@ func (c *Cluster) markShed(s *Step) {
 	}
 }
 
-// liveWindow is a live step's usefulness window: LiveDeadlineFactor
-// times the chunk's wall duration, measured from admission. Zero means
-// no deadline applies (non-live step, or deadline drops disabled).
-func (c *Cluster) liveWindow(s *Step) time.Duration {
+// liveWindow is a live step's usefulness window — LiveDeadlineFactor
+// times the chunk's wall duration, measured from admission — and that
+// wall duration. A zero window means no deadline applies (non-live
+// step, or deadline drops disabled).
+func (c *Cluster) liveWindow(s *Step) (window, wall time.Duration) {
 	f := c.cfg.Overload.LiveDeadlineFactor
 	r := s.Request
 	if f <= 0 || r == nil || !r.Realtime || r.FPS <= 0 {
-		return 0
+		return 0, 0
 	}
-	return time.Duration(f * float64(chunkWall(r)))
+	wall = chunkWall(r)
+	return time.Duration(f * float64(wall)), wall
 }
 
 // chunkWall is the wall-clock duration of a step's chunk.
@@ -213,24 +215,25 @@ func chunkWall(r *sched.StepRequest) time.Duration {
 	return time.Duration(float64(r.Frames()) / float64(r.FPS) * float64(time.Second))
 }
 
-// dropIfUseless drops a queued live step that can no longer finish
-// inside its usefulness window — execution alone takes one wall
-// duration, so once less than that remains the output could only
-// arrive after the viewer has moved on. Unlike shedding, the drop
-// skips one chunk and lets the stream continue: the step resolves as
-// a deadline miss and its dependents (assembly) proceed around the gap.
-func (c *Cluster) dropIfUseless(s *Step) bool {
-	w := c.liveWindow(s)
-	if w == 0 {
-		return false
-	}
-	if c.Eng.Now()+chunkWall(s.Request) <= s.admittedAt+w {
-		return false
-	}
+// dropDeadline is the last instant a queued live step is still worth
+// dispatching: execution alone takes one wall duration, so once less
+// than that remains of its usefulness window the output could only
+// arrive after the viewer has moved on. ok is false when no deadline
+// applies. A dispatch pass computes it once per visit, for the drop and
+// for its wake (passRecord).
+func (c *Cluster) dropDeadline(s *Step) (deadline time.Duration, ok bool) {
+	w, wall := c.liveWindow(s)
+	return s.admittedAt + w - wall, w != 0
+}
+
+// dropLate drops a queued live step past its drop deadline. Unlike
+// shedding, the drop skips one chunk and lets the stream continue: the
+// step resolves as a deadline miss and its dependents (assembly)
+// proceed around the gap.
+func (c *Cluster) dropLate(s *Step) {
 	c.Stats.Classes[c.classOf(s)].DeadlineMissed++
 	s.State = StepShed
 	c.stepResolved(s)
-	return true
 }
 
 // brownoutTick is one iteration of the brownout feedback loop. The load
