@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -236,14 +237,8 @@ func TestReleaseInsidePassReopensFirstFit(t *testing.T) {
 	if x.State != StepRunning {
 		t.Errorf("big step is %v after the dispatch call that made room for it, want running", x.State)
 	}
-	want := []string{"big (memo)", "small", "big", "small"}
-	if len(asked) != len(want) {
+	if want := []string{"big (memo)", "small", "big", "small"}; !slices.Equal(asked, want) {
 		t.Fatalf("first-fit was asked %v, want %v", asked, want)
-	}
-	for i := range want {
-		if asked[i] != want[i] {
-			t.Fatalf("first-fit was asked %v, want %v", asked, want)
-		}
 	}
 }
 
@@ -302,14 +297,8 @@ func TestPoolMoveInsidePassReopensFirstFit(t *testing.T) {
 			t.Errorf("upload step of video %d is %v after the dispatch call that gave its pool a worker, want running", s.graph.ID, s.State)
 		}
 	}
-	want := []string{"x (memo)", "y (memo)", "x", "y", "z"}
-	if len(asked) != len(want) {
+	if want := []string{"x (memo)", "y (memo)", "x", "y", "z"}; !slices.Equal(asked, want) {
 		t.Fatalf("first-fit was asked %v, want %v", asked, want)
-	}
-	for i := range want {
-		if asked[i] != want[i] {
-			t.Fatalf("first-fit was asked %v, want %v", asked, want)
-		}
 	}
 }
 
