@@ -429,16 +429,16 @@ type Cluster struct {
 	queue readyQueue
 	// blocked is the blocked-need memo of the current room epoch.
 	blocked blockedMemo
-	// roomEpoch counts roomMade calls: a refusal stamped with the current
-	// epoch still holds.
+	// roomEpoch counts roomMade calls: a pass record (lastPass) from an
+	// earlier epoch no longer holds.
 	roomEpoch uint64
 	// lastPass is what the last dispatch pass left for the next one to
 	// decide whether it can find anything.
 	lastPass passRecord
 	// placeProbe, when set, sees every first-fit question dispatch and
 	// place answer: memo reports whether it was answered (always "no
-	// room") from the memo, a refusal stamp or a skipped pass in place of
-	// a walk over the workers. Tests set it; nothing else does.
+	// room") from the memo or a skipped pass in place of a walk over the
+	// workers. Tests set it; nothing else does.
 	placeProbe func(s *Step, need sched.Resources, avoidVCU int, memo bool)
 	// free holds the execution records nothing refers to any more
 	// (execution.go), for runTranscode to reuse.
@@ -719,7 +719,7 @@ func (c *Cluster) push(s *Step) {
 func (c *Cluster) QueueLen() int { return c.queue.len() }
 
 // roomMade empties the blocked-need memo and starts a new room epoch,
-// voiding every refusal stamp. It is called by everything that can turn
+// voiding the last pass's record. It is called by everything that can turn
 // a failed placement into a success: a reservation released or reset, a
 // worker starting to serve (activation, end of warm-up, a cancelled
 // drain), a screening verdict, a readmission, a move up the trust
@@ -820,20 +820,14 @@ func (c *Cluster) skippedPass(now time.Duration) {
 
 // refused answers for first-fit, without asking it, that a waiting
 // step is still refused: it was refused under the current brownout rung
-// in the current room epoch, or the memo refuses its need (and the step
-// is re-stamped). Only a step with no tried device qualifies, the
-// memo's precondition; its exclusion set cannot change while it waits,
-// because triedVCUs grows only when the step runs.
+// and the memo refuses its need. Only a step with no tried device
+// qualifies, the memo's precondition; its exclusion set cannot change
+// while it waits, because triedVCUs grows only when the step runs.
 func (c *Cluster) refused(s *Step) bool {
 	b := s.blocked
-	if b == nil || len(s.triedVCUs) > 0 || b.level != c.degradeFor(s) {
+	if b == nil || len(s.triedVCUs) > 0 || b.level != c.degradeFor(s) ||
+		!c.blocked.blocks(c.classOf(s), stepPool(s), b.need) {
 		return false
-	}
-	if b.epoch != c.roomEpoch {
-		if !c.blocked.blocks(c.classOf(s), stepPool(s), b.need) {
-			return false
-		}
-		b.epoch = c.roomEpoch
 	}
 	c.refusedUnasked(s, b.need, -1)
 	return true
@@ -900,13 +894,11 @@ func (c *Cluster) tryPlace(s *Step) bool {
 		s.degradeCounted = true
 		c.Stats.Classes[c.classOf(s)].Degraded++
 	}
-	epoch := c.roomEpoch // the refusal holds for the epoch it was asked in
 	cw, a, overflow := c.place(s, need, -1)
 	if cw == nil {
 		if b := s.blocked; b == nil || b.level != lvl {
 			s.blocked = &blockedPlacement{level: lvl, req: s.execReq, need: need}
 		}
-		s.blocked.epoch = epoch
 		return false
 	}
 	s.blocked = nil

@@ -9,8 +9,8 @@ import (
 
 // This file holds the data structures that keep a saturated dispatch
 // pass cheap (DESIGN.md "Dispatch"): the per-class ready queue, the
-// blocked-need memo, the per-step retry cache with its refusal stamp,
-// and the record that lets dispatch skip a pass. The pass itself is
+// blocked-need memo, the per-step retry cache, and the record that
+// lets dispatch skip a pass. The pass itself is
 // dispatchPass / refused / tryPlace / place in cluster.go.
 
 // numClasses is the number of sched.Priority classes.
@@ -160,16 +160,14 @@ func (m *blockedMemo) add(cls sched.Priority, pool sched.UseCase, need sched.Res
 }
 
 // blockedPlacement is what a step that found no room keeps for its next
-// attempt: the request it tried to place under brownout rung level, that
-// request's cost, and the room epoch (Cluster.roomEpoch) of its last
-// refusal. A retry under the same rung reuses the request and the cost;
-// one in the same epoch needs no first-fit question at all
-// (Cluster.refused). A step holds one only while it waits.
+// attempt: the request it tried to place under brownout rung level, and
+// that request's cost. A retry under the same rung reuses both, and one
+// the memo refuses needs no first-fit question at all (Cluster.refused);
+// a step holds one only while it waits.
 type blockedPlacement struct {
 	level transcode.DegradeLevel
 	req   *sched.StepRequest
 	need  sched.Resources
-	epoch uint64
 }
 
 // passRecord is what the last dispatch pass leaves for the next one:

@@ -123,12 +123,12 @@ func ringPark(seed uint64, arm func(*Cluster), prep func(*Graph)) *Cluster {
 // claim: with the queue pinned at its bound, first-fit walks the workers
 // for fewer than a hundredth of the placement questions dispatch asks —
 // a memo emptied on every dispatch call left 2.2 % to walk, a full
-// rescan every one — and every answer the memo, a refusal stamp or a
-// skipped pass gave in its place is checked against the workers.
+// rescan every one — and every answer the memo or a skipped pass gave
+// in its place is checked against the workers.
 func TestMemoAnswersSaturatedDispatch(t *testing.T) {
 	p := &memoProbe{t: t}
 	c := parkOverload(1, 10*time.Minute, nil, p.arm, nil)
-	t.Logf("%d placement questions: %d walked the workers, the memo or a stamp answered %d; %d steps completed, %d shed",
+	t.Logf("%d placement questions: %d walked the workers, the memo or a skipped pass answered %d; %d steps completed, %d shed",
 		p.hits+p.walks, p.walks, p.hits, c.Stats.StepsCompleted,
 		c.Stats.Classes[0].Shed+c.Stats.Classes[1].Shed+c.Stats.Classes[2].Shed)
 	if c.Stats.StepsCompleted == 0 || c.QueueLen() != 0 {
@@ -170,9 +170,9 @@ func TestMemoKeepsFirstFitsAnswer(t *testing.T) {
 }
 
 // TestReleaseInsidePassReopensFirstFit: a reservation released while a
-// dispatch pass runs starts a new room epoch, so a step whose refusal
-// answered for it earlier in the same dispatch call is asked of
-// first-fit again and placed. The release is the synchronous one of
+// dispatch pass runs empties the memo, so a step the memo answered for
+// earlier in the same dispatch call is asked of first-fit again and
+// placed. The release is the synchronous one of
 // runTranscode's DRAM admission. On its own that release only returns
 // what the same step had just reserved, so the test lets go of a
 // reservation of its own behind the memo's back at the same moment;
@@ -228,8 +228,8 @@ func TestReleaseInsidePassReopensFirstFit(t *testing.T) {
 		}
 		asked = append(asked, who)
 	}
-	// One dispatch call: big answered by its refusal stamp, small placed and
-	// refused DRAM, big walked again and placed, small again.
+	// One dispatch call: big answered by the memo, small placed and refused
+	// DRAM, big walked again and placed, small again.
 	c.Submit(gSmall)
 	if c.Stats.MemoryExhaustions != 1 || y.Attempts != 1 {
 		t.Fatalf("small step: %d DRAM refusals, %d attempts, want 1 and 1", c.Stats.MemoryExhaustions, y.Attempts)
@@ -243,9 +243,9 @@ func TestReleaseInsidePassReopensFirstFit(t *testing.T) {
 }
 
 // TestPoolMoveInsidePassReopensFirstFit: a worker the rebalancer moves
-// into a pool while a dispatch pass runs starts a new room epoch, so a
-// step of that pool whose refusal answered for it earlier in the same
-// dispatch call is asked of first-fit again and placed on it. The
+// into a pool while a dispatch pass runs empties the memo, so a step of
+// that pool the memo answered for earlier in the same dispatch call is
+// asked of first-fit again and placed on it. The
 // rebalancer's tick cannot fire inside a pass on its own, and a pass has
 // the queue detached, so the test calls it from the probe behind a
 // Submit that gives it a backlog to see.
@@ -286,8 +286,8 @@ func TestPoolMoveInsidePassReopensFirstFit(t *testing.T) {
 			c.rebalancePools()
 		}
 	}
-	// One dispatch call: x answered by its refusal stamp, y by the memo,
-	// the move, then x, y and the arrival z walked and placed.
+	// One dispatch call: x and y answered by the memo, the move, then x,
+	// y and the arrival z walked and placed.
 	c.Submit(graphs[1])
 	if c.Stats.PoolRebalances != 1 || live.pool != sched.UseUpload {
 		t.Fatalf("%d pool moves, live worker in pool %v: the rebalancer did not move it", c.Stats.PoolRebalances, live.pool)
@@ -380,9 +380,14 @@ func TestRefusedStepWaitsForRoom(t *testing.T) {
 	}
 }
 
-// TestBlockedDispatchAllocatesNothing: a dispatch call over a queue full
-// of steps that were refused before, with nothing released since,
-// allocates nothing — not a degraded request, not a cost, not a slice.
+// TestBlockedDispatchAllocatesNothing: a dispatch pass over a queue full
+// of steps that were refused before allocates nothing — not a degraded
+// request, not a cost, not a slice — and moves no Stats. Each measured
+// call runs a pass, never a skipped one: a push marks the queue fresh
+// (every step answered by refused from the memo), a new room epoch
+// keeps the memo (the same, with the pass record void), or room is
+// made (the memo empties, tryPlace walks first-fit with its retry
+// cache, and place's memo answers the rest).
 func TestBlockedDispatchAllocatesNothing(t *testing.T) {
 	cfg := overloadConfig(1)
 	cfg.Overload = DefaultOverloadConfig()
@@ -404,12 +409,50 @@ func TestBlockedDispatchAllocatesNothing(t *testing.T) {
 	if classes != numClasses {
 		t.Fatalf("%d of %d classes queued", classes, numClasses)
 	}
-	before := c.Stats
-	if n := testing.AllocsPerRun(20, c.dispatch); n != 0 {
-		t.Errorf("dispatch over %d blocked steps allocates %v times, want 0", c.QueueLen(), n)
+	var hits, walks int
+	c.placeProbe = func(_ *Step, _ sched.Resources, _ int, memo bool) {
+		if memo {
+			hits++
+		} else {
+			walks++
+		}
 	}
-	if c.Stats != before {
-		t.Errorf("blocked dispatch moved Stats\n before %+v\n after  %+v", before, c.Stats)
+	for _, tc := range []struct {
+		name     string
+		change   func()
+		memoOnly bool
+	}{
+		{"push", func() { c.queue.fresh = true }, true},
+		{"room epoch", func() { c.roomEpoch++ }, true},
+		{"room made", c.roomMade, false},
+	} {
+		before, queued := c.Stats, c.QueueLen()
+		hits, walks = 0, 0
+		calls, ran := 0, 0
+		n := testing.AllocsPerRun(20, func() {
+			calls++
+			tc.change()
+			c.dispatch()
+			// Only a pass that ran detaches the queue and records its epoch.
+			if !c.queue.fresh && c.lastPass.epoch == c.roomEpoch {
+				ran++
+			}
+		})
+		if ran != calls {
+			t.Fatalf("%s: %d of %d dispatch calls ran a pass, want all", tc.name, ran, calls)
+		}
+		if n != 0 {
+			t.Errorf("%s: dispatch over %d blocked steps allocates %v times, want 0", tc.name, queued, n)
+		}
+		if hits+walks != calls*queued || c.QueueLen() != queued {
+			t.Errorf("%s: %d calls asked %d questions of %d queued steps (%d left), want every call to ask about each", tc.name, calls, hits+walks, queued, c.QueueLen())
+		}
+		if tc.memoOnly && walks != 0 || !tc.memoOnly && walks == 0 {
+			t.Errorf("%s: first-fit walked %d times, want memo only %v", tc.name, walks, tc.memoOnly)
+		}
+		if c.Stats != before {
+			t.Errorf("%s: blocked dispatch moved Stats\n before %+v\n after  %+v", tc.name, before, c.Stats)
+		}
 	}
 }
 
