@@ -356,7 +356,7 @@ func (c *Cluster) scaleUp(k int) {
 	// Reclaim drains first, oldest first.
 	for ; moved < k && len(as.draining) > 0; moved++ {
 		as.draining[0].sw.CancelDrain()
-		c.roomMade()
+		c.roomMade(as.draining[0])
 		as.draining = as.draining[1:]
 		st.DrainsCancelled++
 	}
@@ -369,7 +369,7 @@ func (c *Cluster) scaleUp(k int) {
 		}
 		cold := as.cfg.Warmup > 0 && !as.oracle()
 		cw.sw.Activate(cold)
-		c.roomMade()
+		c.roomMade(cw)
 		st.WorkersActivated++
 		moved++
 		if cold {

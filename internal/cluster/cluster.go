@@ -427,19 +427,26 @@ type Cluster struct {
 	byVCU      map[int]*clusterWorker
 
 	queue readyQueue
-	// blocked is the blocked-need memo of the current room epoch.
+	// blocked is the blocked-need memo: it holds since room was last made.
 	blocked blockedMemo
-	// roomEpoch counts roomMade calls: a pass record (lastPass) from an
-	// earlier epoch no longer holds.
-	roomEpoch uint64
+	// room names, in order and with repeats, the workers roomMade gave
+	// room since the last dispatch pass began; roomStart is where the
+	// running (or last) pass began in it.
+	room      []*clusterWorker
+	roomStart int
 	// lastPass is what the last dispatch pass left for the next one to
-	// decide whether it can find anything.
+	// decide where to resume.
 	lastPass passRecord
 	// placeProbe, when set, sees every first-fit question dispatch and
 	// place answer: memo reports whether it was answered (always "no
-	// room") from the memo or a skipped pass in place of a walk over the
-	// workers. Tests set it; nothing else does.
+	// room") from the memo or by a resumed pass leaving the step
+	// unvisited, in place of a walk over the workers. Tests set it;
+	// nothing else does.
 	placeProbe func(s *Step, need sched.Resources, avoidVCU int, memo bool)
+	// passProbe, when set, sees every dispatch pass end: whether it
+	// resumed, and how many steps it visited. Tests set it; nothing else
+	// does.
+	passProbe func(resumed bool, visited int)
 	// free holds the execution records nothing refers to any more
 	// (execution.go), for runTranscode to reuse.
 	free []*execution
@@ -642,7 +649,7 @@ func (c *Cluster) rebalancePools() {
 				continue
 			}
 			cw.pool = pool
-			c.roomMade()
+			c.roomMade(cw)
 			c.Stats.PoolRebalances++
 			moved++
 		}
@@ -718,16 +725,16 @@ func (c *Cluster) push(s *Step) {
 // QueueLen returns the ready-queue length.
 func (c *Cluster) QueueLen() int { return c.queue.len() }
 
-// roomMade empties the blocked-need memo and starts a new room epoch,
-// voiding the last pass's record. It is called by everything that can turn
-// a failed placement into a success: a reservation released or reset, a
-// worker starting to serve (activation, end of warm-up, a cancelled
-// drain), a screening verdict, a readmission, a move up the trust
-// ladder, a pool reassignment. Hardware failing only removes candidates
-// and needs no call.
-func (c *Cluster) roomMade() {
+// roomMade empties the blocked-need memo and names cw to the next
+// dispatch pass as a worker given room. It is called by everything that
+// can turn a failed placement on cw into a success: a reservation
+// released or reset, the worker starting to serve (activation, end of
+// warm-up, a cancelled drain), a screening verdict, a readmission, a
+// move up the trust ladder, a pool reassignment. Hardware failing only
+// removes candidates and needs no call.
+func (c *Cluster) roomMade(cw *clusterWorker) {
 	c.blocked.clear()
-	c.roomEpoch++
+	c.room = append(c.room, cw)
 }
 
 // dispatch drains the ready queue onto workers: strict priority classes
@@ -757,63 +764,132 @@ func (c *Cluster) dispatch() {
 // new submits, requeues) collect in the emptied queue and go behind the
 // still-waiting ones of their class when the pass re-attaches. A step
 // refused before with no room made since is answered without asking
-// first-fit (refused), and a pass that can find nothing (passRecord) is
-// skipped.
+// first-fit (refused). Under the last pass's rung and before its wake,
+// the pass resumes: it visits a class's kept steps only while a worker
+// given room since the last pass began could take one of the class's
+// refused groups (roomFor), leaves the rest waiting unvisited, and
+// visits the arrivals.
 func (c *Cluster) dispatchPass() {
 	now := c.Eng.Now()
-	if last := c.lastPass; !c.queue.fresh && last.epoch == c.roomEpoch &&
-		last.level == c.degradeLevel && now < last.wake {
-		c.skippedPass(now)
-		return
+	n := copy(c.room, c.room[c.roomStart:])
+	c.room, c.roomStart = c.room[:n], n
+	rec, level := &c.lastPass, c.degradeLevel
+	resumed := rec.level == level && now < rec.wake
+	wake := time.Duration(math.MaxInt64)
+	if resumed {
+		wake = rec.wake
 	}
-	// The record holds the epoch the pass starts in: a roomMade during the
-	// pass leaves it stale for good.
-	next := passRecord{epoch: c.roomEpoch, level: c.degradeLevel, wake: math.MaxInt64}
-	pending, transcodes := c.queue.detach()
+	pending, transcodes, kept := c.queue.detach()
+	visited := 0
 	for cls, steps := range pending {
-		waiting := steps[:0]
-		for _, s := range steps {
-			if s.eligibleAt > now {
-				waiting = append(waiting, s)
-				next.wake = min(next.wake, s.eligibleAt)
+		class := sched.Priority(cls)
+		waiting, groups := steps[:0], rec.next[cls][:0]
+		unvisited := false
+		for i, from := 0, 0; i < len(steps); {
+			if resumed && i < kept[cls] && !c.roomFor(class, rec.groups[cls], &from) {
+				// No worker given room can take a kept step: each is refused
+				// as it was, and waits unvisited.
+				c.leftUnvisited(steps[i:kept[cls]], now)
+				if len(waiting) == i {
+					waiting = steps[:kept[cls]]
+				} else {
+					waiting = append(waiting, steps[i:kept[cls]]...)
+				}
+				i, unvisited = kept[cls], true
 				continue
 			}
-			deadline, live := c.dropDeadline(s)
-			if live && now > deadline {
-				c.dropLate(s)
-			} else if c.refused(s) || !c.tryPlace(s) {
-				waiting = append(waiting, s)
-				if live {
-					next.wake = min(next.wake, deadline+1)
-				}
-				if len(s.triedVCUs) > 0 {
-					next.wake = now
+			s := steps[i]
+			i++
+			visited++
+			if !c.visit(s, now, &wake) {
+				if s.Kind == StepTranscode {
+					transcodes[cls]--
 				}
 				continue
 			}
-			if s.Kind == StepTranscode {
-				transcodes[cls]--
+			waiting = append(waiting, s)
+			if s.eligibleAt <= now && len(s.triedVCUs) == 0 {
+				groups = addGroup(groups, refusedGroup{stepPool(s), s.blocked.need})
 			}
 		}
 		clear(steps[len(waiting):])
 		pending[cls] = waiting
+		if unvisited {
+			for _, g := range groups {
+				rec.groups[cls] = addGroup(rec.groups[cls], g)
+			}
+			rec.next[cls] = groups
+		} else {
+			rec.groups[cls], rec.next[cls] = groups, rec.groups[cls]
+		}
 	}
 	c.queue.attach(pending, transcodes)
-	c.lastPass = next
+	rec.level, rec.wake = level, wake
+	if c.passProbe != nil {
+		c.passProbe(resumed, visited)
+	}
 }
 
-// skippedPass stands for a pass dispatch skipped: every eligible waiting
-// step is answered as refused would answer it. That has effects only
-// with a probe or a ring armed, so without them it costs nothing.
-func (c *Cluster) skippedPass(now time.Duration) {
+// visit gives one queued step its turn in a pass: a step in retry
+// backoff waits, a live step past its drop deadline is dropped, and any
+// other is placed unless first-fit refuses it. It reports whether s
+// still waits, and lowers wake to the first instant time alone can
+// change that.
+func (c *Cluster) visit(s *Step, now time.Duration, wake *time.Duration) bool {
+	if s.eligibleAt > now {
+		*wake = min(*wake, s.eligibleAt)
+		return true
+	}
+	deadline, live := c.dropDeadline(s)
+	if live && now > deadline {
+		c.dropLate(s)
+		return false
+	}
+	if !c.refused(s) && c.tryPlace(s) {
+		return false
+	}
+	if live {
+		*wake = min(*wake, deadline+1)
+	}
+	if len(s.triedVCUs) > 0 {
+		*wake = now
+	}
+	return true
+}
+
+// roomFor reports whether a worker given room since the last pass began
+// could take a step of class cls in one of groups: first-fit's own
+// question — eligible, serving, room for the need — asked of that
+// worker alone. A worker that could take none cannot gain room or
+// eligibility without a later entry in the list, so each class walks
+// the list once: from keeps its place across the class's calls.
+func (c *Cluster) roomFor(cls sched.Priority, groups []refusedGroup, from *int) bool {
+	for ; *from < len(c.room); *from++ {
+		cw := c.room[*from]
+		if cw.sw.Phase() != sched.PhaseServing {
+			continue
+		}
+		avail := cw.sw.Available()
+		for _, g := range groups {
+			if avail.Fits(g.need) && c.places(cw, cls, g.pool) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// leftUnvisited stands for the visits a resumed pass leaves out: each
+// eligible step is answered as refused would answer it. That has
+// effects only with a probe or a ring armed, so without them it costs
+// nothing.
+func (c *Cluster) leftUnvisited(steps []*Step, now time.Duration) {
 	if c.placeProbe == nil && c.ring == nil {
 		return
 	}
-	for _, steps := range c.queue.steps {
-		for _, s := range steps {
-			if s.eligibleAt <= now {
-				c.refusedUnasked(s, s.blocked.need, -1)
-			}
+	for _, s := range steps {
+		if s.eligibleAt <= now {
+			c.refusedUnasked(s, s.blocked.need, -1)
 		}
 	}
 }
@@ -990,10 +1066,10 @@ func (c *Cluster) hedgeDelay(s *Step) time.Duration {
 		sched.ExpectedStepSeconds(s.execReq) * float64(time.Second))
 }
 
-// release returns a's reservation to its worker.
-func (c *Cluster) release(a *sched.Assignment) {
+// release returns a's reservation to its worker cw.
+func (c *Cluster) release(cw *clusterWorker, a *sched.Assignment) {
 	a.Release()
-	c.roomMade()
+	c.roomMade(cw)
 }
 
 // maybeHedge launches a second copy of a still-running step on a

@@ -10,7 +10,7 @@ import (
 // This file holds the data structures that keep a saturated dispatch
 // pass cheap (DESIGN.md "Dispatch"): the per-class ready queue, the
 // blocked-need memo, the per-step retry cache, and the record that
-// lets dispatch skip a pass. The pass itself is
+// lets the next pass resume where room was made. The pass itself is
 // dispatchPass / refused / tryPlace / place in cluster.go.
 
 // numClasses is the number of sched.Priority classes.
@@ -26,12 +26,12 @@ type readyQueue struct {
 	// MaxQueueLen bounds, and how admit finds its victim's class without
 	// a scan.
 	transcodes [numClasses]int
+	// kept counts, per class, the steps at the head of the slice that
+	// the last pass left waiting; the ones behind them arrived since.
+	kept [numClasses]int
 	// spare are the empty buffers a dispatch pass swaps in to collect
 	// the steps enqueued while it runs.
 	spare [numClasses][]*Step
-	// fresh marks a step pushed since the last pass detached the queue:
-	// one no pass has asked about yet.
-	fresh bool
 }
 
 // len is the number of queued steps of every kind.
@@ -57,23 +57,26 @@ func (q *readyQueue) push(cls sched.Priority, s *Step) {
 	if s.Kind == StepTranscode {
 		q.transcodes[cls]++
 	}
-	q.fresh = true
 }
 
 // filter removes from class cls, in place and keeping order, the steps
 // keep rejects.
 func (q *readyQueue) filter(cls sched.Priority, keep func(*Step) bool) {
 	steps := q.steps[cls]
-	kept := steps[:0]
-	for _, s := range steps {
+	out, kept := steps[:0], 0
+	for i, s := range steps {
 		if keep(s) {
-			kept = append(kept, s)
+			out = append(out, s)
+			if i < q.kept[cls] {
+				kept++
+			}
 		} else if s.Kind == StepTranscode {
 			q.transcodes[cls]--
 		}
 	}
-	clear(steps[len(kept):])
-	q.steps[cls] = kept
+	clear(steps[len(out):])
+	q.steps[cls] = out
+	q.kept[cls] = kept
 }
 
 // lastTranscode removes and returns the freshest transcode step of
@@ -88,6 +91,9 @@ func (q *readyQueue) lastTranscode(cls sched.Priority) *Step {
 		i--
 	}
 	s := steps[i]
+	if i < q.kept[cls] {
+		q.kept[cls]--
+	}
 	copy(steps[i:], steps[i+1:])
 	steps[len(steps)-1] = nil
 	q.steps[cls] = steps[:len(steps)-1]
@@ -95,27 +101,29 @@ func (q *readyQueue) lastTranscode(cls sched.Priority) *Step {
 	return s
 }
 
-// detach hands the queued steps to a dispatch pass and leaves the queue
-// empty, so that everything enqueued during the pass is an arrival and
-// everything else that reads the queue mid-pass — admission, shedding,
-// the high-water gauge — sees the arrivals only.
-func (q *readyQueue) detach() (steps [numClasses][]*Step, transcodes [numClasses]int) {
-	steps, transcodes = q.steps, q.transcodes
+// detach hands the queued steps to a dispatch pass, with the length of
+// each class's kept prefix, and leaves the queue empty, so that
+// everything enqueued during the pass is an arrival and everything else
+// that reads the queue mid-pass — admission, shedding, the high-water
+// gauge — sees the arrivals only.
+func (q *readyQueue) detach() (steps [numClasses][]*Step, transcodes, kept [numClasses]int) {
+	steps, transcodes, kept = q.steps, q.transcodes, q.kept
 	for cls := range q.steps {
 		q.steps[cls] = q.spare[cls][:0]
 	}
 	q.transcodes = [numClasses]int{}
-	q.fresh = false
-	return steps, transcodes
+	q.kept = [numClasses]int{}
+	return steps, transcodes, kept
 }
 
 // attach puts back what a pass left waiting — steps[cls], compacted by
-// the pass, of which transcodes[cls] are transcode steps — with the
-// arrivals of each class behind the survivors.
+// the pass, of which transcodes[cls] are transcode steps — as each
+// class's kept prefix, with the arrivals of the class behind it.
 func (q *readyQueue) attach(steps [numClasses][]*Step, transcodes [numClasses]int) {
 	for cls, arrivals := range q.steps {
 		q.steps[cls] = append(steps[cls], arrivals...)
 		q.transcodes[cls] += transcodes[cls]
+		q.kept[cls] = len(steps[cls])
 		clear(arrivals)
 		q.spare[cls] = arrivals[:0]
 	}
@@ -170,17 +178,41 @@ type blockedPlacement struct {
 	need  sched.Resources
 }
 
+// refusedGroup is the (pool, need) of a waiting step first-fit refused
+// under the current brownout rung with no tried device. Steps of one
+// class in one group are interchangeable to first-fit: they exclude the
+// same workers and fit on the same ones.
+type refusedGroup struct {
+	pool sched.UseCase
+	need sched.Resources
+}
+
+// addGroup adds g to gs unless it is there already.
+func addGroup(gs []refusedGroup, g refusedGroup) []refusedGroup {
+	for _, h := range gs {
+		if h == g {
+			return gs
+		}
+	}
+	return append(gs, g)
+}
+
 // passRecord is what the last dispatch pass leaves for the next one:
-// the room epoch and brownout rung it started under, and wake, the
-// earliest instant time alone can change what a pass finds — a waiting
-// step's backoff ending, a waiting live step passing its drop deadline,
-// or now, when an eligible waiting step has a tried device and is asked
-// every pass. Until then, with no room made, the rung unchanged and no
-// step pushed, every eligible waiting step is still refused and a pass
-// can find nothing (DESIGN.md "Dispatch" has the argument). The zero
-// record holds for no instant.
+// the brownout rung it ran under; wake, the earliest instant time alone
+// can change what a pass finds — a waiting step's backoff ending, a
+// waiting live step passing its drop deadline, or now, when an eligible
+// waiting step has a tried device and is asked every pass; and, per
+// class, the groups of the waiting steps it left refused (a superset
+// does no harm: it only makes a pass visit more). Until wake, under the
+// same rung, a kept step's answer can change only on a worker roomMade
+// named since (Cluster.room) that could take one of its class's groups,
+// so the next pass resumes there (DESIGN.md "Dispatch" has the
+// argument). The zero record holds for no instant.
 type passRecord struct {
-	epoch uint64
-	level transcode.DegradeLevel
-	wake  time.Duration
+	level  transcode.DegradeLevel
+	wake   time.Duration
+	groups [numClasses][]refusedGroup
+	// next is the buffer a pass collects a class's groups in before they
+	// replace (a full visit) or join (a resumed one) groups.
+	next [numClasses][]refusedGroup
 }

@@ -13,16 +13,26 @@ import (
 	"openvcu/internal/workload"
 )
 
-// memoProbe checks every answer the blocked-need memo gives against the
-// workers themselves: on a memo hit it asks first-fit's question of each
-// worker without reserving, and fails the test if one has room. It also
-// counts the questions, by who answered.
+// memoProbe checks every answer given without a walk — the blocked-need
+// memo's, or a resumed pass's for a step it leaves unvisited — against
+// the workers themselves: it asks first-fit's question of each worker
+// without reserving, and fails the test if one has room. It also counts
+// the questions, by who answered, and the passes, the resumed ones and
+// the steps they visited.
 type memoProbe struct {
-	t           *testing.T
-	hits, walks int
+	t                        *testing.T
+	hits, walks              int
+	passes, resumed, visited int
 }
 
 func (p *memoProbe) arm(c *Cluster) {
+	c.passProbe = func(resumed bool, visited int) {
+		p.passes++
+		p.visited += visited
+		if resumed {
+			p.resumed++
+		}
+	}
 	c.placeProbe = func(s *Step, need sched.Resources, avoidVCU int, memo bool) {
 		if !memo {
 			p.walks++
@@ -123,14 +133,15 @@ func ringPark(seed uint64, arm func(*Cluster), prep func(*Graph)) *Cluster {
 // claim: with the queue pinned at its bound, first-fit walks the workers
 // for fewer than a hundredth of the placement questions dispatch asks —
 // a memo emptied on every dispatch call left 2.2 % to walk, a full
-// rescan every one — and every answer the memo or a skipped pass gave
+// rescan every one — and every answer the memo or a resumed pass gave
 // in its place is checked against the workers.
 func TestMemoAnswersSaturatedDispatch(t *testing.T) {
 	p := &memoProbe{t: t}
 	c := parkOverload(1, 10*time.Minute, nil, p.arm, nil)
-	t.Logf("%d placement questions: %d walked the workers, the memo or a skipped pass answered %d; %d steps completed, %d shed",
+	t.Logf("%d placement questions: %d walked the workers, the memo or a resumed pass answered %d; %d steps completed, %d shed",
 		p.hits+p.walks, p.walks, p.hits, c.Stats.StepsCompleted,
 		c.Stats.Classes[0].Shed+c.Stats.Classes[1].Shed+c.Stats.Classes[2].Shed)
+	t.Logf("%d passes, %d resumed; %d steps visited", p.passes, p.resumed, p.visited)
 	if c.Stats.StepsCompleted == 0 || c.QueueLen() != 0 {
 		t.Fatalf("run did not drain: %d completed, %d queued", c.Stats.StepsCompleted, c.QueueLen())
 	}
@@ -139,33 +150,54 @@ func TestMemoAnswersSaturatedDispatch(t *testing.T) {
 	}
 }
 
-// TestMemoKeepsFirstFitsAnswer runs the ring park (ringPark) once as
-// shipped and once with the memo starved — every step carries a tried
-// mark for a device that does not exist, which excludes no worker and
-// which the memo never learns from — and wants identical Stats, affinity
-// overflows included.
+// TestMemoKeepsFirstFitsAnswer runs saturated parks once as shipped and
+// once with the memo starved — every step carries a tried mark for a
+// device that does not exist, which excludes no worker, which the memo
+// never learns from, and which makes every pass a full one that walks
+// (passRecord) — and wants identical Stats, affinity overflows
+// included, and as many placement questions: the ring park (ringPark)
+// at seed 2, and park_overload at seeds 1-3.
 func TestMemoKeepsFirstFitsAnswer(t *testing.T) {
-	with := &memoProbe{t: t}
-	got := ringPark(2, with.arm, nil).Stats
-	without := &memoProbe{t: t}
-	want := ringPark(2, without.arm, func(g *Graph) {
+	starve := func(g *Graph) {
 		for _, s := range g.Steps {
 			s.tried(-1)
 		}
-	}).Stats
-	t.Logf("memo answered %d of %d questions; %d affinity overflows, %d pool moves, %d hedges launched, %d suppressed",
-		with.hits, with.hits+with.walks, got.AffinityOverflows, got.PoolRebalances, got.HedgesLaunched, got.HedgesSuppressed)
-	if without.hits != 0 {
-		t.Fatalf("reference run: the memo answered %d questions, want 0", without.hits)
 	}
-	if with.hits == 0 || got.AffinityOverflows == 0 || got.PoolRebalances == 0 || got.HedgesLaunched == 0 {
-		t.Fatal("run exercises too little")
-	}
-	if with.hits+with.walks != without.walks {
-		t.Errorf("%d placement questions with the memo, %d without", with.hits+with.walks, without.walks)
-	}
-	if got != want {
-		t.Errorf("Stats differ\n with memo    %+v\n without memo %+v", got, want)
+	for _, tc := range []struct {
+		name string
+		ring bool
+		run  func(arm func(*Cluster), prep func(*Graph)) *Cluster
+	}{
+		{"ring park, seed 2", true, func(arm func(*Cluster), prep func(*Graph)) *Cluster { return ringPark(2, arm, prep) }},
+		{"park_overload, seed 1", false, func(arm func(*Cluster), prep func(*Graph)) *Cluster {
+			return parkOverload(1, 10*time.Minute, nil, arm, prep)
+		}},
+		{"park_overload, seed 2", false, func(arm func(*Cluster), prep func(*Graph)) *Cluster {
+			return parkOverload(2, 10*time.Minute, nil, arm, prep)
+		}},
+		{"park_overload, seed 3", false, func(arm func(*Cluster), prep func(*Graph)) *Cluster {
+			return parkOverload(3, 10*time.Minute, nil, arm, prep)
+		}},
+	} {
+		with := &memoProbe{t: t}
+		got := tc.run(with.arm, nil).Stats
+		without := &memoProbe{t: t}
+		want := tc.run(without.arm, starve).Stats
+		t.Logf("%s: memo or resumed pass answered %d of %d questions; %d of %d passes resumed; %d affinity overflows, %d pool moves, %d hedges launched, %d suppressed",
+			tc.name, with.hits, with.hits+with.walks, with.resumed, with.passes,
+			got.AffinityOverflows, got.PoolRebalances, got.HedgesLaunched, got.HedgesSuppressed)
+		if without.hits != 0 {
+			t.Fatalf("%s: reference run: %d questions answered without a walk, want 0", tc.name, without.hits)
+		}
+		if with.hits == 0 || with.resumed == 0 || tc.ring && (got.AffinityOverflows == 0 || got.PoolRebalances == 0 || got.HedgesLaunched == 0) {
+			t.Fatalf("%s: run exercises too little", tc.name)
+		}
+		if with.hits+with.walks != without.walks {
+			t.Errorf("%s: %d placement questions as shipped, %d starved", tc.name, with.hits+with.walks, without.walks)
+		}
+		if got != want {
+			t.Errorf("%s: Stats differ\n as shipped %+v\n starved    %+v", tc.name, got, want)
+		}
 	}
 }
 
@@ -307,7 +339,7 @@ func TestPoolMoveInsidePassReopensFirstFit(t *testing.T) {
 // with nothing changed walks no worker, an arrival gets the only walk —
 // and a release makes first-fit walk it again and place it. A waiting
 // live step is dropped by the first dispatch at or after its drop
-// deadline plus 1 ns, and by none before: the skipped passes wake for it.
+// deadline plus 1 ns, and by none before: the resumed passes wake for it.
 func TestRefusedStepWaitsForRoom(t *testing.T) {
 	cfg := overloadConfig(1) // two workers
 	cfg.Overload.LiveDeadlineFactor = 3
@@ -374,20 +406,291 @@ func TestRefusedStepWaitsForRoom(t *testing.T) {
 		t.Fatalf("1 ns past the deadline the live step is %v, want dropped", l.State)
 	}
 
-	c.release(holds[0])
+	c.release(c.workers[0], holds[0])
 	if w := dispatch(c.dispatch); len(w) == 0 || w[0] != u || u.State != StepRunning {
 		t.Fatalf("after a release first-fit walked %d steps and the upload step is %v, want it walked first and running", len(w), u.State)
 	}
 }
 
+// resumeRig is a two-worker cluster for TestResumedPassAsksOnlyWhatChanged:
+// its workers are filled by the test's own reservations, the memo probe
+// checks every answer given without a walk, and asked logs each
+// first-fit question by step name ("(memo)" when nothing walked) and
+// each pass's end as "|".
+type resumeRig struct {
+	t      *testing.T
+	c      *Cluster
+	names  map[*Step]string
+	graphs map[*Step]*Graph
+	asked  []string
+	before func(s *Step, memo bool) // runs ahead of each question, when set
+}
+
+func newResumeRig(t *testing.T, tune func(*Config)) *resumeRig {
+	cfg := overloadConfig(1) // two workers
+	if tune != nil {
+		tune(&cfg)
+	}
+	r := &resumeRig{t: t, c: New(cfg), names: map[*Step]string{}, graphs: map[*Step]*Graph{}}
+	p := &memoProbe{t: t}
+	p.arm(r.c)
+	check := r.c.placeProbe
+	r.c.placeProbe = func(s *Step, need sched.Resources, avoidVCU int, memo bool) {
+		if r.before != nil {
+			r.before(s, memo)
+		}
+		check(s, need, avoidVCU, memo)
+		name := r.names[s]
+		if memo {
+			name += " (memo)"
+		}
+		r.asked = append(r.asked, name)
+	}
+	r.c.passProbe = func(bool, int) { r.asked = append(r.asked, "|") }
+	return r
+}
+
+// hold reserves need on cw behind dispatch's back.
+func (r *resumeRig) hold(cw *clusterWorker, need sched.Resources) *sched.Assignment {
+	a, err := r.c.scheduler.Schedule(need, func(w *sched.Worker) bool { return w != cw.sw })
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return a
+}
+
+// fill holds all of cw's capacity but piece, then piece, and returns the
+// reservation of the piece.
+func (r *resumeRig) fill(cw *clusterWorker, piece sched.Resources) *sched.Assignment {
+	rest := r.c.workerType.Capacity
+	rest.Sub(piece)
+	r.hold(cw, rest)
+	return r.hold(cw, piece)
+}
+
+// chunk builds a one-chunk video of spec, named name, and returns its
+// transcode step; submit hands its video to the cluster, and bind ties
+// its video's steps to it as Submit would, without enqueueing any.
+func (r *resumeRig) chunk(name string, spec VideoSpec) *Step {
+	spec.Frames = spec.ChunkFrames
+	g := BuildGraph(spec, r.c.cfg.StepTargetSeconds)
+	r.names[g.Steps[0]], r.graphs[g.Steps[0]] = name, g
+	return g.Steps[0]
+}
+
+func (r *resumeRig) submit(s *Step) { r.c.Submit(r.graphs[s]) }
+
+func (r *resumeRig) bind(s *Step) {
+	g := r.graphs[s]
+	g.remain = len(g.Steps)
+	for _, st := range g.Steps {
+		st.graph = g
+	}
+}
+
+// do runs f and returns what first-fit was asked meanwhile.
+func (r *resumeRig) do(f func()) []string {
+	r.asked = nil
+	f()
+	return r.asked
+}
+
+// waiting fails the test unless every step is refused and queued.
+func (r *resumeRig) waiting(steps ...*Step) {
+	for _, s := range steps {
+		if s.State != StepReady || s.blocked == nil {
+			r.t.Fatalf("%s is %v, want refused and waiting", r.names[s], s.State)
+		}
+	}
+}
+
+// TestResumedPassAsksOnlyWhatChanged pins what a resumed pass visits on
+// a saturated two-worker cluster: (a) after a push, the arrival alone;
+// (b) after room on a worker that can take no refused group — too
+// little room, or a worker of another pool — nothing; (c) after room
+// for one step, the first waiting step in queue order, and no more;
+// (d) after an admission eviction from inside the kept prefix, and a
+// filter that removes a kept step, the arrivals behind them; (e) room
+// made during a pass reopens first-fit for the later steps of the same
+// pass. Every answer given without a walk is checked by the memo probe.
+func TestResumedPassAsksOnlyWhatChanged(t *testing.T) {
+	var tiny sched.Resources
+	tiny[0] = 1
+	batch := func(id int) VideoSpec {
+		return VideoSpec{ID: id, Resolution: video.Res360p, FPS: 30, ChunkFrames: 150,
+			Profile: codec.H264Class, Mode: vcu.EncodeTwoPassOffline, Batch: true}
+	}
+	live := func(id int) VideoSpec {
+		return VideoSpec{ID: id, Resolution: video.Res1080p, FPS: 30, ChunkFrames: 150,
+			Profile: codec.H264Class, Mode: vcu.EncodeOnePassLowLatency, Live: true}
+	}
+	// smaller is an upload chunk with less need than uploadSpec's in
+	// every dimension, so the memo cannot answer for it.
+	smaller := func(id int) VideoSpec {
+		spec := uploadSpec(id)
+		spec.Resolution = video.Res720p
+		return spec
+	}
+	want := func(t *testing.T, what string, got []string, want ...string) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: first-fit was asked %v, want %v", what, got, want)
+		}
+	}
+
+	t.Run("a/push", func(t *testing.T) {
+		r := newResumeRig(t, nil)
+		r.fill(r.c.workers[0], tiny)
+		r.fill(r.c.workers[1], tiny)
+		x1, x2 := r.chunk("x1", uploadSpec(1)), r.chunk("x2", smaller(2))
+		r.submit(x1)
+		r.waiting(x1)
+		want(t, "push", r.do(func() { r.submit(x2) }), "x1 (memo)", "x2", "|")
+		r.waiting(x1, x2)
+	})
+
+	t.Run("b/room that fits no group", func(t *testing.T) {
+		r := newResumeRig(t, func(cfg *Config) {
+			cfg.EnablePools = true
+			cfg.LiveShare = 0.5
+		})
+		liveW, uploadW := r.c.workers[0], r.c.workers[1]
+		if liveW.pool != sched.UseLive || uploadW.pool != sched.UseUpload {
+			t.Fatalf("pools are %v and %v, want one live and one upload worker", liveW.pool, uploadW.pool)
+		}
+		x := r.chunk("x", uploadSpec(1))
+		need := r.c.workerType.Cost(x.Request)
+		onLive := r.fill(liveW, need)
+		little := r.fill(uploadW, tiny)
+		r.submit(x)
+		r.waiting(x)
+		want(t, "too little room", r.do(func() {
+			r.c.release(uploadW, little)
+			r.c.dispatch()
+		}), "x (memo)", "|")
+		want(t, "room in another pool", r.do(func() {
+			r.c.release(liveW, onLive)
+			r.c.dispatch()
+		}), "x (memo)", "|")
+		if !liveW.sw.Available().Fits(x.blocked.need) {
+			t.Fatalf("live worker has %v, want room for %v", liveW.sw.Available(), x.blocked.need)
+		}
+		r.waiting(x)
+	})
+
+	t.Run("c/room for one", func(t *testing.T) {
+		r := newResumeRig(t, nil)
+		xs := []*Step{r.chunk("x1", uploadSpec(1)), r.chunk("x2", uploadSpec(2)), r.chunk("x3", uploadSpec(3))}
+		one := r.fill(r.c.workers[0], r.c.workerType.Cost(xs[0].Request))
+		r.fill(r.c.workers[1], tiny)
+		for _, x := range xs {
+			r.submit(x)
+		}
+		r.waiting(xs...)
+		var visited []int
+		r.c.passProbe = func(_ bool, n int) { visited = append(visited, n) }
+		want(t, "room for one", r.do(func() {
+			r.c.release(r.c.workers[0], one)
+			r.c.dispatch()
+		}), "x1", "x2 (memo)", "x3 (memo)")
+		if !slices.Equal(visited, []int{1}) {
+			t.Fatalf("passes visited %v steps, want one pass visiting 1", visited)
+		}
+		if xs[0].State != StepRunning {
+			t.Fatalf("x1 is %v, want running", xs[0].State)
+		}
+		r.waiting(xs[1:]...)
+	})
+
+	t.Run("d/eviction", func(t *testing.T) {
+		r := newResumeRig(t, func(cfg *Config) { cfg.Overload.MaxQueueLen = 2 })
+		r.fill(r.c.workers[0], tiny)
+		r.fill(r.c.workers[1], tiny)
+		b1, b2 := r.chunk("b1", batch(1)), r.chunk("b2", batch(2))
+		r.submit(b1)
+		r.submit(b2)
+		r.waiting(b1, b2)
+		// A CPU step of a batch video arrives behind them, past the bound;
+		// then an upload step evicts b2, the freshest batch transcode step,
+		// from inside the kept prefix.
+		side := r.chunk("side", batch(3))
+		r.bind(side)
+		thumb := r.graphs[side].Steps[1]
+		x := r.chunk("x", uploadSpec(4))
+		r.bind(x)
+		want(t, "eviction", r.do(func() {
+			r.c.enqueue(thumb)
+			r.c.enqueue(x)
+			r.c.dispatch()
+		}), "x", "b1 (memo)", "|")
+		if b2.State != StepShed || thumb.State != StepRunning {
+			t.Fatalf("b2 is %v and the CPU arrival %v, want shed and running", b2.State, thumb.State)
+		}
+		r.waiting(b1, x)
+	})
+
+	t.Run("d/filter", func(t *testing.T) {
+		r := newResumeRig(t, nil)
+		r.fill(r.c.workers[0], tiny)
+		r.fill(r.c.workers[1], tiny)
+		xs := []*Step{r.chunk("x1", uploadSpec(1)), r.chunk("x2", uploadSpec(2)), r.chunk("x3", uploadSpec(3))}
+		for _, x := range xs {
+			r.submit(x)
+		}
+		r.waiting(xs...)
+		// A filter (shedding's, the audit recall's) takes x2 out of the
+		// middle of the kept prefix.
+		r.c.queue.filter(sched.PriorityNormal, func(s *Step) bool { return s != xs[1] })
+		x4 := r.chunk("x4", smaller(4))
+		want(t, "filter", r.do(func() { r.submit(x4) }), "x1 (memo)", "x3 (memo)", "x4", "|")
+	})
+
+	t.Run("e/room made in the pass", func(t *testing.T) {
+		r := newResumeRig(t, func(cfg *Config) {
+			cfg.RetryBackoffBase = 0
+			cfg.AbortOnFailure = false
+		})
+		w0 := r.c.workers[0]
+		hold := r.hold(w0, r.c.workerType.Capacity)
+		r.fill(r.c.workers[1], tiny)
+		if err := w0.vcu.AllocMemory(r.c.cfg.Params.DRAMCapacity); err != nil {
+			t.Fatal(err)
+		}
+		x, l := r.chunk("x", uploadSpec(1)), r.chunk("l", live(2))
+		r.submit(x)
+		r.waiting(x)
+		// l is asked first (the live class goes first) and placed on room
+		// that appears behind dispatch's back; the device refuses it DRAM,
+		// and the release that follows is what lets the same pass walk x.
+		r.before = func(s *Step, memo bool) {
+			switch {
+			case s == l && hold != nil:
+				hold.Release()
+				hold = nil
+			case s == x && !memo:
+				w0.vcu.FreeMemory(r.c.cfg.Params.DRAMCapacity)
+			}
+		}
+		got := r.do(func() { r.submit(l) })
+		if len(got) < 3 {
+			t.Fatalf("first-fit was asked %v", got)
+		}
+		want(t, "first pass", got[:3], "l", "x", "|")
+		if r.c.Stats.MemoryExhaustions != 1 || x.State != StepRunning {
+			t.Fatalf("%d DRAM refusals, x is %v: want 1, and x running", r.c.Stats.MemoryExhaustions, x.State)
+		}
+	})
+}
+
 // TestBlockedDispatchAllocatesNothing: a dispatch pass over a queue full
 // of steps that were refused before allocates nothing — not a degraded
-// request, not a cost, not a slice — and moves no Stats. Each measured
-// call runs a pass, never a skipped one: a push marks the queue fresh
-// (every step answered by refused from the memo), a new room epoch
-// keeps the memo (the same, with the pass record void), or room is
-// made (the memo empties, tryPlace walks first-fit with its retry
-// cache, and place's memo answers the rest).
+// request, not a cost, not a slice — and moves no Stats, whichever way
+// it runs. With the record voided it is a full pass: every step
+// answered by refused from the memo, or, with room made, tryPlace walks
+// first-fit with its retry cache and place's memo answers the rest. A
+// resumed pass after room on a worker that fits nothing visits no step,
+// and one after an arrival alone walks for the arrival only (the memo is
+// emptied behind its back, so every visit walks).
 func TestBlockedDispatchAllocatesNothing(t *testing.T) {
 	cfg := overloadConfig(1)
 	cfg.Overload = DefaultOverloadConfig()
@@ -417,14 +720,18 @@ func TestBlockedDispatchAllocatesNothing(t *testing.T) {
 			walks++
 		}
 	}
+	w0 := c.workers[0]
+	void := func() { c.lastPass.wake = 0 }
 	for _, tc := range []struct {
-		name     string
-		change   func()
-		memoOnly bool
+		name   string
+		change func()
+		// walksPerCall is how many steps each call walks, -1 for some.
+		walksPerCall int
 	}{
-		{"push", func() { c.queue.fresh = true }, true},
-		{"room epoch", func() { c.roomEpoch++ }, true},
-		{"room made", c.roomMade, false},
+		{"full pass", void, 0},
+		{"full pass, room made", func() { c.roomMade(w0); void() }, -1},
+		{"room on a worker that fits nothing", func() { c.roomMade(w0) }, 0},
+		{"an arrival alone", func() { c.blocked.clear(); c.queue.kept[sched.PriorityBatch]-- }, 1},
 	} {
 		before, queued := c.Stats, c.QueueLen()
 		hits, walks = 0, 0
@@ -433,8 +740,10 @@ func TestBlockedDispatchAllocatesNothing(t *testing.T) {
 			calls++
 			tc.change()
 			c.dispatch()
-			// Only a pass that ran detaches the queue and records its epoch.
-			if !c.queue.fresh && c.lastPass.epoch == c.roomEpoch {
+			// Only a pass re-attaches the queue, every waiting step kept,
+			// and begins after the last room made.
+			if c.queue.kept == [numClasses]int{len(c.queue.steps[0]), len(c.queue.steps[1]), len(c.queue.steps[2])} &&
+				c.roomStart == len(c.room) && c.lastPass.wake != 0 {
 				ran++
 			}
 		})
@@ -447,8 +756,8 @@ func TestBlockedDispatchAllocatesNothing(t *testing.T) {
 		if hits+walks != calls*queued || c.QueueLen() != queued {
 			t.Errorf("%s: %d calls asked %d questions of %d queued steps (%d left), want every call to ask about each", tc.name, calls, hits+walks, queued, c.QueueLen())
 		}
-		if tc.memoOnly && walks != 0 || !tc.memoOnly && walks == 0 {
-			t.Errorf("%s: first-fit walked %d times, want memo only %v", tc.name, walks, tc.memoOnly)
+		if tc.walksPerCall >= 0 && walks != calls*tc.walksPerCall || tc.walksPerCall < 0 && walks == 0 {
+			t.Errorf("%s: first-fit walked %d times in %d calls, want %d a call", tc.name, walks, calls, tc.walksPerCall)
 		}
 		if c.Stats != before {
 			t.Errorf("%s: blocked dispatch moved Stats\n before %+v\n after  %+v", tc.name, before, c.Stats)

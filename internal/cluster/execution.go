@@ -117,7 +117,7 @@ func (x *execution) start(s *Step, cw *clusterWorker, a *sched.Assignment, isHed
 	if err := cw.vcu.AllocMemory(x.footprint); err != nil {
 		x.finished = true
 		c.Stats.MemoryExhaustions++
-		c.release(a)
+		c.release(cw, a)
 		c.execFailed(s, cw, err)
 		return
 	}
@@ -244,7 +244,7 @@ func (x *execution) finish(err error, corrupted bool) {
 	c.Eng.Stop(&x.hedge)
 	c.Eng.Stop(&x.floor)
 	cw.vcu.FreeMemory(x.footprint)
-	c.release(x.a)
+	c.release(cw, x.a)
 	if s.execGen != x.token {
 		// A sibling already settled the step; this copy only had to
 		// give back its resources.

@@ -150,7 +150,7 @@ func (c *Cluster) screened(cw *clusterWorker, pass bool) {
 	}
 	move(healthMoves, cw, c.health(cw), ev)
 	cw.screening = verdict
-	c.roomMade()
+	c.roomMade(cw)
 }
 
 // disableDevice takes cw's device out of service — where the fault
@@ -239,13 +239,13 @@ func (c *Cluster) readmitHost(h *vcu.Host) {
 	delete(c.inRepair, h.ID)
 	c.Stats.HostsReadmitted++
 	h.Enable()
-	c.roomMade() // host up, boards repaired, capacity re-registered below
 	for _, v := range h.VCUs {
 		v.Repair()
 		cw := c.byVCU[v.ID]
 		if cw == nil {
 			continue
 		}
+		c.roomMade(cw) // host up, board repaired, capacity re-registered below
 		// Repair replaces the board, so the audit record resets with the
 		// hardware: trust restored, conviction spent, taint window gone.
 		// A persistent intermittent escape will pass golden re-screening
@@ -268,7 +268,7 @@ func (c *Cluster) rescore(cw *clusterWorker, passed bool) {
 	switch {
 	case passed && cw.standing == demoted && cw.trust >= demoteTrust:
 		cw.standing = move(trustMoves, cw, cw.standing, evRepromote)
-		c.roomMade()
+		c.roomMade(cw)
 		c.Stats.Audit.Repromotions++
 	case !passed && cw.standing != convicted && cw.trust < convictTrust:
 		cw.standing = move(trustMoves, cw, cw.standing, evConvict)
@@ -284,7 +284,7 @@ func (c *Cluster) rescore(cw *clusterWorker, passed bool) {
 // soak, or a new board from repair.
 func (c *Cluster) clearRecord(cw *clusterWorker, ev event) {
 	cw.standing = move(trustMoves, cw, cw.standing, ev)
-	c.roomMade()
+	c.roomMade(cw)
 	cw.trust = 1
 	cw.soakPasses = 0
 	cw.produced = nil
@@ -312,7 +312,7 @@ func (c *Cluster) ConvictedVCUs() []int {
 func (c *Cluster) endWarmup(cw *clusterWorker) {
 	if cw.sw.Phase() == sched.PhaseWarming && c.Eng.Now() >= cw.warmUntil {
 		cw.sw.EndWarmup()
-		c.roomMade()
+		c.roomMade(cw)
 	}
 	c.dispatch()
 }

@@ -20,6 +20,10 @@ type Fluid struct {
 	// re-armed by every rebalance, and stopped while no flow has a rate.
 	timer Timer
 	next  int
+	// updatedAt is when every flow's remaining work was last brought up
+	// to date: each rebalance drains every flow to now, and a flow
+	// started since has drained nothing at its zero rate.
+	updatedAt time.Duration
 
 	// TransferredWork integrates completed work for utilization stats.
 	TransferredWork float64
@@ -29,7 +33,6 @@ type flow struct {
 	demand    float64 // natural rate, work-units/s
 	remaining float64
 	rate      float64
-	updatedAt time.Duration
 	done      func()
 }
 
@@ -53,7 +56,7 @@ func (f *Fluid) Start(work, demand float64, done func()) {
 	if demand <= 0 {
 		demand = f.capacity
 	}
-	f.flows = append(f.flows, flow{demand: demand, remaining: work, updatedAt: f.eng.Now(), done: done})
+	f.flows = append(f.flows, flow{demand: demand, remaining: work, done: done})
 	f.rebalance()
 }
 
@@ -64,18 +67,18 @@ func (f *Fluid) Active() int { return len(f.flows) }
 // the timer for the next completion.
 func (f *Fluid) rebalance() {
 	now := f.eng.Now()
+	elapsed := (now - f.updatedAt).Seconds()
+	f.updatedAt = now
 	var total float64
 	for i := range f.flows {
 		fl := &f.flows[i]
 		// Drain progress at the previous rate.
-		elapsed := (now - fl.updatedAt).Seconds()
 		drained := fl.rate * elapsed
 		if drained > fl.remaining {
 			drained = fl.remaining
 		}
 		fl.remaining -= drained
 		f.TransferredWork += drained
-		fl.updatedAt = now
 		total += fl.demand
 	}
 	scale := 1.0

@@ -7,17 +7,25 @@ import (
 	"time"
 )
 
-// refFluid is the reference Fluid: flows in a map, every walk over a
-// freshly sorted id list, and a fresh completion event per rebalance
-// that a later rebalance voids by epoch. Fluid must reproduce it bit for
-// bit.
+// refFluid is the reference Fluid: flows in a map, each with its own
+// clock, every walk over a freshly sorted id list, and a fresh
+// completion event per rebalance that a later rebalance voids by epoch.
+// Fluid must reproduce it bit for bit.
 type refFluid struct {
 	eng             *Engine
 	capacity        float64
-	flows           map[int64]*flow
+	flows           map[int64]*refFlow
 	nextID          int64
 	epoch           int64
 	TransferredWork float64
+}
+
+// refFlow is a reference flow: its progress was last brought up to
+// date at updatedAt.
+type refFlow struct {
+	demand, remaining, rate float64
+	updatedAt               time.Duration
+	done                    func()
 }
 
 func (f *refFluid) Start(work, demand float64, done func()) {
@@ -32,7 +40,7 @@ func (f *refFluid) Start(work, demand float64, done func()) {
 	}
 	f.nextID++
 	id := f.nextID
-	f.flows[id] = &flow{demand: demand, remaining: work, updatedAt: f.eng.Now(), done: done}
+	f.flows[id] = &refFlow{demand: demand, remaining: work, updatedAt: f.eng.Now(), done: done}
 	f.rebalance()
 }
 
@@ -178,7 +186,7 @@ func TestFluidMatchesReference(t *testing.T) {
 		mix := fluidMix(rand.New(rand.NewSource(seed)), 40)
 
 		refEng := NewEngine()
-		ref := &refFluid{eng: refEng, capacity: 100, flows: map[int64]*flow{}}
+		ref := &refFluid{eng: refEng, capacity: 100, flows: map[int64]*refFlow{}}
 		want := playFluid(refEng, mix, ref.Start)
 
 		eng := NewEngine()
