@@ -31,7 +31,7 @@ func main() {
 	bpp := flag.Float64("bpp", 0.08, "target bits per pixel")
 	hardware := flag.Bool("hardware", false, "apply VCU pipeline restrictions")
 	tiles := flag.Int("tiles", 1, "tile columns (1, 2, 4, 8): parallel encode")
-	workers := flag.Int("workers", 0, "encoder worker-pool size (0 = all cores, 1 = inline)")
+	workers := flag.Int("workers", 0, "goroutines an encoder runs tiles and filter stripes on (0 = all cores, 1 = inline)")
 	outDir := flag.String("o", ".", "output directory for .ovcu files")
 	verify := flag.Bool("verify", true, "decode outputs and report PSNR")
 	flag.Parse()

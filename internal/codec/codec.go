@@ -148,11 +148,12 @@ type Config struct {
 	// search), 1 = default, 2 = realtime. Default 1.
 	Speed int
 
-	// Workers sizes the encoder's persistent worker pool: tile columns,
-	// in-loop filter stripes and the restoration search run on it. The
-	// bitstream is byte-identical for every Workers value — parallelism
-	// only changes wall clock. 0 defaults to GOMAXPROCS; 1 encodes
-	// inline with no pool goroutines (the low-latency mode).
+	// Workers bounds how many goroutines a frame's tile columns, in-loop
+	// filter stripes and restoration search run on (par.Do's limit; the
+	// caller waits and takes no share). The bitstream is byte-identical
+	// for every Workers value — parallelism only changes wall clock. 0
+	// defaults to GOMAXPROCS; 1 encodes inline on the caller's goroutine
+	// (the low-latency mode).
 	Workers int
 
 	// Hardware applies VCU pipeline restrictions: no trellis-style

@@ -251,7 +251,6 @@ func TestEncoderRejectsWrongFrameSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer enc.Close()
 	if _, err := enc.Encode(video.NewFrame(32, 32)); err == nil {
 		t.Fatal("accepted mismatched frame")
 	}
@@ -319,7 +318,6 @@ func TestStreamingEncodeFlushInterleave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer enc.Close()
 	dec := NewDecoder()
 	shown := 0
 	feed := func(pkts []Packet) {
@@ -366,7 +364,6 @@ func TestDoubleFlushIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer enc.Close()
 	if pkts, err := enc.Flush(); err != nil || len(pkts) != 0 {
 		t.Fatalf("flush of empty encoder: %v, %d packets", err, len(pkts))
 	}
@@ -446,9 +443,6 @@ func TestEncodeAllocsPerFrame(t *testing.T) {
 			encode()
 		}
 		perFrame := testing.AllocsPerRun(8, encode)
-		if err := enc.Close(); err != nil {
-			t.Fatal(err)
-		}
 		if perFrame > 16 {
 			t.Errorf("%v: %.1f allocations per encoded frame, want at most 16", p, perFrame)
 		}

@@ -50,11 +50,11 @@ func TestEncodeDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestEncodeDeterministicAcrossWorkers: the Workers knob sizes the
-// persistent pool and must never change the bitstream — parallelism only
-// changes wall clock. Sweeps Workers × TileColumns for the VP9-class
-// profile and the AV1-class profile (whose restoration search runs on
-// the pool too).
+// TestEncodeDeterministicAcrossWorkers: the Workers knob bounds the
+// goroutines tiles and filter stripes run on and must never change the
+// bitstream — parallelism only changes wall clock. Sweeps Workers ×
+// TileColumns for the VP9-class profile and the AV1-class profile (whose
+// restoration search is striped too).
 func TestEncodeDeterministicAcrossWorkers(t *testing.T) {
 	cases := []struct {
 		profile Profile

@@ -45,15 +45,15 @@ type encFrame struct {
 	kidsArena [][4]partTree
 	kidsUsed  int
 
-	// ownModel is the worker-owned entropy model, Reset and reused
-	// whenever a frame does not continue a carried model — the pool's
-	// scratch-reuse contract (allocs/op stays flat across frames).
+	// ownModel is the coder's own entropy model, Reset and reused
+	// whenever a frame does not continue a carried model, so allocs/op
+	// stays flat across frames.
 	ownModel *entropy.Model
 }
 
 // allocEncFrame performs the one-time allocations of a reusable frame
 // coder: scratch buffers, bitstream encoder, context grids and the
-// worker-owned entropy model. Per-frame state is installed by reset.
+// coder's own entropy model. Per-frame state is installed by reset.
 func allocEncFrame(e *Encoder) *encFrame {
 	fc := &encFrame{
 		enc: e,
@@ -106,17 +106,6 @@ func (fc *encFrame) reset(src, recon *video.Frame, qp int, keyframe bool,
 	fc.w.Reset()
 	fc.lambda = e.rc.Lambda(qp)
 	fc.sp = fc.searchParams()
-}
-
-// frameCoder returns ws's reusable frame coder, allocating it on the
-// worker's first tile job and resetting it for this frame/tile.
-func (e *Encoder) frameCoder(ws *encScratch, src, recon *video.Frame, qp int, keyframe bool,
-	tileX0, tileX1 int, carried *entropy.Model) *encFrame {
-	if ws.fc == nil {
-		ws.fc = allocEncFrame(e)
-	}
-	ws.fc.reset(src, recon, qp, keyframe, tileX0, tileX1, carried)
-	return ws.fc
 }
 
 func (fc *encFrame) searchParams() motion.SearchParams {

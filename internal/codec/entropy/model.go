@@ -51,8 +51,8 @@ func NewModel(adaptive bool) *Model {
 }
 
 // Reset restores m to the default-initialized state — identical to a
-// fresh NewModel(adaptive) but without allocating, so the encoder's
-// persistent tile workers can reuse one Model across frames.
+// fresh NewModel(adaptive) but without allocating, so the encoder's and
+// decoder's tile coders can reuse one Model across frames.
 func (m *Model) Reset(adaptive bool) {
 	*m = Model{}
 	rate := uint8(5)

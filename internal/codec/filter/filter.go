@@ -18,8 +18,8 @@ import (
 // The work decomposes into two passes with a barrier between them: all
 // vertical edges first (writes confined to each pixel's own row), then
 // all horizontal edges (each edge writes only the two rows straddling
-// it). The range-split helpers below expose that structure so the
-// encoder's worker pool can stripe the passes; this sequential entry is
+// it). The range-split helpers below expose that structure so
+// DeblockParallel can stripe the passes; this sequential entry is
 // bit-identical to any parallel schedule, and to DeblockPlaneScalar.
 func DeblockPlane(pix []uint8, w, h, blockSize, strength int) {
 	if strength <= 0 {

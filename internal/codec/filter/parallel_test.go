@@ -3,26 +3,17 @@ package filter
 import (
 	"bytes"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"openvcu/internal/video"
 )
 
-// runConcurrent executes every task in its own goroutine — the
-// adversarial runner: if stripes overlapped, -race would catch it and
-// the byte-compare would flake.
-func runConcurrent(tasks []func()) {
-	var wg sync.WaitGroup
-	wg.Add(len(tasks))
-	for _, t := range tasks {
-		go func() {
-			defer wg.Done()
-			t()
-		}()
-	}
-	wg.Wait()
-}
+// stripeWorkers are the worker counts the *Parallel filters are held to
+// their sequential references at: 0 runs every stripe on its own
+// goroutine, the adversarial schedule (if stripes overlapped, -race
+// would catch it and the byte-compare would flake); 1 is the inline path
+// an encoder with Workers 1 takes.
+var stripeWorkers = []int{0, 1}
 
 func randFrame(rng *rand.Rand, w, h int) *video.Frame {
 	f := video.NewFrame(w, h)
@@ -120,44 +111,50 @@ func TestDeblockPlaneMatchesScalar(t *testing.T) {
 }
 
 func TestDeblockParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, dims := range [][2]int{{64, 64}, {176, 144}, {200, 130}} {
-		seq := blockyFrame(rng, dims[0], dims[1], 8)
-		par := seq.Clone()
-		Deblock(seq, 8, 6)
-		DeblockParallel(par, 8, 6, runConcurrent)
-		if !bytes.Equal(seq.Y, par.Y) || !bytes.Equal(seq.U, par.U) || !bytes.Equal(seq.V, par.V) {
-			t.Fatalf("%dx%d: parallel deblock diverged from sequential", dims[0], dims[1])
+	for _, workers := range stripeWorkers {
+		rng := rand.New(rand.NewSource(12))
+		for _, dims := range [][2]int{{64, 64}, {176, 144}, {200, 130}} {
+			seq := blockyFrame(rng, dims[0], dims[1], 8)
+			par := seq.Clone()
+			Deblock(seq, 8, 6)
+			DeblockParallel(par, 8, 6, workers)
+			if !bytes.Equal(seq.Y, par.Y) || !bytes.Equal(seq.U, par.U) || !bytes.Equal(seq.V, par.V) {
+				t.Fatalf("workers=%d %dx%d: parallel deblock diverged from sequential", workers, dims[0], dims[1])
+			}
 		}
 	}
 }
 
 func TestRestoreParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for widx := 1; widx < 4; widx++ {
-		seq := randFrame(rng, 120, 90)
-		par := seq.Clone()
-		Restore(seq, widx)
-		RestoreParallel(par, widx, runConcurrent)
-		if !bytes.Equal(seq.Y, par.Y) || !bytes.Equal(seq.U, par.U) || !bytes.Equal(seq.V, par.V) {
-			t.Fatalf("weight %d: parallel restore diverged from sequential", widx)
+	for _, workers := range stripeWorkers {
+		rng := rand.New(rand.NewSource(13))
+		for widx := 1; widx < 4; widx++ {
+			seq := randFrame(rng, 120, 90)
+			par := seq.Clone()
+			Restore(seq, widx)
+			RestoreParallel(par, widx, workers)
+			if !bytes.Equal(seq.Y, par.Y) || !bytes.Equal(seq.U, par.U) || !bytes.Equal(seq.V, par.V) {
+				t.Fatalf("workers=%d weight %d: parallel restore diverged from sequential", workers, widx)
+			}
 		}
 	}
 }
 
 func TestBestRestorationWeightParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for trial := 0; trial < 10; trial++ {
-		recon := randFrame(rng, 130, 100)
-		src := recon.Clone()
-		// noisy recon vs smooth src biases the search off weight 0
-		for i := range src.Y {
-			src.Y[i] = uint8((int(src.Y[i]) + 128) / 2)
-		}
-		want := BestRestorationWeight(recon, src)
-		got := BestRestorationWeightParallel(recon, src, runConcurrent)
-		if got != want {
-			t.Fatalf("trial %d: parallel weight %d != sequential %d", trial, got, want)
+	for _, workers := range stripeWorkers {
+		rng := rand.New(rand.NewSource(14))
+		for trial := 0; trial < 10; trial++ {
+			recon := randFrame(rng, 130, 100)
+			src := recon.Clone()
+			// noisy recon vs smooth src biases the search off weight 0
+			for i := range src.Y {
+				src.Y[i] = uint8((int(src.Y[i]) + 128) / 2)
+			}
+			want := BestRestorationWeight(recon, src)
+			got := BestRestorationWeightParallel(recon, src, workers)
+			if got != want {
+				t.Fatalf("workers=%d trial %d: parallel weight %d != sequential %d", workers, trial, got, want)
+			}
 		}
 	}
 }

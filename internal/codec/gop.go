@@ -17,7 +17,7 @@ package codec
 // GOP are a chain (no intra-GOP parallelism without changing the
 // bitstream), and GOPs are mutually independent. The scheduler's grain
 // is the GOP span; spans run concurrently up to cfg.Workers, each on its
-// own Encoder whose intra-frame pool is disabled (the parallelism budget
+// own Encoder whose tiles and filters run inline (the parallelism budget
 // is spent across frames, not within them — the right trade for batch
 // throughput, paper §2.1's chunk-parallel offline pipeline).
 //
@@ -96,18 +96,14 @@ func EncodeSequenceParallel(cfg Config, frames []*video.Frame) (*SequenceResult,
 // counter is preset to the span's global start index, so keyframe
 // cadence, golden-refresh phase (displayIdx % GoldenPeriod) and alt-ref
 // group closure all see the same indices as the sequential encoder.
-func encodeGOPSpan(c *Config, frames []*video.Frame, sp gopSpan) (pkts []Packet, err error) {
+func encodeGOPSpan(c *Config, frames []*video.Frame, sp gopSpan) ([]Packet, error) {
 	cfg := *c
-	cfg.Workers = 1 // GOPs are the parallel grain; no nested pool
+	cfg.Workers = 1 // GOPs are the parallel grain; tiles and filters run inline
 	enc, err := NewEncoder(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		if cerr := enc.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
+	var pkts []Packet
 	enc.frameIdx = sp.start
 	for i := sp.start; i < sp.end; i++ {
 		got, err := enc.Encode(frames[i])

@@ -156,7 +156,6 @@ func TestEncoderReconMatchesDecoder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer enc.Close()
 		dec := NewDecoder()
 		for i, f := range frames {
 			pkts, err := enc.Encode(f)
@@ -181,7 +180,6 @@ func TestEncoderReconMatchesDecoder(t *testing.T) {
 		}
 		// Final check: full-sequence PSNR is sane (no drift collapse).
 		enc2, _ := NewEncoder(cfg)
-		defer enc2.Close()
 		var all []Packet
 		for _, f := range frames {
 			pkts, err := enc2.Encode(f)

@@ -149,7 +149,8 @@ func checkFrameSearch(t *testing.T, enc *Encoder, f *video.Frame, idx int, lambd
 		m := *enc.model
 		carried = &m
 	}
-	fc := enc.frameCoder(&encScratch{}, src, src.Clone(), enc.rc.FrameQP(idx, keyframe, false), keyframe, 0, enc.pw, carried)
+	fc := allocEncFrame(enc)
+	fc.reset(src, src.Clone(), enc.rc.FrameQP(idx, keyframe, false), keyframe, 0, enc.pw, carried)
 	if lambda >= 0 {
 		fc.lambda = lambda
 	}
@@ -193,7 +194,6 @@ func TestBoundedSearchMatchesExhaustive(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer enc.Close()
 					splits := 0
 					for i, f := range frames {
 						for _, tree := range checkFrameSearch(t, enc, f, i, -1) {
@@ -237,7 +237,6 @@ func TestBoundedSearchKeepsCanonicalWinnerOnTie(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer enc.Close()
 		if _, err := enc.Encode(flat(128)); err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +246,8 @@ func TestBoundedSearchKeepsCanonicalWinnerOnTie(t *testing.T) {
 		}
 
 		// The tie is real: finished, the two candidates cost the same.
-		fc := enc.frameCoder(&encScratch{}, padFrame(flat(150), enc.pw, enc.ph), flat(150), 30, false, 0, enc.pw, nil)
+		fc := allocEncFrame(enc)
+		fc.reset(padFrame(flat(150), enc.pw, enc.ph), flat(150), 30, false, 0, enc.pw, nil)
 		fc.lambda = 0
 		s := profile.SuperblockSize()
 		intra := fc.evalChoice(0, 0, s, blockChoice{intraMode: predict.IntraDC}, math.Inf(1))

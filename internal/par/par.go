@@ -3,13 +3,12 @@
 // the first failure. It is the chunk fan-out and assemble of the paper
 // (§2.1 "Chunking and Parallel Transcoding Modes", §2.2) with the
 // assembling left to the caller: chunks of an upload, closed GOPs of a
-// sequence and tile columns of a frame all go through Do. What it
-// restricts is what used to go wrong by hand at each site: the join
-// cannot be skipped or raced by a late Add, a failing piece cannot skip
-// its Done, and an error has one slot per piece.
-//
-// Persistent workers that own scratch between calls are a different
-// thing: that is codec's tilePool.
+// sequence, tile columns of a frame and in-loop filter stripes all go
+// through Do. What it restricts is what used to go wrong by hand at each
+// site: the join cannot be skipped or raced by a late Add, a failing
+// piece cannot skip its Done, and an error has one slot per piece.
+// Scratch that outlives a call belongs to the caller, by index (the
+// codec's tile coders, one per tile column).
 package par
 
 import (

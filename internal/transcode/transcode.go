@@ -26,8 +26,9 @@ type OutputSpec struct {
 	Speed int
 	// TileColumns enables parallel tile-column encoding.
 	TileColumns int
-	// Workers sizes the encoder's persistent worker pool (0 =
-	// GOMAXPROCS, 1 = inline). The bitstream does not depend on it.
+	// Workers bounds how many goroutines the encoder runs tile columns
+	// and filter stripes on (0 = GOMAXPROCS, 1 = inline). The bitstream
+	// does not depend on it.
 	Workers int
 }
 
@@ -121,11 +122,11 @@ func encoderConfig(spec OutputSpec, fps int) codec.Config {
 
 // MOT transcodes decoded source frames into every output spec with a
 // single shared decode/scale pass (Fig. 2b).
-func MOT(frames []*video.Frame, fps int, specs []OutputSpec) (res *Result, err error) {
+func MOT(frames []*video.Frame, fps int, specs []OutputSpec) (*Result, error) {
 	if len(frames) == 0 {
 		return nil, fmt.Errorf("transcode: no frames")
 	}
-	res = &Result{}
+	res := &Result{}
 	res.DecodedPixels = int64(len(frames)) * int64(frames[0].Pixels())
 
 	type encState struct {
@@ -134,18 +135,6 @@ func MOT(frames []*video.Frame, fps int, specs []OutputSpec) (res *Result, err e
 		spec OutputSpec
 	}
 	encs := make([]*encState, len(specs))
-	// Join every encoder's worker pool on all exits; a Close failure
-	// surfaces unless an earlier error is already on its way out.
-	defer func() {
-		for _, es := range encs {
-			if es == nil {
-				continue
-			}
-			if cerr := es.enc.Close(); cerr != nil && err == nil {
-				res, err = nil, cerr
-			}
-		}
-	}()
 	// First-pass statistics computed once on the source and shared,
 	// read-only, across outputs — the "efficient sharing of control
 	// parameters obtained by analysis of the source" of §2.1.

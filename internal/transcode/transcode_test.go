@@ -1,10 +1,7 @@
 package transcode
 
 import (
-	"runtime"
-	"strings"
 	"testing"
-	"time"
 
 	"openvcu/internal/codec"
 	"openvcu/internal/codec/rc"
@@ -83,56 +80,6 @@ func TestMOTWorkersByteIdentical(t *testing.T) {
 			if string(a.Packets[j].Data) != string(b.Packets[j].Data) {
 				t.Fatalf("output %s packet %d differs across Workers", a.Spec.Name, j)
 			}
-		}
-	}
-}
-
-// poolWorkers returns the stack of every goroutine running a codec
-// tile-pool worker, polling for up to 2 s before it answers with any: a
-// worker that close has joined may still be on its way out. (A copy of
-// the codec tests' helper.)
-func poolWorkers() []string {
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		buf := make([]byte, 1<<20)
-		buf = buf[:runtime.Stack(buf, true)]
-		var live []string
-		for _, g := range strings.Split(string(buf), "\n\n") {
-			if strings.Contains(g, "codec.(*tilePool).worker") {
-				live = append(live, g)
-			}
-		}
-		if len(live) == 0 || time.Now().After(deadline) {
-			return live
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestMOTJoinsEveryPool: MOT closes every encoder it opened, so no
-// rung's tile pool outlives the call — when it succeeds, and when a
-// later rung's encoder is rejected after the first one started its pool.
-func TestMOTJoinsEveryPool(t *testing.T) {
-	specs := smallSpecs()
-	for i := range specs {
-		specs[i].Workers = 2
-	}
-	av1Hardware := specs[1]
-	av1Hardware.Profile, av1Hardware.Hardware = codec.AV1Class, true
-	for _, c := range []struct {
-		name    string
-		specs   []OutputSpec
-		wantErr bool
-	}{
-		{"success", specs, false},
-		{"second spec rejected", []OutputSpec{specs[0], av1Hardware}, true},
-	} {
-		if _, err := MOT(srcFrames(2), 30, c.specs); (err != nil) != c.wantErr {
-			t.Fatalf("%s: MOT returned %v", c.name, err)
-		}
-		if live := poolWorkers(); len(live) > 0 {
-			t.Fatalf("%s: MOT returned with %d encoder pool workers running:\n\n%s",
-				c.name, len(live), strings.Join(live, "\n\n"))
 		}
 	}
 }

@@ -22,22 +22,23 @@ set -u
 #                      which go test kills first).
 #   cluster            the control plane is one sim goroutine; only the
 #                      real-pixels tests reach transcode and codec.
-#   codec              TileColumnsRoundTrip: tile pool and tile decoders,
-#                      end to end. ParallelTileEncodeDeterminism: pool,
-#                      parallel deblock and restoration, and a tile
-#                      worker writing a reference frame or search pyramid
-#                      the other tiles read (rows sharedmut-tile-writes-
+#   codec              one invocation. TileColumnsRoundTrip: tile coders
+#                      of encoder and decoder, end to end.
+#                      ParallelTileEncodeDeterminism: concurrent tiles,
+#                      striped deblock and restoration, and a tile
+#                      writing a reference frame or search pyramid the
+#                      other tiles read (rows sharedmut-tile-writes-
 #                      reference-frame and -search-pyramid, which only
-#                      this run kills). CloseLifecycle: the pool's join.
-#                      ParallelMatchesSequential's shortest case: what
-#                      the GOP spans of gop.go share.
+#                      this run kills). ParallelMatchesSequential's
+#                      av1_restoration case alone (the subtest pattern
+#                      filters only tests that have subtests): what the
+#                      GOP spans of gop.go share.
 #   internal/video and internal/sched start no goroutine in code or
 #   tests; sched belongs to the cluster's sim goroutine.
 runs='
 . ./internal/par ./internal/transcode
 RealPixels ./internal/cluster
-^(TestTileColumnsRoundTrip|TestParallelTileEncodeDeterminism|TestEncoderCloseLifecycle)$ ./internal/codec
-^TestEncodeSequenceParallelMatchesSequential$/^av1_restoration$ ./internal/codec
+^(TestTileColumnsRoundTrip|TestParallelTileEncodeDeterminism|TestEncodeSequenceParallelMatchesSequential)$/^av1_restoration$ ./internal/codec
 '
 
 status=3
