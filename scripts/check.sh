@@ -21,7 +21,8 @@
 #                    and no others
 #   7. bench smoke   kernel benchmarks compile and run (1 iteration)
 #   8. fuzz smoke    4s each of FuzzDecode, FuzzContainer and
-#                    FuzzTransformMatchesScalar over their seeds
+#                    FuzzTransformMatchesScalar over their seeds, with
+#                    no minimization, so the 4s are spent fuzzing
 #
 # Each step ends with the wall seconds it took and the gate with their
 # total, so the gate's long pole is read off its own output. The gate
@@ -98,10 +99,17 @@ step "bench smoke (kernel packages)" go test -run=NONE -bench=. -benchtime=1x \
 # (FuzzDecode), container reader panics and allocation bounds
 # (FuzzContainer), a fast transform kernel drifting from its scalar twin
 # (FuzzTransformMatchesScalar). `go test` alone only replays the seeds.
+# Minimization is off: by default every new interesting input is
+# minimized for up to 60 s, which takes both workers from the first
+# second or two on, so FuzzDecode and FuzzTransformMatchesScalar made no
+# execs after that and overran to 5 s. A failing input is still saved
+# under testdata/fuzz and fails the step, unminimized.
 fuzz_smoke() {
-    go test -fuzz='^FuzzDecode$' -fuzztime=4s -run=NONE ./internal/codec &&
-        go test -fuzz='^FuzzContainer$' -fuzztime=4s -run=NONE ./internal/container &&
-        go test -fuzz='^FuzzTransformMatchesScalar$' -fuzztime=4s -run=NONE ./internal/codec/transform
+    local f='-fuzztime=4s -fuzzminimizetime=0 -run=NONE'
+    # shellcheck disable=SC2086
+    go test -fuzz='^FuzzDecode$' $f ./internal/codec &&
+        go test -fuzz='^FuzzContainer$' $f ./internal/container &&
+        go test -fuzz='^FuzzTransformMatchesScalar$' $f ./internal/codec/transform
 }
 step "fuzz smoke (decoder, container, transform)" fuzz_smoke
 
