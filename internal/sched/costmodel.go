@@ -31,7 +31,7 @@ type StepRequest struct {
 	// TargetSeconds is how long the step may take; resource shares are
 	// the sustained rates needed to finish in that time.
 	TargetSeconds float64
-	// Workers is the encoder's intra-step worker-pool size
+	// Workers is the encoder's intra-step worker count
 	// (codec.Config.Workers / transcode.OutputSpec.Workers). Intra-step
 	// parallelism shortens the nominal completion time by the Amdahl
 	// speedup; 0 or 1 means serial. Must mirror what the step actually
@@ -66,14 +66,14 @@ func (r *StepRequest) outputPixels() float64 {
 
 // encodeParallelFraction is the parallelizable share of an encode step:
 // tile columns, in-loop filter stripes and the restoration scan all run
-// on the encoder's worker pool, while bitstream assembly, reference
+// on up to Workers goroutines, while bitstream assembly, reference
 // rotation and rate control stay serial. 0.9 is a model constant, not
 // a measurement: the measured counterpart is the ledger's
 // codec.tile_speedup_2 row, which needs two real cores to mean anything.
 const encodeParallelFraction = 0.9
 
 // ParallelSpeedup is the Amdahl's-law wall-clock speedup of a step
-// encoding with w pool workers: 1/((1-p) + p/w) with p the
+// encoding with w workers: 1/((1-p) + p/w) with p the
 // parallelizable fraction. w <= 1 is serial (speedup 1).
 func ParallelSpeedup(w int) float64 {
 	if w <= 1 {
@@ -86,7 +86,7 @@ func ParallelSpeedup(w int) float64 {
 // step: the latency target its resource shares are sized to meet (a
 // step that must decode D pixels/s is charged exactly the millicores to
 // finish in TargetSeconds), shortened by the Amdahl speedup when the
-// step encodes with an intra-step worker pool. Watchdog and hedge
+// step encodes with intra-step workers. Watchdog and hedge
 // deadlines are multiples of this value, so the speedup must be the
 // conservative model above, never the ideal w× — an optimistic deadline
 // misfires the watchdog on steps that hit the serial fraction.
