@@ -427,8 +427,6 @@ type Cluster struct {
 	byVCU      map[int]*clusterWorker
 
 	queue readyQueue
-	// blocked is the blocked-need memo: it holds since room was last made.
-	blocked blockedMemo
 	// room names, in order and with repeats, the workers roomMade gave
 	// room since the last dispatch pass began; roomStart is where the
 	// running (or last) pass began in it.
@@ -438,11 +436,10 @@ type Cluster struct {
 	// decide where to resume.
 	lastPass passRecord
 	// placeProbe, when set, sees every first-fit question dispatch and
-	// place answer: memo reports whether it was answered (always "no
-	// room") from the memo or by a resumed pass leaving the step
-	// unvisited, in place of a walk over the workers. Tests set it;
-	// nothing else does.
-	placeProbe func(s *Step, need sched.Resources, avoidVCU int, memo bool)
+	// place answer: unvisited reports whether a resumed pass answered it
+	// (always "no room") by leaving the step unvisited, in place of a
+	// walk over the workers. Tests set it; nothing else does.
+	placeProbe func(s *Step, need sched.Resources, avoidVCU int, unvisited bool)
 	// passProbe, when set, sees every dispatch pass end: whether it
 	// resumed, and how many steps it visited. Tests set it; nothing else
 	// does.
@@ -725,15 +722,14 @@ func (c *Cluster) push(s *Step) {
 // QueueLen returns the ready-queue length.
 func (c *Cluster) QueueLen() int { return c.queue.len() }
 
-// roomMade empties the blocked-need memo and names cw to the next
-// dispatch pass as a worker given room. It is called by everything that
-// can turn a failed placement on cw into a success: a reservation
-// released or reset, the worker starting to serve (activation, end of
-// warm-up, a cancelled drain), a screening verdict, a readmission, a
-// move up the trust ladder, a pool reassignment. Hardware failing only
-// removes candidates and needs no call.
+// roomMade names cw to the next dispatch pass as a worker given room.
+// It is called by everything that can turn a failed placement on cw
+// into a success: a reservation released or reset, the worker starting
+// to serve (activation, end of warm-up, a cancelled drain), a screening
+// verdict, a readmission, a move up the trust ladder, a pool
+// reassignment. Hardware failing only removes candidates and needs no
+// call.
 func (c *Cluster) roomMade(cw *clusterWorker) {
-	c.blocked.clear()
 	c.room = append(c.room, cw)
 }
 
@@ -762,13 +758,11 @@ func (c *Cluster) dispatch() {
 // dispatchPass is one scan of the queue, class by class. The queue is
 // detached for the scan: steps enqueued meanwhile (resolved dependents,
 // new submits, requeues) collect in the emptied queue and go behind the
-// still-waiting ones of their class when the pass re-attaches. A step
-// refused before with no room made since is answered without asking
-// first-fit (refused). Under the last pass's rung and before its wake,
-// the pass resumes: it visits a class's kept steps only while a worker
-// given room since the last pass began could take one of the class's
-// refused groups (roomFor), leaves the rest waiting unvisited, and
-// visits the arrivals.
+// still-waiting ones of their class when the pass re-attaches. Under the
+// last pass's rung and before its wake, the pass resumes: it visits a
+// class's kept steps only while a worker given room since the last pass
+// began could take one of the class's refused groups (roomFor), leaves
+// the rest waiting unvisited, and visits the arrivals.
 func (c *Cluster) dispatchPass() {
 	now := c.Eng.Now()
 	n := copy(c.room, c.room[c.roomStart:])
@@ -845,7 +839,7 @@ func (c *Cluster) visit(s *Step, now time.Duration, wake *time.Duration) bool {
 		c.dropLate(s)
 		return false
 	}
-	if !c.refused(s) && c.tryPlace(s) {
+	if c.tryPlace(s) {
 		return false
 	}
 	if live {
@@ -859,19 +853,15 @@ func (c *Cluster) visit(s *Step, now time.Duration, wake *time.Duration) bool {
 
 // roomFor reports whether a worker given room since the last pass began
 // could take a step of class cls in one of groups: first-fit's own
-// question — eligible, serving, room for the need — asked of that
-// worker alone. A worker that could take none cannot gain room or
-// eligibility without a later entry in the list, so each class walks
-// the list once: from keeps its place across the class's calls.
+// question — room for the need, eligible — asked of that worker alone.
+// A worker that could take none cannot gain room or eligibility without
+// a later entry in the list, so each class walks the list once: from
+// keeps its place across the class's calls.
 func (c *Cluster) roomFor(cls sched.Priority, groups []refusedGroup, from *int) bool {
 	for ; *from < len(c.room); *from++ {
 		cw := c.room[*from]
-		if cw.sw.Phase() != sched.PhaseServing {
-			continue
-		}
-		avail := cw.sw.Available()
 		for _, g := range groups {
-			if avail.Fits(g.need) && c.places(cw, cls, g.pool) {
+			if cw.sw.CanReserve(g.need) && c.places(cw, cls, g.pool) {
 				return true
 			}
 		}
@@ -880,44 +870,24 @@ func (c *Cluster) roomFor(cls sched.Priority, groups []refusedGroup, from *int) 
 }
 
 // leftUnvisited stands for the visits a resumed pass leaves out: each
-// eligible step is answered as refused would answer it. That has
-// effects only with a probe or a ring armed, so without them it costs
-// nothing.
+// eligible step has the effects of a first-fit question answered "no
+// room" — the probe sees an unvisited answer, and with a ring armed the
+// refusal counts as an affinity overflow, as the walk's would. Without
+// a probe or a ring it costs nothing.
 func (c *Cluster) leftUnvisited(steps []*Step, now time.Duration) {
 	if c.placeProbe == nil && c.ring == nil {
 		return
 	}
 	for _, s := range steps {
-		if s.eligibleAt <= now {
-			c.refusedUnasked(s, s.blocked.need, -1)
+		if s.eligibleAt > now {
+			continue
 		}
-	}
-}
-
-// refused answers for first-fit, without asking it, that a waiting
-// step is still refused: it was refused under the current brownout rung
-// and the memo refuses its need. Only a step with no tried device
-// qualifies, the memo's precondition; its exclusion set cannot change
-// while it waits, because triedVCUs grows only when the step runs.
-func (c *Cluster) refused(s *Step) bool {
-	b := s.blocked
-	if b == nil || len(s.triedVCUs) > 0 || b.level != c.degradeFor(s) ||
-		!c.blocked.blocks(c.classOf(s), stepPool(s), b.need) {
-		return false
-	}
-	c.refusedUnasked(s, b.need, -1)
-	return true
-}
-
-// refusedUnasked has the effects of a first-fit question answered "no
-// room" without a walk: the probe sees a memo answer, and with a ring
-// armed the refusal counts as an affinity overflow, as the walk's would.
-func (c *Cluster) refusedUnasked(s *Step, need sched.Resources, avoidVCU int) {
-	if c.placeProbe != nil {
-		c.placeProbe(s, need, avoidVCU, true)
-	}
-	if c.ring != nil {
-		c.Stats.AffinityOverflows++
+		if c.placeProbe != nil {
+			c.placeProbe(s, s.blocked.need, -1, true)
+		}
+		if c.ring != nil {
+			c.Stats.AffinityOverflows++
+		}
 	}
 }
 
@@ -999,15 +969,9 @@ func (c *Cluster) placeTranscode(s *Step, avoidVCU int) (*clusterWorker, *sched.
 // to any VCU only when the set has no capacity (affinity reduces blast
 // radius, it must not strand work). avoidVCU additionally vetoes one
 // device — the hedge's primary. Returns overflow=true when the
-// placement fell outside the affinity set. Inside a dispatch call the
-// blocked-need memo answers for first-fit where it can, with the side
-// effects the walk would have had.
+// placement fell outside the affinity set.
 func (c *Cluster) place(s *Step, need sched.Resources, avoidVCU int) (*clusterWorker, *sched.Assignment, bool) {
 	cls, pool := c.classOf(s), stepPool(s)
-	if c.dispatching && c.blocked.blocks(cls, pool, need) {
-		c.refusedUnasked(s, need, avoidVCU)
-		return nil, nil, false
-	}
 	if c.placeProbe != nil {
 		c.placeProbe(s, need, avoidVCU, false)
 	}
@@ -1038,9 +1002,6 @@ func (c *Cluster) place(s *Step, need sched.Resources, avoidVCU int) (*clusterWo
 	if a == nil {
 		a, err = c.scheduler.Schedule(need, baseExclude)
 		if err != nil {
-			if c.dispatching && len(s.triedVCUs) == 0 && avoidVCU < 0 {
-				c.blocked.add(cls, pool, need)
-			}
 			return nil, nil, false
 		}
 	}

@@ -9,9 +9,9 @@ import (
 
 // This file holds the data structures that keep a saturated dispatch
 // pass cheap (DESIGN.md "Dispatch"): the per-class ready queue, the
-// blocked-need memo, the per-step retry cache, and the record that
-// lets the next pass resume where room was made. The pass itself is
-// dispatchPass / refused / tryPlace / place in cluster.go.
+// per-step retry cache, and the record that lets the next pass resume
+// where room was made. The pass itself is dispatchPass / visit /
+// tryPlace / place in cluster.go.
 
 // numClasses is the number of sched.Priority classes.
 const numClasses = int(sched.PriorityBatch) + 1
@@ -129,49 +129,11 @@ func (q *readyQueue) attach(steps [numClasses][]*Step, transcodes [numClasses]in
 	}
 }
 
-// blockedMemo remembers the resource needs first-fit has failed to place
-// since room was last made, by the (class, pool) of the step that
-// failed. A remembered need comes from a step whose exclusion set was
-// the smallest its (class, pool) can have — no tried device, no avoided
-// one — so while no worker gains room, any step of that (class, pool)
-// needing at least as much in every dimension must fail as well: it
-// excludes the same workers or more, and fits where the remembered need
-// did or in fewer places. Everything that can give a worker room, or
-// make an excluded worker eligible, empties the memo (Cluster.roomMade);
-// nothing else does, so it lives across dispatch calls until room is
-// made. Only dispatch reads it.
-type blockedMemo struct {
-	needs [numClasses][2][]sched.Resources // by sched.Priority, sched.UseCase
-}
-
-func (m *blockedMemo) clear() {
-	for cls := range m.needs {
-		for pool := range m.needs[cls] {
-			m.needs[cls][pool] = m.needs[cls][pool][:0]
-		}
-	}
-}
-
-// blocks reports whether need is at least a remembered need in every
-// dimension.
-func (m *blockedMemo) blocks(cls sched.Priority, pool sched.UseCase, need sched.Resources) bool {
-	for i := range m.needs[cls][pool] {
-		if need.Fits(m.needs[cls][pool][i]) {
-			return true
-		}
-	}
-	return false
-}
-
-func (m *blockedMemo) add(cls sched.Priority, pool sched.UseCase, need sched.Resources) {
-	m.needs[cls][pool] = append(m.needs[cls][pool], need)
-}
-
 // blockedPlacement is what a step that found no room keeps for its next
 // attempt: the request it tried to place under brownout rung level, and
-// that request's cost. A retry under the same rung reuses both, and one
-// the memo refuses needs no first-fit question at all (Cluster.refused);
-// a step holds one only while it waits.
+// that request's cost. A retry under the same rung reuses both, and the
+// need is what passRecord groups a waiting step by; a step holds one
+// only while it waits.
 type blockedPlacement struct {
 	level transcode.DegradeLevel
 	req   *sched.StepRequest

@@ -13,19 +13,19 @@ import (
 	"openvcu/internal/workload"
 )
 
-// memoProbe checks every answer given without a walk — the blocked-need
-// memo's, or a resumed pass's for a step it leaves unvisited — against
-// the workers themselves: it asks first-fit's question of each worker
-// without reserving, and fails the test if one has room. It also counts
-// the questions, by who answered, and the passes, the resumed ones and
+// refusalProbe checks every answer given without a walk — a resumed
+// pass's for a step it leaves unvisited — against the workers
+// themselves: it asks first-fit's question of each worker without
+// reserving, and fails the test if one has room. It also counts the
+// questions, unvisited or walked, and the passes, the resumed ones and
 // the steps they visited.
-type memoProbe struct {
+type refusalProbe struct {
 	t                        *testing.T
-	hits, walks              int
+	unvisited, walks         int
 	passes, resumed, visited int
 }
 
-func (p *memoProbe) arm(c *Cluster) {
+func (p *refusalProbe) arm(c *Cluster) {
 	c.passProbe = func(resumed bool, visited int) {
 		p.passes++
 		p.visited += visited
@@ -33,19 +33,19 @@ func (p *memoProbe) arm(c *Cluster) {
 			p.resumed++
 		}
 	}
-	c.placeProbe = func(s *Step, need sched.Resources, avoidVCU int, memo bool) {
-		if !memo {
+	c.placeProbe = func(s *Step, need sched.Resources, avoidVCU int, unvisited bool) {
+		if !unvisited {
 			p.walks++
 			return
 		}
-		p.hits++
+		p.unvisited++
 		cls, pool := c.classOf(s), stepPool(s)
 		for _, cw := range c.workers {
 			if !c.places(cw, cls, pool) || s.triedVCUs[cw.vcu.ID] || cw.vcu.ID == avoidVCU {
 				continue
 			}
-			if cw.sw.Phase() == sched.PhaseServing && cw.sw.Available().Fits(need) {
-				p.t.Fatalf("t=%v: memo refused step %d of video %d (%v, %v pool, need %v), but VCU %d has %v available",
+			if cw.sw.CanReserve(need) {
+				p.t.Fatalf("t=%v: unvisited step %d of video %d (%v, %v pool, need %v), but VCU %d has %v available",
 					c.Eng.Now(), s.ID, s.graph.ID, cls, pool, need, cw.vcu.ID, cw.sw.Available())
 			}
 		}
@@ -54,7 +54,7 @@ func (p *memoProbe) arm(c *Cluster) {
 
 // scenarioProbe, when set, is armed on every cluster the game-day
 // scenario helpers build.
-var scenarioProbe *memoProbe
+var scenarioProbe *refusalProbe
 
 // newScenario is New for the game-day scenario helpers.
 func newScenario(cfg Config) *Cluster {
@@ -132,31 +132,30 @@ func ringPark(seed uint64, arm func(*Cluster), prep func(*Graph)) *Cluster {
 // TestMemoAnswersSaturatedDispatch is the count behind the park_overload
 // claim: with the queue pinned at its bound, first-fit walks the workers
 // for fewer than a hundredth of the placement questions dispatch asks —
-// a memo emptied on every dispatch call left 2.2 % to walk, a full
-// rescan every one — and every answer the memo or a resumed pass gave
-// in its place is checked against the workers.
+// a full rescan walks for every one — and every answer a resumed pass
+// gave in its place, by leaving a step unvisited, is checked against
+// the workers.
 func TestMemoAnswersSaturatedDispatch(t *testing.T) {
-	p := &memoProbe{t: t}
+	p := &refusalProbe{t: t}
 	c := parkOverload(1, 10*time.Minute, nil, p.arm, nil)
-	t.Logf("%d placement questions: %d walked the workers, the memo or a resumed pass answered %d; %d steps completed, %d shed",
-		p.hits+p.walks, p.walks, p.hits, c.Stats.StepsCompleted,
+	t.Logf("%d placement questions: %d walked the workers, a resumed pass answered %d unvisited; %d steps completed, %d shed",
+		p.unvisited+p.walks, p.walks, p.unvisited, c.Stats.StepsCompleted,
 		c.Stats.Classes[0].Shed+c.Stats.Classes[1].Shed+c.Stats.Classes[2].Shed)
 	t.Logf("%d passes, %d resumed; %d steps visited", p.passes, p.resumed, p.visited)
 	if c.Stats.StepsCompleted == 0 || c.QueueLen() != 0 {
 		t.Fatalf("run did not drain: %d completed, %d queued", c.Stats.StepsCompleted, c.QueueLen())
 	}
-	if 100*p.walks > p.hits+p.walks {
-		t.Fatalf("first-fit walked the workers for %d of %d questions, want under a hundredth", p.walks, p.hits+p.walks)
+	if 100*p.walks > p.unvisited+p.walks {
+		t.Fatalf("first-fit walked the workers for %d of %d questions, want under a hundredth", p.walks, p.unvisited+p.walks)
 	}
 }
 
 // TestMemoKeepsFirstFitsAnswer runs saturated parks once as shipped and
-// once with the memo starved — every step carries a tried mark for a
-// device that does not exist, which excludes no worker, which the memo
-// never learns from, and which makes every pass a full one that walks
-// (passRecord) — and wants identical Stats, affinity overflows
-// included, and as many placement questions: the ring park (ringPark)
-// at seed 2, and park_overload at seeds 1-3.
+// once with the resumed pass starved — every step carries a tried mark
+// for a device that does not exist, which excludes no worker and makes
+// every pass a full one that walks (passRecord) — and wants identical
+// Stats, affinity overflows included, and as many placement questions:
+// the ring park (ringPark) at seed 2, and park_overload at seeds 1-3.
 func TestMemoKeepsFirstFitsAnswer(t *testing.T) {
 	starve := func(g *Graph) {
 		for _, s := range g.Steps {
@@ -179,21 +178,21 @@ func TestMemoKeepsFirstFitsAnswer(t *testing.T) {
 			return parkOverload(3, 10*time.Minute, nil, arm, prep)
 		}},
 	} {
-		with := &memoProbe{t: t}
+		with := &refusalProbe{t: t}
 		got := tc.run(with.arm, nil).Stats
-		without := &memoProbe{t: t}
+		without := &refusalProbe{t: t}
 		want := tc.run(without.arm, starve).Stats
-		t.Logf("%s: memo or resumed pass answered %d of %d questions; %d of %d passes resumed; %d affinity overflows, %d pool moves, %d hedges launched, %d suppressed",
-			tc.name, with.hits, with.hits+with.walks, with.resumed, with.passes,
+		t.Logf("%s: resumed passes answered %d of %d questions unvisited; %d of %d passes resumed; %d affinity overflows, %d pool moves, %d hedges launched, %d suppressed",
+			tc.name, with.unvisited, with.unvisited+with.walks, with.resumed, with.passes,
 			got.AffinityOverflows, got.PoolRebalances, got.HedgesLaunched, got.HedgesSuppressed)
-		if without.hits != 0 {
-			t.Fatalf("%s: reference run: %d questions answered without a walk, want 0", tc.name, without.hits)
+		if without.unvisited != 0 {
+			t.Fatalf("%s: reference run: %d questions answered without a walk, want 0", tc.name, without.unvisited)
 		}
-		if with.hits == 0 || with.resumed == 0 || tc.ring && (got.AffinityOverflows == 0 || got.PoolRebalances == 0 || got.HedgesLaunched == 0) {
+		if with.unvisited == 0 || with.resumed == 0 || tc.ring && (got.AffinityOverflows == 0 || got.PoolRebalances == 0 || got.HedgesLaunched == 0) {
 			t.Fatalf("%s: run exercises too little", tc.name)
 		}
-		if with.hits+with.walks != without.walks {
-			t.Errorf("%s: %d placement questions as shipped, %d starved", tc.name, with.hits+with.walks, without.walks)
+		if with.unvisited+with.walks != without.walks {
+			t.Errorf("%s: %d placement questions as shipped, %d starved", tc.name, with.unvisited+with.walks, without.walks)
 		}
 		if got != want {
 			t.Errorf("%s: Stats differ\n as shipped %+v\n starved    %+v", tc.name, got, want)
@@ -202,13 +201,13 @@ func TestMemoKeepsFirstFitsAnswer(t *testing.T) {
 }
 
 // TestReleaseInsidePassReopensFirstFit: a reservation released while a
-// dispatch pass runs empties the memo, so a step the memo answered for
-// earlier in the same dispatch call is asked of first-fit again and
-// placed. The release is the synchronous one of
+// dispatch pass runs names its worker as given room, so a step a resumed
+// pass left unvisited earlier in the same dispatch call is asked of
+// first-fit again and placed. The release is the synchronous one of
 // runTranscode's DRAM admission. On its own that release only returns
 // what the same step had just reserved, so the test lets go of a
-// reservation of its own behind the memo's back at the same moment;
-// only the DRAM path's release tells the memo.
+// reservation of its own behind dispatch's back at the same moment;
+// only the DRAM path's release names the worker.
 func TestReleaseInsidePassReopensFirstFit(t *testing.T) {
 	cfg := overloadConfig(1) // two workers
 	cfg.RetryBackoffBase = 0 // a failed step requeues, and re-dispatches, at once
@@ -247,20 +246,20 @@ func TestReleaseInsidePassReopensFirstFit(t *testing.T) {
 		t.Fatalf("big step is %v, want blocked in the queue", x.State)
 	}
 	var asked []string
-	c.placeProbe = func(s *Step, _ sched.Resources, _ int, memo bool) {
+	c.placeProbe = func(s *Step, _ sched.Resources, _ int, unvisited bool) {
 		switch {
 		case s == y && len(asked) == 1:
-			hold.Release() // room appears, and nothing tells the memo
+			hold.Release() // room appears, and nothing names the worker
 		case s == x && len(asked) == 2:
 			w0.vcu.FreeMemory(cfg.Params.DRAMCapacity)
 		}
 		who := map[*Step]string{x: "big", y: "small"}[s]
-		if memo {
-			who += " (memo)"
+		if unvisited {
+			who += " (unvisited)"
 		}
 		asked = append(asked, who)
 	}
-	// One dispatch call: big answered by the memo, small placed and refused
+	// One dispatch call: big left unvisited, small placed and refused
 	// DRAM, big walked again and placed, small again.
 	c.Submit(gSmall)
 	if c.Stats.MemoryExhaustions != 1 || y.Attempts != 1 {
@@ -269,15 +268,15 @@ func TestReleaseInsidePassReopensFirstFit(t *testing.T) {
 	if x.State != StepRunning {
 		t.Errorf("big step is %v after the dispatch call that made room for it, want running", x.State)
 	}
-	if want := []string{"big (memo)", "small", "big", "small"}; !slices.Equal(asked, want) {
+	if want := []string{"big (unvisited)", "small", "big", "small"}; !slices.Equal(asked, want) {
 		t.Fatalf("first-fit was asked %v, want %v", asked, want)
 	}
 }
 
 // TestPoolMoveInsidePassReopensFirstFit: a worker the rebalancer moves
-// into a pool while a dispatch pass runs empties the memo, so a step of
-// that pool the memo answered for earlier in the same dispatch call is
-// asked of first-fit again and placed on it. The
+// into a pool while a dispatch pass runs is named as given room, so a
+// step of that pool a resumed pass left unvisited earlier in the same
+// dispatch call is asked of first-fit again and placed on it. The
 // rebalancer's tick cannot fire inside a pass on its own, and a pass has
 // the queue detached, so the test calls it from the probe behind a
 // Submit that gives it a backlog to see.
@@ -308,18 +307,19 @@ func TestPoolMoveInsidePassReopensFirstFit(t *testing.T) {
 		t.Fatalf("first upload step is %v, want blocked in the queue", x.State)
 	}
 	var asked []string
-	c.placeProbe = func(s *Step, _ sched.Resources, _ int, memo bool) {
+	c.placeProbe = func(s *Step, _ sched.Resources, _ int, unvisited bool) {
 		who := map[*Step]string{x: "x", y: "y", z: "z"}[s]
-		if memo {
-			who += " (memo)"
+		if unvisited {
+			who += " (unvisited)"
 		}
 		if asked = append(asked, who); len(asked) == 2 {
 			c.Submit(graphs[2])
 			c.rebalancePools()
 		}
 	}
-	// One dispatch call: x and y answered by the memo, the move, then x,
-	// y and the arrival z walked and placed.
+	// One dispatch call: x left unvisited; the arrival y asked, the move
+	// ahead of its walk, and y placed on the moved worker; then x and the
+	// arrival z walked and placed.
 	c.Submit(graphs[1])
 	if c.Stats.PoolRebalances != 1 || live.pool != sched.UseUpload {
 		t.Fatalf("%d pool moves, live worker in pool %v: the rebalancer did not move it", c.Stats.PoolRebalances, live.pool)
@@ -329,7 +329,7 @@ func TestPoolMoveInsidePassReopensFirstFit(t *testing.T) {
 			t.Errorf("upload step of video %d is %v after the dispatch call that gave its pool a worker, want running", s.graph.ID, s.State)
 		}
 	}
-	if want := []string{"x (memo)", "y (memo)", "x", "y", "z"}; !slices.Equal(asked, want) {
+	if want := []string{"x (unvisited)", "y", "x", "z"}; !slices.Equal(asked, want) {
 		t.Fatalf("first-fit was asked %v, want %v", asked, want)
 	}
 }
@@ -354,9 +354,9 @@ func TestRefusedStepWaitsForRoom(t *testing.T) {
 	}
 	var walked []*Step
 	asked := 0
-	c.placeProbe = func(s *Step, _ sched.Resources, _ int, memo bool) {
+	c.placeProbe = func(s *Step, _ sched.Resources, _ int, unvisited bool) {
 		asked++
-		if !memo {
+		if !unvisited {
 			walked = append(walked, s)
 		}
 	}
@@ -413,17 +413,17 @@ func TestRefusedStepWaitsForRoom(t *testing.T) {
 }
 
 // resumeRig is a two-worker cluster for TestResumedPassAsksOnlyWhatChanged:
-// its workers are filled by the test's own reservations, the memo probe
-// checks every answer given without a walk, and asked logs each
-// first-fit question by step name ("(memo)" when nothing walked) and
-// each pass's end as "|".
+// its workers are filled by the test's own reservations, the refusal
+// probe checks every answer given without a walk, and asked logs each
+// first-fit question by step name ("(unvisited)" when nothing walked)
+// and each pass's end as "|".
 type resumeRig struct {
 	t      *testing.T
 	c      *Cluster
 	names  map[*Step]string
 	graphs map[*Step]*Graph
 	asked  []string
-	before func(s *Step, memo bool) // runs ahead of each question, when set
+	before func(s *Step, unvisited bool) // runs ahead of each question, when set
 }
 
 func newResumeRig(t *testing.T, tune func(*Config)) *resumeRig {
@@ -432,17 +432,17 @@ func newResumeRig(t *testing.T, tune func(*Config)) *resumeRig {
 		tune(&cfg)
 	}
 	r := &resumeRig{t: t, c: New(cfg), names: map[*Step]string{}, graphs: map[*Step]*Graph{}}
-	p := &memoProbe{t: t}
+	p := &refusalProbe{t: t}
 	p.arm(r.c)
 	check := r.c.placeProbe
-	r.c.placeProbe = func(s *Step, need sched.Resources, avoidVCU int, memo bool) {
+	r.c.placeProbe = func(s *Step, need sched.Resources, avoidVCU int, unvisited bool) {
 		if r.before != nil {
-			r.before(s, memo)
+			r.before(s, unvisited)
 		}
-		check(s, need, avoidVCU, memo)
+		check(s, need, avoidVCU, unvisited)
 		name := r.names[s]
-		if memo {
-			name += " (memo)"
+		if unvisited {
+			name += " (unvisited)"
 		}
 		r.asked = append(r.asked, name)
 	}
@@ -512,7 +512,8 @@ func (r *resumeRig) waiting(steps ...*Step) {
 // (d) after an admission eviction from inside the kept prefix, and a
 // filter that removes a kept step, the arrivals behind them; (e) room
 // made during a pass reopens first-fit for the later steps of the same
-// pass. Every answer given without a walk is checked by the memo probe.
+// pass. Every answer given without a walk is checked by the refusal
+// probe.
 func TestResumedPassAsksOnlyWhatChanged(t *testing.T) {
 	var tiny sched.Resources
 	tiny[0] = 1
@@ -525,7 +526,7 @@ func TestResumedPassAsksOnlyWhatChanged(t *testing.T) {
 			Profile: codec.H264Class, Mode: vcu.EncodeOnePassLowLatency, Live: true}
 	}
 	// smaller is an upload chunk with less need than uploadSpec's in
-	// every dimension, so the memo cannot answer for it.
+	// every dimension: an uploadSpec step's refusal says nothing of it.
 	smaller := func(id int) VideoSpec {
 		spec := uploadSpec(id)
 		spec.Resolution = video.Res720p
@@ -545,7 +546,7 @@ func TestResumedPassAsksOnlyWhatChanged(t *testing.T) {
 		x1, x2 := r.chunk("x1", uploadSpec(1)), r.chunk("x2", smaller(2))
 		r.submit(x1)
 		r.waiting(x1)
-		want(t, "push", r.do(func() { r.submit(x2) }), "x1 (memo)", "x2", "|")
+		want(t, "push", r.do(func() { r.submit(x2) }), "x1 (unvisited)", "x2", "|")
 		r.waiting(x1, x2)
 	})
 
@@ -567,11 +568,11 @@ func TestResumedPassAsksOnlyWhatChanged(t *testing.T) {
 		want(t, "too little room", r.do(func() {
 			r.c.release(uploadW, little)
 			r.c.dispatch()
-		}), "x (memo)", "|")
+		}), "x (unvisited)", "|")
 		want(t, "room in another pool", r.do(func() {
 			r.c.release(liveW, onLive)
 			r.c.dispatch()
-		}), "x (memo)", "|")
+		}), "x (unvisited)", "|")
 		if !liveW.sw.Available().Fits(x.blocked.need) {
 			t.Fatalf("live worker has %v, want room for %v", liveW.sw.Available(), x.blocked.need)
 		}
@@ -592,7 +593,7 @@ func TestResumedPassAsksOnlyWhatChanged(t *testing.T) {
 		want(t, "room for one", r.do(func() {
 			r.c.release(r.c.workers[0], one)
 			r.c.dispatch()
-		}), "x1", "x2 (memo)", "x3 (memo)")
+		}), "x1", "x2 (unvisited)", "x3 (unvisited)")
 		if !slices.Equal(visited, []int{1}) {
 			t.Fatalf("passes visited %v steps, want one pass visiting 1", visited)
 		}
@@ -622,7 +623,7 @@ func TestResumedPassAsksOnlyWhatChanged(t *testing.T) {
 			r.c.enqueue(thumb)
 			r.c.enqueue(x)
 			r.c.dispatch()
-		}), "x", "b1 (memo)", "|")
+		}), "x", "b1 (unvisited)", "|")
 		if b2.State != StepShed || thumb.State != StepRunning {
 			t.Fatalf("b2 is %v and the CPU arrival %v, want shed and running", b2.State, thumb.State)
 		}
@@ -642,7 +643,7 @@ func TestResumedPassAsksOnlyWhatChanged(t *testing.T) {
 		// middle of the kept prefix.
 		r.c.queue.filter(sched.PriorityNormal, func(s *Step) bool { return s != xs[1] })
 		x4 := r.chunk("x4", smaller(4))
-		want(t, "filter", r.do(func() { r.submit(x4) }), "x1 (memo)", "x3 (memo)", "x4", "|")
+		want(t, "filter", r.do(func() { r.submit(x4) }), "x1 (unvisited)", "x3 (unvisited)", "x4", "|")
 	})
 
 	t.Run("e/room made in the pass", func(t *testing.T) {
@@ -662,12 +663,12 @@ func TestResumedPassAsksOnlyWhatChanged(t *testing.T) {
 		// l is asked first (the live class goes first) and placed on room
 		// that appears behind dispatch's back; the device refuses it DRAM,
 		// and the release that follows is what lets the same pass walk x.
-		r.before = func(s *Step, memo bool) {
+		r.before = func(s *Step, unvisited bool) {
 			switch {
 			case s == l && hold != nil:
 				hold.Release()
 				hold = nil
-			case s == x && !memo:
+			case s == x && !unvisited:
 				w0.vcu.FreeMemory(r.c.cfg.Params.DRAMCapacity)
 			}
 		}
@@ -685,12 +686,11 @@ func TestResumedPassAsksOnlyWhatChanged(t *testing.T) {
 // TestBlockedDispatchAllocatesNothing: a dispatch pass over a queue full
 // of steps that were refused before allocates nothing — not a degraded
 // request, not a cost, not a slice — and moves no Stats, whichever way
-// it runs. With the record voided it is a full pass: every step
-// answered by refused from the memo, or, with room made, tryPlace walks
-// first-fit with its retry cache and place's memo answers the rest. A
-// resumed pass after room on a worker that fits nothing visits no step,
-// and one after an arrival alone walks for the arrival only (the memo is
-// emptied behind its back, so every visit walks).
+// it runs. With the record voided it is a full pass: tryPlace walks
+// first-fit for every step, with its retry cache, whether or not room
+// was made. A resumed pass after room on a worker that fits nothing
+// visits no step, and one after an arrival alone walks for the arrival
+// only.
 func TestBlockedDispatchAllocatesNothing(t *testing.T) {
 	cfg := overloadConfig(1)
 	cfg.Overload = DefaultOverloadConfig()
@@ -712,29 +712,31 @@ func TestBlockedDispatchAllocatesNothing(t *testing.T) {
 	if classes != numClasses {
 		t.Fatalf("%d of %d classes queued", classes, numClasses)
 	}
-	var hits, walks int
-	c.placeProbe = func(_ *Step, _ sched.Resources, _ int, memo bool) {
-		if memo {
-			hits++
+	var left, walks int
+	c.placeProbe = func(_ *Step, _ sched.Resources, _ int, unvisited bool) {
+		if unvisited {
+			left++
 		} else {
 			walks++
 		}
 	}
 	w0 := c.workers[0]
 	void := func() { c.lastPass.wake = 0 }
+	const every = -1
 	for _, tc := range []struct {
 		name   string
 		change func()
-		// walksPerCall is how many steps each call walks, -1 for some.
+		// walksPerCall is how many steps each call walks: every queued
+		// one, or a count.
 		walksPerCall int
 	}{
-		{"full pass", void, 0},
-		{"full pass, room made", func() { c.roomMade(w0); void() }, -1},
+		{"full pass", void, every},
+		{"full pass, room made", func() { c.roomMade(w0); void() }, every},
 		{"room on a worker that fits nothing", func() { c.roomMade(w0) }, 0},
-		{"an arrival alone", func() { c.blocked.clear(); c.queue.kept[sched.PriorityBatch]-- }, 1},
+		{"an arrival alone", func() { c.queue.kept[sched.PriorityBatch]-- }, 1},
 	} {
 		before, queued := c.Stats, c.QueueLen()
-		hits, walks = 0, 0
+		left, walks = 0, 0
 		calls, ran := 0, 0
 		n := testing.AllocsPerRun(20, func() {
 			calls++
@@ -753,11 +755,15 @@ func TestBlockedDispatchAllocatesNothing(t *testing.T) {
 		if n != 0 {
 			t.Errorf("%s: dispatch over %d blocked steps allocates %v times, want 0", tc.name, queued, n)
 		}
-		if hits+walks != calls*queued || c.QueueLen() != queued {
-			t.Errorf("%s: %d calls asked %d questions of %d queued steps (%d left), want every call to ask about each", tc.name, calls, hits+walks, queued, c.QueueLen())
+		if left+walks != calls*queued || c.QueueLen() != queued {
+			t.Errorf("%s: %d calls asked %d questions of %d queued steps (%d left), want every call to ask about each", tc.name, calls, left+walks, queued, c.QueueLen())
 		}
-		if tc.walksPerCall >= 0 && walks != calls*tc.walksPerCall || tc.walksPerCall < 0 && walks == 0 {
-			t.Errorf("%s: first-fit walked %d times in %d calls, want %d a call", tc.name, walks, calls, tc.walksPerCall)
+		perCall := tc.walksPerCall
+		if perCall == every {
+			perCall = queued
+		}
+		if walks != calls*perCall {
+			t.Errorf("%s: first-fit walked %d times in %d calls, want %d a call", tc.name, walks, calls, perCall)
 		}
 		if c.Stats != before {
 			t.Errorf("%s: blocked dispatch moved Stats\n before %+v\n after  %+v", tc.name, before, c.Stats)

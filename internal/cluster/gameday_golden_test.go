@@ -19,12 +19,13 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/gameday_stats.go
 //	go test ./internal/cluster -run TestGameDayStatsGolden -update
 //
 // only in a commit whose purpose is to change behaviour. Every run also
-// carries the memo probe: each answer the blocked-need memo gives in
-// first-fit's place is checked against the workers. Each scenario runs
+// carries the refusal probe: each step a resumed pass leaves unvisited,
+// answered "no room" in first-fit's place, is checked against the
+// workers. Each scenario runs
 // at seeds 1–5, except the ring park (ringPark), the one whose lines
 // count affinity overflows, which is heavier and runs at seeds 1–2.
 func TestGameDayStatsGolden(t *testing.T) {
-	probe := &memoProbe{t: t}
+	probe := &refusalProbe{t: t}
 	scenarioProbe = probe
 	defer func() { scenarioProbe = nil }()
 	scenarios := []struct {
@@ -62,8 +63,8 @@ func TestGameDayStatsGolden(t *testing.T) {
 			fmt.Fprintf(&got, "%s seed=%d %+v\n", sc.name, seed, sc.run(seed))
 		}
 	}
-	if probe.hits == 0 || probe.walks == 0 {
-		t.Fatalf("memo probe saw %d memo answers and %d walks; it is not armed", probe.hits, probe.walks)
+	if probe.unvisited == 0 || probe.walks == 0 {
+		t.Fatalf("refusal probe saw %d unvisited answers and %d walks; it is not armed", probe.unvisited, probe.walks)
 	}
 	const path = "testdata/gameday_stats.golden"
 	if *updateGolden {

@@ -323,9 +323,9 @@ func (c *Cluster) endWarmup(cw *clusterWorker) {
 // places reports whether a step of class cls bound for pool may be
 // placed on cw: a trusted device serves every class, a demoted one only
 // batch, a convicted one nothing, and the pool must match.
-// place asks it of every worker on every first-fit walk, so it is
-// loads and compares only; the phase half of the answer (serving) is
-// sched.Worker.tryReserve's.
+// place asks it of every worker with room on every first-fit walk, so
+// it is loads and compares only; the phase half of the answer (serving)
+// is sched.Worker.CanReserve's.
 func (c *Cluster) places(cw *clusterWorker, cls sched.Priority, pool sched.UseCase) bool {
 	return cw.up() && (cw.standing == trusted || cw.standing == demoted && cls == sched.PriorityBatch) &&
 		(!c.cfg.EnablePools || cw.pool == pool)

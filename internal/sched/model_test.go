@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -26,6 +27,16 @@ func (m *modelWorker) grants(need Resources) bool {
 			return false
 		}
 	}
+	return true
+}
+
+// tryReserve claims need if the worker can reserve it: one worker's
+// share of Schedule, for the tests that reserve on a chosen worker.
+func (w *Worker) tryReserve(need Resources) bool {
+	if !w.CanReserve(need) {
+		return false
+	}
+	w.available.Sub(need)
 	return true
 }
 
@@ -148,14 +159,28 @@ func TestSchedulerMatchesModel(t *testing.T) {
 				if r.Intn(2) == 0 {
 					mask = 0
 				}
-				want := -1
+				// want is first-fit's answer, and wantAsked the workers
+				// that grant need, in worker order, up to it: exclude must
+				// be asked of those and of no worker without room.
+				want, wantAsked := -1, []int{}
 				for id, mw := range model {
-					if mask&(1<<id) == 0 && mw.grants(need) {
+					if !mw.grants(need) {
+						continue
+					}
+					wantAsked = append(wantAsked, id)
+					if mask&(1<<id) == 0 {
 						want = id
 						break
 					}
 				}
-				a, err := s.Schedule(need, func(w *Worker) bool { return mask&(1<<w.ID) != 0 })
+				asked := []int{}
+				a, err := s.Schedule(need, func(w *Worker) bool {
+					asked = append(asked, w.ID)
+					return mask&(1<<w.ID) != 0
+				})
+				if !slices.Equal(asked, wantAsked) {
+					t.Fatalf("seed %d op %d: exclude asked of workers %v, want those that grant %v up to the answer: %v", seed, step, asked, need, wantAsked)
+				}
 				switch {
 				case want < 0 && err != ErrNoCapacity:
 					t.Fatalf("seed %d op %d: granted worker %d, model has no eligible worker", seed, step, a.Worker.ID)

@@ -109,15 +109,11 @@ func (w *Worker) Idle() bool { return w.available == w.capacity }
 // Phase returns the worker's capacity phase.
 func (w *Worker) Phase() Phase { return w.phase }
 
-// tryReserve claims need if it fits and the worker is
-// serving. Draining, parked and warming workers refuse: on the way out,
-// out, or not yet in.
-func (w *Worker) tryReserve(need Resources) bool {
-	if w.phase != PhaseServing || !w.available.Fits(need) {
-		return false
-	}
-	w.available.Sub(need)
-	return true
+// CanReserve reports whether the worker would grant need now: it is
+// serving and need fits its availability. Draining, parked and warming
+// workers refuse: on the way out, out, or not yet in.
+func (w *Worker) CanReserve(need Resources) bool {
+	return w.phase == PhaseServing && w.available.Fits(need)
 }
 
 // Release returns previously reserved resources. Availability is

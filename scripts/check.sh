@@ -23,6 +23,10 @@
 #   8. fuzz smoke    4s each of FuzzDecode, FuzzContainer and
 #                    FuzzTransformMatchesScalar over their seeds, with
 #                    no minimization, so the 4s are spent fuzzing
+#   9. catalogue     every mutants/*.patch has its header and applies
+#                    (`patch --dry-run`, scripts/catalogue.sh), so an
+#                    edit that moves a mutated line re-cuts the patch
+#                    in the same change rather than in `make mutants`
 #
 # Each step ends with the wall seconds it took and the gate with their
 # total, so the gate's long pole is read off its own output. The gate
@@ -112,6 +116,8 @@ fuzz_smoke() {
         go test -fuzz='^FuzzTransformMatchesScalar$' $f ./internal/codec/transform
 }
 step "fuzz smoke (decoder, container, transform)" fuzz_smoke
+. scripts/catalogue.sh
+step "mutant catalogue (headers, patch --dry-run)" check_catalogue mutants
 
 # count_lines prints the non-test Go lines outside testdata/ under the
 # given directories.

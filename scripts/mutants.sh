@@ -22,12 +22,15 @@
 #
 # The catalogue is read from this checkout, so `mutants.sh <parent>`
 # holds an older commit against the same mutants. A patch that no longer
-# applies is a stale catalogue: the script names them all and exits 2
-# before measuring anything, as it does at a mutant that no longer builds.
+# applies is a stale catalogue: the script names them all (check_catalogue
+# in scripts/catalogue.sh, the check scripts/check.sh runs on every
+# change) and exits 2 before measuring anything, as it does at a mutant
+# that no longer builds.
 set -u
 
 cd "$(dirname "$0")/.."
 repo=$PWD
+. "$repo/scripts/catalogue.sh"
 ref=${1:-HEAD}
 pattern=${2:-*}
 # What a deadlocked test costs; check.sh gives `go test ./...` the same.
@@ -39,22 +42,13 @@ git archive "$ref" | tar -x -C "$work" || exit 2
 cd "$work" || exit 2
 go build -o "$work/.vculint" ./cmd/vculint || exit 2
 
-field() { sed -n "s/^$1: *//p" "$2" | head -n1; }
-
 # say prints a line of the table and keeps it for mutants/TABLE.md.
 say() { printf '%s\n' "$*" | tee -a "$work/.table"; }
 
-stale=0
-for p in "$repo"/mutants/$pattern.patch; do
-    if [ -z "$(field class "$p")" ] || [ -z "$(field pkg "$p")" ] || [ -z "$(field what "$p")" ]; then
-        echo "mutants.sh: $(basename "$p"): missing class:, pkg: or what: header" >&2
-        stale=1
-    elif ! patch -p1 -s -f --dry-run <"$p" >/dev/null; then
-        echo "mutants.sh: $(basename "$p") no longer applies to $ref" >&2
-        stale=1
-    fi
-done
-[ "$stale" -eq 0 ] || exit 2
+if ! check_catalogue "$repo/mutants" "$pattern"; then
+    echo "mutants.sh: the catalogue is stale against $ref" >&2
+    exit 2
+fi
 
 # timed <outfile> cmd...: runs cmd, sets $took (wall seconds) and $rc.
 timed() {

@@ -33,12 +33,20 @@ set -u
 #                      av1_restoration case alone (the subtest pattern
 #                      filters only tests that have subtests): what the
 #                      GOP spans of gop.go share.
+#   codec/filter       the *ParallelMatchesSequential tests: deblock,
+#                      restoration and the restoration weight search,
+#                      each with a goroutine per stripe, where stripes
+#                      that overlap show (row race-restore-stripes-
+#                      overlap: equal values written twice, which only
+#                      this run kills). The codec entries above never
+#                      run restoration at more than one worker.
 #   internal/video and internal/sched start no goroutine in code or
 #   tests; sched belongs to the cluster's sim goroutine.
 runs='
 . ./internal/par ./internal/transcode
 RealPixels ./internal/cluster
 ^(TestTileColumnsRoundTrip|TestParallelTileEncodeDeterminism|TestEncodeSequenceParallelMatchesSequential)$/^av1_restoration$ ./internal/codec
+ParallelMatchesSequential ./internal/codec/filter
 '
 
 status=3
