@@ -260,18 +260,15 @@ func padFrame(f *video.Frame, pw, ph int) *video.Frame {
 	return out
 }
 
+// padPlane copies the sw×sh plane src into the top-left of the dw×dh
+// plane dst and extends its last column and last row over the rest.
 func padPlane(src []uint8, sw, sh int, dst []uint8, dw, dh int) {
 	for y := 0; y < dh; y++ {
-		sy := y
-		if sy >= sh {
-			sy = sh - 1
-		}
-		for x := 0; x < dw; x++ {
-			sx := x
-			if sx >= sw {
-				sx = sw - 1
-			}
-			dst[y*dw+x] = src[sy*sw+sx]
+		sy := min(y, sh-1)
+		row := dst[y*dw : y*dw+dw]
+		n := copy(row, src[sy*sw:sy*sw+min(sw, dw)])
+		for x, edge := n, row[n-1]; x < len(row); x++ {
+			row[x] = edge
 		}
 	}
 }

@@ -478,10 +478,11 @@ func (fc *encFrame) optimizeCoeffs(scanned, orig []int32, n int, plane int, last
 func (fc *encFrame) buildResidual(src []uint8, stride, sx, sy int,
 	pred []uint8, predStride, px, py int, out []int32, n int) {
 	for r := 0; r < n; r++ {
-		srow := src[(sy+r)*stride+sx:]
-		prow := pred[(py+r)*predStride+px:]
-		for c := 0; c < n; c++ {
-			out[r*n+c] = int32(srow[c]) - int32(prow[c])
+		orow := out[r*n : r*n+n]
+		srow := src[(sy+r)*stride+sx:][:len(orow)]
+		prow := pred[(py+r)*predStride+px:][:len(orow)]
+		for c := range orow {
+			orow[c] = int32(srow[c]) - int32(prow[c])
 		}
 	}
 }

@@ -378,11 +378,22 @@ type Result struct {
 	SAD int64 // SAD including MV cost penalty
 }
 
+// memoRange is the widest full-pel range whose window Search remembers
+// the points of: the encoder's Speed 0 range. The window is ±(Range+1),
+// since the 3×3 ring around the pyramid seed reaches one point past it.
+const memoRange = 24
+
 // Search finds the best motion vector for the n×n block at (bx, by) of the
 // current plane (cur, stride curStride addresses the block's top-left
 // pixel). pred is the predicted vector used both as a search start and as
 // the rate-cost origin. sc provides the sub-pel scratch; it must not be
 // shared across goroutines.
+//
+// Each full-pel point is measured at most once: the ring around the
+// pyramid seed, zero and the predicted vector overlap the diamond's
+// steps. Skipping a revisit is exact, since best only falls and a tie
+// keeps the earlier point, so a revisit can never win. Above memoRange
+// the bitmap does not fit and every try is measured.
 func Search(cur []uint8, curStride int, ref Ref, bx, by int, pred MV, n int, p SearchParams, sc *Scratch) Result {
 	mvCost := func(mv MV) int64 {
 		if p.LambdaMVCost == 0 {
@@ -399,8 +410,18 @@ func Search(cur []uint8, curStride int, ref Ref, bx, by int, pred MV, n int, p S
 		return p.LambdaMVCost * (ax + ay)
 	}
 
+	var seen [((2*memoRange+3)*(2*memoRange+3) + 63) / 64]uint64
+	w := 2*p.RangeX + 3
+	memo := p.RangeX <= memoRange && p.RangeY <= memoRange
 	best := Result{MV: Zero, SAD: 1 << 62}
 	tryFull := func(dx, dy int) {
+		if memo {
+			b := uint((dy+p.RangeY+1)*w + dx + p.RangeX + 1)
+			if seen[b/64]&(1<<(b%64)) != 0 {
+				return
+			}
+			seen[b/64] |= 1 << (b % 64)
+		}
 		mv := MV{int16(dx * 8), int16(dy * 8)}
 		cost := mvCost(mv)
 		if cost >= best.SAD {
@@ -412,14 +433,10 @@ func Search(cur []uint8, curStride int, ref Ref, bx, by int, pred MV, n int, p S
 		}
 	}
 
-	// Starting candidates: zero and the predicted vector (rounded to full pel).
+	// Starting candidates: zero and the predicted vector (rounded to full
+	// pel and clamped into the window).
 	tryFull(0, 0)
-	px, py := int(pred.X)>>3, int(pred.Y)>>3
-	if px != 0 || py != 0 {
-		px = clampInt(px, -p.RangeX, p.RangeX)
-		py = clampInt(py, -p.RangeY, p.RangeY)
-		tryFull(px, py)
-	}
+	tryFull(clampInt(int(pred.X)>>3, -p.RangeX, p.RangeX), clampInt(int(pred.Y)>>3, -p.RangeY, p.RangeY))
 
 	// Multi-resolution seeding: the coarse levels localize large motion,
 	// so the full-resolution diamond only needs small steps. Requires

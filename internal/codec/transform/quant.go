@@ -1,6 +1,9 @@
 package transform
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // MaxQP is the largest quantizer index, matching VP9's 8-bit QP range.
 const MaxQP = 63
@@ -89,11 +92,30 @@ func Quantize(coeffs []int32, qp int, deadzone int32) {
 // exactly theirs; orig is narrower: it holds the true coefficient wherever
 // the level is non-zero and may hold 0 where it is zero, because the
 // column vectors whose every output provably quantizes to level 0 are not
-// transformed (the bound is in the package doc). block is scratch
-// afterwards.
+// transformed (the bound is in the package doc). Both are cleared and
+// only the transformed columns quantized, each coefficient stored at its
+// scan index. block is scratch afterwards.
 func ForwardQuantizeScan(block []int32, n, qp int, deadzone int32, orig, levels []int32) (last int) {
-	forwardBounded(block, n, zeroLimit(qp, deadzone))
-	return QuantizeScan(block, n, qp, deadzone, orig, levels)
+	live := forwardBounded(block, n, zeroLimit(qp, deadzone))
+	bias, m := quantizer(qp, deadzone)
+	nn := n * n
+	at := scanIndex[n][:nn]
+	block, orig, levels = block[:nn], orig[:nn], levels[:nn]
+	clear(orig)
+	clear(levels)
+	last = -1
+	for ; live != 0; live &= live - 1 {
+		for pos := bits.TrailingZeros32(live); pos < nn; pos += n {
+			c := block[pos]
+			l := quantize(c, bias, m)
+			i := int(at[pos])
+			orig[i], levels[i] = c, l
+			if l != 0 && i > last {
+				last = i
+			}
+		}
+	}
+	return last
 }
 
 // zeroLimit returns the smallest |accumulator| of the column pass whose
@@ -117,8 +139,6 @@ func zeroLimit(qp int, deadzone int32) int64 {
 // coefficients and levels their quantization levels. It returns the scan
 // index of the last non-zero level, -1 when there is none, which is what
 // both RDOQ and reconstruction branch on. coeffs is left as it was.
-// Behind ForwardQuantizeScan, coeffs (and so orig) may hold 0 in place of
-// a coefficient whose level is 0.
 func QuantizeScan(coeffs []int32, n, qp int, deadzone int32, orig, levels []int32) (last int) {
 	bias, m := quantizer(qp, deadzone)
 	scan := zigzagScans[n]
@@ -194,12 +214,20 @@ func InverseDC(l int32, n, qp int) int32 {
 }
 
 // zigzag scan orders, one per transform size, generated by walking
-// anti-diagonals (low-frequency coefficients first).
-var zigzagScans [MaxSize + 1][]int
+// anti-diagonals (low-frequency coefficients first); scanIndex[n] is the
+// inverse permutation, the scan index of each block position.
+var (
+	zigzagScans [MaxSize + 1][]int
+	scanIndex   [MaxSize + 1][]uint16
+)
 
 func init() {
 	for _, n := range Sizes {
 		zigzagScans[n] = buildZigzag(n)
+		scanIndex[n] = make([]uint16, n*n)
+		for i, pos := range zigzagScans[n] {
+			scanIndex[n][pos] = uint16(i)
+		}
 	}
 }
 

@@ -257,6 +257,7 @@ func residualBlock(n int) []int32 {
 	return block
 }
 
+func BenchmarkForward4(b *testing.B)  { benchKernel(b, Forward, residualBlock(4), 4) }
 func BenchmarkForward8(b *testing.B)  { benchKernel(b, Forward, residualBlock(8), 8) }
 func BenchmarkForward16(b *testing.B) { benchKernel(b, Forward, residualBlock(16), 16) }
 func BenchmarkForward32(b *testing.B) { benchKernel(b, Forward, residualBlock(32), 32) }

@@ -6,9 +6,13 @@
 # check_catalogue <mutants-dir> [pattern] checks every
 # <mutants-dir>/<pattern>.patch (pattern default *) against the tree in
 # the current directory: each patch must carry its class:, pkg: and
-# what: header (mutants/README.md) and apply with `patch --dry-run`. It
-# names every patch that fails and returns 1 if any did. A change that
-# moves a mutated line re-cuts the patch in the same change. Under a
+# what: header (mutants/README.md) and apply with `patch -F0 --dry-run`:
+# no fuzz, so every context line must still read as the patch has it,
+# and only the line offset may differ. It names every patch that fails
+# and returns 1 if any did. A change that moves a mutated line, or
+# rewrites a line of its context, re-cuts the patch in the same change
+# (patch's default fuzz would drop up to two outer context lines and let
+# a stale patch land on whatever nearby line still matches). Under a
 # second for the whole catalogue.
 
 # field <name> <patch> prints the value of a patch's header line.
@@ -20,7 +24,7 @@ check_catalogue() {
         if [ -z "$(field class "$p")" ] || [ -z "$(field pkg "$p")" ] || [ -z "$(field what "$p")" ]; then
             echo "catalogue: $(basename "$p"): missing class:, pkg: or what: header" >&2
             stale=1
-        elif ! patch -p1 -s -f --dry-run <"$p" >/dev/null; then
+        elif ! patch -p1 -s -f -F0 --dry-run <"$p" >/dev/null; then
             echo "catalogue: $(basename "$p") no longer applies" >&2
             stale=1
         fi

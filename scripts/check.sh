@@ -24,9 +24,11 @@
 #                    FuzzTransformMatchesScalar over their seeds, with
 #                    no minimization, so the 4s are spent fuzzing
 #   9. catalogue     every mutants/*.patch has its header and applies
-#                    (`patch --dry-run`, scripts/catalogue.sh), so an
-#                    edit that moves a mutated line re-cuts the patch
-#                    in the same change rather than in `make mutants`
+#                    with every context line as written (`patch -F0
+#                    --dry-run`, scripts/catalogue.sh), so an edit that
+#                    moves a mutated line or rewrites one beside it
+#                    re-cuts the patch in the same change rather than in
+#                    `make mutants`
 #
 # Each step ends with the wall seconds it took and the gate with their
 # total, so the gate's long pole is read off its own output. The gate
@@ -117,7 +119,7 @@ fuzz_smoke() {
 }
 step "fuzz smoke (decoder, container, transform)" fuzz_smoke
 . scripts/catalogue.sh
-step "mutant catalogue (headers, patch --dry-run)" check_catalogue mutants
+step "mutant catalogue (headers, patch -F0 --dry-run)" check_catalogue mutants
 
 # count_lines prints the non-test Go lines outside testdata/ under the
 # given directories.

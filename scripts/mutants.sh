@@ -80,7 +80,7 @@ for p in "$repo"/mutants/$pattern.patch; do
     name=$(basename "$p" .patch)
     class=$(field class "$p")
     pkg=$(field pkg "$p")
-    patch -p1 -s -f <"$p"
+    patch -p1 -s -f -F0 <"$p"
     if ! go build ./... 2>"$work/.out"; then
         echo "mutants.sh: $name no longer builds on $ref:" >&2
         cat "$work/.out" >&2
@@ -123,7 +123,7 @@ for p in "$repo"/mutants/$pattern.patch; do
     [ -n "$killed" ] || survivors="$survivors $name"
 
     say "| $class | $name: $(field what "$p") | $vet | $lint | $tst | $race |"
-    patch -p1 -R -s -f <"$p"
+    patch -p1 -R -s -f -F0 <"$p"
 done
 
 say
