@@ -133,13 +133,10 @@ func TestAdaptiveBeatsHalfProbOnSkewedData(t *testing.T) {
 }
 
 func TestUESERoundTrip(t *testing.T) {
-	f := func(vs []uint32, ss []int32) bool {
+	f := func(vs []uint32) bool {
 		e := NewEncoder()
 		for _, v := range vs {
 			e.PutUE(v % (1 << 20))
-		}
-		for _, s := range ss {
-			e.PutSE(s % (1 << 19))
 		}
 		d := NewDecoder(e.Bytes())
 		for _, v := range vs {
@@ -147,21 +144,9 @@ func TestUESERoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		for _, s := range ss {
-			if d.GetSE() != s%(1<<19) {
-				return false
-			}
-		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestZigzagProperty(t *testing.T) {
-	f := func(v int32) bool { return zigzagDecode(zigzagEncode(v)) == v }
-	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -31,20 +31,6 @@ func (d *Decoder) GetUE() uint32 {
 	return (1 << uint(n)) + d.GetLiteral(n) - 1
 }
 
-// PutSE encodes a signed integer by mapping it to an unsigned zigzag code.
-func (e *Encoder) PutSE(v int32) { e.PutUE(zigzagEncode(v)) }
-
-// GetSE decodes a signed integer written by PutSE.
-func (d *Decoder) GetSE() int32 { return zigzagDecode(d.GetUE()) }
-
-func zigzagEncode(v int32) uint32 {
-	return uint32((v << 1) ^ (v >> 31))
-}
-
-func zigzagDecode(u uint32) int32 {
-	return int32(u>>1) ^ -int32(u&1)
-}
-
 // UECost returns the coding cost of PutUE(v) in 1/256-bit units.
 func UECost(v uint32) uint32 {
 	n := 0

@@ -37,25 +37,34 @@ func (c *Cluster) chunkFrames(s *Step) []*video.Frame {
 	}).Frames(realFrames)
 }
 
+// encodeChunk runs the real encode of a transcode step's chunk, from
+// its deterministic source, under the executed request's profile: under
+// brownout the real encode runs the downshifted profile, like the
+// modeled ops do. ConstQP hardware encodes are byte-reproducible, so
+// every call returns the same packets.
+func (c *Cluster) encodeChunk(s *Step) ([]codec.Packet, error) {
+	res, err := transcode.SOT(c.chunkFrames(s), 30, transcode.OutputSpec{
+		Name:       "real",
+		Resolution: video.Resolution{Name: "real", Width: realWidth, Height: realHeight},
+		Profile:    s.execReq.Profile,
+		Speed:      2,
+		Hardware:   true,
+		RC:         rc.Config{Mode: rc.ModeConstQP, BaseQP: realQP},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res.Outputs[0].Packets, nil
+}
+
 // realEncode runs the actual encode for a transcode step and stores the
 // packets on the step. corrupted flips one byte of one packet — what a
 // silently-faulty VCU does to its output.
 func (c *Cluster) realEncode(s *Step, corrupted bool) error {
-	frames := c.chunkFrames(s)
-	res, err := transcode.SOT(frames, 30, transcode.OutputSpec{
-		Name:       "real",
-		Resolution: video.Resolution{Name: "real", Width: realWidth, Height: realHeight},
-		// The executed request's profile: under brownout the real encode
-		// runs the downshifted profile, like the modeled ops do.
-		Profile:  s.execReq.Profile,
-		Speed:    2,
-		Hardware: true,
-		RC:       rc.Config{Mode: rc.ModeConstQP, BaseQP: realQP},
-	})
+	pkts, err := c.encodeChunk(s)
 	if err != nil {
 		return err
 	}
-	pkts := res.Outputs[0].Packets
 	if corrupted && len(pkts) > 0 {
 		pi := int(c.rand() * float64(len(pkts)))
 		data := append([]byte(nil), pkts[pi].Data...)
@@ -67,31 +76,19 @@ func (c *Cluster) realEncode(s *Step, corrupted bool) error {
 }
 
 // auditVerifyReal is the real-pixels deep re-check behind one audit
-// sample: re-run the step's encode from its deterministic source as a
-// trusted reference (ConstQP hardware encodes are byte-reproducible)
-// and compare the stored packets byte for byte. Strictly stronger than
-// the structural decode check at assembly — corruption that decodes to
-// the right shape still differs from the reference — which is what lets
-// the auditor catch escapes the delivery-path checks cannot, at a cost
-// too high to pay on more than a budgeted sample.
+// sample: re-run the step's encode (encodeChunk, the encode realEncode
+// ran) as a trusted reference and compare the stored packets byte for
+// byte. Strictly stronger than the structural decode check at assembly —
+// corruption that decodes to the right shape still differs from the
+// reference — which is what lets the auditor catch escapes the
+// delivery-path checks cannot, at a cost too high to pay on more than a
+// budgeted sample.
 func (c *Cluster) auditVerifyReal(st *Step) bool {
 	if st.execReq == nil {
 		return true
 	}
-	frames := c.chunkFrames(st)
-	res, err := transcode.SOT(frames, 30, transcode.OutputSpec{
-		Name:       "audit-ref",
-		Resolution: video.Resolution{Name: "real", Width: realWidth, Height: realHeight},
-		Profile:    st.execReq.Profile,
-		Speed:      2,
-		Hardware:   true,
-		RC:         rc.Config{Mode: rc.ModeConstQP, BaseQP: realQP},
-	})
-	if err != nil {
-		return false
-	}
-	ref := res.Outputs[0].Packets
-	if len(ref) != len(st.Packets) {
+	ref, err := c.encodeChunk(st)
+	if err != nil || len(ref) != len(st.Packets) {
 		return false
 	}
 	for i := range ref {

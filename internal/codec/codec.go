@@ -168,6 +168,15 @@ type Config struct {
 	flatSearch bool
 }
 
+// workerBound is the goroutine bound for workers (0: GOMAXPROCS), at
+// most 64: the encoder's Workers and the decoder's fan-outs.
+func workerBound(workers int) int {
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, 64)
+}
+
 func (c *Config) withDefaults() (Config, error) {
 	cfg := *c
 	if cfg.Width <= 0 || cfg.Height <= 0 {
@@ -211,12 +220,7 @@ func (c *Config) withDefaults() (Config, error) {
 	if cfg.Workers < 0 {
 		return cfg, fmt.Errorf("codec: workers must be >= 0 (got %d)", cfg.Workers)
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Workers > 64 {
-		cfg.Workers = 64
-	}
+	cfg.Workers = workerBound(cfg.Workers)
 	if cfg.RC.Mode == rc.ModeConstQP && cfg.RC.BaseQP == 0 {
 		cfg.RC.BaseQP = 32
 	}

@@ -138,14 +138,15 @@ func (dec *Decoder) decode(data []byte) (*video.Frame, error) {
 	}
 	// Tiles decode concurrently: prediction state never crosses tile
 	// edges and recon columns are disjoint, mirroring the parallel
-	// encoder. A single tile decodes on this goroutine.
-	if err := par.Do(tiles, 0, decodeTile); err != nil {
+	// encoder. Tiles and filter stripes run on the bound of Workers 0.
+	workers := workerBound(0)
+	if err := par.Do(tiles, workers, decodeTile); err != nil {
 		dec.retire(recon)
 		return nil, err
 	}
-	filter.Deblock(recon, profile.MinPartition(), hdr.deblock)
+	filter.DeblockParallel(recon, profile.MinPartition(), hdr.deblock, workers)
 	if profile.Restoration() {
-		filter.Restore(recon, restByte)
+		filter.RestoreParallel(recon, restByte, workers)
 	}
 	// Refreshed slots take recon and a keyframe empties the others, so
 	// every reference is of this profile. A frame that leaves its last

@@ -341,8 +341,8 @@ func (e *Encoder) encodeOne(f *video.Frame, displayIdx int, keyframe, show, altr
 
 	// In-loop filters: deblock stripes, then the restoration SSE scan
 	// and blend (AV1-class: the SSE-minimizing blend against the source
-	// is signalled after the tile data). Bit-exact with the sequential
-	// filters the decoder runs, for every worker count.
+	// is signalled after the tile data). The decoder runs the same
+	// striped filters, and their bytes do not depend on the worker count.
 	filter.DeblockParallel(recon, e.cfg.Profile.MinPartition(), hdr.deblock, e.cfg.Workers)
 	restByte := -1
 	if e.cfg.Profile.Restoration() {

@@ -1,36 +1,16 @@
 // Package filter implements the final pipeline stage of the encoder core
-// (paper Fig. 4 "Reconstruction"): the in-loop deblocking filter applied to
-// reconstructed frames before they become references, and the
-// motion-compensated temporal filter used to build VP9's synthetic
-// alternate reference frames (paper §3.2).
+// (paper Fig. 4 "Reconstruction"): the in-loop deblocking and restoration
+// filters applied to reconstructed frames before they become references,
+// and the motion-compensated temporal filter used to build VP9's
+// synthetic alternate reference frames (paper §3.2). Each in-loop filter
+// has one implementation, the striped one in parallel.go, which the
+// encoder and the decoder both run: the reconstruction is defined once.
 package filter
 
 import (
 	"openvcu/internal/codec/motion"
 	"openvcu/internal/video"
 )
-
-// DeblockPlane smooths the block-grid edges of a reconstructed plane in
-// place. blockSize is the transform grid (edges every blockSize pixels);
-// strength grows with QP — heavier quantization leaves larger
-// discontinuities to hide.
-//
-// The work decomposes into two passes with a barrier between them: all
-// vertical edges first (writes confined to each pixel's own row), then
-// all horizontal edges (each edge writes only the two rows straddling
-// it). The range-split helpers below expose that structure so
-// DeblockParallel can stripe the passes; this sequential entry is
-// bit-identical to any parallel schedule, and to DeblockPlaneScalar.
-func DeblockPlane(pix []uint8, w, h, blockSize, strength int) {
-	if strength <= 0 {
-		return
-	}
-	thresh := int32(2 + strength)
-	deblockVertRange(pix, w, h, blockSize, thresh, 0, h)
-	for y := blockSize; y < h; y += blockSize {
-		deblockHorizEdge(pix, w, h, thresh, y)
-	}
-}
 
 // deblockVertRange filters every vertical block edge for rows [y0, y1).
 // A vertical edge at column x writes columns x-1 and x of each row and
@@ -69,8 +49,9 @@ func deblockHorizEdge(pix []uint8, w, h int, thresh int32, y int) {
 		w, thresh)
 }
 
-// DeblockPlaneScalar is the original per-pixel loop filter, retained as
-// the differential-test reference for the SWAR/range-split DeblockPlane.
+// DeblockPlaneScalar is the original per-pixel loop filter of one plane,
+// retained as the differential-test reference for DeblockParallel's SWAR,
+// striped passes.
 func DeblockPlaneScalar(pix []uint8, w, h, blockSize, strength int) {
 	if strength <= 0 {
 		return
@@ -135,14 +116,10 @@ func filterEdge(p1, p0, q0, q1 *int32, thresh int32) {
 	*q0 = (*q0*2 + avg + 1) / 3
 }
 
-// Deblock applies the loop filter to all three planes of a frame.
-func Deblock(f *video.Frame, blockSize, strength int) {
-	DeblockPlane(f.Y, f.Width, f.Height, blockSize, strength)
-	cw, ch := video.ChromaDims(f.Width, f.Height)
-	cb := maxInt(blockSize/2, 4)
-	DeblockPlane(f.U, cw, ch, cb, strength)
-	DeblockPlane(f.V, cw, ch, cb, strength)
-}
+// Deblock is DeblockParallel inline on the caller's goroutine. Its one
+// caller is the benchmark ledger's codec.filter.deblock_360p_us row; it
+// goes when that row calls DeblockParallel.
+func Deblock(f *video.Frame, blockSize, strength int) { DeblockParallel(f, blockSize, strength, 1) }
 
 // TemporalFilterConfig controls alt-ref synthesis.
 type TemporalFilterConfig struct {
@@ -230,54 +207,6 @@ func TemporalFilter(frames []*video.Frame, center int, cfg TemporalFilterConfig)
 // frame-level loop-restoration filter: the reconstructed frame is blended
 // with its 3x3 box-smoothed version. Index is the 2-bit syntax element.
 var RestorationWeights = [4]int32{0, 2, 4, 6}
-
-// Restore applies loop restoration with the given weight index in place:
-// out = ((8-w)*recon + w*smooth(recon)) / 8. Weight 0 is the identity.
-// This is the AV1-class "loop restoration" stage, run after deblocking.
-func Restore(f *video.Frame, weightIdx int) {
-	w := RestorationWeights[weightIdx&3]
-	if w == 0 {
-		return
-	}
-	restorePlane(f.Y, f.Width, f.Height, w)
-	cw, ch := video.ChromaDims(f.Width, f.Height)
-	restorePlane(f.U, cw, ch, w)
-	restorePlane(f.V, cw, ch, w)
-}
-
-func restorePlane(pix []uint8, w, h int, weight int32) {
-	smooth := boxSmooth(pix, w, h)
-	for i := range pix {
-		pix[i] = uint8((int32(pix[i])*(8-weight) + int32(smooth[i])*weight + 4) >> 3)
-	}
-}
-
-// boxSmooth returns the 3x3 box filter of the plane (edge-clamped).
-func boxSmooth(pix []uint8, w, h int) []uint8 {
-	out := make([]uint8, len(pix))
-	boxSmoothRange(out, pix, w, h, 0, h)
-	return out
-}
-
-// BestRestorationWeight picks the weight index minimizing luma SSE
-// against the source — the encoder-side search whose result is signaled
-// to the decoder.
-func BestRestorationWeight(recon, src *video.Frame) int {
-	smooth := boxSmooth(recon.Y, recon.Width, recon.Height)
-	best, bestSSE := 0, int64(-1)
-	for idx, w := range RestorationWeights {
-		var sse int64
-		for i := range recon.Y {
-			v := (int32(recon.Y[i])*(8-w) + int32(smooth[i])*w + 4) >> 3
-			d := int64(v) - int64(src.Y[i])
-			sse += d * d
-		}
-		if bestSSE < 0 || sse < bestSSE {
-			best, bestSSE = idx, sse
-		}
-	}
-	return best
-}
 
 func minInt(a, b int) int {
 	if a < b {

@@ -10,7 +10,8 @@ func TestDeblockSmoothsBlockEdge(t *testing.T) {
 	// Two flat half-planes split on a block boundary with a small step:
 	// the filter should shrink the step.
 	w, h := 32, 32
-	pix := make([]uint8, w*h)
+	f := video.NewFrame(w, h)
+	pix := f.Y
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			if x < 16 {
@@ -20,7 +21,7 @@ func TestDeblockSmoothsBlockEdge(t *testing.T) {
 			}
 		}
 	}
-	DeblockPlane(pix, w, h, 16, 8)
+	DeblockParallel(f, 16, 8, 1)
 	stepBefore := 6
 	stepAfter := int(pix[16]) - int(pix[15])
 	if stepAfter >= stepBefore {
@@ -31,7 +32,8 @@ func TestDeblockSmoothsBlockEdge(t *testing.T) {
 func TestDeblockPreservesRealEdges(t *testing.T) {
 	// A large step (a real image edge) must pass through unchanged.
 	w, h := 32, 32
-	pix := make([]uint8, w*h)
+	f := video.NewFrame(w, h)
+	pix := f.Y
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			if x < 16 {
@@ -42,7 +44,7 @@ func TestDeblockPreservesRealEdges(t *testing.T) {
 		}
 	}
 	orig := append([]uint8(nil), pix...)
-	DeblockPlane(pix, w, h, 16, 8)
+	DeblockParallel(f, 16, 8, 1)
 	for i := range pix {
 		if pix[i] != orig[i] {
 			t.Fatalf("real edge modified at %d: %d -> %d", i, orig[i], pix[i])
@@ -53,7 +55,7 @@ func TestDeblockPreservesRealEdges(t *testing.T) {
 func TestDeblockZeroStrengthIsNoop(t *testing.T) {
 	f := video.NewSource(video.SourceConfig{Width: 64, Height: 64, Seed: 1, Detail: 0.8}).Frame(0)
 	orig := f.Clone()
-	Deblock(f, 16, 0)
+	DeblockParallel(f, 16, 0, 1)
 	if video.MSE(f.Y, orig.Y) != 0 {
 		t.Fatal("strength-0 deblock modified pixels")
 	}
@@ -98,7 +100,7 @@ func TestTemporalFilterStrengthZero(t *testing.T) {
 func TestRestoreWeightZeroIsIdentity(t *testing.T) {
 	f := video.NewSource(video.SourceConfig{Width: 48, Height: 48, Seed: 9, Detail: 0.8}).Frame(0)
 	orig := f.Clone()
-	Restore(f, 0)
+	RestoreParallel(f, 0, 1)
 	if video.MSE(f.Y, orig.Y) != 0 {
 		t.Fatal("weight-0 restoration modified pixels")
 	}
@@ -121,7 +123,7 @@ func TestRestoreSmoothsTowardBox(t *testing.T) {
 	prev := variance(src)
 	for w := 1; w < 4; w++ {
 		f := src.Clone()
-		Restore(f, w)
+		RestoreParallel(f, w, 1)
 		v := variance(f)
 		if v >= prev {
 			t.Fatalf("weight %d did not reduce variance: %.1f -> %.1f", w, prev, v)
@@ -135,11 +137,11 @@ func TestBestRestorationWeightPicksDenoiser(t *testing.T) {
 	// to the clean source, so the best weight must be nonzero.
 	clean := video.NewSource(video.SourceConfig{Width: 64, Height: 64, Seed: 11, Detail: 0.2}).Frame(0)
 	noisy := video.NewSource(video.SourceConfig{Width: 64, Height: 64, Seed: 11, Detail: 0.2, Noise: 15}).Frame(0)
-	if w := BestRestorationWeight(noisy, clean); w == 0 {
+	if w := BestRestorationWeightParallel(noisy, clean, 1); w == 0 {
 		t.Fatal("restoration search found no benefit on noisy recon")
 	}
 	// And on a perfect recon the best weight must be zero.
-	if w := BestRestorationWeight(clean.Clone(), clean); w != 0 {
+	if w := BestRestorationWeightParallel(clean.Clone(), clean, 1); w != 0 {
 		t.Fatalf("perfect recon picked weight %d", w)
 	}
 }

@@ -1,12 +1,12 @@
 package filter
 
-// Parallel entry points for the in-loop filters. Each pass (vertical
-// edges, then horizontal; smooth, then blend; smooth, then the SSE
-// scans) is one par.Do over row stripes of memory-disjoint output, and
-// par.Do returning is the barrier between passes, so any worker count
-// produces planes bit-identical to the sequential filters. A stripe is
-// worked out from its index alone; with workers == 1 the stripes run in
-// order on the caller's goroutine.
+// The in-loop filters, as the encoder and the decoder run them. Each pass
+// (vertical edges, then horizontal; smooth, then blend; smooth, then the
+// SSE scans) is one par.Do over row stripes of memory-disjoint output,
+// and par.Do returning is the barrier between passes, so every worker
+// count produces the same bytes; the tests hold each filter to a plain
+// per-plane reference. A stripe is worked out from its index alone; with
+// workers == 1 the stripes run in order on the caller's goroutine.
 
 import (
 	"openvcu/internal/par"
@@ -70,12 +70,13 @@ func frameStripes(f *video.Frame) (n int) {
 	return n
 }
 
-// DeblockParallel applies the loop filter to all three planes with the
-// two passes striped over at most workers goroutines (par.Do's limit).
-// Bit-identical to Deblock for every worker count: the vertical pass
-// writes only each stripe's own rows, the horizontal pass writes only
-// the two rows at each edge (edges ≥ 4 rows apart), and the first pass
-// has returned before the second starts.
+// DeblockParallel smooths the block-grid edges of all three planes in
+// place (blockSize: the luma transform grid; strength grows with QP),
+// with the two passes striped over at most workers goroutines (par.Do's
+// limit). Every worker count gives DeblockPlaneScalar's bytes on each
+// plane: the vertical pass writes only each stripe's own rows, the
+// horizontal pass writes only the two rows at each edge (edges ≥ 4 rows
+// apart), and the first pass has returned before the second starts.
 func DeblockParallel(f *video.Frame, blockSize, strength, workers int) {
 	if strength <= 0 {
 		return
@@ -130,11 +131,13 @@ func boxSmoothRange(dst, pix []uint8, w, h, y0, y1 int) {
 	}
 }
 
-// RestoreParallel is Restore with the smooth and blend passes each
-// striped over all three planes and at most workers goroutines;
-// bit-identical to Restore for every worker count. The smoothed planes
-// sit back to back in one buffer, so every plane is smoothed from its
-// unrestored pixels, as Restore does.
+// RestoreParallel applies loop restoration with the given weight index in
+// place: pix = ((8-w)*pix + w*smooth(pix)) / 8, w = RestorationWeights
+// of the index, and weight 0 is the identity. This is the AV1-class "loop
+// restoration" stage, run after deblocking. The smooth and blend passes
+// are each striped over all three planes and at most workers goroutines;
+// the smoothed planes sit back to back in one buffer, so every plane is
+// smoothed from its unrestored pixels whatever the worker count.
 func RestoreParallel(f *video.Frame, weightIdx, workers int) {
 	w := RestorationWeights[weightIdx&3]
 	if w == 0 {
@@ -158,11 +161,12 @@ func RestoreParallel(f *video.Frame, weightIdx, workers int) {
 	})
 }
 
-// BestRestorationWeightParallel is BestRestorationWeight with the box
-// smooth and the per-weight SSE scans striped over at most workers
-// goroutines. Scan k writes its own slot of partial (weight-major), and
-// the slots are summed in fixed order, so the result is identical for
-// every worker count.
+// BestRestorationWeightParallel picks the weight index minimizing luma
+// SSE against the source — the encoder-side search whose result is
+// signaled to the decoder — with the box smooth and the per-weight SSE
+// scans striped over at most workers goroutines. Scan k writes its own
+// slot of partial (weight-major), and the slots are summed in fixed
+// order, so the result is identical for every worker count.
 func BestRestorationWeightParallel(recon, src *video.Frame, workers int) int {
 	w, h := recon.Width, recon.Height
 	nStripes := numStripes(h)

@@ -9,11 +9,65 @@ import (
 )
 
 // stripeWorkers are the worker counts the *Parallel filters are held to
-// their sequential references at: 0 runs every stripe on its own
-// goroutine, the adversarial schedule (if stripes overlapped, -race
-// would catch it and the byte-compare would flake); 1 is the inline path
-// an encoder with Workers 1 takes.
+// their references at: 0 runs every stripe on its own goroutine, the
+// adversarial schedule (if stripes overlapped, -race would catch it and
+// the byte-compare would flake); 1 is the inline path an encoder with
+// Workers 1, or a decoder on one core, takes.
 var stripeWorkers = []int{0, 1}
+
+// deblockRef is the deblock reference: DeblockPlaneScalar on each plane,
+// chroma on half the luma grid (at least 4).
+func deblockRef(f *video.Frame, blockSize, strength int) {
+	DeblockPlaneScalar(f.Y, f.Width, f.Height, blockSize, strength)
+	cw, ch := video.ChromaDims(f.Width, f.Height)
+	cb := max(blockSize/2, 4)
+	DeblockPlaneScalar(f.U, cw, ch, cb, strength)
+	DeblockPlaneScalar(f.V, cw, ch, cb, strength)
+}
+
+// restoreRef is the plain restoration loop RestoreParallel is held to:
+// each plane box-smoothed whole, then blended with it.
+func restoreRef(f *video.Frame, weightIdx int) {
+	w := RestorationWeights[weightIdx&3]
+	cw, ch := video.ChromaDims(f.Width, f.Height)
+	for _, p := range []planeJob{{f.Y, f.Width, f.Height, 0}, {f.U, cw, ch, 0}, {f.V, cw, ch, 0}} {
+		smooth := boxSmoothRef(p.pix, p.w, p.h)
+		for i := range p.pix {
+			p.pix[i] = uint8((int32(p.pix[i])*(8-w) + int32(smooth[i])*w + 4) >> 3)
+		}
+	}
+}
+
+// boxSmoothRef returns the 3x3 box filter of a whole plane (edge-clamped).
+func boxSmoothRef(pix []uint8, w, h int) []uint8 {
+	out := make([]uint8, len(pix))
+	boxSmoothRange(out, pix, w, h, 0, h)
+	return out
+}
+
+// bestRestorationWeightRef is the plain weight search
+// BestRestorationWeightParallel is held to: the weight index minimizing
+// luma SSE against the source, scanned over the whole plane per weight.
+func bestRestorationWeightRef(recon, src *video.Frame) int {
+	smooth := boxSmoothRef(recon.Y, recon.Width, recon.Height)
+	best, bestSSE := 0, int64(-1)
+	for idx, w := range RestorationWeights {
+		var sse int64
+		for i := range recon.Y {
+			v := (int32(recon.Y[i])*(8-w) + int32(smooth[i])*w + 4) >> 3
+			d := int64(v) - int64(src.Y[i])
+			sse += d * d
+		}
+		if bestSSE < 0 || sse < bestSSE {
+			best, bestSSE = idx, sse
+		}
+	}
+	return best
+}
+
+func samePlanes(a, b *video.Frame) bool {
+	return bytes.Equal(a.Y, b.Y) && bytes.Equal(a.U, b.U) && bytes.Equal(a.V, b.V)
+}
 
 func randFrame(rng *rand.Rand, w, h int) *video.Frame {
 	f := video.NewFrame(w, h)
@@ -77,35 +131,30 @@ func TestSwarMaskPrimitivesExhaustive(t *testing.T) {
 	}
 }
 
-// TestDeblockPlaneMatchesScalar is the SWAR/range-split differential
-// gate: random and blocky planes, widths off the 8-byte grid, strengths
-// including one past the packed-threshold clamp.
+// TestDeblockPlaneMatchesScalar is the SWAR/striped differential gate:
+// random and blocky frames, widths off the 8-byte grid, heights across
+// stripe boundaries of luma and chroma, strengths including one past the
+// packed-threshold clamp; every plane against DeblockPlaneScalar.
 func TestDeblockPlaneMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {
 		w := 16 + rng.Intn(90) // frequently not a multiple of 8
-		h := 16 + rng.Intn(90)
+		h := 16 + rng.Intn(180)
 		bs := []int{4, 8, 16}[rng.Intn(3)]
 		strength := []int{1, 3, 8, 20, 300}[rng.Intn(5)]
-		pix := make([]uint8, w*h)
-		if trial%2 == 0 {
-			for i := range pix {
-				pix[i] = uint8(rng.Intn(256))
-			}
-		} else {
-			for y := 0; y < h; y++ {
-				for x := 0; x < w; x++ {
-					pix[y*w+x] = uint8(((x/bs)*9 + (y/bs)*5) % 256)
-				}
-			}
+		src := randFrame(rng, w, h)
+		if trial%2 == 1 {
+			src = blockyFrame(rng, w, h, bs)
 		}
-		want := append([]uint8(nil), pix...)
-		DeblockPlaneScalar(want, w, h, bs, strength)
-		got := append([]uint8(nil), pix...)
-		DeblockPlane(got, w, h, bs, strength)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d (w=%d h=%d bs=%d s=%d): SWAR deblock diverged from scalar",
-				trial, w, h, bs, strength)
+		want := src.Clone()
+		deblockRef(want, bs, strength)
+		for _, workers := range stripeWorkers {
+			got := src.Clone()
+			DeblockParallel(got, bs, strength, workers)
+			if !samePlanes(got, want) {
+				t.Fatalf("trial %d (w=%d h=%d bs=%d s=%d) workers=%d: SWAR deblock diverged from scalar",
+					trial, w, h, bs, strength, workers)
+			}
 		}
 	}
 }
@@ -116,9 +165,9 @@ func TestDeblockParallelMatchesSequential(t *testing.T) {
 		for _, dims := range [][2]int{{64, 64}, {176, 144}, {200, 130}} {
 			seq := blockyFrame(rng, dims[0], dims[1], 8)
 			par := seq.Clone()
-			Deblock(seq, 8, 6)
+			deblockRef(seq, 8, 6)
 			DeblockParallel(par, 8, 6, workers)
-			if !bytes.Equal(seq.Y, par.Y) || !bytes.Equal(seq.U, par.U) || !bytes.Equal(seq.V, par.V) {
+			if !samePlanes(seq, par) {
 				t.Fatalf("workers=%d %dx%d: parallel deblock diverged from sequential", workers, dims[0], dims[1])
 			}
 		}
@@ -131,9 +180,9 @@ func TestRestoreParallelMatchesSequential(t *testing.T) {
 		for widx := 1; widx < 4; widx++ {
 			seq := randFrame(rng, 120, 90)
 			par := seq.Clone()
-			Restore(seq, widx)
+			restoreRef(seq, widx)
 			RestoreParallel(par, widx, workers)
-			if !bytes.Equal(seq.Y, par.Y) || !bytes.Equal(seq.U, par.U) || !bytes.Equal(seq.V, par.V) {
+			if !samePlanes(seq, par) {
 				t.Fatalf("workers=%d weight %d: parallel restore diverged from sequential", workers, widx)
 			}
 		}
@@ -150,7 +199,7 @@ func TestBestRestorationWeightParallelMatchesSequential(t *testing.T) {
 			for i := range src.Y {
 				src.Y[i] = uint8((int(src.Y[i]) + 128) / 2)
 			}
-			want := BestRestorationWeight(recon, src)
+			want := bestRestorationWeightRef(recon, src)
 			got := BestRestorationWeightParallel(recon, src, workers)
 			if got != want {
 				t.Fatalf("workers=%d trial %d: parallel weight %d != sequential %d", workers, trial, got, want)

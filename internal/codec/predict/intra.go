@@ -57,17 +57,13 @@ type NeighborBuf struct {
 	above, left [MaxN]uint8
 }
 
-// GatherNeighbors extracts the neighbor set for the n×n block at (x, y) in
-// plane data of width w, height h. recon must contain reconstructed pixels
-// for everything above and left of the block in coding order.
-func GatherNeighbors(recon []uint8, w, h, x, y, n int, buf *NeighborBuf) Neighbors {
-	return GatherNeighborsBounded(recon, w, h, x, y, n, 0, buf)
-}
-
-// GatherNeighborsBounded is GatherNeighbors with a left availability
-// bound: blocks at or left of minX have no left neighbors, and the pixels
-// beyond the bound are never read — required for tile columns, whose left
-// neighbor may be encoded concurrently by another goroutine.
+// GatherNeighborsBounded extracts the neighbor set for the n×n block at
+// (x, y) in plane data of width w, height h. recon must contain
+// reconstructed pixels for everything above and left of the block in
+// coding order. minX is the left availability bound: blocks at or left
+// of it have no left neighbors, and the pixels beyond the bound are
+// never read — required for tile columns, whose left neighbor may be
+// encoded concurrently by another goroutine.
 func GatherNeighborsBounded(recon []uint8, w, h, x, y, n, minX int, buf *NeighborBuf) Neighbors {
 	nb := Neighbors{Above: buf.above[:n], Left: buf.left[:n]}
 	if y > 0 {

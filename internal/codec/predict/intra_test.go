@@ -14,7 +14,7 @@ func mkRecon(w, h int, f func(x, y int) uint8) []uint8 {
 
 func TestDCPrediction(t *testing.T) {
 	recon := mkRecon(16, 16, func(x, y int) uint8 { return 100 })
-	nb := GatherNeighbors(recon, 16, 16, 8, 8, 8, &NeighborBuf{})
+	nb := GatherNeighborsBounded(recon, 16, 16, 8, 8, 8, 0, &NeighborBuf{})
 	dst := make([]uint8, 64)
 	Predict(IntraDC, nb, dst, 8)
 	for i, v := range dst {
@@ -26,7 +26,7 @@ func TestDCPrediction(t *testing.T) {
 
 func TestDCNoNeighborsIsMidGray(t *testing.T) {
 	recon := mkRecon(16, 16, func(x, y int) uint8 { return 33 })
-	nb := GatherNeighbors(recon, 16, 16, 0, 0, 8, &NeighborBuf{})
+	nb := GatherNeighborsBounded(recon, 16, 16, 0, 0, 8, 0, &NeighborBuf{})
 	if nb.HasAbove || nb.HasLeft {
 		t.Fatal("corner block should have no neighbors")
 	}
@@ -39,7 +39,7 @@ func TestDCNoNeighborsIsMidGray(t *testing.T) {
 
 func TestHPropagatesLeftColumn(t *testing.T) {
 	recon := mkRecon(16, 16, func(x, y int) uint8 { return uint8(y * 10) })
-	nb := GatherNeighbors(recon, 16, 16, 4, 0, 4, &NeighborBuf{})
+	nb := GatherNeighborsBounded(recon, 16, 16, 4, 0, 4, 0, &NeighborBuf{})
 	dst := make([]uint8, 16)
 	Predict(IntraH, nb, dst, 4)
 	for y := 0; y < 4; y++ {
@@ -53,7 +53,7 @@ func TestHPropagatesLeftColumn(t *testing.T) {
 
 func TestVPropagatesTopRow(t *testing.T) {
 	recon := mkRecon(16, 16, func(x, y int) uint8 { return uint8(x * 3) })
-	nb := GatherNeighbors(recon, 16, 16, 0, 4, 4, &NeighborBuf{})
+	nb := GatherNeighborsBounded(recon, 16, 16, 0, 4, 4, 0, &NeighborBuf{})
 	dst := make([]uint8, 16)
 	Predict(IntraV, nb, dst, 4)
 	for y := 0; y < 4; y++ {
@@ -68,7 +68,7 @@ func TestVPropagatesTopRow(t *testing.T) {
 func TestTMGradient(t *testing.T) {
 	// A linear ramp is exactly reproduced by TrueMotion prediction.
 	recon := mkRecon(16, 16, func(x, y int) uint8 { return uint8(x*4 + y*5) })
-	nb := GatherNeighbors(recon, 16, 16, 4, 4, 4, &NeighborBuf{})
+	nb := GatherNeighborsBounded(recon, 16, 16, 4, 4, 4, 0, &NeighborBuf{})
 	dst := make([]uint8, 16)
 	Predict(IntraTM, nb, dst, 4)
 	for y := 0; y < 4; y++ {
@@ -83,7 +83,7 @@ func TestTMGradient(t *testing.T) {
 
 func TestTMFallsBackWithoutNeighbors(t *testing.T) {
 	recon := mkRecon(8, 8, func(x, y int) uint8 { return 10 })
-	nb := GatherNeighbors(recon, 8, 8, 0, 0, 4, &NeighborBuf{})
+	nb := GatherNeighborsBounded(recon, 8, 8, 0, 0, 4, 0, &NeighborBuf{})
 	dst := make([]uint8, 16)
 	Predict(IntraTM, nb, dst, 4)
 	if dst[0] != 128 {
@@ -94,7 +94,7 @@ func TestTMFallsBackWithoutNeighbors(t *testing.T) {
 func TestGatherNeighborsEdgeExtension(t *testing.T) {
 	// Block partially past the right edge: Above must edge-extend.
 	recon := mkRecon(10, 10, func(x, y int) uint8 { return uint8(x) })
-	nb := GatherNeighbors(recon, 10, 10, 8, 4, 4, &NeighborBuf{})
+	nb := GatherNeighborsBounded(recon, 10, 10, 8, 4, 4, 0, &NeighborBuf{})
 	if nb.Above[0] != 8 || nb.Above[1] != 9 {
 		t.Fatalf("above = %v", nb.Above[:2])
 	}
@@ -108,7 +108,7 @@ func TestAllModesProduceValidOutput(t *testing.T) {
 	recon := mkRecon(32, 32, func(x, y int) uint8 { return uint8((x*7 + y*13) % 256) })
 	for _, n := range []int{4, 8, 16, 32} {
 		for m := IntraMode(0); m < NumIntraModes; m++ {
-			nb := GatherNeighbors(recon, 32, 32, 0, 0, n, &NeighborBuf{})
+			nb := GatherNeighborsBounded(recon, 32, 32, 0, 0, n, 0, &NeighborBuf{})
 			dst := make([]uint8, n*n)
 			Predict(m, nb, dst, n) // must not panic
 		}

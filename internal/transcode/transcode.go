@@ -179,11 +179,7 @@ func MOT(frames []*video.Frame, fps int, specs []OutputSpec) (*Result, error) {
 // A full SOT ladder costs one decode per variant; Result.DecodedPixels
 // accounts for this task's share.
 func SOT(frames []*video.Frame, fps int, spec OutputSpec) (*Result, error) {
-	res, err := MOT(frames, fps, []OutputSpec{spec})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return MOT(frames, fps, []OutputSpec{spec})
 }
 
 func appendPackets(out *Output, pkts []codec.Packet) {

@@ -7,10 +7,7 @@
 // upload) versus the VCU-era policy (VP9 for everything at upload time).
 package workload
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Video is one corpus entry.
 type Video struct {
@@ -215,14 +212,6 @@ func Apply(c *Corpus, p Policy, m EgressModel) PolicyResult {
 // EgressSaving returns the fractional egress reduction of b vs a.
 func EgressSaving(a, b PolicyResult) float64 {
 	return 1 - b.EgressBits/a.EgressBits
-}
-
-// RankByWatch returns videos sorted by descending watch time (sanity
-// helper: Generate already assigns rank = order).
-func RankByWatch(c *Corpus) []Video {
-	out := append([]Video(nil), c.Videos...)
-	sort.Slice(out, func(i, j int) bool { return out[i].WatchSeconds > out[j].WatchSeconds })
-	return out
 }
 
 func maxInt(a, b int) int {

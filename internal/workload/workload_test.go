@@ -28,10 +28,12 @@ func TestPowerLawHead(t *testing.T) {
 
 func TestWatchMonotoneWithRank(t *testing.T) {
 	c := Generate(2000, 2)
-	ranked := RankByWatch(c)
-	for i, v := range ranked {
+	for i, v := range c.Videos {
 		if v.Rank != i+1 {
-			t.Fatalf("rank %d at sorted position %d: watch not monotone", v.Rank, i)
+			t.Fatalf("rank %d at position %d", v.Rank, i)
+		}
+		if i > 0 && v.WatchSeconds > c.Videos[i-1].WatchSeconds {
+			t.Fatalf("watch rises at rank %d: %.1f after %.1f", v.Rank, v.WatchSeconds, c.Videos[i-1].WatchSeconds)
 		}
 	}
 }

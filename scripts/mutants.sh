@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # mutants.sh [ref [pattern]] — what each gate step catches, measured
 # (`make mutants`).
+# mutants.sh --changed [base] — the same rows, at HEAD, for the mutants
+# a change can move: those whose pkg: names a package the diff from base
+# (default HEAD~1) to HEAD touches.
 #
 # mutants/*.patch is a catalogue of single-edit bugs in the live tree,
 # one bug class each (mutants/README.md). For every patch (or those whose
@@ -20,6 +23,9 @@
 # to mutants/TABLE.md, the copy the documents link to: commit it with
 # the change it measures.
 #
+# --changed is the run for a change that edits a package some mutant
+# names; a change to the catalogue or the gate runs the whole of it.
+#
 # The catalogue is read from this checkout, so `mutants.sh <parent>`
 # holds an older commit against the same mutants. A patch that no longer
 # applies is a stale catalogue: the script names them all (check_catalogue
@@ -31,8 +37,34 @@ set -u
 cd "$(dirname "$0")/.."
 repo=$PWD
 . "$repo/scripts/catalogue.sh"
-ref=${1:-HEAD}
-pattern=${2:-*}
+if [ "${1:-}" = --changed ]; then
+    base=${2:-HEAD~1}
+    ref=HEAD
+    git rev-parse -q --verify "$base^{commit}" >/dev/null || { echo "mutants.sh: no commit $base" >&2; exit 2; }
+    pattern='*'
+    # touched lists ./dir for every package directory with a .go file
+    # (tests included) that differs between base and HEAD, both sides of
+    # a rename.
+    touched=$(git diff --no-renames --name-only "$base" HEAD -- '*.go' |
+        awk '{ if (sub(/\/[^\/]*$/, "")) print "./" $0; else print "." }' | sort -u)
+    [ -n "$touched" ] || { echo "mutants.sh: no .go file changed since $base" >&2; exit 0; }
+else
+    ref=${1:-HEAD}
+    pattern=${2:-*}
+    touched=
+fi
+
+# selected <patch>: whether the run measures it (every patch unless
+# --changed, then those naming a touched package).
+selected() {
+    [ -n "$touched" ] || return 0
+    local pkg
+    for pkg in $(field pkg "$1"); do
+        grep -qxF "$pkg" <<<"$touched" && return 0
+    done
+    return 1
+}
+
 # What a deadlocked test costs; check.sh gives `go test ./...` the same.
 test_timeout=90s
 
@@ -45,7 +77,13 @@ go build -o "$work/.vculint" ./cmd/vculint || exit 2
 # say prints a line of the table and keeps it for mutants/TABLE.md.
 say() { printf '%s\n' "$*" | tee -a "$work/.table"; }
 
-if ! check_catalogue "$repo/mutants" "$pattern"; then
+stale=0
+for p in "$repo"/mutants/$pattern.patch; do
+    if selected "$p" && ! check_catalogue "$repo/mutants" "$(basename "$p" .patch)"; then
+        stale=1
+    fi
+done
+if [ "$stale" -ne 0 ]; then
     echo "mutants.sh: the catalogue is stale against $ref" >&2
     exit 2
 fi
@@ -71,12 +109,13 @@ kill_cell() {
     fi
 }
 
-say "mutation yield of the gate at $(git -C "$repo" rev-parse --short "$ref"): first killer in bold, – = passes"
+say "mutation yield of the gate at $(git -C "$repo" rev-parse --short "$ref")${touched:+, mutants of the packages changed since $base}: first killer in bold, – = passes"
 say
 say "| class | mutant | vet | vculint | go test | -race |"
 say "|---|---|---|---|---|---|"
 survivors=""
 for p in "$repo"/mutants/$pattern.patch; do
+    selected "$p" || continue
     name=$(basename "$p" .patch)
     class=$(field class "$p")
     pkg=$(field pkg "$p")
@@ -141,7 +180,7 @@ else
         fi
     done
 fi
-[ "$pattern" != "*" ] || cp "$work/.table" "$repo/mutants/TABLE.md"
+[ "$pattern" != "*" ] || [ -n "$touched" ] || cp "$work/.table" "$repo/mutants/TABLE.md"
 if [ "$unnamed" -ne 0 ]; then
     echo "mutants.sh: a new hole in the gate: close it with a test, or say in mutants/SURVIVORS.md why it stays" >&2
     exit 1

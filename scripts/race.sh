@@ -23,7 +23,10 @@ set -u
 #   cluster            the control plane is one sim goroutine; only the
 #                      real-pixels tests reach transcode and codec.
 #   codec              one invocation. TileColumnsRoundTrip: tile coders
-#                      of encoder and decoder, end to end.
+#                      of encoder and decoder, end to end, and the
+#                      decoder's deblock stripes (VP9-class), both on
+#                      GOMAXPROCS goroutines: on a one-core host the
+#                      decoder runs them inline.
 #                      ParallelTileEncodeDeterminism: concurrent tiles,
 #                      striped deblock and restoration, and a tile
 #                      writing a reference frame or search pyramid the
@@ -39,7 +42,9 @@ set -u
 #                      that overlap show (row race-restore-stripes-
 #                      overlap: equal values written twice, which only
 #                      this run kills). The codec entries above never
-#                      run restoration at more than one worker.
+#                      run restoration at more than one worker: the
+#                      only AV1-class case encodes its GOP spans at
+#                      Workers 1 and decodes nothing.
 #   internal/video and internal/sched start no goroutine in code or
 #   tests; sched belongs to the cluster's sim goroutine.
 runs='
