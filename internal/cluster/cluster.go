@@ -630,7 +630,7 @@ func (c *Cluster) rebalancePools() {
 			if moved >= need {
 				break
 			}
-			// A donor must be a worker placeTranscode would accept: a
+			// A donor must be a worker place would accept: a
 			// quarantined one would spend the move and still serve nothing,
 			// and autoscaled-out (or not-yet-serving) workers are not
 			// rebalance candidates.
@@ -959,11 +959,6 @@ func (c *Cluster) tryPlace(s *Step) bool {
 	return true
 }
 
-// placeTranscode costs s.execReq and reserves a worker for it.
-func (c *Cluster) placeTranscode(s *Step, avoidVCU int) (*clusterWorker, *sched.Assignment, bool) {
-	return c.place(s, c.workerType.Cost(s.execReq), avoidVCU)
-}
-
 // place reserves a worker with room for need — the cost of s.execReq —
 // preferring the video's consistent-hash affinity set and overflowing
 // to any VCU only when the set has no capacity (affinity reduces blast
@@ -1048,7 +1043,7 @@ func (c *Cluster) maybeHedge(s *Step, token int, primaryVCU int) {
 		c.Stats.HedgesSuppressed++
 		return
 	}
-	cw, a, overflow := c.placeTranscode(s, primaryVCU)
+	cw, a, overflow := c.place(s, c.workerType.Cost(s.execReq), primaryVCU)
 	if cw == nil {
 		return
 	}

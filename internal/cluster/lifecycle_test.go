@@ -166,7 +166,7 @@ func TestLifecycleModel(t *testing.T) {
 			// Whatever placement answers, the eligibility table agrees.
 			s := probe.Steps[0]
 			s.triedVCUs = map[int]bool{}
-			if cw, a, _ := c.placeTranscode(s, -1); cw != nil {
+			if cw, a, _ := c.place(s, c.workerType.Cost(s.execReq), -1); cw != nil {
 				if !c.places(cw, c.classOf(s), stepPool(s)) || !cw.accepting() {
 					t.Fatalf("seed %d op %d %s: placed on VCU %d, which is %v/%v/%v in pool %v",
 						seed, step, op, cw.vcu.ID, cw.sw.Phase(), c.health(cw), cw.standing, cw.pool)

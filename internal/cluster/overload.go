@@ -37,16 +37,10 @@ type OverloadConfig struct {
 	// chunk and continues. 0 disables deadline drops. Must exceed 1:
 	// execution alone takes one wall duration.
 	LiveDeadlineFactor float64
-	// BrownoutPeriod is the brownout controller's feedback interval.
-	// 0 disables the controller.
+	// BrownoutPeriod is the brownout controller's feedback interval
+	// (thresholds: brownoutEnter, brownoutExit). 0 disables the
+	// controller.
 	BrownoutPeriod time.Duration
-	// BrownoutEnter and BrownoutExit are the controller thresholds on
-	// the load signal (eligible transcode backlog per available worker).
-	// The level rises one rung per tick while the signal is at or above
-	// Enter and falls one rung while at or below Exit; Enter > Exit is
-	// the hysteresis band that prevents level flapping.
-	BrownoutEnter float64
-	BrownoutExit  float64
 	// HedgeBacklog suppresses straggler hedges while the transcode
 	// backlog is at or above this depth, so hedges cannot amplify an
 	// overload (a hedge doubles a step's demand exactly when capacity
@@ -63,8 +57,6 @@ func DefaultOverloadConfig() OverloadConfig {
 		MaxQueueLen:        128,
 		LiveDeadlineFactor: 3,
 		BrownoutPeriod:     15 * time.Second,
-		BrownoutEnter:      2.0,
-		BrownoutExit:       0.5,
 		HedgeBacklog:       64,
 	}
 }
@@ -236,20 +228,29 @@ func (c *Cluster) dropLate(s *Step) {
 	c.stepResolved(s)
 }
 
+// brownoutEnter and brownoutExit are the brownout controller's
+// thresholds on its load signal (eligible transcode backlog per available
+// worker): the level rises one rung per tick while the signal is at or
+// above brownoutEnter and falls one rung while at or below brownoutExit;
+// the band between them is the hysteresis that prevents level flapping.
+const (
+	brownoutEnter = 2.0
+	brownoutExit  = 0.5
+)
+
 // brownoutTick is one iteration of the brownout feedback loop. The load
 // signal is eligible backlog per available worker, so both a demand
 // spike (numerator) and a chaos capacity loss (denominator) push the
 // cluster up the degradation ladder. The level moves at most one rung
-// per tick, up at or above BrownoutEnter and down at or below
-// BrownoutExit — the gap between the thresholds plus the one-rung rate
+// per tick, up at or above brownoutEnter and down at or below
+// brownoutExit — the gap between the thresholds plus the one-rung rate
 // limit is the hysteresis that keeps the controller from flapping while
 // the queue oscillates around a threshold.
 func (c *Cluster) brownoutTick() {
-	ov := c.cfg.Overload
 	pc := c.census()
 	signal := float64(c.eligibleBacklog()) / float64(max(pc.accepting, 1))
 	switch {
-	case signal >= ov.BrownoutEnter && c.degradeLevel < transcode.DegradeFloor:
+	case signal >= brownoutEnter && c.degradeLevel < transcode.DegradeFloor:
 		if c.as != nil && !c.as.oracle() && pc.resizing() {
 			// Priority protocol with the autoscaler: a resize is still
 			// settling (drains or warmups pending), so the backlog
@@ -261,7 +262,7 @@ func (c *Cluster) brownoutTick() {
 		}
 		c.degradeLevel++
 		c.Stats.BrownoutUps++
-	case signal <= ov.BrownoutExit && c.degradeLevel > transcode.DegradeNone:
+	case signal <= brownoutExit && c.degradeLevel > transcode.DegradeNone:
 		c.degradeLevel--
 		c.Stats.BrownoutDowns++
 	}

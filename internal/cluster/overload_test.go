@@ -399,8 +399,6 @@ func TestHedgeGuardOffByDefault(t *testing.T) {
 func TestBrownoutDegradesAndRestores(t *testing.T) {
 	cfg := overloadConfig(1)
 	cfg.Overload.BrownoutPeriod = 15 * time.Second
-	cfg.Overload.BrownoutEnter = 2.0
-	cfg.Overload.BrownoutExit = 0.5
 	c := New(cfg)
 	for i := 0; i < 120; i++ {
 		spec := uploadSpec(i)

@@ -47,7 +47,9 @@ type frameShared struct {
 	// interpolating it. The decoder leaves every slot nil.
 	refHalf [numRefSlots]*motion.HalfPlanes
 
-	model *entropy.Model
+	// model is the frame's entropy model, as frameModel rules.
+	model  *entropy.Model
+	models [2]entropy.Model
 
 	gw, gh  int
 	mvGrid  []motion.MV
@@ -92,6 +94,64 @@ func (fs *frameShared) resetForFrame(qp int, keyframe bool, refs [numRefSlots]*v
 	}
 	for i := range fs.refGrid {
 		fs.refGrid[i] = -1
+	}
+}
+
+// tileSpan returns tile t's pixel columns [x0, x1) of a frame of tiles
+// tile columns over padded width pw, cut at superblocks of sb pixels.
+func tileSpan(t, tiles, pw, sb int) (x0, x1 int) {
+	cols := pw / sb
+	return t * cols / tiles * sb, (t + 1) * cols / tiles * sb
+}
+
+// frameModel returns the entropy model a tile of a frame of tiles tile
+// columns starts from: carried, the last frame's, only in a single-tile
+// inter frame of an adaptive profile; else one of the coder's own two,
+// reset, and never carried itself, so a frame the decoder fails leaves
+// the carried model as it was.
+func (fs *frameShared) frameModel(carried *entropy.Model, tiles int, keyframe bool) *entropy.Model {
+	adaptive := fs.profile.Adaptive()
+	if carried != nil && tiles == 1 && !keyframe && adaptive {
+		return carried
+	}
+	m := &fs.models[0]
+	if m == carried {
+		m = &fs.models[1]
+	}
+	m.Reset(adaptive)
+	return m
+}
+
+// carryOut returns the entropy model a frame of tiles tile columns,
+// fs its first tile's coder, leaves for the next: none after a
+// multi-tile frame, whatever the next frame's tile count will be.
+func (fs *frameShared) carryOut(tiles int) *entropy.Model {
+	if tiles > 1 {
+		return nil
+	}
+	return fs.model
+}
+
+// refreshSlots moves the reference slots by h's refresh flags, the one
+// rule both coders follow: refreshed slots take f, and a keyframe
+// empties the others, so every reference is of h's profile. retire sees
+// every frame a slot lets go, then f if no slot took it.
+func refreshSlots[T any](slots *[numRefSlots]T, h frameHeader, f T, retire func(T)) {
+	var none T
+	taken := false
+	for slot, r := range h.refresh {
+		if !r && !h.keyframe {
+			continue
+		}
+		old := slots[slot]
+		slots[slot] = none
+		if r {
+			slots[slot], taken = f, true
+		}
+		retire(old)
+	}
+	if !taken {
+		retire(f)
 	}
 }
 

@@ -149,8 +149,8 @@ type Config struct {
 	Speed int
 
 	// Workers bounds how many goroutines a frame's tile columns, in-loop
-	// filter stripes and restoration search run on (par.Do's limit; the
-	// caller waits and takes no share). The bitstream is byte-identical
+	// filter stripes and restoration search run on (par.Do's limit, the
+	// calling goroutine's share included). The bitstream is byte-identical
 	// for every Workers value — parallelism only changes wall clock. 0
 	// defaults to GOMAXPROCS; 1 encodes inline on the caller's goroutine
 	// (the low-latency mode).

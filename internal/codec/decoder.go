@@ -105,24 +105,11 @@ func (dec *Decoder) decode(data []byte) (*video.Frame, error) {
 
 	dec.setupCoders(hdr, tiles)
 	recon := dec.newRecon(pw, ph)
-	carried := dec.model
-	if tiles > 1 {
-		carried = nil // multi-tile frames always start fresh contexts
-	}
 	decodeTile := func(t int) error {
 		df := dec.coders[t]
-		model := carried
-		if model == nil || hdr.keyframe || !profile.Adaptive() {
-			// Reset one of the coder's own models, never the one the
-			// Decoder carries: a frame that fails leaves that as it was.
-			model = &df.models[0]
-			if model == dec.model {
-				model = &df.models[1]
-			}
-			model.Reset(profile.Adaptive())
-		}
-		df.resetForFrame(hdr.qp, hdr.keyframe, refs, valid, recon, model,
-			t*numSBCols/tiles*sb, (t+1)*numSBCols/tiles*sb)
+		x0, x1 := tileSpan(t, tiles, pw, sb)
+		df.resetForFrame(hdr.qp, hdr.keyframe, refs, valid, recon,
+			df.frameModel(dec.model, tiles, hdr.keyframe), x0, x1)
 		df.d.Reset(tileData[t])
 		for y := 0; y < ph; y += sb {
 			for x := df.tileX0; x < df.tileX1; x += sb {
@@ -148,25 +135,8 @@ func (dec *Decoder) decode(data []byte) (*video.Frame, error) {
 	if profile.Restoration() {
 		filter.RestoreParallel(recon, restByte, workers)
 	}
-	// Refreshed slots take recon and a keyframe empties the others, so
-	// every reference is of this profile. A frame that leaves its last
-	// slot, or enters none, is free.
-	for slot, r := range hdr.refresh {
-		if !r && !hdr.keyframe {
-			continue
-		}
-		old, next := dec.refs[slot], recon
-		if !r {
-			next = nil
-		}
-		dec.refs[slot] = next
-		dec.retire(old)
-	}
-	dec.retire(recon)
-	dec.model = nil
-	if tiles == 1 {
-		dec.model = dec.coders[0].model
-	}
+	refreshSlots(&dec.refs, hdr, recon, dec.retire)
+	dec.model = dec.coders[0].carryOut(tiles)
 	dec.profile = profile
 	dec.frames++
 	if !hdr.show {
@@ -221,8 +191,6 @@ type decFrame struct {
 	cpred   []uint8
 	scanned []int32
 	blk     [transform.MaxSize * transform.MaxSize]int32
-	// models are the entropy models of frames that carry none.
-	models [2]entropy.Model
 }
 
 // allocDecFrame builds a tile decoder for frames like h: every buffer it

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"openvcu/internal/codec/rc"
@@ -166,7 +167,10 @@ func TestDecodedFramesAreNotRecycled(t *testing.T) {
 // TestDecodeAllocsPerFrame holds the decoder's steady state: a decoder
 // that has seen the stream once decodes it again, keyframe first, with a
 // handful of allocations per frame (the returned frame, the tile list,
-// the tile closure) and none per block.
+// the tile closure, each fan-out's shared state) and none per block.
+// AllocsPerRun pins GOMAXPROCS to 1, where every fan-out runs inline, so
+// a second count reads the same decodes at GOMAXPROCS 2, where the
+// decoder's tiles and filter stripes start goroutines.
 func TestDecodeAllocsPerFrame(t *testing.T) {
 	frames := testSource(256, 144, 15, 8)
 	res := mustEncode(t, Config{Profile: VP9Class, Width: 256, Height: 144, Speed: 2, Hardware: true,
@@ -183,5 +187,19 @@ func TestDecodeAllocsPerFrame(t *testing.T) {
 	perFrame := testing.AllocsPerRun(5, decodeAll) / float64(len(res.Packets))
 	if perFrame > 16 {
 		t.Fatalf("%.1f allocations per decoded frame, want at most 16", perFrame)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	decodeAll()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 5
+	for range runs {
+		decodeAll()
+	}
+	runtime.ReadMemStats(&after)
+	perFrame = float64(after.Mallocs-before.Mallocs) / float64(runs*len(res.Packets))
+	if perFrame > 16 {
+		t.Fatalf("%.1f allocations per decoded frame at GOMAXPROCS 2, want at most 16", perFrame)
 	}
 }

@@ -44,22 +44,16 @@ type encFrame struct {
 	// is reset per superblock, so a discarded subtree costs nothing.
 	kidsArena [][4]partTree
 	kidsUsed  int
-
-	// ownModel is the coder's own entropy model, Reset and reused
-	// whenever a frame does not continue a carried model, so allocs/op
-	// stays flat across frames.
-	ownModel *entropy.Model
 }
 
 // allocEncFrame performs the one-time allocations of a reusable frame
 // coder: scratch buffers, bitstream encoder, context grids and the
-// coder's own entropy model. Per-frame state is installed by reset.
+// coder's own entropy models. Per-frame state is installed by reset.
 func allocEncFrame(e *Encoder) *encFrame {
 	fc := &encFrame{
 		enc: e,
 		w:   bits.NewEncoder(),
 	}
-	fc.ownModel = entropy.NewModel(e.cfg.Profile.Adaptive())
 	fc.frameShared = newFrameShared(e.cfg.Profile, e.pw, e.ph, e.cfg.Width, e.cfg.Height)
 	sb := e.cfg.Profile.SuperblockSize()
 	tx := e.cfg.Profile.MaxTransform()
@@ -79,13 +73,13 @@ func allocEncFrame(e *Encoder) *encFrame {
 	return fc
 }
 
-// reset points the coder at one tile of one frame, reusing every
-// allocation from allocEncFrame. Bit-exactness across reuse: all
-// per-frame state is either overwritten here (model, grids, bitstream,
-// search params) or stateless by contract (motion scratch, neighbor
-// buffer, trial buffers fully rewritten before each read).
+// reset points the coder at one tile of one frame and its model,
+// reusing every allocation from allocEncFrame. Bit-exactness across
+// reuse: all per-frame state is either overwritten here (model, grids,
+// bitstream, search params) or stateless by contract (motion scratch,
+// neighbor buffer, trial buffers fully rewritten before each read).
 func (fc *encFrame) reset(src, recon *video.Frame, qp int, keyframe bool,
-	tileX0, tileX1 int, carried *entropy.Model) {
+	tileX0, tileX1 int, model *entropy.Model) {
 	e := fc.enc
 	var refs [numRefSlots]*video.Frame
 	var valid [numRefSlots]bool
@@ -95,11 +89,6 @@ func (fc *encFrame) reset(src, recon *video.Frame, qp int, keyframe bool,
 		}
 		refs[slot], valid[slot] = r.frame, !keyframe
 		fc.refPyr[slot], fc.refHalf[slot] = r.pyr, r.half
-	}
-	model := carried
-	if model == nil || keyframe || !e.cfg.Profile.Adaptive() {
-		fc.ownModel.Reset(e.cfg.Profile.Adaptive())
-		model = fc.ownModel
 	}
 	fc.frameShared.resetForFrame(qp, keyframe, refs, valid, recon, model, tileX0, tileX1)
 	fc.src = src

@@ -28,6 +28,8 @@ package codec
 // pinned by TestEncodeSequenceParallelMatchesSequential.
 
 import (
+	"slices"
+
 	"openvcu/internal/codec/rc"
 	"openvcu/internal/par"
 	"openvcu/internal/video"
@@ -76,20 +78,7 @@ func EncodeSequenceParallel(cfg Config, frames []*video.Frame) (*SequenceResult,
 		return nil, err
 	}
 
-	res := &SequenceResult{}
-	for _, pkts := range spanPkts {
-		res.Packets = append(res.Packets, pkts...)
-	}
-	for _, p := range res.Packets {
-		res.TotalBits += p.Bits()
-		if p.Show {
-			res.AvgQP += float64(p.QP)
-		}
-	}
-	if len(frames) > 0 {
-		res.AvgQP /= float64(len(frames))
-	}
-	return res, nil
+	return tally(slices.Concat(spanPkts...), len(frames)), nil
 }
 
 // encodeGOPSpan encodes one closed GOP on a fresh Encoder whose frame
@@ -103,18 +92,6 @@ func encodeGOPSpan(c *Config, frames []*video.Frame, sp gopSpan) ([]Packet, erro
 	if err != nil {
 		return nil, err
 	}
-	var pkts []Packet
 	enc.frameIdx = sp.start
-	for i := sp.start; i < sp.end; i++ {
-		got, err := enc.Encode(frames[i])
-		if err != nil {
-			return nil, err
-		}
-		pkts = append(pkts, got...)
-	}
-	got, err := enc.Flush()
-	if err != nil {
-		return nil, err
-	}
-	return append(pkts, got...), nil
+	return enc.encodeAll(frames[sp.start:sp.end])
 }

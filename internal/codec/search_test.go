@@ -150,7 +150,8 @@ func checkFrameSearch(t *testing.T, enc *Encoder, f *video.Frame, idx int, lambd
 		carried = &m
 	}
 	fc := allocEncFrame(enc)
-	fc.reset(src, src.Clone(), enc.rc.FrameQP(idx, keyframe, false), keyframe, 0, enc.pw, carried)
+	fc.reset(src, src.Clone(), enc.rc.FrameQP(idx, keyframe, false), keyframe, 0, enc.pw,
+		fc.frameModel(carried, 1, keyframe))
 	if lambda >= 0 {
 		fc.lambda = lambda
 	}
@@ -247,7 +248,7 @@ func TestBoundedSearchKeepsCanonicalWinnerOnTie(t *testing.T) {
 
 		// The tie is real: finished, the two candidates cost the same.
 		fc := allocEncFrame(enc)
-		fc.reset(padFrame(flat(150), enc.pw, enc.ph), flat(150), 30, false, 0, enc.pw, nil)
+		fc.reset(padFrame(flat(150), enc.pw, enc.ph), flat(150), 30, false, 0, enc.pw, fc.frameModel(nil, 1, false))
 		fc.lambda = 0
 		s := profile.SuperblockSize()
 		intra := fc.evalChoice(0, 0, s, blockChoice{intraMode: predict.IntraDC}, math.Inf(1))

@@ -31,14 +31,6 @@ type StepRequest struct {
 	// TargetSeconds is how long the step may take; resource shares are
 	// the sustained rates needed to finish in that time.
 	TargetSeconds float64
-	// Workers is the encoder's intra-step worker count
-	// (codec.Config.Workers / transcode.OutputSpec.Workers). Intra-step
-	// parallelism shortens the nominal completion time by the Amdahl
-	// speedup; 0 or 1 means serial. Must mirror what the step actually
-	// runs with: claiming workers here while encoding serially shrinks
-	// the watchdog deadline below the real completion time and misfires
-	// the repair pipeline.
-	Workers int
 }
 
 // Frames is the chunk's length in frames: ChunkFrames, or 150 (5 s at
@@ -64,38 +56,16 @@ func (r *StepRequest) outputPixels() float64 {
 	return total * float64(r.Frames())
 }
 
-// encodeParallelFraction is the parallelizable share of an encode step:
-// tile columns, in-loop filter stripes and the restoration scan all run
-// on up to Workers goroutines, while bitstream assembly, reference
-// rotation and rate control stay serial. 0.9 is a model constant, not
-// a measurement: the measured counterpart is the ledger's
-// codec.tile_speedup_2 row, which needs two real cores to mean anything.
-const encodeParallelFraction = 0.9
-
-// ParallelSpeedup is the Amdahl's-law wall-clock speedup of a step
-// encoding with w workers: 1/((1-p) + p/w) with p the
-// parallelizable fraction. w <= 1 is serial (speedup 1).
-func ParallelSpeedup(w int) float64 {
-	if w <= 1 {
-		return 1
-	}
-	return 1 / ((1 - encodeParallelFraction) + encodeParallelFraction/float64(w))
-}
-
 // ExpectedStepSeconds is the cost model's nominal completion time for a
 // step: the latency target its resource shares are sized to meet (a
 // step that must decode D pixels/s is charged exactly the millicores to
-// finish in TargetSeconds), shortened by the Amdahl speedup when the
-// step encodes with intra-step workers. Watchdog and hedge
-// deadlines are multiples of this value, so the speedup must be the
-// conservative model above, never the ideal w× — an optimistic deadline
-// misfires the watchdog on steps that hit the serial fraction.
+// finish in it), TargetSeconds or 10 s for a request that names none.
+// Watchdog and hedge deadlines are multiples of this value.
 func ExpectedStepSeconds(r *StepRequest) float64 {
-	t := r.TargetSeconds
-	if t <= 0 {
-		t = 10
+	if r.TargetSeconds <= 0 {
+		return 10
 	}
-	return t / ParallelSpeedup(r.Workers)
+	return r.TargetSeconds
 }
 
 // SpeedBoostFactor is the encoder throughput multiplier of the brownout
@@ -124,10 +94,7 @@ func VCUWorkerCapacity(p vcu.Params) Resources {
 // workloads ... and then tuned using production observations".
 func NewVCUCostModel(p vcu.Params) func(*StepRequest) Resources {
 	return func(r *StepRequest) Resources {
-		target := r.TargetSeconds
-		if target <= 0 {
-			target = 10
-		}
+		target := ExpectedStepSeconds(r)
 		decRate := r.inputPixels() / target
 		encRate := r.outputPixels() / target
 		encPerCore := p.EncodeRate(r.Profile, r.Mode)

@@ -164,40 +164,32 @@ func TestSoftwareDecodeShiftsDimensions(t *testing.T) {
 	}
 }
 
-// TestExpectedStepSecondsReflectsWorkers: the Amdahl model must shorten
-// the nominal completion time monotonically with the worker count,
-// never reach the ideal w× (the serial fraction bounds it), and leave
-// serial requests untouched — the watchdog deadline derives from this
-// value, so an optimistic speedup would misfire on real steps.
+// TestExpectedStepSecondsReflectsWorkers: a step's nominal completion
+// time is its latency target, 10 s when the request names none, however
+// many workers its encoder runs: no request carries an intra-step
+// worker count, so the watchdog and hedge deadlines derived from this
+// value cannot be shortened by a speedup no run measured. The cost
+// model sizes the step's resource shares to the same target.
 func TestExpectedStepSecondsReflectsWorkers(t *testing.T) {
-	base := &StepRequest{InputRes: video.Res720p, ChunkFrames: 150,
+	r := &StepRequest{InputRes: video.Res720p, ChunkFrames: 150,
 		Outputs: []video.Resolution{video.Res720p}, TargetSeconds: 30}
-	if got := ExpectedStepSeconds(base); got != 30 {
-		t.Fatalf("serial expected seconds %v, want 30", got)
+	if got := ExpectedStepSeconds(r); got != 30 {
+		t.Fatalf("expected seconds %v, want the target 30", got)
 	}
-	prev := 30.0
-	for _, w := range []int{2, 4, 8} {
-		r := *base
-		r.Workers = w
-		got := ExpectedStepSeconds(&r)
-		if got >= prev {
-			t.Errorf("workers=%d: expected seconds %v did not shrink (prev %v)", w, got, prev)
-		}
-		ideal := 30.0 / float64(w)
-		if got <= ideal {
-			t.Errorf("workers=%d: expected seconds %v at or below ideal %v — model ignores the serial fraction", w, got, ideal)
-		}
-		prev = got
+	cost := NewVCUCostModel(vcu.DefaultParams())
+	slow := cost(r)
+	r.TargetSeconds = 0
+	if got := ExpectedStepSeconds(r); got != 10 {
+		t.Fatalf("expected seconds %v with no target, want 10", got)
 	}
-	// Speedup saturates at 1/(1-p): ten thousand workers must not drive
-	// the deadline toward zero.
-	r := *base
-	r.Workers = 10000
-	if got, floor := ExpectedStepSeconds(&r), 30*(1-encodeParallelFraction); got < floor*0.99 {
-		t.Errorf("workers=10000: expected seconds %v below the serial-fraction floor %v", got, floor)
+	fast := cost(r)
+	if fast[DimEncodeMillicores] <= slow[DimEncodeMillicores] {
+		t.Errorf("a 10 s step charged %d encode millicores, a 30 s one %d: the cost model ignores the target",
+			fast[DimEncodeMillicores], slow[DimEncodeMillicores])
 	}
-	if s := ParallelSpeedup(0); s != 1 {
-		t.Errorf("ParallelSpeedup(0) = %v, want 1", s)
+	r.TargetSeconds = 10
+	if got, want := cost(r), fast; got != want {
+		t.Errorf("a 10 s target costs %v, no target %v: the two defaults differ", got, want)
 	}
 }
 

@@ -26,9 +26,6 @@ type Workload struct {
 	Encode  EncodeMode
 	// InputRes is the source resolution of each chunk.
 	InputRes video.Resolution
-	// ChunkFrames is the closed-GOP chunk length (150 frames ≈ 5 s at
-	// 30 FPS in §4.5).
-	ChunkFrames int
 	// JobsPerVCU is the requested parallel transcode process count per
 	// VCU; the design expects multiple processes to reach peak
 	// utilization (§3.3.2). The effective count is capped by device
@@ -55,13 +52,13 @@ type ThroughputResult struct {
 	ChunksCompleted  int64
 }
 
+// chunkFrames is the closed-GOP chunk length (150 frames ≈ 5 s at 30
+// FPS in §4.5).
+const chunkFrames = 150
+
 // chunkPixels returns input pixels per chunk.
 func (w Workload) chunkPixels() int64 {
-	frames := w.ChunkFrames
-	if frames <= 0 {
-		frames = 150
-	}
-	return int64(frames) * int64(w.InputRes.Pixels())
+	return chunkFrames * int64(w.InputRes.Pixels())
 }
 
 // outputLadder returns the encode sizes produced per chunk.
@@ -71,13 +68,9 @@ func (w Workload) outputLadder() []int64 {
 		// One output variant per task at the input resolution.
 		return []int64{in}
 	}
-	frames := w.ChunkFrames
-	if frames <= 0 {
-		frames = 150
-	}
 	var out []int64
 	for _, r := range video.LadderBelow(w.InputRes) {
-		out = append(out, int64(frames)*int64(r.Pixels()))
+		out = append(out, chunkFrames*int64(r.Pixels()))
 	}
 	return out
 }
