@@ -62,6 +62,9 @@ type frameShared struct {
 	// nbBuf backs intra neighbor gathers, so prediction allocates
 	// nothing per block.
 	nbBuf predict.NeighborBuf
+	// pred holds one leaf plane's prediction: the encoder's trials', then
+	// each plane's in turn as reconLeaf codes it.
+	pred []uint8
 }
 
 // newFrameShared builds the coding state of a tile coder for frames of
@@ -75,6 +78,7 @@ func newFrameShared(profile Profile, pw, ph, dispW, dispH int) *frameShared {
 		gw: gw, gh: gh,
 		mvGrid:  make([]motion.MV, gw*gh),
 		refGrid: make([]int8, gw*gh),
+		pred:    make([]uint8, profile.SuperblockSize()*profile.SuperblockSize()),
 	}
 }
 
@@ -247,6 +251,76 @@ func (fs *frameShared) predMV(x, y int) motion.MV {
 // neighboring tile may be encoding concurrently).
 func (fs *frameShared) gatherTileNeighbors(plane []uint8, w, h, x, y, n, tx0 int) predict.Neighbors {
 	return predict.GatherNeighborsBounded(plane, w, h, x, y, n, tx0, &fs.nbBuf)
+}
+
+// codeMode walks the mode syntax of the leaf at (x, y) through s, the one
+// definition the encoder's writer and rate and the decoder's reader
+// share, and returns the choice as coded: ch as the syntax carries it
+// when s writes or prices it, the stream's when s reads. A keyframe codes
+// the intra mode alone; an inter frame codes skip, then whether the block
+// is inter, then compound where compoundAvailable, the reference where
+// the profile has more than one, and the MV as a difference from predMV.
+// A skip takes LAST at predMV.
+func (fs *frameShared) codeMode(s entropy.Symbols, ch blockChoice, x, y int) blockChoice {
+	m := fs.model
+	if fs.keyframe {
+		return blockChoice{intraMode: predict.IntraMode(m.CodeIntraMode(s, int(ch.intraMode)))}
+	}
+	pred := fs.predMV(x, y)
+	if s.Bool(ch.skip, &m.Skip) {
+		return blockChoice{inter: true, skip: true, ref: RefLast, mv: pred}
+	}
+	if !s.Bool(ch.inter, &m.IsInter) {
+		return blockChoice{intraMode: predict.IntraMode(m.CodeIntraMode(s, int(ch.intraMode)))}
+	}
+	out := blockChoice{inter: true}
+	if fs.compoundAvailable() {
+		out.compound = s.Bool(ch.compound, &m.Compound)
+	}
+	if !out.compound && fs.profile.MaxRefs() > 1 {
+		out.ref = m.CodeRef(s, ch.ref)
+	}
+	d := ch.mv.Sub(pred)
+	dx, dy := m.CodeMVDiff(s, int32(d.X), int32(d.Y))
+	out.mv = motion.MV{X: pred.X + int16(dx), Y: pred.Y + int16(dy)}
+	return out
+}
+
+// residualCoder codes the residual of one plane of a leaf (class 0 luma,
+// 1 chroma; pred its s×s prediction; tx its transform size) and
+// reconstructs the plane through applyTxBlock: the encoder's quantizes
+// and writes the levels, the decoder's reads and dequantizes them.
+type residualCoder interface {
+	residual(p video.Plane, class int, recon []uint8, stride, x, y int, pred []uint8, s, tx int)
+}
+
+// reconLeaf reconstructs the leaf at (x, y) coded as ch, luma then the
+// two chroma planes, each plane the prediction where ch skips, else
+// through rc, and records ch in the context grids: the one leaf
+// reconstruction of encoder and decoder.
+func (fs *frameShared) reconLeaf(rc residualCoder, ch blockChoice, x, y, s int) {
+	for _, p := range [...]video.Plane{video.PlaneY, video.PlaneU, video.PlaneV} {
+		recon, stride, _ := fs.recon.PlaneData(p)
+		px, py, ps, tx, class := x, y, s, fs.lumaTx(s), 0
+		pred := fs.pred[:s*s]
+		if p == video.PlaneY {
+			fs.predictLuma(ch, x, y, s, pred)
+		} else {
+			px, py, ps, tx, class = x/2, y/2, s/2, fs.chromaTx(s), 1
+			pred = pred[:ps*ps]
+			fs.predictChromaPlane(ch, p, x, y, s, pred)
+		}
+		if ch.skip {
+			storeBlock(recon, stride, px, py, pred, ps)
+		} else {
+			rc.residual(p, class, recon, stride, px, py, pred, ps, tx)
+		}
+	}
+	if ch.inter {
+		fs.setGrid(x, y, s, ch.mv, int8(ch.ref))
+	} else {
+		fs.setGrid(x, y, s, motion.Zero, -1)
+	}
 }
 
 // setGrid records the decision for all grid cells covered by the block.

@@ -167,39 +167,48 @@ func TestDecodedFramesAreNotRecycled(t *testing.T) {
 // TestDecodeAllocsPerFrame holds the decoder's steady state: a decoder
 // that has seen the stream once decodes it again, keyframe first, with a
 // handful of allocations per frame (the returned frame, the tile list,
-// the tile closure, each fan-out's shared state) and none per block.
-// AllocsPerRun pins GOMAXPROCS to 1, where every fan-out runs inline, so
-// a second count reads the same decodes at GOMAXPROCS 2, where the
-// decoder's tiles and filter stripes start goroutines.
+// the tile closure, each fan-out's shared state, the restoration buffer)
+// and none per block. AllocsPerRun pins GOMAXPROCS to 1, where every
+// fan-out runs inline, so a second count reads the same decodes at
+// GOMAXPROCS 2, where the decoder's tiles and filter stripes start
+// goroutines. VP9-class deblocks; AV1-class also restores.
 func TestDecodeAllocsPerFrame(t *testing.T) {
 	frames := testSource(256, 144, 15, 8)
-	res := mustEncode(t, Config{Profile: VP9Class, Width: 256, Height: 144, Speed: 2, Hardware: true,
-		Workers: 1, RC: rc.Config{BaseQP: 32}}, frames)
-	dec := NewDecoder()
-	decodeAll := func() {
-		for _, p := range res.Packets {
-			if _, err := dec.Decode(p.Data); err != nil {
-				t.Fatal(err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		profile  Profile
+		hardware bool
+	}{{VP9Class, true}, {AV1Class, false}} {
+		res := mustEncode(t, Config{Profile: c.profile, Width: 256, Height: 144, Speed: 2,
+			Hardware: c.hardware, Workers: 1, RC: rc.Config{BaseQP: 32}}, frames)
+		dec := NewDecoder()
+		decodeAll := func() {
+			for _, p := range res.Packets {
+				if _, err := dec.Decode(p.Data); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	decodeAll()
-	perFrame := testing.AllocsPerRun(5, decodeAll) / float64(len(res.Packets))
-	if perFrame > 16 {
-		t.Fatalf("%.1f allocations per decoded frame, want at most 16", perFrame)
-	}
-
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	decodeAll()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const runs = 5
-	for range runs {
 		decodeAll()
-	}
-	runtime.ReadMemStats(&after)
-	perFrame = float64(after.Mallocs-before.Mallocs) / float64(runs*len(res.Packets))
-	if perFrame > 16 {
-		t.Fatalf("%.1f allocations per decoded frame at GOMAXPROCS 2, want at most 16", perFrame)
+		perFrame := testing.AllocsPerRun(5, decodeAll) / float64(len(res.Packets))
+		t.Logf("%v: %.1f allocations per decoded frame", c.profile, perFrame)
+		if perFrame > 16 {
+			t.Fatalf("%v: %.1f allocations per decoded frame, want at most 16", c.profile, perFrame)
+		}
+
+		runtime.GOMAXPROCS(2)
+		decodeAll()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 5
+		for range runs {
+			decodeAll()
+		}
+		runtime.ReadMemStats(&after)
+		perFrame = float64(after.Mallocs-before.Mallocs) / float64(runs*len(res.Packets))
+		t.Logf("%v: %.1f allocations per decoded frame at GOMAXPROCS 2", c.profile, perFrame)
+		if perFrame > 16 {
+			t.Fatalf("%v: %.1f allocations per decoded frame at GOMAXPROCS 2, want at most 16", c.profile, perFrame)
+		}
 	}
 }

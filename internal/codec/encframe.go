@@ -26,12 +26,13 @@ type encFrame struct {
 	// the same for the half-sample planes.
 	refPyr [numRefSlots]*motion.Pyramid
 
+	// rate prices a candidate's mode syntax (modeRate).
+	rate entropy.Rate
+
 	// Trial/commit scratch, reused across every candidate evaluation in
-	// this tile (one goroutine). predBuf/cpredBuf hold leaf predictions;
-	// the int32 buffers hold one transform block each; zeroBuf stays
+	// this tile (one goroutine); frameShared.pred holds leaf predictions.
+	// The int32 buffers hold one transform block each; zeroBuf stays
 	// all-zero for whole-block-skip cost probes.
-	predBuf  []uint8
-	cpredBuf []uint8
 	reconBlk []uint8
 	scanBuf  []int32
 	origBuf  []int32
@@ -57,8 +58,6 @@ func allocEncFrame(e *Encoder) *encFrame {
 	fc.frameShared = newFrameShared(e.cfg.Profile, e.pw, e.ph, e.cfg.Width, e.cfg.Height)
 	sb := e.cfg.Profile.SuperblockSize()
 	tx := e.cfg.Profile.MaxTransform()
-	fc.predBuf = make([]uint8, sb*sb)
-	fc.cpredBuf = make([]uint8, (sb/2)*(sb/2))
 	fc.reconBlk = make([]uint8, tx*tx)
 	fc.scanBuf = make([]int32, tx*tx)
 	fc.origBuf = make([]int32, tx*tx)
@@ -201,7 +200,7 @@ func (fc *encFrame) commitTree(x, y, s, depth int, t partTree) {
 		return
 	}
 	if s > fc.profile.MinPartition() {
-		fc.model.WriteSplit(fc.w, depth, t.split)
+		fc.model.CodeSplit(entropy.Writer{E: fc.w}, depth, t.split)
 	}
 	if t.split {
 		fc.commitKids(x, y, s, depth, t.kids)
@@ -301,27 +300,9 @@ func (fc *encFrame) bestChoice(x, y, s int) (blockChoice, float64) {
 // modeRate returns the syntax cost (1/256 bits) of coding the choice's
 // mode decision, excluding coefficients.
 func (fc *encFrame) modeRate(ch blockChoice, x, y int) uint32 {
-	m := fc.model
-	if fc.keyframe {
-		return m.IntraModeCost(int(ch.intraMode))
-	}
-	if ch.skip {
-		return m.SkipCost(true)
-	}
-	r := m.SkipCost(false) + m.IsInterCost(ch.inter)
-	if ch.inter {
-		if fc.compoundAvailable() {
-			r += m.CompoundCost(ch.compound)
-		}
-		if !ch.compound && fc.profile.MaxRefs() > 1 {
-			r += m.RefCost(ch.ref)
-		}
-		d := ch.mv.Sub(fc.predMV(x, y))
-		r += m.MVDiffCost(int32(d.X), int32(d.Y))
-	} else {
-		r += m.IntraModeCost(int(ch.intraMode))
-	}
-	return r
+	fc.rate.N = 0
+	fc.codeMode(&fc.rate, ch, x, y)
+	return fc.rate.N
 }
 
 // rdCost is the cost the search minimizes. Both terms only grow as a
@@ -342,7 +323,7 @@ func (fc *encFrame) evalChoice(x, y, s int, ch blockChoice, lost float64) float6
 	if c := fc.rdCost(0, rate); c >= lost {
 		return c
 	}
-	pred := fc.predBuf[:s*s]
+	pred := fc.pred[:s*s]
 	fc.predictLuma(ch, x, y, s, pred)
 	if ch.skip {
 		return fc.rdCost(sseRegion(fc.src.Y, fc.pw, x, y, pred, s), rate)
@@ -479,84 +460,27 @@ func (fc *encFrame) buildResidual(src []uint8, stride, sx, sy int,
 // --- commit -----------------------------------------------------------------
 
 // commitLeaf writes the chosen leaf's syntax and coefficients and updates
-// the reconstruction and context grids. It recomputes prediction and
-// residuals against the committed neighborhood so the bitstream decodes to
-// exactly the reconstruction stored here.
+// the reconstruction and context grids. It reconstructs the choice as
+// coded (a skip at the commit-time MV prediction) and recomputes
+// prediction and residuals against the committed neighborhood, so the
+// bitstream decodes to exactly the reconstruction stored here.
 func (fc *encFrame) commitLeaf(x, y, s int, ch blockChoice) {
-	m := fc.model
-	if ch.skip {
-		ch.mv = fc.predMV(x, y) // commit-time prediction
-	}
-	// Syntax.
-	if fc.keyframe {
-		m.WriteIntraMode(fc.w, int(ch.intraMode))
-	} else {
-		m.WriteSkip(fc.w, ch.skip)
-		if !ch.skip {
-			m.WriteIsInter(fc.w, ch.inter)
-			if ch.inter {
-				if fc.compoundAvailable() {
-					m.WriteCompound(fc.w, ch.compound)
-				}
-				if !ch.compound && fc.profile.MaxRefs() > 1 {
-					m.WriteRef(fc.w, ch.ref)
-				}
-				d := ch.mv.Sub(fc.predMV(x, y))
-				m.WriteMVDiff(fc.w, int32(d.X), int32(d.Y))
-			} else {
-				m.WriteIntraMode(fc.w, int(ch.intraMode))
-			}
-		}
-	}
-
-	// Luma.
-	pred := fc.predBuf[:s*s]
-	fc.predictLuma(ch, x, y, s, pred)
-	if ch.skip {
-		storeBlock(fc.recon.Y, fc.pw, x, y, pred, s)
-	} else {
-		fc.commitPlaneResidual(fc.src.Y, fc.recon.Y, fc.pw, x, y, pred, s, fc.lumaTx(s), 0)
-	}
-
-	// Chroma.
-	cs := s / 2
-	cw, _ := video.ChromaDims(fc.pw, fc.ph)
-	cpred := fc.cpredBuf[:cs*cs]
-	for _, plane := range []video.Plane{video.PlaneU, video.PlaneV} {
-		fc.predictChromaPlane(ch, plane, x, y, s, cpred)
-		var srcPlane, reconPlane []uint8
-		if plane == video.PlaneU {
-			srcPlane, reconPlane = fc.src.U, fc.recon.U
-		} else {
-			srcPlane, reconPlane = fc.src.V, fc.recon.V
-		}
-		if ch.skip {
-			storeBlock(reconPlane, cw, x/2, y/2, cpred, cs)
-		} else {
-			fc.commitPlaneResidual(srcPlane, reconPlane, cw, x/2, y/2, cpred, cs, fc.chromaTx(s), 1)
-		}
-	}
-
-	// Context grid.
-	if ch.inter {
-		fc.setGrid(x, y, s, ch.mv, int8(ch.ref))
-	} else {
-		fc.setGrid(x, y, s, motion.Zero, -1)
-	}
+	fc.reconLeaf(fc, fc.codeMode(entropy.Writer{E: fc.w}, ch, x, y), x, y, s)
 }
 
-// commitPlaneResidual transforms, quantizes, entropy-codes and
-// reconstructs all tx blocks of one plane of a leaf.
-func (fc *encFrame) commitPlaneResidual(src, recon []uint8, stride, x, y int,
-	pred []uint8, s, tx, planeClass int) {
+// residual transforms, quantizes, entropy-codes and reconstructs all tx
+// blocks of one plane of a leaf.
+func (fc *encFrame) residual(p video.Plane, class int, recon []uint8, stride, x, y int,
+	pred []uint8, s, tx int) {
+	src, _, _ := fc.src.PlaneData(p)
 	scanned := fc.scanBuf[:tx*tx]
 	orig := fc.origBuf[:tx*tx]
 	resid := fc.residBuf[:tx*tx]
 	for by := 0; by < s; by += tx {
 		for bx := 0; bx < s; bx += tx {
 			fc.buildResidual(src, stride, x+bx, y+by, pred, s, bx, by, resid, tx)
-			last := fc.quantizeScan(resid, tx, planeClass, scanned, orig)
-			fc.model.WriteCoeffs(fc.w, planeClass, scanned, tx)
+			last := fc.quantizeScan(resid, tx, class, scanned, orig)
+			fc.model.WriteCoeffs(fc.w, class, scanned, tx)
 			applyTxBlock(scanned, last, tx, fc.qp, resid, pred, s, by*s+bx, recon, stride, x+bx, y+by)
 		}
 	}

@@ -6,10 +6,12 @@
 // adaptation ("per-frame probability adaptation") for the VP9-class
 // profile and static contexts for the H.264-class profile.
 //
-// Every Write* method has a matching Read* that consumes exactly the same
-// booleans and performs identical context updates, and a *Cost companion
-// that estimates the bit cost without mutating any context (used by the
-// RDO engine).
+// The partition and block-mode syntax is written once per element, as a
+// Code* function over Symbols: Writer codes it, Reader decodes it with
+// identical context updates, and Rate prices it without mutating any
+// context (the RDO engine's rate term). The coefficients keep their
+// concrete WriteCoeffs, ReadCoeffs and CoeffCost, and SplitCost is the
+// partition search's pure query.
 package entropy
 
 import "openvcu/internal/bits"

@@ -6,16 +6,46 @@ import (
 	"openvcu/internal/bits"
 )
 
-// --- partition tree -------------------------------------------------------
+// --- the symbol walk ------------------------------------------------------
 
-// WriteSplit codes a partition-split decision at the given tree depth.
-func (m *Model) WriteSplit(e *bits.Encoder, depth int, split bool) {
-	e.PutAdaptive(split, &m.Split[clampDepth(depth)])
+// Symbols is one way to walk the block-mode syntax: a Code* function
+// passes each symbol's value in and codes the one returned, so the same
+// function writes, reads or prices the syntax by the Symbols it is given.
+// Values go in and out, never pointers: a pointer to the caller's
+// variable would make it escape at every call.
+type Symbols interface {
+	// Bool codes v under the context a and returns the value coded.
+	Bool(v bool, a *bits.AdaptiveProb) bool
+	// UE codes v as an unsigned Exp-Golomb code and returns the value
+	// coded.
+	UE(v uint32) uint32
 }
 
-// ReadSplit decodes a partition-split decision.
-func (m *Model) ReadSplit(d *bits.Decoder, depth int) bool {
-	return d.GetAdaptive(&m.Split[clampDepth(depth)])
+// Writer writes each symbol to E and returns it, adapting the contexts.
+type Writer struct{ E *bits.Encoder }
+
+func (w Writer) Bool(v bool, a *bits.AdaptiveProb) bool { w.E.PutAdaptive(v, a); return v }
+func (w Writer) UE(v uint32) uint32                     { w.E.PutUE(v); return v }
+
+// Reader ignores each value passed in and returns the one decoded from
+// D, adapting the contexts exactly as Writer does.
+type Reader struct{ D *bits.Decoder }
+
+func (r Reader) Bool(_ bool, a *bits.AdaptiveProb) bool { return r.D.GetAdaptive(a) }
+func (r Reader) UE(uint32) uint32                       { return r.D.GetUE() }
+
+// Rate adds each symbol's estimated cost (1/256-bit units) to N and
+// returns it, touching no context — the RDO rate term.
+type Rate struct{ N uint32 }
+
+func (r *Rate) Bool(v bool, a *bits.AdaptiveProb) bool { r.N += bits.BoolCost(v, a.P); return v }
+func (r *Rate) UE(v uint32) uint32                     { r.N += bits.UECost(v); return v }
+
+// --- partition tree -------------------------------------------------------
+
+// CodeSplit codes a partition-split decision at the given tree depth.
+func (m *Model) CodeSplit(s Symbols, depth int, split bool) bool {
+	return s.Bool(split, &m.Split[clampDepth(depth)])
 }
 
 // SplitCost estimates the cost of a split decision in 1/256-bit units.
@@ -35,152 +65,53 @@ func clampDepth(d int) int {
 
 // --- block mode syntax ----------------------------------------------------
 
-// WriteSkip codes the skip flag (inter prediction with no residual).
-func (m *Model) WriteSkip(e *bits.Encoder, skip bool) { e.PutAdaptive(skip, &m.Skip) }
-
-// ReadSkip decodes the skip flag.
-func (m *Model) ReadSkip(d *bits.Decoder) bool { return d.GetAdaptive(&m.Skip) }
-
-// SkipCost estimates the skip flag cost.
-func (m *Model) SkipCost(skip bool) uint32 { return bits.BoolCost(skip, m.Skip.P) }
-
-// WriteIsInter codes whether the block is inter-predicted.
-func (m *Model) WriteIsInter(e *bits.Encoder, inter bool) { e.PutAdaptive(inter, &m.IsInter) }
-
-// ReadIsInter decodes the inter flag.
-func (m *Model) ReadIsInter(d *bits.Decoder) bool { return d.GetAdaptive(&m.IsInter) }
-
-// IsInterCost estimates the inter flag cost.
-func (m *Model) IsInterCost(inter bool) uint32 { return bits.BoolCost(inter, m.IsInter.P) }
-
-// WriteIntraMode codes one of four intra modes with a two-level tree.
-func (m *Model) WriteIntraMode(e *bits.Encoder, mode int) {
-	hi := mode >= 2
-	e.PutAdaptive(hi, &m.IntraMode[0])
-	if hi {
-		e.PutAdaptive(mode == 3, &m.IntraMode[2])
-	} else {
-		e.PutAdaptive(mode == 1, &m.IntraMode[1])
-	}
-}
-
-// ReadIntraMode decodes an intra mode.
-func (m *Model) ReadIntraMode(d *bits.Decoder) int {
-	if d.GetAdaptive(&m.IntraMode[0]) {
-		if d.GetAdaptive(&m.IntraMode[2]) {
+// CodeIntraMode codes one of four intra modes with a two-level tree.
+func (m *Model) CodeIntraMode(s Symbols, mode int) int {
+	if s.Bool(mode >= 2, &m.IntraMode[0]) {
+		if s.Bool(mode == 3, &m.IntraMode[2]) {
 			return 3
 		}
 		return 2
 	}
-	if d.GetAdaptive(&m.IntraMode[1]) {
+	if s.Bool(mode == 1, &m.IntraMode[1]) {
 		return 1
 	}
 	return 0
 }
 
-// IntraModeCost estimates the cost of coding an intra mode.
-func (m *Model) IntraModeCost(mode int) uint32 {
-	hi := mode >= 2
-	c := bits.BoolCost(hi, m.IntraMode[0].P)
-	if hi {
-		c += bits.BoolCost(mode == 3, m.IntraMode[2].P)
-	} else {
-		c += bits.BoolCost(mode == 1, m.IntraMode[1].P)
-	}
-	return c
-}
-
-// WriteRef codes a reference slot index in [0, 2].
-func (m *Model) WriteRef(e *bits.Encoder, ref int) {
-	e.PutAdaptive(ref != 0, &m.RefNonZero)
-	if ref != 0 {
-		e.PutAdaptive(ref == 2, &m.RefIsTwo)
-	}
-}
-
-// ReadRef decodes a reference slot index.
-func (m *Model) ReadRef(d *bits.Decoder) int {
-	if !d.GetAdaptive(&m.RefNonZero) {
+// CodeRef codes a reference slot index in [0, 2].
+func (m *Model) CodeRef(s Symbols, ref int) int {
+	if !s.Bool(ref != 0, &m.RefNonZero) {
 		return 0
 	}
-	if d.GetAdaptive(&m.RefIsTwo) {
+	if s.Bool(ref == 2, &m.RefIsTwo) {
 		return 2
 	}
 	return 1
 }
 
-// RefCost estimates reference index cost.
-func (m *Model) RefCost(ref int) uint32 {
-	c := bits.BoolCost(ref != 0, m.RefNonZero.P)
-	if ref != 0 {
-		c += bits.BoolCost(ref == 2, m.RefIsTwo.P)
-	}
-	return c
-}
-
-// WriteCompound codes whether the block uses compound (two-reference)
-// prediction.
-func (m *Model) WriteCompound(e *bits.Encoder, comp bool) { e.PutAdaptive(comp, &m.Compound) }
-
-// ReadCompound decodes the compound flag.
-func (m *Model) ReadCompound(d *bits.Decoder) bool { return d.GetAdaptive(&m.Compound) }
-
-// CompoundCost estimates the compound flag cost.
-func (m *Model) CompoundCost(comp bool) uint32 { return bits.BoolCost(comp, m.Compound.P) }
-
 // --- motion vectors -------------------------------------------------------
 
-// WriteMVDiff codes a motion vector as a difference from its prediction,
+// CodeMVDiff codes a motion vector as a difference from its prediction,
 // one component at a time: a zero flag, then sign and magnitude.
-func (m *Model) WriteMVDiff(e *bits.Encoder, dx, dy int32) {
-	for c, v := range [2]int32{dx, dy} {
-		zero := v == 0
-		e.PutAdaptive(zero, &m.MVZero[c])
-		if zero {
+func (m *Model) CodeMVDiff(s Symbols, dx, dy int32) (int32, int32) {
+	d := [2]int32{dx, dy}
+	for c, v := range d {
+		if s.Bool(v == 0, &m.MVZero[c]) {
+			d[c] = 0
 			continue
 		}
-		neg := v < 0
-		e.PutAdaptive(neg, &m.MVSign[c])
-		if neg {
-			v = -v
-		}
-		e.PutUE(uint32(v - 1))
-	}
-}
-
-// ReadMVDiff decodes a motion vector difference.
-func (m *Model) ReadMVDiff(d *bits.Decoder) (dx, dy int32) {
-	out := [2]int32{}
-	for c := 0; c < 2; c++ {
-		if d.GetAdaptive(&m.MVZero[c]) {
-			continue
-		}
-		neg := d.GetAdaptive(&m.MVSign[c])
-		v := int32(d.GetUE()) + 1
-		if neg {
-			v = -v
-		}
-		out[c] = v
-	}
-	return out[0], out[1]
-}
-
-// MVDiffCost estimates the cost of coding an MV difference.
-func (m *Model) MVDiffCost(dx, dy int32) uint32 {
-	var cost uint32
-	for c, v := range [2]int32{dx, dy} {
-		zero := v == 0
-		cost += bits.BoolCost(zero, m.MVZero[c].P)
-		if zero {
-			continue
-		}
-		cost += bits.BoolCost(v < 0, m.MVSign[c].P)
+		neg := s.Bool(v < 0, &m.MVSign[c])
 		if v < 0 {
 			v = -v
 		}
-		cost += bits.UECost(uint32(v - 1))
+		v = int32(s.UE(uint32(v-1))) + 1
+		if neg {
+			v = -v
+		}
+		d[c] = v
 	}
-	return cost
+	return d[0], d[1]
 }
 
 // --- transform coefficients -------------------------------------------------

@@ -1,8 +1,8 @@
 package filter
 
 // The in-loop filters, as the encoder and the decoder run them. Each pass
-// (vertical edges, then horizontal; smooth, then blend; smooth, then the
-// SSE scans) is one par.Do over row stripes of memory-disjoint output,
+// (vertical edges, then horizontal; restoration; smooth, then the SSE
+// scans) is one par.Do over row stripes of memory-disjoint output,
 // and par.Do returning is the barrier between passes, so every worker
 // count produces the same bytes; the tests hold each filter to a plain
 // per-plane reference. A stripe is worked out from its index alone; with
@@ -100,10 +100,12 @@ func DeblockParallel(f *video.Frame, blockSize, strength, workers int) {
 	})
 }
 
-// boxSmoothRange writes the 3x3 box filter of rows [y0, y1) of pix into
-// the same rows of dst (edge-clamped reads may touch rows y0-1/y1, but
-// all writes stay inside the stripe, so stripes parallelize).
-func boxSmoothRange(dst, pix []uint8, w, h, y0, y1 int) {
+// restoreRange writes rows [y0, y1) of pix restored at weight wgt into
+// the same rows of dst: ((8-wgt)*pix + wgt*smooth + 4) / 8, smooth the
+// 3x3 box filter (edge-clamped), so wgt 8 writes the smooth itself.
+// Reads may touch rows y0-1/y1 of pix, but each pixel of dst is written
+// once, from pix alone, so stripes over a dst apart from pix parallelize.
+func restoreRange(dst, pix []uint8, w, h, y0, y1 int, wgt int32) {
 	for y := y0; y < y1; y++ {
 		for x := 0; x < w; x++ {
 			var sum int32
@@ -126,7 +128,8 @@ func boxSmoothRange(dst, pix []uint8, w, h, y0, y1 int) {
 					sum += int32(pix[sy*w+sx])
 				}
 			}
-			dst[y*w+x] = uint8((sum + 4) / 9)
+			smooth := (sum + 4) / 9
+			dst[y*w+x] = uint8((int32(pix[y*w+x])*(8-wgt) + smooth*wgt + 4) >> 3)
 		}
 	}
 }
@@ -134,31 +137,26 @@ func boxSmoothRange(dst, pix []uint8, w, h, y0, y1 int) {
 // RestoreParallel applies loop restoration with the given weight index in
 // place: pix = ((8-w)*pix + w*smooth(pix)) / 8, w = RestorationWeights
 // of the index, and weight 0 is the identity. This is the AV1-class "loop
-// restoration" stage, run after deblocking. The smooth and blend passes
-// are each striped over all three planes and at most workers goroutines;
-// the smoothed planes sit back to back in one buffer, so every plane is
-// smoothed from its unrestored pixels whatever the worker count.
+// restoration" stage, run after deblocking. One pass, striped over all
+// three planes and at most workers goroutines, writes the restored planes
+// back to back into a side buffer, so every stripe smooths from
+// unrestored pixels whatever the worker count; the planes are then copied
+// back.
 func RestoreParallel(f *video.Frame, weightIdx, workers int) {
 	w := RestorationWeights[weightIdx&3]
 	if w == 0 {
 		return
 	}
-	smooth := make([]uint8, len(f.Y)+len(f.U)+len(f.V))
-	n := frameStripes(f)
-	stripes(n, workers, func(k int) error {
+	restored := make([]uint8, len(f.Y)+len(f.U)+len(f.V))
+	stripes(frameStripes(f), workers, func(k int) error {
 		p, off, y0, y1 := stripe(f, 0, k)
-		boxSmoothRange(smooth[off:off+len(p.pix)], p.pix, p.w, p.h, y0, y1)
+		restoreRange(restored[off:off+len(p.pix)], p.pix, p.w, p.h, y0, y1, w)
 		return nil
 	})
-	// pix = ((8-w)*pix + w*smooth) / 8
-	stripes(n, workers, func(k int) error {
-		p, off, y0, y1 := stripe(f, 0, k)
-		sm := smooth[off:]
-		for i := y0 * p.w; i < y1*p.w; i++ {
-			p.pix[i] = uint8((int32(p.pix[i])*(8-w) + int32(sm[i])*w + 4) >> 3)
-		}
-		return nil
-	})
+	off := 0
+	for _, p := range [...][]uint8{f.Y, f.U, f.V} {
+		off += copy(p, restored[off:])
+	}
 }
 
 // BestRestorationWeightParallel picks the weight index minimizing luma
@@ -173,7 +171,7 @@ func BestRestorationWeightParallel(recon, src *video.Frame, workers int) int {
 	smooth := make([]uint8, len(recon.Y))
 	stripes(nStripes, workers, func(k int) error {
 		y0 := k * deblockStripeRows
-		boxSmoothRange(smooth, recon.Y, w, h, y0, minInt(y0+deblockStripeRows, h))
+		restoreRange(smooth, recon.Y, w, h, y0, minInt(y0+deblockStripeRows, h), 8)
 		return nil
 	})
 

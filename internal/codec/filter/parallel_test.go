@@ -41,7 +41,17 @@ func restoreRef(f *video.Frame, weightIdx int) {
 // boxSmoothRef returns the 3x3 box filter of a whole plane (edge-clamped).
 func boxSmoothRef(pix []uint8, w, h int) []uint8 {
 	out := make([]uint8, len(pix))
-	boxSmoothRange(out, pix, w, h, 0, h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			var sum int32
+			for sy := y - 1; sy <= y+1; sy++ {
+				for sx := x - 1; sx <= x+1; sx++ {
+					sum += int32(pix[min(max(sy, 0), h-1)*w+min(max(sx, 0), w-1)])
+				}
+			}
+			out[y*w+x] = uint8((sum + 4) / 9)
+		}
+	}
 	return out
 }
 
