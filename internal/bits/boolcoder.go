@@ -8,6 +8,8 @@
 // through an Encoder, and the Decoder consumes it symmetrically.
 package bits
 
+import "encoding/binary"
+
 // Prob is a probability that a boolean is false (zero), expressed in
 // 1/256ths. A Prob of 128 means equiprobable. Valid range is [1, 255].
 type Prob = uint8
@@ -101,14 +103,22 @@ func (e *Encoder) Bytes() []byte {
 	return e.buf
 }
 
-// Decoder is the matching binary range decoder.
+// Decoder is the matching binary range decoder. It holds the bit-serial
+// decoder's 32-bit value in the top half of a 64-bit window and the
+// stream bytes that follow below it, so a boolean renormalizes with one
+// table lookup and one shift, and bytes are loaded only when the window
+// runs low. The top 16 bits are zero on a valid stream; on a corrupt one
+// they carry what the bit-serial value carried, so both decoders return
+// the same symbols on any input.
 type Decoder struct {
-	in       []byte
-	pos      int
-	value    uint32 // 16-bit sliding window over the bitstream
-	rng      uint32
-	bitCount int
-	overrun  bool
+	in  []byte
+	pos int    // bytes loaded into win, counting zeros read past the end
+	win uint64 // bit-serial value << 32 | the stream bytes after it
+	// bits is the number of valid bits at the top of win, the 16 above
+	// the stream included. The bits below them are zero or the leading
+	// bits of in[pos], which the next load ORs in again at the same place.
+	bits int
+	rng  uint32
 }
 
 // NewDecoder returns a Decoder reading from data. The Decoder does not
@@ -121,43 +131,58 @@ func NewDecoder(data []byte) *Decoder {
 
 // Reset re-points d at data, leaving it as NewDecoder(data) would.
 func (d *Decoder) Reset(data []byte) {
-	*d = Decoder{in: data, rng: 255}
-	d.value = uint32(d.nextByte())<<8 | uint32(d.nextByte())
+	*d = Decoder{in: data, bits: 16, rng: 255}
 }
 
-func (d *Decoder) nextByte() byte {
-	if d.pos >= len(d.in) {
-		// Reading past the end yields zero bits; record the overrun so
-		// corrupt streams are detectable.
-		d.overrun = true
-		return 0
+// normShift[r] is the left shift that brings a range r in [1, 255] back
+// to [128, 255].
+var normShift = func() (t [256]uint8) {
+	for r := 1; r < 256; r++ {
+		for v := r; v < 128; v <<= 1 {
+			t[r]++
+		}
 	}
-	b := d.in[d.pos]
-	d.pos++
-	return b
+	return
+}()
+
+// fill loads bytes below the valid bits of the window until at most
+// seven bits are left free. Past the end of the input it loads zeros,
+// as the bit-serial decoder reads zero bytes there.
+func (d *Decoder) fill() {
+	if d.pos+8 <= len(d.in) {
+		d.win |= binary.BigEndian.Uint64(d.in[d.pos:]) >> uint(d.bits)
+		n := (64 - d.bits) >> 3
+		d.pos += n
+		d.bits += n << 3
+		return
+	}
+	for ; d.bits <= 56; d.bits += 8 {
+		if d.pos < len(d.in) {
+			d.win |= uint64(d.in[d.pos]) << uint(56-d.bits)
+		}
+		d.pos++
+	}
 }
 
 // GetBool decodes one boolean that was encoded with probability p.
 func (d *Decoder) GetBool(p Prob) bool {
 	split := 1 + ((d.rng-1)*uint32(p))>>8
-	bigSplit := split << 8
-	var ret bool
-	if d.value >= bigSplit {
-		ret = true
+	// The comparison reads the value's bits 8..31: the top 24 of win.
+	if d.bits < 24 {
+		d.fill()
+	}
+	big := uint64(split) << 40
+	ret := d.win >= big
+	if ret {
 		d.rng -= split
-		d.value -= bigSplit
+		d.win -= big
 	} else {
 		d.rng = split
 	}
-	for d.rng < 128 {
-		d.value <<= 1
-		d.rng <<= 1
-		d.bitCount++
-		if d.bitCount == 8 {
-			d.bitCount = 0
-			d.value |= uint32(d.nextByte())
-		}
-	}
+	s := normShift[uint8(d.rng)]
+	d.rng <<= s
+	d.win <<= s
+	d.bits -= int(s)
 	return ret
 }
 
@@ -181,5 +206,8 @@ func (d *Decoder) GetLiteral(n int) uint32 {
 // Overrun reports whether the decoder has consumed past the end of its
 // input, which indicates a truncated or corrupt bitstream. Valid streams
 // end with four flush bytes, so a decoder that reads exactly the symbols
-// that were encoded never overruns.
-func (d *Decoder) Overrun() bool { return d.overrun }
+// that were encoded never overruns. The bytes consumed are those a
+// bit-serial decoder would have taken: two to start, then one per eight
+// renormalizing shifts; 8·pos − (bits − 16) is the number of shifts so
+// far.
+func (d *Decoder) Overrun() bool { return 2+(8*d.pos-d.bits+16)/8 > len(d.in) }

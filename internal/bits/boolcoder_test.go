@@ -1,6 +1,7 @@
 package bits
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -232,6 +233,171 @@ func TestCarryPropagation(t *testing.T) {
 		}
 		if d.GetBool(254) != (i%23 == 0) {
 			t.Fatalf("carry corruption at %d (b)", i)
+		}
+	}
+}
+
+// serialDecoder is the bit-serial range decoder the windowed Decoder
+// replaced: a 16-bit value, one renormalizing shift at a time, a byte
+// read every eight shifts. It is the reference the Decoder is held to.
+type serialDecoder struct {
+	in       []byte
+	pos      int
+	value    uint32
+	rng      uint32
+	bitCount int
+	overrun  bool
+}
+
+func newSerialDecoder(data []byte) *serialDecoder {
+	d := &serialDecoder{in: data, rng: 255}
+	d.value = uint32(d.nextByte())<<8 | uint32(d.nextByte())
+	return d
+}
+
+func (d *serialDecoder) nextByte() byte {
+	if d.pos >= len(d.in) {
+		d.overrun = true
+		return 0
+	}
+	b := d.in[d.pos]
+	d.pos++
+	return b
+}
+
+func (d *serialDecoder) GetBool(p Prob) bool {
+	split := 1 + ((d.rng-1)*uint32(p))>>8
+	bigSplit := split << 8
+	var ret bool
+	if d.value >= bigSplit {
+		ret = true
+		d.rng -= split
+		d.value -= bigSplit
+	} else {
+		d.rng = split
+	}
+	for d.rng < 128 {
+		d.value <<= 1
+		d.rng <<= 1
+		d.bitCount++
+		if d.bitCount == 8 {
+			d.bitCount = 0
+			d.value |= uint32(d.nextByte())
+		}
+	}
+	return ret
+}
+
+// matchSerial decodes one boolean per entry of probs (each byte mapped
+// into [1, 255]) from every prefix of data with the Decoder and the
+// bit-serial reference, and reports the first symbol or Overrun that
+// differs.
+func matchSerial(data, probs []byte) error {
+	for l := 0; l <= len(data); l++ {
+		in := data[:l]
+		d, ref := NewDecoder(in), newSerialDecoder(in)
+		for i, b := range probs {
+			p := Prob(1 + b%255)
+			got, want := d.GetBool(p), ref.GetBool(p)
+			if got != want {
+				return fmt.Errorf("prefix %d symbol %d at p=%d: got %v, want %v", l, i, p, got, want)
+			}
+			if d.Overrun() != ref.overrun {
+				return fmt.Errorf("prefix %d after symbol %d: Overrun %v, want %v", l, i, d.Overrun(), ref.overrun)
+			}
+		}
+	}
+	return nil
+}
+
+// TestBoolDecoderMatchesBitSerial holds the windowed decoder to the
+// bit-serial one on real streams at extreme and random probabilities,
+// every prefix of each, and on random bytes.
+func TestBoolDecoderMatchesBitSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(400)
+		probs := make([]byte, n)
+		e := NewEncoder()
+		for i := range probs {
+			switch trial % 4 {
+			case 0:
+				probs[i] = 0 // p = 1
+			case 1:
+				probs[i] = 254 // p = 255
+			default:
+				probs[i] = byte(rng.Intn(256))
+			}
+			e.PutBool(rng.Intn(2) == 1, Prob(1+probs[i]%255))
+		}
+		data := e.Bytes()
+		switch trial % 8 {
+		case 3: // value above the range from the first byte on
+			for i := range data {
+				data[i] = 0xff
+			}
+		case 7:
+			rng.Read(data)
+		}
+		// Decode past the symbols written, into the overrun.
+		probs = append(probs, probs...)
+		if err := matchSerial(data, probs); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}
+
+// FuzzBoolDecoderMatchesBitSerial: on arbitrary bytes and probabilities
+// the windowed decoder returns the bit-serial decoder's symbols and
+// Overrun, at every prefix length of the input.
+func FuzzBoolDecoderMatchesBitSerial(f *testing.F) {
+	f.Add([]byte{}, []byte{0})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{0, 254, 127, 0, 0, 0, 0, 0})
+	f.Add([]byte{0x80, 0x01, 0x7f, 0xfe, 0x00, 0x55, 0xaa, 0x12, 0x34, 0x56, 0x78}, []byte{3, 200, 99, 1, 254, 128, 7, 7, 7, 7, 7, 7})
+	f.Fuzz(func(t *testing.T, data, probs []byte) {
+		if len(data) > 256 {
+			data = data[:256]
+		}
+		if len(probs) > 512 {
+			probs = probs[:512]
+		}
+		if err := matchSerial(data, probs); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// boolBench is a stream of 200k booleans at random probabilities, with
+// those probabilities.
+func boolBench() ([]byte, []Prob) {
+	rng := rand.New(rand.NewSource(9))
+	probs := make([]Prob, 200000)
+	e := NewEncoder()
+	for i := range probs {
+		probs[i] = Prob(1 + rng.Intn(255))
+		e.PutBool(rng.Intn(256) >= int(probs[i]), probs[i])
+	}
+	return e.Bytes(), probs
+}
+
+// BenchmarkBoolDecode times the windowed decoder over boolBench's
+// stream; BenchmarkBoolDecodeBitSerial the reference over the same.
+func BenchmarkBoolDecode(b *testing.B) {
+	data, probs := boolBench()
+	for i := 0; i < b.N; i++ {
+		d := NewDecoder(data)
+		for _, p := range probs {
+			d.GetBool(p)
+		}
+	}
+}
+
+func BenchmarkBoolDecodeBitSerial(b *testing.B) {
+	data, probs := boolBench()
+	for i := 0; i < b.N; i++ {
+		d := newSerialDecoder(data)
+		for _, p := range probs {
+			d.GetBool(p)
 		}
 	}
 }
