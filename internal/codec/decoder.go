@@ -221,14 +221,11 @@ func (df *decFrame) decodeTree(x, y, s, depth int) error {
 
 func (df *decFrame) decodeLeaf(x, y, s int) error {
 	ch := df.codeMode(entropy.Reader{D: df.d}, blockChoice{}, x, y)
-	if ch.inter {
-		if ch.compound {
-			if !df.refValid[RefLast] || !df.refValid[RefGolden] {
-				return fmt.Errorf("codec: compound prediction with invalid references")
-			}
-		} else if !df.refValid[ch.ref] {
-			return fmt.Errorf("codec: reference slot %d not valid", ch.ref)
-		}
+	// A compound block's references need no check: codeMode reads the
+	// flag only where compoundAvailable holds
+	// (TestCodeModeReadsCompoundOnlyWithBothRefs).
+	if ch.inter && !ch.compound && !df.refValid[ch.ref] {
+		return fmt.Errorf("codec: reference slot %d not valid", ch.ref)
 	}
 	df.reconLeaf(df, ch, x, y, s)
 	return nil

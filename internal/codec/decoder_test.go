@@ -2,9 +2,12 @@ package codec
 
 import (
 	"bytes"
+	"math/rand"
 	"runtime"
 	"testing"
 
+	"openvcu/internal/bits"
+	"openvcu/internal/codec/entropy"
 	"openvcu/internal/codec/rc"
 	"openvcu/internal/video"
 )
@@ -209,6 +212,44 @@ func TestDecodeAllocsPerFrame(t *testing.T) {
 		t.Logf("%v: %.1f allocations per decoded frame at GOMAXPROCS 2", c.profile, perFrame)
 		if perFrame > 16 {
 			t.Fatalf("%v: %.1f allocations per decoded frame at GOMAXPROCS 2, want at most 16", c.profile, perFrame)
+		}
+	}
+}
+
+// TestCodeModeReadsCompoundOnlyWithBothRefs holds the invariant the
+// decoder relies on to skip a compound block's reference check: read
+// through entropy.Reader from random bytes, for every profile and every
+// set of valid reference slots, codeMode returns compound only when LAST
+// and GOLDEN are both valid — and does return it then, where the profile
+// has compound prediction, so the property is not met by never reading
+// the flag.
+func TestCodeModeReadsCompoundOnlyWithBothRefs(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	data := make([]byte, 2048)
+	for _, p := range []Profile{H264Class, VP9Class, AV1Class} {
+		fs := newFrameShared(p, 64, 64, 64, 64)
+		for valid := 0; valid < 1<<numRefSlots; valid++ {
+			var rv [numRefSlots]bool
+			for i := range rv {
+				rv[i] = valid>>i&1 == 1
+			}
+			fs.resetForFrame(30, false, [numRefSlots]*video.Frame{}, rv, nil, fs.frameModel(nil, 1, false), 0, 64)
+			rng.Read(data)
+			d := bits.NewDecoder(data)
+			compound := 0
+			for b := 0; b < 400; b++ {
+				ch := fs.codeMode(entropy.Reader{D: d}, blockChoice{}, b%4*16, b/4%4*16)
+				if ch.compound {
+					compound++
+				}
+			}
+			both := rv[RefLast] && rv[RefGolden]
+			if compound > 0 && !both {
+				t.Fatalf("profile %v valid slots %v: %d compound blocks read", p, rv, compound)
+			}
+			if both && p.Compound() && compound == 0 {
+				t.Fatalf("profile %v valid slots %v: no compound block in 400", p, rv)
+			}
 		}
 	}
 }

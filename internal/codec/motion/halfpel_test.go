@@ -9,8 +9,8 @@ import (
 var halfPhases = [3]MV{{4, 0}, {0, 4}, {4, 4}}
 
 // TestHalfPlanesMatchScalar holds every pixel of every plane to the scalar
-// reference at that phase, for both filters, down to dimensions smaller
-// than the filter. One HalfPlanes is rebuilt across all sizes, so a buffer
+// reference at that phase, for both filters, on a random plane and on
+// extremePlanes, down to dimensions smaller than the filter. One HalfPlanes is rebuilt across all sizes, so a buffer
 // kept from a larger frame must not leak into a smaller one.
 func TestHalfPlanesMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -18,19 +18,23 @@ func TestHalfPlanesMatchScalar(t *testing.T) {
 	for _, sharp := range []bool{false, true} {
 		for _, d := range [][2]int{{96, 72}, {1, 1}, {3, 5}, {17, 9}, {2, 2}, {4, 3}, {1, 7}, {64, 1}} {
 			w, h := d[0], d[1]
-			ref := Ref{Pix: randPlane(rng, w, h), W: w, H: h, Sharp: sharp}
-			hp.Build(ref)
-			var want [1]uint8
-			for i, ph := range halfPhases {
-				if len(hp.planes[i]) != w*h {
-					t.Fatalf("%dx%d plane %d has %d pixels", w, h, i, len(hp.planes[i]))
-				}
-				for y := 0; y < h; y++ {
-					for x := 0; x < w; x++ {
-						sampleBlockRef(ref, x, y, ph, want[:], 1)
-						if got := hp.planes[i][y*w+x]; got != want[0] {
-							t.Fatalf("sharp=%v %dx%d phase %v pixel (%d,%d) = %d, want %d",
-								sharp, w, h, ph, x, y, got, want[0])
+			planes := extremePlanes(w, h)
+			planes["random"] = randPlane(rng, w, h)
+			for _, name := range []string{"random", "zero", "full", "check1x1", "check2x2"} {
+				ref := Ref{Pix: planes[name], W: w, H: h, Sharp: sharp}
+				hp.Build(ref)
+				var want [1]uint8
+				for i, ph := range halfPhases {
+					if len(hp.planes[i]) != w*h {
+						t.Fatalf("%dx%d plane %d has %d pixels", w, h, i, len(hp.planes[i]))
+					}
+					for y := 0; y < h; y++ {
+						for x := 0; x < w; x++ {
+							sampleBlockRef(ref, x, y, ph, want[:], 1)
+							if got := hp.planes[i][y*w+x]; got != want[0] {
+								t.Fatalf("%s sharp=%v %dx%d phase %v pixel (%d,%d) = %d, want %d",
+									name, sharp, w, h, ph, x, y, got, want[0])
+							}
 						}
 					}
 				}
