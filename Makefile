@@ -118,15 +118,17 @@ oracle:
 oracle-diff:
 	./scripts/oracle-diff.sh $(REF)
 
-# Extended fuzzing of the three targets the gate smokes for 4s each:
+# Extended fuzzing of the four targets the gate smokes for 4s each:
 # decoder, container reader, transform kernels against their scalar
-# twins. FUZZTIME is per target.
+# twins, range decoder against its bit-serial twin. FUZZTIME is per
+# target.
 FUZZTIME ?= 2m
 
 fuzz:
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) -run=NONE ./internal/codec
 	$(GO) test -fuzz='^FuzzContainer$$' -fuzztime=$(FUZZTIME) -run=NONE ./internal/container
 	$(GO) test -fuzz='^FuzzTransformMatchesScalar$$' -fuzztime=$(FUZZTIME) -run=NONE ./internal/codec/transform
+	$(GO) test -fuzz='^FuzzBoolDecoderMatchesBitSerial$$' -fuzztime=$(FUZZTIME) -run=NONE ./internal/bits
 
 build:
 	$(GO) build ./...

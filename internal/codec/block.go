@@ -439,15 +439,14 @@ func applyTxBlock(scanned []int32, last, n, qp int, blk []int32,
 			blk[i] = dc
 		}
 	} else {
-		transform.ScanInverse(scanned, blk, n)
-		transform.Dequantize(blk, qp)
+		transform.DequantizeScan(scanned[:last+1], blk, n, qp)
 		transform.Inverse(blk, n)
 	}
 	for r := 0; r < n; r++ {
 		out := plane[(y+r)*stride+x:][:n]
-		prow := pred[predOff+r*predStride:][:n]
-		for c, res := range blk[r*n : r*n+n] {
-			out[c] = video.ClampU8(int32(prow[c]) + res)
+		prow, res := pred[predOff+r*predStride:][:n], blk[r*n:][:n]
+		for c := range out {
+			out[c] = video.ClampU8(int32(prow[c]) + res[c])
 		}
 	}
 }

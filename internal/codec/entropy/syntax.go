@@ -172,9 +172,7 @@ func (m *Model) writeMagnitude(e *bits.Encoder, plane, b, ctx int, a int32) {
 // is none: every level beyond it is zero.
 func (m *Model) ReadCoeffs(d *bits.Decoder, plane int, scanned []int32, n int) (last int) {
 	total := n * n
-	for i := range scanned[:total] {
-		scanned[i] = 0
-	}
+	clear(scanned[:total])
 	last = -1
 	ctx := 0
 	for i := 0; i < total; i++ {

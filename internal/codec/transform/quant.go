@@ -274,3 +274,17 @@ func ScanInverse(scanned, block []int32, n int) {
 		block[pos] = scanned[i]
 	}
 }
+
+// DequantizeScan is ScanInverse then Dequantize of a level vector that is
+// zero past its first len(scanned) levels, in one pass over those: block
+// (n×n) is cleared and each level lands dequantized at its position.
+// Decoding reconstructs every transform block through it, and most carry
+// a few levels.
+func DequantizeScan(scanned, block []int32, n, qp int) {
+	clear(block[:n*n])
+	step := QStep(qp)
+	scan := zigzagScans[n][:len(scanned)]
+	for i, l := range scanned {
+		block[scan[i]] = l * step / 16
+	}
+}

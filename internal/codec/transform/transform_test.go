@@ -293,3 +293,42 @@ func benchInverse(b *testing.B, n int) {
 func BenchmarkInverse8(b *testing.B)  { benchInverse(b, 8) }
 func BenchmarkInverse16(b *testing.B) { benchInverse(b, 16) }
 func BenchmarkInverse32(b *testing.B) { benchInverse(b, 32) }
+
+// TestDequantizeScanMatchesScanInverse holds the decoder's fused scan to
+// ScanInverse then Dequantize on the zero-padded vector: every size,
+// every QP, level vectors cut at random lengths (empty and full
+// included), levels up to the full int32 range, and a block buffer
+// holding a previous block's values.
+func TestDequantizeScanMatchesScanInverse(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, n := range Sizes {
+		for qp := 0; qp <= MaxQP; qp++ {
+			for _, cut := range []int{0, 1, 1 + rng.Intn(n*n), n * n} {
+				padded := make([]int32, n*n)
+				for i := range padded[:cut] {
+					switch rng.Intn(4) {
+					case 0:
+						padded[i] = int32(rng.Uint32())
+					case 1:
+						padded[i] = 0
+					default:
+						padded[i] = int32(rng.Intn(129) - 64)
+					}
+				}
+				want := make([]int32, n*n)
+				ScanInverse(padded, want, n)
+				Dequantize(want, qp)
+				got := make([]int32, n*n)
+				for i := range got {
+					got[i] = int32(rng.Uint32())
+				}
+				DequantizeScan(padded[:cut], got, n, qp)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("n=%d qp=%d cut=%d: position %d = %d, want %d", n, qp, cut, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

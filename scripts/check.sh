@@ -20,9 +20,10 @@
 #   6. go test -race scripts/race.sh: the tests that start goroutines,
 #                    and no others
 #   7. bench smoke   kernel benchmarks compile and run (1 iteration)
-#   8. fuzz smoke    4s each of FuzzDecode, FuzzContainer and
-#                    FuzzTransformMatchesScalar over their seeds, with
-#                    no minimization, so the 4s are spent fuzzing
+#   8. fuzz smoke    4s each of FuzzDecode, FuzzContainer,
+#                    FuzzTransformMatchesScalar and
+#                    FuzzBoolDecoderMatchesBitSerial over their seeds,
+#                    with no minimization, so the 4s are spent fuzzing
 #   9. catalogue     every mutants/*.patch has its header and applies
 #                    with every context line as written (`patch -F0
 #                    --dry-run`, scripts/catalogue.sh), so an edit that
@@ -104,7 +105,10 @@ step "bench smoke (kernel packages)" go test -run=NONE -bench=. -benchtime=1x \
 # its seeds and checked-in corpus — decoder panics and decoder bombs
 # (FuzzDecode), container reader panics and allocation bounds
 # (FuzzContainer), a fast transform kernel drifting from its scalar twin
-# (FuzzTransformMatchesScalar). `go test` alone only replays the seeds.
+# (FuzzTransformMatchesScalar), the windowed range decoder drifting from
+# the bit-serial one in a symbol or in Overrun
+# (FuzzBoolDecoderMatchesBitSerial). `go test` alone only replays the
+# seeds.
 # Minimization is off: by default every new interesting input is
 # minimized for up to 60 s, which takes both workers from the first
 # second or two on, so FuzzDecode and FuzzTransformMatchesScalar made no
@@ -115,9 +119,10 @@ fuzz_smoke() {
     # shellcheck disable=SC2086
     go test -fuzz='^FuzzDecode$' $f ./internal/codec &&
         go test -fuzz='^FuzzContainer$' $f ./internal/container &&
-        go test -fuzz='^FuzzTransformMatchesScalar$' $f ./internal/codec/transform
+        go test -fuzz='^FuzzTransformMatchesScalar$' $f ./internal/codec/transform &&
+        go test -fuzz='^FuzzBoolDecoderMatchesBitSerial$' $f ./internal/bits
 }
-step "fuzz smoke (decoder, container, transform)" fuzz_smoke
+step "fuzz smoke (decoder, container, transform, range decoder)" fuzz_smoke
 . scripts/catalogue.sh
 step "mutant catalogue (headers, patch -F0 --dry-run)" check_catalogue mutants
 
