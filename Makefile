@@ -120,8 +120,9 @@ oracle-diff:
 
 # Extended fuzzing of the four targets the gate smokes for 4s each:
 # decoder, container reader, transform kernels against their scalar
-# twins, range decoder against its bit-serial twin. FUZZTIME is per
-# target.
+# twins, range decoder against its bit-serial twin; and of the
+# coefficient walk's reader against the loops it replaced, whose seeds
+# `go test` runs. FUZZTIME is per target.
 FUZZTIME ?= 2m
 
 fuzz:
@@ -129,6 +130,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzContainer$$' -fuzztime=$(FUZZTIME) -run=NONE ./internal/container
 	$(GO) test -fuzz='^FuzzTransformMatchesScalar$$' -fuzztime=$(FUZZTIME) -run=NONE ./internal/codec/transform
 	$(GO) test -fuzz='^FuzzBoolDecoderMatchesBitSerial$$' -fuzztime=$(FUZZTIME) -run=NONE ./internal/bits
+	$(GO) test -fuzz='^FuzzCoeffSyntax$$' -fuzztime=$(FUZZTIME) -run=NONE ./internal/codec/entropy
 
 build:
 	$(GO) build ./...

@@ -261,7 +261,7 @@ func (fs *frameShared) gatherTileNeighbors(plane []uint8, w, h, x, y, n, tx0 int
 // is inter, then compound where compoundAvailable, the reference where
 // the profile has more than one, and the MV as a difference from predMV.
 // A skip takes LAST at predMV.
-func (fs *frameShared) codeMode(s entropy.Symbols, ch blockChoice, x, y int) blockChoice {
+func (fs *frameShared) codeMode(s entropy.Sink, ch blockChoice, x, y int) blockChoice {
 	m := fs.model
 	if fs.keyframe {
 		return blockChoice{intraMode: predict.IntraMode(m.CodeIntraMode(s, int(ch.intraMode)))}

@@ -207,7 +207,7 @@ func (df *decFrame) decodeTree(x, y, s, depth int) error {
 		return nil
 	}
 	if kind != blockImplicitSplit && (s <= df.profile.MinPartition() ||
-		!df.model.CodeSplit(entropy.Reader{D: df.d}, depth, false)) {
+		!df.model.CodeSplit(entropy.Reader(df.d), depth, false)) {
 		return df.decodeLeaf(x, y, s)
 	}
 	half := s / 2
@@ -220,7 +220,7 @@ func (df *decFrame) decodeTree(x, y, s, depth int) error {
 }
 
 func (df *decFrame) decodeLeaf(x, y, s int) error {
-	ch := df.codeMode(entropy.Reader{D: df.d}, blockChoice{}, x, y)
+	ch := df.codeMode(entropy.Reader(df.d), blockChoice{}, x, y)
 	// A compound block's references need no check: codeMode reads the
 	// flag only where compoundAvailable holds
 	// (TestCodeModeReadsCompoundOnlyWithBothRefs).
@@ -239,7 +239,7 @@ func (df *decFrame) residual(_ video.Plane, class int, recon []uint8, stride, x,
 	blk := df.blk[:tx*tx]
 	for by := 0; by < s; by += tx {
 		for bx := 0; bx < s; bx += tx {
-			last := df.model.ReadCoeffs(df.d, class, scanned, tx)
+			last := df.model.CodeCoeffs(entropy.Reader(df.d), class, scanned, tx, -1)
 			applyTxBlock(scanned, last, tx, df.qp, blk, pred, s, by*s+bx, recon, stride, x+bx, y+by)
 		}
 	}

@@ -238,7 +238,7 @@ func TestCodeModeReadsCompoundOnlyWithBothRefs(t *testing.T) {
 			d := bits.NewDecoder(data)
 			compound := 0
 			for b := 0; b < 400; b++ {
-				ch := fs.codeMode(entropy.Reader{D: d}, blockChoice{}, b%4*16, b/4%4*16)
+				ch := fs.codeMode(entropy.Reader(d), blockChoice{}, b%4*16, b/4%4*16)
 				if ch.compound {
 					compound++
 				}

@@ -26,19 +26,14 @@ type encFrame struct {
 	// the same for the half-sample planes.
 	refPyr [numRefSlots]*motion.Pyramid
 
-	// rate prices a candidate's mode syntax (modeRate).
-	rate entropy.Rate
-
 	// Trial/commit scratch, reused across every candidate evaluation in
 	// this tile (one goroutine); frameShared.pred holds leaf predictions.
-	// The int32 buffers hold one transform block each; zeroBuf stays
-	// all-zero for whole-block-skip cost probes.
+	// The int32 buffers hold one transform block each.
 	reconBlk []uint8
 	scanBuf  []int32
 	origBuf  []int32
 	residBuf []int32
 	savedBuf []int32
-	zeroBuf  []int32
 
 	// kidsArena holds the child nodes of every split one superblock's
 	// search can try (each splittable block tries at most one); kidsUsed
@@ -63,7 +58,6 @@ func allocEncFrame(e *Encoder) *encFrame {
 	fc.origBuf = make([]int32, tx*tx)
 	fc.residBuf = make([]int32, tx*tx)
 	fc.savedBuf = make([]int32, tx*tx)
-	fc.zeroBuf = make([]int32, tx*tx)
 	splittable := 0
 	for s, n := sb, 1; s > e.cfg.Profile.MinPartition(); s, n = s/2, n*4 {
 		splittable += n
@@ -200,7 +194,7 @@ func (fc *encFrame) commitTree(x, y, s, depth int, t partTree) {
 		return
 	}
 	if s > fc.profile.MinPartition() {
-		fc.model.CodeSplit(entropy.Writer{E: fc.w}, depth, t.split)
+		fc.model.CodeSplit(entropy.Writer(fc.w), depth, t.split)
 	}
 	if t.split {
 		fc.commitKids(x, y, s, depth, t.kids)
@@ -300,9 +294,17 @@ func (fc *encFrame) bestChoice(x, y, s int) (blockChoice, float64) {
 // modeRate returns the syntax cost (1/256 bits) of coding the choice's
 // mode decision, excluding coefficients.
 func (fc *encFrame) modeRate(ch blockChoice, x, y int) uint32 {
-	fc.rate.N = 0
-	fc.codeMode(&fc.rate, ch, x, y)
-	return fc.rate.N
+	var rate uint32
+	fc.codeMode(entropy.Rate(&rate), ch, x, y)
+	return rate
+}
+
+// coeffRate returns the cost (1/256 bits) of coding one transform block's
+// levels, last being the scan index of the last non-zero one (-1: none).
+func (fc *encFrame) coeffRate(plane int, scanned []int32, n, last int) uint32 {
+	var rate uint32
+	fc.model.CodeCoeffs(entropy.Rate(&rate), plane, scanned, n, last)
+	return rate
 }
 
 // rdCost is the cost the search minimizes. Both terms only grow as a
@@ -338,7 +340,7 @@ func (fc *encFrame) evalChoice(x, y, s int, ch blockChoice, lost float64) float6
 		for bx := 0; bx < s; bx += tx {
 			fc.buildResidual(fc.src.Y, fc.pw, x+bx, y+by, pred, s, bx, by, resid, tx)
 			last := fc.quantizeScan(resid, tx, 0, scanned, orig)
-			rate += fc.model.CoeffCost(0, scanned, tx)
+			rate += fc.coeffRate(0, scanned, tx, last)
 			if c := fc.rdCost(sse, rate); c >= lost {
 				return c
 			}
@@ -401,7 +403,7 @@ func (fc *encFrame) optimizeCoeffs(scanned, orig []int32, n int, plane int, last
 			runStart--
 		}
 		runStart++
-		costBefore := fc.model.CoeffCost(plane, scanned, n)
+		costBefore := fc.coeffRate(plane, scanned, n, last)
 		var distIncrease float64
 		saved := fc.savedBuf[:last-runStart+1]
 		copy(saved, scanned[runStart:last+1])
@@ -409,17 +411,15 @@ func (fc *encFrame) optimizeCoeffs(scanned, orig []int32, n int, plane int, last
 			distIncrease += zeroDelta(i)
 			scanned[i] = 0
 		}
-		costAfter := fc.model.CoeffCost(plane, scanned, n)
+		cut := runStart - 1
+		for cut >= 0 && scanned[cut] == 0 {
+			cut--
+		}
+		costAfter := fc.coeffRate(plane, scanned, n, cut)
 		if fc.lambda*float64(costBefore-costAfter)/256 <= distIncrease {
 			copy(scanned[runStart:last+1], saved)
 		} else {
-			last = -1
-			for i := runStart - 1; i >= 0; i-- {
-				if scanned[i] != 0 {
-					last = i
-					break
-				}
-			}
+			last = cut
 		}
 	}
 	if last < 0 {
@@ -433,8 +433,8 @@ func (fc *encFrame) optimizeCoeffs(scanned, orig []int32, n int, plane int, last
 			distIncrease += zeroDelta(i)
 		}
 	}
-	costCur := fc.model.CoeffCost(plane, scanned, n)
-	costZero := fc.model.CoeffCost(plane, fc.zeroBuf[:n*n], n)
+	costCur := fc.coeffRate(plane, scanned, n, last)
+	costZero := fc.coeffRate(plane, scanned, n, -1)
 	if fc.lambda*float64(costCur-costZero)/256 > distIncrease {
 		for i := 0; i <= last; i++ {
 			scanned[i] = 0
@@ -465,7 +465,7 @@ func (fc *encFrame) buildResidual(src []uint8, stride, sx, sy int,
 // prediction and residuals against the committed neighborhood, so the
 // bitstream decodes to exactly the reconstruction stored here.
 func (fc *encFrame) commitLeaf(x, y, s int, ch blockChoice) {
-	fc.reconLeaf(fc, fc.codeMode(entropy.Writer{E: fc.w}, ch, x, y), x, y, s)
+	fc.reconLeaf(fc, fc.codeMode(entropy.Writer(fc.w), ch, x, y), x, y, s)
 }
 
 // residual transforms, quantizes, entropy-codes and reconstructs all tx
@@ -480,7 +480,7 @@ func (fc *encFrame) residual(p video.Plane, class int, recon []uint8, stride, x,
 		for bx := 0; bx < s; bx += tx {
 			fc.buildResidual(src, stride, x+bx, y+by, pred, s, bx, by, resid, tx)
 			last := fc.quantizeScan(resid, tx, class, scanned, orig)
-			fc.model.WriteCoeffs(fc.w, class, scanned, tx)
+			fc.model.CodeCoeffs(entropy.Writer(fc.w), class, scanned, tx, last)
 			applyTxBlock(scanned, last, tx, fc.qp, resid, pred, s, by*s+bx, recon, stride, x+bx, y+by)
 		}
 	}

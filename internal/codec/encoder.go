@@ -169,10 +169,6 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 // between calls.
 func (e *Encoder) Close() error { return nil }
 
-// RateController exposes the rate controller (for stats installation in
-// two-pass flows).
-func (e *Encoder) RateController() *rc.Controller { return e.rc }
-
 // Encode accepts the next display frame and returns any packets that
 // became ready. With alt-ref lookahead enabled, packets arrive in groups.
 func (e *Encoder) Encode(f *video.Frame) ([]Packet, error) {
@@ -205,12 +201,17 @@ func (e *Encoder) Flush() ([]Packet, error) {
 	return e.flushGroup()
 }
 
-// SetSceneCuts installs first-pass scene-change positions; those frames
+// SetFirstPass installs first-pass statistics (FirstPassAnalyze) for a
+// two-pass mode: the rate controller's budget, and the scene cuts, the
+// frames after the first that the analysis marks Keyframe, which then
 // encode as keyframes regardless of the GOP cadence.
-func (e *Encoder) SetSceneCuts(cuts []int) {
+func (e *Encoder) SetFirstPass(stats []rc.FrameStats) {
+	e.rc.SetFirstPassStats(stats)
 	e.sceneCuts = map[int]bool{}
-	for _, c := range cuts {
-		e.sceneCuts[c] = true
+	for i, st := range stats {
+		if i > 0 && st.Keyframe {
+			e.sceneCuts[i] = true
+		}
 	}
 }
 
@@ -249,8 +250,7 @@ func (e *Encoder) flushGroup() ([]Packet, error) {
 		// LAST just as well). Production encoders make the same
 		// content-adaptive decision.
 		if groupNoise(frames) > arfNoiseThreshold {
-			tf := filter.DefaultTemporalFilter
-			arf := filter.TemporalFilter(frames, len(frames)/2, tf)
+			arf := filter.TemporalFilter(frames, len(frames)/2)
 			pkt, err := e.encodeOne(arf, rest[len(rest)/2].idx, false, false, true)
 			if err != nil {
 				return nil, err
@@ -458,15 +458,7 @@ func EncodeSequence(cfg Config, frames []*video.Frame) (*SequenceResult, error) 
 		return nil, err
 	}
 	if cfg.RC.Mode.TwoPass() {
-		stats := FirstPassAnalyze(frames)
-		enc.RateController().SetFirstPassStats(stats)
-		var cuts []int
-		for i, st := range stats {
-			if i > 0 && st.Keyframe {
-				cuts = append(cuts, i)
-			}
-		}
-		enc.SetSceneCuts(cuts)
+		enc.SetFirstPass(FirstPassAnalyze(frames))
 	}
 	pkts, err := enc.encodeAll(frames)
 	if err != nil {

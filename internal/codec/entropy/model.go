@@ -6,12 +6,11 @@
 // adaptation ("per-frame probability adaptation") for the VP9-class
 // profile and static contexts for the H.264-class profile.
 //
-// The partition and block-mode syntax is written once per element, as a
-// Code* function over Symbols: Writer codes it, Reader decodes it with
-// identical context updates, and Rate prices it without mutating any
-// context (the RDO engine's rate term). The coefficients keep their
-// concrete WriteCoeffs, ReadCoeffs and CoeffCost, and SplitCost is the
-// partition search's pure query.
+// All of the syntax is written once per element, as a Code* walk over a
+// Sink: Writer codes it, Reader decodes it with identical context
+// updates, and Rate prices it without mutating any context (the RDO
+// engine's rate term). CodeCoeffs is the coefficient walk; SplitCost is
+// the partition search's pure query.
 package entropy
 
 import "openvcu/internal/bits"

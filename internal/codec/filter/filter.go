@@ -121,21 +121,15 @@ func filterEdge(p1, p0, q0, q1 *int32, thresh int32) {
 // goes when that row calls DeblockParallel.
 func Deblock(f *video.Frame, blockSize, strength int) { DeblockParallel(f, blockSize, strength, 1) }
 
-// TemporalFilterConfig controls alt-ref synthesis.
-type TemporalFilterConfig struct {
-	// BlockSize for motion alignment (hardware uses 16, paper §3.2).
-	BlockSize int
-	// Strength scales how aggressively neighbor frames are blended:
-	// 0 disables blending (output = center frame).
-	Strength int
-}
-
-// DefaultTemporalFilter mirrors the hardware configuration: 16×16 blocks
-// from 3 frames.
-var DefaultTemporalFilter = TemporalFilterConfig{BlockSize: 16, Strength: 3}
-
-// temporalSearchRange is the alignment motion search's range, full pels.
-const temporalSearchRange = 8
+// The temporal filter mirrors the hardware configuration (paper §3.2):
+// 16×16 blocks are motion-aligned over a full-pel range of 8, and a
+// neighbor pixel's blend weight falls from temporalStrength to 0 as its
+// difference from the center pixel grows.
+const (
+	temporalBlock       = 16
+	temporalSearchRange = 8
+	temporalStrength    = 3
+)
 
 // TemporalFilter builds a denoised synthetic frame from a window of source
 // frames centered on frames[center]. Each 16×16 block of each neighbor
@@ -143,15 +137,12 @@ const temporalSearchRange = 8
 // weights that fall off with pixel difference — the paper's non-local-mean
 // style filter producing alternate reference frames with low temporal
 // noise. The filter can be applied iteratively to cover more frames.
-func TemporalFilter(frames []*video.Frame, center int, cfg TemporalFilterConfig) *video.Frame {
+func TemporalFilter(frames []*video.Frame, center int) *video.Frame {
 	out := frames[center].Clone()
-	if cfg.Strength <= 0 || len(frames) == 1 {
+	if len(frames) == 1 {
 		return out
 	}
-	n := cfg.BlockSize
-	if n == 0 {
-		n = 16
-	}
+	const n = temporalBlock
 	w, h := out.Width, out.Height
 	cur := frames[center].Y
 	acc := make([]int32, w*h)
@@ -185,8 +176,7 @@ func TemporalFilter(frames []*video.Frame, center int, cfg TemporalFilterConfig)
 						if d < 0 {
 							d = -d
 						}
-						// weight falls from Strength to 0 as |diff| grows
-						wg := int32(cfg.Strength) - d/4
+						wg := temporalStrength - d/4
 						if wg <= 0 {
 							continue
 						}

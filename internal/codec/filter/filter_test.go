@@ -67,7 +67,7 @@ func TestTemporalFilterReducesNoise(t *testing.T) {
 	clean := video.NewSource(video.SourceConfig{Width: 64, Height: 64, Seed: 7, Detail: 0.4})
 	noisy := video.NewSource(video.SourceConfig{Width: 64, Height: 64, Seed: 7, Detail: 0.4, Noise: 8})
 	frames := noisy.Frames(3)
-	filtered := TemporalFilter(frames, 1, DefaultTemporalFilter)
+	filtered := TemporalFilter(frames, 1)
 	ref := clean.Frame(1)
 	noisyMSE := video.MSE(frames[1].Y, ref.Y)
 	filteredMSE := video.MSE(filtered.Y, ref.Y)
@@ -81,19 +81,10 @@ func TestTemporalFilterTracksMotion(t *testing.T) {
 	// output should stay close to the center frame, not become a blur.
 	src := video.NewSource(video.SourceConfig{Width: 96, Height: 64, Seed: 3, Detail: 0.6, Motion: 3})
 	frames := src.Frames(3)
-	filtered := TemporalFilter(frames, 1, DefaultTemporalFilter)
+	filtered := TemporalFilter(frames, 1)
 	mse := video.MSE(filtered.Y, frames[1].Y)
 	if mse > 30 {
 		t.Fatalf("motion-compensated filter drifted from center frame: MSE %.2f", mse)
-	}
-}
-
-func TestTemporalFilterStrengthZero(t *testing.T) {
-	src := video.NewSource(video.SourceConfig{Width: 32, Height: 32, Seed: 2, Detail: 0.5, Noise: 5})
-	frames := src.Frames(3)
-	out := TemporalFilter(frames, 1, TemporalFilterConfig{BlockSize: 16, Strength: 0})
-	if video.MSE(out.Y, frames[1].Y) != 0 {
-		t.Fatal("strength-0 temporal filter modified the center frame")
 	}
 }
 
@@ -152,14 +143,14 @@ func TestTemporalFilterIterativeApplication(t *testing.T) {
 	clean := video.NewSource(video.SourceConfig{Width: 64, Height: 64, Seed: 12, Detail: 0.4})
 	noisy := video.NewSource(video.SourceConfig{Width: 64, Height: 64, Seed: 12, Detail: 0.4, Noise: 12})
 	frames := noisy.Frames(5)
-	once := TemporalFilter(frames[1:4], 1, DefaultTemporalFilter)
+	once := TemporalFilter(frames[1:4], 1)
 	// Iterate: filter three single-pass outputs.
 	stage := []*video.Frame{
-		TemporalFilter(frames[0:3], 1, DefaultTemporalFilter),
+		TemporalFilter(frames[0:3], 1),
 		once,
-		TemporalFilter(frames[2:5], 1, DefaultTemporalFilter),
+		TemporalFilter(frames[2:5], 1),
 	}
-	twice := TemporalFilter(stage, 1, DefaultTemporalFilter)
+	twice := TemporalFilter(stage, 1)
 	ref := clean.Frame(2)
 	onceMSE := video.MSE(once.Y, ref.Y)
 	twiceMSE := video.MSE(twice.Y, ref.Y)

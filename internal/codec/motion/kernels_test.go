@@ -1,7 +1,9 @@
 package motion
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -137,8 +139,7 @@ func TestPlanarSSEMatchesScalar(t *testing.T) {
 }
 
 // TestSampleBlockMatchesScalar sweeps all 64 fractional phases for both
-// filters over interior and edge-straddling positions of a random plane
-// (sizes that are not a multiple of 8 among them, cut by Scratch.narrow),
+// filters over interior and edge-straddling positions of a random plane,
 // then the even phases over the lane extremes (sampleAtLaneExtremes).
 func TestSampleBlockMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -146,7 +147,7 @@ func TestSampleBlockMatchesScalar(t *testing.T) {
 	for _, sharp := range []bool{false, true} {
 		ref := Ref{Pix: randPlane(rng, w, h), W: w, H: h, Sharp: sharp}
 		sc := NewScratch()
-		for _, n := range []int{4, 8, 16, 3, 12} {
+		for _, n := range []int{8, 16, 24} {
 			got := make([]uint8, n*n)
 			want := make([]uint8, n*n)
 			for fy := 0; fy < 8; fy++ {
@@ -179,6 +180,22 @@ func TestSampleBlockMatchesScalar(t *testing.T) {
 	sampleAtLaneExtremes(t)
 }
 
+// TestSampleBlockRejectsOtherSizes: a block side that is not a multiple
+// of 8 panics, naming the size, rather than sampling a wrong block.
+func TestSampleBlockRejectsOtherSizes(t *testing.T) {
+	ref := Ref{Pix: make([]uint8, 64*64), W: 64, H: 64, Sharp: true}
+	for _, n := range []int{3, 4, 12, 20} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, fmt.Sprintf("side %d is not a multiple of 8", n)) {
+					t.Errorf("n=%d: recovered %q", n, msg)
+				}
+			}()
+			SampleBlock(ref, 8, 8, MV{X: 3, Y: 5}, make([]uint8, n*n), n, NewScratch())
+		}()
+	}
+}
+
 // extremePlanes are w×h planes that drive the interpolation lanes to
 // their limits: all 0 and all 255 (the clamps), and 0/255 checkerboards
 // of 1×1 and 2×2 cells, whose runs 0, 255, 255, 0 put 255 under both
@@ -204,7 +221,7 @@ func extremePlanes(w, h int) map[string][]uint8 {
 }
 
 // sampleAtLaneExtremes runs every even phase — the luma phases of a
-// quarter-pel vector — at block sizes 4 to 64 over extremePlanes,
+// quarter-pel vector — at block sizes 8 to 64 over extremePlanes,
 // interior, on the bounds of each kernel's interior test and straddling
 // each edge and corner, for both filters, against the scalar reference.
 func sampleAtLaneExtremes(t *testing.T) {
@@ -218,7 +235,7 @@ func sampleAtLaneExtremes(t *testing.T) {
 	for name, pix := range extremePlanes(w, h) {
 		for _, sharp := range []bool{false, true} {
 			ref := Ref{Pix: pix, W: w, H: h, Sharp: sharp}
-			for _, n := range []int{4, 8, 12, 16, 20, 32, 60, 64} {
+			for _, n := range []int{8, 16, 24, 32, 64} {
 				got, want := make([]uint8, n*n), make([]uint8, n*n)
 				mid := [2]int{(w - n) / 2, (h - n) / 2}
 				positions := [][2]int{mid,
@@ -254,7 +271,7 @@ func TestSampleCompoundMatchesScalar(t *testing.T) {
 		sharp := trial%2 == 0
 		refA := Ref{Pix: randPlane(rng, w, h), W: w, H: h, Sharp: sharp}
 		refB := Ref{Pix: randPlane(rng, w, h), W: w, H: h, Sharp: sharp}
-		n := []int{4, 8, 16}[rng.Intn(3)]
+		n := []int{8, 16, 32}[rng.Intn(3)]
 		bx, by := rng.Intn(w), rng.Intn(h)
 		mvA := MV{X: int16(rng.Intn(129) - 64), Y: int16(rng.Intn(129) - 64)}
 		mvB := MV{X: int16(rng.Intn(129) - 64), Y: int16(rng.Intn(129) - 64)}
@@ -327,7 +344,7 @@ func TestScratchReuseIsStateless(t *testing.T) {
 	ref := Ref{Pix: randPlane(rng, w, h), W: w, H: h, Sharp: true}
 	shared := NewScratch()
 	for trial := 0; trial < 50; trial++ {
-		n := []int{4, 16, 8, 32}[rng.Intn(4)]
+		n := []int{24, 16, 8, 32}[rng.Intn(4)]
 		mv := MV{X: int16(rng.Intn(65) - 32), Y: int16(rng.Intn(65) - 32)}
 		bx, by := rng.Intn(w-n), rng.Intn(h-n)
 		got := make([]uint8, n*n)

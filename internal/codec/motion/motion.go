@@ -22,6 +22,8 @@
 // need.
 package motion
 
+import "strconv"
+
 // MV is a motion vector in 1/8-pel units.
 type MV struct{ X, Y int16 }
 
@@ -147,8 +149,13 @@ func (ref *Ref) stored(ix, iy, fx, fy, n int) []uint8 {
 // prediction for the block whose top-left is (bx, by), displaced by mv.
 // A phase the reference stores is a row copy; other fractional positions
 // use the reference's sub-pel filter and out-of-frame positions edge
-// extension. sc provides the interpolation scratch.
+// extension. n is a multiple of 8, the step of the interpolators' lanes
+// (swar.go); SampleBlock panics on any other n. sc provides the
+// interpolation scratch.
 func SampleBlock(ref Ref, bx, by int, mv MV, dst []uint8, n int, sc *Scratch) {
+	if n%8 != 0 {
+		panic("motion: SampleBlock block side " + strconv.Itoa(n) + " is not a multiple of 8")
+	}
 	ix, iy, fx, fy := splitPos(bx, by, mv)
 	if src := ref.stored(ix, iy, fx, fy, n); src != nil {
 		for y := 0; y < n; y++ {
@@ -173,8 +180,7 @@ func SampleBlock(ref Ref, bx, by int, mv MV, dst []uint8, n int, sc *Scratch) {
 // Q6 per axis (Q12 combined); the integer intermediate makes the result
 // bit-exact with the direct scalar form in reference.go. Each source row
 // comes from Scratch.row, so a block that leaves the frame runs the same
-// filter over rows edge-extended once each. A block whose side is not a
-// multiple of 8 is cut from the corner of one that is (Scratch.narrow).
+// filter over rows edge-extended once each. n is a multiple of 8.
 //
 // A phase with one fractional axis runs one pass: the full-pel axis'
 // taps are {0, 64, 0, 0}, a scale by 64, and (64·h + 1<<11) >> 12 ==
@@ -182,13 +188,6 @@ func SampleBlock(ref Ref, bx, by int, mv MV, dst []uint8, n int, sc *Scratch) {
 // it serves any block; a vertical one reads four rows a plane stride
 // apart, so it serves blocks whose rows and columns are in the frame.
 func sampleSharp(ref Ref, ix, iy, fx, fy int, dst []uint8, n int, sc *Scratch) {
-	if n%8 != 0 {
-		sc.setup(n)
-		wide, m := sc.narrow(n)
-		sampleSharp(ref, ix, iy, fx, fy, wide, m, sc)
-		sc.narrowOut(dst, n, m)
-		return
-	}
 	hx, hy := &sharpPhases[fx], &sharpPhases[fy]
 	sc.setup(n)
 	stride := n / 4 // lane words per row: even and odd sums per 8 pixels
@@ -217,19 +216,11 @@ func sampleSharp(ref Ref, ix, iy, fx, fy int, dst []uint8, n int, sc *Scratch) {
 // 2040 a lane) into Scratch.lanes, then a Q3 vertical pass with the same
 // +32 >> 6 rounding as the direct form (at most 8·2040 + 32 = 16352), so
 // the output is bit-exact with it (no clamp needed: the result is always
-// in 0..255). A block whose side is not a multiple of 8 is cut from the
-// corner of one that is (Scratch.narrow).
+// in 0..255). n is a multiple of 8.
 //
 // A phase with one fractional axis runs one pass, where sampleSharp
 // does: the full-pel axis scales by 8, and (8·h + 32) >> 6 == (h + 4) >> 3.
 func sampleBilinear(ref Ref, ix, iy, fx, fy int, dst []uint8, n int, sc *Scratch) {
-	if n%8 != 0 {
-		sc.setup(n)
-		wide, m := sc.narrow(n)
-		sampleBilinear(ref, ix, iy, fx, fy, wide, m, sc)
-		sc.narrowOut(dst, n, m)
-		return
-	}
 	w0, w1 := uint64(8-fx), uint64(fx)
 	v0, v1 := uint64(8-fy), uint64(fy)
 	sc.setup(n)

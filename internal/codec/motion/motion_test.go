@@ -123,8 +123,8 @@ func TestSampleBlockNegativeFraction(t *testing.T) {
 		pix[i] = uint8((i % w) * 10)
 	}
 	ref := Ref{Pix: pix, W: w, H: h}
-	dst := make([]uint8, 16)
-	SampleBlock(ref, 4, 4, MV{X: -1}, dst, 4, NewScratch())
+	dst := make([]uint8, 64)
+	SampleBlock(ref, 4, 4, MV{X: -1}, dst, 8, NewScratch())
 	// position 4 - 1/8: between col 3 (30) and col 4 (40): 40*7/8+30/8 = 38.75 -> 39
 	if dst[0] != 39 {
 		t.Fatalf("negative fraction sample = %d, want 39", dst[0])
@@ -139,8 +139,8 @@ func TestSampleCompoundAverages(t *testing.T) {
 		a[i] = 100
 		b[i] = 200
 	}
-	dst := make([]uint8, 16)
-	SampleCompound(Ref{Pix: a, W: w, H: h}, Zero, Ref{Pix: b, W: w, H: h}, Zero, 4, 4, dst, 4, NewScratch())
+	dst := make([]uint8, 64)
+	SampleCompound(Ref{Pix: a, W: w, H: h}, Zero, Ref{Pix: b, W: w, H: h}, Zero, 4, 4, dst, 8, NewScratch())
 	for _, v := range dst {
 		if v != 150 {
 			t.Fatalf("compound = %d, want 150", v)

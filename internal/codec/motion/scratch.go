@@ -24,28 +24,6 @@ type Scratch struct {
 	// edge holds one edge-extended source row of an interpolator, n+3
 	// samples for the 4-tap filter.
 	edge []uint8
-	// wide holds the block an n×n one is cut from when n is not a
-	// multiple of 8, the step of the lane kernels: the m×m block at the
-	// same origin, m = n rounded up to 8. No partition of the codec is
-	// such a size.
-	wide []uint8
-}
-
-// narrow returns m, n rounded up to a multiple of 8, and the buffer an
-// interpolator fills with the m×m block at the origin of an n×n block,
-// which narrowOut then cuts the n×n block from: the filters are position
-// by position, so the corner of the wider block is the narrow block,
-// edge extension included. setup(n) has grown the buffer.
-func (sc *Scratch) narrow(n int) ([]uint8, int) {
-	m := (n + 7) &^ 7
-	return sc.wide[:m*m], m
-}
-
-// narrowOut copies the n×n corner of the m×m block narrow returned to dst.
-func (sc *Scratch) narrowOut(dst []uint8, n, m int) {
-	for y := 0; y < n; y++ {
-		copy(dst[y*n:y*n+n], sc.wide[y*m:])
-	}
 }
 
 // NewScratch returns an empty Scratch. Equivalent to new(Scratch); the
@@ -67,7 +45,4 @@ func (sc *Scratch) setup(n int) {
 		sc.edge = make([]uint8, n+3)
 	}
 	sc.edge = sc.edge[:n+3]
-	if m := (n + 7) &^ 7; m != n && cap(sc.wide) < m*m {
-		sc.wide = make([]uint8, m*m)
-	}
 }

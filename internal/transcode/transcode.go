@@ -148,7 +148,7 @@ func MOT(frames []*video.Frame, fps int, specs []OutputSpec) (*Result, error) {
 			if firstPass == nil {
 				firstPass = codec.FirstPassAnalyze(frames)
 			}
-			enc.RateController().SetFirstPassStats(firstPass)
+			enc.SetFirstPass(firstPass)
 		}
 		encs[i] = &encState{enc: enc, out: Output{Spec: spec}, spec: spec}
 	}

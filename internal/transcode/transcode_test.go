@@ -84,6 +84,39 @@ func TestMOTWorkersByteIdentical(t *testing.T) {
 	}
 }
 
+// TestMOTTwoPassMatchesEncodeSequence: a two-pass rung through MOT is the
+// stream EncodeSequence writes for the same frames and configuration, on
+// a clip with a scene cut: both install the first pass, cuts included,
+// through Encoder.SetFirstPass.
+func TestMOTTwoPassMatchesEncodeSequence(t *testing.T) {
+	frames := video.NewSource(video.SourceConfig{
+		Width: 96, Height: 64, Seed: 71, Detail: 0.6, Motion: 1, SceneCut: 5}).Frames(10)
+	spec := OutputSpec{Name: "64p", Resolution: video.Resolution{Name: "64p", Width: 96, Height: 64},
+		Profile: codec.VP9Class, RC: rc.Config{Mode: rc.ModeTwoPassOffline, TargetBitrate: 400_000}, Speed: 2}
+	mot, err := MOT(frames, 30, []OutputSpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := codec.EncodeSequence(encoderConfig(spec, 30), frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := mot.Outputs[0].Packets, seq.Packets
+	if len(got) != len(want) {
+		t.Fatalf("MOT wrote %d packets, EncodeSequence %d", len(got), len(want))
+	}
+	cut := false
+	for i := range want {
+		if string(got[i].Data) != string(want[i].Data) || got[i].DisplayIdx != want[i].DisplayIdx {
+			t.Fatalf("packet %d (display %d) differs from EncodeSequence's", i, want[i].DisplayIdx)
+		}
+		cut = cut || want[i].Keyframe && want[i].DisplayIdx == 5
+	}
+	if !cut {
+		t.Fatal("no keyframe at the scene cut: the clip does not test the cuts")
+	}
+}
+
 func TestMOTDecodesOnceSOTDecodesPerVariant(t *testing.T) {
 	frames := srcFrames(3)
 	specs := smallSpecs()
