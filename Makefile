@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check lint lint-json race mutants build test fmt profile-encode profile-decode profile-park chaos fuzz overload autoscale audit oracle oracle-diff
+.PHONY: check lint lint-json race mutants build test fmt profile-encode profile-decode profile-park chaos fuzz overload autoscale audit oracle oracle-diff experiments
 
 check:
 	./scripts/check.sh
@@ -113,10 +113,32 @@ audit:
 oracle:
 	./scripts/oracle.sh
 
-# The same on REF (default HEAD~1, in a temporary worktree) and on the
+# The same on REF (default HEAD~1, a `git archive` copy) and on the
 # working tree, diffed; fails on any difference.
 oracle-diff:
 	./scripts/oracle-diff.sh $(REF)
+
+# Every producer EXPERIMENTS.md names, in table order: each recorded
+# number is printed by exactly one of these command lines. Under a
+# minute, most of it the Figure 7, Figure 10 and ablation encodes.
+experiments:
+	$(GO) run ./cmd/vbench -table1
+	$(GO) test -run '^$$' -bench 'Table1_MOTvsSOT$$' -benchtime 1x .
+	$(GO) run ./cmd/vbench -rd -frames 12
+	$(GO) test -run '^$$' -bench 'Figure8_ProductionThroughput$$' -benchtime 1x .
+	$(GO) run ./cmd/fleetsim -fig8 -fig9a -fig9b -fig9c -fig10
+	$(GO) test -run '^$$' -bench 'Figure10_BitrateTuning$$' -benchtime 1x .
+	$(GO) run ./cmd/balance
+	$(GO) run ./examples/failuredrill
+	$(GO) test -run 'TestRealPixelsIntegrityChecksCatchRealCorruption$$' -count 1 -v ./internal/cluster
+	$(GO) run ./cmd/fleetsim -overload
+	$(GO) run ./cmd/fleetsim -autoscale
+	$(GO) run ./cmd/fleetsim -audit
+	$(GO) run ./examples/livestream
+	$(GO) run ./examples/cloudgaming
+	$(GO) test -run '^$$' -bench 'Encode_Profiles$$' .
+	$(GO) run ./cmd/workload
+	$(GO) test -run '^$$' -bench 'Ablation' -benchtime 1x .
 
 # Extended fuzzing of the four targets the gate smokes for 4s each:
 # decoder, container reader, transform kernels against their scalar

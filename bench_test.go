@@ -1,46 +1,24 @@
-// Benchmarks that regenerate every table and figure of the paper's
-// evaluation (§4 and Appendix A). Each benchmark reports the reproduced
-// numbers as custom metrics (units named after the paper's) so
-// `go test -bench . -benchmem` prints the whole evaluation; EXPERIMENTS.md
-// records paper-vs-measured for each.
+// Benchmarks that are the only producers of numbers EXPERIMENTS.md
+// records: the MOT-over-SOT ratio (Table 1), the calibrated production
+// levels (Figure 8), the measured launch-vs-tuned BD-rate (Figure 10) and
+// the Go encoder's speed per profile (§4.5). Every other recorded number
+// is printed by a command under cmd/ or examples/; EXPERIMENTS.md names
+// the one command line behind each cell, and `make experiments` runs them
+// all in table order.
 package openvcu_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
-	"openvcu/internal/balance"
-	"openvcu/internal/cluster"
 	"openvcu/internal/codec"
 	"openvcu/internal/codec/rc"
-	"openvcu/internal/fleetsim"
 	"openvcu/internal/metrics"
 	"openvcu/internal/tco"
 	"openvcu/internal/vbench"
 	"openvcu/internal/vcu"
 	"openvcu/internal/video"
-	"openvcu/internal/workload"
 )
-
-// --- Table 1 -----------------------------------------------------------------
-
-// BenchmarkTable1_Throughput regenerates Table 1's throughput and
-// perf/TCO columns (paper: Skylake 714/154, 4xT4 2484/-, 8xVCU 5973/6122,
-// 20xVCU 14932/15306 Mpix/s; perf/TCO 1.0, 1.5, 4.4/20.8, 7.0/33.3).
-func BenchmarkTable1_Throughput(b *testing.B) {
-	var rows []tco.Row
-	for i := 0; i < b.N; i++ {
-		rows = tco.Table1(tco.DefaultConstants(), vcu.DefaultParams(), 120*time.Second)
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.ThroughputH264, fmt.Sprintf("Mpix/s-h264-%s", slug(r.System.String())))
-		if r.ThroughputVP9 > 0 {
-			b.ReportMetric(r.ThroughputVP9, fmt.Sprintf("Mpix/s-vp9-%s", slug(r.System.String())))
-		}
-		b.ReportMetric(r.PerfTCOH264, fmt.Sprintf("perfTCO-h264-%s", slug(r.System.String())))
-	}
-}
 
 // BenchmarkTable1_MOTvsSOT regenerates the MOT-over-SOT throughput ratio
 // (paper: 1.2-1.3x, 976/927 Mpix/s per VCU).
@@ -59,61 +37,6 @@ func BenchmarkTable1_MOTvsSOT(b *testing.B) {
 	b.ReportMetric(motPerVCU, "Mpix/s-perVCU-MOT")
 }
 
-// BenchmarkTable1_PerfPerWatt regenerates the §4.1 perf/watt ratios
-// (paper: 6.7x SOT H.264, 68.9x MOT VP9).
-func BenchmarkTable1_PerfPerWatt(b *testing.B) {
-	var pw tco.PerfPerWatt
-	for i := 0; i < b.N; i++ {
-		pw = tco.PerfWatt(tco.DefaultConstants(), vcu.DefaultParams(), 120*time.Second)
-	}
-	b.ReportMetric(pw.SOTH264Ratio, "perfW-ratio-sot-h264")
-	b.ReportMetric(pw.MOTVP9Ratio, "perfW-ratio-mot-vp9")
-}
-
-// --- Figure 7 ----------------------------------------------------------------
-
-// BenchmarkFigure7_RDCurves traces Figure 7's RD curves on a suite subset
-// with real encodes and reports the three BD-rate comparisons of §4.1
-// (paper at launch: VCU-VP9 vs soft-H.264 ≈ -30%, VCU-H.264 vs libx264
-// ≈ +11.5%, VCU-VP9 vs libvpx ≈ +18%).
-func BenchmarkFigure7_RDCurves(b *testing.B) {
-	clips := []string{"presentation", "bike", "holi"}
-	var vp9VsSwH264, hwVsSwH264, hwVsSwVP9 float64
-	for i := 0; i < b.N; i++ {
-		var s1, s2, s3 float64
-		var n int
-		for _, name := range clips {
-			clip, _ := vbench.ByName(name)
-			curves := map[string][]metrics.RDPoint{}
-			for _, eut := range vbench.StandardEncoders {
-				c, err := vbench.RunRD(clip, eut, 16, 12)
-				if err != nil {
-					b.Fatal(err)
-				}
-				curves[eut.Label] = c.Points
-			}
-			if bd, err := metrics.BDRate(curves["libx264-sw"], curves["vcu-vp9"]); err == nil {
-				s1 += bd
-				n++
-			}
-			if bd, err := metrics.BDRate(curves["libx264-sw"], curves["vcu-h264"]); err == nil {
-				s2 += bd
-			}
-			if bd, err := metrics.BDRate(curves["libvpx-sw"], curves["vcu-vp9"]); err == nil {
-				s3 += bd
-			}
-		}
-		vp9VsSwH264 = s1 / float64(n)
-		hwVsSwH264 = s2 / float64(n)
-		hwVsSwVP9 = s3 / float64(n)
-	}
-	b.ReportMetric(vp9VsSwH264, "BDrate%-vcuvp9-vs-swh264")
-	b.ReportMetric(hwVsSwH264, "BDrate%-vcuh264-vs-swh264")
-	b.ReportMetric(hwVsSwVP9, "BDrate%-vcuvp9-vs-swvp9")
-}
-
-// --- Figure 8 ----------------------------------------------------------------
-
 // BenchmarkFigure8_ProductionThroughput regenerates the per-VCU
 // production throughput levels (paper: MOT ~400, SOT ~250 Mpix/s).
 func BenchmarkFigure8_ProductionThroughput(b *testing.B) {
@@ -125,47 +48,11 @@ func BenchmarkFigure8_ProductionThroughput(b *testing.B) {
 	b.ReportMetric(r.SOTPerVCU, "Mpix/s-SOT-production")
 }
 
-// --- Figure 9 ----------------------------------------------------------------
-
-// BenchmarkFigure9a_UploadRamp regenerates the chunked upload workload
-// ramp (paper: ~10x total throughput by month 7+).
-func BenchmarkFigure9a_UploadRamp(b *testing.B) {
-	var final float64
-	for i := 0; i < b.N; i++ {
-		s := fleetsim.Figure9aUploadRamp(fleetsim.DefaultConfig())
-		final = s[len(s)-1].Value
-	}
-	b.ReportMetric(final, "x-month12-throughput")
-}
-
-// BenchmarkFigure9b_LiveRamp regenerates the live transcoding ramp.
-func BenchmarkFigure9b_LiveRamp(b *testing.B) {
-	var final float64
-	for i := 0; i < b.N; i++ {
-		s := fleetsim.Figure9bLiveRamp(fleetsim.DefaultConfig())
-		final = s[len(s)-1].Value
-	}
-	b.ReportMetric(final, "x-month12-live")
-}
-
-// BenchmarkFigure9c_SoftwareDecode regenerates the decoder-utilization
-// drop when opportunistic software decode turns on (paper: 98% -> 91%).
-func BenchmarkFigure9c_SoftwareDecode(b *testing.B) {
-	var before, after float64
-	for i := 0; i < b.N; i++ {
-		s := fleetsim.Figure9cDecoderUtil(fleetsim.DefaultConfig())
-		before, after = s[5].Value, s[7].Value
-	}
-	b.ReportMetric(before*100, "decoderUtil%-before")
-	b.ReportMetric(after*100, "decoderUtil%-after")
-}
-
-// --- Figure 10 ---------------------------------------------------------------
-
 // BenchmarkFigure10_BitrateTuning validates the rate-control tuning story
 // with real encodes: the launch-tuned encoder needs more bits than the
 // fully-tuned one at the same quality (the mechanism behind Figure 10's
-// +12% -> -2% trajectory), and reports the modeled month-16 endpoints.
+// +12% -> -2% trajectory, whose drawn series `cmd/fleetsim -fig10`
+// prints).
 func BenchmarkFigure10_BitrateTuning(b *testing.B) {
 	clip, _ := vbench.ByName("bike")
 	var launchVsTuned float64
@@ -186,120 +73,8 @@ func BenchmarkFigure10_BitrateTuning(b *testing.B) {
 		}
 		launchVsTuned = bd
 	}
-	vp9, h264 := fleetsim.Figure10Bitrate(fleetsim.DefaultConfig(), 16)
 	b.ReportMetric(launchVsTuned, "BDrate%-launch-vs-tuned-measured")
-	b.ReportMetric(vp9[0].Value, "model%-vp9-month1")
-	b.ReportMetric(vp9[len(vp9)-1].Value, "model%-vp9-month16")
-	b.ReportMetric(h264[len(h264)-1].Value, "model%-h264-month16")
 }
-
-// --- Table 2 / Appendix A ------------------------------------------------------
-
-// BenchmarkTable2_HostResources regenerates Table 2 (paper: 42+13=55
-// cores, 712 Gbps total at 153 Gpix/s).
-func BenchmarkTable2_HostResources(b *testing.B) {
-	var rows []balance.HostRow
-	for i := 0; i < b.N; i++ {
-		rows = balance.Table2(vcu.DefaultParams())
-	}
-	total := rows[len(rows)-1]
-	b.ReportMetric(total.LogicalCores, "cores-total")
-	b.ReportMetric(total.DRAMGbps, "Gbps-total")
-}
-
-// BenchmarkBandwidth_SpeedsAndFeeds regenerates the §3.3.1 DRAM budget
-// (paper: VCU needs 27-37 GiB/s, provides ~36 GiB/s).
-func BenchmarkBandwidth_SpeedsAndFeeds(b *testing.B) {
-	var needs balance.VCUBandwidth
-	for i := 0; i < b.N; i++ {
-		needs = balance.DRAMNeeds(vcu.DefaultParams())
-	}
-	b.ReportMetric(needs.ChipTypicalGiBs, "GiB/s-typical")
-	b.ReportMetric(needs.ChipWorstGiBs, "GiB/s-worst")
-	b.ReportMetric(needs.ProvidedGiBs, "GiB/s-provided")
-}
-
-// BenchmarkAppendixA4_DeviceMemory regenerates the device memory
-// footprints (paper: ~700 MiB/MOT, ~500 MiB/SOT).
-func BenchmarkAppendixA4_DeviceMemory(b *testing.B) {
-	var f balance.Footprints
-	for i := 0; i < b.N; i++ {
-		f = balance.DeviceMemory(vcu.DefaultParams())
-	}
-	b.ReportMetric(f.MOTTotalMiB, "MiB-MOT")
-	b.ReportMetric(f.SOTTotalMiB, "MiB-SOT")
-}
-
-// --- §4.4 failure management ---------------------------------------------------
-
-// BenchmarkFailure_BlackHoling runs the black-holing experiment: corrupted
-// videos with and without the worker-abort + golden-screening mitigation.
-func BenchmarkFailure_BlackHoling(b *testing.B) {
-	run := func(mitigate bool) int {
-		cfg := cluster.DefaultConfig(1)
-		cfg.GoldenCheckOnStart = mitigate
-		cfg.AbortOnFailure = mitigate
-		cfg.IntegrityCheckProb = 0.5
-		// Disable the telemetry auto-disable so the benchmark isolates
-		// the worker-level mitigation (the paper hit black-holing in the
-		// window before fault management caught up).
-		cfg.DisableFaultThreshold = 1 << 30
-		c := cluster.New(cfg)
-		c.Hosts[0].VCUs[0].InjectFault(vcu.FaultCorrupt, 0)
-		// Uploads trickle in over time: a failing-but-fast VCU is idle
-		// first when each new video arrives, so it naturally attracts a
-		// disproportionate share of traffic (the black hole).
-		var graphs []*cluster.Graph
-		for i := 0; i < 40; i++ {
-			i := i
-			c.Eng.Schedule(time.Duration(i)*20*time.Second, func() {
-				g := cluster.BuildGraph(cluster.VideoSpec{
-					ID: i, Resolution: video.Res1080p, FPS: 30, Frames: 600, ChunkFrames: 150,
-					Profile: codec.VP9Class, Mode: vcu.EncodeTwoPassOffline, MOT: true}, 10)
-				graphs = append(graphs, g)
-				c.Submit(g)
-			})
-		}
-		c.Eng.RunUntil(4 * time.Hour)
-		corrupted := 0
-		for _, g := range graphs {
-			if g.Corrupted() {
-				corrupted++
-			}
-		}
-		return corrupted
-	}
-	var without, with int
-	for i := 0; i < b.N; i++ {
-		without = run(false)
-		with = run(true)
-	}
-	b.ReportMetric(float64(without), "corruptedVideos-unmitigated")
-	b.ReportMetric(float64(with), "corruptedVideos-mitigated")
-}
-
-// --- §4.5 new capabilities -------------------------------------------------------
-
-// BenchmarkNewCapabilities_LiveLatency compares the software chunked-
-// parallel VP9 live pipeline with the single-VCU real-time path (paper:
-// >10s vs ~5s end-to-end; a 2s chunk took 10s in software).
-func BenchmarkNewCapabilities_LiveLatency(b *testing.B) {
-	p := vcu.DefaultParams()
-	var swLatency, vcuLatency float64
-	for i := 0; i < b.N; i++ {
-		const chunkSec = 2.0
-		pixels := float64(video.Res1080p.Pixels()) * 30 * chunkSec
-		// Software: 5x realtime encode cost for VP9 on CPU.
-		swEncode := 10.0
-		swLatency = chunkSec + swEncode
-		vcuEncode := pixels / (p.RealtimeEncodePixRate * p.LowLatencyTwoPassFactor)
-		vcuLatency = chunkSec + vcuEncode + 1.5
-	}
-	b.ReportMetric(swLatency, "s-e2e-software")
-	b.ReportMetric(vcuLatency, "s-e2e-vcu")
-}
-
-// --- pure codec performance ------------------------------------------------------
 
 // BenchmarkEncode_Profiles measures the real Go encoder's wall-clock
 // speed for both profiles (the paper's VP9-is-6-8x-costlier claim shows
@@ -314,68 +89,12 @@ func BenchmarkEncode_Profiles(b *testing.B) {
 			b.ReportAllocs()
 			var pixels int64
 			for i := 0; i < b.N; i++ {
-				res, err := codec.EncodeSequence(cfg, frames)
-				if err != nil {
+				if _, err := codec.EncodeSequence(cfg, frames); err != nil {
 					b.Fatal(err)
 				}
-				_ = res
 				pixels += int64(len(frames)) * 128 * 72
 			}
 			b.ReportMetric(float64(pixels)/b.Elapsed().Seconds()/1e6, "Mpix/s-encode")
 		})
 	}
-}
-
-// BenchmarkDecode measures decoder wall-clock speed.
-func BenchmarkDecode(b *testing.B) {
-	frames := video.NewSource(video.SourceConfig{
-		Width: 128, Height: 72, Seed: 3, Detail: 0.5, Motion: 1.5}).Frames(4)
-	res, err := codec.EncodeSequence(codec.Config{Profile: codec.VP9Class,
-		Width: 128, Height: 72, RC: rc.Config{BaseQP: 32}}, frames)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := codec.DecodeSequence(res.Packets); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N*len(frames)*128*72)/b.Elapsed().Seconds()/1e6, "Mpix/s-decode")
-}
-
-func slug(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			out = append(out, r)
-		case r >= 'A' && r <= 'Z':
-			out = append(out, r+('a'-'A'))
-		}
-	}
-	return string(out)
-}
-
-// BenchmarkNewCapabilities_VP9Egress runs the §4.5 "enabling otherwise-
-// infeasible VP9 compression" experiment on the §2.2 popularity model:
-// egress saved and VP9 watch coverage when VP9 moves from
-// popular-videos-only batch CPU to at-upload MOT on VCUs.
-func BenchmarkNewCapabilities_VP9Egress(b *testing.B) {
-	var saving, cpuShare, vcuShare, computeRatio float64
-	for i := 0; i < b.N; i++ {
-		c := workload.Generate(20000, 1)
-		m := workload.DefaultEgressModel()
-		cpu := workload.Apply(c, workload.PolicyCPUEra, m)
-		vcuEra := workload.Apply(c, workload.PolicyVCUEra, m)
-		saving = workload.EgressSaving(cpu, vcuEra)
-		cpuShare = cpu.VP9WatchShare
-		vcuShare = vcuEra.VP9WatchShare
-		computeRatio = vcuEra.TranscodeComputeUnits / cpu.TranscodeComputeUnits
-	}
-	b.ReportMetric(saving*100, "%-egress-saved")
-	b.ReportMetric(cpuShare*100, "%-vp9-watch-cpuera")
-	b.ReportMetric(vcuShare*100, "%-vp9-watch-vcuera")
-	b.ReportMetric(computeRatio, "x-transcode-compute")
 }

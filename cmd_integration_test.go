@@ -4,6 +4,7 @@
 package openvcu_test
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -126,5 +127,19 @@ func TestExamplesRun(t *testing.T) {
 		if len(out) < 100 {
 			t.Errorf("example %s produced almost no output", ex)
 		}
+	}
+
+	// The failure drill is the §4.4 table's producer: the mitigations
+	// must leave fewer corrupted videos than the unmitigated run.
+	out := runTool(t, buildTool(t, "examples/failuredrill"))
+	var corrupted []int
+	for _, line := range strings.Split(out, "\n") {
+		var n, total int
+		if _, err := fmt.Sscanf(line, "videos with undetected corruption: %d/%d", &n, &total); err == nil {
+			corrupted = append(corrupted, n)
+		}
+	}
+	if len(corrupted) != 2 || corrupted[0] <= corrupted[1] {
+		t.Errorf("failuredrill corrupted videos (unmitigated, mitigated) = %v, want the first larger:\n%s", corrupted, out)
 	}
 }

@@ -9,9 +9,12 @@
 # Everything printed depends only on seeds: the `# exact` lines and the
 # output digests of the benchmark's two park workloads (control plane)
 # and three pixel workloads (codec, container, transcode: a digest moves
-# with any byte of any bitstream) at seeds 1-3, the fleetsim overload,
-# autoscale and audit tables, and the failure drill. Timings are left
-# out. Takes about five minutes; not part of check.sh.
+# with any byte of any bitstream) at seeds 1-3, then every deterministic
+# producer EXPERIMENTS.md names: Table 1 and Figure 7 (cmd/vbench), the
+# fleetsim figures and overload, autoscale and audit tables, the balance
+# and workload reports, and the failure drill. A change that moves a
+# recorded number shows it in the diff. Timings are left out. Takes
+# about five minutes; not part of check.sh.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -27,9 +30,19 @@ for workloads in park_overload,park_steady upload_ladder,live_frames,playback_de
         grep -E '"(name|digest)":' "$out/results.json"
     done
 done
-for mode in overload autoscale audit; do
-    echo "== fleetsim -$mode"
-    go run ./cmd/fleetsim "-$mode"
-done
-echo "== examples/failuredrill"
-go run ./examples/failuredrill
+# produce <package> [flags]: one producer's output under its command line.
+produce() {
+    echo "==" "$@"
+    local pkg=$1
+    shift
+    go run "./$pkg" "$@"
+}
+produce cmd/vbench -table1
+produce cmd/vbench -rd -frames 12
+produce cmd/fleetsim -fig8 -fig9a -fig9b -fig9c -fig10
+produce cmd/fleetsim -overload
+produce cmd/fleetsim -autoscale
+produce cmd/fleetsim -audit
+produce cmd/balance
+produce cmd/workload
+produce examples/failuredrill

@@ -15,8 +15,16 @@
 # seed, the pair count, the run length, the failed and attempted
 # operations of each side, and per metric the median and the quartiles of
 # each side, the ratio of the medians (change / base), the pairs the
-# change won and a verdict: better or worse when the medians differ by
-# more than the width of the base's interquartile range, else unresolved.
+# change won and lost (a tie is neither) and a verdict:
+#   better      at least ten pairs ran, the change won at least 9 in 10
+#               of them, and its median is better than base's by more
+#               than the width of base's interquartile range;
+#   worse       the same with lost pairs and a worse median;
+#   unresolved  anything else.
+# All three conditions, because each alone is decided by drift: medians
+# of two sets taken minutes apart can differ by more than an IQR with the
+# pairs split, a 7-in-10 win count comes up by chance, and two pairs of
+# one binary against itself have read 2/2 "better" by 7 %.
 #
 # Exits 1 when an end-to-end metric of BENCHMARK.json (read, never
 # written) is worse at the change's median than base's by more than its
@@ -130,11 +138,12 @@ END {
     for (k = 1; k <= nm; k++) {
         m = names[k]
         dir = (m in better) ? better[m] : "lower"
-        nb = 0; nc = 0; wins = 0
+        nb = 0; nc = 0; wins = 0; losses = 0
         for (i = 1; i <= pairs; i++) {
             if (!(("base", m, i) in v) || !(("change", m, i) in v)) continue
             b[++nb] = v["base", m, i]; c[++nc] = v["change", m, i]
             if ((dir == "lower" && c[nc] < b[nb]) || (dir == "higher" && c[nc] > b[nb])) wins++
+            if ((dir == "lower" && c[nc] > b[nb]) || (dir == "higher" && c[nc] < b[nb])) losses++
         }
         if (nb == 0) continue
         sortv(b, nb); sortv(c, nc)
@@ -144,16 +153,16 @@ END {
         gap = cm - bm
         if (dir == "higher") gap = -gap
         verdict = "unresolved"
-        if (gap < 0 && -gap > bq3 - bq1) verdict = "better"
-        if (gap > 0 && gap > bq3 - bq1) verdict = "worse"
-        printf "%s\n    \"%s\": {\"better\": \"%s\", \"base_median\": %.6g, \"base_iqr\": [%.6g, %.6g], \"change_median\": %.6g, \"change_iqr\": [%.6g, %.6g], \"ratio\": %.4f, \"wins\": %d, \"verdict\": \"%s\"}",
-            (k > 1 ? "," : ""), m, dir, bm, bq1, bq3, cm, q(c, nc, 0.25), q(c, nc, 0.75), ratio, wins, verdict >out
+        if (nb >= 10 && 10 * wins >= 9 * nb && -gap > bq3 - bq1) verdict = "better"
+        if (nb >= 10 && 10 * losses >= 9 * nb && gap > bq3 - bq1) verdict = "worse"
+        printf "%s\n    \"%s\": {\"better\": \"%s\", \"base_median\": %.6g, \"base_iqr\": [%.6g, %.6g], \"change_median\": %.6g, \"change_iqr\": [%.6g, %.6g], \"ratio\": %.4f, \"wins\": %d, \"losses\": %d, \"verdict\": \"%s\"}",
+            (k > 1 ? "," : ""), m, dir, bm, bq1, bq3, cm, q(c, nc, 0.25), q(c, nc, 0.75), ratio, wins, losses, verdict >out
         if ((m in bound) && gap > bound[m] * (bm < 0 ? -bm : bm)) {
             printf "pairs: %s is worse than base by more than its bound %s: %.6g -> %.6g\n", m, bound[m], bm, cm >"/dev/stderr"
             worse = 1
         }
-        printf "%s %s: base %.4g [%.4g, %.4g], change %.4g, ratio %.3f, change won %d/%d: %s\n",
-            workload, m, bm, bq1, bq3, cm, ratio, wins, nb, verdict >"/dev/stderr"
+        printf "%s %s: base %.4g [%.4g, %.4g], change %.4g, ratio %.3f, change won %d/%d, lost %d: %s\n",
+            workload, m, bm, bq1, bq3, cm, ratio, wins, nb, losses, verdict >"/dev/stderr"
     }
     printf "\n  }\n}\n" >out
     exit worse
