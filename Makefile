@@ -143,8 +143,9 @@ experiments:
 # Extended fuzzing of the four targets the gate smokes for 4s each:
 # decoder, container reader, transform kernels against their scalar
 # twins, range decoder against its bit-serial twin; and of the
-# coefficient walk's reader against the loops it replaced, whose seeds
-# `go test` runs. FUZZTIME is per target.
+# coefficient walk's reader against the loops it replaced and the
+# deblocking lanes against the scalar filter, whose seeds `go test`
+# runs. FUZZTIME is per target.
 FUZZTIME ?= 2m
 
 fuzz:
@@ -153,6 +154,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzTransformMatchesScalar$$' -fuzztime=$(FUZZTIME) -run=NONE ./internal/codec/transform
 	$(GO) test -fuzz='^FuzzBoolDecoderMatchesBitSerial$$' -fuzztime=$(FUZZTIME) -run=NONE ./internal/bits
 	$(GO) test -fuzz='^FuzzCoeffSyntax$$' -fuzztime=$(FUZZTIME) -run=NONE ./internal/codec/entropy
+	$(GO) test -fuzz='^FuzzDeblockMatchesScalar$$' -fuzztime=$(FUZZTIME) -run=NONE ./internal/codec/filter
 
 build:
 	$(GO) build ./...

@@ -22,7 +22,7 @@ func main() {
 	table1 := flag.Bool("table1", false, "print only Table 1")
 	rd := flag.Bool("rd", false, "print only the Figure 7 RD data")
 	scale := flag.Int("scale", 16, "clip downscale factor for quality runs")
-	frames := flag.Int("frames", 5, "frames per clip for quality runs")
+	frames := flag.Int("frames", 12, "frames per clip for quality runs (12: the configuration EXPERIMENTS.md records)")
 	clips := flag.String("clips", "presentation,bike,holi", "comma-separated clip subset (or 'all')")
 	flag.Parse()
 	all := !*table1 && !*rd

@@ -7,7 +7,6 @@ import (
 	"openvcu/internal/bits"
 	"openvcu/internal/codec/entropy"
 	"openvcu/internal/codec/filter"
-	"openvcu/internal/codec/transform"
 	"openvcu/internal/par"
 	"openvcu/internal/video"
 )
@@ -183,10 +182,8 @@ func (dec *Decoder) retire(f *video.Frame) {
 type decFrame struct {
 	*frameShared
 	d *bits.Decoder
-	// scanned holds one transform block's levels; blk is applyTxBlock's
-	// scratch.
+	// scanned holds one transform block's levels.
 	scanned []int32
-	blk     [transform.MaxSize * transform.MaxSize]int32
 }
 
 // allocDecFrame builds a tile decoder for frames like h: every buffer it
@@ -236,11 +233,10 @@ func (df *decFrame) decodeLeaf(x, y, s int) error {
 func (df *decFrame) residual(_ video.Plane, class int, recon []uint8, stride, x, y int,
 	pred []uint8, s, tx int) {
 	scanned := df.scanned[:tx*tx]
-	blk := df.blk[:tx*tx]
 	for by := 0; by < s; by += tx {
 		for bx := 0; bx < s; bx += tx {
 			last := df.model.CodeCoeffs(entropy.Reader(df.d), class, scanned, tx, -1)
-			applyTxBlock(scanned, last, tx, df.qp, blk, pred, s, by*s+bx, recon, stride, x+bx, y+by)
+			applyTxBlock(scanned, last, tx, df.qp, nil, pred, s, by*s+bx, recon, stride, x+bx, y+by)
 		}
 	}
 }

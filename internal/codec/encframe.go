@@ -345,7 +345,7 @@ func (fc *encFrame) evalChoice(x, y, s int, ch blockChoice, lost float64) float6
 				return c
 			}
 			// reconstruct into a scratch block to measure distortion
-			applyTxBlock(scanned, last, tx, fc.qp, resid, pred, s, by*s+bx, reconBlk, tx, 0, 0)
+			applyTxBlock(scanned, last, tx, fc.qp, nil, pred, s, by*s+bx, reconBlk, tx, 0, 0)
 			sse += sseRegion(fc.src.Y, fc.pw, x+bx, y+by, reconBlk, tx)
 			if c := fc.rdCost(sse, rate); c >= lost {
 				return c
@@ -481,7 +481,7 @@ func (fc *encFrame) residual(p video.Plane, class int, recon []uint8, stride, x,
 			fc.buildResidual(src, stride, x+bx, y+by, pred, s, bx, by, resid, tx)
 			last := fc.quantizeScan(resid, tx, class, scanned, orig)
 			fc.model.CodeCoeffs(entropy.Writer(fc.w), class, scanned, tx, last)
-			applyTxBlock(scanned, last, tx, fc.qp, resid, pred, s, by*s+bx, recon, stride, x+bx, y+by)
+			applyTxBlock(scanned, last, tx, fc.qp, nil, pred, s, by*s+bx, recon, stride, x+bx, y+by)
 		}
 	}
 }

@@ -12,22 +12,16 @@ import (
 	"openvcu/internal/video"
 )
 
-// deblockVertRange filters every vertical block edge for rows [y0, y1).
-// A vertical edge at column x writes columns x-1 and x of each row and
-// reads x-2..x+1 of the same row only, so disjoint row ranges touch
-// disjoint memory: any stripe decomposition is bit-exact.
-func deblockVertRange(pix []uint8, w, h, blockSize int, thresh int32, y0, y1 int) {
-	for x := blockSize; x < w; x += blockSize {
-		nx := x + minInt(1, w-1-x)
-		for y := y0; y < y1; y++ {
-			row := y * w
-			p1 := int32(pix[row+x-2])
-			p0 := int32(pix[row+x-1])
-			q0 := int32(pix[row+x])
-			q1 := int32(pix[row+nx])
-			filterEdge(&p1, &p0, &q0, &q1, thresh)
-			pix[row+x-1] = uint8(p0)
-			pix[row+x] = uint8(q0)
+// deblockVertRange filters every vertical block edge for rows [y0, y1),
+// 8 rows a step. A vertical edge at column x writes columns x-1 and x of
+// each row and reads x-2..x+1 of the same row only, so disjoint row
+// ranges touch disjoint memory: any stripe decomposition is bit-exact.
+// tv is the lane threshold (laneThreshold).
+func deblockVertRange(pix []uint8, w, blockSize int, tv uint64, y0, y1 int) {
+	for y := y0; y < y1; y += 8 {
+		n := min(8, y1-y)
+		for x := blockSize; x < w; x += blockSize {
+			deblockVertRows(pix, w, x, y, n, tv)
 		}
 	}
 }
@@ -35,23 +29,20 @@ func deblockVertRange(pix []uint8, w, h, blockSize int, thresh int32, y0, y1 int
 // deblockHorizEdge filters the horizontal block edge at row y. It
 // writes rows y-1 and y and reads rows y-2..y+1; edges are blockSize
 // (≥ 4) rows apart, so distinct edges never overlap and parallel edge
-// scheduling is bit-exact. The row filter itself is the SWAR kernel.
-func deblockHorizEdge(pix []uint8, w, h int, thresh int32, y int) {
-	ny := y + 1
-	if ny >= h {
-		ny = h - 1
-	}
+// scheduling is bit-exact.
+func deblockHorizEdge(pix []uint8, w, h int, tv uint64, y int) {
+	ny := min(y+1, h-1)
 	deblockHorizRow(
 		pix[(y-2)*w:(y-2)*w+w],
 		pix[(y-1)*w:(y-1)*w+w],
 		pix[y*w:y*w+w],
 		pix[ny*w:ny*w+w],
-		w, thresh)
+		w, tv)
 }
 
 // DeblockPlaneScalar is the original per-pixel loop filter of one plane,
-// retained as the differential-test reference for DeblockParallel's SWAR,
-// striped passes.
+// retained as the differential-test reference for DeblockParallel's
+// lane-wide, striped passes.
 func DeblockPlaneScalar(pix []uint8, w, h, blockSize, strength int) {
 	if strength <= 0 {
 		return

@@ -81,11 +81,11 @@ func DeblockParallel(f *video.Frame, blockSize, strength, workers int) {
 	if strength <= 0 {
 		return
 	}
-	thresh := int32(2 + strength)
+	tv := laneThreshold(int32(2 + strength))
 	n := frameStripes(f)
 	stripes(n, workers, func(k int) error {
 		p, _, y0, y1 := stripe(f, blockSize, k)
-		deblockVertRange(p.pix, p.w, p.h, p.bs, thresh, y0, y1)
+		deblockVertRange(p.pix, p.w, p.bs, tv, y0, y1)
 		return nil
 	})
 	// The horizontal edges inside a stripe's rows; the first edge of a
@@ -94,7 +94,7 @@ func DeblockParallel(f *video.Frame, blockSize, strength, workers int) {
 		p, _, s0, s1 := stripe(f, blockSize, k)
 		first := maxInt((s0+p.bs-1)/p.bs*p.bs, p.bs)
 		for y := first; y < s1; y += p.bs {
-			deblockHorizEdge(p.pix, p.w, p.h, thresh, y)
+			deblockHorizEdge(p.pix, p.w, p.h, tv, y)
 		}
 		return nil
 	})

@@ -203,16 +203,6 @@ func Dequantize(levels []int32, qp int) {
 	}
 }
 
-// InverseDC returns the value every sample of an n×n block takes when the
-// block whose only non-zero level is the DC level l is dequantized and
-// inverse transformed: row 0 of the basis is one constant, so the two
-// passes collapse to one multiply. Equal to Dequantize + Inverse on that
-// block.
-func InverseDC(l int32, n, qp int) int32 {
-	b := int64(cosBasis[n][0])
-	return int32((b*b*int64(l*QStep(qp)/16) + descaleRound) >> (2 * basisShift))
-}
-
 // zigzag scan orders, one per transform size, generated by walking
 // anti-diagonals (low-frequency coefficients first); scanIndex[n] is the
 // inverse permutation, the scan index of each block position.
@@ -272,19 +262,5 @@ func ScanInverse(scanned, block []int32, n int) {
 	scan := zigzagScans[n]
 	for i, pos := range scan {
 		block[pos] = scanned[i]
-	}
-}
-
-// DequantizeScan is ScanInverse then Dequantize of a level vector that is
-// zero past its first len(scanned) levels, in one pass over those: block
-// (n×n) is cleared and each level lands dequantized at its position.
-// Decoding reconstructs every transform block through it, and most carry
-// a few levels.
-func DequantizeScan(scanned, block []int32, n, qp int) {
-	clear(block[:n*n])
-	step := QStep(qp)
-	scan := zigzagScans[n][:len(scanned)]
-	for i, l := range scanned {
-		block[scan[i]] = l * step / 16
 	}
 }

@@ -72,7 +72,7 @@ func TestDoctoredBasisFallsBackToScalar(t *testing.T) {
 				folded       func([]int32, int)
 			}{
 				{"Forward", Forward, ForwardScalar, func(b []int32, n int) { forward(b, n, make([]int32, n*n), make([]int64, n*n/2), 0) }},
-				{"Inverse", Inverse, InverseScalar, func(b []int32, n int) { inverse(b, n, make([]int64, n*n), make([]int64, n*n)) }},
+				{"Reconstruct", reconstructed128, clamped128(InverseScalar), clamped128(inverseOf)},
 			} {
 				want := append([]int32(nil), block...)
 				tr.scalar(want, n)
@@ -235,10 +235,10 @@ func TestInverseMatchesScalar(t *testing.T) {
 				block[0] = int32(rng.Intn(8001) - 4000)
 			case 3: // all zero (zero-skip path)
 			}
-			checkMatchesScalar(t, fmt.Sprintf("trial=%d", trial), Inverse, InverseScalar, block, n)
+			checkMatchesScalar(t, fmt.Sprintf("trial=%d", trial), inverseOf, InverseScalar, block, n)
 		}
 		for i, block := range edgeBlocks(n, MaxAbsCoeff) {
-			checkMatchesScalar(t, fmt.Sprintf("edge=%d", i), Inverse, InverseScalar, block, n)
+			checkMatchesScalar(t, fmt.Sprintf("edge=%d", i), inverseOf, InverseScalar, block, n)
 		}
 	}
 }
@@ -606,7 +606,7 @@ func FuzzTransformMatchesScalar(f *testing.F) {
 			coeffs[i] = v * (MaxAbsCoeff / (1 << 15)) // |v| ≤ MaxAbsCoeff
 		}
 		checkMatchesScalar(t, "fuzz", Forward, ForwardScalar, resid, n)
-		checkMatchesScalar(t, "fuzz", Inverse, InverseScalar, coeffs, n)
+		checkMatchesScalar(t, "fuzz", inverseOf, InverseScalar, coeffs, n)
 		checkForwardQuantizeScan(t, "fuzz", resid, n, int(size>>2), 3)
 	})
 }

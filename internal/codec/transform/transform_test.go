@@ -19,7 +19,7 @@ func TestForwardInverseRoundTrip(t *testing.T) {
 				orig[i] = block[i]
 			}
 			Forward(block, n)
-			Inverse(block, n)
+			inverseOf(block, n)
 			for i := range block {
 				d := block[i] - orig[i]
 				if d < -2 || d > 2 {
@@ -275,60 +275,40 @@ func BenchmarkForwardQuantizeScan32(b *testing.B) {
 	benchKernel(b, func(block []int32, n int) { ForwardQuantizeScan(block, n, 48, 3, orig, levels) }, src, 32)
 }
 
-// benchInverse times Inverse on what reconstruction hands it: a textured
-// residual after Forward, Quantize at a mid QP and Dequantize (a few low
-// frequencies survive), and the all-zero block.
-func benchInverse(b *testing.B, n int) {
+// benchReconstruct times Reconstruct on what a decoder hands it: the
+// levels of a textured residual after Forward and Quantize at a mid QP
+// (a few low frequencies survive), and the levels of an impulse at the
+// last scan position, where every row takes part.
+func benchReconstruct(b *testing.B, n int) {
+	block := make([]int32, n*n)
+	for i := range block {
+		block[i] = int32((i%n)*3 - (i/n)*2 + i*7%5)
+	}
+	Forward(block, n)
+	Quantize(block, 30, 3)
 	sparse := make([]int32, n*n)
-	for i := range sparse {
-		sparse[i] = int32((i%n)*3 - (i/n)*2 + i*7%5)
-	}
-	Forward(sparse, n)
-	Quantize(sparse, 30, 3)
-	Dequantize(sparse, 30)
-	b.Run("sparse", func(b *testing.B) { benchKernel(b, Inverse, sparse, n) })
-	b.Run("zero", func(b *testing.B) { benchKernel(b, Inverse, make([]int32, n*n), n) })
-}
-
-func BenchmarkInverse8(b *testing.B)  { benchInverse(b, 8) }
-func BenchmarkInverse16(b *testing.B) { benchInverse(b, 16) }
-func BenchmarkInverse32(b *testing.B) { benchInverse(b, 32) }
-
-// TestDequantizeScanMatchesScanInverse holds the decoder's fused scan to
-// ScanInverse then Dequantize on the zero-padded vector: every size,
-// every QP, level vectors cut at random lengths (empty and full
-// included), levels up to the full int32 range, and a block buffer
-// holding a previous block's values.
-func TestDequantizeScanMatchesScanInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for _, n := range Sizes {
-		for qp := 0; qp <= MaxQP; qp++ {
-			for _, cut := range []int{0, 1, 1 + rng.Intn(n*n), n * n} {
-				padded := make([]int32, n*n)
-				for i := range padded[:cut] {
-					switch rng.Intn(4) {
-					case 0:
-						padded[i] = int32(rng.Uint32())
-					case 1:
-						padded[i] = 0
-					default:
-						padded[i] = int32(rng.Intn(129) - 64)
-					}
-				}
-				want := make([]int32, n*n)
-				ScanInverse(padded, want, n)
-				Dequantize(want, qp)
-				got := make([]int32, n*n)
-				for i := range got {
-					got[i] = int32(rng.Uint32())
-				}
-				DequantizeScan(padded[:cut], got, n, qp)
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("n=%d qp=%d cut=%d: position %d = %d, want %d", n, qp, cut, i, got[i], want[i])
-					}
-				}
+	ScanForward(block, sparse, n)
+	corner := make([]int32, n*n)
+	corner[n*n-1] = 5
+	pred, dst := make([]uint8, n*n), make([]uint8, n*n)
+	for _, c := range []struct {
+		name   string
+		levels []int32
+	}{{"sparse", sparse}, {"corner", corner}} {
+		last := lastLevel(c.levels)
+		b.Run(c.name, func(b *testing.B) {
+			run := func() { Reconstruct(c.levels, last, n, 30, pred, n, dst, n) }
+			if a := testing.AllocsPerRun(10, run); a != 0 {
+				b.Fatalf("%v allocs per call, want 0", a)
 			}
-		}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
 	}
 }
+
+func BenchmarkReconstruct8(b *testing.B)  { benchReconstruct(b, 8) }
+func BenchmarkReconstruct16(b *testing.B) { benchReconstruct(b, 16) }
+func BenchmarkReconstruct32(b *testing.B) { benchReconstruct(b, 32) }
