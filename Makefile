@@ -27,7 +27,12 @@ profile-encode:
 # decodes the streams of the benchmark's playback_decode workload (a
 # three-rung VP9-class ladder and a two-tile H.264-class stream) on one
 # core under the CPU profiler. The table keeps only the samples under
-# DecodeSequence, in percent of them: the streams' encode is setup.
+# DecodeSequence, in percent of them: the streams' encode is setup. The
+# range decoder's decision inlines into entropy.Sink.Bool, so it shows
+# as bits.(*Decoder).Decide (inline), not as a GetBool frame; motion
+# compensation shows under motion.samplePlanes, luma through SampleInto,
+# both chroma planes through one SamplePair; predictions are sampled
+# into the frame, so no copy of them shows at all.
 profile-decode:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 	$(GO) test -run '^$$' -bench 'BenchmarkDecodePlayback' -benchtime 40x -cpu 1 \

@@ -37,7 +37,8 @@ func (e *Encoder) PutAdaptive(val bool, a *AdaptiveProb) {
 
 // GetAdaptive decodes a boolean against the context and updates it.
 func (d *Decoder) GetAdaptive(a *AdaptiveProb) bool {
-	v := d.GetBool(a.P)
+	d.Refill()
+	v := d.Decide(a.P)
 	a.Update(v)
 	return v
 }

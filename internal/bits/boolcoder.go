@@ -147,7 +147,10 @@ var normShift = func() (t [256]uint8) {
 
 // fill loads bytes below the valid bits of the window until at most
 // seven bits are left free. Past the end of the input it loads zeros,
-// as the bit-serial decoder reads zero bytes there.
+// as the bit-serial decoder reads zero bytes there. It stays out of
+// line so that Refill inlines.
+//
+//go:noinline
 func (d *Decoder) fill() {
 	if d.pos+8 <= len(d.in) {
 		d.win |= binary.BigEndian.Uint64(d.in[d.pos:]) >> uint(d.bits)
@@ -166,11 +169,26 @@ func (d *Decoder) fill() {
 
 // GetBool decodes one boolean that was encoded with probability p.
 func (d *Decoder) GetBool(p Prob) bool {
-	split := 1 + ((d.rng-1)*uint32(p))>>8
-	// The comparison reads the value's bits 8..31: the top 24 of win.
+	d.Refill()
+	return d.Decide(p)
+}
+
+// Refill loads stream bytes into the window when it holds fewer than
+// the 24 bits Decide compares. The load itself (fill) stays out of line
+// and runs about once per five stream bytes, so Refill and Decide both
+// inline into their caller, which then decodes a symbol without a call.
+func (d *Decoder) Refill() {
 	if d.bits < 24 {
 		d.fill()
 	}
+}
+
+// Decide decodes one boolean encoded with probability p: the decision
+// and the renormalization, without the load. It reads the value's bits
+// 8..31, the top 24 of win, so Refill must run before each Decide; that
+// is GetBool.
+func (d *Decoder) Decide(p Prob) bool {
+	split := 1 + ((d.rng-1)*uint32(p))>>8
 	big := uint64(split) << 40
 	ret := d.win >= big
 	if ret {

@@ -354,6 +354,20 @@ func FuzzBoolDecoderMatchesBitSerial(f *testing.F) {
 	f.Add([]byte{}, []byte{0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{0, 254, 127, 0, 0, 0, 0, 0})
 	f.Add([]byte{0x80, 0x01, 0x7f, 0xfe, 0x00, 0x55, 0xaa, 0x12, 0x34, 0x56, 0x78}, []byte{3, 200, 99, 1, 254, 128, 7, 7, 7, 7, 7, 7})
+	// Refills that start in the input's last 8 bytes, where fill loads
+	// byte by byte: 10 to 17 bytes, read at p = 1 and p = 255, whose
+	// renormalizations shift up to 7 bits a symbol, so the window runs
+	// low at every offset of the tail across the prefixes.
+	f.Add([]byte{0x9c, 0x3a, 0x51, 0xe7, 0x08, 0xc4, 0x6d, 0xb2, 0x2f, 0x93, 0x7e, 0x15, 0xd8, 0x41, 0xa6, 0x0b, 0xf3},
+		[]byte{0, 254, 0, 254, 0, 0, 254, 254, 0, 0, 0, 254, 254, 254, 0, 0, 0, 0, 254, 254, 254, 254, 0, 0, 0, 0, 0,
+			254, 254, 254, 254, 254, 0, 0, 0, 0, 0, 0, 254, 254, 254, 254, 254, 254, 0, 0, 0, 0, 0, 0, 0})
+	// Inputs that end in runs of 0xff: the value sits above the range as
+	// the last real bytes load, and the zeros read past the end follow
+	// them into the window.
+	f.Add([]byte{0x12, 0x34, 0x56, 0x78, 0x9a, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
+		[]byte{128, 1, 255, 64, 192, 0, 254, 128, 128, 1, 1, 1, 254, 254, 254, 127, 127, 127, 127, 3, 250, 250, 250, 9})
+	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0xff, 0xff, 0xff},
+		[]byte{254, 254, 254, 254, 254, 254, 254, 254, 0, 0, 0, 0, 0, 0, 0, 0, 128, 128, 128, 128, 128, 128, 128, 128})
 	f.Fuzz(func(t *testing.T, data, probs []byte) {
 		if len(data) > 256 {
 			data = data[:256]

@@ -4,7 +4,6 @@ import (
 	"openvcu/internal/codec/entropy"
 	"openvcu/internal/codec/motion"
 	"openvcu/internal/codec/predict"
-	"openvcu/internal/codec/transform"
 	"openvcu/internal/video"
 )
 
@@ -62,9 +61,6 @@ type frameShared struct {
 	// nbBuf backs intra neighbor gathers, so prediction allocates
 	// nothing per block.
 	nbBuf predict.NeighborBuf
-	// pred holds one leaf plane's prediction: the encoder's trials', then
-	// each plane's in turn as reconLeaf codes it.
-	pred []uint8
 }
 
 // newFrameShared builds the coding state of a tile coder for frames of
@@ -78,7 +74,6 @@ func newFrameShared(profile Profile, pw, ph, dispW, dispH int) *frameShared {
 		gw: gw, gh: gh,
 		mvGrid:  make([]motion.MV, gw*gh),
 		refGrid: make([]int8, gw*gh),
-		pred:    make([]uint8, profile.SuperblockSize()*profile.SuperblockSize()),
 	}
 }
 
@@ -287,34 +282,30 @@ func (fs *frameShared) codeMode(s entropy.Sink, ch blockChoice, x, y int) blockC
 }
 
 // residualCoder codes the residual of one plane of a leaf (class 0 luma,
-// 1 chroma; pred its s×s prediction; tx its transform size) and
-// reconstructs the plane through applyTxBlock: the encoder's quantizes
-// and writes the levels, the decoder's reads and dequantizes them.
+// 1 chroma; tx its transform size) and reconstructs the plane in place:
+// the s×s block of recon at (x, y), rows stride apart, holds the plane's
+// prediction on entry and its reconstruction on return. Each transform
+// block goes through transform.Reconstruct with its prediction and its
+// output the same pixels, which is exact because Reconstruct reads each
+// prediction pixel only to write the output pixel at its index. The
+// encoder's quantizes and writes the levels, the decoder's reads them.
 type residualCoder interface {
-	residual(p video.Plane, class int, recon []uint8, stride, x, y int, pred []uint8, s, tx int)
+	residual(p video.Plane, class int, recon []uint8, stride, x, y, s, tx int)
 }
 
-// reconLeaf reconstructs the leaf at (x, y) coded as ch, luma then the
-// two chroma planes, each plane the prediction where ch skips, else
-// through rc, and records ch in the context grids: the one leaf
-// reconstruction of encoder and decoder.
+// reconLeaf reconstructs the leaf at (x, y) coded as ch, and records ch
+// in the context grids: the one leaf reconstruction of encoder and
+// decoder. Each plane is predicted straight into the reconstruction (an
+// inter leaf samples both chroma planes in one call), and unless ch
+// skips, rc codes the residual of luma, then U, then V over it.
 func (fs *frameShared) reconLeaf(rc residualCoder, ch blockChoice, x, y, s int) {
-	for _, p := range [...]video.Plane{video.PlaneY, video.PlaneU, video.PlaneV} {
-		recon, stride, _ := fs.recon.PlaneData(p)
-		px, py, ps, tx, class := x, y, s, fs.lumaTx(s), 0
-		pred := fs.pred[:s*s]
-		if p == video.PlaneY {
-			fs.predictLuma(ch, x, y, s, pred)
-		} else {
-			px, py, ps, tx, class = x/2, y/2, s/2, fs.chromaTx(s), 1
-			pred = pred[:ps*ps]
-			fs.predictChromaPlane(ch, p, x, y, s, pred)
-		}
-		if ch.skip {
-			storeBlock(recon, stride, px, py, pred, ps)
-		} else {
-			rc.residual(p, class, recon, stride, px, py, pred, ps, tx)
-		}
+	fs.predictLuma(ch, x, y, s, fs.recon.Y[y*fs.pw+x:], fs.pw)
+	fs.predictChroma(ch, x, y, s)
+	if !ch.skip {
+		cw, _ := video.ChromaDims(fs.pw, fs.ph)
+		rc.residual(video.PlaneY, 0, fs.recon.Y, fs.pw, x, y, s, fs.lumaTx(s))
+		rc.residual(video.PlaneU, 1, fs.recon.U, cw, x/2, y/2, s/2, fs.chromaTx(s))
+		rc.residual(video.PlaneV, 1, fs.recon.V, cw, x/2, y/2, s/2, fs.chromaTx(s))
 	}
 	if ch.inter {
 		fs.setGrid(x, y, s, ch.mv, int8(ch.ref))
@@ -354,78 +345,52 @@ func (fs *frameShared) chromaTx(s int) int {
 	return tx
 }
 
-// predictLuma fills dst (s×s) with the prediction for the choice.
-func (fs *frameShared) predictLuma(ch blockChoice, x, y, s int, dst []uint8) {
+// predictLuma fills the s×s block at the start of dst, rows stride
+// apart, with the luma prediction for the choice.
+func (fs *frameShared) predictLuma(ch blockChoice, x, y, s int, dst []uint8, stride int) {
 	if ch.inter {
 		sharp := fs.profile.SharpFilter()
 		if ch.compound {
 			lastRef := motion.Ref{Pix: fs.refs[RefLast].Y, W: fs.pw, H: fs.ph, Sharp: sharp, Half: fs.refHalf[RefLast]}
 			goldRef := motion.Ref{Pix: fs.refs[RefGolden].Y, W: fs.pw, H: fs.ph, Sharp: sharp, Half: fs.refHalf[RefGolden]}
-			motion.SampleCompound(lastRef, ch.mv, goldRef, ch.mv, x, y, dst, s, &fs.mc)
+			motion.SampleCompoundInto(lastRef, ch.mv, goldRef, ch.mv, x, y, dst, stride, s, &fs.mc)
 			return
 		}
 		ref := motion.Ref{Pix: fs.refs[ch.ref].Y, W: fs.pw, H: fs.ph, Sharp: sharp, Half: fs.refHalf[ch.ref]}
-		motion.SampleBlock(ref, x, y, ch.mv, dst, s, &fs.mc)
+		motion.SampleInto(ref, x, y, ch.mv, dst, stride, s, &fs.mc)
 		return
 	}
 	nb := fs.gatherTileNeighbors(fs.recon.Y, fs.pw, fs.ph, x, y, s, fs.tileX0)
-	predict.Predict(ch.intraMode, nb, dst, s)
+	predict.Predict(ch.intraMode, nb, dst, stride, s)
 }
 
-// predictChromaPlane fills dst (cs×cs) for one chroma plane.
-func (fs *frameShared) predictChromaPlane(ch blockChoice, plane video.Plane, x, y, s int, dst []uint8) {
+// predictChroma predicts both chroma planes of the leaf at (x, y), size
+// s, into the reconstruction: an inter leaf at half its luma vector from
+// the same reference planes, an intra one from each plane's neighbors.
+func (fs *frameShared) predictChroma(ch blockChoice, x, y, s int) {
 	cs := s / 2
 	cw, chh := video.ChromaDims(fs.pw, fs.ph)
 	cx, cy := x/2, y/2
-	cmv := motion.MV{X: ch.mv.X / 2, Y: ch.mv.Y / 2}
-	if ch.inter {
-		sharp := fs.profile.SharpFilter()
-		pick := func(f *video.Frame) []uint8 {
-			if plane == video.PlaneU {
-				return f.U
-			}
-			return f.V
+	if !ch.inter {
+		for _, p := range [...][]uint8{fs.recon.U, fs.recon.V} {
+			nb := fs.gatherTileNeighbors(p, cw, chh, cx, cy, cs, fs.tileX0/2)
+			predict.Predict(ch.intraMode, nb, p[cy*cw+cx:], cw, cs)
 		}
-		if ch.compound {
-			motion.SampleCompound(
-				motion.Ref{Pix: pick(fs.refs[RefLast]), W: cw, H: chh, Sharp: sharp}, cmv,
-				motion.Ref{Pix: pick(fs.refs[RefGolden]), W: cw, H: chh, Sharp: sharp}, cmv,
-				cx, cy, dst, cs, &fs.mc)
-			return
-		}
-		ref := motion.Ref{Pix: pick(fs.refs[ch.ref]), W: cw, H: chh, Sharp: sharp}
-		motion.SampleBlock(ref, cx, cy, cmv, dst, cs, &fs.mc)
 		return
 	}
-	var reconPlane []uint8
-	if plane == video.PlaneU {
-		reconPlane = fs.recon.U
-	} else {
-		reconPlane = fs.recon.V
+	u, v := fs.recon.U[cy*cw+cx:], fs.recon.V[cy*cw+cx:]
+	cmv := motion.MV{X: ch.mv.X / 2, Y: ch.mv.Y / 2}
+	plane := func(pix []uint8) motion.Ref {
+		return motion.Ref{Pix: pix, W: cw, H: chh, Sharp: fs.profile.SharpFilter()}
 	}
-	nb := fs.gatherTileNeighbors(reconPlane, cw, chh, cx, cy, cs, fs.tileX0/2)
-	predict.Predict(ch.intraMode, nb, dst, cs)
-}
-
-// storeBlock writes an s×s pixel block into a plane.
-func storeBlock(plane []uint8, stride, x, y int, blk []uint8, s int) {
-	for r := 0; r < s; r++ {
-		copy(plane[(y+r)*stride+x:(y+r)*stride+x+s], blk[r*s:(r+1)*s])
+	if ch.compound {
+		last, gold := fs.refs[RefLast], fs.refs[RefGolden]
+		motion.SampleCompoundInto(plane(last.U), cmv, plane(gold.U), cmv, cx, cy, u, cw, cs, &fs.mc)
+		motion.SampleCompoundInto(plane(last.V), cmv, plane(gold.V), cmv, cx, cy, v, cw, cs, &fs.mc)
+		return
 	}
-}
-
-// applyTxBlock reconstructs one transform block through
-// transform.Reconstruct: dequantize the scanned levels (none past scan
-// index last is read), inverse transform, add the prediction (pred is the
-// leaf-sized prediction buffer with stride predStride, offset to the tx
-// block), and write the clamped result into the plane at (x, y). It is
-// the single reconstruction path shared by the encoder's trials, its
-// commit and the decoder, guaranteeing their reference frames stay
-// bit-identical. The int32 block argument is not read: Reconstruct keeps
-// its scratch on the stack.
-func applyTxBlock(scanned []int32, last, n, qp int, _ []int32,
-	pred []uint8, predStride, predOff int, plane []uint8, stride, x, y int) {
-	transform.Reconstruct(scanned, last, n, qp, pred[predOff:], predStride, plane[y*stride+x:], stride)
+	ref := fs.refs[ch.ref]
+	motion.SamplePair(plane(ref.U), plane(ref.V), cx, cy, cmv, u, v, cw, cs, &fs.mc)
 }
 
 // sseRegion accumulates squared error between a source region and a

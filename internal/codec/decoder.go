@@ -7,6 +7,7 @@ import (
 	"openvcu/internal/bits"
 	"openvcu/internal/codec/entropy"
 	"openvcu/internal/codec/filter"
+	"openvcu/internal/codec/transform"
 	"openvcu/internal/par"
 	"openvcu/internal/video"
 )
@@ -228,15 +229,16 @@ func (df *decFrame) decodeLeaf(x, y, s int) error {
 	return nil
 }
 
-// residual reads, dequantizes and reconstructs all tx blocks of one plane
-// of a leaf.
-func (df *decFrame) residual(_ video.Plane, class int, recon []uint8, stride, x, y int,
-	pred []uint8, s, tx int) {
+// residual reads the levels of every tx block of one plane of a leaf and
+// reconstructs each over its prediction, in place.
+func (df *decFrame) residual(_ video.Plane, class int, recon []uint8, stride, x, y, s, tx int) {
 	scanned := df.scanned[:tx*tx]
 	for by := 0; by < s; by += tx {
 		for bx := 0; bx < s; bx += tx {
-			last := df.model.CodeCoeffs(entropy.Reader(df.d), class, scanned, tx, -1)
-			applyTxBlock(scanned, last, tx, df.qp, nil, pred, s, by*s+bx, recon, stride, x+bx, y+by)
+			if last := df.model.CodeCoeffs(entropy.Reader(df.d), class, scanned, tx, -1); last >= 0 {
+				blk := recon[(y+by)*stride+x+bx:]
+				transform.Reconstruct(scanned, last, tx, df.qp, blk, stride, blk, stride)
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"openvcu/internal/codec/entropy"
 	"openvcu/internal/codec/rc"
+	"openvcu/internal/codec/transform"
 	"openvcu/internal/video"
 )
 
@@ -100,13 +101,16 @@ func (c txCapture) tree(x, y, s, depth int) {
 	}
 }
 
-func (c txCapture) residual(_ video.Plane, class int, recon []uint8, stride, x, y int, pred []uint8, s, tx int) {
+func (c txCapture) residual(_ video.Plane, class int, recon []uint8, stride, x, y, s, tx int) {
 	scanned := c.scanned[:tx*tx]
 	for by := 0; by < s; by += tx {
 		for bx := 0; bx < s; bx += tx {
 			last := c.model.CodeCoeffs(entropy.Reader(c.d), class, scanned, tx, -1)
 			*c.blocks = append(*c.blocks, txBlock{slices.Clone(scanned[:last+1]), last, tx, c.qp})
-			applyTxBlock(scanned, last, tx, c.qp, nil, pred, s, by*s+bx, recon, stride, x+bx, y+by)
+			if last >= 0 {
+				blk := recon[(y+by)*stride+x+bx:]
+				transform.Reconstruct(scanned, last, tx, c.qp, blk, stride, blk, stride)
+			}
 		}
 	}
 }
@@ -168,7 +172,7 @@ func playbackTxBlocks(tb testing.TB) []txBlock {
 }
 
 // BenchmarkReconstructPlayback replays the transform blocks of one pass
-// over the playback streams through applyTxBlock, one sub-benchmark per
+// over the playback streams through transform.Reconstruct, one sub-benchmark per
 // transform size, each op every block of that size once, into one
 // block-sized plane over a fixed prediction.
 func BenchmarkReconstructPlayback(b *testing.B) {
@@ -193,7 +197,7 @@ func BenchmarkReconstructPlayback(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, blk := range sized {
 					copy(scanned, blk.levels)
-					applyTxBlock(scanned, blk.last, n, blk.qp, nil, pred[:], n, 0, plane[:], n, 0, 0)
+					transform.Reconstruct(scanned, blk.last, n, blk.qp, pred[:], n, plane[:], n)
 				}
 			}
 		})

@@ -26,9 +26,10 @@ type encFrame struct {
 	// the same for the half-sample planes.
 	refPyr [numRefSlots]*motion.Pyramid
 
-	// Trial/commit scratch, reused across every candidate evaluation in
-	// this tile (one goroutine); frameShared.pred holds leaf predictions.
-	// The int32 buffers hold one transform block each.
+	// Trial scratch, reused across every candidate evaluation in this
+	// tile (one goroutine): pred holds a trial's luma prediction, reconBlk
+	// and the int32 buffers one transform block each.
+	pred     []uint8
 	reconBlk []uint8
 	scanBuf  []int32
 	origBuf  []int32
@@ -53,6 +54,7 @@ func allocEncFrame(e *Encoder) *encFrame {
 	fc.frameShared = newFrameShared(e.cfg.Profile, e.pw, e.ph, e.cfg.Width, e.cfg.Height)
 	sb := e.cfg.Profile.SuperblockSize()
 	tx := e.cfg.Profile.MaxTransform()
+	fc.pred = make([]uint8, sb*sb)
 	fc.reconBlk = make([]uint8, tx*tx)
 	fc.scanBuf = make([]int32, tx*tx)
 	fc.origBuf = make([]int32, tx*tx)
@@ -326,7 +328,7 @@ func (fc *encFrame) evalChoice(x, y, s int, ch blockChoice, lost float64) float6
 		return c
 	}
 	pred := fc.pred[:s*s]
-	fc.predictLuma(ch, x, y, s, pred)
+	fc.predictLuma(ch, x, y, s, pred, s)
 	if ch.skip {
 		return fc.rdCost(sseRegion(fc.src.Y, fc.pw, x, y, pred, s), rate)
 	}
@@ -345,7 +347,7 @@ func (fc *encFrame) evalChoice(x, y, s int, ch blockChoice, lost float64) float6
 				return c
 			}
 			// reconstruct into a scratch block to measure distortion
-			applyTxBlock(scanned, last, tx, fc.qp, nil, pred, s, by*s+bx, reconBlk, tx, 0, 0)
+			transform.Reconstruct(scanned, last, tx, fc.qp, pred[by*s+bx:], s, reconBlk, tx)
 			sse += sseRegion(fc.src.Y, fc.pw, x+bx, y+by, reconBlk, tx)
 			if c := fc.rdCost(sse, rate); c >= lost {
 				return c
@@ -468,20 +470,22 @@ func (fc *encFrame) commitLeaf(x, y, s int, ch blockChoice) {
 	fc.reconLeaf(fc, fc.codeMode(entropy.Writer(fc.w), ch, x, y), x, y, s)
 }
 
-// residual transforms, quantizes, entropy-codes and reconstructs all tx
-// blocks of one plane of a leaf.
-func (fc *encFrame) residual(p video.Plane, class int, recon []uint8, stride, x, y int,
-	pred []uint8, s, tx int) {
+// residual transforms, quantizes and entropy-codes every tx block of one
+// plane of a leaf and reconstructs each over its prediction, in place.
+func (fc *encFrame) residual(p video.Plane, class int, recon []uint8, stride, x, y, s, tx int) {
 	src, _, _ := fc.src.PlaneData(p)
 	scanned := fc.scanBuf[:tx*tx]
 	orig := fc.origBuf[:tx*tx]
 	resid := fc.residBuf[:tx*tx]
 	for by := 0; by < s; by += tx {
 		for bx := 0; bx < s; bx += tx {
-			fc.buildResidual(src, stride, x+bx, y+by, pred, s, bx, by, resid, tx)
+			fc.buildResidual(src, stride, x+bx, y+by, recon, stride, x+bx, y+by, resid, tx)
 			last := fc.quantizeScan(resid, tx, class, scanned, orig)
 			fc.model.CodeCoeffs(entropy.Writer(fc.w), class, scanned, tx, last)
-			applyTxBlock(scanned, last, tx, fc.qp, nil, pred, s, by*s+bx, recon, stride, x+bx, y+by)
+			if last >= 0 {
+				blk := recon[(y+by)*stride+x+bx:]
+				transform.Reconstruct(scanned, last, tx, fc.qp, blk, stride, blk, stride)
+			}
 		}
 	}
 }

@@ -18,7 +18,11 @@ import (
 // Sink is a concrete type, not an interface or a type parameter: either
 // of those makes every symbol an indirect call and lets the sink's
 // pointers escape, an allocation per walk. A concrete Sink keeps one
-// direct call per symbol and a Rate sum on the caller's stack.
+// direct call per symbol and a Rate sum on the caller's stack. Reading,
+// that call is all: the range decoder's Refill and Decide inline into
+// Bool and Bit, and only the byte load behind Refill is a call, about
+// once per five stream bytes (scripts/check.sh fails if Decide stops
+// inlining into Bool).
 type Sink struct {
 	e   *bits.Encoder
 	d   *bits.Decoder
@@ -40,7 +44,8 @@ func Rate(sum *uint32) Sink { return Sink{sum: sum} }
 func (s Sink) Bool(v bool, a *bits.AdaptiveProb) bool {
 	switch {
 	case s.d != nil:
-		v = s.d.GetBool(a.P)
+		s.d.Refill()
+		v = s.d.Decide(a.P)
 	case s.e != nil:
 		s.e.PutBool(v, a.P)
 	default:
@@ -55,7 +60,8 @@ func (s Sink) Bool(v bool, a *bits.AdaptiveProb) bool {
 func (s Sink) Bit(v bool) bool {
 	switch {
 	case s.d != nil:
-		return s.d.GetBool(bits.ProbHalf)
+		s.d.Refill()
+		return s.d.Decide(bits.ProbHalf)
 	case s.e != nil:
 		s.e.PutBool(v, bits.ProbHalf)
 	default:

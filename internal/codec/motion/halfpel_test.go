@@ -140,10 +140,11 @@ func TestSingleAxisKernelsMatchScalar(t *testing.T) {
 				for f := 0; f < 8; f++ {
 					for _, ph := range [][2]int{{f, 0}, {0, f}} {
 						fx, fy := ph[0], ph[1]
-						sampleSharp(ref, ix, iy, fx, fy, got, n, sc)
+						one := planes{pix: [2][]uint8{ref.Pix}, dst: [2][]uint8{got}, k: 1}
+						sampleSharp(&ref, one, ix, iy, fx, fy, n, n, sc)
 						sampleSharpRef(ref, ix, iy, fx, fy, want, n)
 						check("sampleSharp", ix, iy, fx, fy)
-						sampleBilinear(ref, ix, iy, fx, fy, got, n, sc)
+						sampleBilinear(&ref, one, ix, iy, fx, fy, n, n, sc)
 						sampleBilinearRef(ref, ix, iy, fx, fy, want, n)
 						check("sampleBilinear", ix, iy, fx, fy)
 					}

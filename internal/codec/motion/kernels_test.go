@@ -1,6 +1,7 @@
 package motion
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -360,20 +361,79 @@ func TestScratchReuseIsStateless(t *testing.T) {
 }
 
 // TestSampleSharpAllocatesNothing: the sharp sub-pel interpolator runs
-// per candidate inside the encoder's RD search, so its row-pass
-// intermediate lives in the caller's Scratch and a call allocates
-// nothing once the Scratch has grown to the block size.
+// per candidate inside the encoder's RD search and per block in the
+// decoder, so the edge-extended window of a block that leaves the frame
+// lives in the caller's Scratch, and a call allocates nothing once the
+// Scratch has grown to the block size: in the frame (the strip kernel),
+// straddling its corner (the window), into a frame-strided block, both
+// chroma planes at once, and compound.
 func TestSampleSharpAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const w, h, n = 64, 64, 16
 	ref := Ref{Pix: randPlane(rng, w, h), W: w, H: h, Sharp: true}
-	dst := make([]uint8, n*n)
+	refB := Ref{Pix: randPlane(rng, w, h), W: w, H: h, Sharp: true}
+	dst, dstB := make([]uint8, w*h), make([]uint8, w*h)
 	sc := NewScratch()
-	allocs := testing.AllocsPerRun(10, func() {
-		SampleBlock(ref, 20, 20, MV{X: 3, Y: 5}, dst, n, sc)
-	})
-	if allocs != 0 {
-		t.Fatalf("sharp sub-pel SampleBlock allocates %.1f times per call, want 0", allocs)
+	for name, call := range map[string]func(){
+		"in frame":  func() { SampleBlock(ref, 20, 20, MV{X: 3, Y: 5}, dst, n, sc) },
+		"edge":      func() { SampleBlock(ref, w-n+1, -2, MV{X: 3, Y: 5}, dst, n, sc) },
+		"strided":   func() { SampleInto(ref, 20, 20, MV{X: 3, Y: 5}, dst[8*w+8:], w, n, sc) },
+		"pair edge": func() { SamplePair(ref, refB, -3, h-n+2, MV{X: 5, Y: 3}, dst, dstB, w, n, sc) },
+		"compound":  func() { SampleCompoundInto(ref, MV{X: 3, Y: 5}, refB, MV{X: -2, Y: 1}, 0, 0, dst, w, n, sc) },
+	} {
+		if allocs := testing.AllocsPerRun(10, call); allocs != 0 {
+			t.Errorf("%s: sharp sub-pel sampling allocates %.1f times per call, want 0", name, allocs)
+		}
+	}
+}
+
+// TestSamplePairMatchesSampleBlock holds SamplePair to two SampleBlock
+// calls, one per plane, for both filters, every phase of both axes,
+// blocks of 8, 16 and 32, in the frame, on the bounds of each kernel's
+// interior test and straddling every edge and corner, written into
+// frame-strided blocks whose surroundings must not move.
+func TestSamplePairMatchesSampleBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	const w, h, stride = 72, 56, 80
+	sc := NewScratch()
+	for _, sharp := range []bool{false, true} {
+		refU := Ref{Pix: randPlane(rng, w, h), W: w, H: h, Sharp: sharp}
+		refV := Ref{Pix: randPlane(rng, w, h), W: w, H: h, Sharp: sharp}
+		for _, n := range []int{8, 16, 32} {
+			wantU, wantV := make([]uint8, n*n), make([]uint8, n*n)
+			positions := [][2]int{{(w - n) / 2, (h - n) / 2},
+				{1, 1}, {w - n - 2, h - n - 2}, {0, 0}, {w - n, h - n}, {w - n - 1, 2},
+				{-n / 2, h / 2}, {w - n/2, 3}, {5, -n / 2}, {w / 2, h - n/2}, {-n - 3, -1}, {w + 1, h + 4}}
+			for fy := 0; fy < 8; fy++ {
+				for fx := 0; fx < 8; fx++ {
+					for _, pos := range positions {
+						mv := MV{X: int16(rng.Intn(5)-2)*8 + int16(fx), Y: int16(rng.Intn(5)-2)*8 + int16(fy)}
+						SampleBlock(refU, pos[0], pos[1], mv, wantU, n, sc)
+						SampleBlock(refV, pos[0], pos[1], mv, wantV, n, sc)
+						planeU := bytes.Repeat([]byte{0xA5}, stride*(n+6))
+						planeV := bytes.Repeat([]byte{0x5A}, stride*(n+6))
+						const x0, y0 = 3, 2
+						SamplePair(refU, refV, pos[0], pos[1], mv, planeU[y0*stride+x0:], planeV[y0*stride+x0:], stride, n, sc)
+						for _, p := range []struct {
+							got, want []uint8
+							fill      uint8
+						}{{planeU, wantU, 0xA5}, {planeV, wantV, 0x5A}} {
+							for i, v := range p.got {
+								r, c := i/stride-y0, i%stride-x0
+								want := p.fill
+								if r >= 0 && r < n && c >= 0 && c < n {
+									want = p.want[r*n+c]
+								}
+								if v != want {
+									t.Fatalf("sharp=%v n=%d pos=%v mv=%v: pixel (%d,%d) = %d, want %d",
+										sharp, n, pos, mv, r, c, v, want)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -3,9 +3,7 @@ package motion
 // Scalar reference kernels. These are the original per-pixel
 // implementations, kept as the ground truth the optimized kernels in
 // swar.go / motion.go must match bit-for-bit (ISSUE 2 tentpole
-// requirement). They are exercised only by the differential tests and by
-// the edge-clamped slow paths below; the encoder hot path never runs them
-// on fully-in-bounds blocks.
+// requirement). Only the differential tests run them.
 
 // blockSADRef is the scalar SAD with per-pixel edge clamping and no
 // early exit.

@@ -4,7 +4,11 @@
 // (which the hardware keeps in SRAM line buffers, paper §3.2).
 package predict
 
-import "openvcu/internal/video"
+import (
+	"encoding/binary"
+
+	"openvcu/internal/video"
+)
 
 // IntraMode enumerates the spatial prediction modes.
 type IntraMode int
@@ -94,23 +98,22 @@ func GatherNeighborsBounded(recon []uint8, w, h, x, y, n, minX int, buf *Neighbo
 	return nb
 }
 
-// Predict fills dst (n×n row-major) with the prediction for the mode.
-func Predict(mode IntraMode, nb Neighbors, dst []uint8, n int) {
+// Predict fills the n×n block at the start of dst, rows stride apart,
+// with the prediction for the mode.
+func Predict(mode IntraMode, nb Neighbors, dst []uint8, stride, n int) {
 	switch mode {
-	case IntraDC:
-		predictDC(nb, dst, n)
 	case IntraH:
-		predictH(nb, dst, n)
+		predictH(nb, dst, stride, n)
 	case IntraV:
-		predictV(nb, dst, n)
+		predictV(nb, dst, stride, n)
 	case IntraTM:
-		predictTM(nb, dst, n)
+		predictTM(nb, dst, stride, n)
 	default:
-		predictDC(nb, dst, n)
+		predictDC(nb, dst, stride, n)
 	}
 }
 
-func predictDC(nb Neighbors, dst []uint8, n int) {
+func predictDC(nb Neighbors, dst []uint8, stride, n int) {
 	var sum, cnt int32
 	if nb.HasAbove {
 		for _, v := range nb.Above {
@@ -128,47 +131,55 @@ func predictDC(nb Neighbors, dst []uint8, n int) {
 	if cnt > 0 {
 		dc = uint8((sum + cnt/2) / cnt)
 	}
-	for i := range dst[:n*n] {
-		dst[i] = dc
+	for y := 0; y < n; y++ {
+		fill(dst[y*stride:][:n], dc)
 	}
 }
 
-func predictH(nb Neighbors, dst []uint8, n int) {
+func predictH(nb Neighbors, dst []uint8, stride, n int) {
 	for y := 0; y < n; y++ {
 		v := uint8(128)
 		if nb.HasLeft {
 			v = nb.Left[y]
 		}
-		row := dst[y*n : y*n+n]
-		for x := range row {
-			row[x] = v
-		}
+		fill(dst[y*stride:][:n], v)
 	}
 }
 
-func predictV(nb Neighbors, dst []uint8, n int) {
+func predictV(nb Neighbors, dst []uint8, stride, n int) {
 	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			if nb.HasAbove {
-				dst[y*n+x] = nb.Above[x]
-			} else {
-				dst[y*n+x] = 128
-			}
+		row := dst[y*stride:][:n]
+		if nb.HasAbove {
+			copy(row, nb.Above[:n])
+		} else {
+			fill(row, 128)
 		}
 	}
 }
 
 // predictTM is VP8/VP9 TrueMotion: p = left + above - topleft, clamped.
-func predictTM(nb Neighbors, dst []uint8, n int) {
+func predictTM(nb Neighbors, dst []uint8, stride, n int) {
 	if !nb.HasAbove || !nb.HasLeft {
-		predictDC(nb, dst, n)
+		predictDC(nb, dst, stride, n)
 		return
 	}
 	tl := int32(nb.TopLeft)
 	for y := 0; y < n; y++ {
 		l := int32(nb.Left[y])
-		for x := 0; x < n; x++ {
-			dst[y*n+x] = video.ClampU8(l + int32(nb.Above[x]) - tl)
+		row := dst[y*stride:][:n]
+		for x := range row {
+			row[x] = video.ClampU8(l + int32(nb.Above[x]) - tl)
 		}
+	}
+}
+
+// fill sets every sample of row to v, 8 a store.
+func fill(row []uint8, v uint8) {
+	i := 0
+	for w := uint64(v) * 0x0101010101010101; i+8 <= len(row); i += 8 {
+		binary.LittleEndian.PutUint64(row[i:], w)
+	}
+	for ; i < len(row); i++ {
+		row[i] = v
 	}
 }

@@ -16,7 +16,7 @@ func TestDCPrediction(t *testing.T) {
 	recon := mkRecon(16, 16, func(x, y int) uint8 { return 100 })
 	nb := GatherNeighborsBounded(recon, 16, 16, 8, 8, 8, 0, &NeighborBuf{})
 	dst := make([]uint8, 64)
-	Predict(IntraDC, nb, dst, 8)
+	Predict(IntraDC, nb, dst, 8, 8)
 	for i, v := range dst {
 		if v != 100 {
 			t.Fatalf("DC pixel %d = %d, want 100", i, v)
@@ -31,7 +31,7 @@ func TestDCNoNeighborsIsMidGray(t *testing.T) {
 		t.Fatal("corner block should have no neighbors")
 	}
 	dst := make([]uint8, 64)
-	Predict(IntraDC, nb, dst, 8)
+	Predict(IntraDC, nb, dst, 8, 8)
 	if dst[0] != 128 {
 		t.Fatalf("borderless DC = %d, want 128", dst[0])
 	}
@@ -41,7 +41,7 @@ func TestHPropagatesLeftColumn(t *testing.T) {
 	recon := mkRecon(16, 16, func(x, y int) uint8 { return uint8(y * 10) })
 	nb := GatherNeighborsBounded(recon, 16, 16, 4, 0, 4, 0, &NeighborBuf{})
 	dst := make([]uint8, 16)
-	Predict(IntraH, nb, dst, 4)
+	Predict(IntraH, nb, dst, 4, 4)
 	for y := 0; y < 4; y++ {
 		for x := 0; x < 4; x++ {
 			if dst[y*4+x] != uint8(y*10) {
@@ -55,7 +55,7 @@ func TestVPropagatesTopRow(t *testing.T) {
 	recon := mkRecon(16, 16, func(x, y int) uint8 { return uint8(x * 3) })
 	nb := GatherNeighborsBounded(recon, 16, 16, 0, 4, 4, 0, &NeighborBuf{})
 	dst := make([]uint8, 16)
-	Predict(IntraV, nb, dst, 4)
+	Predict(IntraV, nb, dst, 4, 4)
 	for y := 0; y < 4; y++ {
 		for x := 0; x < 4; x++ {
 			if dst[y*4+x] != uint8(x*3) {
@@ -70,7 +70,7 @@ func TestTMGradient(t *testing.T) {
 	recon := mkRecon(16, 16, func(x, y int) uint8 { return uint8(x*4 + y*5) })
 	nb := GatherNeighborsBounded(recon, 16, 16, 4, 4, 4, 0, &NeighborBuf{})
 	dst := make([]uint8, 16)
-	Predict(IntraTM, nb, dst, 4)
+	Predict(IntraTM, nb, dst, 4, 4)
 	for y := 0; y < 4; y++ {
 		for x := 0; x < 4; x++ {
 			want := uint8((x+4)*4 + (y+4)*5)
@@ -85,7 +85,7 @@ func TestTMFallsBackWithoutNeighbors(t *testing.T) {
 	recon := mkRecon(8, 8, func(x, y int) uint8 { return 10 })
 	nb := GatherNeighborsBounded(recon, 8, 8, 0, 0, 4, 0, &NeighborBuf{})
 	dst := make([]uint8, 16)
-	Predict(IntraTM, nb, dst, 4)
+	Predict(IntraTM, nb, dst, 4, 4)
 	if dst[0] != 128 {
 		t.Fatalf("TM without neighbors = %d, want DC fallback 128", dst[0])
 	}
@@ -110,7 +110,7 @@ func TestAllModesProduceValidOutput(t *testing.T) {
 		for m := IntraMode(0); m < NumIntraModes; m++ {
 			nb := GatherNeighborsBounded(recon, 32, 32, 0, 0, n, 0, &NeighborBuf{})
 			dst := make([]uint8, n*n)
-			Predict(m, nb, dst, n) // must not panic
+			Predict(m, nb, dst, n, n) // must not panic
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // TestReconstructMatchesUnfusedPath holds the RDO trial's transform stage
-// — QuantizeScan, and applyTxBlock with its copy-the-prediction and DC
-// shortcuts — to the path it replaced, written out with the scalar
+// — QuantizeScan, and transform.Reconstruct with its copy-the-prediction
+// and DC shortcuts — to the path it replaced, written out with the scalar
 // reference kernels: ScanForward, Quantize, ScanForward, a backwards scan
 // for the last level, then ScanInverse, Dequantize, InverseScalar, add,
 // clamp. Every QP and size; coefficient blocks that quantize to dense,
@@ -80,17 +80,14 @@ func TestReconstructMatchesUnfusedPath(t *testing.T) {
 					want[i] = video.ClampU8(int32(pred[i]) + blk[i])
 				}
 
-				// Into a plane wider than the block, at an offset, with
-				// dirty scratch: nothing outside the block may move.
+				// Into a plane wider than the block, at an offset:
+				// nothing outside the block may move.
 				const stride, x, y = 40, 5, 3
 				plane := make([]uint8, stride*stride)
 				for i := range plane {
 					plane[i] = 0xA5
 				}
-				for i := range blk {
-					blk[i] = 0x5A5A5A
-				}
-				applyTxBlock(levels, last, n, qp, blk, pred, n, 0, plane, stride, x, y)
+				transform.Reconstruct(levels, last, n, qp, pred, n, plane[y*stride+x:], stride)
 				for r := 0; r < stride; r++ {
 					for c := 0; c < stride; c++ {
 						w := uint8(0xA5)

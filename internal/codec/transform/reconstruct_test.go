@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"openvcu/internal/video"
@@ -145,6 +146,51 @@ func TestReconstructMatchesScalar(t *testing.T) {
 							t.Fatalf("%s: plane[%d][%d] = %d, want %d", id, r, c, plane[r*stride+c], w)
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestReconstructInPlace holds Reconstruct with its prediction and its
+// output the same pixels, as the codec calls it over a prediction
+// sampled into the frame, to the out-of-place result: every size, every
+// last position, so each of Reconstruct's paths (-1, the copy; 0, the
+// DC path; the full path), dense and hostile levels, the block at an offset in a wider plane whose other
+// pixels must not move.
+func TestReconstructInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	const stride, x0, y0 = 40, 3, 5
+	for _, n := range Sizes {
+		nn := n * n
+		for last := -1; last < nn; last++ {
+			levels := make([]int32, nn)
+			for i := 0; i <= last; i++ {
+				levels[i] = int32(rng.Intn(257) - 128)
+				if rng.Intn(8) == 0 {
+					levels[i] = []int32{MaxAbsCoeff, -MaxAbsCoeff, math.MaxInt32, math.MinInt32}[rng.Intn(4)]
+				}
+			}
+			if last >= 0 && levels[last] == 0 {
+				levels[last] = 1
+			}
+			qp := rng.Intn(MaxQP + 1)
+			plane := make([]uint8, stride*stride)
+			for i := range plane {
+				plane[i] = uint8(rng.Intn(256))
+			}
+			pred := make([]uint8, nn)
+			for r := 0; r < n; r++ {
+				copy(pred[r*n:][:n], plane[(y0+r)*stride+x0:])
+			}
+			want := slices.Clone(plane)
+			Reconstruct(levels, last, n, qp, pred, n, want[y0*stride+x0:], stride)
+			blk := plane[y0*stride+x0:]
+			Reconstruct(levels, last, n, qp, blk, stride, blk, stride)
+			for i := range plane {
+				if plane[i] != want[i] {
+					t.Fatalf("n=%d last=%d qp=%d: in place, plane[%d][%d] = %d, out of place %d",
+						n, last, qp, i/stride, i%stride, plane[i], want[i])
 				}
 			}
 		}

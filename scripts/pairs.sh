@@ -13,9 +13,13 @@
 #
 # Writes BENCH_<workload>.json at the repository root: both commits, the
 # seed, the pair count, the run length, the failed and attempted
-# operations of each side, and per metric the median and the quartiles of
-# each side, the ratio of the medians (change / base), the pairs the
-# change won and lost (a tie is neither) and a verdict:
+# operations of each side, and per metric each side's value in every
+# pair (in pair order), the median and the quartiles of each side, the
+# ratio of the medians (change / base), the median of the per-pair ratios
+# with its 2nd and (n−1)th order statistics (for ten pairs the 2nd–9th, a
+# distribution-free interval that holds the true median ratio with 98 %
+# confidence), the pairs the change won and lost (a tie is neither) and a
+# verdict:
 #   better      at least ten pairs ran, the change won at least 9 in 10
 #               of them, and its median is better than base's by more
 #               than the width of base's interquartile range;
@@ -138,15 +142,24 @@ END {
     for (k = 1; k <= nm; k++) {
         m = names[k]
         dir = (m in better) ? better[m] : "lower"
-        nb = 0; nc = 0; wins = 0; losses = 0
+        nb = 0; nc = 0; nr = 0; wins = 0; losses = 0; bvals = ""; cvals = ""
         for (i = 1; i <= pairs; i++) {
             if (!(("base", m, i) in v) || !(("change", m, i) in v)) continue
             b[++nb] = v["base", m, i]; c[++nc] = v["change", m, i]
+            bvals = bvals (nb > 1 ? ", " : "") sprintf("%.6g", b[nb])
+            cvals = cvals (nc > 1 ? ", " : "") sprintf("%.6g", c[nc])
+            if (b[nb] != 0) r[++nr] = c[nc] / b[nb]
             if ((dir == "lower" && c[nc] < b[nb]) || (dir == "higher" && c[nc] > b[nb])) wins++
             if ((dir == "lower" && c[nc] > b[nb]) || (dir == "higher" && c[nc] < b[nb])) losses++
         }
         if (nb == 0) continue
-        sortv(b, nb); sortv(c, nc)
+        sortv(b, nb); sortv(c, nc); sortv(r, nr)
+        # The per-pair ratio median and its 2nd and (n-1)th order
+        # statistics (the extremes under four pairs); 0 with no ratio.
+        ro = nr >= 4 ? 2 : 1
+        rm = nr > 0 ? q(r, nr, 0.5) : 0
+        rlo = nr > 0 ? r[ro] : 0
+        rhi = nr > 0 ? r[nr + 1 - ro] : 0
         bm = q(b, nb, 0.5); cm = q(c, nc, 0.5)
         bq1 = q(b, nb, 0.25); bq3 = q(b, nb, 0.75)
         ratio = bm != 0 ? cm / bm : 0
@@ -155,14 +168,14 @@ END {
         verdict = "unresolved"
         if (nb >= 10 && 10 * wins >= 9 * nb && -gap > bq3 - bq1) verdict = "better"
         if (nb >= 10 && 10 * losses >= 9 * nb && gap > bq3 - bq1) verdict = "worse"
-        printf "%s\n    \"%s\": {\"better\": \"%s\", \"base_median\": %.6g, \"base_iqr\": [%.6g, %.6g], \"change_median\": %.6g, \"change_iqr\": [%.6g, %.6g], \"ratio\": %.4f, \"wins\": %d, \"losses\": %d, \"verdict\": \"%s\"}",
-            (k > 1 ? "," : ""), m, dir, bm, bq1, bq3, cm, q(c, nc, 0.25), q(c, nc, 0.75), ratio, wins, losses, verdict >out
+        printf "%s\n    \"%s\": {\"better\": \"%s\", \"base_values\": [%s], \"change_values\": [%s], \"base_median\": %.6g, \"base_iqr\": [%.6g, %.6g], \"change_median\": %.6g, \"change_iqr\": [%.6g, %.6g], \"ratio\": %.4f, \"pair_ratio_median\": %.4f, \"pair_ratio_interval\": [%.4f, %.4f], \"wins\": %d, \"losses\": %d, \"verdict\": \"%s\"}",
+            (k > 1 ? "," : ""), m, dir, bvals, cvals, bm, bq1, bq3, cm, q(c, nc, 0.25), q(c, nc, 0.75), ratio, rm, rlo, rhi, wins, losses, verdict >out
         if ((m in bound) && gap > bound[m] * (bm < 0 ? -bm : bm)) {
             printf "pairs: %s is worse than base by more than its bound %s: %.6g -> %.6g\n", m, bound[m], bm, cm >"/dev/stderr"
             worse = 1
         }
-        printf "%s %s: base %.4g [%.4g, %.4g], change %.4g, ratio %.3f, change won %d/%d, lost %d: %s\n",
-            workload, m, bm, bq1, bq3, cm, ratio, wins, nb, losses, verdict >"/dev/stderr"
+        printf "%s %s: base %.4g [%.4g, %.4g], change %.4g, ratio %.3f, pair ratio %.3f [%.3f, %.3f], change won %d/%d, lost %d: %s\n",
+            workload, m, bm, bq1, bq3, cm, ratio, rm, rlo, rhi, wins, nb, losses, verdict >"/dev/stderr"
     }
     printf "\n  }\n}\n" >out
     exit worse
